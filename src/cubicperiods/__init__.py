@@ -20,8 +20,8 @@ from .arith import (
 )
 from .cubicpoly import (
     RationalCubic,
+    affine_relation,
     cubic_discriminant,
-    delta,
     discriminant_check,
     is_irreducible_cubic,
     irreducibility_criterion,
@@ -84,7 +84,7 @@ from .periods import (
     verify_period_relation,
     verify_sign_congruences,
 )
-from .quadform import Representation, ShanksParams, representations, shanks_params
+from .quadform import Representation, ShanksParams, delta, representations, shanks_params
 from .verdicts import Verdict
 
 __version__ = "0.1.0"

@@ -189,6 +189,16 @@ class Conductor:
         """Product of the odd prime factors other than 3 (value/9 when wild)."""
         return math.prod(self.odd_primes)
 
+    @property
+    def mu(self) -> int:
+        """Moebius value of the closed form: mu(f) when tame, mu(f/9) when wild."""
+        return moebius(self.odd_part)
+
+    @property
+    def field_count(self) -> int:
+        """Number of cyclic cubic fields of conductor f: 2^(nu-1) tame, 2^nu wild."""
+        return 2 ** (self.nu - 1) if self.kind is Kind.TAME else 2**self.nu
+
 
 def validate_conductor(f: int) -> Conductor:
     """Classify f as a tame or wild conductor, or raise InvalidConductor.
@@ -223,14 +233,16 @@ def validate_conductor(f: int) -> Conductor:
     return Conductor(f, Kind.WILD, tuple(odd_primes), len(odd_primes))
 
 
-def conductors_up_to(bound: int, kind: Kind | str | None = None) -> list[Conductor]:
-    """All valid conductors <= bound in ascending order, optionally filtered."""
+def conductors_up_to(
+    bound: int, kind: Kind | str | None = None, start: int = 1
+) -> list[Conductor]:
+    """All valid conductors in [start, bound] in ascending order, optionally filtered."""
     if bound < 1:
         raise ValueError("bound must be positive")
     if isinstance(kind, str):
         kind = Kind(kind)
     out = []
-    for f in range(1, bound + 1):
+    for f in range(start, bound + 1):
         try:
             cond = validate_conductor(f)
         except InvalidConductor:

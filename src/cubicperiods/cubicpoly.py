@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .arith import Conductor, Kind, factorize, moebius
 from .errors import IdentityFailure, NonIntegralCoefficient
-from .quadform import Representation, ShanksParams
+from .quadform import ShanksParams, delta
 from .verdicts import Verdict
 
 
@@ -67,35 +67,45 @@ def shanks_poly(n: int | Fraction) -> RationalCubic:
     return RationalCubic(Fraction(1), -n, -(n + 3), Fraction(-1))
 
 
-def delta(n1: int, n2: int) -> int:
-    return n1 * n1 + 3 * n1 * n2 + 9 * n2 * n2
+def affine_relation(f: Conductor, n1: int) -> tuple[int, int]:
+    """(mu, shift) of the relation eta = mu*(n2*rho + shift) for the pair with n1.
+
+    The shift is (1 - n1)/3 in the tame case and -n1/3 in the wild case,
+    with mu the Moebius value of f (tame) or f/9 (wild).
+    """
+    numerator = 1 - n1 if f.kind is Kind.TAME else -n1
+    if numerator % 3 != 0:
+        raise NonIntegralCoefficient(
+            f"shift {numerator}/3 for f={f.value}, n1={n1} is not an integer"
+        )
+    return f.mu, numerator // 3
 
 
-def period_poly_formula(f: Conductor, r: Representation) -> RationalCubic:
-    """Closed-form period polynomial for conductor f and its pair (M, N)."""
-    if r.conductor.value != f.value:
-        raise ValueError("representation does not belong to this conductor")
+def period_poly_formula(f: Conductor, M: int) -> RationalCubic:
+    """Closed-form period polynomial for conductor f and the M of one of its pairs."""
     v = f.value
+    n_squared, rest = divmod(4 * v - M * M, 27)
+    if rest or n_squared <= 0 or math.isqrt(n_squared) ** 2 != n_squared:
+        raise ValueError(f"M = {M} does not solve 4f = M^2 + 27N^2 for f={v}")
+    mu = f.mu
     if f.kind is Kind.TAME:
-        mu = moebius(v)
         poly = RationalCubic(
             Fraction(1),
             Fraction(-mu),
             Fraction(1 - v, 3),
-            Fraction(-mu * ((r.M - 3) * v + 1), 27),
+            Fraction(-mu * ((M - 3) * v + 1), 27),
         )
     else:
-        mu = moebius(v // 9)
         poly = RationalCubic(
             Fraction(1),
             Fraction(0),
             Fraction(-v, 3),
-            Fraction(-mu * v * r.M, 27),
+            Fraction(-mu * v * M, 27),
         )
     for c in poly.coefficients():
         if c.denominator != 1:
             raise NonIntegralCoefficient(
-                f"period polynomial for f={v}, M={r.M} has non-integer coefficient {c}"
+                f"period polynomial for f={v}, M={M} has non-integer coefficient {c}"
             )
     return poly
 
@@ -115,26 +125,15 @@ def substitute_affine(p: RationalCubic, a: int | Fraction, b: int | Fraction) ->
 def verify_main_identity(f: Conductor, sp: ShanksParams) -> Verdict:
     """Check n2^3 * mu * f_n(X) = P(mu*(n2*X + shift)) with exact equality.
 
-    The shift is (1 - n1)/3 in the tame case and -n1/3 in the wild case,
-    with mu the Moebius value of f (tame) or f/9 (wild).  Both sides are
-    integer polynomials; any coefficient difference raises IdentityFailure.
+    (mu, shift) come from affine_relation and M = 2*n1 + 3*n2.  Both sides
+    are integer polynomials; any coefficient difference raises IdentityFailure.
     """
-    if f.kind is Kind.TAME:
-        mu = moebius(f.value)
-        shift = Fraction(1 - sp.n1, 3)
-    else:
-        mu = moebius(f.value // 9)
-        shift = Fraction(-sp.n1, 3)
+    mu, shift = affine_relation(f, sp.n1)
     n = Fraction(sp.n1, sp.n2)
     lhs = shanks_poly(n).scale(mu * sp.n2**3)
-    m_val = 2 * sp.n1 + 3 * sp.n2
-    rep = Representation(
-        m_val,
-        sp.n2,
-        m_val // 3 if f.kind is Kind.WILD else None,
-        f,
+    rhs = substitute_affine(
+        period_poly_formula(f, 2 * sp.n1 + 3 * sp.n2), mu * sp.n2, mu * shift
     )
-    rhs = substitute_affine(period_poly_formula(f, rep), mu * sp.n2, mu * shift)
     if lhs != rhs:
         diffs = [
             (deg, lc, rc)
@@ -146,7 +145,7 @@ def verify_main_identity(f: Conductor, sp: ShanksParams) -> Verdict:
         raise IdentityFailure(
             f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): coefficients differ at {diffs}"
         )
-    return Verdict("main_identity", True, 0.0, data={"lhs": lhs, "rhs": rhs})
+    return Verdict("main_identity", data={"lhs": lhs, "rhs": rhs})
 
 
 def _divisors(n: int) -> list[int]:
@@ -209,4 +208,4 @@ def discriminant_check(n: int | Fraction) -> Verdict:
     expected = (n * n + 3 * n + 9) ** 2
     if disc != expected:
         raise IdentityFailure(f"disc(f_{n}) = {disc} but (n^2+3n+9)^2 = {expected}")
-    return Verdict("discriminant", True, 0.0, data={"value": disc})
+    return Verdict("discriminant", data={"value": disc})

@@ -74,9 +74,6 @@ class EisensteinInt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def to_complex(self) -> complex:
         return complex(self.a - self.b / 2.0, self.b * _SQRT3_2)
 
@@ -150,12 +147,6 @@ class CubicCharacter:
 
     def exponent(self, a: int) -> int | None:
         return self.exponents.get(a % self.modulus)
-
-    def value(self, a: int) -> complex:
-        e = self.exponent(a)
-        if e is None:
-            return 0j
-        return cmath.exp(2j * cmath.pi * e / 3)
 
     def kernel(self) -> frozenset[int]:
         return frozenset(a for a, e in self.exponents.items() if e == 0)

@@ -13,18 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .arith import Kind, moebius
-from .cubicpoly import shanks_poly, substitute_affine
+from .arith import Kind
+from .cubicpoly import _frac, affine_relation, shanks_poly, substitute_affine
 from .errors import GeneratorFailure, NonIntegralCoefficient
 from .periods import DEFAULT_TOLERANCE, real_roots_cubic
 from .verdicts import Verdict
 
 if TYPE_CHECKING:
     from .periods import FieldRecord
-
-
-def _frac(x: int | Fraction) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -132,9 +128,10 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
     if f.kind is not Kind.WILD:
         raise ValueError("generator checks apply to wild records")
     sp = rec.shanks_params
+    mu, shift = affine_relation(f, sp.n1)
     fn = shanks_poly(Fraction(sp.n1, sp.n2))
     roots = real_roots_cubic(fn, tolerance)
-    alphas = [sp.n2 * rho - sp.n1 / 3 for rho in roots]
+    alphas = [sp.n2 * rho + shift for rho in roots]
 
     trace = abs(sum(alphas))
     if trace > tolerance:
@@ -149,14 +146,13 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
             f"(b) a period plus one misses the twelve candidates by {worst}"
         )
 
-    h = substitute_affine(fn, Fraction(1, sp.n2), Fraction(sp.n1, 3 * sp.n2)).scale(
+    h = substitute_affine(fn, Fraction(1, sp.n2), Fraction(-shift, sp.n2)).scale(
         sp.n2**3
     )
     try:
         h.integer_coefficients()
     except NonIntegralCoefficient as exc:
         raise GeneratorFailure(f"(c) h has a non-integer coefficient: {exc}") from exc
-    mu = moebius(f.value // 9)
     expected = substitute_affine(rec.predicted_poly, mu, 0).scale(mu)
     if h != expected:
         raise GeneratorFailure(
@@ -172,4 +168,4 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
                 raise GeneratorFailure(
                     f"(c) minimal polynomial of {s}*alpha{t:+d} is not integral: {exc}"
                 ) from exc
-    return Verdict("generators", True, max(trace, worst))
+    return Verdict("generators", max(trace, worst))

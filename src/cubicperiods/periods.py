@@ -24,6 +24,7 @@ from fractions import Fraction
 from .arith import Conductor, Kind, euler_phi, factorize, moebius
 from .cubicpoly import (
     RationalCubic,
+    affine_relation,
     cubic_discriminant,
     period_poly_formula,
     shanks_poly,
@@ -83,9 +84,6 @@ class FieldRecord:
     def max_residual(self) -> float:
         return max((v.residual for v in self.verdicts.values()), default=0.0)
 
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts.values())
-
 
 def _component_moduli(f: Conductor) -> list[int]:
     comps = list(f.odd_primes)
@@ -94,30 +92,30 @@ def _component_moduli(f: Conductor) -> list[int]:
     return sorted(comps)
 
 
-def _generator(q: int) -> int:
-    """Smallest generator of the cyclic group (Z/qZ)^x for q prime or q = 9."""
+def _generator(q: int) -> tuple[int, int]:
+    """Smallest generator of the cyclic group (Z/qZ)^x for q prime or q = 9,
+    with the order of that group."""
     order = 6 if q == 9 else q - 1
     prime_divisors = [p for p, _ in factorize(order).factors]
     for g in range(2, q):
         if math.gcd(g, q) != 1:
             continue
         if all(pow(g, order // p, q) != 1 for p in prime_divisors):
-            return g
+            return g, order
     raise ValueError(f"no generator mod {q}")
 
 
 def unit_group(f: Conductor) -> UnitGroup:
     gens = []
     for q in _component_moduli(f):
-        g = _generator(q)
-        order = 6 if q == 9 else q - 1
+        g, order = _generator(q)
         rest = f.value // q
         # lift to a residue that is g mod q and 1 mod f/q
         lift = (1 + rest * ((g - 1) * pow(rest, -1, q) % q)) % f.value
         gens.append((lift, order))
-    group = UnitGroup(f.value, tuple(gens))
-    assert math.prod(o for _, o in gens) == euler_phi(factorize(f.value))
-    return group
+    if math.prod(o for _, o in gens) != euler_phi(factorize(f.value)):
+        raise CountMismatch(f"component orders do not multiply to phi({f.value})")
+    return UnitGroup(f.value, tuple(gens))
 
 
 def primitive_cubic_kernels(f: Conductor) -> list[frozenset[int]]:
@@ -132,8 +130,7 @@ def primitive_cubic_kernels(f: Conductor) -> list[frozenset[int]]:
     comps = _component_moduli(f)
     index_mod3: list[list[int]] = []
     for q in comps:
-        g = _generator(q)
-        order = 6 if q == 9 else q - 1
+        g, order = _generator(q)
         table = [-1] * q
         x = 1
         for j in range(order):
@@ -154,10 +151,9 @@ def primitive_cubic_kernels(f: Conductor) -> list[frozenset[int]]:
                 if sum(c * e for c, e in zip(coeffs, t)) % 3 == 0
             )
         )
-    expected = 2 ** (f.nu - 1) if f.kind is Kind.TAME else 2**f.nu
-    if len(kernels) != expected:
+    if len(kernels) != f.field_count:
         raise CountMismatch(
-            f"conductor {fv}: {len(kernels)} kernels, expected {expected}"
+            f"conductor {fv}: {len(kernels)} kernels, expected {f.field_count}"
         )
     return kernels
 
@@ -186,7 +182,8 @@ def gaussian_periods(f: Conductor, kernel: frozenset[int]) -> PeriodTriple:
                 f"period over a coset mod {fv} has imaginary part {imag}"
             )
         etas.append(real)
-    expected_sum = moebius(fv) if f.kind is Kind.TAME else 0
+    # mu(f) is 0 when 9 | f, which is the wild period sum
+    expected_sum = moebius(fv)
     if abs(sum(etas) - expected_sum) > tol:
         raise ToleranceExceeded(
             f"period sum {sum(etas)} differs from {expected_sum} for f={fv}"
@@ -195,17 +192,16 @@ def gaussian_periods(f: Conductor, kernel: frozenset[int]) -> PeriodTriple:
     return PeriodTriple(etas[0], etas[1], etas[2], kernel, f)
 
 
-def _symmetric_coefficients(pt: PeriodTriple) -> tuple[float, float, float]:
-    """Float coefficients (c2, c1, c0) of the monic cubic with the periods as roots."""
-    x, y, z = pt.values()
-    return (-(x + y + z), x * y + x * z + y * z, -(x * y * z))
-
-
 def numeric_period_poly(
     pt: PeriodTriple, tolerance: float = DEFAULT_TOLERANCE
-) -> RationalCubic:
-    """Expand (X - eta0)(X - eta1)(X - eta2) and round to integers."""
-    coeffs = _symmetric_coefficients(pt)
+) -> tuple[RationalCubic, float]:
+    """Expand (X - eta0)(X - eta1)(X - eta2) and round to integers.
+
+    Returns the integer cubic and the largest distance of a float
+    coefficient from its integer.
+    """
+    x, y, z = pt.values()
+    coeffs = (-(x + y + z), x * y + x * z + y * z, -(x * y * z))
     rounded = [round(c) for c in coeffs]
     worst = max(abs(c - r) for c, r in zip(coeffs, rounded))
     if worst > tolerance:
@@ -214,12 +210,7 @@ def numeric_period_poly(
             f"coefficient {offender} is {abs(offender - round(offender))} "
             f"from an integer (tolerance {tolerance})"
         )
-    return RationalCubic(Fraction(1), *(Fraction(r) for r in rounded))
-
-
-def rounding_residual(pt: PeriodTriple) -> float:
-    coeffs = _symmetric_coefficients(pt)
-    return max(abs(c - round(c)) for c in coeffs)
+    return RationalCubic(Fraction(1), *(Fraction(r) for r in rounded)), worst
 
 
 def real_roots_cubic(
@@ -269,12 +260,7 @@ def verify_period_relation(
     compared as multisets (no ordering of the conjugates is implied)."""
     f = rec.conductor
     sp = rec.shanks_params
-    if f.kind is Kind.TAME:
-        mu = moebius(f.value)
-        shift = Fraction(1 - sp.n1, 3)
-    else:
-        mu = moebius(f.value // 9)
-        shift = Fraction(-sp.n1, 3)
+    mu, shift = affine_relation(f, sp.n1)
     roots = real_roots_cubic(shanks_poly(Fraction(sp.n1, sp.n2)), tolerance)
     mapped = sorted((mu * (sp.n2 * rho + float(shift)) for rho in roots), reverse=True)
     residual = max(abs(m - e) for m, e in zip(mapped, rec.periods.values()))
@@ -282,7 +268,7 @@ def verify_period_relation(
         raise RelationFailure(
             f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): multiset distance {residual}"
         )
-    return Verdict("period_relation", True, residual)
+    return Verdict("period_relation", residual)
 
 
 def verify_sign_congruences(rec: FieldRecord) -> Verdict:
@@ -301,10 +287,11 @@ def verify_sign_congruences(rec: FieldRecord) -> Verdict:
     if (f.value * m_val) % 27 != 0:
         raise CongruenceFailure(f"27 does not divide f*M for f={f.value}, M={m_val}")
     fm27 = f.value * m_val // 27
-    assert fm27 == f.odd_part * rec.representation.M0
+    if fm27 != f.odd_part * rec.representation.M0:
+        raise CongruenceFailure(f"f*M/27 = {fm27} differs from (f/9)*M0")
     if (fm27 + 1) % 3 != 0:
         raise CongruenceFailure(f"f*M/27 = {fm27} is not -1 mod 3")
-    return Verdict("sign_congruences", True, 0.0)
+    return Verdict("sign_congruences")
 
 
 def verify_kernel_character(rec: FieldRecord) -> Verdict:
@@ -316,7 +303,7 @@ def verify_kernel_character(rec: FieldRecord) -> Verdict:
             f"f={rec.conductor.value}, M={rec.representation.M}: character kernel "
             "differs from the period-matched kernel"
         )
-    return Verdict("kernel_character", True, 0.0)
+    return Verdict("kernel_character")
 
 
 def match_fields(
@@ -336,18 +323,18 @@ def match_fields(
             f"conductor {f.value}: {len(reps)} pairs but {len(kernels)} kernels"
         )
     predicted: dict[tuple[int, int, int, int], Representation] = {}
-    polys: dict[tuple[int, int, int, int], RationalCubic] = {}
+    polys: dict[Representation, RationalCubic] = {}
     for r in reps:
-        poly = period_poly_formula(f, r)
+        poly = period_poly_formula(f, r.M)
         key = poly.integer_coefficients()
         if key in predicted:
             raise MatchingFailure(f"duplicate predicted polynomial for f={f.value}")
         predicted[key] = r
-        polys[key] = poly
+        polys[r] = poly
     assigned: dict[Representation, tuple[frozenset[int], PeriodTriple, float]] = {}
     for kernel in kernels:
         pt = gaussian_periods(f, kernel)
-        numeric = numeric_period_poly(pt, tolerance)
+        numeric, residual = numeric_period_poly(pt, tolerance)
         key = numeric.integer_coefficients()
         if key not in predicted:
             raise MatchingFailure(
@@ -358,24 +345,18 @@ def match_fields(
             raise MatchingFailure(
                 f"conductor {f.value}: two kernels match the pair M={r.M}"
             )
-        assigned[r] = (kernel, pt, rounding_residual(pt))
+        assigned[r] = (kernel, pt, residual)
     if len(assigned) != len(reps):
         raise MatchingFailure(f"conductor {f.value}: matching is not a bijection")
     records = []
     for r in reps:
         sp = shanks_params(r)
         kernel, pt, residual = assigned[r]
-        poly = period_poly_formula(f, r)
         verdicts = {
-            "oracle_equivalence": Verdict(
-                "oracle_equivalence",
-                True,
-                residual,
-                detail="numeric period polynomial equals the closed form",
-            ),
+            "oracle_equivalence": Verdict("oracle_equivalence", residual),
             "main_identity": verify_main_identity(f, sp),
         }
-        rec = FieldRecord(f, r, sp, poly, kernel, pt, verdicts)
+        rec = FieldRecord(f, r, sp, polys[r], kernel, pt, verdicts)
         verdicts["period_relation"] = verify_period_relation(rec, tolerance)
         records.append(rec)
     return records

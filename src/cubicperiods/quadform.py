@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import Conductor, Kind
-from .errors import CountMismatch, ParityError
+from .errors import CongruenceFailure, CountMismatch, IdentityFailure, ParityError
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,10 @@ class ShanksParams:
     delta: int
 
 
+def delta(n1: int, n2: int) -> int:
+    return n1 * n1 + 3 * n1 * n2 + 9 * n2 * n2
+
+
 def representations(f: Conductor) -> list[Representation]:
     """All normalized (M, N) for f, sorted by M descending.
 
@@ -79,10 +83,9 @@ def representations(f: Conductor) -> list[Representation]:
                     found.append(Representation(3 * m0, n, m0, f))
                     break
     found.sort(key=lambda r: -r.M)
-    expected = 2 ** (f.nu - 1) if f.kind is Kind.TAME else 2**f.nu
-    if len(found) != expected:
+    if len(found) != f.field_count:
         raise CountMismatch(
-            f"conductor {f.value}: found {len(found)} pairs, expected {expected}"
+            f"conductor {f.value}: found {len(found)} pairs, expected {f.field_count}"
         )
     return found
 
@@ -94,9 +97,15 @@ def shanks_params(r: Representation) -> ShanksParams:
         raise ParityError(f"M = {r.M} and N = {r.N} differ mod 2")
     n1 = (r.M - 3 * r.N) // 2
     n2 = r.N
-    delta = n1 * n1 + 3 * n1 * n2 + 9 * n2 * n2
-    assert math.gcd(n1, n2) == 1
-    assert delta == r.conductor.value
-    if r.conductor.kind is Kind.WILD:
-        assert n1 % 3 == 0 and (2 * n1 // 3 + n2) % 3 == 2
-    return ShanksParams(n1, n2, delta)
+    d = delta(n1, n2)
+    if math.gcd(n1, n2) != 1:
+        raise IdentityFailure(f"n1 = {n1} and n2 = {n2} are not coprime")
+    if d != r.conductor.value:
+        raise IdentityFailure(
+            f"n1^2 + 3*n1*n2 + 9*n2^2 = {d}, not the conductor {r.conductor.value}"
+        )
+    if r.conductor.kind is Kind.WILD and (n1 % 3 != 0 or (2 * n1 // 3 + n2) % 3 != 2):
+        raise CongruenceFailure(
+            f"wild parameters ({n1}, {n2}) violate the mod-3 normalization"
+        )
+    return ShanksParams(n1, n2, d)

@@ -7,17 +7,14 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one named check.
+    """Outcome of one named check that passed.
 
-    Checks raise a VerificationError subclass when they fail, so a Verdict
-    in hand normally has passed=True; the flag exists so reports can be
-    assembled uniformly.  residual is the worst numeric deviation observed
-    (0.0 for exact rational checks) and data carries check-specific payloads
-    such as the two sides of a polynomial identity.
+    Checks raise a VerificationError subclass when they fail, so holding a
+    Verdict means the check passed.  residual is the worst numeric deviation
+    observed (0.0 for exact rational checks) and data carries check-specific
+    payloads such as the two sides of a polynomial identity.
     """
 
     name: str
-    passed: bool
     residual: float = 0.0
-    detail: str = ""
     data: dict = field(default_factory=dict)

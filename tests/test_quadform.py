@@ -6,6 +6,7 @@ from cubicperiods import (
     Kind,
     ParityError,
     Representation,
+    VerificationError,
     conductors_up_to,
     representations,
     shanks_params,
@@ -102,6 +103,18 @@ def test_parity_guard():
     object.__setattr__(rep, "M0", None)
     object.__setattr__(rep, "conductor", validate_conductor(7))
     with pytest.raises(ParityError):
+        shanks_params(rep)
+
+
+def test_shanks_params_guard_survives_optimization():
+    # M = 5, N = 1 has the right parity but gives delta = 13, not f = 7;
+    # the check must raise a VerificationError even under python -O
+    rep = object.__new__(Representation)
+    object.__setattr__(rep, "M", 5)
+    object.__setattr__(rep, "N", 1)
+    object.__setattr__(rep, "M0", None)
+    object.__setattr__(rep, "conductor", validate_conductor(7))
+    with pytest.raises(VerificationError, match="not the conductor 7"):
         shanks_params(rep)
 
 
