@@ -4,9 +4,9 @@ for cyclic cubic fields.
 For any valid conductor the package enumerates the normalized solutions of
 4f = M^2 + 27 N^2, builds the matching one-parameter cubics and period
 polynomials with exact rational arithmetic, computes the Gaussian periods
-numerically from character kernels, and verifies the linear relation
-between the two root systems, exactly where the statement is exact and to
-a certified tolerance where it is numeric.
+numerically in one labelled pass over the units, and verifies the linear
+relation between the two root systems, exactly where the statement is
+exact and to a certified tolerance where it is numeric.
 """
 
 from .arith import (
@@ -36,6 +36,7 @@ from .eisenstein import (
     character_for_representation,
     chi9,
     chi9_gauss_sum_report,
+    component_characters,
     cubic_residue_character,
     eis_gcd,
     factor_rhs,

@@ -191,8 +191,12 @@ class Conductor:
 
     @property
     def mu(self) -> int:
-        """Moebius value of the closed form: mu(f) when tame, mu(f/9) when wild."""
-        return moebius(self.odd_part)
+        """Moebius value of the closed form: mu(f) when tame, mu(f/9) when wild.
+
+        The odd part of a conductor is a product of nu distinct primes, so
+        this is (-1)^nu.
+        """
+        return (-1) ** self.nu
 
     @property
     def field_count(self) -> int:

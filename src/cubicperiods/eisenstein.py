@@ -264,15 +264,14 @@ def factor_rhs(r: Representation) -> tuple[int, list[EisensteinInt]]:
     return sign, pis
 
 
-def character_for_representation(r: Representation) -> CubicCharacter:
-    """The primitive cubic character mod f attached to a wild pair (M, N).
+def component_characters(r: Representation) -> list[CubicCharacter]:
+    """The mod-9 and mod-p characters whose product is the character of a
+    wild pair (M, N).
 
-    The mod-9 component sign and the prime components come from factor_rhs;
-    each prime component is validated against -tau(chi_p)^3 = p * pi_p
-    numerically before the components are glued along the residues mod f.
+    The mod-9 sign and the prime elements come from factor_rhs; each prime
+    component is validated against -tau(chi_p)^3 = p * pi_p numerically.
     """
     sign, pis = factor_rhs(r)
-    f = r.conductor.value
     components = [chi9(sign)]
     for p, pi in zip(r.conductor.odd_primes, pis):
         chi_p = cubic_residue_character(p, pi)
@@ -283,6 +282,14 @@ def character_for_representation(r: Representation) -> CubicCharacter:
                 f"-tau^3/{p} = {-(tau**3)/p} is not the prime element {pi}"
             )
         components.append(chi_p)
+    return components
+
+
+def character_for_representation(r: Representation) -> CubicCharacter:
+    """The primitive cubic character mod f attached to a wild pair (M, N),
+    glued from its validated components along the residues mod f."""
+    components = component_characters(r)
+    f = r.conductor.value
     exponents: dict[int, int] = {}
     for a in range(1, f):
         if math.gcd(a, f) != 1:

@@ -1,10 +1,19 @@
 """Numeric Gaussian periods and the matching of kernels to representations.
 
-For a conductor f, each index-3 subgroup H of the units mod f whose cubic
-character is primitive yields three periods: the sums of exp(2*pi*i*a/f)
-over H and its two cosets.  Because -1 always lies in H (the quotient has
-odd order), every such sum is real; the imaginary parts are still summed
-and asserted to vanish rather than silently discarded.
+The units mod f split by the CRT over the components q of f (each prime
+p | f, and 9 when f is wild) into cyclic groups, each with its smallest
+generator.  Every unit a carries a label: its indices at the components,
+taken mod 3.  A cubic character acts on labels as a functional
+a -> c . label(a) mod 3; it is primitive when every coefficient is
+nonzero, and conjugate characters share a kernel, so each kernel is the
+coefficient vector (1, c_2, ..., c_k) with c_i in {1, 2}.
+
+One pass per conductor sums cos(2*pi*a/f) and sin(2*pi*a/f) over the units
+of each label with math.fsum, which is correctly rounded.  The three
+periods of a kernel c are then fsums of those label sums, split by
+c . label mod 3 into the kernel and its two cosets.  Because -1 has label
+zero and so lies in every kernel, every period is real; the imaginary
+parts are still summed and checked rather than silently discarded.
 
 The periods are the roots of a monic integer cubic.  Rounding its numeric
 coefficients and comparing with the closed-form period polynomial for each
@@ -16,12 +25,13 @@ the other.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product, repeat
+from operator import add, mod, mul
 
-from .arith import Conductor, Kind, euler_phi, factorize, moebius
+from .arith import Conductor, Kind, euler_phi, factorize
 from .cubicpoly import (
     RationalCubic,
     affine_relation,
@@ -30,7 +40,7 @@ from .cubicpoly import (
     shanks_poly,
     verify_main_identity,
 )
-from .eisenstein import character_for_representation
+from .eisenstein import component_characters
 from .errors import (
     ComplexRoots,
     CongruenceFailure,
@@ -56,12 +66,13 @@ class UnitGroup:
 
 @dataclass(frozen=True)
 class PeriodTriple:
-    """The three periods for one kernel, sorted in descending order."""
+    """The three periods for one kernel (a coefficient vector), sorted in
+    descending order."""
 
     eta0: float
     eta1: float
     eta2: float
-    kernel: frozenset[int]
+    kernel: tuple[int, ...]
     conductor: Conductor
 
     def values(self) -> tuple[float, float, float]:
@@ -77,7 +88,7 @@ class FieldRecord:
     representation: Representation
     shanks_params: ShanksParams
     predicted_poly: RationalCubic
-    matched_kernel: frozenset[int]
+    matched_kernel: tuple[int, ...]
     periods: PeriodTriple
     verdicts: dict[str, Verdict]
 
@@ -118,78 +129,103 @@ def unit_group(f: Conductor) -> UnitGroup:
     return UnitGroup(f.value, tuple(gens))
 
 
-def primitive_cubic_kernels(f: Conductor) -> list[frozenset[int]]:
-    """One kernel per conjugate pair of primitive cubic characters mod f.
+def primitive_cubic_kernels(f: Conductor) -> list[tuple[int, ...]]:
+    """One coefficient vector per conjugate pair of primitive cubic characters mod f.
 
-    Each prime-power component contributes an index-mod-3 map; a character
-    is primitive exactly when every component coefficient is nonzero, and
-    conjugate characters share a kernel, so fixing the first coefficient
-    to 1 enumerates kernels without repetition.
+    The character a -> c . label(a) mod 3 is primitive exactly when every
+    coefficient is nonzero, and c and 2c share a kernel, so fixing the
+    first coefficient to 1 enumerates kernels without repetition.
     """
-    fv = f.value
-    comps = _component_moduli(f)
-    index_mod3: list[list[int]] = []
-    for q in comps:
-        g, order = _generator(q)
-        table = [-1] * q
-        x = 1
-        for j in range(order):
-            table[x] = j % 3
-            x = x * g % q
-        index_mod3.append(table)
-    units = [a for a in range(1, fv) if math.gcd(a, fv) == 1]
-    tuples = [
-        tuple(table[a % q] for q, table in zip(comps, index_mod3)) for a in units
-    ]
-    kernels = []
-    for tail in itertools.product((1, 2), repeat=len(comps) - 1):
-        coeffs = (1, *tail)
-        kernels.append(
-            frozenset(
-                a
-                for a, t in zip(units, tuples)
-                if sum(c * e for c, e in zip(coeffs, t)) % 3 == 0
-            )
-        )
+    k = len(_component_moduli(f))
+    kernels = [(1, *tail) for tail in product((1, 2), repeat=k - 1)]
     if len(kernels) != f.field_count:
         raise CountMismatch(
-            f"conductor {fv}: {len(kernels)} kernels, expected {f.field_count}"
+            f"conductor {f.value}: {len(kernels)} kernels, expected {f.field_count}"
         )
     return kernels
 
 
-def gaussian_periods(f: Conductor, kernel: frozenset[int]) -> PeriodTriple:
-    """Cosine sums over the kernel and its two cosets, sorted descending."""
+def _index_classes(q: int, fv: int) -> tuple[list[int], ...]:
+    """The units mod q of index 0, 1 and 2 mod 3, that is the powers g^j of
+    the smallest generator split by j mod 3, each lifted to Z/fv by the CRT
+    idempotent of q (1 mod q, 0 mod fv/q)."""
+    g, order = _generator(q)
+    powers = []
+    x = 1
+    for _ in range(order):
+        powers.append(x)
+        x = x * g % q
+    rest = fv // q
+    idempotent = rest * pow(rest, -1, q)
+    lifted = list(map(mod, map(mul, powers, repeat(idempotent)), repeat(fv)))
+    return lifted[0::3], lifted[1::3], lifted[2::3]
+
+
+def _label_sums(f: Conductor) -> dict[tuple[int, ...], tuple[float, float, int]]:
+    """For each label: the fsums of cos(2*pi*a/f) and sin(2*pi*a/f) over the
+    units a with that label, and the number of those units.
+
+    The units of one label are the sums, mod f, of one lifted index class
+    per component; by the CRT each unit mod f is reached exactly once.  The
+    per-unit work runs in map, list repetition and fsum.
+    """
+    fv = f.value
+    components = [_index_classes(q, fv) for q in _component_moduli(f)]
+    step = 2 * math.pi / fv
+    sums = {}
+    for label in product(range(3), repeat=len(components)):
+        units = [0]
+        for classes, index in zip(components, label):
+            part = classes[index]
+            # x + y for every x in units and every y in part
+            spread = chain.from_iterable(map(repeat, units, repeat(len(part))))
+            units = list(map(add, spread, part * len(units)))
+        angles = list(map(mul, repeat(step), map(mod, units, repeat(fv))))
+        sums[label] = (
+            math.fsum(map(math.cos, angles)),
+            math.fsum(map(math.sin, angles)),
+            len(angles),
+        )
+    return sums
+
+
+def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
+    """The periods of every kernel, in the order of primitive_cubic_kernels.
+
+    Period j of the kernel c is the fsum of the label sums whose label
+    satisfies c . label = j mod 3: j = 0 is the kernel, 1 and 2 its cosets.
+    The three cosets must hold equally many units, each imaginary part must
+    vanish, and the periods must add up to mu(f) when tame and 0 when wild.
+    """
     fv = f.value
     tol = max(1e-9 * fv, 1e-12)
-    c = next(
-        a for a in range(2, fv) if math.gcd(a, fv) == 1 and a not in kernel
-    )
-    cosets = (
-        kernel,
-        frozenset(c * h % fv for h in kernel),
-        frozenset(c * c % fv * h % fv for h in kernel),
-    )
-    if len(cosets[0] | cosets[1] | cosets[2]) != 3 * len(kernel):
-        raise CountMismatch(f"cosets of the kernel do not partition the units mod {fv}")
-    two_pi_over_f = 2 * math.pi / fv
-    etas = []
-    for coset in cosets:
-        real = sum(math.cos(two_pi_over_f * a) for a in coset)
-        imag = sum(math.sin(two_pi_over_f * a) for a in coset)
-        if abs(imag) > tol:
-            raise ToleranceExceeded(
-                f"period over a coset mod {fv} has imaginary part {imag}"
+    sums = _label_sums(f)
+    expected_sum = 0 if f.is_wild else f.mu
+    triples = []
+    for kernel in primitive_cubic_kernels(f):
+        cosets: tuple[list[tuple[float, float, int]], ...] = ([], [], [])
+        for label, entry in sums.items():
+            cosets[sum(map(mul, kernel, label)) % 3].append(entry)
+        if len({sum(n for _, _, n in coset) for coset in cosets}) != 1:
+            raise CountMismatch(
+                f"the cosets of the kernel {kernel} mod {fv} differ in size"
             )
-        etas.append(real)
-    # mu(f) is 0 when 9 | f, which is the wild period sum
-    expected_sum = moebius(fv)
-    if abs(sum(etas) - expected_sum) > tol:
-        raise ToleranceExceeded(
-            f"period sum {sum(etas)} differs from {expected_sum} for f={fv}"
-        )
-    etas.sort(reverse=True)
-    return PeriodTriple(etas[0], etas[1], etas[2], kernel, f)
+        etas = []
+        for coset in cosets:
+            imag = math.fsum(im for _, im, _ in coset)
+            if abs(imag) > tol:
+                raise ToleranceExceeded(
+                    f"period over a coset mod {fv} has imaginary part {imag}"
+                )
+            etas.append(math.fsum(re for re, _, _ in coset))
+        total = math.fsum(etas)
+        if abs(total - expected_sum) > tol:
+            raise ToleranceExceeded(
+                f"period sum {total} differs from {expected_sum} for f={fv}"
+            )
+        etas.sort(reverse=True)
+        triples.append(PeriodTriple(etas[0], etas[1], etas[2], kernel, f))
+    return triples
 
 
 def numeric_period_poly(
@@ -296,12 +332,23 @@ def verify_sign_congruences(rec: FieldRecord) -> Verdict:
 
 def verify_kernel_character(rec: FieldRecord) -> Verdict:
     """The character built from (M, N) must cut out the kernel matched to it
-    by the period-polynomial comparison."""
-    chi = character_for_representation(rec.representation)
-    if chi.kernel() != rec.matched_kernel:
+    by the period-polynomial comparison.
+
+    On labels the character is the functional whose coefficients are its
+    exponents at the component generators.  Two functionals on (Z/3)^k
+    have the same kernel exactly when they are proportional, so the
+    exponents are scaled to first coordinate 1, as every kernel vector is,
+    and compared with the matched vector.
+    """
+    f = rec.conductor
+    characters = {chi.modulus: chi for chi in component_characters(rec.representation)}
+    exponents = [characters[q].exponent(_generator(q)[0]) for q in _component_moduli(f)]
+    # 1 and 2 are their own inverses mod 3; a zero first exponent scales to 0
+    scaled = tuple(e * exponents[0] % 3 for e in exponents)
+    if scaled != rec.matched_kernel:
         raise MatchingFailure(
-            f"f={rec.conductor.value}, M={rec.representation.M}: character kernel "
-            "differs from the period-matched kernel"
+            f"f={f.value}, M={rec.representation.M}: character exponents "
+            f"{exponents} do not cut out the period-matched kernel {rec.matched_kernel}"
         )
     return Verdict("kernel_character")
 
@@ -317,10 +364,10 @@ def match_fields(
     checks pass.
     """
     reps = representations(f)
-    kernels = primitive_cubic_kernels(f)
-    if len(kernels) != len(reps):
+    triples = gaussian_periods(f)
+    if len(triples) != len(reps):
         raise CountMismatch(
-            f"conductor {f.value}: {len(reps)} pairs but {len(kernels)} kernels"
+            f"conductor {f.value}: {len(reps)} pairs but {len(triples)} kernels"
         )
     predicted: dict[tuple[int, int, int, int], Representation] = {}
     polys: dict[Representation, RationalCubic] = {}
@@ -331,9 +378,8 @@ def match_fields(
             raise MatchingFailure(f"duplicate predicted polynomial for f={f.value}")
         predicted[key] = r
         polys[r] = poly
-    assigned: dict[Representation, tuple[frozenset[int], PeriodTriple, float]] = {}
-    for kernel in kernels:
-        pt = gaussian_periods(f, kernel)
+    assigned: dict[Representation, tuple[PeriodTriple, float]] = {}
+    for pt in triples:
         numeric, residual = numeric_period_poly(pt, tolerance)
         key = numeric.integer_coefficients()
         if key not in predicted:
@@ -345,18 +391,18 @@ def match_fields(
             raise MatchingFailure(
                 f"conductor {f.value}: two kernels match the pair M={r.M}"
             )
-        assigned[r] = (kernel, pt, residual)
+        assigned[r] = (pt, residual)
     if len(assigned) != len(reps):
         raise MatchingFailure(f"conductor {f.value}: matching is not a bijection")
     records = []
     for r in reps:
         sp = shanks_params(r)
-        kernel, pt, residual = assigned[r]
+        pt, residual = assigned[r]
         verdicts = {
             "oracle_equivalence": Verdict("oracle_equivalence", residual),
             "main_identity": verify_main_identity(f, sp),
         }
-        rec = FieldRecord(f, r, sp, polys[r], kernel, pt, verdicts)
+        rec = FieldRecord(f, r, sp, polys[r], pt.kernel, pt, verdicts)
         verdicts["period_relation"] = verify_period_relation(rec, tolerance)
         records.append(rec)
     return records

@@ -121,15 +121,15 @@ def test_criterion_5_oracle_equivalence(all_records_10k):
                 assert verdict.residual < TOLERANCE
 
 
-def test_criterion_6_counting(conductors_10k, all_records_10k):
+def test_criterion_6_counting(conductors_10k, all_records_10k, residue_sets):
     with criterion(6, "2^(nu-1) / 2^nu counting and bijective matching"):
         for cond in conductors_10k:
             expected = 2 ** (cond.nu - 1) if cond.kind is Kind.TAME else 2**cond.nu
             reps = representations(cond)
-            kernels = primitive_cubic_kernels(cond)
+            kernels = [residue_sets(cond, v)[0] for v in primitive_cubic_kernels(cond)]
             records = all_records_10k[cond.value]
             assert len(reps) == len(kernels) == len(records) == expected
-            assert {rec.matched_kernel for rec in records} == set(kernels)
+            assert {residue_sets(cond, rec.matched_kernel)[0] for rec in records} == set(kernels)
             assert {rec.representation for rec in records} == set(reps)
 
 

@@ -114,6 +114,11 @@ def test_conductor_mu_and_field_count(f, mu, count):
     assert cond.field_count == count
 
 
+def test_conductor_mu_is_moebius_of_the_odd_part(conductors_10k):
+    for cond in conductors_10k:
+        assert cond.mu == moebius(cond.odd_part), cond.value
+
+
 def _conductor_oracle(f: int) -> bool:
     """Direct divisibility characterization, independent of validate_conductor."""
 

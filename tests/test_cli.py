@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubicperiods import DEFAULT_TOLERANCE, RoundingFailure, validate_conductor
+from cubicperiods import DEFAULT_TOLERANCE, validate_conductor
 from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
 
@@ -95,12 +95,16 @@ def test_scan_single(capsys):
     assert json.loads(out)["conductors"] == 1
 
 
-@pytest.mark.xfail(strict=True, raises=RoundingFailure)
-def test_verify_60433_known_false_failure():
-    # 60433 = 223 * 271 is the smallest conductor whose float period
-    # polynomial misses an integer by more than the default tolerance
-    # (coefficient 734148.9999988743); the field itself is fine.
-    verify_report(validate_conductor(60433), DEFAULT_TOLERANCE)
+@pytest.mark.parametrize("conductor", [60433, 73237, 482391])
+def test_verify_large_conductor_exits_0(capsys, conductor):
+    # Each of these failed with RoundingFailure while the periods were
+    # plain float sums: 60433 = 223 * 271 missed an integer coefficient by
+    # 1.1e-6, the prime 73237 was the smallest failing verify-band
+    # conductor, and 482391 = 9 * 7 * 13 * 19 * 31 missed by 1.2e-5.
+    code, out, _ = run(capsys, ["verify", "--conductor", str(conductor)])
+    assert code == 0
+    doc = json.loads(out)
+    assert all(entry["residual"] < DEFAULT_TOLERANCE for entry in doc["fields"])
 
 
 def test_scan_empty_range(capsys):

@@ -5,6 +5,9 @@ Each file under tests/golden/ is the stdout of one command line, written by
 of these bytes is a change to the reports and must be made on purpose.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from cubicperiods.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CASES = {
     "table.json": ["table", "--format", "json"],
@@ -34,3 +38,19 @@ def test_report_bytes_unchanged(capsys, name):
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_verify_bytes_unchanged_under_python_O():
+    # python -O strips assert statements: the same bytes prove that no check
+    # of the verifier is an assert
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["verify", "--conductor", "15561", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cubicperiods.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "verify-15561.json").read_bytes()

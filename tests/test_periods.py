@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ import pytest
 from cubicperiods import (
     ComplexRoots,
     Kind,
+    MatchingFailure,
     RationalCubic,
     RoundingFailure,
+    character_for_representation,
     conductors_up_to,
     gaussian_periods,
     match_fields,
@@ -39,33 +42,36 @@ def test_unit_group_examples():
         assert all(pow(g, order // p, 63) != 1 for p in (2, 3))
 
 
-def test_kernels_examples():
-    assert primitive_cubic_kernels(F9) == [frozenset({1, 8})]
-    assert primitive_cubic_kernels(F7) == [frozenset({1, 6})]
-    kernels = primitive_cubic_kernels(F819)
+def test_kernels_examples(residue_sets):
+    assert primitive_cubic_kernels(F9) == [(1,)]
+    assert residue_sets(F9, (1,))[0] == frozenset({1, 8})
+    assert primitive_cubic_kernels(F7) == [(1,)]
+    assert residue_sets(F7, (1,))[0] == frozenset({1, 6})
+    kernels = [residue_sets(F819, k)[0] for k in primitive_cubic_kernels(F819)]
     assert len(kernels) == 4
     assert all(len(k) == 432 // 3 for k in kernels)
     assert len(set(kernels)) == 4
 
 
-def test_kernels_contain_minus_one():
+def test_kernels_contain_minus_one(residue_sets):
     for cond in (F9, F7, F63, F819):
-        for kern in primitive_cubic_kernels(cond):
-            assert (cond.value - 1) in kern
+        for vector in primitive_cubic_kernels(cond):
+            assert (cond.value - 1) in residue_sets(cond, vector)[0]
 
 
-def test_prime_kernel_equals_cubes():
+def test_prime_kernel_equals_cubes(residue_sets):
     # independent characterization: for a prime-power conductor the unique
     # kernel is the set of cubes of units
     for f in (7, 13, 19, 31, 61, 9):
         cond = validate_conductor(f)
-        (kern,) = primitive_cubic_kernels(cond)
+        (vector,) = primitive_cubic_kernels(cond)
         cubes = {pow(x, 3, f) for x in range(1, f) if math.gcd(x, f) == 1}
-        assert kern == cubes
+        assert residue_sets(cond, vector)[0] == cubes
 
 
-def test_gaussian_periods_nine():
-    pt = gaussian_periods(F9, frozenset({1, 8}))
+def test_gaussian_periods_nine(residue_sets):
+    (pt,) = gaussian_periods(F9)
+    assert residue_sets(F9, pt.kernel)[0] == frozenset({1, 8})
     expected = sorted((2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4)), reverse=True)
     assert pt.values() == pytest.approx(expected, abs=1e-12)
     assert pt.values() == pytest.approx(
@@ -73,27 +79,48 @@ def test_gaussian_periods_nine():
     )
 
 
-def test_gaussian_periods_seven_sum():
-    pt = gaussian_periods(F7, frozenset({1, 6}))
+def test_gaussian_periods_seven_sum(residue_sets):
+    (pt,) = gaussian_periods(F7)
+    assert residue_sets(F7, pt.kernel)[0] == frozenset({1, 6})
     assert sum(pt.values()) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_period_sum_partition():
+def test_period_sum_partition(residue_sets):
     for cond in conductors_up_to(500):
         expected = 0 if cond.kind is Kind.WILD else (-1) ** cond.nu
-        for kern in primitive_cubic_kernels(cond):
-            pt = gaussian_periods(cond, kern)
+        units = {a for a in range(1, cond.value) if math.gcd(a, cond.value) == 1}
+        for pt in gaussian_periods(cond):
+            cosets = residue_sets(cond, pt.kernel)
+            assert set().union(*cosets) == units
+            assert sum(map(len, cosets)) == len(units)
             assert sum(pt.values()) == pytest.approx(expected, abs=1e-9 * cond.value)
 
 
+def test_periods_equal_direct_cosine_sums(residue_sets):
+    # the labelled pass against the definition: cosine sums over the
+    # materialized kernel and cosets of each coefficient vector
+    for cond in conductors_up_to(2000):
+        triples = gaussian_periods(cond)
+        assert [pt.kernel for pt in triples] == primitive_cubic_kernels(cond)
+        for pt in triples:
+            direct = sorted(
+                (
+                    sum(math.cos(2 * math.pi * a / cond.value) for a in coset)
+                    for coset in residue_sets(cond, pt.kernel)
+                ),
+                reverse=True,
+            )
+            assert list(pt.values()) == pytest.approx(direct, abs=1e-9)
+
+
 def test_numeric_period_poly_examples():
-    pt9 = gaussian_periods(F9, frozenset({1, 8}))
+    (pt9,) = gaussian_periods(F9)
     assert numeric_period_poly(pt9)[0].integer_coefficients() == (1, 0, -3, 1)
-    pt7 = gaussian_periods(F7, frozenset({1, 6}))
+    (pt7,) = gaussian_periods(F7)
     assert numeric_period_poly(pt7)[0].integer_coefficients() == (1, 1, -2, -1)
     got = {
-        numeric_period_poly(gaussian_periods(F819, k))[0].integer_coefficients()
-        for k in primitive_cubic_kernels(F819)
+        numeric_period_poly(pt)[0].integer_coefficients()
+        for pt in gaussian_periods(F819)
     }
     assert got == {
         (1, 0, -273, 1729),
@@ -111,7 +138,7 @@ def test_numeric_period_poly_residual_is_the_oracle_residual():
 
 
 def test_numeric_period_poly_unattainable_tolerance():
-    pt = gaussian_periods(F819, primitive_cubic_kernels(F819)[0])
+    pt = gaussian_periods(F819)[0]
     with pytest.raises(RoundingFailure):
         numeric_period_poly(pt, tolerance=1e-30)
 
@@ -206,12 +233,13 @@ def test_sign_congruences_rejects_tame():
         verify_sign_congruences(rec)
 
 
-def test_coset_relabeling_leaves_multiset_invariant():
+def test_coset_relabeling_leaves_multiset_invariant(residue_sets):
     # computing the three fiber sums directly, in any labeling, must give
     # the same multiset as the sorted PeriodTriple
     for cond in (F9, F7, F63):
-        for kern in primitive_cubic_kernels(cond):
+        for pt in gaussian_periods(cond):
             fv = cond.value
+            kern = residue_sets(cond, pt.kernel)[0]
             units = [a for a in range(1, fv) if math.gcd(a, fv) == 1]
             outside = [a for a in units if a not in kern]
             for rep_choice in outside[:3]:
@@ -224,7 +252,6 @@ def test_coset_relabeling_leaves_multiset_invariant():
                     ),
                     reverse=True,
                 )
-                pt = gaussian_periods(cond, kern)
                 assert sums == pytest.approx(list(pt.values()), abs=1e-9)
 
 
@@ -234,11 +261,38 @@ def test_kernel_character_cross_check_wild(wild_records_10k):
         verify_kernel_character(rec)
 
 
-def test_counts_and_bijection_small():
+def test_kernel_character_rejects_another_kernel():
+    records = match_fields(F819)
+    vectors = [rec.matched_kernel for rec in records]
+    for rec in records:
+        for other in vectors:
+            if other == rec.matched_kernel:
+                continue
+            with pytest.raises(MatchingFailure):
+                verify_kernel_character(dataclasses.replace(rec, matched_kernel=other))
+
+
+def test_glued_character_cuts_out_the_matched_kernel(wild_records_10k, residue_sets):
+    # the O(f) character glued along the residues mod f, against the
+    # residue set of the matched coefficient vector
+    for rec in wild_records_10k:
+        chi = character_for_representation(rec.representation)
+        assert chi.kernel() == residue_sets(rec.conductor, rec.matched_kernel)[0]
+
+
+def test_records_hold_coefficient_vectors():
+    # a kernel is stored as its coefficients over the components 7, 9 and
+    # 13, not as its phi(819)/3 = 144 residues
+    for rec in match_fields(F819):
+        assert type(rec.matched_kernel) is tuple and len(rec.matched_kernel) == 3
+        assert rec.periods.kernel == rec.matched_kernel
+
+
+def test_counts_and_bijection_small(residue_sets):
     for cond in conductors_up_to(1500):
         reps = representations(cond)
-        kernels = primitive_cubic_kernels(cond)
+        kernels = [residue_sets(cond, v)[0] for v in primitive_cubic_kernels(cond)]
         assert len(reps) == len(kernels)
         records = match_fields(cond)
         assert len(records) == len(reps)
-        assert {rec.matched_kernel for rec in records} == set(kernels)
+        assert {residue_sets(cond, rec.matched_kernel)[0] for rec in records} == set(kernels)
