@@ -31,12 +31,10 @@ from .cubicpoly import (
     verify_main_identity,
 )
 from .eisenstein import (
-    CubicCharacter,
     EisensteinInt,
     character_for_representation,
     chi9,
     chi9_gauss_sum_report,
-    component_characters,
     cubic_residue_character,
     eis_gcd,
     factor_rhs,

@@ -1,4 +1,6 @@
-"""Integer groundwork: factorization, the Moebius function, conductor checks.
+"""Integer groundwork: factorization, the Moebius function, conductor checks,
+and the coordinates of (Z/f)^x: its CRT components, their smallest
+generators and the index classes of those generators.
 
 A positive integer is the conductor of a cyclic cubic field exactly when it
 is either a squarefree product p1*...*pk of primes congruent to 1 mod 3
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import mod, mul
 
 from .errors import InvalidConductor
 
@@ -235,6 +239,43 @@ def validate_conductor(f: int) -> Conductor:
             raise InvalidConductor("1 is not a conductor")
         return Conductor(f, Kind.TAME, tuple(odd_primes), len(odd_primes))
     return Conductor(f, Kind.WILD, tuple(odd_primes), len(odd_primes))
+
+
+def _component_moduli(f: Conductor) -> list[int]:
+    """The CRT components of f in ascending order: each odd prime, and 9 when wild."""
+    comps = list(f.odd_primes)
+    if f.kind is Kind.WILD:
+        comps.append(9)
+    return sorted(comps)
+
+
+def _generator(q: int) -> tuple[int, int]:
+    """Smallest generator of the cyclic group (Z/qZ)^x for q prime or q = 9,
+    with the order of that group."""
+    order = 6 if q == 9 else q - 1
+    prime_divisors = [p for p, _ in factorize(order).factors]
+    for g in range(2, q):
+        if math.gcd(g, q) != 1:
+            continue
+        if all(pow(g, order // p, q) != 1 for p in prime_divisors):
+            return g, order
+    raise ValueError(f"no generator mod {q}")
+
+
+def _index_classes(q: int, fv: int) -> tuple[list[int], ...]:
+    """The units mod q of index 0, 1 and 2 mod 3, that is the powers g^j of
+    the smallest generator split by j mod 3, each lifted to Z/fv by the CRT
+    idempotent of q (1 mod q, 0 mod fv/q)."""
+    g, order = _generator(q)
+    powers = []
+    x = 1
+    for _ in range(order):
+        powers.append(x)
+        x = x * g % q
+    rest = fv // q
+    idempotent = rest * pow(rest, -1, q)
+    lifted = list(map(mod, map(mul, powers, repeat(idempotent)), repeat(fv)))
+    return lifted[0::3], lifted[1::3], lifted[2::3]
 
 
 def conductors_up_to(

@@ -16,6 +16,7 @@ Reports go to stdout (or --out); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -140,8 +141,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.tolerance <= 0:
-        _diag(f"error: tolerance must be positive, got {args.tolerance}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        _diag(f"error: tolerance must be positive and finite, got {args.tolerance}")
         return 2
     f = validate_conductor(args.conductor)
     report = verify_report(f, args.tolerance)
@@ -154,8 +155,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.min < 1 or args.max < args.min:
         _diag(f"error: empty or invalid range [{args.min}, {args.max}]")
         return 2
-    if args.tolerance <= 0:
-        _diag(f"error: tolerance must be positive, got {args.tolerance}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        _diag(f"error: tolerance must be positive and finite, got {args.tolerance}")
         return 2
     conductors = conductors_up_to(args.max, args.kind, start=args.min)
     total_fields = 0

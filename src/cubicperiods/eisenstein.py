@@ -8,12 +8,20 @@ Two normal forms for associates are used below.  The *canonical* associate
 (first coordinate positive, second smallest nonnegative) makes gcd output
 deterministic.  The *primary* associate, congruent to 1 mod 3, is the one
 pinned down by the Gaussian-sum normalization -tau(chi_p)^3 = p * pi: for a
-prime element pi of norm p = 1 mod 3, the cubic residue character
-chi(a) = a^((p-1)/3) mod pi has a Gaussian sum whose negated cube is p times
-the primary associate of pi.  That normalization is what ties each pair
-(M, N) with 4f = M^2 + 27 N^2 to a specific character of conductor f via
+prime element pi of norm p = 1 mod 3, the cubic residue character chi_p
+(chi_p(a) = zeta3^e when a^((p-1)/3) = omega^e mod p, omega the residue of
+zeta3 mod pi) has a Gaussian sum whose negated cube is p times the primary
+associate of pi.  That normalization is what ties each pair (M, N) with
+4f = M^2 + 27 N^2 to a specific character of conductor f via
 
     (M + 3N*sqrt(-3))/2 = 3 * zeta3^(+-1) * pi_1 * ... * pi_nu.
+
+A character of the cyclic group (Z/q)^x, q = 9 or a prime p, is fixed by
+its value at a generator, so each component character is held as one
+exponent e in {1, 2}: chi(g) = zeta3^e at the smallest generator g, the
+coordinate that kernel vectors use too.  Then chi(g^j) = zeta3^(e*j), and
+the Gaussian sum is the sum over r of zeta3^(e*r) times the sum of
+exp(2*pi*i*a/q) over the index class j = r mod 3.
 
 The identification is never assumed: every step is re-checked, exactly for
 the algebra and to 1e-6 for the Gaussian sums.
@@ -25,8 +33,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mod, mul
 
-from .arith import Kind
+from .arith import Kind, _component_moduli, _generator, _index_classes
 from .errors import (
     FactorizationMismatch,
     NormalizationFailure,
@@ -136,32 +146,24 @@ def round_to_eisenstein(z: complex) -> tuple[EisensteinInt, float]:
     return cand, abs(z - cand.to_complex())
 
 
-@dataclass(frozen=True)
-class CubicCharacter:
-    """Order-3 character: residues coprime to the modulus map to exponents
-    of zeta3 in {0, 1, 2}; everything else is implicitly zero."""
-
-    modulus: int
-    conductor: int
-    exponents: dict[int, int]
-
-    def exponent(self, a: int) -> int | None:
-        return self.exponents.get(a % self.modulus)
-
-    def kernel(self) -> frozenset[int]:
-        return frozenset(a for a, e in self.exponents.items() if e == 0)
+def _circle_sums(residues: list[int], m: int) -> tuple[float, float]:
+    """The fsums of cos(2*pi*a/m) and sin(2*pi*a/m) over the residues a."""
+    step = 2 * math.pi / m
+    angles = list(map(mul, repeat(step), map(mod, residues, repeat(m))))
+    return math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles))
 
 
-def chi9(sign: int) -> CubicCharacter:
-    """The character mod 9 with exponent sign*(a^2 - 1)/3 mod 3."""
+def chi9(sign: int) -> int:
+    """Exponent at 2, the smallest generator mod 9, of the character mod 9
+    with chi(a) = zeta3^(sign*(a^2 - 1)/3): it is sign mod 3."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    exps = {a: sign * ((a * a - 1) // 3) % 3 for a in (1, 2, 4, 5, 7, 8)}
-    return CubicCharacter(9, 9, exps)
+    return sign % 3
 
 
-def cubic_residue_character(p: int, pi: EisensteinInt) -> CubicCharacter:
-    """chi(a) = exponent e with a^((p-1)/3) = zeta3^e mod pi, for a mod p.
+def cubic_residue_character(p: int, pi: EisensteinInt) -> int:
+    """Exponent e with g^((p-1)/3) = zeta3^e mod pi at the smallest generator
+    g mod p, which fixes chi(a) = a^((p-1)/3) mod pi at every a.
 
     The quotient Z[zeta3]/(pi) is the field with p elements; zeta3 reduces
     to an integer omega with omega^2 + omega + 1 = 0 mod p, which turns
@@ -174,33 +176,30 @@ def cubic_residue_character(p: int, pi: EisensteinInt) -> CubicCharacter:
     omega = -pi.a * pow(pi.b, -1, p) % p
     if (omega * omega + omega + 1) % p != 0:
         raise NotPrimitiveRoot(f"residue {omega} of zeta3 mod {pi} is not a cube root of 1")
-    omega_sq = omega * omega % p
+    g, _ = _generator(p)
     k = (p - 1) // 3
-    exps: dict[int, int] = {}
-    for a in range(1, p):
-        t = pow(a, k, p)
-        if t == 1:
-            exps[a] = 0
-        elif t == omega:
-            exps[a] = 1
-        elif t == omega_sq:
-            exps[a] = 2
-        else:
-            raise NotPrimitiveRoot(f"{a}^{k} mod {p} is not a cube root of unity")
-    return CubicCharacter(p, p, exps)
+    t = pow(g, k, p)
+    if t == omega:
+        return 1
+    if t == omega * omega % p:
+        return 2
+    raise NotPrimitiveRoot(f"{g}^{k} mod {p} is not a primitive cube root of unity")
 
 
-def gaussian_sum(chi: CubicCharacter) -> complex:
-    """tau(chi) = sum over a of chi(a) * exp(2*pi*i*a/m) for a primitive chi."""
-    if chi.modulus != chi.conductor:
-        raise ValueError("gaussian_sum requires a primitive character")
-    m = chi.modulus
+def gaussian_sum(q: int, e: int) -> complex:
+    """tau(chi) = sum over the units a mod q of chi(a) * exp(2*pi*i*a/q) for
+    the primitive character with chi(g) = zeta3^e at the smallest generator
+    g mod q (q prime or 9): sum over r of zeta3^(e*r) times the circle sum
+    of the index class r."""
+    if e not in (1, 2):
+        raise ValueError("a primitive cubic character has exponent 1 or 2")
     total = 0j
-    for a, e in chi.exponents.items():
-        total += cmath.exp(2j * cmath.pi * (a / m + e / 3))
-    if abs(abs(total) ** 2 - m) > 1e-6:
+    for r, units in enumerate(_index_classes(q, q)):
+        zeta_power = (ONE, ZETA, ZETA_SQ)[e * r % 3].to_complex()
+        total += zeta_power * complex(*_circle_sums(units, q))
+    if abs(abs(total) ** 2 - q) > 1e-6:
         raise ToleranceExceeded(
-            f"|tau|^2 = {abs(total)**2} differs from the conductor {m}"
+            f"|tau|^2 = {abs(total)**2} differs from the conductor {q}"
         )
     return total
 
@@ -212,7 +211,7 @@ def chi9_gauss_sum_report(sign: int) -> dict:
     modulus 27; both comparisons are computed and reported rather than
     assumed.
     """
-    tau = gaussian_sum(chi9(sign))
+    tau = gaussian_sum(9, chi9(sign))
     reference = 27 * cmath.exp(sign * 2j * cmath.pi / 3)
     return {
         "tau": tau,
@@ -264,35 +263,22 @@ def factor_rhs(r: Representation) -> tuple[int, list[EisensteinInt]]:
     return sign, pis
 
 
-def component_characters(r: Representation) -> list[CubicCharacter]:
-    """The mod-9 and mod-p characters whose product is the character of a
-    wild pair (M, N).
+def character_for_representation(r: Representation) -> tuple[int, ...]:
+    """The primitive cubic character mod f attached to a wild pair (M, N),
+    as its exponents at the component generators, in component order.
 
     The mod-9 sign and the prime elements come from factor_rhs; each prime
     component is validated against -tau(chi_p)^3 = p * pi_p numerically.
     """
     sign, pis = factor_rhs(r)
-    components = [chi9(sign)]
+    exponents = {9: chi9(sign)}
     for p, pi in zip(r.conductor.odd_primes, pis):
-        chi_p = cubic_residue_character(p, pi)
-        tau = gaussian_sum(chi_p)
+        e = cubic_residue_character(p, pi)
+        tau = gaussian_sum(p, e)
         rounded, residual = round_to_eisenstein(-(tau**3) / p)
         if residual > 1e-6 or rounded != pi:
             raise NormalizationFailure(
                 f"-tau^3/{p} = {-(tau**3)/p} is not the prime element {pi}"
             )
-        components.append(chi_p)
-    return components
-
-
-def character_for_representation(r: Representation) -> CubicCharacter:
-    """The primitive cubic character mod f attached to a wild pair (M, N),
-    glued from its validated components along the residues mod f."""
-    components = component_characters(r)
-    f = r.conductor.value
-    exponents: dict[int, int] = {}
-    for a in range(1, f):
-        if math.gcd(a, f) != 1:
-            continue
-        exponents[a] = sum(c.exponents[a % c.modulus] for c in components) % 3
-    return CubicCharacter(f, f, exponents)
+        exponents[p] = e
+    return tuple(exponents[q] for q in _component_moduli(r.conductor))

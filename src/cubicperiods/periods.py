@@ -29,9 +29,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat
-from operator import add, mod, mul
+from operator import add, mul
 
-from .arith import Conductor, Kind, euler_phi, factorize
+from .arith import (
+    Conductor,
+    Kind,
+    _component_moduli,
+    _generator,
+    _index_classes,
+    euler_phi,
+    factorize,
+)
 from .cubicpoly import (
     RationalCubic,
     affine_relation,
@@ -40,7 +48,7 @@ from .cubicpoly import (
     shanks_poly,
     verify_main_identity,
 )
-from .eisenstein import component_characters
+from .eisenstein import _circle_sums, character_for_representation
 from .errors import (
     ComplexRoots,
     CongruenceFailure,
@@ -96,26 +104,6 @@ class FieldRecord:
         return max((v.residual for v in self.verdicts.values()), default=0.0)
 
 
-def _component_moduli(f: Conductor) -> list[int]:
-    comps = list(f.odd_primes)
-    if f.kind is Kind.WILD:
-        comps.append(9)
-    return sorted(comps)
-
-
-def _generator(q: int) -> tuple[int, int]:
-    """Smallest generator of the cyclic group (Z/qZ)^x for q prime or q = 9,
-    with the order of that group."""
-    order = 6 if q == 9 else q - 1
-    prime_divisors = [p for p, _ in factorize(order).factors]
-    for g in range(2, q):
-        if math.gcd(g, q) != 1:
-            continue
-        if all(pow(g, order // p, q) != 1 for p in prime_divisors):
-            return g, order
-    raise ValueError(f"no generator mod {q}")
-
-
 def unit_group(f: Conductor) -> UnitGroup:
     gens = []
     for q in _component_moduli(f):
@@ -145,22 +133,6 @@ def primitive_cubic_kernels(f: Conductor) -> list[tuple[int, ...]]:
     return kernels
 
 
-def _index_classes(q: int, fv: int) -> tuple[list[int], ...]:
-    """The units mod q of index 0, 1 and 2 mod 3, that is the powers g^j of
-    the smallest generator split by j mod 3, each lifted to Z/fv by the CRT
-    idempotent of q (1 mod q, 0 mod fv/q)."""
-    g, order = _generator(q)
-    powers = []
-    x = 1
-    for _ in range(order):
-        powers.append(x)
-        x = x * g % q
-    rest = fv // q
-    idempotent = rest * pow(rest, -1, q)
-    lifted = list(map(mod, map(mul, powers, repeat(idempotent)), repeat(fv)))
-    return lifted[0::3], lifted[1::3], lifted[2::3]
-
-
 def _label_sums(f: Conductor) -> dict[tuple[int, ...], tuple[float, float, int]]:
     """For each label: the fsums of cos(2*pi*a/f) and sin(2*pi*a/f) over the
     units a with that label, and the number of those units.
@@ -171,7 +143,6 @@ def _label_sums(f: Conductor) -> dict[tuple[int, ...], tuple[float, float, int]]
     """
     fv = f.value
     components = [_index_classes(q, fv) for q in _component_moduli(f)]
-    step = 2 * math.pi / fv
     sums = {}
     for label in product(range(3), repeat=len(components)):
         units = [0]
@@ -180,12 +151,7 @@ def _label_sums(f: Conductor) -> dict[tuple[int, ...], tuple[float, float, int]]
             # x + y for every x in units and every y in part
             spread = chain.from_iterable(map(repeat, units, repeat(len(part))))
             units = list(map(add, spread, part * len(units)))
-        angles = list(map(mul, repeat(step), map(mod, units, repeat(fv))))
-        sums[label] = (
-            math.fsum(map(math.cos, angles)),
-            math.fsum(map(math.sin, angles)),
-            len(angles),
-        )
+        sums[label] = (*_circle_sums(units, fv), len(units))
     return sums
 
 
@@ -340,14 +306,12 @@ def verify_kernel_character(rec: FieldRecord) -> Verdict:
     exponents are scaled to first coordinate 1, as every kernel vector is,
     and compared with the matched vector.
     """
-    f = rec.conductor
-    characters = {chi.modulus: chi for chi in component_characters(rec.representation)}
-    exponents = [characters[q].exponent(_generator(q)[0]) for q in _component_moduli(f)]
-    # 1 and 2 are their own inverses mod 3; a zero first exponent scales to 0
+    exponents = character_for_representation(rec.representation)
+    # 1 and 2 are their own inverses mod 3
     scaled = tuple(e * exponents[0] % 3 for e in exponents)
     if scaled != rec.matched_kernel:
         raise MatchingFailure(
-            f"f={f.value}, M={rec.representation.M}: character exponents "
+            f"f={rec.conductor.value}, M={rec.representation.M}: character exponents "
             f"{exponents} do not cut out the period-matched kernel {rec.matched_kernel}"
         )
     return Verdict("kernel_character")

@@ -44,6 +44,36 @@ def residue_sets():
     return coset_sets
 
 
+def character_by_definition(f, sign, pis) -> dict[int, int]:
+    """chi(a) as an exponent of zeta3 for every unit a mod f, evaluated
+    residue by residue from the definitions and glued by the CRT.
+
+    The component mod 9 (present when 9 | f) is sign*(a^2 - 1)/3 mod 3.  The
+    component mod p = N(pi) is the e with a^((p-1)/3) = omega^e mod p,
+    where omega = -pi.a/pi.b is the residue of zeta3 mod pi.  The pair
+    (sign, pis) is what factor_rhs returns for a wild representation.
+    """
+    components = []
+    if f % 9 == 0:
+        components.append((9, {a: sign * ((a * a - 1) // 3) % 3 for a in (1, 2, 4, 5, 7, 8)}))
+    for pi in pis:
+        p = pi.norm()
+        omega = -pi.a * pow(pi.b, -1, p) % p
+        exponent_of = {1: 0, omega: 1, omega * omega % p: 2}
+        components.append((p, {a: exponent_of[pow(a, (p - 1) // 3, p)] for a in range(1, p)}))
+    return {
+        a: sum(chi[a % q] for q, chi in components) % 3
+        for a in range(1, f)
+        if math.gcd(a, f) == 1
+    }
+
+
+@pytest.fixture(scope="session")
+def character_values():
+    """character_by_definition(f, sign, pis): the O(f) reference character."""
+    return character_by_definition
+
+
 @pytest.fixture(scope="session")
 def conductors_10k():
     return conductors_up_to(BOUND)

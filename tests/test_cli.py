@@ -75,9 +75,19 @@ def test_verify_unattainable_tolerance(capsys):
     assert "RoundingFailure" in err
 
 
-def test_verify_rejects_bad_tolerance(capsys):
-    code, _, err = run(capsys, ["verify", "--conductor", "819", "--tolerance", "-1"])
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_bad_tolerance(capsys, tolerance):
+    # nan and inf would pass every `residual > tolerance` check
+    code, _, err = run(capsys, ["verify", "--conductor", "819", "--tolerance", tolerance])
     assert code == 2
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+def test_scan_rejects_bad_tolerance(capsys, tolerance):
+    code, _, err = run(capsys, ["scan", "--min", "1", "--max", "100", "--tolerance", tolerance])
+    assert code == 2
+    assert "tolerance" in err
 
 
 def test_scan_wild(capsys):

@@ -1,3 +1,4 @@
+import cmath
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from cubicperiods import (
     factor_rhs,
     gaussian_sum,
     representations,
+    unit_group,
     validate_conductor,
 )
 from cubicperiods.eisenstein import (
@@ -115,35 +117,58 @@ def test_factor_rhs_rejects_tame():
         factor_rhs(r)
 
 
-def test_chi9_table():
-    plus = chi9(1)
-    assert plus.exponents == {1: 0, 2: 1, 4: 2, 5: 2, 7: 1, 8: 0}
-    minus = chi9(-1)
-    assert all((plus.exponents[a] + minus.exponents[a]) % 3 == 0 for a in plus.exponents)
-    assert plus.kernel() == frozenset({1, 8})
+F7 = validate_conductor(7)
+F9 = validate_conductor(9)
 
 
-def test_cubic_residue_character_mod7():
-    chi = cubic_residue_character(7, EisensteinInt(3, 2))
-    assert chi.exponent(1) == 0
+def level_sets(chi: dict[int, int]) -> tuple[frozenset[int], ...]:
+    """The units where chi takes the exponents 0, 1 and 2."""
+    return tuple(frozenset(a for a, e in chi.items() if e == j) for j in range(3))
+
+
+def test_chi9_table(character_values, residue_sets):
+    plus = character_values(9, 1, [])
+    assert plus == {1: 0, 2: 1, 4: 2, 5: 2, 7: 1, 8: 0}
+    minus = character_values(9, -1, [])
+    assert all((plus[a] + minus[a]) % 3 == 0 for a in plus)
+    # the exponent at the generator 2 fixes the whole character
+    assert (chi9(1), chi9(-1)) == (plus[2], minus[2]) == (1, 2)
+    assert level_sets(plus) == residue_sets(F9, (chi9(1),))
+    assert level_sets(minus) == residue_sets(F9, (chi9(-1),))
+    assert residue_sets(F9, (chi9(1),))[0] == frozenset({1, 8})
+
+
+def test_cubic_residue_character_mod7(character_values, residue_sets):
+    pi = EisensteinInt(3, 2)
+    chi = character_values(7, None, [pi])
+    assert chi[1] == 0
     for a in range(1, 7):
         for b in range(1, 7):
-            assert (chi.exponent(a) + chi.exponent(b)) % 3 == chi.exponent(a * b % 7)
-    conj = cubic_residue_character(7, EisensteinInt(3, 2).conjugate())
-    assert all((chi.exponents[a] + conj.exponents[a]) % 3 == 0 for a in range(1, 7))
+            assert (chi[a] + chi[b]) % 3 == chi[a * b % 7]
+    assert level_sets(chi) == residue_sets(F7, (cubic_residue_character(7, pi),))
+    conj = character_values(7, None, [pi.conjugate()])
+    assert all((chi[a] + conj[a]) % 3 == 0 for a in range(1, 7))
+    e, e_conj = (cubic_residue_character(7, x) for x in (pi, pi.conjugate()))
+    assert (e + e_conj) % 3 == 0
 
 
-def test_gaussian_sum_modulus():
-    chi = cubic_residue_character(7, EisensteinInt(3, 2))
-    tau = gaussian_sum(chi)
+def test_gaussian_sum_modulus(character_values):
+    pi = EisensteinInt(3, 2)
+    tau = gaussian_sum(7, cubic_residue_character(7, pi))
     assert abs(abs(tau) ** 2 - 7) < 1e-9
+    direct = sum(
+        cmath.exp(2j * cmath.pi * (a / 7 + e / 3))
+        for a, e in character_values(7, None, [pi]).items()
+    )
+    assert abs(tau - direct) < 1e-9
+    with pytest.raises(ValueError):
+        gaussian_sum(7, 0)  # the trivial character is not primitive
 
 
 def test_gaussian_sum_normalization_mod7():
     # -tau^3 = 7 * pi for the primary prime attached to the character
     pi = primary_associate(EisensteinInt(3, 2))
-    chi = cubic_residue_character(7, pi)
-    tau = gaussian_sum(chi)
+    tau = gaussian_sum(7, cubic_residue_character(7, pi))
     assert abs(-(tau**3) - 7 * pi.to_complex()) < 1e-6
 
 
@@ -155,48 +180,70 @@ def test_chi9_gauss_sum_cube_matches():
         assert abs(abs(rep["tau"]) - 3) < 1e-9
 
 
-def test_character_for_representation_nine():
-    r = representations(validate_conductor(9))[0]
-    chi = character_for_representation(r)
-    assert chi.modulus == 9 and chi.kernel() == frozenset({1, 8})
+def test_character_for_representation_nine(character_values, residue_sets):
+    r = representations(F9)[0]
+    vector = character_for_representation(r)
+    assert len(vector) == 1 and residue_sets(F9, vector)[0] == frozenset({1, 8})
+    assert level_sets(character_values(9, *factor_rhs(r))) == residue_sets(F9, vector)
 
 
-def test_character_kernels_have_index_three():
-    from cubicperiods import unit_group
-
+def test_character_kernels_have_index_three(character_values, residue_sets):
     for f in (9, 63, 819):
         cond = validate_conductor(f)
         kernels = set()
         for r in representations(cond):
-            chi = character_for_representation(r)
-            phi = len(chi.exponents)
-            kern = chi.kernel()
-            assert len(kern) * 3 == phi
+            chi = character_values(f, *factor_rhs(r))
+            vector = character_for_representation(r)
+            assert level_sets(chi) == residue_sets(cond, vector)
+            kern = level_sets(chi)[0]
+            assert len(kern) * 3 == len(chi)
             # exhaustively multiplicative, with order exactly 3
-            for a in chi.exponents:
-                for b in chi.exponents:
-                    ab = a * b % f
-                    assert (chi.exponents[a] + chi.exponents[b]) % 3 == chi.exponents[ab]
-            assert any(e != 0 for e in chi.exponents.values())
+            for a in chi:
+                for b in chi:
+                    assert (chi[a] + chi[b]) % 3 == chi[a * b % f]
+            assert any(e != 0 for e in chi.values())
             # primitive: nontrivial on every prime-power component, probed on
-            # the CRT-lifted generator of each component
-            for lift, _ in unit_group(cond).generators:
-                assert chi.exponent(lift) != 0
+            # the CRT-lifted generator of each component, where chi takes
+            # the exponent that the vector holds
+            lifts = [lift for lift, _ in unit_group(cond).generators]
+            assert [chi[lift] for lift in lifts] == list(vector)
+            assert all(e != 0 for e in vector)
             kernels.add(kern)
         assert len(kernels) == len(representations(cond))
 
 
-def test_characters_of_all_wild_conductors(wild_records_10k):
-    from cubicperiods import unit_group
-
+def test_characters_of_all_wild_conductors(wild_records_10k, character_values, residue_sets):
     for rec in wild_records_10k:
-        f = rec.conductor.value
-        chi = character_for_representation(rec.representation)
-        assert 3 * len(chi.kernel()) == len(chi.exponents)
+        cond = rec.conductor
+        f = cond.value
+        chi = character_values(f, *factor_rhs(rec.representation))
+        assert 3 * len(level_sets(chi)[0]) == len(chi)
         # multiplicativity against each component generator implies it in full
-        lifts = [g for g, _ in unit_group(rec.conductor).generators]
-        for a in chi.exponents:
+        lifts = [g for g, _ in unit_group(cond).generators]
+        for a in chi:
             for g in lifts:
-                assert (chi.exponents[a] + chi.exponents[g]) % 3 == chi.exponents[a * g % f]
-        tau = gaussian_sum(chi)
+                assert (chi[a] + chi[g]) % 3 == chi[a * g % f]
+        assert level_sets(chi) == residue_sets(cond, character_for_representation(rec.representation))
+        tau = sum(cmath.exp(2j * cmath.pi * (a / f + e / 3)) for a, e in chi.items())
         assert abs(abs(tau) ** 2 - f) < 1e-6
+
+
+def _smallest_generator(p: int) -> int:
+    return next(g for g in range(2, p) if len({pow(g, j, p) for j in range(p - 1)}) == p - 1)
+
+
+def test_prime_components_are_powers_at_the_generator(wild_records_10k):
+    # a^((p-1)/3) = omega^(e*j) mod p at every a = g^j: the definition of
+    # chi_p agrees with the exponent e held for p, at every residue
+    for rec in wild_records_10k:
+        cond = rec.conductor
+        _, pis = factor_rhs(rec.representation)
+        moduli = sorted((9, *cond.odd_primes))
+        exponents = dict(zip(moduli, character_for_representation(rec.representation)))
+        for p, pi in zip(cond.odd_primes, pis):
+            omega = -pi.a * pow(pi.b, -1, p) % p
+            g = _smallest_generator(p)
+            e = exponents[p]
+            for j in range(p - 1):
+                a = pow(g, j, p)
+                assert pow(a, (p - 1) // 3, p) == pow(omega, e * j, p)
