@@ -4,9 +4,10 @@ for cyclic cubic fields.
 For any valid conductor the package enumerates the normalized solutions of
 4f = M^2 + 27 N^2, builds the matching one-parameter cubics and period
 polynomials with exact rational arithmetic, computes the Gaussian periods
-numerically in one labelled pass over the units, and verifies the linear
-relation between the two root systems, exactly where the statement is
-exact and to a certified tolerance where it is numeric.
+numerically from the Gaussian sums of the CRT components of the conductor,
+and verifies the linear relation between the two root systems, exactly
+where the statement is exact and to a certified tolerance where it is
+numeric.
 """
 
 from .arith import (

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import mod, mul
 
 from .errors import InvalidConductor
 
@@ -262,20 +260,16 @@ def _generator(q: int) -> tuple[int, int]:
     raise ValueError(f"no generator mod {q}")
 
 
-def _index_classes(q: int, fv: int) -> tuple[list[int], ...]:
+def _index_classes(q: int) -> tuple[list[int], ...]:
     """The units mod q of index 0, 1 and 2 mod 3, that is the powers g^j of
-    the smallest generator split by j mod 3, each lifted to Z/fv by the CRT
-    idempotent of q (1 mod q, 0 mod fv/q)."""
+    the smallest generator split by j mod 3."""
     g, order = _generator(q)
     powers = []
     x = 1
     for _ in range(order):
         powers.append(x)
         x = x * g % q
-    rest = fv // q
-    idempotent = rest * pow(rest, -1, q)
-    lifted = list(map(mod, map(mul, powers, repeat(idempotent)), repeat(fv)))
-    return lifted[0::3], lifted[1::3], lifted[2::3]
+    return powers[0::3], powers[1::3], powers[2::3]
 
 
 def conductors_up_to(

@@ -21,7 +21,8 @@ its value at a generator, so each component character is held as one
 exponent e in {1, 2}: chi(g) = zeta3^e at the smallest generator g, the
 coordinate that kernel vectors use too.  Then chi(g^j) = zeta3^(e*j), and
 the Gaussian sum is the sum over r of zeta3^(e*r) times the sum of
-exp(2*pi*i*a/q) over the index class j = r mod 3.
+exp(2*pi*i*a/q) over the index class j = r mod 3.  The same component
+sums give the Gaussian periods (periods.gaussian_periods).
 
 The identification is never assumed: every step is re-checked, exactly for
 the algebra and to 1e-6 for the Gaussian sums.
@@ -33,8 +34,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import mod, mul
 
 from .arith import Kind, _component_moduli, _generator, _index_classes
 from .errors import (
@@ -146,13 +145,6 @@ def round_to_eisenstein(z: complex) -> tuple[EisensteinInt, float]:
     return cand, abs(z - cand.to_complex())
 
 
-def _circle_sums(residues: list[int], m: int) -> tuple[float, float]:
-    """The fsums of cos(2*pi*a/m) and sin(2*pi*a/m) over the residues a."""
-    step = 2 * math.pi / m
-    angles = list(map(mul, repeat(step), map(mod, residues, repeat(m))))
-    return math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles))
-
-
 def chi9(sign: int) -> int:
     """Exponent at 2, the smallest generator mod 9, of the character mod 9
     with chi(a) = zeta3^(sign*(a^2 - 1)/3): it is sign mod 3."""
@@ -189,14 +181,18 @@ def cubic_residue_character(p: int, pi: EisensteinInt) -> int:
 def gaussian_sum(q: int, e: int) -> complex:
     """tau(chi) = sum over the units a mod q of chi(a) * exp(2*pi*i*a/q) for
     the primitive character with chi(g) = zeta3^e at the smallest generator
-    g mod q (q prime or 9): sum over r of zeta3^(e*r) times the circle sum
-    of the index class r."""
+    g mod q (q prime or 9): sum over r of zeta3^(e*r) times the fsums of
+    cos(2*pi*a/q) and sin(2*pi*a/q) over the index class r."""
     if e not in (1, 2):
         raise ValueError("a primitive cubic character has exponent 1 or 2")
+    step = 2 * math.pi / q
     total = 0j
-    for r, units in enumerate(_index_classes(q, q)):
+    for r, units in enumerate(_index_classes(q)):
+        angles = [step * a for a in units]
         zeta_power = (ONE, ZETA, ZETA_SQ)[e * r % 3].to_complex()
-        total += zeta_power * complex(*_circle_sums(units, q))
+        total += zeta_power * complex(
+            math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles))
+        )
     if abs(abs(total) ** 2 - q) > 1e-6:
         raise ToleranceExceeded(
             f"|tau|^2 = {abs(total)**2} differs from the conductor {q}"

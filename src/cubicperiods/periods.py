@@ -2,25 +2,28 @@
 
 The units mod f split by the CRT over the components q of f (each prime
 p | f, and 9 when f is wild) into cyclic groups, each with its smallest
-generator.  Every unit a carries a label: its indices at the components,
-taken mod 3.  A cubic character acts on labels as a functional
-a -> c . label(a) mod 3; it is primitive when every coefficient is
-nonzero, and conjugate characters share a kernel, so each kernel is the
-coefficient vector (1, c_2, ..., c_k) with c_i in {1, 2}.
+generator g_q.  A cubic character is a product of component characters
+chi_q(g_q) = zeta3^(c_q); it is primitive when every c_q is nonzero, and
+conjugate characters share a kernel, so each kernel is the coefficient
+vector (1, c_2, ..., c_k) with c_i in {1, 2}.
 
-One pass per conductor sums cos(2*pi*a/f) and sin(2*pi*a/f) over the units
-of each label with math.fsum, which is correctly rounded.  The three
-periods of a kernel c are then fsums of those label sums, split by
-c . label mod 3 into the kernel and its two cosets.  Because -1 has label
-zero and so lies in every kernel, every period is real; the imaginary
-parts are still summed and checked rather than silently discarded.
+The periods are the finite Fourier sums over the three characters trivial
+on a kernel: with t = tau(chi) the Gaussian sum mod f of a character that
+cuts it out,
+
+    eta_j = (mu(f) + zeta3^-j * t + zeta3^j * conj(t)) / 3,
+
+since tau(chi-bar) = conj(tau(chi)) when chi(-1) = 1, as for every cubic
+character.  The Gaussian sum factors over the components, so one sum
+tau_q per component (eisenstein.gaussian_sum, O(q) terms) gives the periods
+of every kernel, and no sum runs over the units mod f.
 
 The periods are the roots of a monic integer cubic.  Rounding its numeric
 coefficients and comparing with the closed-form period polynomial for each
 pair (M, N) produces a perfect matching between representations and
 kernels; that matching is the central two-route consistency check of the
-package, with the cosine sums on one side and exact rational arithmetic on
-the other.
+package, with the Gaussian sums on one side and exact rational arithmetic
+on the other.
 """
 
 from __future__ import annotations
@@ -28,15 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
-from operator import add, mul
+from itertools import product
 
 from .arith import (
     Conductor,
     Kind,
     _component_moduli,
     _generator,
-    _index_classes,
     euler_phi,
     factorize,
 )
@@ -48,7 +49,7 @@ from .cubicpoly import (
     shanks_poly,
     verify_main_identity,
 )
-from .eisenstein import _circle_sums, character_for_representation
+from .eisenstein import ONE, ZETA, ZETA_SQ, character_for_representation, gaussian_sum
 from .errors import (
     ComplexRoots,
     CongruenceFailure,
@@ -62,6 +63,8 @@ from .quadform import Representation, ShanksParams, representations, shanks_para
 from .verdicts import Verdict
 
 DEFAULT_TOLERANCE = 1e-6
+# zeta3^-j for j = 0, 1, 2
+_ZETA3_INVERSE_POWERS = tuple(z.to_complex() for z in (ONE, ZETA_SQ, ZETA))
 
 
 @dataclass(frozen=True)
@@ -133,64 +136,26 @@ def primitive_cubic_kernels(f: Conductor) -> list[tuple[int, ...]]:
     return kernels
 
 
-def _label_sums(f: Conductor) -> dict[tuple[int, ...], tuple[float, float, int]]:
-    """For each label: the fsums of cos(2*pi*a/f) and sin(2*pi*a/f) over the
-    units a with that label, and the number of those units.
-
-    The units of one label are the sums, mod f, of one lifted index class
-    per component; by the CRT each unit mod f is reached exactly once.  The
-    per-unit work runs in map, list repetition and fsum.
-    """
-    fv = f.value
-    components = [_index_classes(q, fv) for q in _component_moduli(f)]
-    sums = {}
-    for label in product(range(3), repeat=len(components)):
-        units = [0]
-        for classes, index in zip(components, label):
-            part = classes[index]
-            # x + y for every x in units and every y in part
-            spread = chain.from_iterable(map(repeat, units, repeat(len(part))))
-            units = list(map(add, spread, part * len(units)))
-        sums[label] = (*_circle_sums(units, fv), len(units))
-    return sums
-
-
 def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
     """The periods of every kernel, in the order of primitive_cubic_kernels.
 
-    Period j of the kernel c is the fsum of the label sums whose label
-    satisfies c . label = j mod 3: j = 0 is the kernel, 1 and 2 its cosets.
-    The three cosets must hold equally many units, each imaginary part must
-    vanish, and the periods must add up to mu(f) when tame and 0 when wild.
+    tau_q is the Gaussian sum of the character chi_q(g_q) = zeta3, one per
+    component.  For the kernel c, t is the product of tau_q where c_q = 1
+    and of conj(tau_q) where c_q = 2, and period j is
+    (mu(f) + 2*Re(zeta3^-j * t))/3, with mu(f) = 0 when f is wild.
     """
-    fv = f.value
-    tol = max(1e-9 * fv, 1e-12)
-    sums = _label_sums(f)
-    expected_sum = 0 if f.is_wild else f.mu
+    mu = 0 if f.is_wild else f.mu
+    taus = [gaussian_sum(q, 1) for q in _component_moduli(f)]
     triples = []
     for kernel in primitive_cubic_kernels(f):
-        cosets: tuple[list[tuple[float, float, int]], ...] = ([], [], [])
-        for label, entry in sums.items():
-            cosets[sum(map(mul, kernel, label)) % 3].append(entry)
-        if len({sum(n for _, _, n in coset) for coset in cosets}) != 1:
-            raise CountMismatch(
-                f"the cosets of the kernel {kernel} mod {fv} differ in size"
-            )
-        etas = []
-        for coset in cosets:
-            imag = math.fsum(im for _, im, _ in coset)
-            if abs(imag) > tol:
-                raise ToleranceExceeded(
-                    f"period over a coset mod {fv} has imaginary part {imag}"
-                )
-            etas.append(math.fsum(re for re, _, _ in coset))
-        total = math.fsum(etas)
-        if abs(total - expected_sum) > tol:
-            raise ToleranceExceeded(
-                f"period sum {total} differs from {expected_sum} for f={fv}"
-            )
-        etas.sort(reverse=True)
-        triples.append(PeriodTriple(etas[0], etas[1], etas[2], kernel, f))
+        # The Gaussian sum mod f is prod chi_q(f/q) * tau(chi_q).  That
+        # product of chi_q(f/q) is a cube root of unity, which only permutes
+        # the three periods of the kernel; they are sorted, so it is left out.
+        t = math.prod(tau if c == 1 else tau.conjugate() for tau, c in zip(taus, kernel))
+        etas = sorted(
+            ((mu + 2 * (z * t).real) / 3 for z in _ZETA3_INVERSE_POWERS), reverse=True
+        )
+        triples.append(PeriodTriple(*etas, kernel, f))
     return triples
 
 

@@ -105,12 +105,15 @@ def test_scan_single(capsys):
     assert json.loads(out)["conductors"] == 1
 
 
-@pytest.mark.parametrize("conductor", [60433, 73237, 482391])
+@pytest.mark.parametrize("conductor", [60433, 73237, 482391, 2304757])
 def test_verify_large_conductor_exits_0(capsys, conductor):
     # Each of these failed with RoundingFailure while the periods were
     # plain float sums: 60433 = 223 * 271 missed an integer coefficient by
     # 1.1e-6, the prime 73237 was the smallest failing verify-band
     # conductor, and 482391 = 9 * 7 * 13 * 19 * 31 missed by 1.2e-5.
+    # 2304757 = 7 * 13 * 19 * 31 * 43 still missed by 1.8e-6 with correctly
+    # rounded sums over the units mod f, and passes with the periods taken
+    # from the component Gaussian sums.
     code, out, _ = run(capsys, ["verify", "--conductor", str(conductor)])
     assert code == 0
     doc = json.loads(out)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,9 +98,11 @@ def test_period_sum_partition(residue_sets):
 
 
 def test_periods_equal_direct_cosine_sums(residue_sets):
-    # the labelled pass against the definition: cosine sums over the
-    # materialized kernel and cosets of each coefficient vector
-    for cond in conductors_up_to(2000):
+    # the periods from the component Gaussian sums against the definition:
+    # O(f) cosine sums over the materialized kernel and cosets of each
+    # coefficient vector, at every f <= 2000 and at larger fixed conductors
+    large = [validate_conductor(f) for f in (15561, 53599, 60433, 73237, 482391)]
+    for cond in conductors_up_to(2000) + large:
         triples = gaussian_periods(cond)
         assert [pt.kernel for pt in triples] == primitive_cubic_kernels(cond)
         for pt in triples:
@@ -111,6 +114,25 @@ def test_periods_equal_direct_cosine_sums(residue_sets):
                 reverse=True,
             )
             assert list(pt.values()) == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("f", [85276009, 767484081])
+def test_periods_make_no_pass_over_the_units(f):
+    # 7*13*19*31*37*43 (tame) and 9 times it (wild), nu = 6: a pass over
+    # the phi(f) units would build lists of up to 3.5*10^8 residues, while
+    # the component Gaussian sums add at most 42 terms each
+    cond = validate_conductor(f)
+    mu = 0 if cond.is_wild else cond.mu
+    start = time.perf_counter()
+    triples = gaussian_periods(cond)
+    assert time.perf_counter() - start < 1.0
+    assert len(triples) == cond.field_count
+    # the closed form X^3 - mu*X^2 + (mu^2 - f)/3*X + ... gives the trace mu
+    # and the sum of squares mu^2 - 2*(mu^2 - f)/3 = (2f + mu^2)/3
+    squares = (2 * f + mu * mu) / 3
+    for pt in triples:
+        assert abs(sum(pt.values()) - mu) < 1e-6
+        assert abs(sum(eta * eta for eta in pt.values()) - squares) < 1e-12 * squares
 
 
 def test_numeric_period_poly_examples():
