@@ -13,6 +13,7 @@ numeric.
 from .arith import (
     Conductor,
     Factorization,
+    MR_BOUND,
     Kind,
     conductors_up_to,
     factorize,
@@ -32,6 +33,7 @@ from .cubicpoly import (
     verify_main_identity,
 )
 from .eisenstein import (
+    GAUSS_SUM_BUDGET,
     EisensteinInt,
     character_for_representation,
     chi9,
@@ -40,8 +42,11 @@ from .eisenstein import (
     eis_gcd,
     factor_rhs,
     gaussian_sum,
+    prime_element,
+    rhs_elements,
 )
 from .errors import (
+    BudgetExceeded,
     ComplexRoots,
     CongruenceFailure,
     CountMismatch,

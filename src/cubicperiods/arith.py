@@ -12,6 +12,7 @@ trusted Conductor value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,9 +22,12 @@ from .errors import InvalidConductor
 _SIEVE_BOUND = 1_000_000
 _PRIMES: list[int] = []
 
-# Witnesses making Miller-Rabin deterministic below 3.3e24; desk-scale
-# conductors stay far under that.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as witnesses make Miller-Rabin deterministic below
+# MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2015).  The first 12 alone pass 318665857834031151167461, a
+# product of two primes.  validate_conductor refuses anything larger.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _small_primes() -> list[int]:
@@ -38,10 +42,10 @@ def _small_primes() -> list[int]:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < MR_BOUND."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -215,6 +219,10 @@ def validate_conductor(f: int) -> Conductor:
     """
     if f < 1:
         raise InvalidConductor(f"{f} is not a positive integer")
+    if f >= MR_BOUND:
+        raise InvalidConductor(
+            f"{f} is not below {MR_BOUND}, the bound up to which primality is proven"
+        )
     if f % 2 == 0:
         raise InvalidConductor(f"{f} is even")
     fac = factorize(f)
@@ -247,9 +255,11 @@ def _component_moduli(f: Conductor) -> list[int]:
     return sorted(comps)
 
 
+@functools.lru_cache(maxsize=1024)
 def _generator(q: int) -> tuple[int, int]:
     """Smallest generator of the cyclic group (Z/qZ)^x for q prime or q = 9,
-    with the order of that group."""
+    with the order of that group.  Kept per q, because finding it factors
+    q - 1 and every field of a conductor asks for the same components."""
     order = 6 if q == 9 else q - 1
     prime_divisors = [p for p, _ in factorize(order).factors]
     for g in range(2, q):

@@ -9,7 +9,9 @@ Subcommands:
 Common flags: --format {json,csv,md} (default json), --out PATH, and
 --tolerance for the numeric checks (default 1e-6).
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input.
+Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
+(including a conductor at or above arith.MR_BOUND, and for verify and scan
+a prime factor above eisenstein.GAUSS_SUM_BUDGET).
 Reports go to stdout (or --out); diagnostics go to stderr.
 """
 
@@ -25,7 +27,7 @@ from pathlib import Path
 from .arith import Conductor, Kind, conductors_up_to, validate_conductor
 from .cubicpoly import affine_relation, period_poly_formula, shanks_poly
 from .eisenstein import chi9_gauss_sum_report
-from .errors import InvalidConductor, VerificationError
+from .errors import BudgetExceeded, InvalidConductor, VerificationError
 from .groupring import verify_generators
 from .periods import (
     DEFAULT_TOLERANCE,
@@ -278,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InvalidConductor as exc:
+    except (InvalidConductor, BudgetExceeded) as exc:
         _diag(f"error: {exc}")
         return 2
     except VerificationError as exc:

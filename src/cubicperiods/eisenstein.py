@@ -16,6 +16,10 @@ associate of pi.  That normalization is what ties each pair (M, N) with
 
     (M + 3N*sqrt(-3))/2 = 3 * zeta3^(+-1) * pi_1 * ... * pi_nu.
 
+Run backwards (rhs_elements), the same factorization lists the pairs: one
+prime element per prime of f, from a cube root of unity mod p, and the
+products of them and their conjugates, with the unit 1 when f is tame.
+
 A character of the cyclic group (Z/q)^x, q = 9 or a prime p, is fixed by
 its value at a generator, so each component character is held as one
 exponent e in {1, 2}: chi(g) = zeta3^e at the smallest generator g, the
@@ -31,18 +35,27 @@ the algebra and to 1e-6 for the Gaussian sums.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .arith import Kind, _component_moduli, _generator, _index_classes
+from .arith import Conductor, Kind, _component_moduli, _generator, _index_classes
 from .errors import (
+    BudgetExceeded,
     FactorizationMismatch,
     NormalizationFailure,
     NotPrimitiveRoot,
     ToleranceExceeded,
 )
-from .quadform import Representation
+
+if TYPE_CHECKING:
+    from .quadform import Representation
+
+# Largest component modulus whose Gaussian sum is computed.  The sum is O(q)
+# in time and memory (it lists the units mod q), so verify and scan refuse a
+# conductor with a larger prime factor instead of exhausting memory.
+GAUSS_SUM_BUDGET = 10_000_000
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -106,9 +119,10 @@ def exact_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
 
 
 def _round_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
+    """x / y with each coordinate rounded to the nearest integer (halves up)."""
     num = x * y.conjugate()
     n = y.norm()
-    return EisensteinInt(round(Fraction(num.a, n)), round(Fraction(num.b, n)))
+    return EisensteinInt((2 * num.a + n) // (2 * n), (2 * num.b + n) // (2 * n))
 
 
 def canonical_associate(x: EisensteinInt) -> EisensteinInt:
@@ -185,6 +199,11 @@ def gaussian_sum(q: int, e: int) -> complex:
     cos(2*pi*a/q) and sin(2*pi*a/q) over the index class r."""
     if e not in (1, 2):
         raise ValueError("a primitive cubic character has exponent 1 or 2")
+    if q > GAUSS_SUM_BUDGET:
+        raise BudgetExceeded(
+            f"the Gaussian sum mod {q} takes O({q}) time and memory, beyond the "
+            f"budget of components up to {GAUSS_SUM_BUDGET}"
+        )
     step = 2 * math.pi / q
     total = 0j
     for r, units in enumerate(_index_classes(q)):
@@ -198,6 +217,18 @@ def gaussian_sum(q: int, e: int) -> complex:
             f"|tau|^2 = {abs(total)**2} differs from the conductor {q}"
         )
     return total
+
+
+@functools.lru_cache(maxsize=1)
+def component_gauss_sums(f: Conductor) -> tuple[complex, ...]:
+    """tau_q of the character chi_q(g_q) = zeta3 for each component q of f,
+    in component order.  The character chi_q(g_q) = zeta3^2 has the
+    conjugate sum, since chi_q(-1) = 1.
+
+    The periods of every kernel and the character check of every field of a
+    conductor read these sums, so those of the last conductor are kept.
+    """
+    return tuple(gaussian_sum(q, 1) for q in _component_moduli(f))
 
 
 def chi9_gauss_sum_report(sign: int) -> dict:
@@ -259,22 +290,76 @@ def factor_rhs(r: Representation) -> tuple[int, list[EisensteinInt]]:
     return sign, pis
 
 
+def prime_element(p: int) -> EisensteinInt:
+    """A primary prime element of norm p, for a prime p = 1 mod 3.
+
+    omega = a^((p-1)/3) mod p for the first a >= 2 with omega != 1 is a
+    primitive cube root of unity mod p, so r = 2*omega + 1 is a square root
+    of -3 mod p.  Cornacchia's algorithm (Euclid on p and r, stopped below
+    sqrt(p)) then gives p = x^2 + 3y^2, and x + y*sqrt(-3) =
+    (x + y) + 2y*zeta3 has norm p.  This is gcd(p, omega - zeta3) worked
+    out in integers: which of pi and conj(pi) comes out is left open.
+    """
+    k = (p - 1) // 3
+    a = 2
+    while (omega := pow(a, k, p)) == 1:
+        a += 1
+    prev, r = p, (2 * omega + 1) % p
+    while r * r > p:
+        prev, r = r, prev % r
+    y_squared, rem = divmod(p - r * r, 3)
+    y = math.isqrt(y_squared)
+    pi = primary_associate(EisensteinInt(r + y, 2 * y))
+    if rem or pi.norm() != p:
+        raise FactorizationMismatch(
+            f"Cornacchia's algorithm for {p} = x^2 + 3y^2 ended at x = {r}, not a solution"
+        )
+    return pi
+
+
+def rhs_elements(f: Conductor) -> list[EisensteinInt]:
+    """(M + 3N*sqrt(-3))/2 for every normalized pair (M, N) of f, that is
+    factor_rhs run backwards.
+
+    Each is a unit times the product over the odd primes p | f of pi_p or
+    conj(pi_p), pi_p = prime_element(p): unit 1 when f is tame, so the
+    product is primary, and 3*zeta3^(+-1) when wild.  Conjugation keeps M
+    and negates N, so one factor is held fixed (pi_p of the first prime
+    when tame, 3*zeta3 when wild) and a product with negative zeta3
+    coordinate is replaced by its conjugate: one element per pair,
+    2^(nu-1) tame and 2^nu wild.
+    """
+    pis = [prime_element(p) for p in f.odd_primes]
+    if f.is_wild:
+        fixed, free = EisensteinInt(0, 3), pis
+    else:
+        fixed, free = pis[0], pis[1:]
+    elements = [fixed]
+    for pi in free:
+        pi_bar = pi.conjugate()
+        elements = [x * y for x in elements for y in (pi, pi_bar)]
+    return [x if x.b > 0 else x.conjugate() for x in elements]
+
+
 def character_for_representation(r: Representation) -> tuple[int, ...]:
     """The primitive cubic character mod f attached to a wild pair (M, N),
     as its exponents at the component generators, in component order.
 
     The mod-9 sign and the prime elements come from factor_rhs; each prime
-    component is validated against -tau(chi_p)^3 = p * pi_p numerically.
+    component is validated against -tau(chi_p)^3 = p * pi_p numerically,
+    with tau_p from component_gauss_sums, conjugated when the exponent is 2.
     """
     sign, pis = factor_rhs(r)
+    moduli = _component_moduli(r.conductor)
+    taus = dict(zip(moduli, component_gauss_sums(r.conductor)))
     exponents = {9: chi9(sign)}
     for p, pi in zip(r.conductor.odd_primes, pis):
         e = cubic_residue_character(p, pi)
-        tau = gaussian_sum(p, e)
+        tau = taus[p] if e == 1 else taus[p].conjugate()
         rounded, residual = round_to_eisenstein(-(tau**3) / p)
         if residual > 1e-6 or rounded != pi:
             raise NormalizationFailure(
                 f"-tau^3/{p} = {-(tau**3)/p} is not the prime element {pi}"
             )
         exponents[p] = e
-    return tuple(exponents[q] for q in _component_moduli(r.conductor))
+    return tuple(exponents[q] for q in moduli)

@@ -11,6 +11,10 @@ class InvalidConductor(CubicPeriodsError):
     """The integer is not the conductor of any cyclic cubic field."""
 
 
+class BudgetExceeded(CubicPeriodsError):
+    """A valid input needs more time or memory than a documented budget allows."""
+
+
 class VerificationError(CubicPeriodsError):
     """Base class for failed consistency checks (exact or numeric)."""
 

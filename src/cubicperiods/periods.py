@@ -15,8 +15,8 @@ cuts it out,
 
 since tau(chi-bar) = conj(tau(chi)) when chi(-1) = 1, as for every cubic
 character.  The Gaussian sum factors over the components, so one sum
-tau_q per component (eisenstein.gaussian_sum, O(q) terms) gives the periods
-of every kernel, and no sum runs over the units mod f.
+tau_q per component (eisenstein.component_gauss_sums, O(q) terms) gives
+the periods of every kernel, and no sum runs over the units mod f.
 
 The periods are the roots of a monic integer cubic.  Rounding its numeric
 coefficients and comparing with the closed-form period polynomial for each
@@ -49,7 +49,13 @@ from .cubicpoly import (
     shanks_poly,
     verify_main_identity,
 )
-from .eisenstein import ONE, ZETA, ZETA_SQ, character_for_representation, gaussian_sum
+from .eisenstein import (
+    ONE,
+    ZETA,
+    ZETA_SQ,
+    character_for_representation,
+    component_gauss_sums,
+)
 from .errors import (
     ComplexRoots,
     CongruenceFailure,
@@ -145,7 +151,7 @@ def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
     (mu(f) + 2*Re(zeta3^-j * t))/3, with mu(f) = 0 when f is wild.
     """
     mu = 0 if f.is_wild else f.mu
-    taus = [gaussian_sum(q, 1) for q in _component_moduli(f)]
+    taus = component_gauss_sums(f)
     triples = []
     for kernel in primitive_cubic_kernels(f):
         # The Gaussian sum mod f is prod chi_q(f/q) * tau(chi_q).  That

@@ -4,9 +4,12 @@ Each valid conductor admits finitely many pairs (M, N) under the standard
 normalization: N > 0 with M = 2 mod 3 in the tame case, and M = 3*M0 with
 M0 = 2 mod 3 and 3 not dividing N in the wild case.  There are exactly
 2^(nu-1) pairs when tame and 2^nu when wild, and the pairs parametrize the
-cyclic cubic fields of conductor f.  The substitution n1 = (M - 3N)/2,
-n2 = N turns a pair into coprime parameters with
-n1^2 + 3*n1*n2 + 9*n2^2 = f.
+cyclic cubic fields of conductor f.  They are not searched for: each pair
+is the element (M + 3N*sqrt(-3))/2 = a + b*zeta3 of Z[zeta3], a unit times
+one prime element above each odd prime of f (eisenstein.rhs_elements), so
+the factorization of f gives them all at O(nu log p + 2^nu) integer cost.
+The substitution n1 = (M - 3N)/2, n2 = N turns a pair into coprime
+parameters with n1^2 + 3*n1*n2 + 9*n2^2 = f.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ import math
 from dataclasses import dataclass
 
 from .arith import Conductor, Kind
-from .errors import CongruenceFailure, CountMismatch, IdentityFailure, ParityError
+from .eisenstein import rhs_elements
+from .errors import (
+    CongruenceFailure,
+    CountMismatch,
+    FactorizationMismatch,
+    IdentityFailure,
+    ParityError,
+)
 
 
 @dataclass(frozen=True)
@@ -59,29 +69,20 @@ def delta(n1: int, n2: int) -> int:
 def representations(f: Conductor) -> list[Representation]:
     """All normalized (M, N) for f, sorted by M descending.
 
-    Enumeration is exhaustive over N up to sqrt(4f/27); for each N the
-    complementary square fixes |M| and the mod-3 side condition fixes the
-    sign, so the search is complete by construction.
+    Each element a + b*zeta3 of eisenstein.rhs_elements(f) equals
+    (M + 3N*sqrt(-3))/2 with sqrt(-3) = 1 + 2*zeta3, so M = 2a - b and
+    N = b/3.  Representation re-checks the equation and the normalization
+    of every pair, and the count must be the field count.
     """
-    four_f = 4 * f.value
     found: list[Representation] = []
-    for n in range(1, math.isqrt(four_f // 27) + 1):
-        square = four_f - 27 * n * n
-        s = math.isqrt(square)
-        if s * s != square:
-            continue
-        if f.kind is Kind.TAME:
-            for m in (s, -s):
-                if m % 3 == 2:
-                    found.append(Representation(m, n, None, f))
-                    break
-        else:
-            if s % 3 != 0 or n % 3 == 0:
-                continue
-            for m0 in (s // 3, -s // 3):
-                if m0 % 3 == 2:
-                    found.append(Representation(3 * m0, n, m0, f))
-                    break
+    for x in rhs_elements(f):
+        m = 2 * x.a - x.b
+        try:
+            found.append(Representation(m, x.b // 3, m // 3 if f.is_wild else None, f))
+        except ValueError as exc:
+            raise FactorizationMismatch(
+                f"conductor {f.value}: {x} gives no normalized pair ({exc})"
+            ) from exc
     found.sort(key=lambda r: -r.M)
     if len(found) != f.field_count:
         raise CountMismatch(

@@ -74,6 +74,30 @@ def character_values():
     return character_by_definition
 
 
+def search_pairs(cond) -> list[tuple[int, int]]:
+    """Oracle: the normalized (M, N) of a conductor by an O(sqrt f) search
+    over N, sorted by M descending.  For each N the complementary square
+    fixes |M| and the mod-3 side condition fixes the sign."""
+    four_f = 4 * cond.value
+    found = []
+    for n in range(1, math.isqrt(four_f // 27) + 1):
+        square = four_f - 27 * n * n
+        s = math.isqrt(square)
+        if s * s != square:
+            continue
+        if cond.kind is Kind.TAME:
+            found.extend((m, n) for m in (s, -s) if m % 3 == 2)
+        elif s % 3 == 0 and n % 3 != 0:
+            found.extend((3 * m0, n) for m0 in (s // 3, -s // 3) if m0 % 3 == 2)
+    return sorted(found, key=lambda pair: -pair[0])
+
+
+@pytest.fixture(scope="session")
+def search_oracle():
+    """search_pairs(cond): the normalized pairs by the O(sqrt f) search."""
+    return search_pairs
+
+
 @pytest.fixture(scope="session")
 def conductors_10k():
     return conductors_up_to(BOUND)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cubicperiods import (
+    MR_BOUND,
     InvalidConductor,
     Kind,
     conductors_up_to,
@@ -10,6 +11,7 @@ from cubicperiods import (
     moebius,
     validate_conductor,
 )
+from cubicperiods.arith import is_probable_prime
 
 
 def sieve_moebius(limit: int) -> list[int]:
@@ -55,6 +57,22 @@ def test_factorize_beyond_sieve():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q).factors == ((p, 1), (q, 1))
     assert factorize(p * p).factors == ((p, 2),)
+
+
+def test_strong_pseudoprime_to_the_first_twelve_primes_is_composite():
+    # 318665857834031151167461 passes Miller-Rabin to every base up to 37;
+    # base 41 exposes it, which makes the test deterministic below MR_BOUND
+    n = 399165290221 * 798330580441
+    assert n == 318665857834031151167461 < MR_BOUND
+    assert not is_probable_prime(n)
+    assert factorize(n).factors == ((399165290221, 1), (798330580441, 1))
+    assert is_probable_prime(399165290221) and is_probable_prime(798330580441)
+
+
+@pytest.mark.parametrize("f", [MR_BOUND, MR_BOUND + 2, 10**30 + 1])
+def test_validate_refuses_conductors_beyond_proven_primality(f):
+    with pytest.raises(InvalidConductor, match=str(MR_BOUND)):
+        validate_conductor(f)
 
 
 @pytest.mark.parametrize("m,expected", [(1, 1), (91, 1), (9, 0), (7, -1), (30, -1)])

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
-from cubicperiods import DEFAULT_TOLERANCE, validate_conductor
+from cubicperiods import DEFAULT_TOLERANCE, GAUSS_SUM_BUDGET, MR_BOUND, validate_conductor
+from cubicperiods import eisenstein
 from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
 
@@ -118,6 +120,60 @@ def test_verify_large_conductor_exits_0(capsys, conductor):
     assert code == 0
     doc = json.loads(out)
     assert all(entry["residual"] < DEFAULT_TOLERANCE for entry in doc["fields"])
+
+
+def test_enumerate_huge_conductor_is_fast(capsys):
+    # 100000039900000351 = 100000039 * 1000000009: the O(sqrt f) search for
+    # the pairs took 31 s on a 2-core machine; the prime elements take ms
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["enumerate", "--conductor", "100000039900000351"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    pairs = [(entry["M"], entry["N"]) for entry in json.loads(out)["fields"]]
+    assert pairs == [(206171411, 115067373), (-207546052, 114975810)]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_conductor_beyond_proven_primality_exits_2(capsys, command):
+    code, out, err = run(capsys, [command, "--conductor", str(MR_BOUND + 2)])
+    assert code == 2
+    assert out == ""
+    assert str(MR_BOUND) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--conductor", "70000987"],
+        ["scan", "--min", "70000987", "--max", "70000987"],
+    ],
+)
+def test_prime_component_beyond_the_budget_exits_2(capsys, argv):
+    # 70000987 = 7 * 10000141, the first prime = 1 mod 3 above 10^7: its
+    # Gaussian sum would list ten million units, so it is refused first
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out == ""
+    assert str(GAUSS_SUM_BUDGET) in err
+    assert elapsed < 1.0
+
+
+def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
+    # 15561 = 9 * 7 * 13 * 19 has 8 fields.  The periods take one Gaussian
+    # sum per component (4) and the mod-9 report two; the character check of
+    # every field reads the sums of the periods instead of its own (24 more)
+    calls = []
+    index_classes = eisenstein._index_classes
+    monkeypatch.setattr(
+        eisenstein, "_index_classes", lambda q: calls.append(q) or index_classes(q)
+    )
+    eisenstein.component_gauss_sums.cache_clear()
+    code, _, _ = run(capsys, ["verify", "--conductor", "15561"])
+    assert code == 0
+    assert len(calls) <= 9
 
 
 def test_scan_empty_range(capsys):

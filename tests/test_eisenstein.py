@@ -12,6 +12,7 @@ from cubicperiods import (
     eis_gcd,
     factor_rhs,
     gaussian_sum,
+    prime_element,
     representations,
     unit_group,
     validate_conductor,
@@ -247,3 +248,31 @@ def test_prime_components_are_powers_at_the_generator(wild_records_10k):
             for j in range(p - 1):
                 a = pow(g, j, p)
                 assert pow(a, (p - 1) // 3, p) == pow(omega, e * j, p)
+
+
+def test_prime_element_is_a_primary_prime_of_norm_p():
+    # the primary elements of norm p, found by search, are exactly
+    # prime_element(p) and its conjugate
+    for p in range(7, 600, 6):
+        if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            continue
+        pi = prime_element(p)
+        bound = int((4 * p) ** 0.5) + 1
+        primary = {
+            EisensteinInt(a, b)
+            for a in range(-bound, bound + 1)
+            for b in range(-bound, bound + 1)
+            if a * a - a * b + b * b == p and a % 3 == 1 and b % 3 == 0
+        }
+        assert primary == {pi, pi.conjugate()}
+        omega = -pi.a * pow(pi.b, -1, p) % p
+        assert omega != 1 and pow(omega, 3, p) == 1
+
+
+def test_factor_rhs_inverts_rhs_elements(wild_records_10k):
+    # every pair is read from an element of rhs_elements, and factor_rhs
+    # takes it apart into prime_element(p) or its conjugate for each p | f
+    for rec in wild_records_10k:
+        _, pis = factor_rhs(rec.representation)
+        for p, pi in zip(rec.conductor.odd_primes, pis):
+            assert pi in (prime_element(p), prime_element(p).conjugate())

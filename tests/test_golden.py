@@ -29,6 +29,9 @@ CASES = {
     "verify-819.csv": ["verify", "--conductor", "819", "--format", "csv"],
     "verify-819.md": ["verify", "--conductor", "819", "--format", "md"],
     "enumerate-819.md": ["enumerate", "--conductor", "819", "--format", "md"],
+    "enumerate-14165638864191.md": [
+        "enumerate", "--conductor", "14165638864191", "--format", "md"
+    ],
     "scan-1-2000.csv": ["scan", "--min", "1", "--max", "2000", "--format", "csv"],
 }
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicperiods import (
     Kind,
@@ -12,6 +14,7 @@ from cubicperiods import (
     shanks_params,
     validate_conductor,
 )
+from cubicperiods.arith import is_probable_prime
 
 
 def brute_force_pairs(f, wild: bool) -> set[tuple[int, int]]:
@@ -60,14 +63,53 @@ def test_representations_match_brute_force():
         assert got == brute_force_pairs(cond.value, cond.kind is Kind.WILD)
 
 
-def test_counts_match_prediction():
+def test_counts_match_prediction(search_oracle):
     # the enumerator itself raises CountMismatch when the formula fails,
-    # so a clean sweep is the assertion
+    # and the pairs built from prime elements must be the searched ones
     for cond in conductors_up_to(100_000):
         reps = representations(cond)
         expected = 2 ** (cond.nu - 1) if cond.kind is Kind.TAME else 2**cond.nu
         assert len(reps) == expected
         assert len({r.M for r in reps}) == len(reps)
+        assert [(r.M, r.N) for r in reps] == search_oracle(cond)
+
+
+LIMIT = 10**10
+
+
+def next_prime_1_mod_3(n: int) -> int:
+    n += (1 - n) % 3
+    while not is_probable_prime(n):
+        n += 3
+    return n
+
+
+def log_uniform(top: int):
+    """Integers in [1, top] whose number of digits is uniform."""
+    return st.integers(1, len(str(top))).flatmap(
+        lambda d: st.integers(10 ** (d - 1), min(10**d, top))
+    )
+
+
+@st.composite
+def conductors(draw):
+    """Tame and wild conductors up to LIMIT with nu <= 6 random primes
+    = 1 mod 3, each drawn up to ten times the nu-th root of the room left
+    by the factor 9; the largest are dropped until f fits."""
+    cofactor = draw(st.sampled_from((1, 9)))
+    nu = draw(st.integers(1 if cofactor == 1 else 0, 6))
+    top = 10 * round((LIMIT // cofactor) ** (1 / max(nu, 1)))
+    seeds = draw(st.lists(log_uniform(top), min_size=nu, max_size=nu))
+    primes = sorted({next_prime_1_mod_3(seed) for seed in seeds})
+    while cofactor * math.prod(primes) > LIMIT:
+        primes.pop()
+    return validate_conductor(cofactor * math.prod(primes))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(conductors())
+def test_representations_match_search_on_random_conductors(search_oracle, cond):
+    assert [(r.M, r.N) for r in representations(cond)] == search_oracle(cond)
 
 
 @pytest.mark.parametrize(
