@@ -1,6 +1,6 @@
 """Integer groundwork: factorization, the Moebius function, conductor checks,
-and the coordinates of (Z/f)^x: its CRT components, their smallest
-generators and the index classes of those generators.
+and the coordinates of (Z/f)^x: its CRT components and their smallest
+generators.
 
 A positive integer is the conductor of a cyclic cubic field exactly when it
 is either a squarefree product p1*...*pk of primes congruent to 1 mod 3
@@ -12,6 +12,7 @@ trusted Conductor value.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -21,6 +22,12 @@ from .errors import InvalidConductor
 
 _SIEVE_BOUND = 1_000_000
 _PRIMES: list[int] = []
+# factorize trial-divides only below this bound; larger factors are found
+# by Brent's rho, whose cost grows with the square root of the factor
+# rather than with the number of primes below it.
+_TRIAL_BOUND = 1000
+# Differences multiplied together per gcd in Brent's rho.
+_RHO_BATCH = 128
 
 # The first 13 primes as witnesses make Miller-Rabin deterministic below
 # MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
@@ -66,19 +73,32 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """Return a nontrivial factor of an odd composite n (deterministic restarts)."""
-    if n % 2 == 0:
-        return 2
+def _brent_rho(n: int) -> int:
+    """A nontrivial factor of an odd composite n: Brent's variant of Pollard
+    rho on x -> x^2 + c from x = 2, multiplying _RHO_BATCH differences mod
+    n before each gcd and stepping back one at a time when a batch
+    overshoots to n; c = 1, 2, ... in turn, so the result is deterministic."""
     c = 1
     while True:
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and d == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = math.gcd(q, n)
+                done += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                saved = (saved * saved + c) % n
+                d = math.gcd(abs(x - saved), n)
         if d != n:
             return d
         c += 1
@@ -116,28 +136,39 @@ class Factorization:
         return all(e == 1 for _, e in self.factors)
 
 
+@functools.cache
+def _trial_primes() -> list[int]:
+    """The sieve primes below _TRIAL_BOUND, sliced once."""
+    primes = _small_primes()
+    return primes[: bisect.bisect_left(primes, _TRIAL_BOUND)]
+
+
 def factorize(m: int) -> Factorization:
-    """Exact prime factorization by trial division, Pollard rho beyond the sieve."""
+    """Exact prime factorization: trial division by the primes below
+    _TRIAL_BOUND, then Miller-Rabin and Brent's rho on what is left.
+
+    A cofactor below _TRIAL_BOUND^2 with no prime factor below the bound is
+    prime, so small m never reach Miller-Rabin.
+    """
     if m < 1:
         raise ValueError("factorize requires a positive integer")
     value = m
     found: dict[int, int] = {}
-    for p in _small_primes():
+    for p in _trial_primes():
         if p * p > m:
             break
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-    if m > 1:
-        stack = [m]
-        while stack:
-            q = stack.pop()
-            if is_probable_prime(q):
-                found[q] = found.get(q, 0) + 1
-                continue
-            d = _pollard_rho(q)
-            stack.append(d)
-            stack.append(q // d)
+    stack = [m] if m > 1 else []
+    while stack:
+        q = stack.pop()
+        if q < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(q):
+            found[q] = found.get(q, 0) + 1
+            continue
+        d = _brent_rho(q)
+        stack.append(d)
+        stack.append(q // d)
     return Factorization(value, tuple(sorted(found.items())))
 
 
@@ -268,18 +299,6 @@ def _generator(q: int) -> tuple[int, int]:
         if all(pow(g, order // p, q) != 1 for p in prime_divisors):
             return g, order
     raise ValueError(f"no generator mod {q}")
-
-
-def _index_classes(q: int) -> tuple[list[int], ...]:
-    """The units mod q of index 0, 1 and 2 mod 3, that is the powers g^j of
-    the smallest generator split by j mod 3."""
-    g, order = _generator(q)
-    powers = []
-    x = 1
-    for _ in range(order):
-        powers.append(x)
-        x = x * g % q
-    return powers[0::3], powers[1::3], powers[2::3]
 
 
 def conductors_up_to(

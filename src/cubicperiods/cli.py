@@ -6,8 +6,10 @@ Subcommands:
   scan      --min A --max B    verify every valid conductor in a range
   table                        reproduce the conductor-819 reference table
 
-Common flags: --format {json,csv,md} (default json), --out PATH, and
---tolerance for the numeric checks (default 1e-6).
+Common flags: --format {json,csv,md} (default json), --out PATH, and for
+verify and scan --tolerance (default 1e-6).  The tolerance governs only the
+float checks, the period relation and the generator checks: the matching
+of kernels to pairs and the character check are exact.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor at or above arith.MR_BOUND, and for verify and scan

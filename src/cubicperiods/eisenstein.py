@@ -23,39 +23,50 @@ products of them and their conjugates, with the unit 1 when f is tame.
 A character of the cyclic group (Z/q)^x, q = 9 or a prime p, is fixed by
 its value at a generator, so each component character is held as one
 exponent e in {1, 2}: chi(g) = zeta3^e at the smallest generator g, the
-coordinate that kernel vectors use too.  Then chi(g^j) = zeta3^(e*j), and
-the Gaussian sum is the sum over r of zeta3^(e*r) times the sum of
-exp(2*pi*i*a/q) over the index class j = r mod 3.  The same component
-sums give the Gaussian periods (periods.gaussian_periods).
+coordinate that kernel vectors use too.  Then chi(g^j) = zeta3^(e*j).
 
-The identification is never assumed: every step is re-checked, exactly for
-the algebra and to 1e-6 for the Gaussian sums.
+The Gaussian sums enter only through their cubes, which are exact: for a
+prime p, tau(chi_p)^3 = p * J(chi_p, chi_p) with the Jacobi sum J in
+Z[zeta3] (Ireland and Rosen, ch. 8 section 3), counted in O(p) byte work
+from a table of indices mod 3 (jacobi_sum); for q = 9 the cube of the
+six-term sum is multiplied out in Z[zeta9].  The same cubes give the
+Gaussian periods (periods.gaussian_periods).
+
+The identification is never assumed: every step is re-checked exactly,
+N(J) = p and J = -1 mod 3 included.
 """
 
 from __future__ import annotations
 
-import cmath
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import Conductor, Kind, _component_moduli, _generator, _index_classes
+from .arith import Conductor, Kind, _component_moduli, _generator, _small_primes
 from .errors import (
     BudgetExceeded,
+    CongruenceFailure,
     FactorizationMismatch,
+    IdentityFailure,
     NormalizationFailure,
     NotPrimitiveRoot,
-    ToleranceExceeded,
 )
 
 if TYPE_CHECKING:
     from .quadform import Representation
 
-# Largest component modulus whose Gaussian sum is computed.  The sum is O(q)
-# in time and memory (it lists the units mod q), so verify and scan refuse a
-# conductor with a larger prime factor instead of exhausting memory.
+# Largest prime component whose Jacobi sum is computed.  The sum is O(p) in
+# time and memory (a byte per unit mod p, a few times over), so verify and
+# scan refuse a conductor with a larger prime factor instead of running
+# for seconds per prime and beyond.
 GAUSS_SUM_BUDGET = 10_000_000
+
+# Byte maps over the index table: _ADD[e] adds e mod 3 to an index 0, 1 or
+# 2, and _IS[r] maps the index r to 1 and every other byte to 0.
+_ADD = tuple(bytes((x + e) % 3 for x in range(256)) for e in range(3))
+_IS = tuple(bytes(int(x == r) for x in range(256)) for r in range(3))
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -151,14 +162,6 @@ def eis_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
     return canonical_associate(x)
 
 
-def round_to_eisenstein(z: complex) -> tuple[EisensteinInt, float]:
-    """Nearest lattice point and the distance to it."""
-    b = z.imag / _SQRT3_2
-    a = z.real + b / 2.0
-    cand = EisensteinInt(round(a), round(b))
-    return cand, abs(z - cand.to_complex())
-
-
 def chi9(sign: int) -> int:
     """Exponent at 2, the smallest generator mod 9, of the character mod 9
     with chi(a) = zeta3^(sign*(a^2 - 1)/3): it is sign mod 3."""
@@ -192,60 +195,143 @@ def cubic_residue_character(p: int, pi: EisensteinInt) -> int:
     raise NotPrimitiveRoot(f"{g}^{k} mod {p} is not a primitive cube root of unity")
 
 
-def gaussian_sum(q: int, e: int) -> complex:
-    """tau(chi) = sum over the units a mod q of chi(a) * exp(2*pi*i*a/q) for
-    the primitive character with chi(g) = zeta3^e at the smallest generator
-    g mod q (q prime or 9): sum over r of zeta3^(e*r) times the fsums of
-    cos(2*pi*a/q) and sin(2*pi*a/q) over the index class r."""
-    if e not in (1, 2):
-        raise ValueError("a primitive cubic character has exponent 1 or 2")
-    if q > GAUSS_SUM_BUDGET:
+def _index_table(p: int) -> bytearray:
+    """ind_g(a) mod 3 at index a, 1 <= a < p, for the smallest generator g
+    mod p, a prime = 1 mod 3.
+
+    Below s = isqrt(p) + 1 the index is additive over the factorization of
+    a: each prime l < s adds its index e_l, read off l^((p-1)/3) against
+    omega = g^((p-1)/3), to the multiples of l, l^2, ... below s.  Every a
+    above that lies in a block p/(k+1) < a <= (p-1)/k with k < s, where
+    0 < p - k*a < a and ind(a) = ind(p - k*a) - ind(k), because -1 has index
+    (p-1)/2 = 0 mod 3.  Filling the blocks in ascending order, each is one
+    strided slice of the table read backwards, shifted by -ind(k).
+    """
+    g, _ = _generator(p)
+    k = (p - 1) // 3
+    omega = pow(g, k, p)
+    index_of = {1: 0, omega: 1, omega * omega % p: 2}
+    table = bytearray(p)
+    s = math.isqrt(p) + 1
+    primes = _small_primes()
+    for ell in primes[: bisect.bisect_left(primes, s)]:
+        e = index_of.get(pow(ell, k, p))
+        if e is None:
+            raise NotPrimitiveRoot(f"{ell}^{k} mod {p} is not a cube root of unity")
+        power = ell
+        while e and power < s:
+            table[power:s:power] = table[power:s:power].translate(_ADD[e])
+            power *= ell
+    for m in range(s - 1, 0, -1):
+        lo, hi = p // (m + 1) + 1, (p - 1) // m
+        table[lo : hi + 1] = table[p - m * lo : p - m * hi - 1 : -m].translate(
+            _ADD[-table[m] % 3]
+        )
+    return table
+
+
+def jacobi_sum(p: int) -> EisensteinInt:
+    """J(chi, chi) = sum over 2 <= a < p of chi(a) * chi(1 - a) for the
+    character chi(g) = zeta3 at the smallest generator g mod p, a prime
+    = 1 mod 3.  Then tau(chi)^3 = p * J(chi, chi) exactly.
+
+    With n_k the number of a whose indices at a and at 1 - a = p + 1 - a
+    add up to k mod 3, J = n0 + n1*zeta3 + n2*zeta3^2.  Those pairs are the
+    bytes of the index table from 2 to p - 1 read forwards and backwards,
+    so each of the nine counts for a pair of indices (i, j) is the popcount
+    of an AND of two integers: the 0/1 indicator bytes of index i read
+    little-endian and those of index j read big-endian.
+
+    N(J) = p and J = -1 mod 3 are checked (Ireland and Rosen, ch. 9 section 4).
+    """
+    if p > GAUSS_SUM_BUDGET:
         raise BudgetExceeded(
-            f"the Gaussian sum mod {q} takes O({q}) time and memory, beyond the "
-            f"budget of components up to {GAUSS_SUM_BUDGET}"
+            f"the Jacobi sum mod {p} takes O({p}) time and memory, beyond the "
+            f"budget of prime components up to {GAUSS_SUM_BUDGET}"
         )
-    step = 2 * math.pi / q
-    total = 0j
-    for r, units in enumerate(_index_classes(q)):
-        angles = [step * a for a in units]
-        zeta_power = (ONE, ZETA, ZETA_SQ)[e * r % 3].to_complex()
-        total += zeta_power * complex(
-            math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles))
-        )
-    if abs(abs(total) ** 2 - q) > 1e-6:
-        raise ToleranceExceeded(
-            f"|tau|^2 = {abs(total)**2} differs from the conductor {q}"
-        )
-    return total
+    core = _index_table(p)[2:]
+    firsts = [int.from_bytes(core.translate(_IS[i]), "little") for i in range(3)]
+    counts = [0, 0, 0]
+    for j in range(3):
+        seconds = int.from_bytes(core.translate(_IS[j]), "big")
+        for i, first in enumerate(firsts):
+            counts[(i + j) % 3] += (first & seconds).bit_count()
+    n0, n1, n2 = counts
+    jacobi = EisensteinInt(n0 - n2, n1 - n2)
+    if jacobi.norm() != p:
+        raise FactorizationMismatch(f"J(chi, chi) = {jacobi} mod {p} has norm {jacobi.norm()}")
+    if jacobi.a % 3 != 2 or jacobi.b % 3 != 0:
+        raise CongruenceFailure(f"J(chi, chi) = {jacobi} mod {p} is not -1 mod 3")
+    return jacobi
+
+
+def _z9(coeffs: list[int]) -> tuple[int, ...]:
+    """The polynomial with these coefficients (degree <= 10) reduced mod
+    Phi_9 = x^6 + x^3 + 1: coordinates in Z[zeta9] on 1, zeta9, ..., zeta9^5."""
+    c = coeffs + [0] * (11 - len(coeffs))
+    for k in range(10, 5, -1):  # x^k = -x^(k-3) - x^(k-6)
+        c[k - 3] -= c[k]
+        c[k - 6] -= c[k]
+    return tuple(c[:6])
+
+
+def _z9_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    product = [0] * 11
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            product[i + j] += a * b
+    return _z9(product)
+
+
+@functools.lru_cache(maxsize=2)
+def _chi9_gauss_sum(e: int) -> tuple[tuple[int, ...], EisensteinInt]:
+    """tau(chi) in Z[zeta9] for the character mod 9 with chi(2) = zeta3^e,
+    and its cube, which lies in Z[zeta3].
+
+    chi(2^j) = zeta3^(e*j) = zeta9^(3*e*j), so tau is the sum over j < 6 of
+    zeta9^(3*e*j + 2^j).
+    """
+    terms = [0] * 9
+    for j in range(6):
+        terms[(3 * e * j + pow(2, j, 9)) % 9] += 1
+    tau = _z9(terms)
+    cube = _z9_mul(_z9_mul(tau, tau), tau)
+    if any(cube[i] for i in (1, 2, 4, 5)):
+        raise IdentityFailure(f"tau^3 = {cube} mod 9 is not in Z[zeta3]")
+    return tau, EisensteinInt(cube[0], cube[3])
 
 
 @functools.lru_cache(maxsize=1)
-def component_gauss_sums(f: Conductor) -> tuple[complex, ...]:
-    """tau_q of the character chi_q(g_q) = zeta3 for each component q of f,
-    in component order.  The character chi_q(g_q) = zeta3^2 has the
-    conjugate sum, since chi_q(-1) = 1.
+def component_gauss_sums(f: Conductor) -> tuple[EisensteinInt, ...]:
+    """tau_q^3 for the character chi_q(g_q) = zeta3 of each component q of
+    f, in component order: p * J(chi_p, chi_p) for a prime p, the cube
+    multiplied out in Z[zeta9] for q = 9.  The character chi_q(g_q) =
+    zeta3^2 has the conjugate cube, since chi_q(-1) = 1.
 
     The periods of every kernel and the character check of every field of a
-    conductor read these sums, so those of the last conductor are kept.
+    conductor read these cubes, so those of the last conductor are kept.
     """
-    return tuple(gaussian_sum(q, 1) for q in _component_moduli(f))
+    return tuple(
+        _chi9_gauss_sum(1)[1] if q == 9 else q * jacobi_sum(q)
+        for q in _component_moduli(f)
+    )
 
 
 def chi9_gauss_sum_report(sign: int) -> dict:
     """Record whether tau or tau^3 for the mod-9 character equals 27*zeta3^sign.
 
     A primitive character mod 9 has |tau| = 3, so only the cube can reach
-    modulus 27; both comparisons are computed and reported rather than
+    modulus 27; both comparisons are made exactly, in Z[zeta9], rather than
     assumed.
     """
-    tau = gaussian_sum(9, chi9(sign))
-    reference = 27 * cmath.exp(sign * 2j * cmath.pi / 3)
+    tau, cube = _chi9_gauss_sum(chi9(sign))
+    reference = 27 * (ZETA if sign == 1 else ZETA_SQ)
     return {
         "tau": tau,
-        "tau_cubed": tau**3,
+        "tau_cubed": cube,
         "reference": reference,
-        "tau_matches": abs(tau - reference) < 1e-6,
-        "tau_cubed_matches": abs(tau**3 - reference) < 1e-6,
+        "tau_matches": tau == (reference.a, 0, 0, reference.b, 0, 0),
+        "tau_cubed_matches": cube == reference,
     }
 
 
@@ -346,20 +432,20 @@ def character_for_representation(r: Representation) -> tuple[int, ...]:
     as its exponents at the component generators, in component order.
 
     The mod-9 sign and the prime elements come from factor_rhs; each prime
-    component is validated against -tau(chi_p)^3 = p * pi_p numerically,
-    with tau_p from component_gauss_sums, conjugated when the exponent is 2.
+    component is validated exactly against J(chi_p, chi_p) = -pi_p, that is
+    tau_p^3 = -p * pi_p with the cube from component_gauss_sums, conjugated
+    when the exponent is 2.
     """
     sign, pis = factor_rhs(r)
     moduli = _component_moduli(r.conductor)
-    taus = dict(zip(moduli, component_gauss_sums(r.conductor)))
+    cubes = dict(zip(moduli, component_gauss_sums(r.conductor)))
     exponents = {9: chi9(sign)}
     for p, pi in zip(r.conductor.odd_primes, pis):
         e = cubic_residue_character(p, pi)
-        tau = taus[p] if e == 1 else taus[p].conjugate()
-        rounded, residual = round_to_eisenstein(-(tau**3) / p)
-        if residual > 1e-6 or rounded != pi:
+        cube = cubes[p] if e == 1 else cubes[p].conjugate()
+        if cube != -p * pi:
             raise NormalizationFailure(
-                f"-tau^3/{p} = {-(tau**3)/p} is not the prime element {pi}"
+                f"tau^3 = {cube} mod {p} is not -{p} * pi for the prime element pi = {pi}"
             )
         exponents[p] = e
     return tuple(exponents[q] for q in moduli)

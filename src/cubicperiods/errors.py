@@ -47,10 +47,6 @@ class IdentityFailure(VerificationError):
     """An exact polynomial identity failed coefficient-by-coefficient."""
 
 
-class RoundingFailure(VerificationError):
-    """A numeric coefficient is too far from the nearest integer."""
-
-
 class ToleranceExceeded(VerificationError):
     """A numeric quantity exceeded its certified tolerance."""
 

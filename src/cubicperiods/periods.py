@@ -1,4 +1,5 @@
-"""Numeric Gaussian periods and the matching of kernels to representations.
+"""Gaussian periods, the exact period polynomial of each kernel, and the
+matching of kernels to representations.
 
 The units mod f split by the CRT over the components q of f (each prime
 p | f, and 9 when f is wild) into cyclic groups, each with its smallest
@@ -9,38 +10,38 @@ vector (1, c_2, ..., c_k) with c_i in {1, 2}.
 
 The periods are the finite Fourier sums over the three characters trivial
 on a kernel: with t = tau(chi) the Gaussian sum mod f of a character that
-cuts it out,
+cuts it out and mu the period sum (mu(f) tame, 0 wild),
 
-    eta_j = (mu(f) + zeta3^-j * t + zeta3^j * conj(t)) / 3,
+    eta_j = (mu + zeta3^-j * t + zeta3^j * conj(t)) / 3,
 
 since tau(chi-bar) = conj(tau(chi)) when chi(-1) = 1, as for every cubic
-character.  The Gaussian sum factors over the components, so one sum
-tau_q per component (eisenstein.component_gauss_sums, O(q) terms) gives
-the periods of every kernel, and no sum runs over the units mod f.
+character.  So Y_j = 3*eta_j - mu has e1 = 0, e2 = -3*|t|^2 = -3f and
+e3 = t^3 + conj(t)^3 = Tr(T) for T = t^3, and the period polynomial is
 
-The periods are the roots of a monic integer cubic.  Rounding its numeric
-coefficients and comparing with the closed-form period polynomial for each
-pair (M, N) produces a perfect matching between representations and
-kernels; that matching is the central two-route consistency check of the
-package, with the Gaussian sums on one side and exact rational arithmetic
-on the other.
+    X^3 - mu*X^2 + (mu^2 - f)/3 * X - (mu^3 - 3*f*mu + Tr(T))/27.
+
+T is exact: the Gaussian sum factors over the components up to a cube
+root of unity, which the cube removes, so T is the product of the exact
+cubes tau_q^3 in Z[zeta3] (eisenstein.component_gauss_sums) and their
+conjugates.  Comparing this integer cubic with the closed-form period
+polynomial of each pair (M, N) gives a perfect matching between
+representations and kernels by integer equality; that matching is the
+central two-route consistency check of the package, with Jacobi sums on
+one side and the quadratic form on the other.  The float periods, which
+the period relation and the generator checks compare with roots of the
+Shanks cubics, come from a cube root of T in O(1) per kernel.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .arith import (
-    Conductor,
-    Kind,
-    _component_moduli,
-    _generator,
-    euler_phi,
-    factorize,
-)
+from .arith import Conductor, Kind, _component_moduli
 from .cubicpoly import (
     RationalCubic,
     affine_relation,
@@ -49,48 +50,37 @@ from .cubicpoly import (
     shanks_poly,
     verify_main_identity,
 )
-from .eisenstein import (
-    ONE,
-    ZETA,
-    ZETA_SQ,
-    character_for_representation,
-    component_gauss_sums,
-)
+from .eisenstein import EisensteinInt, character_for_representation, component_gauss_sums
 from .errors import (
     ComplexRoots,
     CongruenceFailure,
     CountMismatch,
     MatchingFailure,
+    NonIntegralCoefficient,
     RelationFailure,
-    RoundingFailure,
     ToleranceExceeded,
 )
 from .quadform import Representation, ShanksParams, representations, shanks_params
 from .verdicts import Verdict
 
 DEFAULT_TOLERANCE = 1e-6
-# zeta3^-j for j = 0, 1, 2
-_ZETA3_INVERSE_POWERS = tuple(z.to_complex() for z in (ONE, ZETA_SQ, ZETA))
-
-
-@dataclass(frozen=True)
-class UnitGroup:
-    """(Z/fZ)^x as a product of cyclic groups, one per prime-power factor."""
-
-    modulus: int
-    generators: tuple[tuple[int, int], ...]
+# 16 units of roundoff: the rounding bound on the residual of a float root
+# of a cubic (real_roots_cubic), with room for a root off by an ulp or two.
+_ROOT_ROUNDOFF = 8 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class PeriodTriple:
     """The three periods for one kernel (a coefficient vector), sorted in
-    descending order."""
+    descending order, with the exact cube T = t^3 of the kernel's Gaussian
+    sum that they come from."""
 
     eta0: float
     eta1: float
     eta2: float
     kernel: tuple[int, ...]
     conductor: Conductor
+    cube: EisensteinInt
 
     def values(self) -> tuple[float, float, float]:
         return (self.eta0, self.eta1, self.eta2)
@@ -113,19 +103,6 @@ class FieldRecord:
         return max((v.residual for v in self.verdicts.values()), default=0.0)
 
 
-def unit_group(f: Conductor) -> UnitGroup:
-    gens = []
-    for q in _component_moduli(f):
-        g, order = _generator(q)
-        rest = f.value // q
-        # lift to a residue that is g mod q and 1 mod f/q
-        lift = (1 + rest * ((g - 1) * pow(rest, -1, q) % q)) % f.value
-        gens.append((lift, order))
-    if math.prod(o for _, o in gens) != euler_phi(factorize(f.value)):
-        raise CountMismatch(f"component orders do not multiply to phi({f.value})")
-    return UnitGroup(f.value, tuple(gens))
-
-
 def primitive_cubic_kernels(f: Conductor) -> list[tuple[int, ...]]:
     """One coefficient vector per conjugate pair of primitive cubic characters mod f.
 
@@ -142,48 +119,61 @@ def primitive_cubic_kernels(f: Conductor) -> list[tuple[int, ...]]:
     return kernels
 
 
+def _period_sum(f: Conductor) -> int:
+    """mu = eta0 + eta1 + eta2: mu(f) when f is tame, 0 when wild."""
+    return 0 if f.is_wild else f.mu
+
+
 def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
     """The periods of every kernel, in the order of primitive_cubic_kernels.
 
-    tau_q is the Gaussian sum of the character chi_q(g_q) = zeta3, one per
-    component.  For the kernel c, t is the product of tau_q where c_q = 1
-    and of conj(tau_q) where c_q = 2, and period j is
-    (mu(f) + 2*Re(zeta3^-j * t))/3, with mu(f) = 0 when f is wild.
+    tau_q^3 is the exact cube for the character chi_q(g_q) = zeta3, one per
+    component.  For the kernel c, T is the product of tau_q^3 where c_q = 1
+    and of its conjugate where c_q = 2, and with t = sqrt(f)*exp(i*phi/3),
+    phi = arg(T), period j is (mu + 2*Re(zeta3^-j * t))/3.
     """
-    mu = 0 if f.is_wild else f.mu
-    taus = component_gauss_sums(f)
+    mu = _period_sum(f)
+    root_f = math.sqrt(f.value)
+    cubes = component_gauss_sums(f)
     triples = []
     for kernel in primitive_cubic_kernels(f):
         # The Gaussian sum mod f is prod chi_q(f/q) * tau(chi_q).  That
-        # product of chi_q(f/q) is a cube root of unity, which only permutes
-        # the three periods of the kernel; they are sorted, so it is left out.
-        t = math.prod(tau if c == 1 else tau.conjugate() for tau, c in zip(taus, kernel))
+        # product of chi_q(f/q) is a cube root of unity: it leaves T
+        # unchanged, and any cube root of T only permutes the three periods
+        # of the kernel, which are sorted.
+        cube = math.prod(t if c == 1 else t.conjugate() for t, c in zip(cubes, kernel))
+        phi = cmath.phase(cube.to_complex())
         etas = sorted(
-            ((mu + 2 * (z * t).real) / 3 for z in _ZETA3_INVERSE_POWERS), reverse=True
+            (
+                (mu + 2 * root_f * math.cos((phi - 2 * math.pi * j) / 3)) / 3
+                for j in range(3)
+            ),
+            reverse=True,
         )
-        triples.append(PeriodTriple(*etas, kernel, f))
+        triples.append(PeriodTriple(*etas, kernel, f, cube))
     return triples
 
 
-def numeric_period_poly(
-    pt: PeriodTriple, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple[RationalCubic, float]:
-    """Expand (X - eta0)(X - eta1)(X - eta2) and round to integers.
+def numeric_period_poly(pt: PeriodTriple) -> tuple[RationalCubic, float]:
+    """The period polynomial of pt, exactly, from its cube T:
 
-    Returns the integer cubic and the largest distance of a float
-    coefficient from its integer.
+        X^3 - mu*X^2 + (mu^2 - f)/3 * X - (mu^3 - 3*f*mu + Tr(T))/27,
+
+    with Tr(a + b*zeta3) = 2a - b.  Nothing is rounded, so the residual
+    returned with it is 0.0; a coefficient that is not an integer raises
+    NonIntegralCoefficient.
     """
-    x, y, z = pt.values()
-    coeffs = (-(x + y + z), x * y + x * z + y * z, -(x * y * z))
-    rounded = [round(c) for c in coeffs]
-    worst = max(abs(c - r) for c, r in zip(coeffs, rounded))
-    if worst > tolerance:
-        offender = max(coeffs, key=lambda c: abs(c - round(c)))
-        raise RoundingFailure(
-            f"coefficient {offender} is {abs(offender - round(offender))} "
-            f"from an integer (tolerance {tolerance})"
+    f = pt.conductor.value
+    mu = _period_sum(pt.conductor)
+    trace = 2 * pt.cube.a - pt.cube.b
+    c1, r1 = divmod(mu * mu - f, 3)
+    c0, r0 = divmod(-(mu**3 - 3 * f * mu + trace), 27)
+    if r1 or r0:
+        raise NonIntegralCoefficient(
+            f"f={f}: the period polynomial of T = {pt.cube} has a coefficient "
+            f"that is not an integer"
         )
-    return RationalCubic(Fraction(1), *(Fraction(r) for r in rounded)), worst
+    return RationalCubic(1, -mu, c1, c0), 0.0
 
 
 def real_roots_cubic(
@@ -221,8 +211,15 @@ def real_roots_cubic(
     roots.sort(reverse=True)
     for x in roots:
         residual = abs(((fc3 * x + fc2) * x + fc1) * x + fc0)
-        if residual > tolerance:
-            raise ToleranceExceeded(f"|p({x})| = {residual} exceeds {tolerance}")
+        # Rounding alone leaves |p(x)| up to about 10 units of roundoff
+        # times the sum of the Horner terms, even at the float nearest a
+        # root: 3 from rounding the root, 6 from evaluating (Higham, Accuracy
+        # and Stability of Numerical Algorithms, section 5.1), 1 from the
+        # coefficients.  The tolerance bounds what exceeds that.
+        terms = ((abs(fc3 * x) + abs(fc2)) * abs(x) + abs(fc1)) * abs(x) + abs(fc0)
+        bound = tolerance + _ROOT_ROUNDOFF * terms
+        if residual > bound:
+            raise ToleranceExceeded(f"|p({x})| = {residual} exceeds {bound}")
     return (roots[0], roots[1], roots[2])
 
 
@@ -293,8 +290,8 @@ def match_fields(
 ) -> list[FieldRecord]:
     """Bijectively match representations to kernels and verify each field.
 
-    Matching is by exact equality of the rounded numeric period polynomial
-    with the closed form.  Every record is then checked against the affine
+    Matching is by exact equality of the period polynomial of each kernel,
+    from its Gaussian sum cube, with the closed form.  Every record is then checked against the affine
     identity and the period relation; a record only exists if all of its
     checks pass.
     """
@@ -315,11 +312,11 @@ def match_fields(
         polys[r] = poly
     assigned: dict[Representation, tuple[PeriodTriple, float]] = {}
     for pt in triples:
-        numeric, residual = numeric_period_poly(pt, tolerance)
-        key = numeric.integer_coefficients()
+        exact, residual = numeric_period_poly(pt)
+        key = exact.integer_coefficients()
         if key not in predicted:
             raise MatchingFailure(
-                f"conductor {f.value}: no pair predicts the numeric polynomial {key}"
+                f"conductor {f.value}: no pair predicts the kernel's polynomial {key}"
             )
         r = predicted[key]
         if r in assigned:

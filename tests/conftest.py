@@ -1,11 +1,81 @@
 import functools
 import math
+from dataclasses import dataclass
 
 import pytest
 
-from cubicperiods import Kind, conductors_up_to, match_fields, unit_group
+from cubicperiods import CountMismatch, Kind, conductors_up_to, factorize, match_fields
+from cubicperiods.arith import _component_moduli, _generator, euler_phi
+from cubicperiods.eisenstein import ONE, ZETA, ZETA_SQ
 
 BOUND = 10_000
+
+
+@dataclass(frozen=True)
+class UnitGroup:
+    """(Z/fZ)^x as a product of cyclic groups, one per prime-power factor."""
+
+    modulus: int
+    generators: tuple[tuple[int, int], ...]
+
+
+def unit_group(f) -> UnitGroup:
+    """The smallest generator of each CRT component of f, lifted to a
+    residue mod f that is 1 at the other components, with its order."""
+    gens = []
+    for q in _component_moduli(f):
+        g, order = _generator(q)
+        rest = f.value // q
+        # lift to a residue that is g mod q and 1 mod f/q
+        lift = (1 + rest * ((g - 1) * pow(rest, -1, q) % q)) % f.value
+        gens.append((lift, order))
+    if math.prod(o for _, o in gens) != euler_phi(factorize(f.value)):
+        raise CountMismatch(f"component orders do not multiply to phi({f.value})")
+    return UnitGroup(f.value, tuple(gens))
+
+
+@pytest.fixture(scope="session", name="unit_group")
+def unit_group_fixture():
+    """unit_group(cond): the CRT-lifted component generators of (Z/f)^x."""
+    return unit_group
+
+
+def index_classes(q: int) -> tuple[list[int], ...]:
+    """The units mod q of index 0, 1 and 2 mod 3, that is the powers g^j of
+    the smallest generator split by j mod 3."""
+    g, order = _generator(q)
+    powers = []
+    x = 1
+    for _ in range(order):
+        powers.append(x)
+        x = x * g % q
+    return powers[0::3], powers[1::3], powers[2::3]
+
+
+def gaussian_sum(q: int, e: int) -> complex:
+    """Oracle: tau(chi) = sum over the units a mod q of chi(a) * exp(2*pi*i*a/q)
+    in floats, for chi(g) = zeta3^e at the smallest generator g mod q (q
+    prime or 9): sum over r of zeta3^(e*r) times the fsums of cos(2*pi*a/q)
+    and sin(2*pi*a/q) over the index class r.  O(q), with |tau|^2 = q
+    checked to 1e-6."""
+    if e not in (1, 2):
+        raise ValueError("a primitive cubic character has exponent 1 or 2")
+    step = 2 * math.pi / q
+    total = 0j
+    for r, units in enumerate(index_classes(q)):
+        angles = [step * a for a in units]
+        zeta_power = (ONE, ZETA, ZETA_SQ)[e * r % 3].to_complex()
+        total += zeta_power * complex(
+            math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles))
+        )
+    assert abs(abs(total) ** 2 - q) < 1e-6, (q, e, total)
+    return total
+
+
+@pytest.fixture(scope="session")
+def float_gauss_sum():
+    """gaussian_sum(q, e): the O(q) float Gaussian sum."""
+    return gaussian_sum
 
 
 @functools.lru_cache(maxsize=4)

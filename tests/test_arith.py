@@ -59,6 +59,53 @@ def test_factorize_beyond_sieve():
     assert factorize(p * p).factors == ((p, 2),)
 
 
+def trial_division(m: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
+    """Oracle: divide by every prime p with p^2 <= m, in order."""
+    found = []
+    for p in primes:
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            found.append((p, e))
+    if m > 1:
+        found.append((m, 1))
+    return tuple(found)
+
+
+def test_factorize_matches_full_trial_division():
+    limit = 200_000
+    primes = [p for p in range(2, math.isqrt(limit) + 1) if is_probable_prime(p)]
+    for m in range(1, limit + 1):
+        assert factorize(m).factors == trial_division(m, primes), m
+
+
+# primes between the trial-division bound (1000) and 10^6
+BEYOND_TRIAL = (1009, 1013, 4999, 65537, 999983)
+
+
+@pytest.mark.parametrize("p", BEYOND_TRIAL)
+def test_factorize_squares_and_products_beyond_trial_division(p):
+    assert factorize(p * p).factors == ((p, 2),)
+    assert factorize(p**3).factors == ((p, 3),)
+    for q in BEYOND_TRIAL:
+        if q != p:
+            lo, hi = sorted((p, q))
+            assert factorize(p * q).factors == ((lo, 1), (hi, 1))
+            assert factorize(p * p * q).factors == tuple(sorted(((p, 2), (q, 1))))
+            assert factorize(7 * p * p * q).factors == tuple(
+                sorted(((7, 1), (p, 2), (q, 1)))
+            )
+
+
+def test_validate_rejects_a_square_beyond_trial_division():
+    with pytest.raises(InvalidConductor, match="1009\\^2"):
+        validate_conductor(7 * 1009**2)
+
+
 def test_strong_pseudoprime_to_the_first_twelve_primes_is_composite():
     # 318665857834031151167461 passes Miller-Rabin to every base up to 37;
     # base 41 exposes it, which makes the test deterministic below MR_BOUND

@@ -72,9 +72,11 @@ def test_verify_tame(capsys):
 
 
 def test_verify_unattainable_tolerance(capsys):
+    # the matching is exact, so the first float check to fail is the
+    # period relation, whose residual at 819 is about 5e-15
     code, out, err = run(capsys, ["verify", "--conductor", "819", "--tolerance", "1e-30"])
     assert code == 1
-    assert "RoundingFailure" in err
+    assert "RelationFailure" in err
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
@@ -107,19 +109,28 @@ def test_scan_single(capsys):
     assert json.loads(out)["conductors"] == 1
 
 
-@pytest.mark.parametrize("conductor", [60433, 73237, 482391, 2304757])
+@pytest.mark.parametrize(
+    "conductor", [60433, 73237, 482391, 2304757, 20742813, 85276009, 767484081, 7000021]
+)
 def test_verify_large_conductor_exits_0(capsys, conductor):
     # Each of these failed with RoundingFailure while the periods were
     # plain float sums: 60433 = 223 * 271 missed an integer coefficient by
     # 1.1e-6, the prime 73237 was the smallest failing verify-band
     # conductor, and 482391 = 9 * 7 * 13 * 19 * 31 missed by 1.2e-5.
     # 2304757 = 7 * 13 * 19 * 31 * 43 still missed by 1.8e-6 with correctly
-    # rounded sums over the units mod f, and passes with the periods taken
-    # from the component Gaussian sums.
+    # rounded sums over the units mod f.  20742813 = 9 * 7 * 13 * 19 * 31 * 43,
+    # 85276009 = 7 * 13 * 19 * 31 * 37 * 43 and 767484081 = 9 * 85276009
+    # still failed with the periods from float component Gaussian sums,
+    # whose coefficients near 10^9 or more cannot be rounded to 1e-6; the
+    # exact cubes match them by integer equality.  7000021 = 7 * 1000003
+    # has a prime component near 10^6.
+    start = time.perf_counter()
     code, out, _ = run(capsys, ["verify", "--conductor", str(conductor)])
+    elapsed = time.perf_counter() - start
     assert code == 0
     doc = json.loads(out)
     assert all(entry["residual"] < DEFAULT_TOLERANCE for entry in doc["fields"])
+    assert elapsed < 1.0
 
 
 def test_enumerate_huge_conductor_is_fast(capsys):
@@ -162,18 +173,18 @@ def test_prime_component_beyond_the_budget_exits_2(capsys, argv):
 
 
 def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
-    # 15561 = 9 * 7 * 13 * 19 has 8 fields.  The periods take one Gaussian
-    # sum per component (4) and the mod-9 report two; the character check of
-    # every field reads the sums of the periods instead of its own (24 more)
+    # 15561 = 9 * 7 * 13 * 19 has 8 fields.  The periods take one index
+    # table per prime component, and the character check of every field
+    # reads the cubes of the periods instead of building its own (24 more)
     calls = []
-    index_classes = eisenstein._index_classes
+    index_table = eisenstein._index_table
     monkeypatch.setattr(
-        eisenstein, "_index_classes", lambda q: calls.append(q) or index_classes(q)
+        eisenstein, "_index_table", lambda p: calls.append(p) or index_table(p)
     )
     eisenstein.component_gauss_sums.cache_clear()
     code, _, _ = run(capsys, ["verify", "--conductor", "15561"])
     assert code == 0
-    assert len(calls) <= 9
+    assert calls == [7, 13, 19]
 
 
 def test_scan_empty_range(capsys):

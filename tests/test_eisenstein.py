@@ -11,19 +11,22 @@ from cubicperiods import (
     cubic_residue_character,
     eis_gcd,
     factor_rhs,
-    gaussian_sum,
+    jacobi_sum,
     prime_element,
     representations,
-    unit_group,
     validate_conductor,
 )
+from cubicperiods.arith import _generator, is_probable_prime
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
+    _index_table,
     canonical_associate,
     exact_div,
     primary_associate,
 )
+
+PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
 
 
 def test_basic_algebra():
@@ -153,9 +156,9 @@ def test_cubic_residue_character_mod7(character_values, residue_sets):
     assert (e + e_conj) % 3 == 0
 
 
-def test_gaussian_sum_modulus(character_values):
+def test_gaussian_sum_modulus(character_values, float_gauss_sum):
     pi = EisensteinInt(3, 2)
-    tau = gaussian_sum(7, cubic_residue_character(7, pi))
+    tau = float_gauss_sum(7, cubic_residue_character(7, pi))
     assert abs(abs(tau) ** 2 - 7) < 1e-9
     direct = sum(
         cmath.exp(2j * cmath.pi * (a / 7 + e / 3))
@@ -163,22 +166,45 @@ def test_gaussian_sum_modulus(character_values):
     )
     assert abs(tau - direct) < 1e-9
     with pytest.raises(ValueError):
-        gaussian_sum(7, 0)  # the trivial character is not primitive
+        float_gauss_sum(7, 0)  # the trivial character is not primitive
 
 
-def test_gaussian_sum_normalization_mod7():
+def test_gaussian_sum_normalization_mod7(float_gauss_sum):
     # -tau^3 = 7 * pi for the primary prime attached to the character
     pi = primary_associate(EisensteinInt(3, 2))
-    tau = gaussian_sum(7, cubic_residue_character(7, pi))
+    tau = float_gauss_sum(7, cubic_residue_character(7, pi))
     assert abs(-(tau**3) - 7 * pi.to_complex()) < 1e-6
 
 
-def test_chi9_gauss_sum_cube_matches():
+def test_chi9_gauss_sum_cube_matches(float_gauss_sum):
     for sign in (1, -1):
         rep = chi9_gauss_sum_report(sign)
         assert rep["tau_cubed_matches"] is True
         assert rep["tau_matches"] is False
-        assert abs(abs(rep["tau"]) - 3) < 1e-9
+        assert rep["tau_cubed"] == rep["reference"] == 27 * (ZETA if sign == 1 else ZETA * ZETA)
+        # tau * conj(tau) = 9 in Z[zeta9]: conjugation is zeta9 -> zeta9^8
+        tau = rep["tau"]
+        conj = [0] * 9
+        for k, c in enumerate(tau):
+            conj[-k % 9] += c
+        assert z9_product(tau, conj) == (9, 0, 0, 0, 0, 0)
+        # the exact coordinates against the float O(q) sum
+        zeta9 = cmath.exp(2j * cmath.pi / 9)
+        exact = sum(c * zeta9**k for k, c in enumerate(tau))
+        assert abs(exact - float_gauss_sum(9, chi9(sign))) < 1e-12
+
+
+def z9_product(x, y) -> tuple[int, ...]:
+    """x * y for coefficient lists over powers of zeta9, reduced to the
+    basis 1, zeta9, ..., zeta9^5 by zeta9^9 = 1 and zeta9^6 = -zeta9^3 - 1."""
+    cyclic = [0] * 9
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            cyclic[(i + j) % 9] += a * b
+    for k in (8, 7, 6):
+        cyclic[k - 3] -= cyclic[k]
+        cyclic[k - 6] -= cyclic[k]
+    return tuple(cyclic[:6])
 
 
 def test_character_for_representation_nine(character_values, residue_sets):
@@ -188,7 +214,7 @@ def test_character_for_representation_nine(character_values, residue_sets):
     assert level_sets(character_values(9, *factor_rhs(r))) == residue_sets(F9, vector)
 
 
-def test_character_kernels_have_index_three(character_values, residue_sets):
+def test_character_kernels_have_index_three(character_values, residue_sets, unit_group):
     for f in (9, 63, 819):
         cond = validate_conductor(f)
         kernels = set()
@@ -213,7 +239,9 @@ def test_character_kernels_have_index_three(character_values, residue_sets):
         assert len(kernels) == len(representations(cond))
 
 
-def test_characters_of_all_wild_conductors(wild_records_10k, character_values, residue_sets):
+def test_characters_of_all_wild_conductors(
+    wild_records_10k, character_values, residue_sets, unit_group
+):
     for rec in wild_records_10k:
         cond = rec.conductor
         f = cond.value
@@ -276,3 +304,38 @@ def test_factor_rhs_inverts_rhs_elements(wild_records_10k):
         _, pis = factor_rhs(rec.representation)
         for p, pi in zip(rec.conductor.odd_primes, pis):
             assert pi in (prime_element(p), prime_element(p).conjugate())
+
+
+def test_index_table_equals_the_powers_of_the_generator():
+    # the table built from the primes below sqrt(p) and the strided blocks,
+    # against j mod 3 at g^j for every j, at every prime = 1 mod 3 below 2*10^4
+    assert len(PRIMES_1_MOD_3) == 1124
+    for p in PRIMES_1_MOD_3:
+        g, order = _generator(p)
+        expected = bytearray(p)
+        x = 1
+        for j in range(order):
+            expected[x] = j % 3
+            x = x * g % p
+        assert _index_table(p) == expected, p
+
+
+def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():
+    for p in PRIMES_1_MOD_3:
+        jacobi = jacobi_sum(p)
+        assert jacobi.norm() == p
+        assert (jacobi.a % 3, jacobi.b % 3) == (2, 0)
+        # -J is the primary prime element of norm p, up to conjugation
+        assert -jacobi in (prime_element(p), prime_element(p).conjugate())
+
+
+def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
+    # tau(chi)^3 = p * J(chi, chi) against the O(p) float sum, for both
+    # characters of every prime = 1 mod 3 below 3000
+    for p in PRIMES_1_MOD_3:
+        if p > 3000:
+            break
+        cube = p * jacobi_sum(p)
+        for e, expected in ((1, cube), (2, cube.conjugate())):
+            tau = float_gauss_sum(p, e)
+            assert abs(tau**3 - expected.to_complex()) < 1e-6, (p, e)

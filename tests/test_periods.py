@@ -4,28 +4,32 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicperiods import (
+    GAUSS_SUM_BUDGET,
+    MR_BOUND,
     ComplexRoots,
     Kind,
     MatchingFailure,
     RationalCubic,
-    RoundingFailure,
     conductors_up_to,
     factor_rhs,
     gaussian_periods,
     match_fields,
     numeric_period_poly,
+    period_poly_formula,
     primitive_cubic_kernels,
     real_roots_cubic,
     representations,
     shanks_poly,
-    unit_group,
     validate_conductor,
     verify_kernel_character,
     verify_period_relation,
     verify_sign_congruences,
 )
+from cubicperiods.arith import is_probable_prime
 
 F9 = validate_conductor(9)
 F7 = validate_conductor(7)
@@ -33,7 +37,7 @@ F63 = validate_conductor(63)
 F819 = validate_conductor(819)
 
 
-def test_unit_group_examples():
+def test_unit_group_examples(unit_group):
     assert unit_group(F9).generators == ((2, 6),)
     assert unit_group(F7).generators == ((3, 6),)
     gens = unit_group(F63).generators
@@ -156,13 +160,56 @@ def test_numeric_period_poly_residual_is_the_oracle_residual():
     for rec in match_fields(F819):
         poly, residual = numeric_period_poly(rec.periods)
         assert poly == rec.predicted_poly
-        assert residual == rec.verdicts["oracle_equivalence"].residual < 1e-9
+        assert residual == rec.verdicts["oracle_equivalence"].residual == 0.0
 
 
-def test_numeric_period_poly_unattainable_tolerance():
-    pt = gaussian_periods(F819)[0]
-    with pytest.raises(RoundingFailure):
-        numeric_period_poly(pt, tolerance=1e-30)
+def test_exact_period_poly_equals_the_closed_form():
+    # the integer cubic of every kernel, from the exact cube of its Gaussian
+    # sum, against the closed form of every pair, at every conductor
+    # <= 2*10^4: equal as sets, with nothing rounded
+    for cond in conductors_up_to(20_000):
+        exact = {numeric_period_poly(pt)[0] for pt in gaussian_periods(cond)}
+        closed = {period_poly_formula(cond, r.M) for r in representations(cond)}
+        assert exact == closed, cond.value
+        assert len(exact) == cond.field_count
+
+
+def prime_1_mod_3_at_most(n: int) -> int:
+    """The largest prime = 1 mod 3 that is at most n, or 7."""
+    n -= (n - 1) % 3
+    while n > 7 and not is_probable_prime(n):
+        n -= 3
+    return max(n, 7)
+
+
+@st.composite
+def conductors_within_the_budget(draw):
+    """Tame and wild conductors with nu <= 6 primes = 1 mod 3 up to
+    GAUSS_SUM_BUDGET, each with a uniform number of digits; the largest
+    are dropped until f is below MR_BOUND."""
+    cofactor = draw(st.sampled_from((1, 9)))
+    nu = draw(st.integers(1 if cofactor == 1 else 0, 6))
+    digits = len(str(GAUSS_SUM_BUDGET)) - 1
+    seeds = draw(
+        st.lists(
+            st.integers(1, digits).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d)),
+            min_size=nu,
+            max_size=nu,
+        )
+    )
+    primes = sorted({prime_1_mod_3_at_most(seed) for seed in seeds})
+    while cofactor * math.prod(primes) >= MR_BOUND:
+        primes.pop()
+    return validate_conductor(cofactor * math.prod(primes))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(conductors_within_the_budget())
+def test_exact_period_poly_equals_the_closed_form_on_random_conductors(cond):
+    exact = {numeric_period_poly(pt)[0] for pt in gaussian_periods(cond)}
+    closed = {period_poly_formula(cond, r.M) for r in representations(cond)}
+    assert exact == closed
+    assert len(exact) == cond.field_count
 
 
 def test_real_roots_examples():
