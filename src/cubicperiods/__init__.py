@@ -3,7 +3,7 @@ for cyclic cubic fields.
 
 For any valid conductor the package enumerates the normalized solutions of
 4f = M^2 + 27 N^2, builds the matching one-parameter cubics and period
-polynomials with exact rational arithmetic, builds the period polynomial of
+polynomials with exact integer arithmetic, builds the period polynomial of
 every kernel a second way, exactly, from the cubes of the Gaussian sums of
 the CRT components of the conductor (Jacobi sums in Z[zeta3]), matches the
 two routes by integer equality, and verifies the linear relation between

@@ -20,6 +20,7 @@ Reports go to stdout (or --out); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -72,13 +73,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _enumerate_entry(r, sp, poly) -> dict:
-    fn = shanks_poly(Fraction(sp.n1, sp.n2))
+    # the coefficients of f_n for n = n1/n2; gcd(n1, n2) = 1 and n2 > 0 put
+    # -n1/n2 and -(n1 + 3*n2)/n2 in lowest terms
+    n1, n2 = sp.n1, sp.n2
     return {
         "M": r.M,
         "N": r.N,
-        "n1": sp.n1,
-        "n2": sp.n2,
-        "shanks": [format_rational(c) for c in fn.coefficients()],
+        "n1": n1,
+        "n2": n2,
+        "shanks": [
+            "1", format_rational(-n1, n2), format_rational(-(n1 + 3 * n2), n2), "-1"
+        ],
         "period_poly": list(poly.integer_coefficients()),
     }
 
@@ -231,7 +236,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cubicperiods",
         description="Enumerate and verify Gaussian periods and Shanks cubics "

@@ -8,8 +8,8 @@ has square discriminant (n^2 + 3n + 9)^2.  For a conductor f with pair
     X^3 - mu(f)*X^2 + (1-f)/3 * X - mu(f)*((M-3)*f + 1)/27      (tame)
     X^3 - f/3 * X - mu(f/9)*f*M/27                              (wild)
 
-and agrees with f_n up to an explicit affine change of variable, checked
-here with exact rational arithmetic.
+and agrees with f_n up to an explicit affine change of variable.  That
+identity is checked exactly in integer arithmetic, on n2*f_n for n = n1/n2.
 """
 
 from __future__ import annotations
@@ -24,24 +24,17 @@ from .quadform import ShanksParams, delta
 from .verdicts import Verdict
 
 
-def _frac(x: int | Fraction) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class RationalCubic:
-    """c3*X^3 + c2*X^2 + c1*X + c0 with exact rational coefficients."""
+    """c3*X^3 + c2*X^2 + c1*X + c0 with exact coefficients, each an int or a
+    Fraction; arithmetic on int coefficients stays in int."""
 
-    c3: Fraction
-    c2: Fraction
-    c1: Fraction
-    c0: Fraction
+    c3: int | Fraction
+    c2: int | Fraction
+    c1: int | Fraction
+    c0: int | Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("c3", "c2", "c1", "c0"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
-
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def coefficients(self) -> tuple[int | Fraction, ...]:
         """Coefficients in descending degree order."""
         return (self.c3, self.c2, self.c1, self.c0)
 
@@ -49,7 +42,6 @@ class RationalCubic:
         return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
 
     def scale(self, k: int | Fraction) -> "RationalCubic":
-        k = _frac(k)
         return RationalCubic(self.c3 * k, self.c2 * k, self.c1 * k, self.c0 * k)
 
     def integer_coefficients(self) -> tuple[int, int, int, int]:
@@ -63,8 +55,12 @@ class RationalCubic:
 
 def shanks_poly(n: int | Fraction) -> RationalCubic:
     """X^3 - n*X^2 - (n+3)*X - 1."""
-    n = _frac(n)
-    return RationalCubic(Fraction(1), -n, -(n + 3), Fraction(-1))
+    return RationalCubic(1, -n, -(n + 3), -1)
+
+
+def cleared_shanks_poly(sp: ShanksParams) -> RationalCubic:
+    """n2*f_n for n = n1/n2: n2*X^3 - n1*X^2 - (n1 + 3*n2)*X - n2, in integers."""
+    return RationalCubic(sp.n2, -sp.n1, -(sp.n1 + 3 * sp.n2), -sp.n2)
 
 
 def affine_relation(f: Conductor, n1: int) -> tuple[int, int]:
@@ -89,30 +85,19 @@ def period_poly_formula(f: Conductor, M: int) -> RationalCubic:
         raise ValueError(f"M = {M} does not solve 4f = M^2 + 27N^2 for f={v}")
     mu = f.mu
     if f.kind is Kind.TAME:
-        poly = RationalCubic(
-            Fraction(1),
-            Fraction(-mu),
-            Fraction(1 - v, 3),
-            Fraction(-mu * ((M - 3) * v + 1), 27),
-        )
+        c2, c1, c0 = -mu, divmod(1 - v, 3), divmod(-mu * ((M - 3) * v + 1), 27)
     else:
-        poly = RationalCubic(
-            Fraction(1),
-            Fraction(0),
-            Fraction(-v, 3),
-            Fraction(-mu * v * M, 27),
+        c2, c1, c0 = 0, divmod(-v, 3), divmod(-mu * v * M, 27)
+    if c1[1] or c0[1]:
+        raise NonIntegralCoefficient(
+            f"period polynomial for f={v}, M={M} has a non-integer coefficient "
+            f"(remainders {c1[1]} mod 3 and {c0[1]} mod 27)"
         )
-    for c in poly.coefficients():
-        if c.denominator != 1:
-            raise NonIntegralCoefficient(
-                f"period polynomial for f={v}, M={M} has non-integer coefficient {c}"
-            )
-    return poly
+    return RationalCubic(1, c2, c1[0], c0[0])
 
 
 def substitute_affine(p: RationalCubic, a: int | Fraction, b: int | Fraction) -> RationalCubic:
-    """Exact expansion of p(a*X + b)."""
-    a, b = _frac(a), _frac(b)
+    """Exact expansion of p(a*X + b); integer inputs give integer coefficients."""
     c3, c2, c1, c0 = p.coefficients()
     return RationalCubic(
         c3 * a**3,
@@ -125,12 +110,12 @@ def substitute_affine(p: RationalCubic, a: int | Fraction, b: int | Fraction) ->
 def verify_main_identity(f: Conductor, sp: ShanksParams) -> Verdict:
     """Check n2^3 * mu * f_n(X) = P(mu*(n2*X + shift)) with exact equality.
 
-    (mu, shift) come from affine_relation and M = 2*n1 + 3*n2.  Both sides
-    are integer polynomials; any coefficient difference raises IdentityFailure.
+    (mu, shift) come from affine_relation and M = 2*n1 + 3*n2.  The left side
+    is mu*n2^2 times the integer cubic n2*f_n, so both sides are computed in
+    integers; any coefficient difference raises IdentityFailure.
     """
     mu, shift = affine_relation(f, sp.n1)
-    n = Fraction(sp.n1, sp.n2)
-    lhs = shanks_poly(n).scale(mu * sp.n2**3)
+    lhs = cleared_shanks_poly(sp).scale(mu * sp.n2**2)
     rhs = substitute_affine(
         period_poly_formula(f, 2 * sp.n1 + 3 * sp.n2), mu * sp.n2, mu * shift
     )
@@ -190,7 +175,7 @@ def irreducibility_criterion(n1: int, n2: int) -> bool:
     return moebius(d // 9) != 0
 
 
-def cubic_discriminant(p: RationalCubic) -> Fraction:
+def cubic_discriminant(p: RationalCubic) -> int | Fraction:
     a, b, c, d = p.coefficients()
     return (
         18 * a * b * c * d
@@ -203,7 +188,6 @@ def cubic_discriminant(p: RationalCubic) -> Fraction:
 
 def discriminant_check(n: int | Fraction) -> Verdict:
     """disc(f_n) = (n^2 + 3n + 9)^2, exactly."""
-    n = _frac(n)
     disc = cubic_discriminant(shanks_poly(n))
     expected = (n * n + 3 * n + 9) ** 2
     if disc != expected:

@@ -1,10 +1,11 @@
-"""Rational group-ring arithmetic for a cyclic group of order three.
+"""Group-ring arithmetic over Q for a cyclic group of order three.
 
 Elements c0 + c1*s + c2*s^2 multiply by cyclic convolution (s^3 = 1).  The
 averaging idempotent e1 = (1 + s + s^2)/3 and its complement (2 - s - s^2)/3
 split the algebra; 1 - 2*e1 is an involution.  The unit group relevant to
 ring-of-integers generators is {+-s^i} in the tame case and gains the
-factor 1 - 2*e1 in the wild case, for twelve units total.
+factor 1 - 2*e1 in the wild case, for twelve units total.  The generator
+checks of a wild field run in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .arith import Kind
-from .cubicpoly import _frac, affine_relation, shanks_poly, substitute_affine
+from .cubicpoly import RationalCubic, affine_relation, cleared_shanks_poly, substitute_affine
 from .errors import GeneratorFailure, NonIntegralCoefficient
 from .periods import DEFAULT_TOLERANCE, real_roots_cubic
+from .quadform import ShanksParams
 from .verdicts import Verdict
 
 if TYPE_CHECKING:
@@ -25,13 +27,9 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class GroupRingElement:
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("c0", "c1", "c2"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+    c0: int | Fraction
+    c1: int | Fraction
+    c2: int | Fraction
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         return GroupRingElement(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
@@ -44,8 +42,7 @@ class GroupRingElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            k = _frac(other)
-            return GroupRingElement(self.c0 * k, self.c1 * k, self.c2 * k)
+            return GroupRingElement(self.c0 * other, self.c1 * other, self.c2 * other)
         return gr_mul(self, other)
 
     __rmul__ = __mul__
@@ -115,6 +112,22 @@ def apply(x: GroupRingElement, v: ConjugateVector) -> ConjugateVector:
     )
 
 
+def generator_polys(
+    sp: ShanksParams, shift: int
+) -> tuple[RationalCubic, dict[tuple[int, int], RationalCubic]]:
+    """The minimal polynomial h of alpha = n2*rho + shift over the roots rho
+    of f_n, and that of s*alpha + t for each pair of signs (s, t), in integers.
+
+    h is g(X - shift) for the integer cubic g(X) = n2^3*f_n(X/n2), whose
+    roots are the n2*rho, and the minimal polynomial of s*alpha + t is
+    s*h(s*X - t*s).
+    """
+    g = RationalCubic(1, -sp.n1, -(sp.n1 + 3 * sp.n2) * sp.n2, -(sp.n2**3))
+    h = substitute_affine(g, 1, -shift)
+    signs = [(s, t) for s in (1, -1) for t in (1, -1)]
+    return h, {(s, t): substitute_affine(h, s, -t * s).scale(s) for s, t in signs}
+
+
 def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) -> Verdict:
     """Checks on the twelve ring-of-integers generators of a wild field.
 
@@ -122,15 +135,15 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
     (b) each period plus one coincides with one of +-alpha^(i) +- 1;
     (c) the minimal polynomial h of alpha satisfies h(X) = mu*P(mu*X)
         exactly, and the minimal polynomials of +-alpha +- 1 all have
-        integer coefficients (so the candidates are algebraic integers).
+        integer coefficients (so the candidates are algebraic integers);
+        the polynomials come from generator_polys, in integers.
     """
     f = rec.conductor
     if f.kind is not Kind.WILD:
         raise ValueError("generator checks apply to wild records")
     sp = rec.shanks_params
     mu, shift = affine_relation(f, sp.n1)
-    fn = shanks_poly(Fraction(sp.n1, sp.n2))
-    roots = real_roots_cubic(fn, tolerance)
+    roots = real_roots_cubic(cleared_shanks_poly(sp), tolerance)
     alphas = [sp.n2 * rho + shift for rho in roots]
 
     trace = abs(sum(alphas))
@@ -146,9 +159,7 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
             f"(b) a period plus one misses the twelve candidates by {worst}"
         )
 
-    h = substitute_affine(fn, Fraction(1, sp.n2), Fraction(-shift, sp.n2)).scale(
-        sp.n2**3
-    )
+    h, shifted = generator_polys(sp, shift)
     try:
         h.integer_coefficients()
     except NonIntegralCoefficient as exc:
@@ -159,13 +170,11 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
             f"(c) h(X) = {h.coefficients()} differs from mu*P(mu*X) = "
             f"{expected.coefficients()}"
         )
-    for s in (1, -1):
-        for t in (1, -1):
-            shifted = substitute_affine(h, Fraction(1, s), Fraction(-t, s)).scale(s)
-            try:
-                shifted.integer_coefficients()
-            except NonIntegralCoefficient as exc:
-                raise GeneratorFailure(
-                    f"(c) minimal polynomial of {s}*alpha{t:+d} is not integral: {exc}"
-                ) from exc
+    for (s, t), poly in shifted.items():
+        try:
+            poly.integer_coefficients()
+        except NonIntegralCoefficient as exc:
+            raise GeneratorFailure(
+                f"(c) minimal polynomial of {s}*alpha{t:+d} is not integral: {exc}"
+            ) from exc
     return Verdict("generators", max(trace, worst))

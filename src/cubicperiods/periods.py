@@ -38,16 +38,15 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .arith import Conductor, Kind, _component_moduli
 from .cubicpoly import (
     RationalCubic,
     affine_relation,
+    cleared_shanks_poly,
     cubic_discriminant,
     period_poly_formula,
-    shanks_poly,
     verify_main_identity,
 )
 from .eisenstein import EisensteinInt, character_for_representation, component_gauss_sums
@@ -181,42 +180,40 @@ def real_roots_cubic(
 ) -> tuple[float, float, float]:
     """Three real roots of a totally real cubic, sorted descending.
 
-    The discriminant is computed exactly to decide realness; the roots come
-    from the trigonometric form of the depressed cubic with two Newton
-    polishing steps, and each residual |p(root)| must stay below tolerance.
+    The discriminant is computed exactly to decide realness.  The roots of
+    the monic cubic with the float coefficients c_i/c3, each correctly
+    rounded, come from the trigonometric form of the depressed cubic with two
+    Newton polishing steps, and each of its residuals must stay below tolerance.
     """
     if p.c3 == 0:
         raise ValueError("degree must be exactly 3")
     disc = cubic_discriminant(p)
     if disc <= 0:
         raise ComplexRoots(f"discriminant {disc} is not positive")
-    b = float(p.c2 / p.c3)
-    c = float(p.c1 / p.c3)
-    d = float(p.c0 / p.c3)
+    b, c, d = (float(x / p.c3) for x in (p.c2, p.c1, p.c0))
     dep_p = c - b * b / 3
     dep_q = 2 * b**3 / 27 - b * c / 3 + d
     m = 2 * math.sqrt(-dep_p / 3)
     arg = min(1.0, max(-1.0, 3 * dep_q / (dep_p * m)))
     theta = math.acos(arg) / 3
     roots = []
-    fc3, fc2, fc1, fc0 = (float(x) for x in p.coefficients())
     for k in range(3):
         x = m * math.cos(theta - 2 * math.pi * k / 3) - b / 3
         for _ in range(2):
-            fx = ((fc3 * x + fc2) * x + fc1) * x + fc0
-            dfx = (3 * fc3 * x + 2 * fc2) * x + fc1
+            fx = ((x + b) * x + c) * x + d
+            dfx = (3 * x + 2 * b) * x + c
             if dfx != 0:
                 x -= fx / dfx
         roots.append(x)
     roots.sort(reverse=True)
     for x in roots:
-        residual = abs(((fc3 * x + fc2) * x + fc1) * x + fc0)
+        residual = abs(((x + b) * x + c) * x + d)
         # Rounding alone leaves |p(x)| up to about 10 units of roundoff
         # times the sum of the Horner terms, even at the float nearest a
         # root: 3 from rounding the root, 6 from evaluating (Higham, Accuracy
         # and Stability of Numerical Algorithms, section 5.1), 1 from the
         # coefficients.  The tolerance bounds what exceeds that.
-        terms = ((abs(fc3 * x) + abs(fc2)) * abs(x) + abs(fc1)) * abs(x) + abs(fc0)
+        terms = ((abs(x) + abs(b)) * abs(x) + abs(c)) * abs(x) + abs(d)
         bound = tolerance + _ROOT_ROUNDOFF * terms
         if residual > bound:
             raise ToleranceExceeded(f"|p({x})| = {residual} exceeds {bound}")
@@ -231,7 +228,7 @@ def verify_period_relation(
     f = rec.conductor
     sp = rec.shanks_params
     mu, shift = affine_relation(f, sp.n1)
-    roots = real_roots_cubic(shanks_poly(Fraction(sp.n1, sp.n2)), tolerance)
+    roots = real_roots_cubic(cleared_shanks_poly(sp), tolerance)
     mapped = sorted((mu * (sp.n2 * rho + float(shift)) for rho in roots), reverse=True)
     residual = max(abs(m - e) for m, e in zip(mapped, rec.periods.values()))
     if residual > tolerance:

@@ -7,7 +7,6 @@ import csv
 import io
 import json
 from enum import Enum
-from fractions import Fraction
 
 from .cubicpoly import RationalCubic
 
@@ -18,11 +17,11 @@ class ReportFormat(str, Enum):
     MARKDOWN = "md"
 
 
-def format_rational(x: Fraction) -> str:
-    """Lowest-terms "p/q" string; plain "p" when the denominator is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(numerator: int, denominator: int = 1) -> str:
+    """"p/q" for a fraction in lowest terms with q > 0; plain "p" when q is 1."""
+    if denominator == 1:
+        return str(numerator)
+    return f"{numerator}/{denominator}"
 
 
 def format_poly(p: RationalCubic, var: str = "X") -> str:
@@ -30,7 +29,7 @@ def format_poly(p: RationalCubic, var: str = "X") -> str:
     for coeff, power in zip(p.coefficients(), (3, 2, 1, 0)):
         if coeff == 0:
             continue
-        mag = format_rational(abs(coeff))
+        mag = format_rational(abs(coeff.numerator), coeff.denominator)
         if power == 0:
             term = mag
         else:

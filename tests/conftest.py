@@ -1,10 +1,22 @@
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
-from cubicperiods import CountMismatch, Kind, conductors_up_to, factorize, match_fields
+from cubicperiods import (
+    CountMismatch,
+    Kind,
+    RationalCubic,
+    affine_relation,
+    conductors_up_to,
+    factorize,
+    match_fields,
+    period_poly_formula,
+    shanks_poly,
+    substitute_affine,
+)
 from cubicperiods.arith import _component_moduli, _generator, euler_phi
 from cubicperiods.eisenstein import ONE, ZETA, ZETA_SQ
 
@@ -142,6 +154,41 @@ def character_by_definition(f, sign, pis) -> dict[int, int]:
 def character_values():
     """character_by_definition(f, sign, pis): the O(f) reference character."""
     return character_by_definition
+
+
+def fraction_identities(cond, sp) -> dict:
+    """Oracle: the main identity and generator check (c) in Fraction arithmetic,
+    with every coefficient and substitution argument a Fraction.
+
+    lhs = n2^3*mu*f_n(X) and rhs = P(mu*(n2*X + shift)) for the main identity;
+    h = n2^3*f_n((X - shift)/n2), the minimal polynomial of alpha = n2*rho + shift,
+    with mu*P(mu*X) to compare it with, and shifted[(s, t)] = s*h((X - t)/s),
+    that of s*alpha + t.
+    """
+    mu, shift = affine_relation(cond, sp.n1)
+    poly = period_poly_formula(cond, 2 * sp.n1 + 3 * sp.n2)
+    p = RationalCubic(*map(Fraction, poly.coefficients()))
+    fn = RationalCubic(*map(Fraction, shanks_poly(Fraction(sp.n1, sp.n2)).coefficients()))
+    h = substitute_affine(fn, Fraction(1, sp.n2), Fraction(-shift, sp.n2)).scale(
+        Fraction(sp.n2**3)
+    )
+    return {
+        "lhs": fn.scale(Fraction(mu * sp.n2**3)),
+        "rhs": substitute_affine(p, Fraction(mu * sp.n2), Fraction(mu * shift)),
+        "h": h,
+        "mu_p_mu_x": substitute_affine(p, Fraction(mu), Fraction(0)).scale(Fraction(mu)),
+        "shifted": {
+            (s, t): substitute_affine(h, Fraction(1, s), Fraction(-t, s)).scale(Fraction(s))
+            for s in (1, -1)
+            for t in (1, -1)
+        },
+    }
+
+
+@pytest.fixture(scope="session")
+def fraction_oracle():
+    """fraction_identities(cond, sp): the exact identities in Fraction arithmetic."""
+    return fraction_identities
 
 
 def search_pairs(cond) -> list[tuple[int, int]]:

@@ -1,9 +1,18 @@
+import fractions
 import json
+import sys
 import time
+from collections import Counter
 
 import pytest
 
-from cubicperiods import DEFAULT_TOLERANCE, GAUSS_SUM_BUDGET, MR_BOUND, validate_conductor
+from cubicperiods import (
+    DEFAULT_TOLERANCE,
+    GAUSS_SUM_BUDGET,
+    MR_BOUND,
+    RelationFailure,
+    validate_conductor,
+)
 from cubicperiods import eisenstein
 from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
@@ -131,6 +140,50 @@ def test_verify_large_conductor_exits_0(capsys, conductor):
     doc = json.loads(out)
     assert all(entry["residual"] < DEFAULT_TOLERANCE for entry in doc["fields"])
     assert elapsed < 1.0
+
+
+@pytest.mark.xfail(raises=RelationFailure, strict=True)
+@pytest.mark.parametrize(
+    "conductor", [999990700022949986149, 8999916300206549875341]
+)
+def test_verify_huge_conductor_fails_on_float_precision(conductor):
+    # 9999943 * 9999973 * 9999991 (tame) and 9 times it (wild): the exact
+    # matching and main identity pass, but periods near 10^10 miss the
+    # mapped Shanks roots by 3.8e-6 and 2.3e-5 against the absolute default
+    # tolerance of 1e-6.  A bound scaled to max|eta| would mend both.
+    verify_report(validate_conductor(conductor), DEFAULT_TOLERANCE)
+
+
+def fraction_calls(argv) -> tuple[int, Counter]:
+    """Exit code of main(argv) and the calls it made into fractions.py, by name."""
+    calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(None)
+    return code, calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--conductor", "15561"],
+        ["scan", "--min", "1", "--max", "2000"],
+        ["enumerate", "--conductor", "819"],
+    ],
+)
+def test_no_fraction_is_built_on_the_hot_path(capsys, argv):
+    # the exact identities run in integers: no Fraction arithmetic at all
+    code, calls = fraction_calls(argv)
+    capsys.readouterr()
+    assert code == 0
+    assert calls == Counter()
 
 
 def test_enumerate_huge_conductor_is_fast(capsys):

@@ -14,6 +14,7 @@ from cubicperiods import (
     Kind,
     MatchingFailure,
     RationalCubic,
+    affine_relation,
     conductors_up_to,
     factor_rhs,
     gaussian_periods,
@@ -23,13 +24,17 @@ from cubicperiods import (
     primitive_cubic_kernels,
     real_roots_cubic,
     representations,
+    shanks_params,
     shanks_poly,
+    substitute_affine,
     validate_conductor,
     verify_kernel_character,
+    verify_main_identity,
     verify_period_relation,
     verify_sign_congruences,
 )
 from cubicperiods.arith import is_probable_prime
+from cubicperiods.groupring import generator_polys
 
 F9 = validate_conductor(9)
 F7 = validate_conductor(7)
@@ -210,6 +215,40 @@ def test_exact_period_poly_equals_the_closed_form_on_random_conductors(cond):
     closed = {period_poly_formula(cond, r.M) for r in representations(cond)}
     assert exact == closed
     assert len(exact) == cond.field_count
+
+
+def assert_integer_identities_match(cond, oracle):
+    """The integer sides of the main identity and the integer polynomials of
+    generator check (c) equal their Fraction formulation, for every pair."""
+
+    def integral(poly):
+        return all(type(c) is int for c in poly.coefficients())
+
+    for rep in representations(cond):
+        sp = shanks_params(rep)
+        expected = oracle(cond, sp)
+        data = verify_main_identity(cond, sp).data
+        assert data["lhs"] == expected["lhs"] and data["rhs"] == expected["rhs"]
+        mu, shift = affine_relation(cond, sp.n1)
+        h, shifted = generator_polys(sp, shift)
+        mu_p_mu_x = substitute_affine(period_poly_formula(cond, rep.M), mu, 0).scale(mu)
+        assert h == expected["h"] == mu_p_mu_x == expected["mu_p_mu_x"]
+        assert shifted == expected["shifted"]
+        polys = [data["lhs"], data["rhs"], h, mu_p_mu_x, *shifted.values()]
+        assert all(map(integral, polys)), (cond.value, sp)
+
+
+def test_integer_identities_equal_the_fraction_oracle(fraction_oracle):
+    for cond in conductors_up_to(20_000):
+        assert_integer_identities_match(cond, fraction_oracle)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(conductors_within_the_budget())
+def test_integer_identities_equal_the_fraction_oracle_on_random_conductors(
+    fraction_oracle, cond
+):
+    assert_integer_identities_match(cond, fraction_oracle)
 
 
 def test_real_roots_examples():
