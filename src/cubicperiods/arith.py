@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -204,6 +205,10 @@ class Kind(str, Enum):
     WILD = "wild"
 
 
+# The residue class (r, m) that holds every conductor of a kind.
+_CANDIDATES = {Kind.TAME: (1, 6), Kind.WILD: (9, 54)}
+
+
 @dataclass(frozen=True)
 class Conductor:
     value: int
@@ -241,6 +246,13 @@ class Conductor:
         return 2 ** (self.nu - 1) if self.kind is Kind.TAME else 2**self.nu
 
 
+def _require_below_mr_bound(f: int) -> None:
+    if f >= MR_BOUND:
+        raise InvalidConductor(
+            f"{f} is not below {MR_BOUND}, the bound up to which primality is proven"
+        )
+
+
 def validate_conductor(f: int) -> Conductor:
     """Classify f as a tame or wild conductor, or raise InvalidConductor.
 
@@ -250,10 +262,7 @@ def validate_conductor(f: int) -> Conductor:
     """
     if f < 1:
         raise InvalidConductor(f"{f} is not a positive integer")
-    if f >= MR_BOUND:
-        raise InvalidConductor(
-            f"{f} is not below {MR_BOUND}, the bound up to which primality is proven"
-        )
+    _require_below_mr_bound(f)
     if f % 2 == 0:
         raise InvalidConductor(f"{f} is even")
     fac = factorize(f)
@@ -304,19 +313,29 @@ def _generator(q: int) -> tuple[int, int]:
 def conductors_up_to(
     bound: int, kind: Kind | str | None = None, start: int = 1
 ) -> list[Conductor]:
-    """All valid conductors in [start, bound] in ascending order, optionally filtered."""
+    """All valid conductors in [start, bound] in ascending order, optionally
+    of one kind.
+
+    A product of primes = 1 mod 3 is 1 mod 6, so a tame conductor is 1 mod
+    6 and a wild one 9 mod 54; only those candidates are validated.  A bound
+    at or above MR_BOUND raises InvalidConductor, as validate_conductor does.
+    """
     if bound < 1:
         raise ValueError("bound must be positive")
-    if isinstance(kind, str):
-        kind = Kind(kind)
+    _require_below_mr_bound(bound)
+    kinds = list(Kind) if kind is None else [Kind(kind)]
+    candidates = heapq.merge(
+        *(
+            range(start + (r - start) % m, bound + 1, m)
+            for r, m in (_CANDIDATES[k] for k in kinds)
+        )
+    )
     out = []
-    for f in range(start, bound + 1):
+    for f in candidates:
         try:
-            cond = validate_conductor(f)
+            out.append(validate_conductor(f))
         except InvalidConductor:
             continue
-        if kind is None or cond.kind is kind:
-            out.append(cond)
     return out
 
 

@@ -12,8 +12,8 @@ float checks, the period relation and the generator checks: the matching
 of kernels to pairs and the character check are exact.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
-(including a conductor at or above arith.MR_BOUND, and for verify and scan
-a prime factor above eisenstein.GAUSS_SUM_BUDGET).
+(including a conductor or a scan's --max at or above arith.MR_BOUND, and
+for verify and scan a prime factor above eisenstein.GAUSS_SUM_BUDGET).
 Reports go to stdout (or --out); diagnostics go to stderr.
 """
 

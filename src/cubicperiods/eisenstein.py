@@ -28,9 +28,11 @@ coordinate that kernel vectors use too.  Then chi(g^j) = zeta3^(e*j).
 The Gaussian sums enter only through their cubes, which are exact: for a
 prime p, tau(chi_p)^3 = p * J(chi_p, chi_p) with the Jacobi sum J in
 Z[zeta3] (Ireland and Rosen, ch. 8 section 3), counted in O(p) byte work
-from a table of indices mod 3 (jacobi_sum); for q = 9 the cube of the
-six-term sum is multiplied out in Z[zeta9].  The same cubes give the
-Gaussian periods (periods.gaussian_periods).
+from a table of indices mod 3 (jacobi_sum): the half of the table below
+(p + 1)/2 plus the other half reversed holds ind(a) + ind(1 - a) for each
+pair {a, 1 - a}, and its bit planes give the counts by popcount.  For
+q = 9 the cube of the six-term sum is multiplied out in Z[zeta9].  The
+same cubes give the Gaussian periods (periods.gaussian_periods).
 
 The identification is never assumed: every step is re-checked exactly,
 N(J) = p and J = -1 mod 3 included.
@@ -63,10 +65,8 @@ if TYPE_CHECKING:
 # for seconds per prime and beyond.
 GAUSS_SUM_BUDGET = 10_000_000
 
-# Byte maps over the index table: _ADD[e] adds e mod 3 to an index 0, 1 or
-# 2, and _IS[r] maps the index r to 1 and every other byte to 0.
+# Byte maps over the index table: _ADD[e] adds e mod 3 to an index 0, 1 or 2.
 _ADD = tuple(bytes((x + e) % 3 for x in range(256)) for e in range(3))
-_IS = tuple(bytes(int(x == r) for x in range(256)) for r in range(3))
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -205,7 +205,8 @@ def _index_table(p: int) -> bytearray:
     above that lies in a block p/(k+1) < a <= (p-1)/k with k < s, where
     0 < p - k*a < a and ind(a) = ind(p - k*a) - ind(k), because -1 has index
     (p-1)/2 = 0 mod 3.  Filling the blocks in ascending order, each is one
-    strided slice of the table read backwards, shifted by -ind(k).
+    strided slice of the table read backwards, shifted by -ind(k) unless
+    that is 0.
     """
     g, _ = _generator(p)
     k = (p - 1) // 3
@@ -224,9 +225,8 @@ def _index_table(p: int) -> bytearray:
             power *= ell
     for m in range(s - 1, 0, -1):
         lo, hi = p // (m + 1) + 1, (p - 1) // m
-        table[lo : hi + 1] = table[p - m * lo : p - m * hi - 1 : -m].translate(
-            _ADD[-table[m] % 3]
-        )
+        block = table[p - m * lo : p - m * hi - 1 : -m]
+        table[lo : hi + 1] = block.translate(_ADD[-table[m] % 3]) if table[m] else block
     return table
 
 
@@ -236,11 +236,15 @@ def jacobi_sum(p: int) -> EisensteinInt:
     = 1 mod 3.  Then tau(chi)^3 = p * J(chi, chi) exactly.
 
     With n_k the number of a whose indices at a and at 1 - a = p + 1 - a
-    add up to k mod 3, J = n0 + n1*zeta3 + n2*zeta3^2.  Those pairs are the
-    bytes of the index table from 2 to p - 1 read forwards and backwards,
-    so each of the nine counts for a pair of indices (i, j) is the popcount
-    of an AND of two integers: the 0/1 indicator bytes of index i read
-    little-endian and those of index j read big-endian.
+    add up to k mod 3, J = n0 + n1*zeta3 + n2*zeta3^2.  The terms of a and
+    1 - a are equal, so only the a below h = (p + 1)/2 are summed, and
+    doubled; h is its own partner and adds 1 to the class 2*ind(h).  The
+    bytes of the index table from 2 to h - 1 read little-endian and those
+    from p - 1 down to h + 1 read big-endian add up, byte by byte and
+    without carries, to the sums s = ind(a) + ind(1 - a) in 0..4.  Of those,
+    s = 1 or 4 is class 1 and s = 2 is class 2, so both counts are
+    popcounts of the low three bit planes of the sum and of the AND of the
+    first two, which marks s = 3.
 
     N(J) = p and J = -1 mod 3 are checked (Ireland and Rosen, ch. 9 section 4).
     """
@@ -249,14 +253,17 @@ def jacobi_sum(p: int) -> EisensteinInt:
             f"the Jacobi sum mod {p} takes O({p}) time and memory, beyond the "
             f"budget of prime components up to {GAUSS_SUM_BUDGET}"
         )
-    core = _index_table(p)[2:]
-    firsts = [int.from_bytes(core.translate(_IS[i]), "little") for i in range(3)]
-    counts = [0, 0, 0]
-    for j in range(3):
-        seconds = int.from_bytes(core.translate(_IS[j]), "big")
-        for i, first in enumerate(firsts):
-            counts[(i + j) % 3] += (first & seconds).bit_count()
-    n0, n1, n2 = counts
+    table = _index_table(p)
+    h = (p + 1) // 2
+    sums = int.from_bytes(table[2:h], "little") + int.from_bytes(table[h + 1 :], "big")
+    ones = int.from_bytes(b"\x01" * (h - 2), "little")
+    threes = (sums & (sums >> 1) & ones).bit_count()
+    n1 = 2 * ((sums & ones).bit_count() - threes + ((sums >> 2) & ones).bit_count())
+    n2 = 2 * (((sums >> 1) & ones).bit_count() - threes)
+    middle = 2 * table[h] % 3
+    n1 += middle == 1
+    n2 += middle == 2
+    n0 = p - 2 - n1 - n2
     jacobi = EisensteinInt(n0 - n2, n1 - n2)
     if jacobi.norm() != p:
         raise FactorizationMismatch(f"J(chi, chi) = {jacobi} mod {p} has norm {jacobi.norm()}")

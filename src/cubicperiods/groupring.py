@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .arith import Kind
-from .cubicpoly import RationalCubic, affine_relation, cleared_shanks_poly, substitute_affine
+from .cubicpoly import RationalCubic, affine_relation, substitute_affine
 from .errors import GeneratorFailure, NonIntegralCoefficient
-from .periods import DEFAULT_TOLERANCE, real_roots_cubic
+from .periods import DEFAULT_TOLERANCE
 from .quadform import ShanksParams
 from .verdicts import Verdict
 
@@ -143,8 +143,7 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
         raise ValueError("generator checks apply to wild records")
     sp = rec.shanks_params
     mu, shift = affine_relation(f, sp.n1)
-    roots = real_roots_cubic(cleared_shanks_poly(sp), tolerance)
-    alphas = [sp.n2 * rho + shift for rho in roots]
+    alphas = [sp.n2 * rho + shift for rho in rec.shanks_roots]
 
     trace = abs(sum(alphas))
     if trace > tolerance:

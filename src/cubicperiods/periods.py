@@ -88,7 +88,8 @@ class PeriodTriple:
 @dataclass(frozen=True)
 class FieldRecord:
     """One cyclic cubic field: pair, parameters, polynomial, kernel, periods,
-    and the verdicts of every check run against it."""
+    the roots of its Shanks cubic, and the verdicts of every check run
+    against it."""
 
     conductor: Conductor
     representation: Representation
@@ -96,6 +97,7 @@ class FieldRecord:
     predicted_poly: RationalCubic
     matched_kernel: tuple[int, ...]
     periods: PeriodTriple
+    shanks_roots: tuple[float, float, float]
     verdicts: dict[str, Verdict]
 
     def max_residual(self) -> float:
@@ -228,8 +230,9 @@ def verify_period_relation(
     f = rec.conductor
     sp = rec.shanks_params
     mu, shift = affine_relation(f, sp.n1)
-    roots = real_roots_cubic(cleared_shanks_poly(sp), tolerance)
-    mapped = sorted((mu * (sp.n2 * rho + float(shift)) for rho in roots), reverse=True)
+    mapped = sorted(
+        (mu * (sp.n2 * rho + float(shift)) for rho in rec.shanks_roots), reverse=True
+    )
     residual = max(abs(m - e) for m, e in zip(mapped, rec.periods.values()))
     if residual > tolerance:
         raise RelationFailure(
@@ -290,7 +293,8 @@ def match_fields(
     Matching is by exact equality of the period polynomial of each kernel,
     from its Gaussian sum cube, with the closed form.  Every record is then checked against the affine
     identity and the period relation; a record only exists if all of its
-    checks pass.
+    checks pass.  The roots of f_n are found once per record, here, for the
+    period relation and the generator checks to share.
     """
     reps = representations(f)
     triples = gaussian_periods(f)
@@ -331,7 +335,8 @@ def match_fields(
             "oracle_equivalence": Verdict("oracle_equivalence", residual),
             "main_identity": verify_main_identity(f, sp),
         }
-        rec = FieldRecord(f, r, sp, polys[r], pt.kernel, pt, verdicts)
+        roots = real_roots_cubic(cleared_shanks_poly(sp), tolerance)
+        rec = FieldRecord(f, r, sp, polys[r], pt.kernel, pt, roots, verdicts)
         verdicts["period_relation"] = verify_period_relation(rec, tolerance)
         records.append(rec)
     return records

@@ -18,7 +18,7 @@ from cubicperiods import (
     substitute_affine,
 )
 from cubicperiods.arith import _component_moduli, _generator, euler_phi
-from cubicperiods.eisenstein import ONE, ZETA, ZETA_SQ
+from cubicperiods.eisenstein import ONE, ZETA, ZETA_SQ, EisensteinInt, _index_table
 
 BOUND = 10_000
 
@@ -124,6 +124,31 @@ def coset_sets(cond, vector) -> tuple[frozenset[int], frozenset[int], frozenset[
 def residue_sets():
     """coset_sets(cond, vector): the kernel and cosets of a vector as residue sets."""
     return coset_sets
+
+
+def jacobi_by_nine_counts(p: int) -> EisensteinInt:
+    """Oracle: J(chi, chi) mod p from all p - 2 terms, with no pairing of a
+    and 1 - a.  Each count n_k of the a in 2..p-1 whose indices at a and at
+    1 - a add up to k mod 3 is a sum of popcounts of ANDs: the 0/1 indicator
+    bytes of index i read little-endian and those of index j read
+    big-endian, for the nine pairs (i, j).  Unchecked: the norm and the
+    congruence are left to the caller."""
+    core = _index_table(p)[2:]
+    indicators = [bytes(int(x == r) for x in range(256)) for r in range(3)]
+    firsts = [int.from_bytes(core.translate(indicators[i]), "little") for i in range(3)]
+    counts = [0, 0, 0]
+    for j in range(3):
+        seconds = int.from_bytes(core.translate(indicators[j]), "big")
+        for i, first in enumerate(firsts):
+            counts[(i + j) % 3] += (first & seconds).bit_count()
+    n0, n1, n2 = counts
+    return EisensteinInt(n0 - n2, n1 - n2)
+
+
+@pytest.fixture(scope="session")
+def nine_count_jacobi():
+    """jacobi_by_nine_counts(p): J(chi, chi) by the nine full-length counts."""
+    return jacobi_by_nine_counts
 
 
 def character_by_definition(f, sign, pis) -> dict[int, int]:

@@ -209,7 +209,14 @@ def _conductor_oracle(f: int) -> bool:
 
 
 def test_conductors_up_to_matches_oracle():
+    # all conductors and each kind, from several starts, in ascending order:
+    # only the candidates 1 mod 6 and 9 mod 54 are validated
     bound = 10_000
-    values = {c.value for c in conductors_up_to(bound)}
-    for f in range(1, bound + 1):
-        assert (f in values) == _conductor_oracle(f), f
+    expected = [f for f in range(1, bound + 1) if _conductor_oracle(f)]
+    assert [c.value for c in conductors_up_to(bound)] == expected
+    for kind in (None, Kind.TAME, Kind.WILD):
+        wanted = [f for f in expected if kind is None or (f % 9 == 0) == (kind is Kind.WILD)]
+        for start in (1, 8, 9, 10, 4000):
+            found = conductors_up_to(bound, kind, start=start)
+            assert [c.value for c in found] == [f for f in wanted if f >= start], (kind, start)
+            assert kind is None or all(c.kind is kind for c in found)

@@ -206,6 +206,15 @@ def test_conductor_beyond_proven_primality_exits_2(capsys, command):
     assert str(MR_BOUND) in err
 
 
+def test_scan_beyond_proven_primality_exits_2(capsys):
+    # no f in the range can be validated, so the range is refused, for the
+    # reason verify gives, rather than scanned as holding no conductor
+    code, out, err = run(capsys, ["scan", "--min", str(MR_BOUND), "--max", str(MR_BOUND + 50)])
+    assert code == 2
+    assert out == ""
+    assert f"{MR_BOUND + 50} is not below {MR_BOUND}" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

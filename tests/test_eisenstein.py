@@ -329,6 +329,14 @@ def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():
         assert -jacobi in (prime_element(p), prime_element(p).conjugate())
 
 
+def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(nine_count_jacobi):
+    # the count over the pairs {a, 1 - a} by bit planes against the nine
+    # counts over all p - 2 terms, at every prime = 1 mod 3 below 2*10^4 and
+    # at two large primes, the second the largest within the budget
+    for p in [*PRIMES_1_MOD_3, 1_000_003, 9_999_991]:
+        assert jacobi_sum(p) == nine_count_jacobi(p), p
+
+
 def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
     # tau(chi)^3 = p * J(chi, chi) against the O(p) float sum, for both
     # characters of every prime = 1 mod 3 below 3000
