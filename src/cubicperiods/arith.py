@@ -15,14 +15,13 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidConductor
 
-_SIEVE_BOUND = 1_000_000
-_PRIMES: list[int] = []
 # factorize trial-divides only below this bound; larger factors are found
 # by Brent's rho, whose cost grows with the square root of the factor
 # rather than with the number of primes below it.
@@ -38,15 +37,24 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def _small_primes() -> list[int]:
-    if not _PRIMES:
-        sieve = bytearray(b"\x01") * (_SIEVE_BOUND + 1)
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(_SIEVE_BOUND) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _PRIMES.extend(i for i in range(_SIEVE_BOUND + 1) if sieve[i])
-    return _PRIMES
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray(b"\x01") * n
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return tuple(itertools.compress(range(n), sieve))
+
+
+# _PRIMES holds every prime below _PRIME_BOUND.  The hot path reads only the
+# primes below _TRIAL_BOUND (factorize) and those below isqrt(p) + 1 <= 3163
+# for a prime component p up to eisenstein.GAUSS_SUM_BUDGET (the index table
+# of the Jacobi sum, which refuses a p beyond the table's reach).  moebius
+# falls back to factorize once it runs past the table.
+_PRIME_BOUND = 4096
+_PRIMES = _primes_below(_PRIME_BOUND)
+_TRIAL_PRIMES = _PRIMES[: bisect.bisect_left(_PRIMES, _TRIAL_BOUND)]
 
 
 def is_probable_prime(n: int) -> bool:
@@ -137,13 +145,6 @@ class Factorization:
         return all(e == 1 for _, e in self.factors)
 
 
-@functools.cache
-def _trial_primes() -> list[int]:
-    """The sieve primes below _TRIAL_BOUND, sliced once."""
-    primes = _small_primes()
-    return primes[: bisect.bisect_left(primes, _TRIAL_BOUND)]
-
-
 def factorize(m: int) -> Factorization:
     """Exact prime factorization: trial division by the primes below
     _TRIAL_BOUND, then Miller-Rabin and Brent's rho on what is left.
@@ -155,7 +156,7 @@ def factorize(m: int) -> Factorization:
         raise ValueError("factorize requires a positive integer")
     value = m
     found: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
@@ -178,7 +179,7 @@ def moebius(m: int) -> int:
     if m < 1:
         raise ValueError("moebius requires a positive integer")
     count = 0
-    for p in _small_primes():
+    for p in _PRIMES:
         if p * p > m:
             break
         if m % p == 0:
@@ -190,7 +191,7 @@ def moebius(m: int) -> int:
         if is_probable_prime(m):
             count += 1
         else:
-            # Cofactor beyond the sieve: fall back to full factorization.
+            # Cofactor beyond the prime table: fall back to full factorization.
             fac = factorize(m)
             if not fac.is_squarefree():
                 return 0

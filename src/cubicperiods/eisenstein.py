@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import Conductor, Kind, _component_moduli, _generator, _small_primes
+from .arith import _PRIME_BOUND, _PRIMES, Conductor, Kind, _component_moduli, _generator
 from .errors import (
     BudgetExceeded,
     CongruenceFailure,
@@ -208,14 +208,18 @@ def _index_table(p: int) -> bytearray:
     strided slice of the table read backwards, shifted by -ind(k) unless
     that is 0.
     """
+    s = math.isqrt(p) + 1
+    if s > _PRIME_BOUND:
+        raise BudgetExceeded(
+            f"the index table mod {p} needs the primes below {s}, beyond the "
+            f"prime table's bound {_PRIME_BOUND}"
+        )
     g, _ = _generator(p)
     k = (p - 1) // 3
     omega = pow(g, k, p)
     index_of = {1: 0, omega: 1, omega * omega % p: 2}
     table = bytearray(p)
-    s = math.isqrt(p) + 1
-    primes = _small_primes()
-    for ell in primes[: bisect.bisect_left(primes, s)]:
+    for ell in _PRIMES[: bisect.bisect_left(_PRIMES, s)]:
         e = index_of.get(pow(ell, k, p))
         if e is None:
             raise NotPrimitiveRoot(f"{ell}^{k} mod {p} is not a cube root of unity")

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .arith import Kind
 from .cubicpoly import RationalCubic, affine_relation, substitute_affine
-from .errors import GeneratorFailure, NonIntegralCoefficient
+from .errors import GeneratorFailure
 from .periods import DEFAULT_TOLERANCE
 from .quadform import ShanksParams
 from .verdicts import Verdict
@@ -133,10 +133,10 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
 
     (a) alpha = n2*rho - n1/3 has trace zero;
     (b) each period plus one coincides with one of +-alpha^(i) +- 1;
-    (c) the minimal polynomial h of alpha satisfies h(X) = mu*P(mu*X)
-        exactly, and the minimal polynomials of +-alpha +- 1 all have
-        integer coefficients (so the candidates are algebraic integers);
-        the polynomials come from generator_polys, in integers.
+    (c) every coefficient of the minimal polynomial h of alpha and of the
+        minimal polynomials of +-alpha +- 1, as generator_polys builds them,
+        is an int (so the candidates are algebraic integers), and
+        h(X) = mu*P(mu*X) exactly.
     """
     f = rec.conductor
     if f.kind is not Kind.WILD:
@@ -159,21 +159,17 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
         )
 
     h, shifted = generator_polys(sp, shift)
-    try:
-        h.integer_coefficients()
-    except NonIntegralCoefficient as exc:
-        raise GeneratorFailure(f"(c) h has a non-integer coefficient: {exc}") from exc
+    polys = {"alpha": h, **{f"{s}*alpha{t:+d}": p for (s, t), p in shifted.items()}}
+    for x, poly in polys.items():
+        if any(type(c) is not int for c in poly.coefficients()):
+            raise GeneratorFailure(
+                f"(c) the minimal polynomial {poly.coefficients()} of {x} has a "
+                "coefficient that is not an int"
+            )
     expected = substitute_affine(rec.predicted_poly, mu, 0).scale(mu)
     if h != expected:
         raise GeneratorFailure(
             f"(c) h(X) = {h.coefficients()} differs from mu*P(mu*X) = "
             f"{expected.coefficients()}"
         )
-    for (s, t), poly in shifted.items():
-        try:
-            poly.integer_coefficients()
-        except NonIntegralCoefficient as exc:
-            raise GeneratorFailure(
-                f"(c) minimal polynomial of {s}*alpha{t:+d} is not integral: {exc}"
-            ) from exc
     return Verdict("generators", max(trace, worst))

@@ -50,7 +50,7 @@ def criterion(num, description):
 
 def test_criterion_1_table_reproduction(capsys):
     with criterion(1, "reference table for conductor 819, byte-exact, < 1 s"):
-        main(["enumerate", "--conductor", "819"])  # warm the prime sieve
+        main(["enumerate", "--conductor", "819"])  # warm the parser and caches
         capsys.readouterr()
         start = time.perf_counter()
         code = main(["table", "--format", "md"])

@@ -11,7 +11,7 @@ from cubicperiods import (
     moebius,
     validate_conductor,
 )
-from cubicperiods.arith import is_probable_prime
+from cubicperiods.arith import _PRIME_BOUND, is_probable_prime
 
 
 def sieve_moebius(limit: int) -> list[int]:
@@ -53,7 +53,8 @@ def test_factorize_roundtrip():
 
 
 def test_factorize_beyond_sieve():
-    # both factors exceed the trial-division bound squared region
+    # neither factor is below the trial-division bound or in the prime
+    # table, so Brent's rho splits the product
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q).factors == ((p, 1), (q, 1))
     assert factorize(p * p).factors == ((p, 2),)
@@ -132,6 +133,27 @@ def test_moebius_agrees_with_sieve():
     mu = sieve_moebius(limit)
     for m in range(1, limit + 1):
         assert moebius(m) == mu[m]
+
+
+@pytest.mark.parametrize(
+    "m,expected",
+    [
+        (4099**2, 0),
+        (4099 * 4111, 1),
+        (9 * 4099 * 4111, 0),
+        (1_000_003**2, 0),
+        (1_000_003 * 1_000_033, 1),
+    ],
+)
+def test_moebius_matches_factorize_beyond_prime_table(m, expected):
+    # each m has a prime factor above the prime table and exceeds the square
+    # of its bound, so moebius runs past the table and falls back
+    assert _PRIME_BOUND < 4099 and m > _PRIME_BOUND**2
+    fac = factorize(m)
+    assert math.prod(p**e for p, e in fac.factors) == m
+    assert all(is_probable_prime(p) for p in fac.primes)
+    from_factors = (-1) ** len(fac.factors) if fac.is_squarefree() else 0
+    assert moebius(m) == from_factors == expected
 
 
 def test_validate_819():

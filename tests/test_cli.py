@@ -1,8 +1,11 @@
 import fractions
 import json
+import subprocess
 import sys
+import textwrap
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +309,29 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["conductor"] == 7
+
+
+def test_cold_enumerate_allocates_under_a_megabyte(tmp_path):
+    # the first command of a fresh interpreter builds no table beyond what
+    # its input needs
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent(
+        f"""
+        import sys, tracemalloc
+        sys.path.insert(0, {str(src)!r})
+        from cubicperiods.cli import main
+        tracemalloc.start()
+        code = main(["enumerate", "--conductor", "7", "--out", {str(tmp_path / "7.json")!r}])
+        print(code, tracemalloc.get_traced_memory()[1])
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, peak = map(int, proc.stdout.split())
+    assert exit_code == 0
+    assert peak < 1_000_000, f"traced peak {peak} bytes"
 
 
 def test_csv_format(capsys):

@@ -1,9 +1,12 @@
 import cmath
+import math
 import random
 
 import pytest
 
 from cubicperiods import (
+    GAUSS_SUM_BUDGET,
+    BudgetExceeded,
     EisensteinInt,
     character_for_representation,
     chi9,
@@ -16,7 +19,7 @@ from cubicperiods import (
     representations,
     validate_conductor,
 )
-from cubicperiods.arith import _generator, is_probable_prime
+from cubicperiods.arith import _PRIME_BOUND, _PRIMES, _generator, is_probable_prime
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
@@ -318,6 +321,23 @@ def test_index_table_equals_the_powers_of_the_generator():
             expected[x] = j % 3
             x = x * g % p
         assert _index_table(p) == expected, p
+
+
+def test_prime_table_holds_every_prime_the_index_table_reads():
+    # _index_table reads the primes below isqrt(p) + 1, for p up to the budget
+    reach = math.isqrt(GAUSS_SUM_BUDGET) + 1
+    assert reach <= _PRIME_BOUND
+    assert _PRIMES == tuple(n for n in range(_PRIME_BOUND) if is_probable_prime(n))
+
+
+def test_index_table_refuses_a_prime_beyond_the_prime_table():
+    # the least prime = 1 mod 3 above the square of the table's bound needs
+    # primes the table does not hold
+    p = _PRIME_BOUND**2 + 1
+    while p % 3 != 1 or not is_probable_prime(p):
+        p += 1
+    with pytest.raises(BudgetExceeded, match="prime table"):
+        _index_table(p)
 
 
 def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():

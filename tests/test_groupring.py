@@ -5,7 +5,9 @@ import pytest
 
 from cubicperiods import (
     ConjugateVector,
+    GeneratorFailure,
     GroupRingElement,
+    RationalCubic,
     apply,
     gr_mul,
     idempotents,
@@ -17,6 +19,7 @@ from cubicperiods import (
     validate_conductor,
     verify_generators,
 )
+from cubicperiods import groupring
 from cubicperiods.groupring import ONE, SIGMA, SIGMA_SQ
 
 
@@ -123,4 +126,25 @@ def test_verify_generators_rejects_tame():
 
 def test_verify_generators_all_wild(wild_records_10k):
     for rec in wild_records_10k:
+        verify_generators(rec)
+
+
+@pytest.mark.parametrize("which", ["h", "shifted"])
+def test_verify_generators_rejects_fraction_coefficients(monkeypatch, which):
+    # check (c) holds generator_polys to int coefficients: the same values
+    # as Fractions, integral as they are, fail it
+    (rec,) = match_fields(validate_conductor(9))
+    exact = groupring.generator_polys
+
+    def as_fractions(poly):
+        return RationalCubic(*map(Fraction, poly.coefficients()))
+
+    def fraction_polys(sp, shift):
+        h, shifted = exact(sp, shift)
+        if which == "h":
+            return as_fractions(h), shifted
+        return h, {key: as_fractions(poly) for key, poly in shifted.items()}
+
+    monkeypatch.setattr(groupring, "generator_polys", fraction_polys)
+    with pytest.raises(GeneratorFailure, match=r"\(c\)"):
         verify_generators(rec)
