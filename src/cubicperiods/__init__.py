@@ -40,8 +40,6 @@ from .eisenstein import (
     chi9,
     chi9_gauss_sum_report,
     cubic_residue_character,
-    eis_gcd,
-    factor_rhs,
     jacobi_sum,
     prime_element,
     rhs_elements,

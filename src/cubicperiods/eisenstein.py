@@ -4,10 +4,8 @@ Elements are stored on the basis (1, zeta3) with zeta3 = exp(2*pi*i/3), so
 zeta3^2 = -1 - zeta3 and sqrt(-3) = 1 + 2*zeta3.  The ring is norm-Euclidean
 for the norm a^2 - a*b + b^2 and its six units are +-1, +-zeta3, +-zeta3^2.
 
-Two normal forms for associates are used below.  The *canonical* associate
-(first coordinate positive, second smallest nonnegative) makes gcd output
-deterministic.  The *primary* associate, congruent to 1 mod 3, is the one
-pinned down by the Gaussian-sum normalization -tau(chi_p)^3 = p * pi: for a
+The *primary* associate, congruent to 1 mod 3, is the normal form pinned
+down by the Gaussian-sum normalization -tau(chi_p)^3 = p * pi: for a
 prime element pi of norm p = 1 mod 3, the cubic residue character chi_p
 (chi_p(a) = zeta3^e when a^((p-1)/3) = omega^e mod p, omega the residue of
 zeta3 mod pi) has a Gaussian sum whose negated cube is p times the primary
@@ -16,9 +14,12 @@ associate of pi.  That normalization is what ties each pair (M, N) with
 
     (M + 3N*sqrt(-3))/2 = 3 * zeta3^(+-1) * pi_1 * ... * pi_nu.
 
-Run backwards (rhs_elements), the same factorization lists the pairs: one
+The pairs are listed from this factorization (rhs_elements): one primary
 prime element per prime of f, from a cube root of unity mod p, and the
 products of them and their conjugates, with the unit 1 when f is tame.
+Each pair keeps the unit and the prime elements it was built from, and
+the character check reads them there; it re-multiplies them, so a wrong
+unit or conjugate cannot slip through.
 
 A character of the cyclic group (Z/q)^x, q = 9 or a prime p, is fixed by
 its value at a generator, so each component character is held as one
@@ -46,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import _PRIME_BOUND, _PRIMES, Conductor, Kind, _component_moduli, _generator
+from .arith import _PRIME_BOUND, _PRIMES, Conductor, _component_moduli, _generator
 from .errors import (
     BudgetExceeded,
     CongruenceFailure,
@@ -118,48 +119,17 @@ SQRT_MINUS_3 = EisensteinInt(1, 2)
 UNITS = (ONE, ZETA, ZETA_SQ, -ONE, -ZETA, -ZETA_SQ)
 
 
-def exact_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-    """x / y when y divides x exactly; ValueError otherwise."""
-    if y.is_zero():
-        raise ZeroDivisionError("division by zero in Z[zeta3]")
-    num = x * y.conjugate()
-    n = y.norm()
-    if num.a % n or num.b % n:
-        raise ValueError(f"{y} does not divide {x}")
-    return EisensteinInt(num.a // n, num.b // n)
-
-
-def _round_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-    """x / y with each coordinate rounded to the nearest integer (halves up)."""
-    num = x * y.conjugate()
-    n = y.norm()
-    return EisensteinInt((2 * num.a + n) // (2 * n), (2 * num.b + n) // (2 * n))
-
-
-def canonical_associate(x: EisensteinInt) -> EisensteinInt:
-    """The associate with a > 0 and smallest b >= 0 (zero maps to zero)."""
-    if x.is_zero():
-        return x
-    candidates = [y for y in (u * x for u in UNITS) if y.a > 0 and y.b >= 0]
-    return min(candidates, key=lambda c: (c.b, c.a))
+# An element of norm coprime to 3 is congruent mod 3 to exactly one unit v,
+# and conj(v) = 1/v takes it to its associate congruent to 1 mod 3.
+_PRIMARY_UNIT = {(v.a % 3, v.b % 3): v.conjugate() for v in UNITS}
 
 
 def primary_associate(x: EisensteinInt) -> EisensteinInt:
     """The unique associate congruent to 1 mod 3 (requires norm coprime to 3)."""
-    for u in UNITS:
-        y = u * x
-        if y.a % 3 == 1 and y.b % 3 == 0:
-            return y
-    raise ValueError(f"{x} has no associate congruent to 1 mod 3")
-
-
-def eis_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-    """Euclidean gcd, returned as the canonical associate."""
-    if x.is_zero() and y.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not y.is_zero():
-        x, y = y, x - _round_div(x, y) * y
-    return canonical_associate(x)
+    u = _PRIMARY_UNIT.get((x.a % 3, x.b % 3))
+    if u is None:
+        raise ValueError(f"{x} has no associate congruent to 1 mod 3")
+    return u * x
 
 
 def chi9(sign: int) -> int:
@@ -346,47 +316,6 @@ def chi9_gauss_sum_report(sign: int) -> dict:
     }
 
 
-def factor_rhs(r: Representation) -> tuple[int, list[EisensteinInt]]:
-    """Factor (M + 3N*sqrt(-3))/2 as 3 * zeta3^(+-1) * pi_1 * ... * pi_nu.
-
-    The pi_i are the primary prime elements above the odd primes of the
-    conductor, each of which divides the left side exactly once because its
-    norm is squarefree.  The decomposition is re-multiplied and compared to
-    the source, so a wrong unit or associate cannot slip through.
-    """
-    if r.conductor.kind is not Kind.WILD:
-        raise ValueError("factor_rhs applies to wild representations")
-    x = EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
-    try:
-        rem = exact_div(x, EisensteinInt(3, 0))
-    except ValueError as exc:
-        raise FactorizationMismatch(str(exc)) from exc
-    pis: list[EisensteinInt] = []
-    for p in r.conductor.odd_primes:
-        pi = primary_associate(eis_gcd(EisensteinInt(p, 0), rem))
-        if pi.norm() != p:
-            raise FactorizationMismatch(
-                f"gcd with {p} has norm {pi.norm()}, expected {p}"
-            )
-        try:
-            rem = exact_div(rem, pi)
-        except ValueError as exc:
-            raise FactorizationMismatch(str(exc)) from exc
-        pis.append(pi)
-    if rem == ZETA:
-        sign = 1
-    elif rem == ZETA_SQ:
-        sign = -1
-    else:
-        raise FactorizationMismatch(f"leftover unit {rem} is not zeta3^(+-1)")
-    product = EisensteinInt(3, 0) * (ZETA if sign == 1 else ZETA_SQ)
-    for pi in pis:
-        product = product * pi
-    if product != x:
-        raise FactorizationMismatch(f"product {product} does not reproduce {x}")
-    return sign, pis
-
-
 def prime_element(p: int) -> EisensteinInt:
     """A primary prime element of norm p, for a prime p = 1 mod 3.
 
@@ -414,44 +343,76 @@ def prime_element(p: int) -> EisensteinInt:
     return pi
 
 
-def rhs_elements(f: Conductor) -> list[EisensteinInt]:
-    """(M + 3N*sqrt(-3))/2 for every normalized pair (M, N) of f, that is
-    factor_rhs run backwards.
+def rhs_elements(
+    f: Conductor,
+) -> list[tuple[EisensteinInt, EisensteinInt, tuple[EisensteinInt, ...]]]:
+    """(M + 3N*sqrt(-3))/2 for every normalized pair (M, N) of f, each with
+    its factorization: the unit, and the prime element of each odd prime of
+    f, in order, that were multiplied into it.
 
     Each is a unit times the product over the odd primes p | f of pi_p or
     conj(pi_p), pi_p = prime_element(p): unit 1 when f is tame, so the
     product is primary, and 3*zeta3^(+-1) when wild.  Conjugation keeps M
     and negates N, so one factor is held fixed (pi_p of the first prime
     when tame, 3*zeta3 when wild) and a product with negative zeta3
-    coordinate is replaced by its conjugate: one element per pair,
-    2^(nu-1) tame and 2^nu wild.
+    coordinate is replaced by its conjugate, and so is each of its
+    factors: one element per pair, 2^(nu-1) tame and 2^nu wild.
     """
     pis = [prime_element(p) for p in f.odd_primes]
+    # each product is built along with the conjugates of its factors
     if f.is_wild:
-        fixed, free = EisensteinInt(0, 3), pis
+        unit = 3 * ZETA
+        elements, free = [(unit, (), ())], pis
     else:
-        fixed, free = pis[0], pis[1:]
-    elements = [fixed]
+        unit = ONE
+        elements, free = [(pis[0], (pis[0],), (pis[0].conjugate(),))], pis[1:]
     for pi in free:
         pi_bar = pi.conjugate()
-        elements = [x * y for x in elements for y in (pi, pi_bar)]
-    return [x if x.b > 0 else x.conjugate() for x in elements]
+        elements = [
+            (x * y, factors + (y,), conjugates + (y_bar,))
+            for x, factors, conjugates in elements
+            for y, y_bar in ((pi, pi_bar), (pi_bar, pi))
+        ]
+    unit_bar = unit.conjugate()
+    return [
+        (x, unit, factors) if x.b > 0 else (x.conjugate(), unit_bar, conjugates)
+        for x, factors, conjugates in elements
+    ]
 
 
 def character_for_representation(r: Representation) -> tuple[int, ...]:
     """The primitive cubic character mod f attached to a wild pair (M, N),
     as its exponents at the component generators, in component order.
 
-    The mod-9 sign and the prime elements come from factor_rhs; each prime
+    The mod-9 sign and the prime elements are the unit 3*zeta3^sign and the
+    factors that the pair carries from rhs_elements.  They are multiplied
+    out again and compared with (M + 3N*sqrt(-3))/2, and each prime
     component is validated exactly against J(chi_p, chi_p) = -pi_p, that is
     tau_p^3 = -p * pi_p with the cube from component_gauss_sums, conjugated
     when the exponent is 2.
     """
-    sign, pis = factor_rhs(r)
-    moduli = _component_moduli(r.conductor)
-    cubes = dict(zip(moduli, component_gauss_sums(r.conductor)))
+    f = r.conductor
+    if not f.is_wild:
+        raise ValueError("the character check applies to wild representations")
+    product = r.unit
+    for pi in r.prime_elements:
+        product = product * pi
+    source = EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
+    if len(r.prime_elements) != f.nu or product != source:
+        raise FactorizationMismatch(
+            f"{r.unit} times the prime elements {r.prime_elements} does not give "
+            f"(M + 3N*sqrt(-3))/2 for (M, N) = ({r.M}, {r.N})"
+        )
+    if r.unit == 3 * ZETA:
+        sign = 1
+    elif r.unit == 3 * ZETA_SQ:
+        sign = -1
+    else:
+        raise FactorizationMismatch(f"the unit {r.unit} is not 3 * zeta3^(+-1)")
+    moduli = _component_moduli(f)
+    cubes = dict(zip(moduli, component_gauss_sums(f)))
     exponents = {9: chi9(sign)}
-    for p, pi in zip(r.conductor.odd_primes, pis):
+    for p, pi in zip(f.odd_primes, r.prime_elements):
         e = cubic_residue_character(p, pi)
         cube = cubes[p] if e == 1 else cubes[p].conjugate()
         if cube != -p * pi:

@@ -131,18 +131,23 @@ def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
     tau_q^3 is the exact cube for the character chi_q(g_q) = zeta3, one per
     component.  For the kernel c, T is the product of tau_q^3 where c_q = 1
     and of its conjugate where c_q = 2, and with t = sqrt(f)*exp(i*phi/3),
-    phi = arg(T), period j is (mu + 2*Re(zeta3^-j * t))/3.
+    phi = arg(T), period j is (mu + 2*Re(zeta3^-j * t))/3.  The products are
+    built by doubling over the components, the last one varying fastest, as
+    in primitive_cubic_kernels: about one multiplication per kernel.
     """
     mu = _period_sum(f)
     root_f = math.sqrt(f.value)
-    cubes = component_gauss_sums(f)
+    first, *rest = component_gauss_sums(f)
+    # The Gaussian sum mod f is prod chi_q(f/q) * tau(chi_q).  That product
+    # of chi_q(f/q) is a cube root of unity: it leaves T unchanged, and any
+    # cube root of T only permutes the three periods of the kernel, which
+    # are sorted.
+    products = [first]
+    for t in rest:
+        t_bar = t.conjugate()
+        products = [x * y for x in products for y in (t, t_bar)]
     triples = []
-    for kernel in primitive_cubic_kernels(f):
-        # The Gaussian sum mod f is prod chi_q(f/q) * tau(chi_q).  That
-        # product of chi_q(f/q) is a cube root of unity: it leaves T
-        # unchanged, and any cube root of T only permutes the three periods
-        # of the kernel, which are sorted.
-        cube = math.prod(t if c == 1 else t.conjugate() for t, c in zip(cubes, kernel))
+    for kernel, cube in zip(primitive_cubic_kernels(f), products, strict=True):
         phi = cmath.phase(cube.to_complex())
         etas = sorted(
             (

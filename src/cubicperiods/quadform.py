@@ -8,6 +8,8 @@ cyclic cubic fields of conductor f.  They are not searched for: each pair
 is the element (M + 3N*sqrt(-3))/2 = a + b*zeta3 of Z[zeta3], a unit times
 one prime element above each odd prime of f (eisenstein.rhs_elements), so
 the factorization of f gives them all at O(nu log p + 2^nu) integer cost.
+Each pair keeps that factorization, the unit and the prime elements, for
+the character check of a wild field to read.
 The substitution n1 = (M - 3N)/2, n2 = N turns a pair into coprime
 parameters with n1^2 + 3*n1*n2 + 9*n2^2 = f.
 """
@@ -15,10 +17,10 @@ parameters with n1^2 + 3*n1*n2 + 9*n2^2 = f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import Conductor, Kind
-from .eisenstein import rhs_elements
+from .eisenstein import EisensteinInt, rhs_elements
 from .errors import (
     CongruenceFailure,
     CountMismatch,
@@ -30,12 +32,21 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Representation:
-    """One normalized pair (M, N); M0 = M/3 is set only in the wild case."""
+    """One normalized pair (M, N); M0 = M/3 is set only in the wild case.
+
+    (M + 3N*sqrt(-3))/2 = unit * prod(prime_elements), as rhs_elements built
+    it: the unit is 1 when tame and 3*zeta3^(+-1) when wild, and there is one
+    prime element, pi_p or conj(pi_p), per odd prime p of f, in order.  The
+    factorization is not part of the pair's identity, and only the
+    character check, which re-multiplies it, relies on it.
+    """
 
     M: int
     N: int
     M0: int | None
     conductor: Conductor
+    unit: EisensteinInt = field(compare=False)
+    prime_elements: tuple[EisensteinInt, ...] = field(compare=False)
 
     def __post_init__(self) -> None:
         f = self.conductor
@@ -75,10 +86,11 @@ def representations(f: Conductor) -> list[Representation]:
     of every pair, and the count must be the field count.
     """
     found: list[Representation] = []
-    for x in rhs_elements(f):
+    for x, unit, prime_elements in rhs_elements(f):
         m = 2 * x.a - x.b
+        m0 = m // 3 if f.is_wild else None
         try:
-            found.append(Representation(m, x.b // 3, m // 3 if f.is_wild else None, f))
+            found.append(Representation(m, x.b // 3, m0, f, unit, prime_elements))
         except ValueError as exc:
             raise FactorizationMismatch(
                 f"conductor {f.value}: {x} gives no normalized pair ({exc})"

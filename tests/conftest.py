@@ -7,6 +7,7 @@ import pytest
 
 from cubicperiods import (
     CountMismatch,
+    FactorizationMismatch,
     Kind,
     RationalCubic,
     affine_relation,
@@ -18,7 +19,15 @@ from cubicperiods import (
     substitute_affine,
 )
 from cubicperiods.arith import _component_moduli, _generator, euler_phi
-from cubicperiods.eisenstein import ONE, ZETA, ZETA_SQ, EisensteinInt, _index_table
+from cubicperiods.eisenstein import (
+    ONE,
+    UNITS,
+    ZETA,
+    ZETA_SQ,
+    EisensteinInt,
+    _index_table,
+    primary_associate,
+)
 
 BOUND = 10_000
 
@@ -151,6 +160,95 @@ def nine_count_jacobi():
     return jacobi_by_nine_counts
 
 
+def exact_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
+    """x / y in Z[zeta3] when y divides x exactly; ValueError otherwise."""
+    if y.is_zero():
+        raise ZeroDivisionError("division by zero in Z[zeta3]")
+    num = x * y.conjugate()
+    n = y.norm()
+    if num.a % n or num.b % n:
+        raise ValueError(f"{y} does not divide {x}")
+    return EisensteinInt(num.a // n, num.b // n)
+
+
+def _round_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
+    """x / y with each coordinate rounded to the nearest integer (halves up)."""
+    num = x * y.conjugate()
+    n = y.norm()
+    return EisensteinInt((2 * num.a + n) // (2 * n), (2 * num.b + n) // (2 * n))
+
+
+def canonical_associate(x: EisensteinInt) -> EisensteinInt:
+    """The associate with a > 0 and smallest b >= 0 (zero maps to zero), so
+    that gcd output is deterministic."""
+    if x.is_zero():
+        return x
+    candidates = [y for y in (u * x for u in UNITS) if y.a > 0 and y.b >= 0]
+    return min(candidates, key=lambda c: (c.b, c.a))
+
+
+def eis_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
+    """Euclidean gcd in the norm-Euclidean Z[zeta3], as the canonical associate."""
+    if x.is_zero() and y.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    while not y.is_zero():
+        x, y = y, x - _round_div(x, y) * y
+    return canonical_associate(x)
+
+
+def factor_rhs(r) -> tuple[int, list[EisensteinInt]]:
+    """Oracle: factor (M + 3N*sqrt(-3))/2 of a wild pair as
+    3 * zeta3^sign * pi_1 * ... * pi_nu by Euclidean gcds, independently of
+    the factorization the pair carries.
+
+    The pi_i are the primary prime elements above the odd primes of the
+    conductor, each of which divides the left side exactly once because its
+    norm is squarefree.  The decomposition is re-multiplied and compared to
+    the source.
+    """
+    if r.conductor.kind is not Kind.WILD:
+        raise ValueError("factor_rhs applies to wild representations")
+    x = EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
+    try:
+        rem = exact_div(x, EisensteinInt(3, 0))
+    except ValueError as exc:
+        raise FactorizationMismatch(str(exc)) from exc
+    pis: list[EisensteinInt] = []
+    for p in r.conductor.odd_primes:
+        pi = primary_associate(eis_gcd(EisensteinInt(p, 0), rem))
+        if pi.norm() != p:
+            raise FactorizationMismatch(f"gcd with {p} has norm {pi.norm()}, expected {p}")
+        try:
+            rem = exact_div(rem, pi)
+        except ValueError as exc:
+            raise FactorizationMismatch(str(exc)) from exc
+        pis.append(pi)
+    if rem == ZETA:
+        sign = 1
+    elif rem == ZETA_SQ:
+        sign = -1
+    else:
+        raise FactorizationMismatch(f"leftover unit {rem} is not zeta3^(+-1)")
+    product = EisensteinInt(3, 0) * (ZETA if sign == 1 else ZETA_SQ)
+    for pi in pis:
+        product = product * pi
+    if product != x:
+        raise FactorizationMismatch(f"product {product} does not reproduce {x}")
+    return sign, pis
+
+
+@pytest.fixture(scope="session")
+def gcd_oracle():
+    """(eis_gcd, exact_div, canonical_associate): Euclid's algorithm in Z[zeta3]."""
+    return eis_gcd, exact_div, canonical_associate
+
+
+@pytest.fixture(scope="session", name="factor_rhs")
+def factor_rhs_fixture():
+    """factor_rhs(r): (sign, prime elements) of a wild pair, by gcds."""
+    return factor_rhs
+
+
 def character_by_definition(f, sign, pis) -> dict[int, int]:
     """chi(a) as an exponent of zeta3 for every unit a mod f, evaluated
     residue by residue from the definitions and glued by the CRT.
@@ -158,7 +256,8 @@ def character_by_definition(f, sign, pis) -> dict[int, int]:
     The component mod 9 (present when 9 | f) is sign*(a^2 - 1)/3 mod 3.  The
     component mod p = N(pi) is the e with a^((p-1)/3) = omega^e mod p,
     where omega = -pi.a/pi.b is the residue of zeta3 mod pi.  The pair
-    (sign, pis) is what factor_rhs returns for a wild representation.
+    (sign, pis) is what the factor_rhs oracle returns for a wild
+    representation.
     """
     components = []
     if f % 9 == 0:

@@ -12,8 +12,6 @@ from cubicperiods import (
     chi9,
     chi9_gauss_sum_report,
     cubic_residue_character,
-    eis_gcd,
-    factor_rhs,
     jacobi_sum,
     prime_element,
     representations,
@@ -24,8 +22,6 @@ from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
     _index_table,
-    canonical_associate,
-    exact_div,
     primary_associate,
 )
 
@@ -51,7 +47,8 @@ def test_norm_multiplicative_random():
         assert abs((x * y).to_complex() - x.to_complex() * y.to_complex()) < 1e-9
 
 
-def test_gcd_examples():
+def test_gcd_examples(gcd_oracle):
+    eis_gcd, _, canonical_associate = gcd_oracle
     g = eis_gcd(EisensteinInt(7, 0), EisensteinInt(1, 3))
     assert g == EisensteinInt(3, 2) and g.norm() == 7
     x = EisensteinInt(1, 1)
@@ -61,7 +58,8 @@ def test_gcd_examples():
         eis_gcd(EisensteinInt(0, 0), EisensteinInt(0, 0))
 
 
-def test_gcd_divides_both_random():
+def test_gcd_divides_both_random(gcd_oracle):
+    eis_gcd, exact_div, _ = gcd_oracle
     rng = random.Random(11)
     for _ in range(200):
         x = EisensteinInt(rng.randint(-30, 30), rng.randint(-30, 30))
@@ -74,7 +72,8 @@ def test_gcd_divides_both_random():
                 exact_div(v, g)  # raises if not divisible
 
 
-def test_canonical_associate_is_stable_across_associates():
+def test_canonical_associate_is_stable_across_associates(gcd_oracle):
+    canonical_associate = gcd_oracle[2]
     rng = random.Random(13)
     for _ in range(100):
         x = EisensteinInt(rng.randint(-20, 20), rng.randint(-20, 20))
@@ -90,15 +89,29 @@ def test_primary_associate():
     pi = primary_associate(EisensteinInt(3, 2))
     assert (pi.a % 3, pi.b % 3) == (1, 0)
     assert pi.norm() == 7
+    # every associate of an element of norm prime to 3 maps to its one
+    # associate = 1 mod 3, found by trying the six units; a norm divisible by
+    # 3 has none
+    rng = random.Random(17)
+    for _ in range(300):
+        x = EisensteinInt(rng.randint(-50, 50), rng.randint(-50, 50))
+        primary = {y for y in (u * x for u in UNITS) if (y.a % 3, y.b % 3) == (1, 0)}
+        if x.norm() % 3:
+            assert len(primary) == 1
+            assert {primary_associate(u * x) for u in UNITS} == primary
+        else:
+            assert not primary
+            with pytest.raises(ValueError):
+                primary_associate(x)
 
 
-def test_factor_rhs_nine():
+def test_factor_rhs_nine(factor_rhs):
     r = representations(validate_conductor(9))[0]
     sign, pis = factor_rhs(r)
     assert sign == 1 and pis == []
 
 
-def test_factor_rhs_63():
+def test_factor_rhs_63(factor_rhs):
     r = next(x for x in representations(validate_conductor(63)) if x.M == 15)
     sign, pis = factor_rhs(r)
     assert sign == 1
@@ -106,7 +119,7 @@ def test_factor_rhs_63():
     assert pis[0].norm() == 7
 
 
-def test_factor_rhs_819():
+def test_factor_rhs_819(factor_rhs):
     r = next(x for x in representations(validate_conductor(819)) if x.M == -57)
     sign, pis = factor_rhs(r)
     assert sign == 1
@@ -118,7 +131,7 @@ def test_factor_rhs_819():
     assert product == EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
 
 
-def test_factor_rhs_rejects_tame():
+def test_factor_rhs_rejects_tame(factor_rhs):
     r = representations(validate_conductor(7))[0]
     with pytest.raises(ValueError):
         factor_rhs(r)
@@ -210,14 +223,16 @@ def z9_product(x, y) -> tuple[int, ...]:
     return tuple(cyclic[:6])
 
 
-def test_character_for_representation_nine(character_values, residue_sets):
+def test_character_for_representation_nine(character_values, residue_sets, factor_rhs):
     r = representations(F9)[0]
     vector = character_for_representation(r)
     assert len(vector) == 1 and residue_sets(F9, vector)[0] == frozenset({1, 8})
     assert level_sets(character_values(9, *factor_rhs(r))) == residue_sets(F9, vector)
 
 
-def test_character_kernels_have_index_three(character_values, residue_sets, unit_group):
+def test_character_kernels_have_index_three(
+    character_values, residue_sets, unit_group, factor_rhs
+):
     for f in (9, 63, 819):
         cond = validate_conductor(f)
         kernels = set()
@@ -243,7 +258,7 @@ def test_character_kernels_have_index_three(character_values, residue_sets, unit
 
 
 def test_characters_of_all_wild_conductors(
-    wild_records_10k, character_values, residue_sets, unit_group
+    wild_records_10k, character_values, residue_sets, unit_group, factor_rhs
 ):
     for rec in wild_records_10k:
         cond = rec.conductor
@@ -264,7 +279,7 @@ def _smallest_generator(p: int) -> int:
     return next(g for g in range(2, p) if len({pow(g, j, p) for j in range(p - 1)}) == p - 1)
 
 
-def test_prime_components_are_powers_at_the_generator(wild_records_10k):
+def test_prime_components_are_powers_at_the_generator(wild_records_10k, factor_rhs):
     # a^((p-1)/3) = omega^(e*j) mod p at every a = g^j: the definition of
     # chi_p agrees with the exponent e held for p, at every residue
     for rec in wild_records_10k:
@@ -300,13 +315,17 @@ def test_prime_element_is_a_primary_prime_of_norm_p():
         assert omega != 1 and pow(omega, 3, p) == 1
 
 
-def test_factor_rhs_inverts_rhs_elements(wild_records_10k):
-    # every pair is read from an element of rhs_elements, and factor_rhs
-    # takes it apart into prime_element(p) or its conjugate for each p | f
+def test_factor_rhs_inverts_rhs_elements(wild_records_10k, factor_rhs):
+    # every pair is read from an element of rhs_elements, and the factor_rhs
+    # oracle takes it apart by gcds into prime_element(p) or its conjugate
+    # for each p | f: exactly the unit and prime elements the pair carries
     for rec in wild_records_10k:
-        _, pis = factor_rhs(rec.representation)
+        r = rec.representation
+        sign, pis = factor_rhs(r)
         for p, pi in zip(rec.conductor.odd_primes, pis):
             assert pi in (prime_element(p), prime_element(p).conjugate())
+        assert r.unit == 3 * (ZETA if sign == 1 else ZETA * ZETA)
+        assert r.prime_elements == tuple(pis)
 
 
 def test_index_table_equals_the_powers_of_the_generator():

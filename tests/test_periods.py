@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -11,12 +12,13 @@ from cubicperiods import (
     GAUSS_SUM_BUDGET,
     MR_BOUND,
     ComplexRoots,
+    FactorizationMismatch,
     Kind,
     MatchingFailure,
+    NormalizationFailure,
     RationalCubic,
     affine_relation,
     conductors_up_to,
-    factor_rhs,
     gaussian_periods,
     match_fields,
     numeric_period_poly,
@@ -28,18 +30,21 @@ from cubicperiods import (
     shanks_poly,
     substitute_affine,
     validate_conductor,
+    verify_generators,
     verify_kernel_character,
     verify_main_identity,
     verify_period_relation,
     verify_sign_congruences,
 )
 from cubicperiods.arith import is_probable_prime
+from cubicperiods.eisenstein import ZETA, component_gauss_sums
 from cubicperiods.groupring import generator_polys
 
 F9 = validate_conductor(9)
 F7 = validate_conductor(7)
 F63 = validate_conductor(63)
 F819 = validate_conductor(819)
+F15561 = validate_conductor(9 * 7 * 13 * 19)
 
 
 def test_unit_group_examples(unit_group):
@@ -142,6 +147,20 @@ def test_periods_make_no_pass_over_the_units(f):
     for pt in triples:
         assert abs(sum(pt.values()) - mu) < 1e-6
         assert abs(sum(eta * eta for eta in pt.values()) - squares) < 1e-12 * squares
+
+
+def test_gaussian_periods_follow_the_kernel_order():
+    # the cubes are built by doubling over the components, and must come out
+    # in the order of primitive_cubic_kernels, each the product over the
+    # components of tau_q^3 or its conjugate as the kernel says
+    kernels = [(1, *tail) for tail in itertools.product((1, 2), repeat=3)]
+    assert primitive_cubic_kernels(F15561) == kernels
+    cubes = component_gauss_sums(F15561)
+    triples = gaussian_periods(F15561)
+    assert [pt.kernel for pt in triples] == kernels
+    for pt in triples:
+        expected = math.prod(t if c == 1 else t.conjugate() for t, c in zip(cubes, pt.kernel))
+        assert pt.cube == expected, pt.kernel
 
 
 def test_numeric_period_poly_examples():
@@ -380,8 +399,44 @@ def test_kernel_character_rejects_another_kernel():
                 verify_kernel_character(dataclasses.replace(rec, matched_kernel=other))
 
 
+def replace_factorization(rec, **changes):
+    """A copy of a field record whose pair carries another factorization."""
+    return dataclasses.replace(
+        rec, representation=dataclasses.replace(rec.representation, **changes)
+    )
+
+
+def test_kernel_character_rejects_a_conjugated_prime_element():
+    # the conjugate of one carried prime element no longer multiplies out to
+    # (M + 3N*sqrt(-3))/2
+    for rec in match_fields(F15561):
+        elements = rec.representation.prime_elements
+        for i in range(len(elements)):
+            swapped = (*elements[:i], elements[i].conjugate(), *elements[i + 1 :])
+            with pytest.raises(FactorizationMismatch):
+                verify_kernel_character(replace_factorization(rec, prime_elements=swapped))
+
+
+def test_kernel_character_rejects_a_flipped_unit():
+    # 3*zeta3^-sign in place of 3*zeta3^sign
+    for rec in match_fields(F15561):
+        flipped = rec.representation.unit.conjugate()
+        with pytest.raises(FactorizationMismatch):
+            verify_kernel_character(replace_factorization(rec, unit=flipped))
+
+
+def test_kernel_character_rejects_associates_with_the_same_product():
+    # zeta3*pi_1 and zeta3^2*pi_2 keep the product and the norms, but are not
+    # primary, so tau_p^3 = -p*pi_p fails
+    for rec in match_fields(F15561):
+        first, second, *rest = rec.representation.prime_elements
+        moved = (ZETA * first, ZETA * ZETA * second, *rest)
+        with pytest.raises(NormalizationFailure):
+            verify_kernel_character(replace_factorization(rec, prime_elements=moved))
+
+
 def test_glued_character_cuts_out_the_matched_kernel(
-    wild_records_10k, character_values, residue_sets
+    wild_records_10k, character_values, residue_sets, factor_rhs
 ):
     # the O(f) character evaluated from its definition and glued along the
     # residues mod f, against the residue set of the matched coefficient vector
@@ -407,3 +462,23 @@ def test_counts_and_bijection_small(residue_sets):
         records = match_fields(cond)
         assert len(records) == len(reps)
         assert {residue_sets(cond, rec.matched_kernel)[0] for rec in records} == set(kernels)
+
+
+PRIMES_1_MOD_3_BELOW_2E5 = [p for p in range(7, 200_000, 6) if is_probable_prime(p)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.lists(st.sampled_from(PRIMES_1_MOD_3_BELOW_2E5), min_size=1, max_size=3, unique=True)
+)
+def test_wild_checks_pass_on_random_wild_conductors(primes):
+    # f = 9 * p_1 * ... * p_k for 1 to 3 distinct primes = 1 mod 3 below 2*10^5:
+    # every field passes the sign congruences, the twelve generator checks
+    # and the character check
+    cond = validate_conductor(9 * math.prod(primes))
+    records = match_fields(cond)
+    assert len(records) == cond.field_count
+    for rec in records:
+        verify_sign_congruences(rec)
+        verify_generators(rec)
+        verify_kernel_character(rec)

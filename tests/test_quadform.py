@@ -15,6 +15,7 @@ from cubicperiods import (
     validate_conductor,
 )
 from cubicperiods.arith import is_probable_prime
+from cubicperiods.eisenstein import ONE
 
 
 def brute_force_pairs(f, wild: bool) -> set[tuple[int, int]]:
@@ -163,4 +164,4 @@ def test_shanks_params_guard_survives_optimization():
 def test_representation_validates_fields():
     f = validate_conductor(7)
     with pytest.raises(ValueError):
-        Representation(2, 1, None, f)
+        Representation(2, 1, None, f, ONE, ())
