@@ -47,11 +47,11 @@ def _primes_below(n: int) -> tuple[int, ...]:
     return tuple(itertools.compress(range(n), sieve))
 
 
-# _PRIMES holds every prime below _PRIME_BOUND.  The hot path reads only the
-# primes below _TRIAL_BOUND (factorize) and those below isqrt(p) + 1 <= 3163
-# for a prime component p up to eisenstein.GAUSS_SUM_BUDGET (the index table
-# of the Jacobi sum, which refuses a p beyond the table's reach).  moebius
-# falls back to factorize once it runs past the table.
+# _PRIMES holds every prime below _PRIME_BOUND.  Its readers are factorize,
+# which trial-divides by the primes below _TRIAL_BOUND, and the index table
+# of the Jacobi sum, which reads those below isqrt(p) + 1 <= 3163 for a
+# prime component p up to eisenstein.GAUSS_SUM_BUDGET and refuses a p
+# beyond the table's reach.
 _PRIME_BOUND = 4096
 _PRIMES = _primes_below(_PRIME_BOUND)
 _TRIAL_PRIMES = _PRIMES[: bisect.bisect_left(_PRIMES, _TRIAL_BOUND)]
@@ -178,25 +178,10 @@ def moebius(m: int) -> int:
     """Moebius function: 0 unless m is squarefree, else (-1)^(number of primes)."""
     if m < 1:
         raise ValueError("moebius requires a positive integer")
-    count = 0
-    for p in _PRIMES:
-        if p * p > m:
-            break
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            count += 1
-    if m > 1:
-        if is_probable_prime(m):
-            count += 1
-        else:
-            # Cofactor beyond the prime table: fall back to full factorization.
-            fac = factorize(m)
-            if not fac.is_squarefree():
-                return 0
-            count += len(fac.factors)
-    return -1 if count % 2 else 1
+    fac = factorize(m)
+    if not fac.is_squarefree():
+        return 0
+    return -1 if len(fac.factors) % 2 else 1
 
 
 class Kind(str, Enum):

@@ -7,9 +7,13 @@ Subcommands:
   table                        reproduce the conductor-819 reference table
 
 Common flags: --format {json,csv,md} (default json), --out PATH, and for
-verify and scan --tolerance (default 1e-6).  The tolerance governs only the
-float checks, the period relation and the generator checks: the matching
-of kernels to pairs and the character check are exact.
+verify and scan --tolerance (default 1e-6, positive and finite).  The
+tolerance governs only the float checks, the period relation and the
+generator checks: the matching of kernels to pairs and the character check
+are exact.
+
+Every check runs in periods.match_fields; this module parses arguments and
+shapes its records into reports.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
@@ -31,14 +35,7 @@ from .arith import Conductor, Kind, conductors_up_to, validate_conductor
 from .cubicpoly import affine_relation, period_poly_formula, shanks_poly
 from .eisenstein import chi9_gauss_sum_report
 from .errors import BudgetExceeded, InvalidConductor, VerificationError
-from .groupring import verify_generators
-from .periods import (
-    DEFAULT_TOLERANCE,
-    FieldRecord,
-    match_fields,
-    verify_kernel_character,
-    verify_sign_congruences,
-)
+from .periods import DEFAULT_TOLERANCE, FieldRecord, match_fields
 from .quadform import representations, shanks_params
 from .report import (
     GOLDEN_TABLE_ROWS,
@@ -88,14 +85,11 @@ def _enumerate_entry(r, sp, poly) -> dict:
     }
 
 
-def _field_entry(rec: FieldRecord, extra: dict | None = None) -> dict:
+def _field_entry(rec: FieldRecord) -> dict:
     entry = _enumerate_entry(rec.representation, rec.shanks_params, rec.predicted_poly)
-    verdicts = dict(rec.verdicts)
-    if extra:
-        verdicts.update(extra)
     entry["periods"] = list(rec.periods.values())
-    entry["verdicts"] = dict.fromkeys(verdicts, True)
-    entry["residual"] = max(v.residual for v in verdicts.values())
+    entry["verdicts"] = dict.fromkeys(rec.verdicts, True)
+    entry["residual"] = rec.max_residual()
     return entry
 
 
@@ -121,19 +115,11 @@ def _chi9_note() -> str:
 
 
 def verify_report(f: Conductor, tolerance: float) -> dict:
-    """Full verification of one conductor, as a report dict.
+    """Full verification of one conductor (match_fields), as a report dict.
 
     Raises a VerificationError subclass as soon as any check fails.
     """
-    records = match_fields(f, tolerance)
-    entries = []
-    for rec in records:
-        extra = {}
-        if f.is_wild:
-            extra["sign_congruences"] = verify_sign_congruences(rec)
-            extra["generators"] = verify_generators(rec, tolerance)
-            extra["kernel_character"] = verify_kernel_character(rec)
-        entries.append(_field_entry(rec, extra))
+    entries = [_field_entry(rec) for rec in match_fields(f, tolerance)]
     report = {"conductor": f.value, "kind": f.kind.value, "fields": entries}
     notes = _conductor_notes(f)
     if f.is_wild:
@@ -157,9 +143,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        _diag(f"error: tolerance must be positive and finite, got {args.tolerance}")
-        return 2
     f = validate_conductor(args.conductor)
     report = verify_report(f, args.tolerance)
     _emit(render_report(report, _report_format(args.format)), args.out)
@@ -171,23 +154,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.min < 1 or args.max < args.min:
         _diag(f"error: empty or invalid range [{args.min}, {args.max}]")
         return 2
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        _diag(f"error: tolerance must be positive and finite, got {args.tolerance}")
-        return 2
     conductors = conductors_up_to(args.max, args.kind, start=args.min)
     total_fields = 0
     worst = 0.0
     for cond in conductors:
         try:
-            report = verify_report(cond, args.tolerance)
+            records = match_fields(cond, args.tolerance)
         except VerificationError as exc:
             _diag(
                 f"verification failure at conductor {cond.value}: "
                 f"{type(exc).__name__}: {exc}"
             )
             return 1
-        total_fields += len(report["fields"])
-        worst = max(worst, max(e["residual"] for e in report["fields"]))
+        total_fields += len(records)
+        worst = max(worst, *(rec.max_residual() for rec in records))
     summary = {
         "min": args.min,
         "max": args.max,
@@ -208,10 +188,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def table_rows(tolerance: float = DEFAULT_TOLERANCE) -> list[dict]:
+def table_rows() -> list[dict]:
     """Compute the reference-table rows for conductor 819 from scratch."""
     f = validate_conductor(TABLE_CONDUCTOR)
-    records = sorted(match_fields(f, tolerance), key=lambda rec: rec.shanks_params.n2)
+    records = sorted(match_fields(f), key=lambda rec: rec.shanks_params.n2)
     rows = []
     for rec in records:
         sp = rec.shanks_params
@@ -243,6 +223,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_finite_float(text: str) -> float:
+    """--tolerance: nan and inf would pass every `residual > tolerance` check."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -269,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run all checks for one conductor")
     p_verify.add_argument("--conductor", type=int, required=True)
-    p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p_verify.add_argument(
+        "--tolerance", type=positive_finite_float, default=DEFAULT_TOLERANCE
+    )
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -277,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--min", type=int, required=True)
     p_scan.add_argument("--max", type=int, required=True)
     p_scan.add_argument("--kind", choices=[k.value for k in Kind])
-    p_scan.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p_scan.add_argument(
+        "--tolerance", type=positive_finite_float, default=DEFAULT_TOLERANCE
+    )
     add_common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

@@ -359,24 +359,23 @@ def rhs_elements(
     factors: one element per pair, 2^(nu-1) tame and 2^nu wild.
     """
     pis = [prime_element(p) for p in f.odd_primes]
-    # each product is built along with the conjugates of its factors
     if f.is_wild:
         unit = 3 * ZETA
-        elements, free = [(unit, (), ())], pis
+        elements, free = [(unit, ())], pis
     else:
         unit = ONE
-        elements, free = [(pis[0], (pis[0],), (pis[0].conjugate(),))], pis[1:]
+        elements, free = [(pis[0], (pis[0],))], pis[1:]
     for pi in free:
         pi_bar = pi.conjugate()
         elements = [
-            (x * y, factors + (y,), conjugates + (y_bar,))
-            for x, factors, conjugates in elements
-            for y, y_bar in ((pi, pi_bar), (pi_bar, pi))
+            (x * y, factors + (y,)) for x, factors in elements for y in (pi, pi_bar)
         ]
     unit_bar = unit.conjugate()
     return [
-        (x, unit, factors) if x.b > 0 else (x.conjugate(), unit_bar, conjugates)
-        for x, factors, conjugates in elements
+        (x, unit, factors)
+        if x.b > 0
+        else (x.conjugate(), unit_bar, tuple(y.conjugate() for y in factors))
+        for x, factors in elements
     ]
 
 

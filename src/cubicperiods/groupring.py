@@ -5,7 +5,9 @@ averaging idempotent e1 = (1 + s + s^2)/3 and its complement (2 - s - s^2)/3
 split the algebra; 1 - 2*e1 is an involution.  The unit group relevant to
 ring-of-integers generators is {+-s^i} in the tame case and gains the
 factor 1 - 2*e1 in the wild case, for twelve units total.  The generator
-checks of a wild field run in integer arithmetic.
+checks of a wild field run in integer arithmetic; periods.match_fields
+calls them on every wild record, so this module reads FieldRecord only
+as a type.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from typing import TYPE_CHECKING
 from .arith import Kind
 from .cubicpoly import RationalCubic, affine_relation, substitute_affine
 from .errors import GeneratorFailure
-from .periods import DEFAULT_TOLERANCE
 from .quadform import ShanksParams
-from .verdicts import Verdict
+from .verdicts import DEFAULT_TOLERANCE, Verdict
 
 if TYPE_CHECKING:
     from .periods import FieldRecord

@@ -59,10 +59,10 @@ from .errors import (
     RelationFailure,
     ToleranceExceeded,
 )
+from .groupring import verify_generators
 from .quadform import Representation, ShanksParams, representations, shanks_params
-from .verdicts import Verdict
+from .verdicts import DEFAULT_TOLERANCE, Verdict
 
-DEFAULT_TOLERANCE = 1e-6
 # 16 units of roundoff: the rounding bound on the residual of a float root
 # of a cubic (real_roots_cubic), with room for a root off by an ulp or two.
 _ROOT_ROUNDOFF = 8 * sys.float_info.epsilon
@@ -160,14 +160,13 @@ def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
     return triples
 
 
-def numeric_period_poly(pt: PeriodTriple) -> tuple[RationalCubic, float]:
+def numeric_period_poly(pt: PeriodTriple) -> RationalCubic:
     """The period polynomial of pt, exactly, from its cube T:
 
         X^3 - mu*X^2 + (mu^2 - f)/3 * X - (mu^3 - 3*f*mu + Tr(T))/27,
 
-    with Tr(a + b*zeta3) = 2a - b.  Nothing is rounded, so the residual
-    returned with it is 0.0; a coefficient that is not an integer raises
-    NonIntegralCoefficient.
+    with Tr(a + b*zeta3) = 2a - b.  Nothing is rounded; a coefficient that
+    is not an integer raises NonIntegralCoefficient.
     """
     f = pt.conductor.value
     mu = _period_sum(pt.conductor)
@@ -179,7 +178,7 @@ def numeric_period_poly(pt: PeriodTriple) -> tuple[RationalCubic, float]:
             f"f={f}: the period polynomial of T = {pt.cube} has a coefficient "
             f"that is not an integer"
         )
-    return RationalCubic(1, -mu, c1, c0), 0.0
+    return RationalCubic(1, -mu, c1, c0)
 
 
 def real_roots_cubic(
@@ -293,13 +292,16 @@ def verify_kernel_character(rec: FieldRecord) -> Verdict:
 def match_fields(
     f: Conductor, tolerance: float = DEFAULT_TOLERANCE
 ) -> list[FieldRecord]:
-    """Bijectively match representations to kernels and verify each field.
+    """Bijectively match representations to kernels and run every check of
+    each field.
 
     Matching is by exact equality of the period polynomial of each kernel,
-    from its Gaussian sum cube, with the closed form.  Every record is then checked against the affine
-    identity and the period relation; a record only exists if all of its
-    checks pass.  The roots of f_n are found once per record, here, for the
-    period relation and the generator checks to share.
+    from its Gaussian sum cube, with the closed form.  Each record is then
+    checked, in this order, against the affine identity and the period
+    relation, and when f is wild against the sign congruences, the twelve
+    generators and the kernel character; a record only exists if all of its
+    checks pass, and its verdicts keep that order.  The roots of f_n are
+    found once per record, here, for the float checks to share.
     """
     reps = representations(f)
     triples = gaussian_periods(f)
@@ -316,10 +318,9 @@ def match_fields(
             raise MatchingFailure(f"duplicate predicted polynomial for f={f.value}")
         predicted[key] = r
         polys[r] = poly
-    assigned: dict[Representation, tuple[PeriodTriple, float]] = {}
+    assigned: dict[Representation, PeriodTriple] = {}
     for pt in triples:
-        exact, residual = numeric_period_poly(pt)
-        key = exact.integer_coefficients()
+        key = numeric_period_poly(pt).integer_coefficients()
         if key not in predicted:
             raise MatchingFailure(
                 f"conductor {f.value}: no pair predicts the kernel's polynomial {key}"
@@ -329,19 +330,23 @@ def match_fields(
             raise MatchingFailure(
                 f"conductor {f.value}: two kernels match the pair M={r.M}"
             )
-        assigned[r] = (pt, residual)
+        assigned[r] = pt
     if len(assigned) != len(reps):
         raise MatchingFailure(f"conductor {f.value}: matching is not a bijection")
     records = []
     for r in reps:
         sp = shanks_params(r)
-        pt, residual = assigned[r]
+        pt = assigned[r]
         verdicts = {
-            "oracle_equivalence": Verdict("oracle_equivalence", residual),
+            "oracle_equivalence": Verdict("oracle_equivalence"),
             "main_identity": verify_main_identity(f, sp),
         }
         roots = real_roots_cubic(cleared_shanks_poly(sp), tolerance)
         rec = FieldRecord(f, r, sp, polys[r], pt.kernel, pt, roots, verdicts)
         verdicts["period_relation"] = verify_period_relation(rec, tolerance)
+        if f.is_wild:
+            verdicts["sign_congruences"] = verify_sign_congruences(rec)
+            verdicts["generators"] = verify_generators(rec, tolerance)
+            verdicts["kernel_character"] = verify_kernel_character(rec)
         records.append(rec)
     return records

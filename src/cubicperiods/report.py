@@ -24,7 +24,7 @@ def format_rational(numerator: int, denominator: int = 1) -> str:
     return f"{numerator}/{denominator}"
 
 
-def format_poly(p: RationalCubic, var: str = "X") -> str:
+def format_poly(p: RationalCubic) -> str:
     parts: list[str] = []
     for coeff, power in zip(p.coefficients(), (3, 2, 1, 0)):
         if coeff == 0:
@@ -33,7 +33,7 @@ def format_poly(p: RationalCubic, var: str = "X") -> str:
         if power == 0:
             term = mag
         else:
-            xp = var if power == 1 else f"{var}^{power}"
+            xp = "X" if power == 1 else f"X^{power}"
             term = xp if mag == "1" else f"{mag}*{xp}"
         if not parts:
             parts.append(term if coeff > 0 else f"-{term}")
@@ -42,14 +42,14 @@ def format_poly(p: RationalCubic, var: str = "X") -> str:
     return " ".join(parts) if parts else "0"
 
 
-def format_relation(scale: int, offset: int, var: str = "rho") -> str:
+def format_relation(scale: int, offset: int) -> str:
     """Render eta = scale*rho + offset."""
     if scale == 1:
-        head = var
+        head = "rho"
     elif scale == -1:
-        head = f"-{var}"
+        head = "-rho"
     else:
-        head = f"{scale}*{var}"
+        head = f"{scale}*rho"
     if offset == 0:
         return head
     sign = "+" if offset > 0 else "-"

@@ -1,8 +1,12 @@
-"""Success records returned by the verify_* checks."""
+"""Success records returned by the verify_* checks, and the default bound
+of their float comparisons."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+# The default bound on every float residual; the exact checks take none.
+DEFAULT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,18 @@ def test_scan_rejects_bad_tolerance(capsys, tolerance):
     assert "tolerance" in err
 
 
+def test_scan_reports_its_first_failing_conductor(capsys):
+    # 61 is the first conductor in [50, 100], and its period relation, the
+    # first float check, misses 1e-30
+    code, out, err = run(
+        capsys, ["scan", "--min", "50", "--max", "100", "--tolerance", "1e-30"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "conductor 61:" in err
+    assert "RelationFailure" in err
+
+
 def test_scan_wild(capsys):
     code, out, _ = run(capsys, ["scan", "--min", "1", "--max", "1000", "--kind", "wild"])
     assert code == 0
