@@ -1,6 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicperiods import (
     MR_BOUND,
@@ -11,7 +14,7 @@ from cubicperiods import (
     moebius,
     validate_conductor,
 )
-from cubicperiods.arith import _PRIME_BOUND, is_probable_prime
+from cubicperiods.arith import _MR_WITNESSES, _PRIME_BOUND, is_probable_prime
 
 
 def sieve_moebius(limit: int) -> list[int]:
@@ -115,6 +118,80 @@ def test_strong_pseudoprime_to_the_first_twelve_primes_is_composite():
     assert not is_probable_prime(n)
     assert factorize(n).factors == ((399165290221, 1), (798330580441, 1))
     assert is_probable_prime(399165290221) and is_probable_prime(798330580441)
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        # balanced, both 1 mod 6: rho's map y^6 + c meets either in about
+        # sqrt(p / 5) steps
+        (10_000_000_033, 10_000_000_069),
+        # balanced, both 5 mod 6: y^6 + c gains nothing over y^2 + c here
+        (10_000_000_019, 10_000_000_061),
+    ],
+)
+def test_factorize_balanced_semiprime_near_ten_to_the_twenty(p, q):
+    assert p % 6 == q % 6 and is_prime_by_trial_division(p) and is_prime_by_trial_division(q)
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factorize_three_primes_beyond_a_million():
+    primes = (1_000_003, 1_000_033, 1_000_037)
+    assert all(is_prime_by_trial_division(p) for p in primes)
+    assert {p % 6 for p in primes} == {1, 5}
+    assert factorize(math.prod(primes)).factors == tuple((p, 1) for p in primes)
+
+
+# every prime in 1000..20000, by trial division, in both classes mod 6
+PRIMES_ABOVE_TRIAL = [p for p in range(1001, 20_000, 2) if is_prime_by_trial_division(p)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.sampled_from(PRIMES_ABOVE_TRIAL), min_size=2, max_size=3))
+def test_factorize_products_of_primes_above_the_trial_bound(primes):
+    expected = tuple(sorted(Counter(primes).items()))
+    assert factorize(math.prod(primes)).factors == expected
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """The strong test of odd n > 2 to base a, written out from n - 1 = d * 2^s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s))
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233)
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+
+
+@pytest.mark.parametrize("k,psi", list(enumerate(PSI, start=1)))
+def test_least_strong_pseudoprime_to_k_bases_is_composite(k, psi):
+    # psi_k passes the first k bases, so is_probable_prime must take more
+    assert all(is_strong_probable_prime(psi, a) for a in _MR_WITNESSES[:k])
+    assert not is_probable_prime(psi)
+
+
+def test_mr_bound_is_a_strong_pseudoprime_to_all_thirteen_bases():
+    assert all(is_strong_probable_prime(MR_BOUND, a) for a in _MR_WITNESSES)
 
 
 @pytest.mark.parametrize("f", [MR_BOUND, MR_BOUND + 2, 10**30 + 1])
