@@ -17,8 +17,8 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InvalidConductor
 
@@ -148,23 +148,12 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization with factors sorted by prime."""
+class Factorization(NamedTuple):
+    """Prime factorization with factors sorted by prime.  The constructor
+    checks nothing; factorize checks the product of what it builds."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        prod = 1
-        last = 0
-        for p, e in self.factors:
-            if p <= last or e < 1:
-                raise ValueError("factors must be sorted with positive exponents")
-            last = p
-            prod *= p**e
-        if prod != self.value:
-            raise ValueError("factor product does not equal value")
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -185,7 +174,9 @@ def factorize(m: int) -> Factorization:
     _TRIAL_BOUND, then Miller-Rabin and Brent's rho on what is left.
 
     A cofactor below _TRIAL_BOUND^2 with no prime factor below the bound is
-    prime, so small m never reach Miller-Rabin.
+    prime, so small m never reach Miller-Rabin.  A cofactor at or above
+    MR_BOUND that passes Miller-Rabin raises ValueError, since the test
+    proves nothing there.
     """
     if m < 1:
         raise ValueError("factorize requires a positive integer")
@@ -201,12 +192,17 @@ def factorize(m: int) -> Factorization:
     while stack:
         q = stack.pop()
         if q < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(q):
+            if q >= MR_BOUND:
+                raise ValueError(f"{q} is not below {MR_BOUND}, where primality is proven")
             found[q] = found.get(q, 0) + 1
             continue
         d = _brent_rho(q)
         stack.append(d)
         stack.append(q // d)
-    return Factorization(value, tuple(sorted(found.items())))
+    factors = tuple(sorted(found.items()))
+    if math.prod(p**e for p, e in factors) != value:
+        raise ValueError("factor product does not equal value")
+    return Factorization(value, factors)
 
 
 def moebius(m: int) -> int:
@@ -230,18 +226,14 @@ class Kind(str, Enum):
 _CANDIDATES = {Kind.TAME: (1, 6), Kind.WILD: (9, 54)}
 
 
-@dataclass(frozen=True)
-class Conductor:
+class Conductor(NamedTuple):
+    """A validated conductor.  The constructor checks nothing;
+    validate_conductor checks the fields against the value."""
+
     value: int
     kind: Kind
     odd_primes: tuple[int, ...]
     nu: int
-
-    def __post_init__(self) -> None:
-        prod = math.prod(self.odd_primes)
-        expected = prod if self.kind is Kind.TAME else 9 * prod
-        if self.nu != len(self.odd_primes) or expected != self.value:
-            raise ValueError("inconsistent Conductor fields")
 
     @property
     def is_wild(self) -> bool:
@@ -301,11 +293,12 @@ def validate_conductor(f: int) -> Conductor:
         if p % 3 != 1:
             raise InvalidConductor(f"prime factor {p} of {f} is congruent to 2 mod 3")
         odd_primes.append(p)
-    if three_part == 0:
-        if not odd_primes:
-            raise InvalidConductor("1 is not a conductor")
-        return Conductor(f, Kind.TAME, tuple(odd_primes), len(odd_primes))
-    return Conductor(f, Kind.WILD, tuple(odd_primes), len(odd_primes))
+    if three_part == 0 and not odd_primes:
+        raise InvalidConductor("1 is not a conductor")
+    if math.prod(odd_primes) * 3**three_part != f:
+        raise ValueError("inconsistent Conductor fields")
+    kind = Kind.WILD if three_part else Kind.TAME
+    return Conductor(f, kind, tuple(odd_primes), len(odd_primes))
 
 
 def _component_moduli(f: Conductor) -> list[int]:

@@ -15,8 +15,8 @@ identity is checked exactly in integer arithmetic, on n2*f_n for n = n1/n2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Conductor, Kind, factorize, moebius
 from .errors import IdentityFailure, NonIntegralCoefficient
@@ -24,8 +24,7 @@ from .quadform import ShanksParams, delta
 from .verdicts import Verdict
 
 
-@dataclass(frozen=True)
-class RationalCubic:
+class RationalCubic(NamedTuple):
     """c3*X^3 + c2*X^2 + c1*X + c0 with exact coefficients, each an int or a
     Fraction; arithmetic on int coefficients stays in int."""
 

@@ -44,8 +44,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import _PRIME_BOUND, _PRIMES, Conductor, _component_moduli, _generator
 from .errors import (
@@ -72,8 +71,7 @@ _ADD = tuple(bytes((x + e) % 3 for x in range(256)) for e in range(3))
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
-@dataclass(frozen=True)
-class EisensteinInt:
+class EisensteinInt(NamedTuple):
     """a + b*zeta3 with integer a, b."""
 
     a: int

@@ -12,9 +12,8 @@ as a type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import Kind
 from .cubicpoly import RationalCubic, affine_relation, substitute_affine
@@ -26,8 +25,7 @@ if TYPE_CHECKING:
     from .periods import FieldRecord
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(NamedTuple):
     c0: int | Fraction
     c1: int | Fraction
     c2: int | Fraction
@@ -91,8 +89,7 @@ def unit_list_p3(wild: bool) -> list[GroupRingElement]:
     return units
 
 
-@dataclass(frozen=True)
-class ConjugateVector:
+class ConjugateVector(NamedTuple):
     """(x, s(x), s^2(x)) for an algebraic number x of a matched field."""
 
     x0: float

@@ -37,8 +37,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .arith import Conductor, Kind, _component_moduli
 from .cubicpoly import (
@@ -68,8 +68,7 @@ from .verdicts import DEFAULT_TOLERANCE, Verdict
 _ROOT_ROUNDOFF = 8 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class PeriodTriple:
+class PeriodTriple(NamedTuple):
     """The three periods for one kernel (a coefficient vector), sorted in
     descending order, with the exact cube T = t^3 of the kernel's Gaussian
     sum that they come from."""
@@ -85,8 +84,7 @@ class PeriodTriple:
         return (self.eta0, self.eta1, self.eta2)
 
 
-@dataclass(frozen=True)
-class FieldRecord:
+class FieldRecord(NamedTuple):
     """One cyclic cubic field: pair, parameters, polynomial, kernel, periods,
     the roots of its Shanks cubic, and the verdicts of every check run
     against it."""

@@ -17,7 +17,7 @@ parameters with n1^2 + 3*n1*n2 + 9*n2^2 = f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import Conductor, Kind
 from .eisenstein import EisensteinInt, rhs_elements
@@ -30,42 +30,45 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """One normalized pair (M, N); M0 = M/3 is set only in the wild case.
 
     (M + 3N*sqrt(-3))/2 = unit * prod(prime_elements), as rhs_elements built
     it: the unit is 1 when tame and 3*zeta3^(+-1) when wild, and there is one
-    prime element, pi_p or conj(pi_p), per odd prime p of f, in order.  The
-    factorization is not part of the pair's identity, and only the
-    character check, which re-multiplies it, relies on it.
+    prime element, pi_p or conj(pi_p), per odd prime p of f, in order.  Only
+    the character check, which re-multiplies them, relies on the unit and
+    the prime elements.  They take part in equality and hashing like every
+    field; representations builds each pair once, so nothing compares two
+    builds of one pair.  The constructor checks nothing: representations
+    checks each pair it builds (_check_pair).
     """
 
     M: int
     N: int
     M0: int | None
     conductor: Conductor
-    unit: EisensteinInt = field(compare=False)
-    prime_elements: tuple[EisensteinInt, ...] = field(compare=False)
-
-    def __post_init__(self) -> None:
-        f = self.conductor
-        if self.M * self.M + 27 * self.N * self.N != 4 * f.value:
-            raise ValueError("(M, N) does not solve 4f = M^2 + 27N^2")
-        if self.N <= 0:
-            raise ValueError("N must be positive")
-        if f.kind is Kind.TAME:
-            if self.M0 is not None or self.M % 3 != 2:
-                raise ValueError("tame normalization violated")
-        else:
-            if self.M0 is None or self.M != 3 * self.M0:
-                raise ValueError("wild pairs need M = 3*M0")
-            if self.M0 % 3 != 2 or self.N % 3 == 0:
-                raise ValueError("wild normalization violated")
+    unit: EisensteinInt
+    prime_elements: tuple[EisensteinInt, ...]
 
 
-@dataclass(frozen=True)
-class ShanksParams:
+def _check_pair(r: Representation) -> None:
+    """Raise ValueError unless r solves 4f = M^2 + 27N^2 and is normalized."""
+    f = r.conductor
+    if r.M * r.M + 27 * r.N * r.N != 4 * f.value:
+        raise ValueError("(M, N) does not solve 4f = M^2 + 27N^2")
+    if r.N <= 0:
+        raise ValueError("N must be positive")
+    if f.kind is Kind.TAME:
+        if r.M0 is not None or r.M % 3 != 2:
+            raise ValueError("tame normalization violated")
+    else:
+        if r.M0 is None or r.M != 3 * r.M0:
+            raise ValueError("wild pairs need M = 3*M0")
+        if r.M0 % 3 != 2 or r.N % 3 == 0:
+            raise ValueError("wild normalization violated")
+
+
+class ShanksParams(NamedTuple):
     """Coprime (n1, n2) with delta = n1^2 + 3*n1*n2 + 9*n2^2."""
 
     n1: int
@@ -82,19 +85,21 @@ def representations(f: Conductor) -> list[Representation]:
 
     Each element a + b*zeta3 of eisenstein.rhs_elements(f) equals
     (M + 3N*sqrt(-3))/2 with sqrt(-3) = 1 + 2*zeta3, so M = 2a - b and
-    N = b/3.  Representation re-checks the equation and the normalization
-    of every pair, and the count must be the field count.
+    N = b/3.  _check_pair re-checks the equation and the normalization of
+    every pair, and the count must be the field count.
     """
     found: list[Representation] = []
     for x, unit, prime_elements in rhs_elements(f):
         m = 2 * x.a - x.b
         m0 = m // 3 if f.is_wild else None
+        r = Representation(m, x.b // 3, m0, f, unit, prime_elements)
         try:
-            found.append(Representation(m, x.b // 3, m0, f, unit, prime_elements))
+            _check_pair(r)
         except ValueError as exc:
             raise FactorizationMismatch(
                 f"conductor {f.value}: {x} gives no normalized pair ({exc})"
             ) from exc
+        found.append(r)
     found.sort(key=lambda r: -r.M)
     if len(found) != f.field_count:
         raise CountMismatch(

@@ -194,6 +194,18 @@ def test_mr_bound_is_a_strong_pseudoprime_to_all_thirteen_bases():
     assert all(is_strong_probable_prime(MR_BOUND, a) for a in _MR_WITNESSES)
 
 
+# MR_BOUND is composite, 2^89 - 1 is prime: Miller-Rabin proves neither
+@pytest.mark.parametrize("m", [MR_BOUND, 2**89 - 1, 3 * MR_BOUND])
+@pytest.mark.parametrize("fn", [factorize, moebius])
+def test_no_cofactor_beyond_proven_primality_is_called_prime(fn, m):
+    with pytest.raises(ValueError, match=str(MR_BOUND)):
+        fn(m)
+
+
+def test_factorize_power_of_two_beyond_proven_primality():
+    assert factorize(2**90).factors == ((2, 90),)
+
+
 @pytest.mark.parametrize("f", [MR_BOUND, MR_BOUND + 2, 10**30 + 1])
 def test_validate_refuses_conductors_beyond_proven_primality(f):
     with pytest.raises(InvalidConductor, match=str(MR_BOUND)):

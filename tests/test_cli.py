@@ -346,6 +346,27 @@ def test_cold_enumerate_allocates_under_a_megabyte(tmp_path):
     assert peak < 1_000_000, f"traced peak {peak} bytes"
 
 
+def test_cold_enumerate_imports_neither_dataclasses_nor_inspect(tmp_path):
+    # the value types are NamedTuples, not frozen dataclasses, so a fresh
+    # interpreter without site loads neither dataclasses nor inspect, which
+    # dataclasses imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        from cubicperiods.cli import main
+        code = main(["enumerate", "--conductor", "7", "--out", {str(tmp_path / "7.json")!r}])
+        print(code, *sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
 def test_csv_format(capsys):
     code, out, _ = run(capsys, ["verify", "--conductor", "9", "--format", "csv"])
     assert code == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import time
@@ -401,14 +400,12 @@ def test_kernel_character_rejects_another_kernel():
             if other == rec.matched_kernel:
                 continue
             with pytest.raises(MatchingFailure):
-                verify_kernel_character(dataclasses.replace(rec, matched_kernel=other))
+                verify_kernel_character(rec._replace(matched_kernel=other))
 
 
 def replace_factorization(rec, **changes):
     """A copy of a field record whose pair carries another factorization."""
-    return dataclasses.replace(
-        rec, representation=dataclasses.replace(rec.representation, **changes)
-    )
+    return rec._replace(representation=rec.representation._replace(**changes))
 
 
 def test_kernel_character_rejects_a_conjugated_prime_element():

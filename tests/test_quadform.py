@@ -16,6 +16,7 @@ from cubicperiods import (
 )
 from cubicperiods.arith import is_probable_prime
 from cubicperiods.eisenstein import ONE
+from cubicperiods.quadform import _check_pair
 
 
 def brute_force_pairs(f, wild: bool) -> set[tuple[int, int]]:
@@ -139,12 +140,8 @@ def test_shanks_params_roundtrip():
 
 
 def test_parity_guard():
-    # fabricate a corrupt pair bypassing the dataclass validation
-    rep = object.__new__(Representation)
-    object.__setattr__(rep, "M", 2)
-    object.__setattr__(rep, "N", 1)
-    object.__setattr__(rep, "M0", None)
-    object.__setattr__(rep, "conductor", validate_conductor(7))
+    # a corrupt pair: the constructor checks nothing
+    rep = Representation(2, 1, None, validate_conductor(7), ONE, ())
     with pytest.raises(ParityError):
         shanks_params(rep)
 
@@ -152,11 +149,7 @@ def test_parity_guard():
 def test_shanks_params_guard_survives_optimization():
     # M = 5, N = 1 has the right parity but gives delta = 13, not f = 7;
     # the check must raise a VerificationError even under python -O
-    rep = object.__new__(Representation)
-    object.__setattr__(rep, "M", 5)
-    object.__setattr__(rep, "N", 1)
-    object.__setattr__(rep, "M0", None)
-    object.__setattr__(rep, "conductor", validate_conductor(7))
+    rep = Representation(5, 1, None, validate_conductor(7), ONE, ())
     with pytest.raises(VerificationError, match="not the conductor 7"):
         shanks_params(rep)
 
@@ -164,4 +157,4 @@ def test_shanks_params_guard_survives_optimization():
 def test_representation_validates_fields():
     f = validate_conductor(7)
     with pytest.raises(ValueError):
-        Representation(2, 1, None, f, ONE, ())
+        _check_pair(Representation(2, 1, None, f, ONE, ()))
