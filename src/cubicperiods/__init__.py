@@ -58,7 +58,6 @@ from .errors import (
     NonIntegralCoefficient,
     NormalizationFailure,
     NotPrimitiveRoot,
-    ParityError,
     RelationFailure,
     ToleranceExceeded,
     VerificationError,

@@ -70,8 +70,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _enumerate_entry(r, sp, poly) -> dict:
-    # the coefficients of f_n for n = n1/n2; gcd(n1, n2) = 1 and n2 > 0 put
-    # -n1/n2 and -(n1 + 3*n2)/n2 in lowest terms
+    # the coefficients of f_n for n = n1/n2; gcd(n1, n2) = 1, which
+    # quadform._check_pair checks for every pair, and n2 > 0 put -n1/n2 and
+    # -(n1 + 3*n2)/n2 in lowest terms
     n1, n2 = sp.n1, sp.n2
     return {
         "M": r.M,

@@ -23,10 +23,6 @@ class CountMismatch(VerificationError):
     """An enumeration produced a different count than predicted."""
 
 
-class ParityError(VerificationError):
-    """M and N disagree mod 2, so (M - 3N)/2 is not an integer."""
-
-
 class FactorizationMismatch(VerificationError):
     """A product of extracted factors fails to reproduce its source."""
 

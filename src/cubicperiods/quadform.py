@@ -11,7 +11,9 @@ the factorization of f gives them all at O(nu log p + 2^nu) integer cost.
 Each pair keeps that factorization, the unit and the prime elements, for
 the character check of a wild field to read.
 The substitution n1 = (M - 3N)/2, n2 = N turns a pair into coprime
-parameters with n1^2 + 3*n1*n2 + 9*n2^2 = f.
+parameters with n1^2 + 3*n1*n2 + 9*n2^2 = f.  Each pair is checked once,
+where it is built (_check_pair); M0 and (n1, n2) are derived from it
+unchecked.
 """
 
 from __future__ import annotations
@@ -21,17 +23,11 @@ from typing import NamedTuple
 
 from .arith import Conductor, Kind
 from .eisenstein import EisensteinInt, rhs_elements
-from .errors import (
-    CongruenceFailure,
-    CountMismatch,
-    FactorizationMismatch,
-    IdentityFailure,
-    ParityError,
-)
+from .errors import CountMismatch, FactorizationMismatch
 
 
 class Representation(NamedTuple):
-    """One normalized pair (M, N); M0 = M/3 is set only in the wild case.
+    """One normalized pair (M, N); M0 = M/3 is derived, in the wild case only.
 
     (M + 3N*sqrt(-3))/2 = unit * prod(prime_elements), as rhs_elements built
     it: the unit is 1 when tame and 3*zeta3^(+-1) when wild, and there is one
@@ -45,35 +41,47 @@ class Representation(NamedTuple):
 
     M: int
     N: int
-    M0: int | None
     conductor: Conductor
     unit: EisensteinInt
     prime_elements: tuple[EisensteinInt, ...]
 
+    @property
+    def M0(self) -> int | None:
+        """M/3 when f is wild, None when tame."""
+        return self.M // 3 if self.conductor.is_wild else None
+
 
 def _check_pair(r: Representation) -> None:
-    """Raise ValueError unless r solves 4f = M^2 + 27N^2 and is normalized."""
+    """Raise ValueError unless r solves 4f = M^2 + 27N^2, is normalized and
+    gives coprime Shanks parameters; the one check of a pair.
+
+    What shanks_params derives, n1 = (M - 3N)/2 and n2 = N, then needs no
+    check of its own.  The equation forces M = N mod 2, since M^2 + 3N^2 is
+    0 mod 4, so n1 is an integer; and it is n1^2 + 3*n1*n2 + 9*n2^2 =
+    (M^2 + 27N^2)/4 = f.  As 2*n1 = M mod 3, n1 = 0 mod 3 exactly when
+    M = 0 mod 3, and then 2*n1/3 + n2 = M/3 = M0, so the wild normalization
+    is the wild congruence of (n1, n2).  Only gcd(n1, n2) = 1 is checked
+    here for its own sake: a common prime p of n1 and n2 puts p^2 in f.
+    """
     f = r.conductor
     if r.M * r.M + 27 * r.N * r.N != 4 * f.value:
         raise ValueError("(M, N) does not solve 4f = M^2 + 27N^2")
     if r.N <= 0:
         raise ValueError("N must be positive")
     if f.kind is Kind.TAME:
-        if r.M0 is not None or r.M % 3 != 2:
+        if r.M % 3 != 2:
             raise ValueError("tame normalization violated")
-    else:
-        if r.M0 is None or r.M != 3 * r.M0:
-            raise ValueError("wild pairs need M = 3*M0")
-        if r.M0 % 3 != 2 or r.N % 3 == 0:
-            raise ValueError("wild normalization violated")
+    elif r.M % 3 != 0 or r.M0 % 3 != 2 or r.N % 3 == 0:
+        raise ValueError("wild normalization violated")
+    if math.gcd((r.M - 3 * r.N) // 2, r.N) != 1:
+        raise ValueError("n1 and n2 are not coprime")
 
 
 class ShanksParams(NamedTuple):
-    """Coprime (n1, n2) with delta = n1^2 + 3*n1*n2 + 9*n2^2."""
+    """Coprime (n1, n2) with delta(n1, n2) = n1^2 + 3*n1*n2 + 9*n2^2 = f."""
 
     n1: int
     n2: int
-    delta: int
 
 
 def delta(n1: int, n2: int) -> int:
@@ -90,9 +98,7 @@ def representations(f: Conductor) -> list[Representation]:
     """
     found: list[Representation] = []
     for x, unit, prime_elements in rhs_elements(f):
-        m = 2 * x.a - x.b
-        m0 = m // 3 if f.is_wild else None
-        r = Representation(m, x.b // 3, m0, f, unit, prime_elements)
+        r = Representation(2 * x.a - x.b, x.b // 3, f, unit, prime_elements)
         try:
             _check_pair(r)
         except ValueError as exc:
@@ -109,21 +115,10 @@ def representations(f: Conductor) -> list[Representation]:
 
 
 def shanks_params(r: Representation) -> ShanksParams:
-    """Derive (n1, n2) = ((M - 3N)/2, N) from a representation."""
-    if (r.M - r.N) % 2 != 0:
-        # impossible for a genuine solution of 4f = M^2 + 27N^2
-        raise ParityError(f"M = {r.M} and N = {r.N} differ mod 2")
-    n1 = (r.M - 3 * r.N) // 2
-    n2 = r.N
-    d = delta(n1, n2)
-    if math.gcd(n1, n2) != 1:
-        raise IdentityFailure(f"n1 = {n1} and n2 = {n2} are not coprime")
-    if d != r.conductor.value:
-        raise IdentityFailure(
-            f"n1^2 + 3*n1*n2 + 9*n2^2 = {d}, not the conductor {r.conductor.value}"
-        )
-    if r.conductor.kind is Kind.WILD and (n1 % 3 != 0 or (2 * n1 // 3 + n2) % 3 != 2):
-        raise CongruenceFailure(
-            f"wild parameters ({n1}, {n2}) violate the mod-3 normalization"
-        )
-    return ShanksParams(n1, n2, d)
+    """Derive (n1, n2) = ((M - 3N)/2, N) from a representation.
+
+    It checks nothing: _check_pair has checked every pair that
+    representations builds, and its docstring shows why n1 is an integer,
+    delta(n1, n2) = f and the wild congruence hold.
+    """
+    return ShanksParams((r.M - 3 * r.N) // 2, r.N)

@@ -85,6 +85,10 @@ def test_moved_checks_raise_under_optimization():
         f = arith.Conductor(7, arith.Kind.TAME, (7,), 1)
         quadform.rhs_elements = lambda f: [(EisensteinInt(4, 3), ONE, ())]
         print(outcome(quadform.representations, f))
+        # 28 + 21*zeta3 gives (M, N) = (35, 7) and n1 = n2 = 7 for 637 = 7^2*13
+        f = arith.Conductor(637, arith.Kind.TAME, (7, 13), 2)
+        quadform.rhs_elements = lambda f: [(EisensteinInt(28, 21), ONE, ())]
+        print(outcome(quadform.representations, f))
         """
     )
     proc = subprocess.run(
@@ -97,4 +101,6 @@ def test_moved_checks_raise_under_optimization():
         "ValueError: inconsistent Conductor fields",
         "FactorizationMismatch: conductor 7: EisensteinInt(a=4, b=3) gives no "
         "normalized pair ((M, N) does not solve 4f = M^2 + 27N^2)",
+        "FactorizationMismatch: conductor 637: EisensteinInt(a=28, b=21) gives no "
+        "normalized pair (n1 and n2 are not coprime)",
     ]

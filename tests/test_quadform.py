@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicperiods import (
+    Conductor,
     Kind,
-    ParityError,
     Representation,
-    VerificationError,
     conductors_up_to,
+    delta,
     representations,
     shanks_params,
     validate_conductor,
@@ -111,7 +111,16 @@ def conductors(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(conductors())
 def test_representations_match_search_on_random_conductors(search_oracle, cond):
-    assert [(r.M, r.N) for r in representations(cond)] == search_oracle(cond)
+    reps = representations(cond)
+    assert [(r.M, r.N) for r in reps] == search_oracle(cond)
+    # the facts _check_pair implies and shanks_params no longer re-checks
+    for r in reps:
+        n1, n2 = shanks_params(r)
+        assert delta(n1, n2) == cond.value
+        assert math.gcd(n1, n2) == 1
+        if cond.is_wild:
+            assert n1 % 3 == 0
+            assert (2 * n1 // 3 + n2) % 3 == 2
 
 
 @pytest.mark.parametrize(
@@ -126,7 +135,7 @@ def test_shanks_params_examples(f, MN, expected):
     cond = validate_conductor(f)
     rep = next(r for r in representations(cond) if (r.M, r.N) == MN)
     sp = shanks_params(rep)
-    assert (sp.n1, sp.n2, sp.delta) == expected
+    assert (sp.n1, sp.n2, delta(sp.n1, sp.n2)) == expected
 
 
 def test_shanks_params_roundtrip():
@@ -136,25 +145,15 @@ def test_shanks_params_roundtrip():
             assert 2 * sp.n1 + 3 * sp.n2 == rep.M
             assert sp.n2 == rep.N
             assert math.gcd(sp.n1, sp.n2) == 1
-            assert sp.delta == cond.value
-
-
-def test_parity_guard():
-    # a corrupt pair: the constructor checks nothing
-    rep = Representation(2, 1, None, validate_conductor(7), ONE, ())
-    with pytest.raises(ParityError):
-        shanks_params(rep)
-
-
-def test_shanks_params_guard_survives_optimization():
-    # M = 5, N = 1 has the right parity but gives delta = 13, not f = 7;
-    # the check must raise a VerificationError even under python -O
-    rep = Representation(5, 1, None, validate_conductor(7), ONE, ())
-    with pytest.raises(VerificationError, match="not the conductor 7"):
-        shanks_params(rep)
+            assert delta(sp.n1, sp.n2) == cond.value
 
 
 def test_representation_validates_fields():
     f = validate_conductor(7)
     with pytest.raises(ValueError):
-        _check_pair(Representation(2, 1, None, f, ONE, ()))
+        _check_pair(Representation(2, 1, f, ONE, ()))
+    # 35^2 + 27*7^2 = 4*637 with 35 = 2 mod 3, but n1 = n2 = 7; 637 = 7^2*13
+    # is no conductor, so the Conductor is built by hand
+    f637 = Conductor(637, Kind.TAME, (7, 13), 2)
+    with pytest.raises(ValueError, match="coprime"):
+        _check_pair(Representation(35, 7, f637, ONE, ()))
