@@ -9,6 +9,10 @@ the CRT components of the conductor (Jacobi sums in Z[zeta3]), matches the
 two routes by integer equality, and verifies the linear relation between
 the periods and the roots of the cubics, exactly where the statement is
 exact and to a certified tolerance where it is numeric.
+
+The package holds what its four commands (enumerate, verify, scan, table)
+run; algebra they do not reach, such as group-ring arithmetic and an
+irreducibility test, lives in the tests as oracles.
 """
 
 from .arith import (
@@ -25,9 +29,6 @@ from .cubicpoly import (
     RationalCubic,
     affine_relation,
     cubic_discriminant,
-    discriminant_check,
-    is_irreducible_cubic,
-    irreducibility_criterion,
     period_poly_formula,
     shanks_poly,
     substitute_affine,
@@ -62,15 +63,7 @@ from .errors import (
     ToleranceExceeded,
     VerificationError,
 )
-from .groupring import (
-    ConjugateVector,
-    GroupRingElement,
-    apply,
-    gr_mul,
-    idempotents,
-    unit_list_p3,
-    verify_generators,
-)
+from .groupring import verify_generators
 from .periods import (
     DEFAULT_TOLERANCE,
     FieldRecord,
@@ -84,7 +77,7 @@ from .periods import (
     verify_period_relation,
     verify_sign_congruences,
 )
-from .quadform import Representation, ShanksParams, delta, representations, shanks_params
+from .quadform import Representation, ShanksParams, representations, shanks_params
 from .verdicts import Verdict
 
 __version__ = "0.1.0"

@@ -155,10 +155,6 @@ class Factorization(NamedTuple):
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
     def exponent_of(self, p: int) -> int:
         for q, e in self.factors:
             if q == p:
@@ -233,16 +229,15 @@ class Conductor(NamedTuple):
     value: int
     kind: Kind
     odd_primes: tuple[int, ...]
-    nu: int
+
+    @property
+    def nu(self) -> int:
+        """Number of primes of f other than 3."""
+        return len(self.odd_primes)
 
     @property
     def is_wild(self) -> bool:
         return self.kind is Kind.WILD
-
-    @property
-    def odd_part(self) -> int:
-        """Product of the odd prime factors other than 3 (value/9 when wild)."""
-        return math.prod(self.odd_primes)
 
     @property
     def mu(self) -> int:
@@ -298,7 +293,7 @@ def validate_conductor(f: int) -> Conductor:
     if math.prod(odd_primes) * 3**three_part != f:
         raise ValueError("inconsistent Conductor fields")
     kind = Kind.WILD if three_part else Kind.TAME
-    return Conductor(f, kind, tuple(odd_primes), len(odd_primes))
+    return Conductor(f, kind, tuple(odd_primes))
 
 
 def _component_moduli(f: Conductor) -> list[int]:
@@ -351,10 +346,3 @@ def conductors_up_to(
         except InvalidConductor:
             continue
     return out
-
-
-def euler_phi(fac: Factorization) -> int:
-    phi = 1
-    for p, e in fac.factors:
-        phi *= (p - 1) * p ** (e - 1)
-    return phi

@@ -1,5 +1,6 @@
 """Exact rational cubics: the one-parameter family f_n, period polynomials,
-affine substitution, and the identity tying the two together.
+affine substitution, the identity tying the two together, and the
+discriminant by which periods.real_roots_cubic decides realness.
 
 f_n(X) = X^3 - n*X^2 - (n+3)*X - 1 is generic for cyclic cubic fields and
 has square discriminant (n^2 + 3n + 9)^2.  For a conductor f with pair
@@ -18,9 +19,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Conductor, Kind, factorize, moebius
+from .arith import Conductor, Kind
 from .errors import IdentityFailure, NonIntegralCoefficient
-from .quadform import ShanksParams, delta
+from .quadform import ShanksParams
 from .verdicts import Verdict
 
 
@@ -36,9 +37,6 @@ class RationalCubic(NamedTuple):
     def coefficients(self) -> tuple[int | Fraction, ...]:
         """Coefficients in descending degree order."""
         return (self.c3, self.c2, self.c1, self.c0)
-
-    def evaluate(self, x):
-        return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
 
     def scale(self, k: int | Fraction) -> "RationalCubic":
         return RationalCubic(self.c3 * k, self.c2 * k, self.c1 * k, self.c0 * k)
@@ -132,48 +130,6 @@ def verify_main_identity(f: Conductor, sp: ShanksParams) -> Verdict:
     return Verdict("main_identity", data={"lhs": lhs, "rhs": rhs})
 
 
-def _divisors(n: int) -> list[int]:
-    fac = factorize(n)
-    divs = [1]
-    for p, e in fac.factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def is_irreducible_cubic(p: RationalCubic) -> bool:
-    """Rational-root test; for a cubic this decides irreducibility over Q."""
-    if p.c3 == 0:
-        raise ValueError("degree must be exactly 3")
-    den = math.lcm(*(c.denominator for c in p.coefficients()))
-    ints = [int(c * den) for c in p.coefficients()]
-    g = math.gcd(*ints)
-    a3, a2, a1, a0 = (c // g for c in ints)
-    if a0 == 0:
-        return False
-    for num in _divisors(abs(a0)):
-        for d in _divisors(abs(a3)):
-            if math.gcd(num, d) != 1:
-                continue
-            for root in (Fraction(num, d), Fraction(-num, d)):
-                if ((a3 * root + a2) * root + a1) * root + a0 == 0:
-                    return False
-    return True
-
-
-def irreducibility_criterion(n1: int, n2: int) -> bool:
-    """True when 3 | n1, the form value has 3-adic valuation exactly 2, and
-    its ninth is squarefree; these conditions force f_n irreducible for
-    n = n1/n2 (Eisenstein's criterion applies after clearing denominators)."""
-    if math.gcd(n1, n2) != 1:
-        raise ValueError("n1 and n2 must be coprime")
-    if n1 % 3 != 0:
-        return False
-    d = delta(n1, n2)
-    if d % 9 != 0 or (d // 9) % 3 == 0:
-        return False
-    return moebius(d // 9) != 0
-
-
 def cubic_discriminant(p: RationalCubic) -> int | Fraction:
     a, b, c, d = p.coefficients()
     return (
@@ -183,12 +139,3 @@ def cubic_discriminant(p: RationalCubic) -> int | Fraction:
         - 4 * a * c**3
         - 27 * a * a * d * d
     )
-
-
-def discriminant_check(n: int | Fraction) -> Verdict:
-    """disc(f_n) = (n^2 + 3n + 9)^2, exactly."""
-    disc = cubic_discriminant(shanks_poly(n))
-    expected = (n * n + 3 * n + 9) ** 2
-    if disc != expected:
-        raise IdentityFailure(f"disc(f_{n}) = {disc} but (n^2+3n+9)^2 = {expected}")
-    return Verdict("discriminant", data={"value": disc})

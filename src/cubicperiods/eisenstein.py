@@ -103,9 +103,6 @@ class EisensteinInt(NamedTuple):
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def to_complex(self) -> complex:
         return complex(self.a - self.b / 2.0, self.b * _SQRT3_2)
 

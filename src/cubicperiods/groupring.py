@@ -1,19 +1,20 @@
-"""Group-ring arithmetic over Q for a cyclic group of order three.
+"""Generator checks of a wild cyclic cubic field.
 
-Elements c0 + c1*s + c2*s^2 multiply by cyclic convolution (s^3 = 1).  The
-averaging idempotent e1 = (1 + s + s^2)/3 and its complement (2 - s - s^2)/3
-split the algebra; 1 - 2*e1 is an involution.  The unit group relevant to
-ring-of-integers generators is {+-s^i} in the tame case and gains the
-factor 1 - 2*e1 in the wild case, for twelve units total.  The generator
-checks of a wild field run in integer arithmetic; periods.match_fields
-calls them on every wild record, so this module reads FieldRecord only
-as a type.
+The Galois group <s> has order three.  In its group ring over Q the units
+that carry one ring-of-integers generator to another are +-s^i and, when 3
+ramifies wildly, also +-(1 - 2*e1)*s^i, with e1 = (1 + s + s^2)/3 the
+averaging idempotent: twelve units.  On alpha + 1 with alpha of trace zero,
+s^i acts as the conjugation alpha -> alpha^(i) and 1 - 2*e1 as
+x -> x - 2*Tr(x)/3, which sends alpha + 1 to alpha - 1, so the twelve
+images of alpha + 1 are +-alpha^(i) +- 1.  verify_generators inlines that
+action: it compares each period plus one with those twelve numbers and
+builds no group-ring element.  periods.match_fields calls it on every wild
+record, so this module reads FieldRecord only as a type.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .arith import Kind
 from .cubicpoly import RationalCubic, affine_relation, substitute_affine
@@ -23,91 +24,6 @@ from .verdicts import DEFAULT_TOLERANCE, Verdict
 
 if TYPE_CHECKING:
     from .periods import FieldRecord
-
-
-class GroupRingElement(NamedTuple):
-    c0: int | Fraction
-    c1: int | Fraction
-    c2: int | Fraction
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return GroupRingElement(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return GroupRingElement(self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(-self.c0, -self.c1, -self.c2)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GroupRingElement(self.c0 * other, self.c1 * other, self.c2 * other)
-        return gr_mul(self, other)
-
-    __rmul__ = __mul__
-
-
-ONE = GroupRingElement(1, 0, 0)
-SIGMA = GroupRingElement(0, 1, 0)
-SIGMA_SQ = GroupRingElement(0, 0, 1)
-
-
-def gr_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
-    """Cyclic convolution of coefficients."""
-    return GroupRingElement(
-        x.c0 * y.c0 + x.c1 * y.c2 + x.c2 * y.c1,
-        x.c0 * y.c1 + x.c1 * y.c0 + x.c2 * y.c2,
-        x.c0 * y.c2 + x.c1 * y.c1 + x.c2 * y.c0,
-    )
-
-
-def idempotents() -> tuple[GroupRingElement, GroupRingElement]:
-    """(e1, ef) with e1 the averaging idempotent; they are orthogonal and sum to 1."""
-    e1 = GroupRingElement(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    ef = GroupRingElement(Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
-    return e1, ef
-
-
-def unit_list_p3(wild: bool) -> list[GroupRingElement]:
-    """Units of the relevant order: 6 elements, or 12 when wild.
-
-    Closure under multiplication and the presence of every inverse are
-    checked before returning.
-    """
-    e1, _ = idempotents()
-    flip = ONE - 2 * e1
-    powers = [ONE, SIGMA, SIGMA_SQ]
-    units = [sign * p for sign in (1, -1) for p in powers]
-    if wild:
-        units += [sign * (flip * p) for sign in (1, -1) for p in powers]
-    for x in units:
-        if not any(gr_mul(x, y) == ONE for y in units):
-            raise GeneratorFailure(f"{x} has no inverse in the unit list")
-        for y in units:
-            if gr_mul(x, y) not in units:
-                raise GeneratorFailure(f"{x} * {y} leaves the unit list")
-    return units
-
-
-class ConjugateVector(NamedTuple):
-    """(x, s(x), s^2(x)) for an algebraic number x of a matched field."""
-
-    x0: float
-    x1: float
-    x2: float
-
-    def values(self) -> tuple[float, float, float]:
-        return (self.x0, self.x1, self.x2)
-
-
-def apply(x: GroupRingElement, v: ConjugateVector) -> ConjugateVector:
-    """Linear action: s shifts coordinates cyclically."""
-    c0, c1, c2 = float(x.c0), float(x.c1), float(x.c2)
-    return ConjugateVector(
-        c0 * v.x0 + c1 * v.x1 + c2 * v.x2,
-        c0 * v.x1 + c1 * v.x2 + c2 * v.x0,
-        c0 * v.x2 + c1 * v.x0 + c2 * v.x1,
-    )
 
 
 def generator_polys(

@@ -78,14 +78,10 @@ def _check_pair(r: Representation) -> None:
 
 
 class ShanksParams(NamedTuple):
-    """Coprime (n1, n2) with delta(n1, n2) = n1^2 + 3*n1*n2 + 9*n2^2 = f."""
+    """Coprime (n1, n2) with n1^2 + 3*n1*n2 + 9*n2^2 = f."""
 
     n1: int
     n2: int
-
-
-def delta(n1: int, n2: int) -> int:
-    return n1 * n1 + 3 * n1 * n2 + 9 * n2 * n2
 
 
 def representations(f: Conductor) -> list[Representation]:
@@ -119,6 +115,6 @@ def shanks_params(r: Representation) -> ShanksParams:
 
     It checks nothing: _check_pair has checked every pair that
     representations builds, and its docstring shows why n1 is an integer,
-    delta(n1, n2) = f and the wild congruence hold.
+    n1^2 + 3*n1*n2 + 9*n2^2 = f and the wild congruence hold.
     """
     return ShanksParams((r.M - 3 * r.N) // 2, r.N)

@@ -2,25 +2,28 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
 from cubicperiods import (
     CountMismatch,
     FactorizationMismatch,
+    GeneratorFailure,
     Kind,
     RationalCubic,
     affine_relation,
     conductors_up_to,
     factorize,
     match_fields,
+    moebius,
     period_poly_formula,
     shanks_poly,
     substitute_affine,
 )
-from cubicperiods.arith import _component_moduli, _generator, euler_phi
+from cubicperiods.arith import _component_moduli, _generator
 from cubicperiods.eisenstein import (
-    ONE,
     UNITS,
     ZETA,
     ZETA_SQ,
@@ -30,6 +33,13 @@ from cubicperiods.eisenstein import (
 )
 
 BOUND = 10_000
+
+
+def euler_phi(fac) -> int:
+    phi = 1
+    for p, e in fac.factors:
+        phi *= (p - 1) * p ** (e - 1)
+    return phi
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ def gaussian_sum(q: int, e: int) -> complex:
     total = 0j
     for r, units in enumerate(index_classes(q)):
         angles = [step * a for a in units]
-        zeta_power = (ONE, ZETA, ZETA_SQ)[e * r % 3].to_complex()
+        zeta_power = UNITS[e * r % 3].to_complex()  # zeta3^(e*r)
         total += zeta_power * complex(
             math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles))
         )
@@ -162,7 +172,7 @@ def nine_count_jacobi():
 
 def exact_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
     """x / y in Z[zeta3] when y divides x exactly; ValueError otherwise."""
-    if y.is_zero():
+    if y == EisensteinInt(0, 0):
         raise ZeroDivisionError("division by zero in Z[zeta3]")
     num = x * y.conjugate()
     n = y.norm()
@@ -181,7 +191,7 @@ def _round_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
 def canonical_associate(x: EisensteinInt) -> EisensteinInt:
     """The associate with a > 0 and smallest b >= 0 (zero maps to zero), so
     that gcd output is deterministic."""
-    if x.is_zero():
+    if x == EisensteinInt(0, 0):
         return x
     candidates = [y for y in (u * x for u in UNITS) if y.a > 0 and y.b >= 0]
     return min(candidates, key=lambda c: (c.b, c.a))
@@ -189,9 +199,9 @@ def canonical_associate(x: EisensteinInt) -> EisensteinInt:
 
 def eis_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
     """Euclidean gcd in the norm-Euclidean Z[zeta3], as the canonical associate."""
-    if x.is_zero() and y.is_zero():
+    if x == EisensteinInt(0, 0) and y == EisensteinInt(0, 0):
         raise ValueError("gcd(0, 0) is undefined")
-    while not y.is_zero():
+    while y != EisensteinInt(0, 0):
         x, y = y, x - _round_div(x, y) * y
     return canonical_associate(x)
 
@@ -313,6 +323,167 @@ def fraction_identities(cond, sp) -> dict:
 def fraction_oracle():
     """fraction_identities(cond, sp): the exact identities in Fraction arithmetic."""
     return fraction_identities
+
+
+class GroupRingElement(NamedTuple):
+    """c0 + c1*s + c2*s^2 in the group ring over Q of a cyclic group <s> of
+    order three; elements multiply by cyclic convolution (s^3 = 1)."""
+
+    c0: int | Fraction
+    c1: int | Fraction
+    c2: int | Fraction
+
+    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        return GroupRingElement(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+
+    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
+        return GroupRingElement(self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GroupRingElement(self.c0 * other, self.c1 * other, self.c2 * other)
+        return gr_mul(self, other)
+
+    __rmul__ = __mul__
+
+
+ONE = GroupRingElement(1, 0, 0)
+SIGMA = GroupRingElement(0, 1, 0)
+SIGMA_SQ = GroupRingElement(0, 0, 1)
+
+
+def gr_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
+    """Cyclic convolution of coefficients."""
+    return GroupRingElement(
+        x.c0 * y.c0 + x.c1 * y.c2 + x.c2 * y.c1,
+        x.c0 * y.c1 + x.c1 * y.c0 + x.c2 * y.c2,
+        x.c0 * y.c2 + x.c1 * y.c1 + x.c2 * y.c0,
+    )
+
+
+def idempotents() -> tuple[GroupRingElement, GroupRingElement]:
+    """(e1, ef) with e1 the averaging idempotent; they are orthogonal and sum to 1."""
+    e1 = GroupRingElement(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    ef = GroupRingElement(Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
+    return e1, ef
+
+
+def unit_list_p3(wild: bool) -> list[GroupRingElement]:
+    """Units of the relevant order: 6 elements, or 12 when wild.
+
+    Closure under multiplication and the presence of every inverse are
+    checked before returning.
+    """
+    e1, _ = idempotents()
+    flip = ONE - 2 * e1
+    powers = [ONE, SIGMA, SIGMA_SQ]
+    units = [sign * p for sign in (1, -1) for p in powers]
+    if wild:
+        units += [sign * (flip * p) for sign in (1, -1) for p in powers]
+    for x in units:
+        if not any(gr_mul(x, y) == ONE for y in units):
+            raise GeneratorFailure(f"{x} has no inverse in the unit list")
+        for y in units:
+            if gr_mul(x, y) not in units:
+                raise GeneratorFailure(f"{x} * {y} leaves the unit list")
+    return units
+
+
+class ConjugateVector(NamedTuple):
+    """(x, s(x), s^2(x)) for an algebraic number x of a matched field."""
+
+    x0: float
+    x1: float
+    x2: float
+
+    def values(self) -> tuple[float, float, float]:
+        return (self.x0, self.x1, self.x2)
+
+
+def apply(x: GroupRingElement, v: ConjugateVector) -> ConjugateVector:
+    """Linear action: s shifts coordinates cyclically."""
+    c0, c1, c2 = float(x.c0), float(x.c1), float(x.c2)
+    return ConjugateVector(
+        c0 * v.x0 + c1 * v.x1 + c2 * v.x2,
+        c0 * v.x1 + c1 * v.x2 + c2 * v.x0,
+        c0 * v.x2 + c1 * v.x0 + c2 * v.x1,
+    )
+
+
+@pytest.fixture(scope="session")
+def group_ring():
+    """Oracle: the group ring of <s>, with the units and the action on
+    conjugates whose effect verify_generators inlines."""
+    return SimpleNamespace(
+        GroupRingElement=GroupRingElement,
+        ONE=ONE,
+        SIGMA=SIGMA,
+        SIGMA_SQ=SIGMA_SQ,
+        gr_mul=gr_mul,
+        idempotents=idempotents,
+        unit_list_p3=unit_list_p3,
+        ConjugateVector=ConjugateVector,
+        apply=apply,
+    )
+
+
+def delta(n1: int, n2: int) -> int:
+    return n1 * n1 + 3 * n1 * n2 + 9 * n2 * n2
+
+
+@pytest.fixture(scope="session", name="delta")
+def delta_fixture():
+    """delta(n1, n2) = n1^2 + 3*n1*n2 + 9*n2^2, which is f for every pair."""
+    return delta
+
+
+def _divisors(n: int) -> list[int]:
+    fac = factorize(n)
+    divs = [1]
+    for p, e in fac.factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def is_irreducible_cubic(p: RationalCubic) -> bool:
+    """Rational-root test; for a cubic this decides irreducibility over Q."""
+    if p.c3 == 0:
+        raise ValueError("degree must be exactly 3")
+    den = math.lcm(*(c.denominator for c in p.coefficients()))
+    ints = [int(c * den) for c in p.coefficients()]
+    g = math.gcd(*ints)
+    a3, a2, a1, a0 = (c // g for c in ints)
+    if a0 == 0:
+        return False
+    for num in _divisors(abs(a0)):
+        for d in _divisors(abs(a3)):
+            if math.gcd(num, d) != 1:
+                continue
+            for root in (Fraction(num, d), Fraction(-num, d)):
+                if ((a3 * root + a2) * root + a1) * root + a0 == 0:
+                    return False
+    return True
+
+
+def irreducibility_criterion(n1: int, n2: int) -> bool:
+    """True when 3 | n1, the form value has 3-adic valuation exactly 2, and
+    its ninth is squarefree; these conditions force f_n irreducible for
+    n = n1/n2 (Eisenstein's criterion applies after clearing denominators)."""
+    if math.gcd(n1, n2) != 1:
+        raise ValueError("n1 and n2 must be coprime")
+    if n1 % 3 != 0:
+        return False
+    d = delta(n1, n2)
+    if d % 9 != 0 or (d // 9) % 3 == 0:
+        return False
+    return moebius(d // 9) != 0
+
+
+@pytest.fixture(scope="session")
+def irreducibility():
+    """(is_irreducible_cubic, irreducibility_criterion): the rational-root
+    test and the Eisenstein-type sufficient condition on (n1, n2)."""
+    return is_irreducible_cubic, irreducibility_criterion
 
 
 def search_pairs(cond) -> list[tuple[int, int]]:

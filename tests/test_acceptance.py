@@ -12,14 +12,8 @@ from fractions import Fraction
 import pytest
 
 from cubicperiods import (
-    ConjugateVector,
     Kind,
     RationalCubic,
-    apply,
-    gr_mul,
-    idempotents,
-    is_irreducible_cubic,
-    irreducibility_criterion,
     moebius,
     primitive_cubic_kernels,
     real_roots_cubic,
@@ -27,12 +21,10 @@ from cubicperiods import (
     shanks_params,
     shanks_poly,
     substitute_affine,
-    unit_list_p3,
     verify_main_identity,
     verify_sign_congruences,
 )
 from cubicperiods.cli import main
-from cubicperiods.groupring import ONE
 
 BOUND = 10_000
 TOLERANCE = 1e-6
@@ -145,7 +137,10 @@ def test_criterion_7_sign_congruences(conductors_10k, all_records_10k):
         assert count > 0
 
 
-def test_criterion_8_group_ring_suite(all_records_10k):
+def test_criterion_8_group_ring_suite(all_records_10k, group_ring):
+    ONE, ConjugateVector = group_ring.ONE, group_ring.ConjugateVector
+    apply, gr_mul = group_ring.apply, group_ring.gr_mul
+    idempotents, unit_list_p3 = group_ring.idempotents, group_ring.unit_list_p3
     with criterion(8, "group-ring units and generator action on wild records <= 10^3"):
         tame_units = unit_list_p3(wild=False)
         wild_units = unit_list_p3(wild=True)
@@ -190,7 +185,8 @@ def test_criterion_9a_moebius_sieve():
             assert moebius(m) == mu[m], m
 
 
-def test_criterion_9b_irreducibility_implication(conductors_10k):
+def test_criterion_9b_irreducibility_implication(conductors_10k, irreducibility):
+    is_irreducible_cubic, irreducibility_criterion = irreducibility
     with criterion(9, f"irreducibility criterion implies no rational root, pairs <= {BOUND}"):
         for cond in conductors_10k:
             for rep in representations(cond):

@@ -52,7 +52,8 @@ def test_factorize_roundtrip():
         fac = factorize(m)
         assert math.prod(p**e for p, e in fac.factors) == m
         assert all(e >= 1 for _, e in fac.factors)
-        assert list(fac.primes) == sorted(fac.primes)
+        primes = [p for p, _ in fac.factors]
+        assert primes == sorted(primes)
 
 
 def test_factorize_beyond_sieve():
@@ -240,7 +241,7 @@ def test_moebius_matches_factorize_beyond_prime_table(m, expected):
     assert _PRIME_BOUND < 4099 and m > _PRIME_BOUND**2
     fac = factorize(m)
     assert math.prod(p**e for p, e in fac.factors) == m
-    assert all(is_probable_prime(p) for p in fac.primes)
+    assert all(is_probable_prime(p) for p, _ in fac.factors)
     from_factors = (-1) ** len(fac.factors) if fac.is_squarefree() else 0
     assert moebius(m) == from_factors == expected
 
@@ -250,7 +251,7 @@ def test_validate_819():
     assert cond.kind is Kind.WILD
     assert cond.nu == 2
     assert cond.odd_primes == (7, 13)
-    assert cond.odd_part == 91
+    assert math.prod(cond.odd_primes) == 91
 
 
 def test_validate_nine_is_wild_with_no_odd_primes():
@@ -292,7 +293,7 @@ def test_conductor_mu_and_field_count(f, mu, count):
 
 def test_conductor_mu_is_moebius_of_the_odd_part(conductors_10k):
     for cond in conductors_10k:
-        assert cond.mu == moebius(cond.odd_part), cond.value
+        assert cond.mu == moebius(math.prod(cond.odd_primes)), cond.value
 
 
 def _conductor_oracle(f: int) -> bool:

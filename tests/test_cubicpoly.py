@@ -9,10 +9,6 @@ from cubicperiods import (
     affine_relation,
     conductors_up_to,
     cubic_discriminant,
-    delta,
-    discriminant_check,
-    is_irreducible_cubic,
-    irreducibility_criterion,
     period_poly_formula,
     representations,
     shanks_params,
@@ -109,13 +105,14 @@ def test_main_identity_exhaustive():
             verify_main_identity(cond, shanks_params(rep))
 
 
-def test_delta_examples():
+def test_delta_examples(delta):
     assert delta(18, 5) == 819
     assert delta(0, 1) == 9
     assert delta(-2, 1) == 7
 
 
-def test_irreducibility():
+def test_irreducibility(irreducibility):
+    is_irreducible_cubic, _ = irreducibility
     assert is_irreducible_cubic(C(1, 0, -3, -1))
     assert not is_irreducible_cubic(C(1, 0, -1, 0))
     assert is_irreducible_cubic(shanks_poly(Fraction(18, 5)))
@@ -124,7 +121,8 @@ def test_irreducibility():
         is_irreducible_cubic(C(0, 1, 0, 0))
 
 
-def test_irreducibility_catches_rational_root():
+def test_irreducibility_catches_rational_root(irreducibility):
+    is_irreducible_cubic, _ = irreducibility
     # (2X - 1)(X^2 + X + 1) = 2X^3 + X^2 + X - 1
     assert not is_irreducible_cubic(C(2, 1, 1, -1))
 
@@ -132,16 +130,19 @@ def test_irreducibility_catches_rational_root():
 @pytest.mark.parametrize(
     "n1,n2,expected", [(18, 5, True), (-2, 1, False), (-3, 1, True), (3, 1, False)]
 )
-def test_irreducibility_criterion(n1, n2, expected):
+def test_irreducibility_criterion(irreducibility, n1, n2, expected):
+    _, irreducibility_criterion = irreducibility
     assert irreducibility_criterion(n1, n2) is expected
 
 
-def test_irreducibility_criterion_rejects_non_coprime():
+def test_irreducibility_criterion_rejects_non_coprime(irreducibility):
+    _, irreducibility_criterion = irreducibility
     with pytest.raises(ValueError):
         irreducibility_criterion(6, 3)
 
 
-def test_irreducibility_criterion_implies_irreducible():
+def test_irreducibility_criterion_implies_irreducible(irreducibility):
+    is_irreducible_cubic, irreducibility_criterion = irreducibility
     for cond in conductors_up_to(2000):
         for rep in representations(cond):
             sp = shanks_params(rep)
@@ -154,9 +155,8 @@ def test_irreducibility_criterion_implies_irreducible():
 
 def test_discriminant_examples():
     assert cubic_discriminant(C(1, 0, -3, -1)) == 81
-    discriminant_check(0)
-    discriminant_check(Fraction(18, 5))
-    discriminant_check(-30)
+    for n in (0, Fraction(18, 5), -30):
+        assert cubic_discriminant(shanks_poly(n)) == (n * n + 3 * n + 9) ** 2
     assert cubic_discriminant(shanks_poly(Fraction(18, 5))) == Fraction(819, 25) ** 2
 
 

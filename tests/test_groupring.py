@@ -4,26 +4,22 @@ from fractions import Fraction
 import pytest
 
 from cubicperiods import (
-    ConjugateVector,
     GeneratorFailure,
-    GroupRingElement,
     RationalCubic,
-    apply,
-    gr_mul,
-    idempotents,
     match_fields,
     real_roots_cubic,
     shanks_poly,
     substitute_affine,
-    unit_list_p3,
     validate_conductor,
     verify_generators,
 )
 from cubicperiods import groupring
-from cubicperiods.groupring import ONE, SIGMA, SIGMA_SQ
 
 
-def test_gr_mul_examples():
+def test_gr_mul_examples(group_ring):
+    ONE, SIGMA, SIGMA_SQ = group_ring.ONE, group_ring.SIGMA, group_ring.SIGMA_SQ
+    GroupRingElement, gr_mul = group_ring.GroupRingElement, group_ring.gr_mul
+    idempotents = group_ring.idempotents
     assert gr_mul(SIGMA, SIGMA_SQ) == ONE
     e1, ef = idempotents()
     assert gr_mul(e1, e1) == e1
@@ -34,7 +30,8 @@ def test_gr_mul_examples():
     assert gr_mul(flip, flip) == ONE
 
 
-def test_ring_axioms_on_grid():
+def test_ring_axioms_on_grid(group_ring):
+    GroupRingElement, gr_mul = group_ring.GroupRingElement, group_ring.gr_mul
     vals = [Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2)]
     grid = [GroupRingElement(a, b, c) for a in vals for b in vals for c in vals][:20]
     for x in grid:
@@ -45,7 +42,8 @@ def test_ring_axioms_on_grid():
                 assert gr_mul(x, y + z) == gr_mul(x, y) + gr_mul(x, z)
 
 
-def test_unit_lists():
+def test_unit_lists(group_ring):
+    ONE, gr_mul, unit_list_p3 = group_ring.ONE, group_ring.gr_mul, group_ring.unit_list_p3
     tame = unit_list_p3(wild=False)
     assert len(tame) == 6
     wild = unit_list_p3(wild=True)
@@ -66,7 +64,9 @@ def test_unit_lists():
     assert max(order(u) for u in wild) == 6
 
 
-def test_apply_examples():
+def test_apply_examples(group_ring):
+    ConjugateVector, ONE, SIGMA = group_ring.ConjugateVector, group_ring.ONE, group_ring.SIGMA
+    apply, idempotents = group_ring.apply, group_ring.idempotents
     v = ConjugateVector(1.0, 2.0, 3.0)
     assert apply(SIGMA, v).values() == (2.0, 3.0, 1.0)
     e1, _ = idempotents()
@@ -80,7 +80,9 @@ def test_apply_examples():
     )
 
 
-def test_apply_respects_multiplication():
+def test_apply_respects_multiplication(group_ring):
+    GroupRingElement, ConjugateVector = group_ring.GroupRingElement, group_ring.ConjugateVector
+    apply, gr_mul = group_ring.apply, group_ring.gr_mul
     rng = random.Random(99)
     for _ in range(100):
         x = GroupRingElement(*[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)])

@@ -11,6 +11,7 @@ from cubicperiods import (
     GAUSS_SUM_BUDGET,
     MR_BOUND,
     ComplexRoots,
+    CongruenceFailure,
     FactorizationMismatch,
     Kind,
     MatchingFailure,
@@ -286,8 +287,9 @@ def test_real_roots_examples():
         [1.5320888862, 0.3472963553, -1.8793852416], abs=1e-9
     )
     fn = shanks_poly(Fraction(18, 5))
+    c3, c2, c1, c0 = fn.coefficients()
     for rho in real_roots_cubic(fn):
-        assert abs(float(fn.evaluate(rho))) < 1e-9
+        assert abs(float(((c3 * rho + c2) * rho + c1) * rho + c0)) < 1e-9
 
 
 def test_real_roots_rejects_complex():
@@ -358,6 +360,15 @@ def test_sign_congruences():
     assert (-const - (-1) ** (0 + 1)) % 3 == 0
 
 
+@pytest.mark.parametrize("cond", [F9, F819, F15561], ids=lambda c: str(c.value))
+def test_sign_congruences_reject_a_negated_cube(cond):
+    # the period product comes from the Gaussian sum cube T, and -T negates it
+    for rec in match_fields(cond):
+        negated = rec.periods._replace(cube=-rec.periods.cube)
+        with pytest.raises(CongruenceFailure):
+            verify_sign_congruences(rec._replace(periods=negated))
+
+
 def test_sign_congruences_rejects_tame():
     (rec,) = match_fields(F7)
     with pytest.raises(ValueError):
@@ -400,7 +411,7 @@ def test_kernel_character_rejects_another_kernel():
             if other == rec.matched_kernel:
                 continue
             with pytest.raises(MatchingFailure):
-                verify_kernel_character(rec._replace(matched_kernel=other))
+                verify_kernel_character(rec._replace(periods=rec.periods._replace(kernel=other)))
 
 
 def replace_factorization(rec, **changes):

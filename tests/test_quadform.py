@@ -9,7 +9,6 @@ from cubicperiods import (
     Kind,
     Representation,
     conductors_up_to,
-    delta,
     representations,
     shanks_params,
     validate_conductor,
@@ -110,7 +109,7 @@ def conductors(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(conductors())
-def test_representations_match_search_on_random_conductors(search_oracle, cond):
+def test_representations_match_search_on_random_conductors(search_oracle, delta, cond):
     reps = representations(cond)
     assert [(r.M, r.N) for r in reps] == search_oracle(cond)
     # the facts _check_pair implies and shanks_params no longer re-checks
@@ -131,14 +130,14 @@ def test_representations_match_search_on_random_conductors(search_oracle, cond):
         (7, (-1, 1), (-2, 1, 7)),
     ],
 )
-def test_shanks_params_examples(f, MN, expected):
+def test_shanks_params_examples(delta, f, MN, expected):
     cond = validate_conductor(f)
     rep = next(r for r in representations(cond) if (r.M, r.N) == MN)
     sp = shanks_params(rep)
     assert (sp.n1, sp.n2, delta(sp.n1, sp.n2)) == expected
 
 
-def test_shanks_params_roundtrip():
+def test_shanks_params_roundtrip(delta):
     for cond in conductors_up_to(3000):
         for rep in representations(cond):
             sp = shanks_params(rep)
@@ -154,6 +153,6 @@ def test_representation_validates_fields():
         _check_pair(Representation(2, 1, f, ONE, ()))
     # 35^2 + 27*7^2 = 4*637 with 35 = 2 mod 3, but n1 = n2 = 7; 637 = 7^2*13
     # is no conductor, so the Conductor is built by hand
-    f637 = Conductor(637, Kind.TAME, (7, 13), 2)
+    f637 = Conductor(637, Kind.TAME, (7, 13))
     with pytest.raises(ValueError, match="coprime"):
         _check_pair(Representation(35, 7, f637, ONE, ()))
