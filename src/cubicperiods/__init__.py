@@ -6,7 +6,7 @@ For any valid conductor the package enumerates the normalized solutions of
 polynomials with exact integer arithmetic, builds the period polynomial of
 every kernel a second way, exactly, from the cubes of the Gaussian sums of
 the CRT components of the conductor (Jacobi sums in Z[zeta3]), matches the
-two routes by integer equality, and verifies the linear relation between
+two routes by the trace of each cube, and verifies the linear relation between
 the periods and the roots of the cubics, exactly where the statement is
 exact and to a certified tolerance where it is numeric.
 

@@ -69,11 +69,12 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _enumerate_entry(r, sp, poly) -> dict:
+def _enumerate_entry(r) -> dict:
     # the coefficients of f_n for n = n1/n2; gcd(n1, n2) = 1, which
     # quadform._check_pair checks for every pair, and n2 > 0 put -n1/n2 and
     # -(n1 + 3*n2)/n2 in lowest terms
-    n1, n2 = sp.n1, sp.n2
+    n1, n2 = shanks_params(r)
+    poly = period_poly_formula(r.conductor, r.M)
     return {
         "M": r.M,
         "N": r.N,
@@ -87,7 +88,7 @@ def _enumerate_entry(r, sp, poly) -> dict:
 
 
 def _field_entry(rec: FieldRecord) -> dict:
-    entry = _enumerate_entry(rec.representation, rec.shanks_params, rec.predicted_poly)
+    entry = _enumerate_entry(rec.representation)
     entry["periods"] = list(rec.periods.values())
     entry["verdicts"] = dict.fromkeys(rec.verdicts, True)
     entry["residual"] = rec.max_residual()
@@ -132,9 +133,7 @@ def verify_report(f: Conductor, tolerance: float) -> dict:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     f = validate_conductor(args.conductor)
-    entries = []
-    for r in representations(f):
-        entries.append(_enumerate_entry(r, shanks_params(r), period_poly_formula(f, r.M)))
+    entries = [_enumerate_entry(r) for r in representations(f)]
     report = {"conductor": f.value, "kind": f.kind.value, "fields": entries}
     notes = _conductor_notes(f)
     if notes:

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Conductor, Kind
+from .arith import Conductor
 from .errors import IdentityFailure, NonIntegralCoefficient
 from .quadform import ShanksParams
 from .verdicts import Verdict
@@ -66,7 +66,7 @@ def affine_relation(f: Conductor, n1: int) -> tuple[int, int]:
     The shift is (1 - n1)/3 in the tame case and -n1/3 in the wild case,
     with mu the Moebius value of f (tame) or f/9 (wild).
     """
-    numerator = 1 - n1 if f.kind is Kind.TAME else -n1
+    numerator = -n1 if f.is_wild else 1 - n1
     if numerator % 3 != 0:
         raise NonIntegralCoefficient(
             f"shift {numerator}/3 for f={f.value}, n1={n1} is not an integer"
@@ -81,7 +81,7 @@ def period_poly_formula(f: Conductor, M: int) -> RationalCubic:
     if rest or n_squared <= 0 or math.isqrt(n_squared) ** 2 != n_squared:
         raise ValueError(f"M = {M} does not solve 4f = M^2 + 27N^2 for f={v}")
     mu = f.mu
-    if f.kind is Kind.TAME:
+    if not f.is_wild:
         c2, c1, c0 = -mu, divmod(1 - v, 3), divmod(-mu * ((M - 3) * v + 1), 27)
     else:
         c2, c1, c0 = 0, divmod(-v, 3), divmod(-mu * v * M, 27)

@@ -103,6 +103,10 @@ class EisensteinInt(NamedTuple):
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
+    def trace(self) -> int:
+        """x + conj(x) = 2a - b."""
+        return 2 * self.a - self.b
+
     def to_complex(self) -> complex:
         return complex(self.a - self.b / 2.0, self.b * _SQRT3_2)
 

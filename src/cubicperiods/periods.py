@@ -23,11 +23,15 @@ e3 = t^3 + conj(t)^3 = Tr(T) for T = t^3, and the period polynomial is
 T is exact: the Gaussian sum factors over the components up to a cube
 root of unity, which the cube removes, so T is the product of the exact
 cubes tau_q^3 in Z[zeta3] (eisenstein.component_gauss_sums) and their
-conjugates.  Comparing this integer cubic with the closed-form period
-polynomial of each pair (M, N) gives a perfect matching between
-representations and kernels by integer equality; that matching is the
-central two-route consistency check of the package, with Jacobi sums on
-one side and the quadratic form on the other.  The float periods, which
+conjugates.  This cubic and the closed form of a pair (M, N) agree in X^2
+and X, and in the constant exactly when Tr(T) = m*f*M for m = Conductor.mu
+(mu(f) tame, mu(f/9) wild): the closed form's -27*c0 is m*((M - 3)*f + 1)
+when tame, where m^2 = 1, and m*f*M when wild.  So each kernel is matched
+to a pair by the trace of its cube, which pins T down to conjugation: for
+w = (M + 3N*sqrt(-3))/2, N(T) = |t|^6 = f^3 = N(m*f*w), and T is a root of
+X^2 - Tr(T)*X + N(T), so T is m*f*w or its conjugate.  That matching is
+the central two-route consistency check of the package, with Jacobi sums
+on one side and the quadratic form on the other.  The float periods, which
 the period relation and the generator checks compare with roots of the
 Shanks cubics, come from a cube root of T in O(1) per kernel.
 """
@@ -40,7 +44,7 @@ import sys
 from itertools import product
 from typing import NamedTuple
 
-from .arith import Conductor, Kind, _component_moduli
+from .arith import Conductor, _component_moduli
 from .cubicpoly import (
     RationalCubic,
     affine_relation,
@@ -85,13 +89,12 @@ class PeriodTriple(NamedTuple):
 
 
 class FieldRecord(NamedTuple):
-    """One cyclic cubic field: pair, parameters, polynomial, periods, the
-    roots of its Shanks cubic, and the verdicts of every check run against
-    it.  The conductor is the pair's and the matched kernel the periods'."""
+    """One cyclic cubic field: the pair, the periods of the kernel matched to
+    it, the roots of its Shanks cubic, and the verdicts of its checks.  The
+    conductor, (n1, n2) and the closed form are the pair's, the matched
+    kernel the periods'."""
 
     representation: Representation
-    shanks_params: ShanksParams
-    predicted_poly: RationalCubic
     periods: PeriodTriple
     shanks_roots: tuple[float, float, float]
     verdicts: dict[str, Verdict]
@@ -99,6 +102,14 @@ class FieldRecord(NamedTuple):
     @property
     def conductor(self) -> Conductor:
         return self.representation.conductor
+
+    @property
+    def shanks_params(self) -> ShanksParams:
+        return shanks_params(self.representation)
+
+    @property
+    def predicted_poly(self) -> RationalCubic:
+        return period_poly_formula(self.conductor, self.representation.M)
 
     @property
     def matched_kernel(self) -> tuple[int, ...]:
@@ -167,16 +178,15 @@ def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
 def numeric_period_poly(pt: PeriodTriple) -> RationalCubic:
     """The period polynomial of pt, exactly, from its cube T:
 
-        X^3 - mu*X^2 + (mu^2 - f)/3 * X - (mu^3 - 3*f*mu + Tr(T))/27,
+        X^3 - mu*X^2 + (mu^2 - f)/3 * X - (mu^3 - 3*f*mu + Tr(T))/27.
 
-    with Tr(a + b*zeta3) = 2a - b.  Nothing is rounded; a coefficient that
-    is not an integer raises NonIntegralCoefficient.
+    Nothing is rounded; a coefficient that is not an integer raises
+    NonIntegralCoefficient.
     """
     f = pt.conductor.value
     mu = _period_sum(pt.conductor)
-    trace = 2 * pt.cube.a - pt.cube.b
     c1, r1 = divmod(mu * mu - f, 3)
-    c0, r0 = divmod(-(mu**3 - 3 * f * mu + trace), 27)
+    c0, r0 = divmod(-(mu**3 - 3 * f * mu + pt.cube.trace()), 27)
     if r1 or r0:
         raise NonIntegralCoefficient(
             f"f={f}: the period polynomial of T = {pt.cube} has a coefficient "
@@ -254,14 +264,14 @@ def verify_sign_congruences(rec: FieldRecord) -> Verdict:
     Gauss sum, as -c0 of numeric_period_poly (Tr(T)/27 when f is wild), so a
     wrong cube T fails it.
 
-    The closed form's side is not checked: there the product is
-    mu(f/9)*f*M/27, and _check_pair's wild normalization makes M = 3*M0 with
-    M0 = 2 mod 3, so 27 divides f*M = 27*(f/9)*M0, and f*M/27 = (f/9)*M0 is
-    -1 mod 3, as f/9 is a product of primes = 1 mod 3.  Those three facts
-    are identities on every record.
+    On a record of match_fields it cannot fail, so it guards records built
+    elsewhere: the matching made Tr(T) = mu*f*M, so the product is the
+    closed form's, mu*f*M/27 with mu = mu(f/9) = (-1)^nu, and _check_pair's
+    wild normalization makes M = 3*M0 with M0 = 2 mod 3, so f*M/27 =
+    (f/9)*M0 is -1 mod 3, as f/9 is a product of primes = 1 mod 3.
     """
     f = rec.conductor
-    if f.kind is not Kind.WILD:
+    if not f.is_wild:
         raise ValueError("sign congruences apply to wild records")
     eta_product = -numeric_period_poly(rec.periods).c0
     if (eta_product - (-1) ** (f.nu + 1)) % 3 != 0:
@@ -273,7 +283,7 @@ def verify_sign_congruences(rec: FieldRecord) -> Verdict:
 
 def verify_kernel_character(rec: FieldRecord) -> Verdict:
     """The character built from (M, N) must cut out the kernel matched to it
-    by the period-polynomial comparison.
+    by the trace of its cube.
 
     On labels the character is the functional whose coefficients are its
     exponents at the component generators.  Two functionals on (Z/3)^k
@@ -295,16 +305,18 @@ def verify_kernel_character(rec: FieldRecord) -> Verdict:
 def match_fields(
     f: Conductor, tolerance: float = DEFAULT_TOLERANCE
 ) -> list[FieldRecord]:
-    """Bijectively match representations to kernels and run every check of
-    each field.
+    """Match each kernel to the pair with f.mu*f*M = Tr(T) for its cube T,
+    and run every check of each field.
 
-    Matching is by exact equality of the period polynomial of each kernel,
-    from its Gaussian sum cube, with the closed form.  Each record is then
-    checked, in this order, against the affine identity and the period
-    relation, and when f is wild against the sign congruences, the twelve
-    generators and the kernel character; a record only exists if all of its
-    checks pass, and its verdicts keep that order.  The roots of f_n are
-    found once per record, here, for the float checks to share.
+    The pairs have distinct M, so each has its own key.  A kernel that
+    matches no pair, or a pair that two kernels match, raises
+    MatchingFailure; with as many kernels as pairs, the matching is then a
+    bijection.  Each record is then checked, in this order, against the
+    affine identity and the period relation, and when f is wild against the
+    sign congruences, the twelve generators and the kernel character; a
+    record only exists if all of its checks pass, and its verdicts keep that
+    order.  The roots of f_n are found once per record, here, for the float
+    checks to share.
     """
     reps = representations(f)
     triples = gaussian_periods(f)
@@ -312,40 +324,28 @@ def match_fields(
         raise CountMismatch(
             f"conductor {f.value}: {len(reps)} pairs but {len(triples)} kernels"
         )
-    predicted: dict[tuple[int, int, int, int], Representation] = {}
-    polys: dict[Representation, RationalCubic] = {}
-    for r in reps:
-        poly = period_poly_formula(f, r.M)
-        key = poly.integer_coefficients()
-        if key in predicted:
-            raise MatchingFailure(f"duplicate predicted polynomial for f={f.value}")
-        predicted[key] = r
-        polys[r] = poly
+    by_trace = {f.mu * f.value * r.M: r for r in reps}
     assigned: dict[Representation, PeriodTriple] = {}
     for pt in triples:
-        key = numeric_period_poly(pt).integer_coefficients()
-        if key not in predicted:
+        r = by_trace.get(pt.cube.trace())
+        if r is None:
             raise MatchingFailure(
-                f"conductor {f.value}: no pair predicts the kernel's polynomial {key}"
+                f"conductor {f.value}: no pair has mu*f*M = Tr T for T = {pt.cube}"
             )
-        r = predicted[key]
         if r in assigned:
             raise MatchingFailure(
                 f"conductor {f.value}: two kernels match the pair M={r.M}"
             )
         assigned[r] = pt
-    if len(assigned) != len(reps):
-        raise MatchingFailure(f"conductor {f.value}: matching is not a bijection")
     records = []
     for r in reps:
         sp = shanks_params(r)
-        pt = assigned[r]
         verdicts = {
             "oracle_equivalence": Verdict("oracle_equivalence"),
             "main_identity": verify_main_identity(f, sp),
         }
         roots = real_roots_cubic(cleared_shanks_poly(sp), tolerance)
-        rec = FieldRecord(r, sp, polys[r], pt, roots, verdicts)
+        rec = FieldRecord(r, assigned[r], roots, verdicts)
         verdicts["period_relation"] = verify_period_relation(rec, tolerance)
         if f.is_wild:
             verdicts["sign_congruences"] = verify_sign_congruences(rec)

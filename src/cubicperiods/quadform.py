@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import Conductor, Kind
+from .arith import Conductor
 from .eisenstein import EisensteinInt, rhs_elements
 from .errors import CountMismatch, FactorizationMismatch
 
@@ -68,7 +68,7 @@ def _check_pair(r: Representation) -> None:
         raise ValueError("(M, N) does not solve 4f = M^2 + 27N^2")
     if r.N <= 0:
         raise ValueError("N must be positive")
-    if f.kind is Kind.TAME:
+    if not f.is_wild:
         if r.M % 3 != 2:
             raise ValueError("tame normalization violated")
     elif r.M % 3 != 0 or r.M0 % 3 != 2 or r.N % 3 == 0:
@@ -88,13 +88,13 @@ def representations(f: Conductor) -> list[Representation]:
     """All normalized (M, N) for f, sorted by M descending.
 
     Each element a + b*zeta3 of eisenstein.rhs_elements(f) equals
-    (M + 3N*sqrt(-3))/2 with sqrt(-3) = 1 + 2*zeta3, so M = 2a - b and
-    N = b/3.  _check_pair re-checks the equation and the normalization of
-    every pair, and the count must be the field count.
+    (M + 3N*sqrt(-3))/2 with sqrt(-3) = 1 + 2*zeta3, so M = 2a - b is its
+    trace and N = b/3.  _check_pair re-checks the equation and the
+    normalization of every pair, and the count must be the field count.
     """
     found: list[Representation] = []
     for x, unit, prime_elements in rhs_elements(f):
-        r = Representation(2 * x.a - x.b, x.b // 3, f, unit, prime_elements)
+        r = Representation(x.trace(), x.b // 3, f, unit, prime_elements)
         try:
             _check_pair(r)
         except ValueError as exc:

@@ -291,8 +291,9 @@ def character_values():
 
 
 def fraction_identities(cond, sp) -> dict:
-    """Oracle: the main identity and generator check (c) in Fraction arithmetic,
-    with every coefficient and substitution argument a Fraction.
+    """Oracle: the main identity and what it implies for the generators of a
+    wild field, in Fraction arithmetic, with every coefficient and
+    substitution argument a Fraction.
 
     lhs = n2^3*mu*f_n(X) and rhs = P(mu*(n2*X + shift)) for the main identity;
     h = n2^3*f_n((X - shift)/n2), the minimal polynomial of alpha = n2*rho + shift,

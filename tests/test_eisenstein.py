@@ -47,6 +47,21 @@ def test_norm_multiplicative_random():
         assert abs((x * y).to_complex() - x.to_complex() * y.to_complex()) < 1e-9
 
 
+def test_trace():
+    # x + conj(x) is twice the real part, and conjugation keeps it
+    rng = random.Random(3)
+    for _ in range(300):
+        x = EisensteinInt(rng.randint(-40, 40), rng.randint(-40, 40))
+        assert x.trace() == x.conjugate().trace()
+        assert x.trace() == pytest.approx(2 * x.to_complex().real, abs=1e-9)
+    # the element (M + 3N*sqrt(-3))/2 each pair of 819 is built from has trace M
+    for r in representations(validate_conductor(819)):
+        w = r.unit
+        for pi in r.prime_elements:
+            w = w * pi
+        assert w.trace() == r.M
+
+
 def test_gcd_examples(gcd_oracle):
     eis_gcd, _, canonical_associate = gcd_oracle
     g = eis_gcd(EisensteinInt(7, 0), EisensteinInt(1, 3))

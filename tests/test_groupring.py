@@ -5,7 +5,6 @@ import pytest
 
 from cubicperiods import (
     GeneratorFailure,
-    RationalCubic,
     match_fields,
     real_roots_cubic,
     shanks_poly,
@@ -13,7 +12,6 @@ from cubicperiods import (
     validate_conductor,
     verify_generators,
 )
-from cubicperiods import groupring
 
 
 def test_gr_mul_examples(group_ring):
@@ -131,22 +129,9 @@ def test_verify_generators_all_wild(wild_records_10k):
         verify_generators(rec)
 
 
-@pytest.mark.parametrize("which", ["h", "shifted"])
-def test_verify_generators_rejects_fraction_coefficients(monkeypatch, which):
-    # check (c) holds generator_polys to int coefficients: the same values
-    # as Fractions, integral as they are, fail it
+def test_verify_generators_rejects_a_moved_period():
+    # eta0 + 1/2 + 1 is 0.15 away from the nearest of the twelve candidates
     (rec,) = match_fields(validate_conductor(9))
-    exact = groupring.generator_polys
-
-    def as_fractions(poly):
-        return RationalCubic(*map(Fraction, poly.coefficients()))
-
-    def fraction_polys(sp, shift):
-        h, shifted = exact(sp, shift)
-        if which == "h":
-            return as_fractions(h), shifted
-        return h, {key: as_fractions(poly) for key, poly in shifted.items()}
-
-    monkeypatch.setattr(groupring, "generator_polys", fraction_polys)
-    with pytest.raises(GeneratorFailure, match=r"\(c\)"):
-        verify_generators(rec)
+    moved = rec.periods._replace(eta0=rec.periods.eta0 + 0.5)
+    with pytest.raises(GeneratorFailure, match=r"\(b\)"):
+        verify_generators(rec._replace(periods=moved))

@@ -17,7 +17,6 @@ from cubicperiods import (
     MatchingFailure,
     NormalizationFailure,
     RationalCubic,
-    affine_relation,
     conductors_up_to,
     gaussian_periods,
     match_fields,
@@ -28,16 +27,15 @@ from cubicperiods import (
     representations,
     shanks_params,
     shanks_poly,
-    substitute_affine,
     validate_conductor,
     verify_kernel_character,
     verify_main_identity,
     verify_period_relation,
     verify_sign_congruences,
 )
+from cubicperiods import periods as periods_module
 from cubicperiods.arith import is_probable_prime
-from cubicperiods.eisenstein import ZETA, component_gauss_sums
-from cubicperiods.groupring import generator_polys
+from cubicperiods.eisenstein import ZETA, EisensteinInt, component_gauss_sums
 
 F9 = validate_conductor(9)
 F7 = validate_conductor(7)
@@ -195,15 +193,28 @@ def test_numeric_period_poly_residual_is_the_oracle_residual():
         assert rec.verdicts["oracle_equivalence"].residual == 0.0
 
 
+def assert_kernels_match_pairs(cond):
+    """The integer cubic of every kernel, from the exact cube T of its
+    Gaussian sum, against the closed form of every pair: equal as sets, with
+    nothing rounded.  Tr T is mu*f*M of exactly one pair, and T is mu*f*w or
+    its conjugate for w = (M + 3N*sqrt(-3))/2 of that pair."""
+    reps = representations(cond)
+    triples = gaussian_periods(cond)
+    exact = {numeric_period_poly(pt) for pt in triples}
+    closed = {period_poly_formula(cond, r.M) for r in reps}
+    assert exact == closed, cond.value
+    assert len(exact) == cond.field_count
+    for pt in triples:
+        matches = [r for r in reps if cond.mu * cond.value * r.M == pt.cube.trace()]
+        assert len(matches) == 1, (cond.value, pt.kernel)
+        (r,) = matches
+        w = EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N) * (cond.mu * cond.value)
+        assert pt.cube in (w, w.conjugate()), (cond.value, r.M)
+
+
 def test_exact_period_poly_equals_the_closed_form():
-    # the integer cubic of every kernel, from the exact cube of its Gaussian
-    # sum, against the closed form of every pair, at every conductor
-    # <= 2*10^4: equal as sets, with nothing rounded
     for cond in conductors_up_to(20_000):
-        exact = {numeric_period_poly(pt) for pt in gaussian_periods(cond)}
-        closed = {period_poly_formula(cond, r.M) for r in representations(cond)}
-        assert exact == closed, cond.value
-        assert len(exact) == cond.field_count
+        assert_kernels_match_pairs(cond)
 
 
 def prime_1_mod_3_at_most(n: int) -> int:
@@ -238,31 +249,56 @@ def conductors_within_the_budget(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(conductors_within_the_budget())
 def test_exact_period_poly_equals_the_closed_form_on_random_conductors(cond):
-    exact = {numeric_period_poly(pt) for pt in gaussian_periods(cond)}
-    closed = {period_poly_formula(cond, r.M) for r in representations(cond)}
-    assert exact == closed
-    assert len(exact) == cond.field_count
+    assert_kernels_match_pairs(cond)
+
+
+def plant_cubes(monkeypatch, plant):
+    """Make match_fields see the periods of gaussian_periods with their list
+    of cubes rewritten by plant."""
+
+    def planted(f):
+        triples = gaussian_periods(f)
+        cubes = plant([pt.cube for pt in triples])
+        return [pt._replace(cube=cube) for pt, cube in zip(triples, cubes, strict=True)]
+
+    monkeypatch.setattr(periods_module, "gaussian_periods", planted)
+
+
+@pytest.mark.parametrize("cond", [F7, F819, F15561], ids=lambda c: str(c.value))
+def test_matching_rejects_a_cube_times_zeta3(monkeypatch, cond):
+    # zeta3*T has another trace.  Not at f = 9, where T = 27*zeta3 and
+    # zeta3*T = conj(T) gives the same periods.
+    for i in range(cond.field_count):
+        plant_cubes(
+            monkeypatch, lambda cubes: [ZETA * c if j == i else c for j, c in enumerate(cubes)]
+        )
+        with pytest.raises(MatchingFailure):
+            match_fields(cond)
+
+
+@pytest.mark.parametrize("cond", [F63, F819, F15561], ids=lambda c: str(c.value))
+def test_matching_rejects_two_kernels_with_one_cube(monkeypatch, cond):
+    plant_cubes(monkeypatch, lambda cubes: [cubes[0], cubes[0], *cubes[2:]])
+    with pytest.raises(MatchingFailure, match="two kernels"):
+        match_fields(cond)
 
 
 def assert_integer_identities_match(cond, oracle):
-    """The integer sides of the main identity and the integer polynomials of
-    generator check (c) equal their Fraction formulation, for every pair."""
-
-    def integral(poly):
-        return all(type(c) is int for c in poly.coefficients())
-
+    """The integer sides of the main identity equal their Fraction
+    formulation, for every pair.  On that formulation alone, what the
+    identity implies for the generators of a wild field holds too: h, the
+    minimal polynomial of alpha, is mu*P(mu*X), and h and the minimal
+    polynomials of +-alpha +- 1 have integer coefficients."""
     for rep in representations(cond):
         sp = shanks_params(rep)
         expected = oracle(cond, sp)
         data = verify_main_identity(cond, sp).data
         assert data["lhs"] == expected["lhs"] and data["rhs"] == expected["rhs"]
-        mu, shift = affine_relation(cond, sp.n1)
-        h, shifted = generator_polys(sp, shift)
-        mu_p_mu_x = substitute_affine(period_poly_formula(cond, rep.M), mu, 0).scale(mu)
-        assert h == expected["h"] == mu_p_mu_x == expected["mu_p_mu_x"]
-        assert shifted == expected["shifted"]
-        polys = [data["lhs"], data["rhs"], h, mu_p_mu_x, *shifted.values()]
-        assert all(map(integral, polys)), (cond.value, sp)
+        sides = (data["lhs"], data["rhs"])
+        assert all(type(c) is int for p in sides for c in p.coefficients()), (cond.value, sp)
+        assert expected["h"] == expected["mu_p_mu_x"]
+        polys = [expected["h"], *expected["shifted"].values()]
+        assert all(c.denominator == 1 for p in polys for c in p.coefficients()), (cond.value, sp)
 
 
 def test_integer_identities_equal_the_fraction_oracle(fraction_oracle):
