@@ -8,7 +8,8 @@ every kernel a second way, exactly, from the cubes of the Gaussian sums of
 the CRT components of the conductor (Jacobi sums in Z[zeta3]), matches the
 two routes by the trace of each cube, and verifies the linear relation between
 the periods and the roots of the cubics, exactly where the statement is
-exact and to a certified tolerance where it is numeric.
+exact and within a rounding bound worked out from the inputs where it is
+numeric.
 
 The package holds what its four commands (enumerate, verify, scan, table)
 run; algebra they do not reach, such as group-ring arithmetic and an
@@ -65,7 +66,6 @@ from .errors import (
 )
 from .groupring import verify_generators
 from .periods import (
-    DEFAULT_TOLERANCE,
     FieldRecord,
     PeriodTriple,
     gaussian_periods,

@@ -6,11 +6,9 @@ Subcommands:
   scan      --min A --max B    verify every valid conductor in a range
   table                        reproduce the conductor-819 reference table
 
-Common flags: --format {json,csv,md} (default json), --out PATH, and for
-verify and scan --tolerance (default 1e-6, positive and finite).  The
-tolerance governs only the float checks, the period relation and the
-generator checks: the matching of kernels to pairs and the character check
-are exact.
+Common flags: --format {json,csv,md} (default json) and --out PATH.  No
+flag sets a tolerance: the checks are exact but for the float ones, which
+compare with a bound worked out from their inputs (verdicts.rounding_bound).
 
 Every check runs in periods.match_fields; this module parses arguments and
 shapes its records into reports.
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from fractions import Fraction
@@ -35,7 +32,7 @@ from .arith import Conductor, Kind, conductors_up_to, validate_conductor
 from .cubicpoly import affine_relation, period_poly_formula, shanks_poly
 from .eisenstein import chi9_gauss_sum_report
 from .errors import BudgetExceeded, InvalidConductor, VerificationError
-from .periods import DEFAULT_TOLERANCE, FieldRecord, match_fields
+from .periods import FieldRecord, match_fields
 from .quadform import representations, shanks_params
 from .report import (
     GOLDEN_TABLE_ROWS,
@@ -116,12 +113,12 @@ def _chi9_note() -> str:
     )
 
 
-def verify_report(f: Conductor, tolerance: float) -> dict:
+def verify_report(f: Conductor) -> dict:
     """Full verification of one conductor (match_fields), as a report dict.
 
     Raises a VerificationError subclass as soon as any check fails.
     """
-    entries = [_field_entry(rec) for rec in match_fields(f, tolerance)]
+    entries = [_field_entry(rec) for rec in match_fields(f)]
     report = {"conductor": f.value, "kind": f.kind.value, "fields": entries}
     notes = _conductor_notes(f)
     if f.is_wild:
@@ -144,7 +141,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     f = validate_conductor(args.conductor)
-    report = verify_report(f, args.tolerance)
+    report = verify_report(f)
     _emit(render_report(report, _report_format(args.format)), args.out)
     _diag(_style(f"conductor {f.value}: all checks passed", "32"))
     return 0
@@ -159,7 +156,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     worst = 0.0
     for cond in conductors:
         try:
-            records = match_fields(cond, args.tolerance)
+            records = match_fields(cond)
         except VerificationError as exc:
             _diag(
                 f"verification failure at conductor {cond.value}: "
@@ -223,14 +220,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def positive_finite_float(text: str) -> float:
-    """--tolerance: nan and inf would pass every `residual > tolerance` check."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -257,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run all checks for one conductor")
     p_verify.add_argument("--conductor", type=int, required=True)
-    p_verify.add_argument(
-        "--tolerance", type=positive_finite_float, default=DEFAULT_TOLERANCE
-    )
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -267,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--min", type=int, required=True)
     p_scan.add_argument("--max", type=int, required=True)
     p_scan.add_argument("--kind", choices=[k.value for k in Kind])
-    p_scan.add_argument(
-        "--tolerance", type=positive_finite_float, default=DEFAULT_TOLERANCE
-    )
     add_common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

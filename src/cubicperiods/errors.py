@@ -44,7 +44,7 @@ class IdentityFailure(VerificationError):
 
 
 class ToleranceExceeded(VerificationError):
-    """A numeric quantity exceeded its certified tolerance."""
+    """A float residual exceeded its rounding bound."""
 
 
 class ComplexRoots(VerificationError):

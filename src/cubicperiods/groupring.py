@@ -18,17 +18,21 @@ from typing import TYPE_CHECKING
 
 from .cubicpoly import affine_relation
 from .errors import GeneratorFailure
-from .verdicts import DEFAULT_TOLERANCE, Verdict
+from .verdicts import Verdict, rounding_bound
 
 if TYPE_CHECKING:
     from .periods import FieldRecord
 
 
-def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) -> Verdict:
+def verify_generators(rec: "FieldRecord") -> Verdict:
     """Checks on the twelve ring-of-integers generators of a wild field.
 
     (a) alpha = n2*rho - n1/3 has trace zero;
     (b) each period plus one coincides with one of +-alpha^(i) +- 1.
+
+    Both are corollaries of the exact checks, held to the rounding bound:
+    (a) is the X^2 coefficient of h below, 0, and (b) is the period relation
+    eta_j + 1 = mu*alpha_j + 1 with mu = +-1.
 
     That the candidates are algebraic integers is the main identity: the
     minimal polynomial of alpha is h(Y) = n2^3*f_n((Y - shift)/n2), so the
@@ -42,17 +46,18 @@ def verify_generators(rec: "FieldRecord", tolerance: float = DEFAULT_TOLERANCE) 
     sp = rec.shanks_params
     _, shift = affine_relation(f, sp.n1)
     alphas = [sp.n2 * rho + shift for rho in rec.shanks_roots]
+    bound = rounding_bound(rec.periods.values(), sp.n2, rec.shanks_roots, shift)
 
     trace = abs(sum(alphas))
-    if trace > tolerance:
-        raise GeneratorFailure(f"(a) trace of alpha is {trace}, not 0")
+    if trace > bound:
+        raise GeneratorFailure(f"(a) trace of alpha is {trace}, over {bound}")
 
     twelve = [s * a + t for a in alphas for s in (1, -1) for t in (1, -1)]
     worst = 0.0
     for eta in rec.periods.values():
         worst = max(worst, min(abs(eta + 1 - g) for g in twelve))
-    if worst > tolerance:
+    if worst > bound:
         raise GeneratorFailure(
-            f"(b) a period plus one misses the twelve candidates by {worst}"
+            f"(b) a period plus one misses the twelve candidates by {worst} > {bound}"
         )
     return Verdict("generators", max(trace, worst))

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from itertools import product
 from typing import NamedTuple
 
@@ -65,11 +64,7 @@ from .errors import (
 )
 from .groupring import verify_generators
 from .quadform import Representation, ShanksParams, representations, shanks_params
-from .verdicts import DEFAULT_TOLERANCE, Verdict
-
-# 16 units of roundoff: the rounding bound on the residual of a float root
-# of a cubic (real_roots_cubic), with room for a root off by an ulp or two.
-_ROOT_ROUNDOFF = 8 * sys.float_info.epsilon
+from .verdicts import _ROOT_ROUNDOFF, Verdict, rounding_bound
 
 
 class PeriodTriple(NamedTuple):
@@ -195,15 +190,14 @@ def numeric_period_poly(pt: PeriodTriple) -> RationalCubic:
     return RationalCubic(1, -mu, c1, c0)
 
 
-def real_roots_cubic(
-    p: RationalCubic, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple[float, float, float]:
+def real_roots_cubic(p: RationalCubic) -> tuple[float, float, float]:
     """Three real roots of a totally real cubic, sorted descending.
 
     The discriminant is computed exactly to decide realness.  The roots of
     the monic cubic with the float coefficients c_i/c3, each correctly
     rounded, come from the trigonometric form of the depressed cubic with two
-    Newton polishing steps, and each of its residuals must stay below tolerance.
+    Newton polishing steps; each |p(x)| may exceed only _ROOT_ROUNDOFF times
+    the sum of the Horner terms at x, what rounding alone leaves.
     """
     if p.c3 == 0:
         raise ValueError("degree must be exactly 3")
@@ -228,23 +222,18 @@ def real_roots_cubic(
     roots.sort(reverse=True)
     for x in roots:
         residual = abs(((x + b) * x + c) * x + d)
-        # Rounding alone leaves |p(x)| up to about 10 units of roundoff
-        # times the sum of the Horner terms, even at the float nearest a
-        # root: 3 from rounding the root, 6 from evaluating (Higham, Accuracy
-        # and Stability of Numerical Algorithms, section 5.1), 1 from the
-        # coefficients.  The tolerance bounds what exceeds that.
         terms = ((abs(x) + abs(b)) * abs(x) + abs(c)) * abs(x) + abs(d)
-        bound = tolerance + _ROOT_ROUNDOFF * terms
+        bound = _ROOT_ROUNDOFF * terms
         if residual > bound:
             raise ToleranceExceeded(f"|p({x})| = {residual} exceeds {bound}")
     return (roots[0], roots[1], roots[2])
 
 
-def verify_period_relation(
-    rec: FieldRecord, tolerance: float = DEFAULT_TOLERANCE
-) -> Verdict:
+def verify_period_relation(rec: FieldRecord) -> Verdict:
     """The periods equal mu*(n2*rho + shift) over the roots rho of f_n,
-    compared as multisets (no ordering of the conjugates is implied)."""
+    compared as multisets (no ordering of the conjugates is implied).  The
+    exact checks prove it, so the float distance is held to rounding_bound.
+    """
     f = rec.conductor
     sp = rec.shanks_params
     mu, shift = affine_relation(f, sp.n1)
@@ -252,9 +241,10 @@ def verify_period_relation(
         (mu * (sp.n2 * rho + float(shift)) for rho in rec.shanks_roots), reverse=True
     )
     residual = max(abs(m - e) for m, e in zip(mapped, rec.periods.values()))
-    if residual > tolerance:
+    bound = rounding_bound(rec.periods.values(), sp.n2, rec.shanks_roots, shift)
+    if residual > bound:
         raise RelationFailure(
-            f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): multiset distance {residual}"
+            f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): multiset distance {residual} > {bound}"
         )
     return Verdict("period_relation", residual)
 
@@ -302,9 +292,7 @@ def verify_kernel_character(rec: FieldRecord) -> Verdict:
     return Verdict("kernel_character")
 
 
-def match_fields(
-    f: Conductor, tolerance: float = DEFAULT_TOLERANCE
-) -> list[FieldRecord]:
+def match_fields(f: Conductor) -> list[FieldRecord]:
     """Match each kernel to the pair with f.mu*f*M = Tr(T) for its cube T,
     and run every check of each field.
 
@@ -344,12 +332,12 @@ def match_fields(
             "oracle_equivalence": Verdict("oracle_equivalence"),
             "main_identity": verify_main_identity(f, sp),
         }
-        roots = real_roots_cubic(cleared_shanks_poly(sp), tolerance)
+        roots = real_roots_cubic(cleared_shanks_poly(sp))
         rec = FieldRecord(r, assigned[r], roots, verdicts)
-        verdicts["period_relation"] = verify_period_relation(rec, tolerance)
+        verdicts["period_relation"] = verify_period_relation(rec)
         if f.is_wild:
             verdicts["sign_congruences"] = verify_sign_congruences(rec)
-            verdicts["generators"] = verify_generators(rec, tolerance)
+            verdicts["generators"] = verify_generators(rec)
             verdicts["kernel_character"] = verify_kernel_character(rec)
         records.append(rec)
     return records

@@ -129,6 +129,15 @@ def test_verify_generators_all_wild(wild_records_10k):
         verify_generators(rec)
 
 
+def test_verify_generators_rejects_a_period_moved_by_1e_9():
+    # check (b) compares eta + 1 with the twelve candidates within the
+    # rounding bound, 1.3e-13 to 2.8e-13 at 819
+    for rec in match_fields(validate_conductor(819)):
+        moved = rec.periods._replace(eta0=rec.periods.eta0 + 1e-9)
+        with pytest.raises(GeneratorFailure, match=r"\(b\)"):
+            verify_generators(rec._replace(periods=moved))
+
+
 def test_verify_generators_rejects_a_moved_period():
     # eta0 + 1/2 + 1 is 0.15 away from the nearest of the twelve candidates
     (rec,) = match_fields(validate_conductor(9))

@@ -17,6 +17,8 @@ from cubicperiods import (
     MatchingFailure,
     NormalizationFailure,
     RationalCubic,
+    RelationFailure,
+    affine_relation,
     conductors_up_to,
     gaussian_periods,
     match_fields,
@@ -36,6 +38,7 @@ from cubicperiods import (
 from cubicperiods import periods as periods_module
 from cubicperiods.arith import is_probable_prime
 from cubicperiods.eisenstein import ZETA, EisensteinInt, component_gauss_sums
+from cubicperiods.verdicts import rounding_bound
 
 F9 = validate_conductor(9)
 F7 = validate_conductor(7)
@@ -377,6 +380,47 @@ def test_period_relation_values_819():
     )
     for rec in records.values():
         assert verify_period_relation(rec).residual < 1e-9
+
+
+def test_period_relation_rejects_a_period_moved_by_1e_9():
+    # the matching is exact, so the relation's float distance, at most
+    # 1.2e-14 at 819, may exceed only the rounding bound, 1.3e-13 to 2.8e-13
+    for rec in match_fields(F819):
+        moved = rec.periods._replace(eta0=rec.periods.eta0 + 1e-9)
+        with pytest.raises(RelationFailure):
+            verify_period_relation(rec._replace(periods=moved))
+
+
+def assert_float_headroom(records):
+    """Every float residual is at most a quarter of its rounding bound."""
+    for rec in records:
+        sp = rec.shanks_params
+        _, shift = affine_relation(rec.conductor, sp.n1)
+        bound = rounding_bound(rec.periods.values(), sp.n2, rec.shanks_roots, shift)
+        for name in ("period_relation", "generators"):
+            if name in rec.verdicts:
+                assert rec.verdicts[name].residual <= bound / 4, (rec.conductor.value, name)
+
+
+def test_float_residuals_keep_headroom_up_to_10k(all_records_10k):
+    for records in all_records_10k.values():
+        assert_float_headroom(records)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(
+    st.lists(
+        st.integers(10**6 + 1000, 10**7).map(prime_1_mod_3_at_most),
+        min_size=3,
+        max_size=3,
+        unique=True,
+    ),
+    st.sampled_from((1, 9)),
+)
+def test_float_residuals_keep_headroom_on_three_primes_above_1e6(primes, cofactor):
+    # periods near 10^10 miss the mapped Shanks roots by 1e-6 to 3e-5,
+    # which an absolute tolerance of 1e-6 failed
+    assert_float_headroom(match_fields(validate_conductor(cofactor * math.prod(primes))))
 
 
 def test_period_relation_nine():
