@@ -37,6 +37,7 @@ from .cubicpoly import (
 )
 from .eisenstein import (
     GAUSS_SUM_BUDGET,
+    POINT_COUNT_BUDGET,
     EisensteinInt,
     character_for_representation,
     chi9,

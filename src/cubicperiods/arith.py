@@ -69,11 +69,11 @@ def _primes_below(n: int) -> tuple[int, ...]:
     return tuple(itertools.compress(range(n), sieve))
 
 
-# _PRIMES holds every prime below _PRIME_BOUND.  Its readers are factorize,
-# which trial-divides by the primes below _TRIAL_BOUND, and the index table
-# of the Jacobi sum, which reads those below isqrt(p) + 1 <= 3163 for a
-# prime component p up to eisenstein.GAUSS_SUM_BUDGET and refuses a p
-# beyond the table's reach.
+# _PRIMES holds every prime below _PRIME_BOUND.  factorize trial-divides by
+# those below _TRIAL_BOUND; the bound itself is sized for the count of the
+# Jacobi sum, its only reader: the index table reads the primes below
+# isqrt(p) + 1 <= 3163 for a prime p up to eisenstein.GAUSS_SUM_BUDGET and
+# refuses a p beyond the table's reach.  The points route reads no table.
 _PRIME_BOUND = 4096
 _PRIMES = _primes_below(_PRIME_BOUND)
 _TRIAL_PRIMES = _PRIMES[: bisect.bisect_left(_PRIMES, _TRIAL_BOUND)]

@@ -15,7 +15,9 @@ shapes its records into reports.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
-for verify and scan a prime factor above eisenstein.GAUSS_SUM_BUDGET).
+for verify and scan a prime factor above eisenstein.POINT_COUNT_BUDGET,
+or above eisenstein.GAUSS_SUM_BUDGET whose Jacobi sum the points of the
+curve leave open).
 Reports go to stdout (or --out); diagnostics go to stderr.
 """
 

@@ -28,15 +28,38 @@ coordinate that kernel vectors use too.  Then chi(g^j) = zeta3^(e*j).
 
 The Gaussian sums enter only through their cubes, which are exact: for a
 prime p, tau(chi_p)^3 = p * J(chi_p, chi_p) with the Jacobi sum J in
-Z[zeta3] (Ireland and Rosen, ch. 8 section 3), counted in O(p) byte work
-from a table of indices mod 3 (jacobi_sum): the half of the table below
-(p + 1)/2 plus the other half reversed holds ind(a) + ind(1 - a) for each
-pair {a, 1 - a}, and its bit planes give the counts by popcount.  For
+Z[zeta3] (Ireland and Rosen, ch. 8 section 3).  jacobi_sum takes one of
+two routes to J, by the size of p:
+
+- up to _POINTS_FROM it counts J in O(p) byte work from a table of
+  indices mod 3 (_jacobi_by_count): the half of the table below (p + 1)/2
+  plus the other half reversed holds ind(a) + ind(1 - a) for each pair
+  {a, 1 - a}, and its bit planes give the counts by popcount;
+- above it, it reads the trace t = Tr J off the curve E: y^2 = x^3 - 432,
+  which has p + 1 + t points over F_p (Ireland and Rosen, ch. 18), by
+  baby-step giant-step in O(p^(1/4)) group operations (curve.jacobi_trace;
+  Cohen, ch. 7).  The points are taken in order of x, on E and on its
+  quadratic twist, which has p + 1 - t points; later points only narrow
+  the candidates of the first.  4p = t^2 + 3b^2 then gives J = (t + b)/2
+  + b*zeta3 up to the sign of b, that is up to conjugation, and
+  Stickelberger's congruence picks the sign: J = 0 mod the prime (p,
+  zeta3 - omega) for omega = g^((p-1)/3), g the smallest generator, the
+  residue of chi(g) = zeta3 (_jacobi_by_points).
+
+No Cornacchia step runs on the second route: the prime elements that the
+pairs are built from come from Cornacchia's algorithm (prime_element), so
+matching the periods against the pairs still compares two independent
+computations.  _POINTS_FROM is where the two routes cost the same, per
+prime, timed over every prime = 1 mod 3 in bins from 200 to 1.4*10^4 (min
+of 7 passes, 2-core Intel Xeon VM, Python 3.11.7): 0.041 ms counting and
+0.043 ms by points in 600..800, 0.049 and 0.042 ms in 800..1000, 0.168 and
+0.051 ms in 10^4..1.4*10^4.  When the points leave t open, J is counted
+within GAUSS_SUM_BUDGET and refused beyond it; it is never guessed.  For
 q = 9 the cube of the six-term sum is multiplied out in Z[zeta9].  The
 same cubes give the Gaussian periods (periods.gaussian_periods).
 
 The identification is never assumed: every step is re-checked exactly,
-N(J) = p and J = -1 mod 3 included.
+N(J) = p and J = -1 mod 3 on either route included.
 """
 
 from __future__ import annotations
@@ -59,11 +82,17 @@ from .errors import (
 if TYPE_CHECKING:
     from .quadform import Representation
 
-# Largest prime component whose Jacobi sum is computed.  The sum is O(p) in
-# time and memory (a byte per unit mod p, a few times over), so verify and
-# scan refuse a conductor with a larger prime factor instead of running
-# for seconds per prime and beyond.
+# Largest prime whose Jacobi sum is counted.  The count is O(p) in time and
+# memory (a byte per unit mod p, a few times over).
 GAUSS_SUM_BUDGET = 10_000_000
+# Largest prime component whose Jacobi sum is computed at all.  By points it
+# takes O(p^(1/4)) group operations, 30 ms for a prime near 10^15 and 60 ms
+# near 10^16 (means of 10 primes, 2-core Intel Xeon VM), so verify and scan
+# refuse a conductor with a larger prime factor.
+POINT_COUNT_BUDGET = 10**16
+# Primes above this take the points route of jacobi_sum, those up to it the
+# count: the two cost the same near here (see the module docstring).
+_POINTS_FROM = 1000
 
 # Byte maps over the index table: _ADD[e] adds e mod 3 to an index 0, 1 or 2.
 _ADD = tuple(bytes((x + e) % 3 for x in range(256)) for e in range(3))
@@ -203,10 +232,8 @@ def _index_table(p: int) -> bytearray:
     return table
 
 
-def jacobi_sum(p: int) -> EisensteinInt:
-    """J(chi, chi) = sum over 2 <= a < p of chi(a) * chi(1 - a) for the
-    character chi(g) = zeta3 at the smallest generator g mod p, a prime
-    = 1 mod 3.  Then tau(chi)^3 = p * J(chi, chi) exactly.
+def _jacobi_by_count(p: int) -> EisensteinInt:
+    """J(chi, chi) = sum over 2 <= a < p of chi(a) * chi(1 - a), counted.
 
     With n_k the number of a whose indices at a and at 1 - a = p + 1 - a
     add up to k mod 3, J = n0 + n1*zeta3 + n2*zeta3^2.  The terms of a and
@@ -218,14 +245,7 @@ def jacobi_sum(p: int) -> EisensteinInt:
     s = 1 or 4 is class 1 and s = 2 is class 2, so both counts are
     popcounts of the low three bit planes of the sum and of the AND of the
     first two, which marks s = 3.
-
-    N(J) = p and J = -1 mod 3 are checked (Ireland and Rosen, ch. 9 section 4).
     """
-    if p > GAUSS_SUM_BUDGET:
-        raise BudgetExceeded(
-            f"the Jacobi sum mod {p} takes O({p}) time and memory, beyond the "
-            f"budget of prime components up to {GAUSS_SUM_BUDGET}"
-        )
     table = _index_table(p)
     h = (p + 1) // 2
     sums = int.from_bytes(table[2:h], "little") + int.from_bytes(table[h + 1 :], "big")
@@ -237,7 +257,57 @@ def jacobi_sum(p: int) -> EisensteinInt:
     n1 += middle == 1
     n2 += middle == 2
     n0 = p - 2 - n1 - n2
-    jacobi = EisensteinInt(n0 - n2, n1 - n2)
+    return EisensteinInt(n0 - n2, n1 - n2)
+
+
+def _jacobi_by_points(p: int) -> EisensteinInt | None:
+    """J(chi, chi) from its trace t, or None when curve.jacobi_trace leaves
+    t open.
+
+    4p = t^2 + 3b^2 gives b up to sign and a = (t + b)/2; the two signs
+    give J and its conjugate.  Stickelberger's congruence, J = 0 mod the
+    prime (p, zeta3 - omega) for omega = g^((p-1)/3), the image of chi(g)
+    = zeta3, keeps the sign with a + b*omega = 0 mod p.
+    """
+    # Imported here, so that a command that takes no Jacobi sum above
+    # _POINTS_FROM, such as enumerate, never loads the module.
+    from .curve import jacobi_trace
+
+    t = jacobi_trace(p)
+    if t is None:
+        return None
+    b = math.isqrt((4 * p - t * t) // 3)
+    a = (t + b) // 2
+    g, _ = _generator(p)
+    if (a + b * pow(g, (p - 1) // 3, p)) % p:
+        a, b = a - b, -b
+    return EisensteinInt(a, b)
+
+
+def jacobi_sum(p: int) -> EisensteinInt:
+    """J(chi, chi) = sum over 2 <= a < p of chi(a) * chi(1 - a) for the
+    character chi(g) = zeta3 at the smallest generator g mod p, a prime
+    = 1 mod 3.  Then tau(chi)^3 = p * J(chi, chi) exactly.
+
+    Counted (_jacobi_by_count) for p up to _POINTS_FROM, and from the points
+    of E and its twist above it (_jacobi_by_points); when the points leave
+    the trace open, counted instead within GAUSS_SUM_BUDGET and refused
+    beyond it.  Either way N(J) = p and J = -1 mod 3 are checked (Ireland
+    and Rosen, ch. 9 section 4).
+    """
+    if p > POINT_COUNT_BUDGET:
+        raise BudgetExceeded(
+            f"the Jacobi sum mod {p} takes O(p^(1/4)) point operations, beyond "
+            f"the budget of prime components up to {POINT_COUNT_BUDGET}"
+        )
+    jacobi = _jacobi_by_points(p) if p > _POINTS_FROM else None
+    if jacobi is None:
+        if p > GAUSS_SUM_BUDGET:
+            raise BudgetExceeded(
+                f"the points mod {p} leave Tr J(chi, chi) open, and counting J takes "
+                f"O({p}) time and memory, beyond the budget of {GAUSS_SUM_BUDGET}"
+            )
+        jacobi = _jacobi_by_count(p)
     if jacobi.norm() != p:
         raise FactorizationMismatch(f"J(chi, chi) = {jacobi} mod {p} has norm {jacobi.norm()}")
     if jacobi.a % 3 != 2 or jacobi.b % 3 != 0:

@@ -8,6 +8,7 @@ from typing import NamedTuple
 import pytest
 
 from cubicperiods import (
+    GAUSS_SUM_BUDGET,
     CountMismatch,
     FactorizationMismatch,
     GeneratorFailure,
@@ -15,10 +16,13 @@ from cubicperiods import (
     RationalCubic,
     affine_relation,
     conductors_up_to,
+    cubic_residue_character,
+    eisenstein,
     factorize,
     match_fields,
     moebius,
     period_poly_formula,
+    prime_element,
     shanks_poly,
     substitute_affine,
 )
@@ -168,6 +172,29 @@ def jacobi_by_nine_counts(p: int) -> EisensteinInt:
 def nine_count_jacobi():
     """jacobi_by_nine_counts(p): J(chi, chi) by the nine full-length counts."""
     return jacobi_by_nine_counts
+
+
+def jacobi_by_prime_element(p: int) -> EisensteinInt:
+    """Oracle: J(chi, chi) in O(log p), with no point of E and no count.
+    J(chi_pi, chi_pi) = -pi for the cubic residue character chi_pi mod the
+    primary prime element pi = prime_element(p), from Cornacchia's
+    algorithm (Ireland and Rosen, ch. 9 section 4), and chi(g) = zeta3 is
+    chi_pi when cubic_residue_character(p, pi) is 1 and chi_pi^2 =
+    chi_conj(pi) when it is 2."""
+    pi = prime_element(p)
+    return -pi if cubic_residue_character(p, pi) == 1 else -pi.conjugate()
+
+
+@pytest.fixture(scope="session")
+def prime_element_jacobi():
+    """jacobi_by_prime_element(p): J(chi, chi) from the prime element of norm p."""
+    return jacobi_by_prime_element
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Send every jacobi_sum within the count's budget to the count."""
+    monkeypatch.setattr(eisenstein, "_POINTS_FROM", GAUSS_SUM_BUDGET)
 
 
 def exact_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:

@@ -12,9 +12,11 @@ import pytest
 from cubicperiods import (
     GAUSS_SUM_BUDGET,
     MR_BOUND,
+    POINT_COUNT_BUDGET,
+    BudgetExceeded,
     validate_conductor,
 )
-from cubicperiods import eisenstein, periods
+from cubicperiods import curve, eisenstein, periods
 from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
 
@@ -219,20 +221,31 @@ def test_scan_beyond_proven_primality_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--conductor", "70000987"],
-        ["scan", "--min", "70000987", "--max", "70000987"],
+        ["verify", "--conductor", "70000000000000483"],
+        ["scan", "--min", "70000000000000483", "--max", "70000000000000483"],
     ],
 )
 def test_prime_component_beyond_the_budget_exits_2(capsys, argv):
-    # 70000987 = 7 * 10000141, the first prime = 1 mod 3 above 10^7: its
-    # Gaussian sum would list ten million units, so it is refused first
+    # 70000000000000483 = 7 * 10000000000000069, the first prime = 1 mod 3
+    # above 10^16, where the Jacobi sum by points takes about 60 ms a prime
+    # and grows like p^(1/4): it is refused first
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     elapsed = time.perf_counter() - start
     assert code == 2
     assert out == ""
-    assert str(GAUSS_SUM_BUDGET) in err
+    assert str(POINT_COUNT_BUDGET) in err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("conductor", [70000987, 69999999999999559])
+def test_prime_component_beyond_the_count_is_verified(capsys, conductor):
+    # 70000987 = 7 * 10000141 was refused while every Jacobi sum was
+    # counted in O(p), up to 10^7; 69999999999999559 = 7 * 9999999999999937
+    # has the largest prime = 1 mod 3 within the budget of the points
+    code, out, _ = run(capsys, ["verify", "--conductor", str(conductor)])
+    assert code == 0
+    assert len(json.loads(out)["fields"]) == 2
 
 
 def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
@@ -248,6 +261,45 @@ def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
     code, _, _ = run(capsys, ["verify", "--conductor", "15561"])
     assert code == 0
     assert calls == [7, 13, 19]
+
+
+def test_verify_counts_only_the_primes_below_the_crossover(capsys, monkeypatch):
+    # 826371 = 9 * 7 * 13 * 1009 has 8 fields.  7 and 13 are counted from
+    # their index tables, and 1009, above eisenstein._POINTS_FROM, takes the
+    # points of E; each prime once
+    counted, traced = [], []
+    index_table = eisenstein._index_table
+    jacobi_trace = curve.jacobi_trace
+    monkeypatch.setattr(
+        eisenstein, "_index_table", lambda p: counted.append(p) or index_table(p)
+    )
+    monkeypatch.setattr(
+        curve, "jacobi_trace", lambda p: traced.append(p) or jacobi_trace(p)
+    )
+    eisenstein.component_gauss_sums.cache_clear()
+    code, _, _ = run(capsys, ["verify", "--conductor", "826371"])
+    assert code == 0
+    assert counted == [7, 13]
+    assert traced == [1009]
+
+
+def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
+    # 10000141, the first prime = 1 mod 3 above the count's budget, has
+    # t = 4258 and 10004400 = 2^4 * 3^2 * 5^2 * 7 * 397 points on E.  3150
+    # times the first point of E is killed by p + 1 + t at t = -2888 too, so
+    # with that point alone two traces survive, and neither is taken
+    p = 10_000_141
+    first = next(P for P, sign in curve._points(p) if sign == 1)
+    point = curve._mul(3150, first, p)
+    assert [t for t in (4258, -2888) if curve._mul(p + 1 + t, point, p) is None] == [4258, -2888]
+    monkeypatch.setattr(curve, "_points", lambda q: iter([(point, 1)] * curve._POINT_TRIES))
+    with pytest.raises(BudgetExceeded, match="open"):
+        eisenstein.jacobi_sum(p)
+    eisenstein.component_gauss_sums.cache_clear()
+    code, out, err = run(capsys, ["verify", "--conductor", str(7 * p)])
+    assert code == 2
+    assert out == ""
+    assert str(GAUSS_SUM_BUDGET) in err
 
 
 def test_scan_empty_range(capsys):
@@ -351,6 +403,28 @@ def test_cold_enumerate_imports_neither_dataclasses_nor_inspect(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
+
+
+def test_only_a_prime_above_the_crossover_loads_the_curve(tmp_path):
+    # the points route is imported where jacobi_sum takes it: enumerate, and
+    # verify of 15561 = 9 * 7 * 13 * 19, leave cubicperiods.curve unloaded,
+    # and verify of 826371 = 9 * 7 * 13 * 1009 loads it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        from cubicperiods.cli import main
+        for argv in (["enumerate", "7"], ["verify", "15561"], ["verify", "826371"]):
+            main([argv[0], "--conductor", argv[1], "--out", {str(tmp_path / "r.json")!r}])
+            print("cubicperiods.curve" in sys.modules)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_csv_format(capsys):

@@ -17,15 +17,32 @@ from cubicperiods import (
     representations,
     validate_conductor,
 )
-from cubicperiods.arith import _PRIME_BOUND, _PRIMES, _generator, is_probable_prime
+from cubicperiods import curve, eisenstein
+from cubicperiods.arith import (
+    _PRIME_BOUND,
+    _PRIMES,
+    _generator,
+    _primes_below,
+    is_probable_prime,
+)
 from cubicperiods.eisenstein import (
+    POINT_COUNT_BUDGET,
     UNITS,
     ZETA,
+    _POINTS_FROM,
     _index_table,
+    _jacobi_by_count,
+    _jacobi_by_points,
     primary_associate,
 )
+from cubicperiods.curve import jacobi_trace
 
 PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
+# Every prime = 1 mod 3 that jacobi_sum sends to the points, up to 2*10^5.
+POINT_PRIMES = [p for p in _primes_below(200_000) if p % 3 == 1 and p > _POINTS_FROM]
+# The first curve._POINT_TRIES points of E leave more than one trace at these
+# primes, two near 10^3, two near 10^4 and four in 1.2..1.31*10^5.
+E_AMBIGUOUS = [1117, 1123, 9901, 11131, 121453, 123553, 127807, 129169]
 
 
 def test_basic_algebra():
@@ -374,7 +391,7 @@ def test_index_table_refuses_a_prime_beyond_the_prime_table():
         _index_table(p)
 
 
-def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():
+def test_jacobi_sum_is_a_prime_element_minus_one_mod_3(counted):
     for p in PRIMES_1_MOD_3:
         jacobi = jacobi_sum(p)
         assert jacobi.norm() == p
@@ -383,7 +400,7 @@ def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():
         assert -jacobi in (prime_element(p), prime_element(p).conjugate())
 
 
-def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(nine_count_jacobi):
+def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(counted, nine_count_jacobi):
     # the count over the pairs {a, 1 - a} by bit planes against the nine
     # counts over all p - 2 terms, at every prime = 1 mod 3 below 2*10^4 and
     # at two large primes, the second the largest within the budget
@@ -391,7 +408,7 @@ def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(nine_count_jacobi
         assert jacobi_sum(p) == nine_count_jacobi(p), p
 
 
-def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
+def test_float_gauss_sum_cubed_is_p_times_jacobi(counted, float_gauss_sum):
     # tau(chi)^3 = p * J(chi, chi) against the O(p) float sum, for both
     # characters of every prime = 1 mod 3 below 3000
     for p in PRIMES_1_MOD_3:
@@ -401,3 +418,47 @@ def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
         for e, expected in ((1, cube), (2, cube.conjugate())):
             tau = float_gauss_sum(p, e)
             assert abs(tau**3 - expected.to_complex()) < 1e-6, (p, e)
+
+
+def test_points_equal_the_count():
+    # baby-step giant-step on E and its twist against the count, at every
+    # prime = 1 mod 3 from the crossover to 5*10^4 and at two large primes,
+    # the second the largest within the count's budget
+    for p in [*(p for p in POINT_PRIMES if p <= 50_000), 1_000_003, 9_999_991]:
+        assert _jacobi_by_points(p) == _jacobi_by_count(p), p
+
+
+def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
+    # at every prime = 1 mod 3 from the crossover to 2*10^5, and at 50
+    # primes = 1 mod 3 with a seeded number of digits up to the budget
+    rng = random.Random(19)
+    sampled = []
+    for _ in range(50):
+        digits = rng.randint(6, 16)
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        n -= (n - 1) % 6
+        while not is_probable_prime(n):
+            n -= 6
+        sampled.append(n)
+    assert max(sampled) <= POINT_COUNT_BUDGET
+    for p in [*POINT_PRIMES, *sampled]:
+        assert _jacobi_by_points(p) == prime_element_jacobi(p), p
+
+
+def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi):
+    # with the points of E alone the trace stays open, and jacobi_sum counts
+    # instead; the points of the twist among them settle it
+    for p in E_AMBIGUOUS:
+        assert _jacobi_by_points(p) == prime_element_jacobi(p), p
+    points = curve._points
+    monkeypatch.setattr(
+        curve, "_points", lambda p: ((P, sign) for P, sign in points(p) if sign == 1)
+    )
+    tables = []
+    monkeypatch.setattr(
+        eisenstein, "_index_table", lambda p: tables.append(p) or _index_table(p)
+    )
+    for p in E_AMBIGUOUS:
+        assert jacobi_trace(p) is None, p
+        assert jacobi_sum(p) == prime_element_jacobi(p), p
+    assert tables == E_AMBIGUOUS
