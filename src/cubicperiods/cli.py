@@ -17,7 +17,7 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
 for verify and scan a prime factor above eisenstein.POINT_COUNT_BUDGET,
 or above eisenstein.GAUSS_SUM_BUDGET whose Jacobi sum the points of the
-curve leave open).
+curve leave open) or an --out the report cannot be written to.
 Reports go to stdout (or --out); diagnostics go to stderr.
 """
 
@@ -27,8 +27,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
-from pathlib import Path
 
 from .arith import Conductor, Kind, conductors_up_to, validate_conductor
 from .cubicpoly import affine_relation, period_poly_formula, shanks_poly
@@ -61,11 +59,21 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+class _Unwritable(Exception):
+    """--out names a path the report cannot be written to."""
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Unwritable(
+            f"cannot write report to {out}: {exc.strerror or exc}"
+        ) from exc
 
 
 def _enumerate_entry(r) -> dict:
@@ -189,6 +197,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def table_rows() -> list[dict]:
     """Compute the reference-table rows for conductor 819 from scratch."""
+    from fractions import Fraction
+
     f = validate_conductor(TABLE_CONDUCTOR)
     records = sorted(match_fields(f), key=lambda rec: rec.shanks_params.n2)
     rows = []
@@ -273,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidConductor, BudgetExceeded) as exc:
+    except (InvalidConductor, BudgetExceeded, _Unwritable) as exc:
         _diag(f"error: {exc}")
         return 2
     except VerificationError as exc:

@@ -16,13 +16,15 @@ identity is checked exactly in integer arithmetic, on n2*f_n for n = n1/n2.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import Conductor
 from .errors import IdentityFailure, NonIntegralCoefficient
 from .quadform import ShanksParams
 from .verdicts import Verdict
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class RationalCubic(NamedTuple):

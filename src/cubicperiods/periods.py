@@ -38,7 +38,6 @@ Shanks cubics, come from a cube root of T in O(1) per kernel.
 
 from __future__ import annotations
 
-import cmath
 import math
 from itertools import product
 from typing import NamedTuple
@@ -158,7 +157,8 @@ def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
         products = [x * y for x in products for y in (t, t_bar)]
     triples = []
     for kernel, cube in zip(primitive_cubic_kernels(f), products, strict=True):
-        phi = cmath.phase(cube.to_complex())
+        z = cube.to_complex()
+        phi = math.atan2(z.imag, z.real)
         etas = sorted(
             (
                 (mu + 2 * root_f * math.cos((phi - 2 * math.pi * j) / 3)) / 3

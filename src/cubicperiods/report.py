@@ -1,11 +1,21 @@
 """Report rendering (JSON, CSV, markdown) and the built-in reference table
-for conductor 819."""
+for conductor 819.
+
+JSON is written here, not by the json package: render_json lays out the
+indent=2 form itself and quotes strings with the C encode_basestring_ascii
+of _json, the function json.encoder quotes with, so its bytes equal
+json.dumps(report, indent=2) + "\n".  json with an indent runs its
+pure-Python encoder anyway, and importing json compiles the regexes of its
+decoder and scanner, which writing a report never uses: a few ms of
+every cold start.  csv is imported by the CSV renderers, on first use,
+so that a JSON or markdown report does not load it.
+"""
 
 from __future__ import annotations
 
-import csv
 import io
-import json
+import math
+from _json import encode_basestring_ascii as _quote
 from enum import Enum
 
 from .cubicpoly import RationalCubic
@@ -100,8 +110,68 @@ _FIELD_COLUMNS = (
 )
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(value, newline: str, out) -> None:
+    """Pass the chunks of value in the indent=2 layout to out; newline is
+    the line break and indent before value's own closing bracket.  The
+    type checks run in json.encoder's order, bool before int."""
+    if isinstance(value, str):
+        out(_quote(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        out(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out(sep)
+            out(_quote(key))
+            out(": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """json.dumps(report, indent=2) + "\n", byte for byte, for reports of
+    dicts with str keys, lists, tuples, str, int, float, bool and None;
+    TypeError for any other key or value."""
+    chunks: list[str] = []
+    _write_json(report, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _flatten(value) -> str:
@@ -112,16 +182,23 @@ def _flatten(value) -> str:
     return str(value)
 
 
-def _render_fields_csv(report: dict) -> str:
+def _csv(rows) -> str:
+    import csv
+
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("conductor", "kind") + _FIELD_COLUMNS)
-    for entry in report["fields"]:
-        writer.writerow(
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _render_fields_csv(report: dict) -> str:
+    return _csv(
+        [("conductor", "kind") + _FIELD_COLUMNS]
+        + [
             [report["conductor"], report["kind"]]
             + [_flatten(entry[c]) if c in entry else "" for c in _FIELD_COLUMNS]
-        )
-    return buf.getvalue()
+            for entry in report["fields"]
+        ]
+    )
 
 
 def _render_fields_markdown(report: dict) -> str:
@@ -141,13 +218,11 @@ def _render_fields_markdown(report: dict) -> str:
 
 
 def _render_table_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     cols = ("pair", "eta_relation", "shanks", "period_poly")
-    writer.writerow(("conductor",) + cols)
-    for row in report["rows"]:
-        writer.writerow([report["conductor"]] + [row[c] for c in cols])
-    return buf.getvalue()
+    return _csv(
+        [("conductor",) + cols]
+        + [[report["conductor"]] + [row[c] for c in cols] for row in report["rows"]]
+    )
 
 
 def _render_table_markdown(report: dict) -> str:
@@ -163,12 +238,7 @@ def _render_table_markdown(report: dict) -> str:
 
 
 def _render_summary_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    keys = list(report.keys())
-    writer.writerow(keys)
-    writer.writerow([_flatten(report[k]) for k in keys])
-    return buf.getvalue()
+    return _csv([list(report), [_flatten(v) for v in report.values()]])
 
 
 def _render_summary_markdown(report: dict) -> str:

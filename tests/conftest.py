@@ -465,6 +465,101 @@ def delta_fixture():
     return delta
 
 
+class ShanksRootRing:
+    """Oracle: exact arithmetic in Q[rho]/(f_n) for n = n1/n2, with
+    f_n = X^3 - n*X^2 - (n+3)*X - 1.  An element is the triple (c0, c1, c2)
+    of Fractions for c0 + c1*rho + c2*rho^2."""
+
+    def __init__(self, n1: int, n2: int):
+        self.n = Fraction(n1, n2)
+
+    def const(self, c) -> tuple:
+        return (Fraction(c), Fraction(0), Fraction(0))
+
+    @staticmethod
+    def add(x, y) -> tuple:
+        return tuple(a + b for a, b in zip(x, y))
+
+    @staticmethod
+    def sub(x, y) -> tuple:
+        return tuple(a - b for a, b in zip(x, y))
+
+    @staticmethod
+    def scale(k, x) -> tuple:
+        return tuple(k * a for a in x)
+
+    def mul(self, x, y) -> tuple:
+        prod = [Fraction(0)] * 5
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        # rho^3 = n*rho^2 + (n+3)*rho + 1, from the top degree down
+        for d in (4, 3):
+            top, prod[d] = prod[d], Fraction(0)
+            prod[d - 1] += top * self.n
+            prod[d - 2] += top * (self.n + 3)
+            prod[d - 3] += top
+        return tuple(prod[:3])
+
+    def f_n(self, x) -> tuple:
+        """f_n evaluated at the element x."""
+        n = self.n
+        x2 = self.mul(x, x)
+        value = self.sub(self.mul(x2, x), self.scale(n, x2))
+        return self.sub(self.sub(value, self.scale(n + 3, x)), self.const(1))
+
+    def roots(self) -> list[tuple]:
+        """rho_0 = rho, rho_1 and rho_2 with rho_{j+1} = -1/(1 + rho_j):
+        f_n(X) = (X + 1)*(X^2 - (n+1)*X - 2) + 1, so the inverse is
+        X^2 - (n+1)*X - 2 at rho_j.  Unchecked: the caller checks
+        (1 + rho_j)*rho_{j+1} = -1, also from rho_2 back to rho_0."""
+        rho = (Fraction(0), Fraction(1), Fraction(0))
+        out = [rho]
+        for _ in range(2):
+            x = out[-1]
+            nxt = self.sub(self.mul(x, x), self.scale(self.n + 1, x))
+            out.append(self.sub(nxt, self.const(2)))
+        return out
+
+
+def resolvent_identities(n1: int, n2: int, shift) -> dict:
+    """Oracle: for alpha_j = n2*rho_j + shift over the roots rho_j of f_n in
+    the Galois order of ShanksRootRing.roots, in Q[rho]/(f_n):
+    "cycle", the three (1 + rho_j)*rho_{j+1} with rho_3 = rho_0;
+    "at_roots", f_n at each rho_j;
+    "resolvent_sum", 2*s1^3 - 9*s1*s2 + 27*s3 over the elementary symmetric
+    functions s_k of the alpha_j, which is r^3 + conj(r)^3 for the
+    resolvent r = alpha_0 + zeta3*alpha_1 + zeta3^2*alpha_2;
+    "D", (alpha_0 - alpha_1)*(alpha_1 - alpha_2)*(alpha_2 - alpha_0)."""
+    ring = ShanksRootRing(n1, n2)
+    rhos = ring.roots()
+    one = ring.const(1)
+    cycle = [ring.mul(ring.add(one, rhos[j]), rhos[(j + 1) % 3]) for j in range(3)]
+    a0, a1, a2 = (ring.add(ring.scale(n2, r), ring.const(shift)) for r in rhos)
+    mul = ring.mul
+    s1 = ring.add(ring.add(a0, a1), a2)
+    s2 = ring.add(ring.add(mul(a0, a1), mul(a1, a2)), mul(a2, a0))
+    s3 = mul(mul(a0, a1), a2)
+    resolvent_sum = ring.add(
+        ring.sub(ring.scale(2, mul(mul(s1, s1), s1)), ring.scale(9, mul(s1, s2))),
+        ring.scale(27, s3),
+    )
+    d = mul(mul(ring.sub(a0, a1), ring.sub(a1, a2)), ring.sub(a2, a0))
+    return {
+        "cycle": cycle,
+        "at_roots": [ring.f_n(r) for r in rhos],
+        "resolvent_sum": resolvent_sum,
+        "D": d,
+    }
+
+
+@pytest.fixture(scope="session", name="resolvents")
+def resolvents_fixture():
+    """resolvent_identities(n1, n2, shift): the resolvent identities of the
+    pair, in exact arithmetic in Q[rho]/(f_n)."""
+    return resolvent_identities
+
+
 def _divisors(n: int) -> list[int]:
     fac = factorize(n)
     divs = [1]

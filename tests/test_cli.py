@@ -361,6 +361,19 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["conductor"] == 7
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(capsys, tmp_path, command, target):
+    # every check runs and passes; then the report cannot be written, which
+    # is bad input, not a failed verification
+    out = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
+    reason = "No such file or directory" if target == "missing-directory" else "Is a directory"
+    code, stdout, err = run(capsys, [command, "--conductor", "7", "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: cannot write report to {out}: {reason}\n"
+
+
 def test_cold_enumerate_allocates_under_a_megabyte(tmp_path):
     # the first command of a fresh interpreter builds no table beyond what
     # its input needs
@@ -384,18 +397,33 @@ def test_cold_enumerate_allocates_under_a_megabyte(tmp_path):
     assert peak < 1_000_000, f"traced peak {peak} bytes"
 
 
-def test_cold_enumerate_imports_neither_dataclasses_nor_inspect(tmp_path):
-    # the value types are NamedTuples, not frozen dataclasses, so a fresh
-    # interpreter without site loads neither dataclasses nor inspect, which
-    # dataclasses imports
+# modules a cold enumerate or verify leaves unloaded: the value types are
+# NamedTuples, not frozen dataclasses (which import inspect);
+# report.render_json writes JSON without the json package; Fraction (which
+# imports decimal), csv and cmath are imported only where used; --out is
+# written with open(), not pathlib
+UNUSED_ON_THE_COLD_PATH = (
+    "cmath", "csv", "dataclasses", "decimal", "fractions", "inspect", "json", "pathlib",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--conductor", "7", "--format", "md"],
+        ["verify", "--conductor", "819", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cold_command_leaves_unused_modules_unloaded(tmp_path, argv):
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent(
         f"""
         import sys
         sys.path.insert(0, {str(src)!r})
         from cubicperiods.cli import main
-        code = main(["enumerate", "--conductor", "7", "--out", {str(tmp_path / "7.json")!r}])
-        print(code, *sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
+        code = main({argv!r} + ["--out", {str(tmp_path / "r.out")!r}])
+        print(code, *sorted(set({UNUSED_ON_THE_COLD_PATH!r}) & set(sys.modules)))
         """
     )
     proc = subprocess.run(

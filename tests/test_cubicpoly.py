@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -172,3 +173,38 @@ def test_distinct_representations_give_distinct_polys():
 def test_integer_coefficients_guard():
     with pytest.raises(NonIntegralCoefficient):
         C(1, Fraction(1, 2), 0, 0).integer_coefficients()
+
+
+def assert_resolvent_identities(resolvents, n1, n2, shift):
+    """r^3 = f*w in exact arithmetic, as its two halves: the cubed
+    resolvents of alpha_j = n2*rho_j + shift sum to f*M, and
+    D = (alpha_0 - alpha_1)*(alpha_1 - alpha_2)*(alpha_2 - alpha_0) is
+    -f*n2, for f = n1^2 + 3*n1*n2 + 9*n2^2 and M = 2*n1 + 3*n2."""
+    f, M = n1 * n1 + 3 * n1 * n2 + 9 * n2 * n2, 2 * n1 + 3 * n2
+    got = resolvents(n1, n2, shift)
+    assert got["cycle"] == [(-1, 0, 0)] * 3, (n1, n2)
+    assert got["at_roots"] == [(0, 0, 0)] * 3, (n1, n2)
+    assert got["resolvent_sum"] == (f * M, 0, 0), (n1, n2, shift)
+    assert got["D"] == (-f * n2, 0, 0), (n1, n2, shift)
+
+
+@pytest.mark.parametrize("f", [7, 9, 819, 104823])
+def test_resolvent_identities_at_every_pair(resolvents, f):
+    cond = validate_conductor(f)
+    for rep in representations(cond):
+        sp = shanks_params(rep)
+        _, shift = affine_relation(cond, sp.n1)
+        assert_resolvent_identities(resolvents, sp.n1, sp.n2, shift)
+
+
+def test_resolvent_identities_on_random_pairs(resolvents):
+    # uniform pairs up to 10^10 put f near 10^21; the resolvent sum and D do
+    # not depend on the shift, so it is drawn freely
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 120:
+        n1, n2 = rng.randint(-(10**10), 10**10), rng.randint(1, 10**10)
+        if math.gcd(n1, n2) != 1:
+            continue
+        assert_resolvent_identities(resolvents, n1, n2, rng.randint(-(10**10), 10**10))
+        checked += 1
