@@ -36,7 +36,6 @@ from .cubicpoly import (
     verify_main_identity,
 )
 from .eisenstein import (
-    GAUSS_SUM_BUDGET,
     POINT_COUNT_BUDGET,
     EisensteinInt,
     character_for_representation,

@@ -16,8 +16,8 @@ shapes its records into reports.
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
 for verify and scan a prime factor above eisenstein.POINT_COUNT_BUDGET,
-or above eisenstein.GAUSS_SUM_BUDGET whose Jacobi sum the points of the
-curve leave open) or an --out the report cannot be written to.
+or one whose Jacobi sum the points of the curve leave open) or an --out
+the report cannot be written to.
 Reports go to stdout (or --out); diagnostics go to stderr.
 """
 

@@ -21,7 +21,7 @@ import itertools
 import math
 
 # Points tried before the trace is left open.  The primes = 1 mod 3 from
-# 10^3 to 2*10^5 need one point in 98% of cases and 19441 needs the most, 11.
+# 7 to 2*10^5 need one point in 98% of cases and 19441 needs the most, 11.
 _POINT_TRIES = 32
 
 

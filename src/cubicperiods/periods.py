@@ -250,9 +250,9 @@ def verify_period_relation(rec: FieldRecord) -> Verdict:
 
 
 def verify_sign_congruences(rec: FieldRecord) -> Verdict:
-    """The product of the periods is (-1)^(nu+1) mod 3.  It is read from the
-    Gauss sum, as -c0 of numeric_period_poly (Tr(T)/27 when f is wild), so a
-    wrong cube T fails it.
+    """The product of the periods is -mu = (-1)^(nu+1) mod 3.  It is read
+    from the Gauss sum, as -c0 of numeric_period_poly (Tr(T)/27 when f is
+    wild), so a wrong cube T fails it.
 
     On a record of match_fields it cannot fail, so it guards records built
     elsewhere: the matching made Tr(T) = mu*f*M, so the product is the
@@ -264,7 +264,7 @@ def verify_sign_congruences(rec: FieldRecord) -> Verdict:
     if not f.is_wild:
         raise ValueError("sign congruences apply to wild records")
     eta_product = -numeric_period_poly(rec.periods).c0
-    if (eta_product - (-1) ** (f.nu + 1)) % 3 != 0:
+    if (eta_product + f.mu) % 3 != 0:
         raise CongruenceFailure(
             f"f={f.value}: period product {eta_product} is not (-1)^(nu+1) mod 3"
         )

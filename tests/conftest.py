@@ -8,7 +8,6 @@ from typing import NamedTuple
 import pytest
 
 from cubicperiods import (
-    GAUSS_SUM_BUDGET,
     CountMismatch,
     FactorizationMismatch,
     GeneratorFailure,
@@ -17,7 +16,7 @@ from cubicperiods import (
     affine_relation,
     conductors_up_to,
     cubic_residue_character,
-    eisenstein,
+    curve,
     factorize,
     match_fields,
     moebius,
@@ -26,13 +25,12 @@ from cubicperiods import (
     shanks_poly,
     substitute_affine,
 )
-from cubicperiods.arith import _component_moduli, _generator
+from cubicperiods.arith import _component_moduli, _generator, _primes_below
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
     ZETA_SQ,
     EisensteinInt,
-    _index_table,
     primary_associate,
 )
 
@@ -149,6 +147,110 @@ def residue_sets():
     return coset_sets
 
 
+# The count reads the primes below isqrt(p) + 1 <= 3163 for a prime p below
+# COUNT_BOUND, and is asked for no larger p.
+COUNT_BOUND = 10_000_000
+COUNT_PRIME_BOUND = 4096
+COUNT_PRIMES = _primes_below(COUNT_PRIME_BOUND)
+
+# Byte maps over the index table: _ADD[e] adds e mod 3 to an index 0, 1 or 2.
+_ADD = tuple(bytes((x + e) % 3 for x in range(256)) for e in range(3))
+
+
+def index_table(p: int) -> bytearray:
+    """ind_g(a) mod 3 at index a, 1 <= a < p, for the smallest generator g
+    mod p, a prime = 1 mod 3.
+
+    Below s = isqrt(p) + 1 the index is additive over the factorization of
+    a: each prime l < s adds its index e_l, read off l^((p-1)/3) against
+    omega = g^((p-1)/3), to the multiples of l, l^2, ... below s.  Every a
+    above that lies in a block p/(k+1) < a <= (p-1)/k with k < s, where
+    0 < p - k*a < a and ind(a) = ind(p - k*a) - ind(k), because -1 has index
+    (p-1)/2 = 0 mod 3.  Filling the blocks in ascending order, each is one
+    strided slice of the table read backwards, shifted by -ind(k) unless
+    that is 0.
+    """
+    s = math.isqrt(p) + 1
+    if s > COUNT_PRIME_BOUND:
+        raise ValueError(
+            f"the index table mod {p} needs the primes below {s}, beyond the "
+            f"prime table's bound {COUNT_PRIME_BOUND}"
+        )
+    g, _ = _generator(p)
+    k = (p - 1) // 3
+    omega = pow(g, k, p)
+    index_of = {1: 0, omega: 1, omega * omega % p: 2}
+    table = bytearray(p)
+    for ell in COUNT_PRIMES:
+        if ell >= s:
+            break
+        e = index_of[pow(ell, k, p)]
+        power = ell
+        while e and power < s:
+            table[power:s:power] = table[power:s:power].translate(_ADD[e])
+            power *= ell
+    for m in range(s - 1, 0, -1):
+        lo, hi = p // (m + 1) + 1, (p - 1) // m
+        block = table[p - m * lo : p - m * hi - 1 : -m]
+        table[lo : hi + 1] = block.translate(_ADD[-table[m] % 3]) if table[m] else block
+    return table
+
+
+def jacobi_by_count(p: int) -> EisensteinInt:
+    """Oracle: J(chi, chi) = sum over 2 <= a < p of chi(a) * chi(1 - a),
+    counted in O(p) byte work from the index table.
+
+    With n_k the number of a whose indices at a and at 1 - a = p + 1 - a
+    add up to k mod 3, J = n0 + n1*zeta3 + n2*zeta3^2.  The terms of a and
+    1 - a are equal, so only the a below h = (p + 1)/2 are summed, and
+    doubled; h is its own partner and adds 1 to the class 2*ind(h).  The
+    bytes of the index table from 2 to h - 1 read little-endian and those
+    from p - 1 down to h + 1 read big-endian add up, byte by byte and
+    without carries, to the sums s = ind(a) + ind(1 - a) in 0..4.  Of those,
+    s = 1 or 4 is class 1 and s = 2 is class 2, so both counts are
+    popcounts of the low three bit planes of the sum and of the AND of the
+    first two, which marks s = 3.  Unchecked: the norm and the congruence
+    are left to the caller.
+    """
+    table = index_table(p)
+    h = (p + 1) // 2
+    sums = int.from_bytes(table[2:h], "little") + int.from_bytes(table[h + 1 :], "big")
+    ones = int.from_bytes(b"\x01" * (h - 2), "little")
+    threes = (sums & (sums >> 1) & ones).bit_count()
+    n1 = 2 * ((sums & ones).bit_count() - threes + ((sums >> 2) & ones).bit_count())
+    n2 = 2 * (((sums >> 1) & ones).bit_count() - threes)
+    middle = 2 * table[h] % 3
+    n1 += middle == 1
+    n2 += middle == 2
+    n0 = p - 2 - n1 - n2
+    return EisensteinInt(n0 - n2, n1 - n2)
+
+
+@pytest.fixture(scope="session")
+def count_oracle():
+    """The O(p) count of J(chi, chi) from the index table mod p, with the
+    prime table it reads."""
+    return SimpleNamespace(
+        index_table=index_table,
+        jacobi=jacobi_by_count,
+        bound=COUNT_BOUND,
+        prime_bound=COUNT_PRIME_BOUND,
+        primes=COUNT_PRIMES,
+    )
+
+
+def points_of_e_alone(p: int, points=curve._points):
+    """curve._points without the points of the twist: at the primes where
+    the first points of E leave more than one trace, the trace stays open."""
+    return ((P, sign) for P, sign in points(p) if sign == 1)
+
+
+@pytest.fixture(scope="session")
+def e_alone():
+    """points_of_e_alone(p): a stand-in for curve._points."""
+    return points_of_e_alone
+
+
 def jacobi_by_nine_counts(p: int) -> EisensteinInt:
     """Oracle: J(chi, chi) mod p from all p - 2 terms, with no pairing of a
     and 1 - a.  Each count n_k of the a in 2..p-1 whose indices at a and at
@@ -156,7 +258,7 @@ def jacobi_by_nine_counts(p: int) -> EisensteinInt:
     bytes of index i read little-endian and those of index j read
     big-endian, for the nine pairs (i, j).  Unchecked: the norm and the
     congruence are left to the caller."""
-    core = _index_table(p)[2:]
+    core = index_table(p)[2:]
     indicators = [bytes(int(x == r) for x in range(256)) for r in range(3)]
     firsts = [int.from_bytes(core.translate(indicators[i]), "little") for i in range(3)]
     counts = [0, 0, 0]
@@ -189,12 +291,6 @@ def jacobi_by_prime_element(p: int) -> EisensteinInt:
 def prime_element_jacobi():
     """jacobi_by_prime_element(p): J(chi, chi) from the prime element of norm p."""
     return jacobi_by_prime_element
-
-
-@pytest.fixture
-def counted(monkeypatch):
-    """Send every jacobi_sum within the count's budget to the count."""
-    monkeypatch.setattr(eisenstein, "_POINTS_FROM", GAUSS_SUM_BUDGET)
 
 
 def exact_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:

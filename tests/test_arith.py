@@ -14,7 +14,7 @@ from cubicperiods import (
     moebius,
     validate_conductor,
 )
-from cubicperiods.arith import _MR_WITNESSES, _PRIME_BOUND, is_probable_prime
+from cubicperiods.arith import _MR_WITNESSES, _TRIAL_BOUND, is_probable_prime
 
 
 def sieve_moebius(limit: int) -> list[int]:
@@ -236,9 +236,10 @@ def test_moebius_agrees_with_sieve():
     ],
 )
 def test_moebius_matches_factorize_beyond_prime_table(m, expected):
-    # each m has a prime factor above the prime table and exceeds the square
-    # of its bound, so moebius runs past the table and falls back
-    assert _PRIME_BOUND < 4099 and m > _PRIME_BOUND**2
+    # each m has a prime factor above the trial primes and exceeds the
+    # square of their bound, so moebius runs past trial division and falls
+    # back
+    assert _TRIAL_BOUND < 4099 and m > _TRIAL_BOUND**2
     fac = factorize(m)
     assert math.prod(p**e for p, e in fac.factors) == m
     assert all(is_probable_prime(p) for p, _ in fac.factors)

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from cubicperiods import (
-    GAUSS_SUM_BUDGET,
     MR_BOUND,
     POINT_COUNT_BUDGET,
     BudgetExceeded,
@@ -249,13 +248,13 @@ def test_prime_component_beyond_the_count_is_verified(capsys, conductor):
 
 
 def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
-    # 15561 = 9 * 7 * 13 * 19 has 8 fields.  The periods take one index
-    # table per prime component, and the character check of every field
-    # reads the cubes of the periods instead of building its own (24 more)
+    # 15561 = 9 * 7 * 13 * 19 has 8 fields.  The periods take one trace per
+    # prime component, and the character check of every field reads the
+    # cubes of the periods instead of building its own (24 more)
     calls = []
-    index_table = eisenstein._index_table
+    jacobi_trace = curve.jacobi_trace
     monkeypatch.setattr(
-        eisenstein, "_index_table", lambda p: calls.append(p) or index_table(p)
+        curve, "jacobi_trace", lambda p: calls.append(p) or jacobi_trace(p)
     )
     eisenstein.component_gauss_sums.cache_clear()
     code, _, _ = run(capsys, ["verify", "--conductor", "15561"])
@@ -263,43 +262,54 @@ def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
     assert calls == [7, 13, 19]
 
 
-def test_verify_counts_only_the_primes_below_the_crossover(capsys, monkeypatch):
-    # 826371 = 9 * 7 * 13 * 1009 has 8 fields.  7 and 13 are counted from
-    # their index tables, and 1009, above eisenstein._POINTS_FROM, takes the
-    # points of E; each prime once
-    counted, traced = [], []
-    index_table = eisenstein._index_table
+def test_verify_takes_every_prime_by_points(capsys, monkeypatch):
+    # 826371 = 9 * 7 * 13 * 1009 has 8 fields.  Small and large primes alike
+    # take the points of E and its twist, each prime once
+    traced = []
     jacobi_trace = curve.jacobi_trace
-    monkeypatch.setattr(
-        eisenstein, "_index_table", lambda p: counted.append(p) or index_table(p)
-    )
     monkeypatch.setattr(
         curve, "jacobi_trace", lambda p: traced.append(p) or jacobi_trace(p)
     )
     eisenstein.component_gauss_sums.cache_clear()
     code, _, _ = run(capsys, ["verify", "--conductor", "826371"])
     assert code == 0
-    assert counted == [7, 13]
-    assert traced == [1009]
+    assert traced == [7, 13, 1009]
 
 
 def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
-    # 10000141, the first prime = 1 mod 3 above the count's budget, has
-    # t = 4258 and 10004400 = 2^4 * 3^2 * 5^2 * 7 * 397 points on E.  3150
-    # times the first point of E is killed by p + 1 + t at t = -2888 too, so
-    # with that point alone two traces survive, and neither is taken
+    # 10000141, the first prime = 1 mod 3 above 10^7, has t = 4258 and
+    # 10004400 = 2^4 * 3^2 * 5^2 * 7 * 397 points on E.  3150 times the
+    # first point of E is killed by p + 1 + t at t = -2888 too, so with that
+    # point alone two traces survive, and neither is taken
     p = 10_000_141
     first = next(P for P, sign in curve._points(p) if sign == 1)
     point = curve._mul(3150, first, p)
     assert [t for t in (4258, -2888) if curve._mul(p + 1 + t, point, p) is None] == [4258, -2888]
-    monkeypatch.setattr(curve, "_points", lambda q: iter([(point, 1)] * curve._POINT_TRIES))
+    points = curve._points
+    monkeypatch.setattr(
+        curve,
+        "_points",
+        lambda q: iter([(point, 1)] * curve._POINT_TRIES) if q == p else points(q),
+    )
     with pytest.raises(BudgetExceeded, match="open"):
         eisenstein.jacobi_sum(p)
     eisenstein.component_gauss_sums.cache_clear()
     code, out, err = run(capsys, ["verify", "--conductor", str(7 * p)])
     assert code == 2
     assert out == ""
-    assert str(GAUSS_SUM_BUDGET) in err
+    assert "open" in err
+
+
+def test_open_trace_at_a_small_prime_exits_2(capsys, monkeypatch, e_alone):
+    # 7819 = 7 * 1117: with the points of E alone the trace mod 1117 stays
+    # open, and verify refuses rather than count J
+    points = curve._points
+    monkeypatch.setattr(curve, "_points", lambda q: e_alone(q) if q == 1117 else points(q))
+    eisenstein.component_gauss_sums.cache_clear()
+    code, out, err = run(capsys, ["verify", "--conductor", "7819"])
+    assert code == 2
+    assert out == ""
+    assert "mod 1117" in err and "open" in err
 
 
 def test_scan_empty_range(capsys):
@@ -433,17 +443,17 @@ def test_cold_command_leaves_unused_modules_unloaded(tmp_path, argv):
     assert proc.stdout.split() == ["0"]
 
 
-def test_only_a_prime_above_the_crossover_loads_the_curve(tmp_path):
-    # the points route is imported where jacobi_sum takes it: enumerate, and
-    # verify of 15561 = 9 * 7 * 13 * 19, leave cubicperiods.curve unloaded,
-    # and verify of 826371 = 9 * 7 * 13 * 1009 loads it
+def test_only_a_jacobi_sum_loads_the_curve(tmp_path):
+    # the points are imported where jacobi_sum first runs: enumerate, and
+    # verify of 9, which has no prime component, leave cubicperiods.curve
+    # unloaded, and verify of 15561 = 9 * 7 * 13 * 19 loads it
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent(
         f"""
         import sys
         sys.path.insert(0, {str(src)!r})
         from cubicperiods.cli import main
-        for argv in (["enumerate", "7"], ["verify", "15561"], ["verify", "826371"]):
+        for argv in (["enumerate", "7"], ["verify", "9"], ["verify", "15561"]):
             main([argv[0], "--conductor", argv[1], "--out", {str(tmp_path / "r.json")!r}])
             print("cubicperiods.curve" in sys.modules)
         """

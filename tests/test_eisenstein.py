@@ -5,7 +5,6 @@ import random
 import pytest
 
 from cubicperiods import (
-    GAUSS_SUM_BUDGET,
     BudgetExceeded,
     EisensteinInt,
     character_for_representation,
@@ -17,31 +16,17 @@ from cubicperiods import (
     representations,
     validate_conductor,
 )
-from cubicperiods import curve, eisenstein
-from cubicperiods.arith import (
-    _PRIME_BOUND,
-    _PRIMES,
-    _generator,
-    _primes_below,
-    is_probable_prime,
-)
-from cubicperiods.eisenstein import (
-    POINT_COUNT_BUDGET,
-    UNITS,
-    ZETA,
-    _POINTS_FROM,
-    _index_table,
-    _jacobi_by_count,
-    _jacobi_by_points,
-    primary_associate,
-)
+from cubicperiods import curve
+from cubicperiods.arith import _generator, _primes_below, is_probable_prime
+from cubicperiods.eisenstein import POINT_COUNT_BUDGET, UNITS, ZETA, primary_associate
 from cubicperiods.curve import jacobi_trace
 
 PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
-# Every prime = 1 mod 3 that jacobi_sum sends to the points, up to 2*10^5.
-POINT_PRIMES = [p for p in _primes_below(200_000) if p % 3 == 1 and p > _POINTS_FROM]
-# The first curve._POINT_TRIES points of E leave more than one trace at these
-# primes, two near 10^3, two near 10^4 and four in 1.2..1.31*10^5.
+# Every prime = 1 mod 3 below 2*10^5.
+POINT_PRIMES = [p for p in _primes_below(200_000) if p % 3 == 1]
+# The first curve._POINT_TRIES points of E alone leave more than one trace at
+# these primes, two near 10^3, two near 10^4 and four in 1.2..1.31*10^5; they
+# do so at 169 primes = 1 mod 3 below 2*10^5, 7 and 13 among them.
 E_AMBIGUOUS = [1117, 1123, 9901, 11131, 121453, 123553, 127807, 129169]
 
 
@@ -360,9 +345,10 @@ def test_factor_rhs_inverts_rhs_elements(wild_records_10k, factor_rhs):
         assert r.prime_elements == tuple(pis)
 
 
-def test_index_table_equals_the_powers_of_the_generator():
-    # the table built from the primes below sqrt(p) and the strided blocks,
-    # against j mod 3 at g^j for every j, at every prime = 1 mod 3 below 2*10^4
+def test_index_table_equals_the_powers_of_the_generator(count_oracle):
+    # the count oracle's table, built from the primes below sqrt(p) and the
+    # strided blocks, against j mod 3 at g^j for every j, at every prime
+    # = 1 mod 3 below 2*10^4
     assert len(PRIMES_1_MOD_3) == 1124
     for p in PRIMES_1_MOD_3:
         g, order = _generator(p)
@@ -371,27 +357,30 @@ def test_index_table_equals_the_powers_of_the_generator():
         for j in range(order):
             expected[x] = j % 3
             x = x * g % p
-        assert _index_table(p) == expected, p
+        assert count_oracle.index_table(p) == expected, p
 
 
-def test_prime_table_holds_every_prime_the_index_table_reads():
-    # _index_table reads the primes below isqrt(p) + 1, for p up to the budget
-    reach = math.isqrt(GAUSS_SUM_BUDGET) + 1
-    assert reach <= _PRIME_BOUND
-    assert _PRIMES == tuple(n for n in range(_PRIME_BOUND) if is_probable_prime(n))
+def test_prime_table_holds_every_prime_the_index_table_reads(count_oracle):
+    # the index table reads the primes below isqrt(p) + 1, for p up to the
+    # largest the count oracle is asked for
+    reach = math.isqrt(count_oracle.bound) + 1
+    assert reach <= count_oracle.prime_bound
+    assert count_oracle.primes == tuple(
+        n for n in range(count_oracle.prime_bound) if is_probable_prime(n)
+    )
 
 
-def test_index_table_refuses_a_prime_beyond_the_prime_table():
+def test_index_table_refuses_a_prime_beyond_the_prime_table(count_oracle):
     # the least prime = 1 mod 3 above the square of the table's bound needs
     # primes the table does not hold
-    p = _PRIME_BOUND**2 + 1
+    p = count_oracle.prime_bound**2 + 1
     while p % 3 != 1 or not is_probable_prime(p):
         p += 1
-    with pytest.raises(BudgetExceeded, match="prime table"):
-        _index_table(p)
+    with pytest.raises(ValueError, match="prime table"):
+        count_oracle.index_table(p)
 
 
-def test_jacobi_sum_is_a_prime_element_minus_one_mod_3(counted):
+def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():
     for p in PRIMES_1_MOD_3:
         jacobi = jacobi_sum(p)
         assert jacobi.norm() == p
@@ -400,15 +389,16 @@ def test_jacobi_sum_is_a_prime_element_minus_one_mod_3(counted):
         assert -jacobi in (prime_element(p), prime_element(p).conjugate())
 
 
-def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(counted, nine_count_jacobi):
-    # the count over the pairs {a, 1 - a} by bit planes against the nine
-    # counts over all p - 2 terms, at every prime = 1 mod 3 below 2*10^4 and
-    # at two large primes, the second the largest within the budget
+def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(count_oracle, nine_count_jacobi):
+    # the points, and the count over the pairs {a, 1 - a} by bit planes,
+    # against the nine counts over all p - 2 terms, at every prime = 1 mod 3
+    # below 2*10^4 and at two large primes, the second the largest the count
+    # oracle is asked for
     for p in [*PRIMES_1_MOD_3, 1_000_003, 9_999_991]:
-        assert jacobi_sum(p) == nine_count_jacobi(p), p
+        assert jacobi_sum(p) == count_oracle.jacobi(p) == nine_count_jacobi(p), p
 
 
-def test_float_gauss_sum_cubed_is_p_times_jacobi(counted, float_gauss_sum):
+def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
     # tau(chi)^3 = p * J(chi, chi) against the O(p) float sum, for both
     # characters of every prime = 1 mod 3 below 3000
     for p in PRIMES_1_MOD_3:
@@ -420,16 +410,16 @@ def test_float_gauss_sum_cubed_is_p_times_jacobi(counted, float_gauss_sum):
             assert abs(tau**3 - expected.to_complex()) < 1e-6, (p, e)
 
 
-def test_points_equal_the_count():
+def test_points_equal_the_count(count_oracle):
     # baby-step giant-step on E and its twist against the count, at every
-    # prime = 1 mod 3 from the crossover to 5*10^4 and at two large primes,
-    # the second the largest within the count's budget
+    # prime = 1 mod 3 from 7 to 5*10^4 and at two large primes, the second
+    # the largest the count oracle is asked for
     for p in [*(p for p in POINT_PRIMES if p <= 50_000), 1_000_003, 9_999_991]:
-        assert _jacobi_by_points(p) == _jacobi_by_count(p), p
+        assert jacobi_sum(p) == count_oracle.jacobi(p), p
 
 
 def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
-    # at every prime = 1 mod 3 from the crossover to 2*10^5, and at 50
+    # at every prime = 1 mod 3 from 7 to 2*10^5, and at 50
     # primes = 1 mod 3 with a seeded number of digits up to the budget
     rng = random.Random(19)
     sampled = []
@@ -442,23 +432,17 @@ def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
         sampled.append(n)
     assert max(sampled) <= POINT_COUNT_BUDGET
     for p in [*POINT_PRIMES, *sampled]:
-        assert _jacobi_by_points(p) == prime_element_jacobi(p), p
+        assert jacobi_sum(p) == prime_element_jacobi(p), p
 
 
-def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi):
-    # with the points of E alone the trace stays open, and jacobi_sum counts
-    # instead; the points of the twist among them settle it
+def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi, e_alone):
+    # the points of the twist among the first ones settle the trace; with
+    # the points of E alone it stays open, and jacobi_sum refuses, however
+    # small p is
     for p in E_AMBIGUOUS:
-        assert _jacobi_by_points(p) == prime_element_jacobi(p), p
-    points = curve._points
-    monkeypatch.setattr(
-        curve, "_points", lambda p: ((P, sign) for P, sign in points(p) if sign == 1)
-    )
-    tables = []
-    monkeypatch.setattr(
-        eisenstein, "_index_table", lambda p: tables.append(p) or _index_table(p)
-    )
+        assert jacobi_sum(p) == prime_element_jacobi(p), p
+    monkeypatch.setattr(curve, "_points", e_alone)
     for p in E_AMBIGUOUS:
         assert jacobi_trace(p) is None, p
-        assert jacobi_sum(p) == prime_element_jacobi(p), p
-    assert tables == E_AMBIGUOUS
+        with pytest.raises(BudgetExceeded, match="open"):
+            jacobi_sum(p)

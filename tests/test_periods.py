@@ -8,7 +8,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cubicperiods import (
-    GAUSS_SUM_BUDGET,
     MR_BOUND,
     BudgetExceeded,
     ComplexRoots,
@@ -229,21 +228,23 @@ def prime_1_mod_3_at_most(n: int) -> int:
     return max(n, 7)
 
 
-# the largest prime component the random conductors may draw beyond the
-# count's budget; the points take about 4 ms a prime near it
-BEYOND_THE_COUNT = 10**12
+# The random conductors draw their smaller primes up to SMALL_PRIMES, where
+# the points settle the trace of every prime = 1 mod 3 (a sweep of all
+# 332,194 of them from 7 to 10^7), and at most one larger prime up to
+# LARGE_PRIMES, where the points take about 4 ms a prime.
+SMALL_PRIMES = 10**7
+LARGE_PRIMES = 10**12
 
 
 @st.composite
 def conductors_within_the_budget(draw):
     """Tame and wild conductors with nu <= 6 primes = 1 mod 3 up to
-    GAUSS_SUM_BUDGET, each with a uniform number of digits, and in about
-    half the draws one more prime in (GAUSS_SUM_BUDGET, BEYOND_THE_COUNT],
-    whose Jacobi sum only the points of the curve give; the largest of the
-    smaller primes are dropped until f is below MR_BOUND."""
+    SMALL_PRIMES, each with a uniform number of digits, and in about half
+    the draws one more prime in (SMALL_PRIMES, LARGE_PRIMES]; the largest
+    of the smaller primes are dropped until f is below MR_BOUND."""
     cofactor = draw(st.sampled_from((1, 9)))
     nu = draw(st.integers(1 if cofactor == 1 else 0, 6))
-    digits = len(str(GAUSS_SUM_BUDGET)) - 1
+    digits = len(str(SMALL_PRIMES)) - 1
     seeds = draw(
         st.lists(
             st.integers(1, digits).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d)),
@@ -255,12 +256,12 @@ def conductors_within_the_budget(draw):
     large = []
     if draw(st.booleans()):
         seed = draw(
-            st.integers(digits + 1, len(str(BEYOND_THE_COUNT)) - 1).flatmap(
+            st.integers(digits + 1, len(str(LARGE_PRIMES)) - 1).flatmap(
                 lambda d: st.integers(2 * 10 ** (d - 1), 10**d)
             )
         )
         large = [prime_1_mod_3_at_most(seed)]
-        assert GAUSS_SUM_BUDGET < large[0] <= BEYOND_THE_COUNT
+        assert SMALL_PRIMES < large[0] <= LARGE_PRIMES
     while primes and cofactor * math.prod(primes + large) >= MR_BOUND:
         primes.pop()
     return validate_conductor(cofactor * math.prod(primes + large))
@@ -269,13 +270,13 @@ def conductors_within_the_budget(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(conductors_within_the_budget())
 def test_exact_period_poly_equals_the_closed_form_on_random_conductors(cond):
-    # a trace the points leave open above the count's budget is refused,
-    # never guessed, so it may stop a draw with BudgetExceeded but not with
-    # a mismatch
+    # a trace the points leave open is refused, never guessed, so it may
+    # stop a draw with BudgetExceeded but not with a mismatch; none is known
+    # below SMALL_PRIMES
     try:
         assert_kernels_match_pairs(cond)
     except BudgetExceeded:
-        assert max(cond.odd_primes) > GAUSS_SUM_BUDGET
+        assert max(cond.odd_primes) > SMALL_PRIMES
         reject()
 
 
