@@ -18,9 +18,7 @@ irreducibility test, lives in the tests as oracles.
 
 from .arith import (
     Conductor,
-    Factorization,
     MR_BOUND,
-    Kind,
     conductors_up_to,
     factorize,
     moebius,

@@ -17,7 +17,6 @@ import functools
 import heapq
 import itertools
 import math
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import InvalidConductor
@@ -143,25 +142,9 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
-class Factorization(NamedTuple):
-    """Prime factorization with factors sorted by prime.  The constructor
-    checks nothing; factorize checks the product of what it builds."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
-
-def factorize(m: int) -> Factorization:
-    """Exact prime factorization: trial division by the primes below
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of m as its (prime, exponent) pairs, sorted
+    by prime; () for m = 1.  Trial division by the primes below
     _TRIAL_BOUND, then Miller-Rabin and Brent's rho on what is left.
 
     A cofactor below _TRIAL_BOUND^2 with no prime factor below the bound is
@@ -193,36 +176,30 @@ def factorize(m: int) -> Factorization:
     factors = tuple(sorted(found.items()))
     if math.prod(p**e for p, e in factors) != value:
         raise ValueError("factor product does not equal value")
-    return Factorization(value, factors)
+    return factors
 
 
 def moebius(m: int) -> int:
     """Moebius function: 0 unless m is squarefree, else (-1)^(number of primes)."""
     if m < 1:
         raise ValueError("moebius requires a positive integer")
-    fac = factorize(m)
-    if not fac.is_squarefree():
+    factors = factorize(m)
+    if any(e > 1 for _, e in factors):
         return 0
-    return -1 if len(fac.factors) % 2 else 1
+    return -1 if len(factors) % 2 else 1
 
 
-class Kind(str, Enum):
-    """Ramification of 3 in the field: wild means 9 divides the conductor."""
-
-    TAME = "tame"
-    WILD = "wild"
-
-
-# The residue class (r, m) that holds every conductor of a kind.
-_CANDIDATES = {Kind.TAME: (1, 6), Kind.WILD: (9, 54)}
+# The kinds of conductor by the ramification of 3, "tame" and "wild", each
+# with the residue class (r, m) that holds every conductor of that kind.
+KINDS = {"tame": (1, 6), "wild": (9, 54)}
 
 
 class Conductor(NamedTuple):
     """A validated conductor.  The constructor checks nothing;
-    validate_conductor checks the fields against the value."""
+    validate_conductor checks the fields against the value.  Its kind
+    follows from the value: wild when 9 divides it, tame otherwise."""
 
     value: int
-    kind: Kind
     odd_primes: tuple[int, ...]
 
     @property
@@ -232,7 +209,12 @@ class Conductor(NamedTuple):
 
     @property
     def is_wild(self) -> bool:
-        return self.kind is Kind.WILD
+        return self.value % 9 == 0
+
+    @property
+    def kind(self) -> str:
+        """Ramification of 3 in the field: "wild" or "tame"."""
+        return "wild" if self.is_wild else "tame"
 
     @property
     def mu(self) -> int:
@@ -246,7 +228,7 @@ class Conductor(NamedTuple):
     @property
     def field_count(self) -> int:
         """Number of cyclic cubic fields of conductor f: 2^(nu-1) tame, 2^nu wild."""
-        return 2 ** (self.nu - 1) if self.kind is Kind.TAME else 2**self.nu
+        return 2**self.nu if self.is_wild else 2 ** (self.nu - 1)
 
 
 def _require_below_mr_bound(f: int) -> None:
@@ -268,14 +250,14 @@ def validate_conductor(f: int) -> Conductor:
     _require_below_mr_bound(f)
     if f % 2 == 0:
         raise InvalidConductor(f"{f} is even")
-    fac = factorize(f)
-    three_part = fac.exponent_of(3)
+    factors = factorize(f)
+    three_part = dict(factors).get(3, 0)
     if three_part not in (0, 2):
         raise InvalidConductor(
             f"the 3-part of {f} is 3^{three_part}; it must be 1 or 9"
         )
     odd_primes = []
-    for p, e in fac.factors:
+    for p, e in factors:
         if p == 3:
             continue
         if e > 1:
@@ -287,14 +269,13 @@ def validate_conductor(f: int) -> Conductor:
         raise InvalidConductor("1 is not a conductor")
     if math.prod(odd_primes) * 3**three_part != f:
         raise ValueError("inconsistent Conductor fields")
-    kind = Kind.WILD if three_part else Kind.TAME
-    return Conductor(f, kind, tuple(odd_primes))
+    return Conductor(f, tuple(odd_primes))
 
 
 def _component_moduli(f: Conductor) -> list[int]:
     """The CRT components of f in ascending order: each odd prime, and 9 when wild."""
     comps = list(f.odd_primes)
-    if f.kind is Kind.WILD:
+    if f.is_wild:
         comps.append(9)
     return sorted(comps)
 
@@ -305,7 +286,7 @@ def _generator(q: int) -> tuple[int, int]:
     with the order of that group.  Kept per q, because finding it factors
     q - 1 and every field of a conductor asks for the same components."""
     order = 6 if q == 9 else q - 1
-    prime_divisors = [p for p, _ in factorize(order).factors]
+    prime_divisors = [p for p, _ in factorize(order)]
     for g in range(2, q):
         if math.gcd(g, q) != 1:
             continue
@@ -315,10 +296,11 @@ def _generator(q: int) -> tuple[int, int]:
 
 
 def conductors_up_to(
-    bound: int, kind: Kind | str | None = None, start: int = 1
+    bound: int, kind: str | None = None, start: int = 1
 ) -> list[Conductor]:
-    """All valid conductors in [start, bound] in ascending order, optionally
-    of one kind.
+    """All valid conductors in [start, bound] in ascending order, of both
+    kinds when kind is None, else of kind "tame" or "wild"; any other kind
+    raises ValueError.
 
     A product of primes = 1 mod 3 is 1 mod 6, so a tame conductor is 1 mod
     6 and a wild one 9 mod 54; only those candidates are validated.  A bound
@@ -327,12 +309,11 @@ def conductors_up_to(
     if bound < 1:
         raise ValueError("bound must be positive")
     _require_below_mr_bound(bound)
-    kinds = list(Kind) if kind is None else [Kind(kind)]
+    if kind is not None and kind not in KINDS:
+        raise ValueError(f"{kind!r} is not a kind of conductor")
+    classes = KINDS.values() if kind is None else [KINDS[kind]]
     candidates = heapq.merge(
-        *(
-            range(start + (r - start) % m, bound + 1, m)
-            for r, m in (_CANDIDATES[k] for k in kinds)
-        )
+        *(range(start + (r - start) % m, bound + 1, m) for r, m in classes)
     )
     out = []
     for f in candidates:

@@ -28,25 +28,21 @@ import functools
 import os
 import sys
 
-from .arith import Conductor, Kind, conductors_up_to, validate_conductor
+from .arith import KINDS, Conductor, conductors_up_to, validate_conductor
 from .cubicpoly import affine_relation, period_poly_formula, shanks_poly
 from .eisenstein import chi9_gauss_sum_report
 from .errors import BudgetExceeded, InvalidConductor, VerificationError
 from .periods import FieldRecord, match_fields
 from .quadform import representations, shanks_params
 from .report import (
+    FORMATS,
     GOLDEN_TABLE_ROWS,
     TABLE_CONDUCTOR,
-    ReportFormat,
     format_poly,
     format_rational,
     format_relation,
     render_report,
 )
-
-
-def _report_format(name: str) -> ReportFormat:
-    return ReportFormat("md" if name == "markdown" else name)
 
 
 def _style(text: str, code: str) -> str:
@@ -63,16 +59,19 @@ class _Unwritable(Exception):
     """--out names a path the report cannot be written to."""
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    """Render report in the --format of args (markdown is an alias for md)
+    and write it to --out, or to stdout."""
+    text = render_report(report, "md" if args.format == "markdown" else args.format)
+    if args.out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise _Unwritable(
-            f"cannot write report to {out}: {exc.strerror or exc}"
+            f"cannot write report to {args.out}: {exc.strerror or exc}"
         ) from exc
 
 
@@ -102,15 +101,6 @@ def _field_entry(rec: FieldRecord) -> dict:
     return entry
 
 
-def _conductor_notes(f: Conductor) -> list[str]:
-    notes = []
-    if f.is_wild and f.nu == 0:
-        notes.append(
-            "nu = 0: the conductor is 9 itself, with no odd prime factors"
-        )
-    return notes
-
-
 @functools.cache
 def _chi9_note() -> str:
     """The note on the Gaussian sums mod 9 of a wild report: a fact about
@@ -123,36 +113,41 @@ def _chi9_note() -> str:
     )
 
 
-def verify_report(f: Conductor) -> dict:
-    """Full verification of one conductor (match_fields), as a report dict.
-
-    Raises a VerificationError subclass as soon as any check fails.
-    """
-    entries = [_field_entry(rec) for rec in match_fields(f)]
-    report = {"conductor": f.value, "kind": f.kind.value, "fields": entries}
-    notes = _conductor_notes(f)
-    if f.is_wild:
+def _conductor_report(f: Conductor, entries: list[dict], verified: bool) -> dict:
+    """The report of one conductor with one entry per field, and its notes:
+    on nu = 0, then, for a verified wild conductor, on the sums mod 9."""
+    report = {"conductor": f.value, "kind": f.kind, "fields": entries}
+    notes = []
+    if f.is_wild and f.nu == 0:
+        notes.append(
+            "nu = 0: the conductor is 9 itself, with no odd prime factors"
+        )
+    if f.is_wild and verified:
         notes.append(_chi9_note())
     if notes:
         report["notes"] = notes
     return report
 
 
+def verify_report(f: Conductor) -> dict:
+    """Full verification of one conductor (match_fields), as a report dict.
+
+    Raises a VerificationError subclass as soon as any check fails.
+    """
+    entries = [_field_entry(rec) for rec in match_fields(f)]
+    return _conductor_report(f, entries, verified=True)
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     f = validate_conductor(args.conductor)
     entries = [_enumerate_entry(r) for r in representations(f)]
-    report = {"conductor": f.value, "kind": f.kind.value, "fields": entries}
-    notes = _conductor_notes(f)
-    if notes:
-        report["notes"] = notes
-    _emit(render_report(report, _report_format(args.format)), args.out)
+    _emit(_conductor_report(f, entries, verified=False), args)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     f = validate_conductor(args.conductor)
-    report = verify_report(f)
-    _emit(render_report(report, _report_format(args.format)), args.out)
+    _emit(verify_report(f), args)
     _diag(_style(f"conductor {f.value}: all checks passed", "32"))
     return 0
 
@@ -184,7 +179,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "worst_residual": worst,
         "all_pass": True,
     }
-    _emit(render_report(summary, _report_format(args.format)), args.out)
+    _emit(summary, args)
     _diag(
         _style(
             f"scan [{args.min}, {args.max}]: {len(conductors)} conductors, "
@@ -218,8 +213,7 @@ def table_rows() -> list[dict]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rows = table_rows()
-    report = {"conductor": TABLE_CONDUCTOR, "rows": rows}
-    _emit(render_report(report, _report_format(args.format)), args.out)
+    _emit({"conductor": TABLE_CONDUCTOR, "rows": rows}, args)
     golden = [dict(row) for row in GOLDEN_TABLE_ROWS]
     if rows != golden:
         for computed, expected in zip(rows, golden):
@@ -245,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--format",
-            choices=[f.value for f in ReportFormat] + ["markdown"],
+            choices=[*FORMATS, "markdown"],
             default="json",
             help="report format (default json; markdown is an alias for md)",
         )
@@ -264,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="verify every conductor in a range")
     p_scan.add_argument("--min", type=int, required=True)
     p_scan.add_argument("--max", type=int, required=True)
-    p_scan.add_argument("--kind", choices=[k.value for k in Kind])
+    p_scan.add_argument("--kind", choices=list(KINDS))
     add_common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

@@ -29,23 +29,20 @@ if TYPE_CHECKING:
 
 class RationalCubic(NamedTuple):
     """c3*X^3 + c2*X^2 + c1*X + c0 with exact coefficients, each an int or a
-    Fraction; arithmetic on int coefficients stays in int."""
+    Fraction; arithmetic on int coefficients stays in int.  Iterating it
+    gives the coefficients in descending degree order."""
 
     c3: int | Fraction
     c2: int | Fraction
     c1: int | Fraction
     c0: int | Fraction
 
-    def coefficients(self) -> tuple[int | Fraction, ...]:
-        """Coefficients in descending degree order."""
-        return (self.c3, self.c2, self.c1, self.c0)
-
     def scale(self, k: int | Fraction) -> "RationalCubic":
         return RationalCubic(self.c3 * k, self.c2 * k, self.c1 * k, self.c0 * k)
 
     def integer_coefficients(self) -> tuple[int, int, int, int]:
         out = []
-        for c in self.coefficients():
+        for c in self:
             if c.denominator != 1:
                 raise NonIntegralCoefficient(f"coefficient {c} is not an integer")
             out.append(c.numerator)
@@ -97,7 +94,7 @@ def period_poly_formula(f: Conductor, M: int) -> RationalCubic:
 
 def substitute_affine(p: RationalCubic, a: int | Fraction, b: int | Fraction) -> RationalCubic:
     """Exact expansion of p(a*X + b); integer inputs give integer coefficients."""
-    c3, c2, c1, c0 = p.coefficients()
+    c3, c2, c1, c0 = p
     return RationalCubic(
         c3 * a**3,
         3 * c3 * a * a * b + c2 * a * a,
@@ -121,9 +118,7 @@ def verify_main_identity(f: Conductor, sp: ShanksParams) -> Verdict:
     if lhs != rhs:
         diffs = [
             (deg, lc, rc)
-            for deg, (lc, rc) in zip(
-                (3, 2, 1, 0), zip(lhs.coefficients(), rhs.coefficients())
-            )
+            for deg, lc, rc in zip((3, 2, 1, 0), lhs, rhs)
             if lc != rc
         ]
         raise IdentityFailure(
@@ -133,7 +128,7 @@ def verify_main_identity(f: Conductor, sp: ShanksParams) -> Verdict:
 
 
 def cubic_discriminant(p: RationalCubic) -> int | Fraction:
-    a, b, c, d = p.coefficients()
+    a, b, c, d = p
     return (
         18 * a * b * c * d
         - 4 * b**3 * d

@@ -121,7 +121,6 @@ class EisensteinInt(NamedTuple):
 ONE = EisensteinInt(1, 0)
 ZETA = EisensteinInt(0, 1)
 ZETA_SQ = EisensteinInt(-1, -1)
-SQRT_MINUS_3 = EisensteinInt(1, 2)
 UNITS = (ONE, ZETA, ZETA_SQ, -ONE, -ZETA, -ZETA_SQ)
 
 

@@ -16,15 +16,11 @@ from __future__ import annotations
 import io
 import math
 from _json import encode_basestring_ascii as _quote
-from enum import Enum
 
 from .cubicpoly import RationalCubic
 
-
-class ReportFormat(str, Enum):
-    JSON = "json"
-    CSV = "csv"
-    MARKDOWN = "md"
+# The names of the report formats: JSON, CSV and markdown.
+FORMATS = ("json", "csv", "md")
 
 
 def format_rational(numerator: int, denominator: int = 1) -> str:
@@ -36,7 +32,7 @@ def format_rational(numerator: int, denominator: int = 1) -> str:
 
 def format_poly(p: RationalCubic) -> str:
     parts: list[str] = []
-    for coeff, power in zip(p.coefficients(), (3, 2, 1, 0)):
+    for coeff, power in zip(p, (3, 2, 1, 0)):
         if coeff == 0:
             continue
         mag = format_rational(abs(coeff.numerator), coeff.denominator)
@@ -248,24 +244,16 @@ def _render_summary_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(report: dict, fmt: ReportFormat) -> str:
-    """Serialize a report dict; the dict shape selects the layout."""
-    if fmt is ReportFormat.JSON:
+def render_report(report: dict, fmt: str) -> str:
+    """Serialize a report dict as "json", "csv" or "md" (markdown); the dict
+    shape selects the layout.  Any other format raises ValueError."""
+    if fmt not in FORMATS:
+        raise ValueError(f"{fmt!r} is not a report format")
+    if fmt == "json":
         return render_json(report)
+    as_csv = fmt == "csv"
     if "fields" in report:
-        return (
-            _render_fields_csv(report)
-            if fmt is ReportFormat.CSV
-            else _render_fields_markdown(report)
-        )
+        return _render_fields_csv(report) if as_csv else _render_fields_markdown(report)
     if "rows" in report:
-        return (
-            _render_table_csv(report)
-            if fmt is ReportFormat.CSV
-            else _render_table_markdown(report)
-        )
-    return (
-        _render_summary_csv(report)
-        if fmt is ReportFormat.CSV
-        else _render_summary_markdown(report)
-    )
+        return _render_table_csv(report) if as_csv else _render_table_markdown(report)
+    return _render_summary_csv(report) if as_csv else _render_summary_markdown(report)

@@ -11,7 +11,6 @@ from cubicperiods import (
     CountMismatch,
     FactorizationMismatch,
     GeneratorFailure,
-    Kind,
     RationalCubic,
     affine_relation,
     conductors_up_to,
@@ -39,7 +38,7 @@ BOUND = 10_000
 
 def euler_phi(fac) -> int:
     phi = 1
-    for p, e in fac.factors:
+    for p, e in fac:
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
@@ -339,7 +338,7 @@ def factor_rhs(r) -> tuple[int, list[EisensteinInt]]:
     norm is squarefree.  The decomposition is re-multiplied and compared to
     the source.
     """
-    if r.conductor.kind is not Kind.WILD:
+    if r.conductor.kind != "wild":
         raise ValueError("factor_rhs applies to wild representations")
     x = EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
     try:
@@ -425,8 +424,8 @@ def fraction_identities(cond, sp) -> dict:
     """
     mu, shift = affine_relation(cond, sp.n1)
     poly = period_poly_formula(cond, 2 * sp.n1 + 3 * sp.n2)
-    p = RationalCubic(*map(Fraction, poly.coefficients()))
-    fn = RationalCubic(*map(Fraction, shanks_poly(Fraction(sp.n1, sp.n2)).coefficients()))
+    p = RationalCubic(*map(Fraction, poly))
+    fn = RationalCubic(*map(Fraction, shanks_poly(Fraction(sp.n1, sp.n2))))
     h = substitute_affine(fn, Fraction(1, sp.n2), Fraction(-shift, sp.n2)).scale(
         Fraction(sp.n2**3)
     )
@@ -659,7 +658,7 @@ def resolvents_fixture():
 def _divisors(n: int) -> list[int]:
     fac = factorize(n)
     divs = [1]
-    for p, e in fac.factors:
+    for p, e in fac:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -668,8 +667,8 @@ def is_irreducible_cubic(p: RationalCubic) -> bool:
     """Rational-root test; for a cubic this decides irreducibility over Q."""
     if p.c3 == 0:
         raise ValueError("degree must be exactly 3")
-    den = math.lcm(*(c.denominator for c in p.coefficients()))
-    ints = [int(c * den) for c in p.coefficients()]
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
     g = math.gcd(*ints)
     a3, a2, a1, a0 = (c // g for c in ints)
     if a0 == 0:
@@ -716,7 +715,7 @@ def search_pairs(cond) -> list[tuple[int, int]]:
         s = math.isqrt(square)
         if s * s != square:
             continue
-        if cond.kind is Kind.TAME:
+        if cond.kind == "tame":
             found.extend((m, n) for m in (s, -s) if m % 3 == 2)
         elif s % 3 == 0 and n % 3 != 0:
             found.extend((3 * m0, n) for m0 in (s // 3, -s // 3) if m0 % 3 == 2)
@@ -745,6 +744,6 @@ def wild_records_10k(conductors_10k, all_records_10k):
     return [
         rec
         for cond in conductors_10k
-        if cond.kind is Kind.WILD
+        if cond.kind == "wild"
         for rec in all_records_10k[cond.value]
     ]

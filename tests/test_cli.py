@@ -481,6 +481,31 @@ def test_markdown_alias(capsys):
     assert out == out_md
 
 
+@pytest.mark.parametrize(
+    "argv,usage",
+    [
+        (
+            ["scan", "--kind", "odd", "--min", "1", "--max", "30"],
+            "usage: cubicperiods scan [-h] --min MIN --max MAX [--kind {tame,wild}]\n"
+            "                         [--format {json,csv,md,markdown}] [--out PATH]\n"
+            "cubicperiods scan: error: argument --kind: invalid choice: 'odd' "
+            "(choose from 'tame', 'wild')\n",
+        ),
+        (
+            ["verify", "--conductor", "7", "--format", "xml"],
+            "usage: cubicperiods verify [-h] --conductor CONDUCTOR\n"
+            "                           [--format {json,csv,md,markdown}] [--out PATH]\n"
+            "cubicperiods verify: error: argument --format: invalid choice: 'xml' "
+            "(choose from 'json', 'csv', 'md', 'markdown')\n",
+        ),
+    ],
+    ids=["kind", "format"],
+)
+def test_invalid_choice_exits_2_with_usage(capsys, monkeypatch, argv, usage):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to this width
+    assert run(capsys, argv) == (2, "", usage)
+
+
 def test_missing_subcommand_exits_2(capsys):
     code, _, _ = run(capsys, [])
     assert code == 2

@@ -13,7 +13,6 @@ from cubicperiods import (
     ComplexRoots,
     CongruenceFailure,
     FactorizationMismatch,
-    Kind,
     MatchingFailure,
     NormalizationFailure,
     RationalCubic,
@@ -111,7 +110,7 @@ def test_gaussian_periods_seven_sum(residue_sets):
 
 def test_period_sum_partition(residue_sets):
     for cond in conductors_up_to(500):
-        expected = 0 if cond.kind is Kind.WILD else (-1) ** cond.nu
+        expected = 0 if cond.kind == "wild" else (-1) ** cond.nu
         units = {a for a in range(1, cond.value) if math.gcd(a, cond.value) == 1}
         for pt in gaussian_periods(cond):
             cosets = residue_sets(cond, pt.kernel)
@@ -323,10 +322,10 @@ def assert_integer_identities_match(cond, oracle):
         data = verify_main_identity(cond, sp).data
         assert data["lhs"] == expected["lhs"] and data["rhs"] == expected["rhs"]
         sides = (data["lhs"], data["rhs"])
-        assert all(type(c) is int for p in sides for c in p.coefficients()), (cond.value, sp)
+        assert all(type(c) is int for p in sides for c in p), (cond.value, sp)
         assert expected["h"] == expected["mu_p_mu_x"]
         polys = [expected["h"], *expected["shifted"].values()]
-        assert all(c.denominator == 1 for p in polys for c in p.coefficients()), (cond.value, sp)
+        assert all(c.denominator == 1 for p in polys for c in p), (cond.value, sp)
 
 
 def test_integer_identities_equal_the_fraction_oracle(fraction_oracle):
@@ -351,7 +350,7 @@ def test_real_roots_examples():
         [1.5320888862, 0.3472963553, -1.8793852416], abs=1e-9
     )
     fn = shanks_poly(Fraction(18, 5))
-    c3, c2, c1, c0 = fn.coefficients()
+    c3, c2, c1, c0 = fn
     for rho in real_roots_cubic(fn):
         assert abs(float(((c3 * rho + c2) * rho + c1) * rho + c0)) < 1e-9
 

@@ -1,6 +1,7 @@
 """Every function, class and method of the package is reached by what its
 commands run: algebra that only the tests call belongs with the tests, as
-an oracle in conftest.py."""
+an oracle in conftest.py.  Every name a module of the package assigns at
+top level is read by the package."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ from test_trace_layers import traced_layers
 
 PACKAGE = Path(cubicperiods.__file__).resolve().parent
 ENTRY_POINTS = {("cli", "entrypoint")}  # pyproject.toml [project.scripts]
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def definitions(tree: ast.Module):
@@ -25,21 +27,49 @@ def definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def assignments(tree: ast.Module):
+    """Each name a top-level assignment binds, but dunders."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                    yield name.id
+
+
+# The names and attributes that the modules other than __init__ read.  A
+# Load context: an assignment stores its name, and does not count.
+READ = {
+    node.id if isinstance(node, ast.Name) else node.attr
+    for module, tree in TREES.items()
+    if module != "__init__"
+    for node in ast.walk(tree)
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+}
+
+
 def test_every_definition_is_reached():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    referenced = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for module, tree in trees.items()
-        if module != "__init__"
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
     exempt = {(module, fn) for module, fns in traced_layers().items() for fn in fns}
     exempt |= ENTRY_POINTS
     unreached = [
         f"{module}.{qualified}"
-        for module, tree in trees.items()
+        for module, tree in TREES.items()
         for qualified, name in definitions(tree)
-        if name not in referenced and (module, name) not in exempt
+        if name not in READ and (module, name) not in exempt
     ]
     assert not unreached, unreached
+
+
+def test_every_assigned_name_is_read():
+    unread = [
+        f"{module}.{name}"
+        for module, tree in TREES.items()
+        for name in assignments(tree)
+        if name not in READ
+    ]
+    assert not unread, unread

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cubicperiods import validate_conductor
 from cubicperiods.cli import verify_report
-from cubicperiods.report import render_json
+from cubicperiods.report import render_json, render_report
 
 # characters json escapes or passes through: quote, backslash, C0 controls,
 # DEL, the line separators, non-ASCII, and astral characters, which become
@@ -66,3 +66,8 @@ def test_render_json_refuses_what_json_refuses():
     # json writes an int key as a string; a report has str keys only
     with pytest.raises(TypeError):
         render_json({1: 2})
+
+
+def test_render_report_refuses_an_unknown_format():
+    with pytest.raises(ValueError):
+        render_report({"conductor": 7, "kind": "tame", "fields": []}, "xml")
