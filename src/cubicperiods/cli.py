@@ -6,12 +6,22 @@ Subcommands:
   scan      --min A --max B    verify every valid conductor in a range
   table                        reproduce the conductor-819 reference table
 
-Common flags: --format {json,csv,md} (default json) and --out PATH.  No
-flag sets a tolerance: the checks are exact but for the float ones, which
-compare with a bound worked out from their inputs (verdicts.rounding_bound).
+Common flags: --format {json,csv,md,markdown} (default json; markdown is
+an alias for md) and --out PATH.  No flag sets a tolerance: the checks are
+exact but for the float ones, which compare with a bound worked out from
+their inputs (verdicts.rounding_bound).
 
 Every check runs in periods.match_fields; this module parses arguments and
-shapes its records into reports.
+shapes its records into reports.  The parser is driven by one table,
+COMMANDS, which gives each command its function, its help line and its
+flags.  The parsing here, and the usage line and -h text that the usage
+module lays out, are all derived from it.  The parser takes the forms
+argparse takes: --flag VALUE and --flag=VALUE, a unique prefix of a flag,
+a repeated flag (the last one wins) and negative numbers as values.  Its
+usage, help and error messages are the ones argparse writes when stdout
+is not a terminal.  It does not import argparse, which would load gettext,
+locale and shutil into every cold command, and only -h and bad input
+import the usage module, so a command that parses compiles none of it.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
@@ -23,7 +33,7 @@ Reports go to stdout (or --out); diagnostics go to stderr.
 
 from __future__ import annotations
 
-import argparse
+import collections
 import functools
 import os
 import sys
@@ -59,7 +69,7 @@ class _Unwritable(Exception):
     """--out names a path the report cannot be written to."""
 
 
-def _emit(report: dict, args: argparse.Namespace) -> None:
+def _emit(report: dict, args: Args) -> None:
     """Render report in the --format of args (markdown is an alias for md)
     and write it to --out, or to stdout."""
     text = render_report(report, "md" if args.format == "markdown" else args.format)
@@ -138,21 +148,21 @@ def verify_report(f: Conductor) -> dict:
     return _conductor_report(f, entries, verified=True)
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: Args) -> int:
     f = validate_conductor(args.conductor)
     entries = [_enumerate_entry(r) for r in representations(f)]
     _emit(_conductor_report(f, entries, verified=False), args)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: Args) -> int:
     f = validate_conductor(args.conductor)
     _emit(verify_report(f), args)
     _diag(_style(f"conductor {f.value}: all checks passed", "32"))
     return 0
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: Args) -> int:
     if args.min < 1 or args.max < args.min:
         _diag(f"error: empty or invalid range [{args.min}, {args.max}]")
         return 2
@@ -211,7 +221,7 @@ def table_rows() -> list[dict]:
     return rows
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: Args) -> int:
     rows = table_rows()
     _emit({"conductor": TABLE_CONDUCTOR, "rows": rows}, args)
     golden = [dict(row) for row in GOLDEN_TABLE_ROWS]
@@ -226,57 +236,173 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="cubicperiods",
-        description="Enumerate and verify Gaussian periods and Shanks cubics "
-        "for cyclic cubic conductors.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+PROG = "cubicperiods"
+DESCRIPTION = (
+    "Enumerate and verify Gaussian periods and Shanks cubics for cyclic cubic "
+    "conductors."
+)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=[*FORMATS, "markdown"],
-            default="json",
-            help="report format (default json; markdown is an alias for md)",
-        )
-        p.add_argument("--out", metavar="PATH", help="write the report to a file")
+# A flag's value is int, the tuple of the strings it accepts, or the
+# metavar of a free string.
+Flag = collections.namedtuple(
+    "Flag", "name value required default help", defaults=(False, None, "")
+)
+_HELP = Flag("help", None, help="show this help message and exit")
+_REPORT_FLAGS = (
+    Flag("format", (*FORMATS, "markdown"), default="json",
+         help="report format (default json; markdown is an alias for md)"),
+    Flag("out", "PATH", help="write the report to a file"),
+)
+_CONDUCTOR = Flag("conductor", int, required=True)
 
-    p_enum = sub.add_parser("enumerate", help="list pairs and polynomials")
-    p_enum.add_argument("--conductor", type=int, required=True)
-    add_common(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate)
+# The commands, in the order -h lists them: (run, help, flags).
+COMMANDS = {
+    "enumerate": (cmd_enumerate, "list pairs and polynomials", (_CONDUCTOR, *_REPORT_FLAGS)),
+    "verify": (cmd_verify, "run all checks for one conductor", (_CONDUCTOR, *_REPORT_FLAGS)),
+    "scan": (
+        cmd_scan,
+        "verify every conductor in a range",
+        (
+            Flag("min", int, required=True),
+            Flag("max", int, required=True),
+            Flag("kind", tuple(KINDS)),
+            *_REPORT_FLAGS,
+        ),
+    ),
+    "table": (cmd_table, "reproduce the conductor-819 table", _REPORT_FLAGS),
+}
 
-    p_verify = sub.add_parser("verify", help="run all checks for one conductor")
-    p_verify.add_argument("--conductor", type=int, required=True)
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_scan = sub.add_parser("scan", help="verify every conductor in a range")
-    p_scan.add_argument("--min", type=int, required=True)
-    p_scan.add_argument("--max", type=int, required=True)
-    p_scan.add_argument("--kind", choices=list(KINDS))
-    add_common(p_scan)
-    p_scan.set_defaults(func=cmd_scan)
+class Args:
+    """The flags of one parsed command, as attributes named after them."""
 
-    p_table = sub.add_parser("table", help="reproduce the conductor-819 table")
-    add_common(p_table)
-    p_table.set_defaults(func=cmd_table)
+    def __init__(self, values: dict) -> None:
+        self.__dict__.update(values)
 
-    return parser
+
+class _Exit(Exception):
+    """Parsing stopped: -h printed its help (code 0), or the input is bad (2)."""
+
+    def __init__(self, code: int) -> None:
+        self.code = code
+
+
+def _error(command: str | None, message: str) -> _Exit:
+    """Write the usage and message to stderr, as argparse does, and return
+    the exception that ends parsing with exit code 2."""
+    from .usage import usage
+
+    prog = PROG if command is None else f"{PROG} {command}"
+    sys.stderr.write(f"{usage(command)}{prog}: error: {message}\n")
+    return _Exit(2)
+
+
+def _show_help(command: str | None, explicit: str | None) -> _Exit:
+    """-h: write the help of command (the top level when None) to stdout."""
+    if explicit is not None:
+        return _error(command, f"argument -h/--help: ignored explicit argument {explicit!r}")
+    from .usage import help_text
+
+    sys.stdout.write(help_text(command))
+    return _Exit(0)
+
+
+def _is_negative_number(arg: str) -> bool:
+    whole, dot, fraction = arg[1:].partition(".")
+    return (fraction if dot else whole).isdecimal() and (whole == "" or whole.isdecimal())
+
+
+def _classify(arg: str, flags: tuple, command: str | None):
+    """None when arg is a value; else the flag it names (None if unknown)
+    and the value it gives after '=' (None if it gives none).  As in
+    argparse, a unique prefix names a flag, and an argument that starts
+    with '-' is a value only if it is '-' or '--', a negative number, or
+    holds a space."""
+    if not arg.startswith("-") or arg in ("-", "--"):
+        return None
+    if not arg.startswith("--"):
+        if arg.startswith("-h"):
+            return _HELP, arg[2:].removeprefix("=") if len(arg) > 2 else None
+        return None if _is_negative_number(arg) or " " in arg else (None, None)
+    key, eq, value = arg[2:].partition("=")
+    hits = [f for f in flags if f.name == key] or [f for f in flags if f.name.startswith(key)]
+    if len(hits) > 1:
+        matches = ", ".join(f"--{f.name}" for f in hits)
+        raise _error(command, f"ambiguous option: {arg} could match {matches}")
+    if hits:
+        return hits[0], value if eq else None
+    return None if " " in arg else (None, None)
+
+
+def _parse(command: str, args: list[str], extras: list[str]) -> dict:
+    """The flag values of command from args, in the order argparse takes
+    them.  Arguments it does not know go to extras, and so does everything
+    from a "--" on."""
+    if "--" in args:
+        extras += args[args.index("--"):]
+        args = args[:args.index("--")]
+    flags = (_HELP, *COMMANDS[command][2])
+    kinds = [_classify(arg, flags, command) for arg in args]
+    values = {flag.name: flag.default for flag in flags[1:]}
+    i = 0
+    while i < len(args):
+        kind, i = kinds[i], i + 1
+        if kind is None or kind[0] is None:
+            extras.append(args[i - 1])
+            continue
+        flag, value = kind
+        if flag is _HELP:
+            raise _show_help(command, value)
+        name = f"--{flag.name}"
+        if value is None:
+            if i == len(args) or kinds[i] is not None:
+                raise _error(command, f"argument {name}: expected one argument")
+            value, i = args[i], i + 1
+        if flag.value is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _error(command, f"argument {name}: invalid int value: {value!r}") from None
+        elif isinstance(flag.value, tuple) and value not in flag.value:
+            choices = ", ".join(map(repr, flag.value))
+            raise _error(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        values[flag.name] = value
+    missing = [f"--{flag.name}" for flag in flags if flag.required and values[flag.name] is None]
+    if missing:
+        raise _error(command, f"the following arguments are required: {', '.join(missing)}")
+    return values
+
+
+def parse_args(argv: list[str]) -> tuple[str, Args]:
+    """The command that argv names and its flags.  Raises _Exit once -h has
+    printed its help, or once the usage and an error have gone to stderr."""
+    extras: list[str] = []
+    for i, arg in enumerate(argv):
+        kind = _classify(arg, (_HELP,), None)
+        if kind is None:
+            break
+        if kind[0] is _HELP:
+            raise _show_help(None, kind[1])
+        extras.append(arg)
+    else:
+        raise _error(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise _error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    values = _parse(command, argv[i + 1:], extras)
+    if extras:
+        raise _error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return command, Args(values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        command, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except _Exit as exc:
+        return exc.code
     try:
-        return args.func(args)
+        return COMMANDS[command][0](args)
     except (InvalidConductor, BudgetExceeded, _Unwritable) as exc:
         _diag(f"error: {exc}")
         return 2

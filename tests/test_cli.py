@@ -411,9 +411,13 @@ def test_cold_enumerate_allocates_under_a_megabyte(tmp_path):
 # NamedTuples, not frozen dataclasses (which import inspect);
 # report.render_json writes JSON without the json package; Fraction (which
 # imports decimal), csv and cmath are imported only where used; --out is
-# written with open(), not pathlib
+# written with open(), not pathlib; the arguments are parsed without
+# argparse, which imports gettext (and so locale) for its messages and
+# shutil for the terminal width, and the usage and help text is laid out
+# only for -h or bad input
 UNUSED_ON_THE_COLD_PATH = (
-    "cmath", "csv", "dataclasses", "decimal", "fractions", "inspect", "json", "pathlib",
+    "argparse", "cmath", "csv", "cubicperiods.usage", "dataclasses", "decimal",
+    "fractions", "gettext", "inspect", "json", "locale", "pathlib", "shutil",
 )
 
 
@@ -509,3 +513,98 @@ def test_invalid_choice_exits_2_with_usage(capsys, monkeypatch, argv, usage):
 def test_missing_subcommand_exits_2(capsys):
     code, _, _ = run(capsys, [])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--conductor=819", "--format", "csv"],
+        ["verify", "--cond", "819", "--format", "csv"],
+        ["verify", "--conductor", "7", "--conductor", "819", "--format", "csv"],
+    ],
+    ids=["equals", "prefix", "last-wins"],
+)
+def test_flag_forms_parse_alike(capsys, argv):
+    expected = run(capsys, ["verify", "--conductor", "819", "--format", "csv"])
+    assert expected[0] == 0
+    assert run(capsys, argv) == expected
+
+
+def test_negative_value_reaches_the_range_check(capsys):
+    code, out, err = run(capsys, ["scan", "--min", "-5", "--max", "3"])
+    assert (code, out) == (2, "")
+    assert "error: empty or invalid range [-5, 3]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frob"],
+        ["verify"],
+        ["verify", "--conductor", "x"],
+        ["table", "--out"],
+        ["verify", "--conductor", "7", "extra"],
+    ],
+    ids=["empty", "unknown-command", "missing-flag", "bad-int", "missing-value", "extra"],
+)
+def test_bad_input_exits_2_with_usage(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cubicperiods")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["enumerate", "-h"], ["verify", "-h"], ["scan", "-h"], ["table", "-h"]],
+    ids=lambda argv: argv[0],
+)
+def test_help_exits_0_on_stdout(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: cubicperiods")
+
+
+HELP_TEXTS = {
+    "top": (
+        ["--help"],
+        "usage: cubicperiods [-h] {enumerate,verify,scan,table} ...\n"
+        "\n"
+        "Enumerate and verify Gaussian periods and Shanks cubics for cyclic cubic\n"
+        "conductors.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {enumerate,verify,scan,table}\n"
+        "    enumerate           list pairs and polynomials\n"
+        "    verify              run all checks for one conductor\n"
+        "    scan                verify every conductor in a range\n"
+        "    table               reproduce the conductor-819 table\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+    ),
+    "scan": (
+        ["scan", "-h"],
+        "usage: cubicperiods scan [-h] --min MIN --max MAX [--kind {tame,wild}]\n"
+        "                         [--format {json,csv,md,markdown}] [--out PATH]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --min MIN\n"
+        "  --max MAX\n"
+        "  --kind {tame,wild}\n"
+        "  --format {json,csv,md,markdown}\n"
+        "                        report format (default json; markdown is an alias for\n"
+        "                        md)\n"
+        "  --out PATH            write the report to a file\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HELP_TEXTS)
+def test_help_text_keeps_its_layout(capsys, monkeypatch, name):
+    # the layout argparse wrote: usage wrapped at 78 columns, help text
+    # from column 24
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, text = HELP_TEXTS[name]
+    assert run(capsys, argv) == (0, text, "")
