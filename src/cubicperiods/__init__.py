@@ -27,9 +27,10 @@ from .arith import (
 from .cubicpoly import (
     RationalCubic,
     affine_relation,
+    cleared_shanks_poly,
     cubic_discriminant,
+    main_identity_sides,
     period_poly_formula,
-    shanks_poly,
     substitute_affine,
     verify_main_identity,
 )
@@ -76,6 +77,5 @@ from .periods import (
     verify_sign_congruences,
 )
 from .quadform import Representation, ShanksParams, representations, shanks_params
-from .verdicts import Verdict
 
 __version__ = "0.1.0"

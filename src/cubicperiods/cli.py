@@ -7,9 +7,9 @@ Subcommands:
   table                        reproduce the conductor-819 reference table
 
 Common flags: --format {json,csv,md,markdown} (default json; markdown is
-an alias for md) and --out PATH.  No flag sets a tolerance: the checks are
-exact but for the float ones, which compare with a bound worked out from
-their inputs (verdicts.rounding_bound).
+an alias for md) and --out PATH (- for stdout).  No flag sets a tolerance:
+the checks are exact but for the float ones, which compare with a bound
+worked out from their inputs (verdicts.rounding_bound).
 
 Every check runs in periods.match_fields; this module parses arguments and
 shapes its records into reports.  The parser is driven by one table,
@@ -37,9 +37,10 @@ import collections
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .arith import KINDS, Conductor, conductors_up_to, validate_conductor
-from .cubicpoly import affine_relation, period_poly_formula, shanks_poly
+from .cubicpoly import affine_relation, cleared_shanks_poly, period_poly_formula
 from .eisenstein import chi9_gauss_sum_report
 from .errors import BudgetExceeded, InvalidConductor, VerificationError
 from .periods import FieldRecord, match_fields
@@ -69,11 +70,11 @@ class _Unwritable(Exception):
     """--out names a path the report cannot be written to."""
 
 
-def _emit(report: dict, args: Args) -> None:
+def _emit(report: dict, args: SimpleNamespace) -> None:
     """Render report in the --format of args (markdown is an alias for md)
-    and write it to --out, or to stdout."""
+    and write it to --out, or to stdout when --out is absent or "-"."""
     text = render_report(report, "md" if args.format == "markdown" else args.format)
-    if args.out is None:
+    if args.out in (None, "-"):
         sys.stdout.write(text)
         return
     try:
@@ -86,20 +87,14 @@ def _emit(report: dict, args: Args) -> None:
 
 
 def _enumerate_entry(r) -> dict:
-    # the coefficients of f_n for n = n1/n2; gcd(n1, n2) = 1, which
-    # quadform._check_pair checks for every pair, and n2 > 0 put -n1/n2 and
-    # -(n1 + 3*n2)/n2 in lowest terms
-    n1, n2 = shanks_params(r)
-    poly = period_poly_formula(r.conductor, r.M)
+    sp = shanks_params(r)
     return {
         "M": r.M,
         "N": r.N,
-        "n1": n1,
-        "n2": n2,
-        "shanks": [
-            "1", format_rational(-n1, n2), format_rational(-(n1 + 3 * n2), n2), "-1"
-        ],
-        "period_poly": list(poly.integer_coefficients()),
+        "n1": sp.n1,
+        "n2": sp.n2,
+        "shanks": [format_rational(c, sp.n2) for c in cleared_shanks_poly(sp)],
+        "period_poly": list(period_poly_formula(r.conductor, r.M)),
     }
 
 
@@ -148,21 +143,21 @@ def verify_report(f: Conductor) -> dict:
     return _conductor_report(f, entries, verified=True)
 
 
-def cmd_enumerate(args: Args) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     f = validate_conductor(args.conductor)
     entries = [_enumerate_entry(r) for r in representations(f)]
     _emit(_conductor_report(f, entries, verified=False), args)
     return 0
 
 
-def cmd_verify(args: Args) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     f = validate_conductor(args.conductor)
     _emit(verify_report(f), args)
     _diag(_style(f"conductor {f.value}: all checks passed", "32"))
     return 0
 
 
-def cmd_scan(args: Args) -> int:
+def cmd_scan(args: SimpleNamespace) -> int:
     if args.min < 1 or args.max < args.min:
         _diag(f"error: empty or invalid range [{args.min}, {args.max}]")
         return 2
@@ -202,8 +197,6 @@ def cmd_scan(args: Args) -> int:
 
 def table_rows() -> list[dict]:
     """Compute the reference-table rows for conductor 819 from scratch."""
-    from fractions import Fraction
-
     f = validate_conductor(TABLE_CONDUCTOR)
     records = sorted(match_fields(f), key=lambda rec: rec.shanks_params.n2)
     rows = []
@@ -214,14 +207,14 @@ def table_rows() -> list[dict]:
             {
                 "pair": f"({sp.n1}, {sp.n2})",
                 "eta_relation": format_relation(mu * sp.n2, mu * shift),
-                "shanks": format_poly(shanks_poly(Fraction(sp.n1, sp.n2))),
+                "shanks": format_poly(cleared_shanks_poly(sp), sp.n2),
                 "period_poly": format_poly(rec.predicted_poly),
             }
         )
     return rows
 
 
-def cmd_table(args: Args) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     rows = table_rows()
     _emit({"conductor": TABLE_CONDUCTOR, "rows": rows}, args)
     golden = [dict(row) for row in GOLDEN_TABLE_ROWS]
@@ -251,9 +244,10 @@ _HELP = Flag("help", None, help="show this help message and exit")
 _REPORT_FLAGS = (
     Flag("format", (*FORMATS, "markdown"), default="json",
          help="report format (default json; markdown is an alias for md)"),
-    Flag("out", "PATH", help="write the report to a file"),
+    Flag("out", "PATH", help="write the report to a file (- for stdout)"),
 )
-_CONDUCTOR = Flag("conductor", int, required=True)
+_CONDUCTOR = Flag("conductor", int, required=True,
+                  help="a conductor f: distinct primes = 1 mod 3, times 1 or 9")
 
 # The commands, in the order -h lists them: (run, help, flags).
 COMMANDS = {
@@ -263,21 +257,15 @@ COMMANDS = {
         cmd_scan,
         "verify every conductor in a range",
         (
-            Flag("min", int, required=True),
-            Flag("max", int, required=True),
-            Flag("kind", tuple(KINDS)),
+            Flag("min", int, required=True, help="the least conductor (inclusive)"),
+            Flag("max", int, required=True, help="the greatest conductor (inclusive)"),
+            Flag("kind", tuple(KINDS),
+                 help="only tame or only wild conductors (default both kinds)"),
             *_REPORT_FLAGS,
         ),
     ),
     "table": (cmd_table, "reproduce the conductor-819 table", _REPORT_FLAGS),
 }
-
-
-class Args:
-    """The flags of one parsed command, as attributes named after them."""
-
-    def __init__(self, values: dict) -> None:
-        self.__dict__.update(values)
 
 
 class _Exit(Exception):
@@ -373,7 +361,7 @@ def _parse(command: str, args: list[str], extras: list[str]) -> dict:
     return values
 
 
-def parse_args(argv: list[str]) -> tuple[str, Args]:
+def parse_args(argv: list[str]) -> tuple[str, SimpleNamespace]:
     """The command that argv names and its flags.  Raises _Exit once -h has
     printed its help, or once the usage and an error have gone to stderr."""
     extras: list[str] = []
@@ -393,7 +381,7 @@ def parse_args(argv: list[str]) -> tuple[str, Args]:
     values = _parse(command, argv[i + 1:], extras)
     if extras:
         raise _error(None, f"unrecognized arguments: {' '.join(extras)}")
-    return command, Args(values)
+    return command, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,57 +1,40 @@
-"""Exact rational cubics: the one-parameter family f_n, period polynomials,
+"""Exact integer cubics: the one-parameter family f_n, period polynomials,
 affine substitution, the identity tying the two together, and the
 discriminant by which periods.real_roots_cubic decides realness.
 
 f_n(X) = X^3 - n*X^2 - (n+3)*X - 1 is generic for cyclic cubic fields and
-has square discriminant (n^2 + 3n + 9)^2.  For a conductor f with pair
-(M, N) the period polynomial has the closed form
+has square discriminant (n^2 + 3n + 9)^2.  For n = n1/n2 the package holds
+it as the integer cubic n2*f_n (cleared_shanks_poly), its one home.  For a
+conductor f with pair (M, N) the period polynomial has the closed form
 
     X^3 - mu(f)*X^2 + (1-f)/3 * X - mu(f)*((M-3)*f + 1)/27      (tame)
     X^3 - f/3 * X - mu(f/9)*f*M/27                              (wild)
 
 and agrees with f_n up to an explicit affine change of variable.  That
-identity is checked exactly in integer arithmetic, on n2*f_n for n = n1/n2.
+identity is checked exactly in integer arithmetic, on n2*f_n.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .arith import Conductor
 from .errors import IdentityFailure, NonIntegralCoefficient
 from .quadform import ShanksParams
-from .verdicts import Verdict
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class RationalCubic(NamedTuple):
-    """c3*X^3 + c2*X^2 + c1*X + c0 with exact coefficients, each an int or a
-    Fraction; arithmetic on int coefficients stays in int.  Iterating it
-    gives the coefficients in descending degree order."""
+    """c3*X^3 + c2*X^2 + c1*X + c0 with integer coefficients; iterating it
+    gives them in descending degree order."""
 
-    c3: int | Fraction
-    c2: int | Fraction
-    c1: int | Fraction
-    c0: int | Fraction
+    c3: int
+    c2: int
+    c1: int
+    c0: int
 
-    def scale(self, k: int | Fraction) -> "RationalCubic":
+    def scale(self, k: int) -> "RationalCubic":
         return RationalCubic(self.c3 * k, self.c2 * k, self.c1 * k, self.c0 * k)
-
-    def integer_coefficients(self) -> tuple[int, int, int, int]:
-        out = []
-        for c in self:
-            if c.denominator != 1:
-                raise NonIntegralCoefficient(f"coefficient {c} is not an integer")
-            out.append(c.numerator)
-        return tuple(out)
-
-
-def shanks_poly(n: int | Fraction) -> RationalCubic:
-    """X^3 - n*X^2 - (n+3)*X - 1."""
-    return RationalCubic(1, -n, -(n + 3), -1)
 
 
 def cleared_shanks_poly(sp: ShanksParams) -> RationalCubic:
@@ -92,8 +75,8 @@ def period_poly_formula(f: Conductor, M: int) -> RationalCubic:
     return RationalCubic(1, c2, c1[0], c0[0])
 
 
-def substitute_affine(p: RationalCubic, a: int | Fraction, b: int | Fraction) -> RationalCubic:
-    """Exact expansion of p(a*X + b); integer inputs give integer coefficients."""
+def substitute_affine(p: RationalCubic, a: int, b: int) -> RationalCubic:
+    """Exact expansion of p(a*X + b)."""
     c3, c2, c1, c0 = p
     return RationalCubic(
         c3 * a**3,
@@ -103,18 +86,24 @@ def substitute_affine(p: RationalCubic, a: int | Fraction, b: int | Fraction) ->
     )
 
 
-def verify_main_identity(f: Conductor, sp: ShanksParams) -> Verdict:
-    """Check n2^3 * mu * f_n(X) = P(mu*(n2*X + shift)) with exact equality.
+def main_identity_sides(f: Conductor, sp: ShanksParams) -> tuple[RationalCubic, RationalCubic]:
+    """The two sides of n2^3 * mu * f_n(X) = P(mu*(n2*X + shift)), in integers.
 
     (mu, shift) come from affine_relation and M = 2*n1 + 3*n2.  The left side
-    is mu*n2^2 times the integer cubic n2*f_n, so both sides are computed in
-    integers; any coefficient difference raises IdentityFailure.
+    is mu*n2^2 times the integer cubic n2*f_n.
     """
     mu, shift = affine_relation(f, sp.n1)
     lhs = cleared_shanks_poly(sp).scale(mu * sp.n2**2)
     rhs = substitute_affine(
         period_poly_formula(f, 2 * sp.n1 + 3 * sp.n2), mu * sp.n2, mu * shift
     )
+    return lhs, rhs
+
+
+def verify_main_identity(f: Conductor, sp: ShanksParams) -> float:
+    """Check the two sides of main_identity_sides for exact equality; any
+    coefficient difference raises IdentityFailure.  The residual is 0.0."""
+    lhs, rhs = main_identity_sides(f, sp)
     if lhs != rhs:
         diffs = [
             (deg, lc, rc)
@@ -124,10 +113,10 @@ def verify_main_identity(f: Conductor, sp: ShanksParams) -> Verdict:
         raise IdentityFailure(
             f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): coefficients differ at {diffs}"
         )
-    return Verdict("main_identity", data={"lhs": lhs, "rhs": rhs})
+    return 0.0
 
 
-def cubic_discriminant(p: RationalCubic) -> int | Fraction:
+def cubic_discriminant(p: RationalCubic) -> int:
     a, b, c, d = p
     return (
         18 * a * b * c * d

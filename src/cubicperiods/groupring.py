@@ -18,13 +18,13 @@ from typing import TYPE_CHECKING
 
 from .cubicpoly import affine_relation
 from .errors import GeneratorFailure
-from .verdicts import Verdict, rounding_bound
+from .verdicts import rounding_bound
 
 if TYPE_CHECKING:
     from .periods import FieldRecord
 
 
-def verify_generators(rec: "FieldRecord") -> Verdict:
+def verify_generators(rec: "FieldRecord") -> float:
     """Checks on the twelve ring-of-integers generators of a wild field.
 
     (a) alpha = n2*rho - n1/3 has trace zero;
@@ -32,7 +32,8 @@ def verify_generators(rec: "FieldRecord") -> Verdict:
 
     Both are corollaries of the exact checks, held to the rounding bound:
     (a) is the X^2 coefficient of h below, 0, and (b) is the period relation
-    eta_j + 1 = mu*alpha_j + 1 with mu = +-1.
+    eta_j + 1 = mu*alpha_j + 1 with mu = +-1.  The residual is the larger
+    of the two deviations.
 
     That the candidates are algebraic integers is the main identity: the
     minimal polynomial of alpha is h(Y) = n2^3*f_n((Y - shift)/n2), so the
@@ -60,4 +61,4 @@ def verify_generators(rec: "FieldRecord") -> Verdict:
         raise GeneratorFailure(
             f"(b) a period plus one misses the twelve candidates by {worst} > {bound}"
         )
-    return Verdict("generators", max(trace, worst))
+    return max(trace, worst)

@@ -63,7 +63,7 @@ from .errors import (
 )
 from .groupring import verify_generators
 from .quadform import Representation, ShanksParams, representations, shanks_params
-from .verdicts import _ROOT_ROUNDOFF, Verdict, rounding_bound
+from .verdicts import _ROOT_ROUNDOFF, rounding_bound
 
 
 class PeriodTriple(NamedTuple):
@@ -84,14 +84,14 @@ class PeriodTriple(NamedTuple):
 
 class FieldRecord(NamedTuple):
     """One cyclic cubic field: the pair, the periods of the kernel matched to
-    it, the roots of its Shanks cubic, and the verdicts of its checks.  The
-    conductor, (n1, n2) and the closed form are the pair's, the matched
-    kernel the periods'."""
+    it (periods.kernel), the roots of its Shanks cubic, and the residual of
+    each of its checks, by name, in the order they ran (0.0 for the exact
+    ones).  The conductor, (n1, n2) and the closed form are the pair's."""
 
     representation: Representation
     periods: PeriodTriple
     shanks_roots: tuple[float, float, float]
-    verdicts: dict[str, Verdict]
+    verdicts: dict[str, float]
 
     @property
     def conductor(self) -> Conductor:
@@ -105,12 +105,8 @@ class FieldRecord(NamedTuple):
     def predicted_poly(self) -> RationalCubic:
         return period_poly_formula(self.conductor, self.representation.M)
 
-    @property
-    def matched_kernel(self) -> tuple[int, ...]:
-        return self.periods.kernel
-
     def max_residual(self) -> float:
-        return max((v.residual for v in self.verdicts.values()), default=0.0)
+        return max(self.verdicts.values(), default=0.0)
 
 
 def primitive_cubic_kernels(f: Conductor) -> list[tuple[int, ...]]:
@@ -229,10 +225,11 @@ def real_roots_cubic(p: RationalCubic) -> tuple[float, float, float]:
     return (roots[0], roots[1], roots[2])
 
 
-def verify_period_relation(rec: FieldRecord) -> Verdict:
+def verify_period_relation(rec: FieldRecord) -> float:
     """The periods equal mu*(n2*rho + shift) over the roots rho of f_n,
     compared as multisets (no ordering of the conjugates is implied).  The
-    exact checks prove it, so the float distance is held to rounding_bound.
+    exact checks prove it, so the float distance, the residual, is held to
+    rounding_bound.
     """
     f = rec.conductor
     sp = rec.shanks_params
@@ -246,10 +243,10 @@ def verify_period_relation(rec: FieldRecord) -> Verdict:
         raise RelationFailure(
             f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): multiset distance {residual} > {bound}"
         )
-    return Verdict("period_relation", residual)
+    return residual
 
 
-def verify_sign_congruences(rec: FieldRecord) -> Verdict:
+def verify_sign_congruences(rec: FieldRecord) -> float:
     """The product of the periods is -mu = (-1)^(nu+1) mod 3.  It is read
     from the Gauss sum, as -c0 of numeric_period_poly (Tr(T)/27 when f is
     wild), so a wrong cube T fails it.
@@ -268,10 +265,10 @@ def verify_sign_congruences(rec: FieldRecord) -> Verdict:
         raise CongruenceFailure(
             f"f={f.value}: period product {eta_product} is not (-1)^(nu+1) mod 3"
         )
-    return Verdict("sign_congruences")
+    return 0.0
 
 
-def verify_kernel_character(rec: FieldRecord) -> Verdict:
+def verify_kernel_character(rec: FieldRecord) -> float:
     """The character built from (M, N) must cut out the kernel matched to it
     by the trace of its cube.
 
@@ -284,12 +281,12 @@ def verify_kernel_character(rec: FieldRecord) -> Verdict:
     exponents = character_for_representation(rec.representation)
     # 1 and 2 are their own inverses mod 3
     scaled = tuple(e * exponents[0] % 3 for e in exponents)
-    if scaled != rec.matched_kernel:
+    if scaled != rec.periods.kernel:
         raise MatchingFailure(
             f"f={rec.conductor.value}, M={rec.representation.M}: character exponents "
-            f"{exponents} do not cut out the period-matched kernel {rec.matched_kernel}"
+            f"{exponents} do not cut out the period-matched kernel {rec.periods.kernel}"
         )
-    return Verdict("kernel_character")
+    return 0.0
 
 
 def match_fields(f: Conductor) -> list[FieldRecord]:
@@ -328,10 +325,7 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     records = []
     for r in reps:
         sp = shanks_params(r)
-        verdicts = {
-            "oracle_equivalence": Verdict("oracle_equivalence"),
-            "main_identity": verify_main_identity(f, sp),
-        }
+        verdicts = {"oracle_equivalence": 0.0, "main_identity": verify_main_identity(f, sp)}
         roots = real_roots_cubic(cleared_shanks_poly(sp))
         rec = FieldRecord(r, assigned[r], roots, verdicts)
         verdicts["period_relation"] = verify_period_relation(rec)

@@ -23,19 +23,22 @@ from .cubicpoly import RationalCubic
 FORMATS = ("json", "csv", "md")
 
 
-def format_rational(numerator: int, denominator: int = 1) -> str:
-    """"p/q" for a fraction in lowest terms with q > 0; plain "p" when q is 1."""
-    if denominator == 1:
-        return str(numerator)
-    return f"{numerator}/{denominator}"
+def format_rational(numerator: int, denominator: int) -> str:
+    """numerator/denominator, for denominator > 0, as "p/q" in lowest terms,
+    or as plain "p" when it is an integer."""
+    g = math.gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
 
 
-def format_poly(p: RationalCubic) -> str:
+def format_poly(p: RationalCubic, denominator: int = 1) -> str:
+    """p/denominator, for denominator > 0, with coefficients in lowest terms."""
     parts: list[str] = []
     for coeff, power in zip(p, (3, 2, 1, 0)):
         if coeff == 0:
             continue
-        mag = format_rational(abs(coeff.numerator), coeff.denominator)
+        mag = format_rational(abs(coeff), denominator)
         if power == 0:
             term = mag
         else:

@@ -1,5 +1,6 @@
-"""Success records returned by the verify_* checks, and the rounding bounds
-of their float comparisons.
+"""The rounding bounds of the float checks.  A check that passes returns
+its residual, the worst float deviation it saw (0.0 for the exact ones),
+and one that fails raises a VerificationError subclass.
 
 The exact matching and the main identity prove eta_j = mu*(n2*rho_j +
 shift), so the float checks (the period relation, generator checks (a) and
@@ -17,8 +18,6 @@ measured is 8.2*u*S, at f = 86149.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 _U = 2.0**-53
 _RELATION_ROUNDOFF = 64
 # The residual |p(x)| of a float root x of a cubic, relative to the sum of
@@ -33,15 +32,3 @@ def rounding_bound(etas, n2: int, roots, shift: int) -> float:
     pairs = zip(etas, roots, strict=True)
     scale = max(max(abs(eta), abs(n2 * rho) + abs(shift), 1.0) for eta, rho in pairs)
     return _RELATION_ROUNDOFF * _U * scale
-
-
-class Verdict(NamedTuple):
-    """Outcome of one named check that passed: checks raise a
-    VerificationError subclass when they fail.  residual is the worst float
-    deviation observed (0.0 for exact checks); data carries a check's
-    payload, such as the two sides of a polynomial identity, or None.
-    """
-
-    name: str
-    residual: float = 0.0
-    data: dict | None = None

@@ -21,7 +21,6 @@ from cubicperiods import (
     moebius,
     period_poly_formula,
     prime_element,
-    shanks_poly,
     substitute_affine,
 )
 from cubicperiods.arith import _component_moduli, _generator, _primes_below
@@ -410,6 +409,18 @@ def character_by_definition(f, sign, pis) -> dict[int, int]:
 def character_values():
     """character_by_definition(f, sign, pis): the O(f) reference character."""
     return character_by_definition
+
+
+def shanks_poly(n: int | Fraction) -> RationalCubic:
+    """Oracle: f_n = X^3 - n*X^2 - (n+3)*X - 1 for a rational n, which the
+    package holds only as the integer cubic n2*f_n (cleared_shanks_poly)."""
+    return RationalCubic(1, -n, -(n + 3), -1)
+
+
+@pytest.fixture(scope="session", name="shanks_poly")
+def shanks_poly_fixture():
+    """shanks_poly(n): f_n with rational coefficients."""
+    return shanks_poly
 
 
 def fraction_identities(cond, sp) -> dict:

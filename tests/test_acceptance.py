@@ -18,7 +18,6 @@ from cubicperiods import (
     real_roots_cubic,
     representations,
     shanks_params,
-    shanks_poly,
     substitute_affine,
     verify_main_identity,
     verify_sign_congruences,
@@ -72,8 +71,7 @@ def test_criterion_2_main_identity_wild(conductors_10k):
             if cond.kind != "wild":
                 continue
             for rep in representations(cond):
-                verdict = verify_main_identity(cond, shanks_params(rep))
-                assert verdict.residual == 0.0
+                assert verify_main_identity(cond, shanks_params(rep)) == 0.0
                 count += 1
         elapsed = time.perf_counter() - start
         assert count > 0
@@ -88,8 +86,7 @@ def test_criterion_3_main_identity_tame(conductors_10k):
             if cond.kind != "tame":
                 continue
             for rep in representations(cond):
-                verdict = verify_main_identity(cond, shanks_params(rep))
-                assert verdict.residual == 0.0
+                assert verify_main_identity(cond, shanks_params(rep)) == 0.0
                 count += 1
         elapsed = time.perf_counter() - start
         assert count > 0
@@ -100,16 +97,14 @@ def test_criterion_4_period_relation(all_records_10k):
     with criterion(4, f"period relation within 1e-6, every conductor <= {BOUND}"):
         for records in all_records_10k.values():
             for rec in records:
-                verdict = rec.verdicts["period_relation"]
-                assert verdict.residual < TOLERANCE
+                assert rec.verdicts["period_relation"] < TOLERANCE
 
 
 def test_criterion_5_oracle_equivalence(all_records_10k):
     with criterion(5, "numeric period polynomial equals the closed form"):
         for records in all_records_10k.values():
             for rec in records:
-                verdict = rec.verdicts["oracle_equivalence"]
-                assert verdict.residual < TOLERANCE
+                assert rec.verdicts["oracle_equivalence"] < TOLERANCE
 
 
 def test_criterion_6_counting(conductors_10k, all_records_10k, residue_sets):
@@ -120,7 +115,7 @@ def test_criterion_6_counting(conductors_10k, all_records_10k, residue_sets):
             kernels = [residue_sets(cond, v)[0] for v in primitive_cubic_kernels(cond)]
             records = all_records_10k[cond.value]
             assert len(reps) == len(kernels) == len(records) == expected
-            assert {residue_sets(cond, rec.matched_kernel)[0] for rec in records} == set(kernels)
+            assert {residue_sets(cond, rec.periods.kernel)[0] for rec in records} == set(kernels)
             assert {rec.representation for rec in records} == set(reps)
 
 
@@ -136,7 +131,7 @@ def test_criterion_7_sign_congruences(conductors_10k, all_records_10k):
         assert count > 0
 
 
-def test_criterion_8_group_ring_suite(all_records_10k, group_ring):
+def test_criterion_8_group_ring_suite(all_records_10k, group_ring, shanks_poly):
     ONE, ConjugateVector = group_ring.ONE, group_ring.ConjugateVector
     apply, gr_mul = group_ring.apply, group_ring.gr_mul
     idempotents, unit_list_p3 = group_ring.idempotents, group_ring.unit_list_p3
@@ -184,7 +179,7 @@ def test_criterion_9a_moebius_sieve():
             assert moebius(m) == mu[m], m
 
 
-def test_criterion_9b_irreducibility_implication(conductors_10k, irreducibility):
+def test_criterion_9b_irreducibility_implication(conductors_10k, irreducibility, shanks_poly):
     is_irreducible_cubic, irreducibility_criterion = irreducibility
     with criterion(9, f"irreducibility criterion implies no rational root, pairs <= {BOUND}"):
         for cond in conductors_10k:

@@ -178,10 +178,12 @@ def fraction_calls(argv) -> tuple[int, Counter]:
         ["verify", "--conductor", "15561"],
         ["scan", "--min", "1", "--max", "2000"],
         ["enumerate", "--conductor", "819"],
+        ["table"],
     ],
 )
 def test_no_fraction_is_built_on_the_hot_path(capsys, argv):
-    # the exact identities run in integers: no Fraction arithmetic at all
+    # the exact identities and the Shanks cubics run in integers: no
+    # Fraction arithmetic at all
     code, calls = fraction_calls(argv)
     capsys.readouterr()
     assert code == 0
@@ -371,6 +373,14 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["conductor"] == 7
 
 
+def test_out_dash_writes_to_stdout(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = run(capsys, ["verify", "--conductor", "7"])
+    assert expected[0] == 0
+    assert run(capsys, ["verify", "--conductor", "7", "--out", "-"]) == expected
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["enumerate", "verify"])
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 def test_unwritable_out_exits_2(capsys, tmp_path, command, target):
@@ -407,14 +417,15 @@ def test_cold_enumerate_allocates_under_a_megabyte(tmp_path):
     assert peak < 1_000_000, f"traced peak {peak} bytes"
 
 
-# modules a cold enumerate or verify leaves unloaded: the value types are
-# NamedTuples, not frozen dataclasses (which import inspect);
-# report.render_json writes JSON without the json package; Fraction (which
-# imports decimal), csv and cmath are imported only where used; --out is
-# written with open(), not pathlib; the arguments are parsed without
-# argparse, which imports gettext (and so locale) for its messages and
-# shutil for the terminal width, and the usage and help text is laid out
-# only for -h or bad input
+# modules a cold enumerate, verify or table leaves unloaded: the value
+# types are NamedTuples, not frozen dataclasses (which import inspect);
+# report.render_json writes JSON without the json package; no command
+# imports fractions (which imports decimal), as every cubic holds ints;
+# csv and cmath are imported only where used; --out is written with
+# open(), not pathlib; the arguments are parsed without argparse, which
+# imports gettext (and so locale) for its messages and shutil for the
+# terminal width, and the usage and help text is laid out only for -h or
+# bad input
 UNUSED_ON_THE_COLD_PATH = (
     "argparse", "cmath", "csv", "cubicperiods.usage", "dataclasses", "decimal",
     "fractions", "gettext", "inspect", "json", "locale", "pathlib", "shutil",
@@ -426,6 +437,7 @@ UNUSED_ON_THE_COLD_PATH = (
     [
         ["enumerate", "--conductor", "7", "--format", "md"],
         ["verify", "--conductor", "819", "--format", "json"],
+        ["table", "--format", "md"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -505,8 +517,7 @@ def test_markdown_alias(capsys):
     ],
     ids=["kind", "format"],
 )
-def test_invalid_choice_exits_2_with_usage(capsys, monkeypatch, argv, usage):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to this width
+def test_invalid_choice_exits_2_with_usage(capsys, argv, usage):
     assert run(capsys, argv) == (2, "", usage)
 
 
@@ -590,21 +601,35 @@ HELP_TEXTS = {
         "\n"
         "options:\n"
         "  -h, --help            show this help message and exit\n"
-        "  --min MIN\n"
-        "  --max MAX\n"
-        "  --kind {tame,wild}\n"
+        "  --min MIN             the least conductor (inclusive)\n"
+        "  --max MAX             the greatest conductor (inclusive)\n"
+        "  --kind {tame,wild}    only tame or only wild conductors (default both kinds)\n"
         "  --format {json,csv,md,markdown}\n"
         "                        report format (default json; markdown is an alias for\n"
         "                        md)\n"
-        "  --out PATH            write the report to a file\n",
+        "  --out PATH            write the report to a file (- for stdout)\n",
+    ),
+    "verify": (
+        ["verify", "-h"],
+        "usage: cubicperiods verify [-h] --conductor CONDUCTOR\n"
+        "                           [--format {json,csv,md,markdown}] [--out PATH]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --conductor CONDUCTOR\n"
+        "                        a conductor f: distinct primes = 1 mod 3, times 1 or 9\n"
+        "  --format {json,csv,md,markdown}\n"
+        "                        report format (default json; markdown is an alias for\n"
+        "                        md)\n"
+        "  --out PATH            write the report to a file (- for stdout)\n",
     ),
 }
 
 
 @pytest.mark.parametrize("name", HELP_TEXTS)
 def test_help_text_keeps_its_layout(capsys, monkeypatch, name):
-    # the layout argparse wrote: usage wrapped at 78 columns, help text
-    # from column 24
-    monkeypatch.setenv("COLUMNS", "80")
+    # the layout argparse wrote when stdout is not a terminal: usage wrapped
+    # at 78 columns, help text from column 24, whatever COLUMNS says
+    monkeypatch.setenv("COLUMNS", "40")
     argv, text = HELP_TEXTS[name]
     assert run(capsys, argv) == (0, text, "")

@@ -7,13 +7,15 @@ import pytest
 from cubicperiods import (
     RationalCubic,
     NonIntegralCoefficient,
+    ShanksParams,
     affine_relation,
+    cleared_shanks_poly,
     conductors_up_to,
     cubic_discriminant,
+    main_identity_sides,
     period_poly_formula,
     representations,
     shanks_params,
-    shanks_poly,
     substitute_affine,
     validate_conductor,
     verify_main_identity,
@@ -24,10 +26,15 @@ def C(*coeffs) -> RationalCubic:
     return RationalCubic(*[Fraction(c) for c in coeffs])
 
 
-def test_shanks_poly_examples():
+def test_shanks_poly_examples(shanks_poly):
     assert shanks_poly(Fraction(18, 5)) == C(1, Fraction(-18, 5), Fraction(-33, 5), -1)
     assert shanks_poly(0) == C(1, 0, -3, -1)
     assert shanks_poly(-30) == C(1, 30, 27, -1)
+    # the package's one Shanks cubic is the oracle's times n2, in integers
+    for n1, n2 in ((18, 5), (0, 1), (-30, 1), (-18, 11)):
+        cleared = cleared_shanks_poly(ShanksParams(n1, n2))
+        assert cleared == shanks_poly(Fraction(n1, n2)).scale(n2)
+        assert all(type(c) is int for c in cleared)
 
 
 @pytest.mark.parametrize(
@@ -42,7 +49,9 @@ def test_shanks_poly_examples():
 def test_period_poly_formula(f, M, expected):
     cond = validate_conductor(f)
     rep = next(r for r in representations(cond) if r.M == M)
-    assert period_poly_formula(cond, rep.M).integer_coefficients() == expected
+    poly = period_poly_formula(cond, rep.M)
+    assert poly == expected
+    assert all(type(c) is int for c in poly)
 
 
 def test_period_poly_rejects_foreign_representation():
@@ -67,7 +76,7 @@ def test_affine_relation_rejects_fractional_shift(f, n1):
         affine_relation(validate_conductor(f), n1)
 
 
-def test_substitute_affine_examples():
+def test_substitute_affine_examples(shanks_poly):
     x_cubed = C(1, 0, 0, 0)
     assert substitute_affine(x_cubed, 1, 0) == x_cubed
     # shift of the conductor-9 period polynomial; expanding by hand:
@@ -95,9 +104,10 @@ def test_substitute_affine_roundtrip_random():
 def test_main_identity_examples(f, MN):
     cond = validate_conductor(f)
     rep = next(r for r in representations(cond) if (r.M, r.N) == MN)
-    verdict = verify_main_identity(cond, shanks_params(rep))
-    assert verdict.residual == 0.0
-    assert verdict.data["lhs"] == verdict.data["rhs"]
+    sp = shanks_params(rep)
+    assert verify_main_identity(cond, sp) == 0.0
+    lhs, rhs = main_identity_sides(cond, sp)
+    assert lhs == rhs
 
 
 def test_main_identity_exhaustive():
@@ -112,7 +122,7 @@ def test_delta_examples(delta):
     assert delta(-2, 1) == 7
 
 
-def test_irreducibility(irreducibility):
+def test_irreducibility(irreducibility, shanks_poly):
     is_irreducible_cubic, _ = irreducibility
     assert is_irreducible_cubic(C(1, 0, -3, -1))
     assert not is_irreducible_cubic(C(1, 0, -1, 0))
@@ -142,7 +152,7 @@ def test_irreducibility_criterion_rejects_non_coprime(irreducibility):
         irreducibility_criterion(6, 3)
 
 
-def test_irreducibility_criterion_implies_irreducible(irreducibility):
+def test_irreducibility_criterion_implies_irreducible(irreducibility, shanks_poly):
     is_irreducible_cubic, irreducibility_criterion = irreducibility
     for cond in conductors_up_to(2000):
         for rep in representations(cond):
@@ -154,7 +164,7 @@ def test_irreducibility_criterion_implies_irreducible(irreducibility):
             assert is_irreducible_cubic(poly)
 
 
-def test_discriminant_examples():
+def test_discriminant_examples(shanks_poly):
     assert cubic_discriminant(C(1, 0, -3, -1)) == 81
     for n in (0, Fraction(18, 5), -30):
         assert cubic_discriminant(shanks_poly(n)) == (n * n + 3 * n + 9) ** 2
@@ -163,16 +173,8 @@ def test_discriminant_examples():
 
 def test_distinct_representations_give_distinct_polys():
     for cond in conductors_up_to(1000):
-        polys = {
-            period_poly_formula(cond, rep.M).integer_coefficients()
-            for rep in representations(cond)
-        }
+        polys = {period_poly_formula(cond, rep.M) for rep in representations(cond)}
         assert len(polys) == len(representations(cond))
-
-
-def test_integer_coefficients_guard():
-    with pytest.raises(NonIntegralCoefficient):
-        C(1, Fraction(1, 2), 0, 0).integer_coefficients()
 
 
 def assert_resolvent_identities(resolvents, n1, n2, shift):

@@ -38,9 +38,9 @@ def test_every_value_type_is_immutable():
         rec.representation.unit,
         rec.periods,
         rec,
-        rec.verdicts["main_identity"],
     ]
-    assert len({type(v) for v in values}) == 8
+    assert len({type(v) for v in values}) == 7
+    assert all(type(v) is float for v in rec.verdicts.values())
     for value in values:
         for name in (*type(value).__annotations__, "extra"):
             with pytest.raises(AttributeError):

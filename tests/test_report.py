@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cubicperiods import validate_conductor
 from cubicperiods.cli import verify_report
-from cubicperiods.report import render_json, render_report
+from cubicperiods.report import format_poly, format_rational, render_json, render_report
 
 # characters json escapes or passes through: quote, backslash, C0 controls,
 # DEL, the line separators, non-ASCII, and astral characters, which become
@@ -71,3 +71,18 @@ def test_render_json_refuses_what_json_refuses():
 def test_render_report_refuses_an_unknown_format():
     with pytest.raises(ValueError):
         render_report({"conductor": 7, "kind": "tame", "fields": []}, "xml")
+
+
+@pytest.mark.parametrize(
+    "numerator,denominator,text",
+    [(-5, 5, "-1"), (6, 4, "3/2"), (0, 7, "0"), (-69, 25, "-69/25"), (7, 1, "7")],
+)
+def test_format_rational_writes_lowest_terms(numerator, denominator, text):
+    assert format_rational(numerator, denominator) == text
+
+
+def test_format_poly_divides_by_its_denominator():
+    # n2*f_n for (n1, n2) = (18, 5), over 5: the shanks column of the table
+    assert format_poly((5, -18, -33, -5), 5) == "X^3 - 18/5*X^2 - 33/5*X - 1"
+    assert format_poly((1, 0, -273, 1729)) == "X^3 - 273*X + 1729"
+    assert format_poly((0, 0, 0, 0), 3) == "0"
