@@ -26,7 +26,6 @@ from .arith import (
 )
 from .cubicpoly import (
     RationalCubic,
-    affine_relation,
     cleared_shanks_poly,
     cubic_discriminant,
     main_identity_sides,

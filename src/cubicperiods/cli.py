@@ -40,7 +40,7 @@ import sys
 from types import SimpleNamespace
 
 from .arith import KINDS, Conductor, conductors_up_to, validate_conductor
-from .cubicpoly import affine_relation, cleared_shanks_poly, period_poly_formula
+from .cubicpoly import cleared_shanks_poly, period_poly_formula
 from .eisenstein import chi9_gauss_sum_report
 from .errors import BudgetExceeded, InvalidConductor, VerificationError
 from .periods import FieldRecord, match_fields
@@ -86,8 +86,7 @@ def _emit(report: dict, args: SimpleNamespace) -> None:
         ) from exc
 
 
-def _enumerate_entry(r) -> dict:
-    sp = shanks_params(r)
+def _enumerate_entry(r, sp) -> dict:
     return {
         "M": r.M,
         "N": r.N,
@@ -99,7 +98,7 @@ def _enumerate_entry(r) -> dict:
 
 
 def _field_entry(rec: FieldRecord) -> dict:
-    entry = _enumerate_entry(rec.representation)
+    entry = _enumerate_entry(rec.representation, rec.shanks_params)
     entry["periods"] = list(rec.periods.values())
     entry["verdicts"] = dict.fromkeys(rec.verdicts, True)
     entry["residual"] = rec.max_residual()
@@ -145,7 +144,7 @@ def verify_report(f: Conductor) -> dict:
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
     f = validate_conductor(args.conductor)
-    entries = [_enumerate_entry(r) for r in representations(f)]
+    entries = [_enumerate_entry(r, shanks_params(r)) for r in representations(f)]
     _emit(_conductor_report(f, entries, verified=False), args)
     return 0
 
@@ -202,11 +201,10 @@ def table_rows() -> list[dict]:
     rows = []
     for rec in records:
         sp = rec.shanks_params
-        mu, shift = affine_relation(f, sp.n1)
         rows.append(
             {
                 "pair": f"({sp.n1}, {sp.n2})",
-                "eta_relation": format_relation(mu * sp.n2, mu * shift),
+                "eta_relation": format_relation(sp.scale, sp.offset),
                 "shanks": format_poly(cleared_shanks_poly(sp), sp.n2),
                 "period_poly": format_poly(rec.predicted_poly),
             }

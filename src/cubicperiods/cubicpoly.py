@@ -10,8 +10,9 @@ conductor f with pair (M, N) the period polynomial has the closed form
     X^3 - mu(f)*X^2 + (1-f)/3 * X - mu(f)*((M-3)*f + 1)/27      (tame)
     X^3 - f/3 * X - mu(f/9)*f*M/27                              (wild)
 
-and agrees with f_n up to an explicit affine change of variable.  That
-identity is checked exactly in integer arithmetic, on n2*f_n.
+and agrees with f_n up to the change of variable X -> scale*X + offset of
+the pair's relation (quadform.shanks_params).  That identity is checked
+exactly in integer arithmetic, on n2*f_n.
 """
 
 from __future__ import annotations
@@ -40,20 +41,6 @@ class RationalCubic(NamedTuple):
 def cleared_shanks_poly(sp: ShanksParams) -> RationalCubic:
     """n2*f_n for n = n1/n2: n2*X^3 - n1*X^2 - (n1 + 3*n2)*X - n2, in integers."""
     return RationalCubic(sp.n2, -sp.n1, -(sp.n1 + 3 * sp.n2), -sp.n2)
-
-
-def affine_relation(f: Conductor, n1: int) -> tuple[int, int]:
-    """(mu, shift) of the relation eta = mu*(n2*rho + shift) for the pair with n1.
-
-    The shift is (1 - n1)/3 in the tame case and -n1/3 in the wild case,
-    with mu the Moebius value of f (tame) or f/9 (wild).
-    """
-    numerator = -n1 if f.is_wild else 1 - n1
-    if numerator % 3 != 0:
-        raise NonIntegralCoefficient(
-            f"shift {numerator}/3 for f={f.value}, n1={n1} is not an integer"
-        )
-    return f.mu, numerator // 3
 
 
 def period_poly_formula(f: Conductor, M: int) -> RationalCubic:
@@ -87,15 +74,13 @@ def substitute_affine(p: RationalCubic, a: int, b: int) -> RationalCubic:
 
 
 def main_identity_sides(f: Conductor, sp: ShanksParams) -> tuple[RationalCubic, RationalCubic]:
-    """The two sides of n2^3 * mu * f_n(X) = P(mu*(n2*X + shift)), in integers.
-
-    (mu, shift) come from affine_relation and M = 2*n1 + 3*n2.  The left side
-    is mu*n2^2 times the integer cubic n2*f_n.
+    """The two sides of n2^3 * mu * f_n(X) = P(scale*X + offset), in integers,
+    for the relation eta = scale*rho + offset of sp and M = 2*n1 + 3*n2.  The
+    left side is scale*n2 = mu*n2^2 times the integer cubic n2*f_n.
     """
-    mu, shift = affine_relation(f, sp.n1)
-    lhs = cleared_shanks_poly(sp).scale(mu * sp.n2**2)
+    lhs = cleared_shanks_poly(sp).scale(sp.scale * sp.n2)
     rhs = substitute_affine(
-        period_poly_formula(f, 2 * sp.n1 + 3 * sp.n2), mu * sp.n2, mu * shift
+        period_poly_formula(f, 2 * sp.n1 + 3 * sp.n2), sp.scale, sp.offset
     )
     return lhs, rhs
 

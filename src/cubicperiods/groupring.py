@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .cubicpoly import affine_relation
 from .errors import GeneratorFailure
 from .verdicts import rounding_bound
 
@@ -27,17 +26,20 @@ if TYPE_CHECKING:
 def verify_generators(rec: "FieldRecord") -> float:
     """Checks on the twelve ring-of-integers generators of a wild field.
 
-    (a) alpha = n2*rho - n1/3 has trace zero;
-    (b) each period plus one coincides with one of +-alpha^(i) +- 1.
+    (a) the values scale*rho + offset of the pair's relation (quadform.
+        shanks_params) are mu*alpha for alpha = n2*rho + shift and mu = +-1,
+        and sum to zero, as alpha has trace zero;
+    (b) each period plus one coincides with one of +-(scale*rho + offset) +- 1,
+        the twelve numbers +-alpha^(i) +- 1.
 
     Both are corollaries of the exact checks, held to the rounding bound:
     (a) is the X^2 coefficient of h below, 0, and (b) is the period relation
-    eta_j + 1 = mu*alpha_j + 1 with mu = +-1.  The residual is the larger
-    of the two deviations.
+    eta_j + 1 = mu*alpha_j + 1.  The residual is the larger of the two
+    deviations.
 
     That the candidates are algebraic integers is the main identity: the
     minimal polynomial of alpha is h(Y) = n2^3*f_n((Y - shift)/n2), so the
-    identity n2^3*mu*f_n(X) = P(mu*(n2*X + shift)) at Y = n2*X + shift reads
+    identity n2^3*mu*f_n(X) = P(scale*X + offset) at Y = n2*X + shift reads
     h(Y) = mu*P(mu*Y), an integer cubic, and so is s*h(s*Y - t*s), that of
     s*alpha + t, for the signs s and t.
     """
@@ -45,15 +47,14 @@ def verify_generators(rec: "FieldRecord") -> float:
     if not f.is_wild:
         raise ValueError("generator checks apply to wild records")
     sp = rec.shanks_params
-    _, shift = affine_relation(f, sp.n1)
-    alphas = [sp.n2 * rho + shift for rho in rec.shanks_roots]
-    bound = rounding_bound(rec.periods.values(), sp.n2, rec.shanks_roots, shift)
+    mapped = [sp.scale * rho + sp.offset for rho in rec.shanks_roots]
+    bound = rounding_bound(rec.periods.values(), sp.scale, rec.shanks_roots, sp.offset)
 
-    trace = abs(sum(alphas))
+    trace = abs(sum(mapped))
     if trace > bound:
         raise GeneratorFailure(f"(a) trace of alpha is {trace}, over {bound}")
 
-    twelve = [s * a + t for a in alphas for s in (1, -1) for t in (1, -1)]
+    twelve = [s * m + t for m in mapped for s in (1, -1) for t in (1, -1)]
     worst = 0.0
     for eta in rec.periods.values():
         worst = max(worst, min(abs(eta + 1 - g) for g in twelve))

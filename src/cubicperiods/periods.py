@@ -45,7 +45,6 @@ from typing import NamedTuple
 from .arith import Conductor, _component_moduli
 from .cubicpoly import (
     RationalCubic,
-    affine_relation,
     cleared_shanks_poly,
     cubic_discriminant,
     period_poly_formula,
@@ -83,12 +82,15 @@ class PeriodTriple(NamedTuple):
 
 
 class FieldRecord(NamedTuple):
-    """One cyclic cubic field: the pair, the periods of the kernel matched to
-    it (periods.kernel), the roots of its Shanks cubic, and the residual of
-    each of its checks, by name, in the order they ran (0.0 for the exact
-    ones).  The conductor, (n1, n2) and the closed form are the pair's."""
+    """One cyclic cubic field: the pair, its (n1, n2) and relation
+    eta = scale*rho + offset (quadform.shanks_params, derived once), the
+    periods of the kernel matched to it (periods.kernel), the roots of its
+    Shanks cubic, and the residual of each of its checks, by name, in the
+    order they ran (0.0 for the exact ones).  The conductor and the closed
+    form are the pair's."""
 
     representation: Representation
+    shanks_params: ShanksParams
     periods: PeriodTriple
     shanks_roots: tuple[float, float, float]
     verdicts: dict[str, float]
@@ -96,10 +98,6 @@ class FieldRecord(NamedTuple):
     @property
     def conductor(self) -> Conductor:
         return self.representation.conductor
-
-    @property
-    def shanks_params(self) -> ShanksParams:
-        return shanks_params(self.representation)
 
     @property
     def predicted_poly(self) -> RationalCubic:
@@ -226,19 +224,16 @@ def real_roots_cubic(p: RationalCubic) -> tuple[float, float, float]:
 
 
 def verify_period_relation(rec: FieldRecord) -> float:
-    """The periods equal mu*(n2*rho + shift) over the roots rho of f_n,
+    """The periods equal scale*rho + offset over the roots rho of f_n,
     compared as multisets (no ordering of the conjugates is implied).  The
     exact checks prove it, so the float distance, the residual, is held to
     rounding_bound.
     """
     f = rec.conductor
     sp = rec.shanks_params
-    mu, shift = affine_relation(f, sp.n1)
-    mapped = sorted(
-        (mu * (sp.n2 * rho + float(shift)) for rho in rec.shanks_roots), reverse=True
-    )
+    mapped = sorted((sp.scale * rho + sp.offset for rho in rec.shanks_roots), reverse=True)
     residual = max(abs(m - e) for m, e in zip(mapped, rec.periods.values()))
-    bound = rounding_bound(rec.periods.values(), sp.n2, rec.shanks_roots, shift)
+    bound = rounding_bound(rec.periods.values(), sp.scale, rec.shanks_roots, sp.offset)
     if residual > bound:
         raise RelationFailure(
             f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): multiset distance {residual} > {bound}"
@@ -300,8 +295,8 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     affine identity and the period relation, and when f is wild against the
     sign congruences, the twelve generators and the kernel character; a
     record only exists if all of its checks pass, and its verdicts keep that
-    order.  The roots of f_n are found once per record, here, for the float
-    checks to share.
+    order.  The relation of each pair (shanks_params) and the roots of f_n
+    are found once per record, here, for every check to share.
     """
     reps = representations(f)
     triples = gaussian_periods(f)
@@ -327,7 +322,7 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
         sp = shanks_params(r)
         verdicts = {"oracle_equivalence": 0.0, "main_identity": verify_main_identity(f, sp)}
         roots = real_roots_cubic(cleared_shanks_poly(sp))
-        rec = FieldRecord(r, assigned[r], roots, verdicts)
+        rec = FieldRecord(r, sp, assigned[r], roots, verdicts)
         verdicts["period_relation"] = verify_period_relation(rec)
         if f.is_wild:
             verdicts["sign_congruences"] = verify_sign_congruences(rec)

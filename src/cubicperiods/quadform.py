@@ -11,9 +11,10 @@ the factorization of f gives them all at O(nu log p + 2^nu) integer cost.
 Each pair keeps that factorization, the unit and the prime elements, for
 the character check of a wild field to read.
 The substitution n1 = (M - 3N)/2, n2 = N turns a pair into coprime
-parameters with n1^2 + 3*n1*n2 + 9*n2^2 = f.  Each pair is checked once,
-where it is built (_check_pair); M0 and (n1, n2) are derived from it
-unchecked.
+parameters with n1^2 + 3*n1*n2 + 9*n2^2 = f, and shanks_params derives with
+them the paper's relation eta = scale*rho + offset between the periods and
+the roots of f_n, once per pair.  Each pair is checked once, where it is
+built (_check_pair); M0 and (n1, n2) are derived from it unchecked.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 from .arith import Conductor
 from .eisenstein import EisensteinInt, rhs_elements
-from .errors import CountMismatch, FactorizationMismatch
+from .errors import CountMismatch, FactorizationMismatch, NonIntegralCoefficient
 
 
 class Representation(NamedTuple):
@@ -78,10 +79,13 @@ def _check_pair(r: Representation) -> None:
 
 
 class ShanksParams(NamedTuple):
-    """Coprime (n1, n2) with n1^2 + 3*n1*n2 + 9*n2^2 = f."""
+    """Coprime (n1, n2) with n1^2 + 3*n1*n2 + 9*n2^2 = f, and the relation
+    eta = scale*rho + offset = mu*(n2*rho + shift) of the pair."""
 
     n1: int
     n2: int
+    scale: int
+    offset: int
 
 
 def representations(f: Conductor) -> list[Representation]:
@@ -111,10 +115,22 @@ def representations(f: Conductor) -> list[Representation]:
 
 
 def shanks_params(r: Representation) -> ShanksParams:
-    """Derive (n1, n2) = ((M - 3N)/2, N) from a representation.
+    """Derive (n1, n2) = ((M - 3N)/2, N) from a representation, with the
+    relation eta = mu*(n2*rho + shift) between the periods and the roots rho
+    of f_n as scale = mu*n2 and offset = mu*shift.  mu is the Moebius value
+    of f (tame) or f/9 (wild), and the shift is (1 - n1)/3 when tame and
+    -n1/3 when wild; a shift that is not an integer raises
+    NonIntegralCoefficient.
 
-    It checks nothing: _check_pair has checked every pair that
+    It checks nothing else: _check_pair has checked every pair that
     representations builds, and its docstring shows why n1 is an integer,
     n1^2 + 3*n1*n2 + 9*n2^2 = f and the wild congruence hold.
     """
-    return ShanksParams((r.M - 3 * r.N) // 2, r.N)
+    f = r.conductor
+    n1, n2 = (r.M - 3 * r.N) // 2, r.N
+    numerator = -n1 if f.is_wild else 1 - n1
+    if numerator % 3 != 0:
+        raise NonIntegralCoefficient(
+            f"shift {numerator}/3 for f={f.value}, n1={n1} is not an integer"
+        )
+    return ShanksParams(n1, n2, f.mu * n2, f.mu * (numerator // 3))

@@ -2,16 +2,17 @@
 its residual, the worst float deviation it saw (0.0 for the exact ones),
 and one that fails raises a VerificationError subclass.
 
-The exact matching and the main identity prove eta_j = mu*(n2*rho_j +
-shift), so the float checks (the period relation, generator checks (a) and
-(b)) fail only on rounding: each residual is held to C*u*S, for u = 2^-53
-and S the size of what the check subtracts.  C counts roundings of at most
+The exact matching and the main identity prove eta_j = scale*rho_j +
+offset, the relation of the pair (quadform.shanks_params), so the float
+checks (the period relation, generator checks (a) and (b)) fail only on
+rounding: each residual is held to C*u*S, for u = 2^-53 and S the size of
+what the check subtracts.  C counts roundings of at most
 u*S each, added up in the worst case (Higham, Accuracy and Stability of
 Numerical Algorithms, section 5.1).  A period (mu + 2*sqrt(f)*cos(theta))/3
 carries about 24 in sqrt(f)*cos(theta), 19 of them in the angle, scaled by
 2*sqrt(f)/3 <= 1.54*S (a period is at least (sqrt(3f) - 1)/3), and 1 more:
-38.  mu*(n2*rho + shift) carries about 7: a polished root within two ulps,
-the product, the shift and the sum; (a) sums three of those, about 25.  (b)
+38.  scale*rho + offset carries about 7: a polished root within two ulps,
+the product, the offset and the sum; (a) sums three of those, about 25.  (b)
 adds 2 for its +-1, so 47 in all, and C = 64.  The largest residual
 measured is 8.2*u*S, at f = 86149.
 """
@@ -26,9 +27,9 @@ _RELATION_ROUNDOFF = 64
 _ROOT_ROUNDOFF = 16 * _U
 
 
-def rounding_bound(etas, n2: int, roots, shift: int) -> float:
+def rounding_bound(etas, scale: int, roots, offset: int) -> float:
     """C*u*S for the periods and the roots rho of f_n of one field, with
-    S = max over j of max(|eta_j|, |n2*rho_j| + |shift|, 1)."""
+    S = max over j of max(|eta_j|, |scale*rho_j| + |offset|, 1)."""
     pairs = zip(etas, roots, strict=True)
-    scale = max(max(abs(eta), abs(n2 * rho) + abs(shift), 1.0) for eta, rho in pairs)
-    return _RELATION_ROUNDOFF * _U * scale
+    size = max(max(abs(eta), abs(scale * rho) + abs(offset), 1.0) for eta, rho in pairs)
+    return _RELATION_ROUNDOFF * _U * size

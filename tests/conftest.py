@@ -12,7 +12,6 @@ from cubicperiods import (
     FactorizationMismatch,
     GeneratorFailure,
     RationalCubic,
-    affine_relation,
     conductors_up_to,
     cubic_residue_character,
     curve,
@@ -423,6 +422,18 @@ def shanks_poly_fixture():
     return shanks_poly
 
 
+def paper_relation(cond, n1: int) -> tuple[int, Fraction]:
+    """Oracle: (mu, shift) of eta = mu*(n2*rho + shift) by the paper's
+    formulas, mu = (-1)^nu and shift = (1 - n1)/3 when tame, -n1/3 when wild."""
+    return (-1) ** cond.nu, Fraction(-n1 if cond.is_wild else 1 - n1, 3)
+
+
+@pytest.fixture(scope="session", name="paper_relation")
+def paper_relation_fixture():
+    """paper_relation(cond, n1): (mu, shift) by the paper's formulas."""
+    return paper_relation
+
+
 def fraction_identities(cond, sp) -> dict:
     """Oracle: the main identity and what it implies for the generators of a
     wild field, in Fraction arithmetic, with every coefficient and
@@ -433,7 +444,7 @@ def fraction_identities(cond, sp) -> dict:
     with mu*P(mu*X) to compare it with, and shifted[(s, t)] = s*h((X - t)/s),
     that of s*alpha + t.
     """
-    mu, shift = affine_relation(cond, sp.n1)
+    mu, shift = paper_relation(cond, sp.n1)
     poly = period_poly_formula(cond, 2 * sp.n1 + 3 * sp.n2)
     p = RationalCubic(*map(Fraction, poly))
     fn = RationalCubic(*map(Fraction, shanks_poly(Fraction(sp.n1, sp.n2))))

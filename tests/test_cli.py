@@ -15,7 +15,7 @@ from cubicperiods import (
     BudgetExceeded,
     validate_conductor,
 )
-from cubicperiods import curve, eisenstein, periods
+from cubicperiods import curve, eisenstein, periods, quadform
 from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
 
@@ -276,6 +276,30 @@ def test_verify_takes_every_prime_by_points(capsys, monkeypatch):
     code, _, _ = run(capsys, ["verify", "--conductor", "826371"])
     assert code == 0
     assert traced == [7, 13, 1009]
+
+
+@pytest.mark.parametrize(
+    "argv,fields",
+    [(["verify", "--conductor", "15561", "--format", "json"], 8), (["table"], 4)],
+)
+def test_each_field_derives_its_relation_once(capsys, monkeypatch, argv, fields):
+    # every module attribute that holds shanks_params is rebound, so names
+    # bound by `from .quadform import shanks_params` count too
+    original = quadform.shanks_params
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return original(r)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cubicperiods" or name.startswith("cubicperiods."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert len(calls) == fields
 
 
 def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):

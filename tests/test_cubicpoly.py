@@ -7,8 +7,8 @@ import pytest
 from cubicperiods import (
     RationalCubic,
     NonIntegralCoefficient,
+    Representation,
     ShanksParams,
-    affine_relation,
     cleared_shanks_poly,
     conductors_up_to,
     cubic_discriminant,
@@ -20,6 +20,7 @@ from cubicperiods import (
     validate_conductor,
     verify_main_identity,
 )
+from cubicperiods.eisenstein import ONE
 
 
 def C(*coeffs) -> RationalCubic:
@@ -32,7 +33,8 @@ def test_shanks_poly_examples(shanks_poly):
     assert shanks_poly(-30) == C(1, 30, 27, -1)
     # the package's one Shanks cubic is the oracle's times n2, in integers
     for n1, n2 in ((18, 5), (0, 1), (-30, 1), (-18, 11)):
-        cleared = cleared_shanks_poly(ShanksParams(n1, n2))
+        # the relation (scale, offset) does not enter the cubic
+        cleared = cleared_shanks_poly(ShanksParams(n1, n2, 0, 0))
         assert cleared == shanks_poly(Fraction(n1, n2)).scale(n2)
         assert all(type(c) is int for c in cleared)
 
@@ -67,13 +69,21 @@ def test_period_poly_rejects_foreign_representation():
     [(819, 18, (1, -6)), (819, -30, (1, 10)), (7, -2, (-1, 1)), (9, -3, (1, 1))],
 )
 def test_affine_relation_examples(f, n1, expected):
-    assert affine_relation(validate_conductor(f), n1) == expected
+    # (mu, shift) of eta = mu*(n2*rho + shift), as shanks_params derives it:
+    # scale = mu*n2 and offset = mu*shift
+    mu, shift = expected
+    rep = next(r for r in representations(validate_conductor(f)) if r.M - 3 * r.N == 2 * n1)
+    sp = shanks_params(rep)
+    assert (sp.n1, sp.scale, sp.offset) == (n1, mu * sp.n2, mu * shift)
 
 
 @pytest.mark.parametrize("f,n1", [(7, 0), (9, 1)])
 def test_affine_relation_rejects_fractional_shift(f, n1):
+    # an unnormalized pair with N = 1 and M = 2*n1 + 3; the constructor
+    # checks nothing, and the shift of n1 is not an integer
+    rep = Representation(2 * n1 + 3, 1, validate_conductor(f), ONE, ())
     with pytest.raises(NonIntegralCoefficient):
-        affine_relation(validate_conductor(f), n1)
+        shanks_params(rep)
 
 
 def test_substitute_affine_examples(shanks_poly):
@@ -191,11 +201,11 @@ def assert_resolvent_identities(resolvents, n1, n2, shift):
 
 
 @pytest.mark.parametrize("f", [7, 9, 819, 104823])
-def test_resolvent_identities_at_every_pair(resolvents, f):
+def test_resolvent_identities_at_every_pair(resolvents, paper_relation, f):
     cond = validate_conductor(f)
     for rep in representations(cond):
         sp = shanks_params(rep)
-        _, shift = affine_relation(cond, sp.n1)
+        _, shift = paper_relation(cond, sp.n1)
         assert_resolvent_identities(resolvents, sp.n1, sp.n2, shift)
 
 

@@ -17,7 +17,6 @@ from cubicperiods import (
     NormalizationFailure,
     RationalCubic,
     RelationFailure,
-    affine_relation,
     conductors_up_to,
     gaussian_periods,
     match_fields,
@@ -414,8 +413,7 @@ def assert_float_headroom(records):
     """Every float residual is at most a quarter of its rounding bound."""
     for rec in records:
         sp = rec.shanks_params
-        _, shift = affine_relation(rec.conductor, sp.n1)
-        bound = rounding_bound(rec.periods.values(), sp.n2, rec.shanks_roots, shift)
+        bound = rounding_bound(rec.periods.values(), sp.scale, rec.shanks_roots, sp.offset)
         for name in ("period_relation", "generators"):
             if name in rec.verdicts:
                 assert rec.verdicts[name] <= bound / 4, (rec.conductor.value, name)
