@@ -86,19 +86,19 @@ def _emit(report: dict, args: SimpleNamespace) -> None:
         ) from exc
 
 
-def _enumerate_entry(r, sp) -> dict:
+def _enumerate_entry(r, sp, poly) -> dict:
     return {
         "M": r.M,
         "N": r.N,
         "n1": sp.n1,
         "n2": sp.n2,
         "shanks": [format_rational(c, sp.n2) for c in cleared_shanks_poly(sp)],
-        "period_poly": list(period_poly_formula(r.conductor, r.M)),
+        "period_poly": list(poly),
     }
 
 
 def _field_entry(rec: FieldRecord) -> dict:
-    entry = _enumerate_entry(rec.representation, rec.shanks_params)
+    entry = _enumerate_entry(rec.representation, rec.shanks_params, rec.period_poly)
     entry["periods"] = list(rec.periods.values())
     entry["verdicts"] = dict.fromkeys(rec.verdicts, True)
     entry["residual"] = rec.max_residual()
@@ -144,7 +144,8 @@ def verify_report(f: Conductor) -> dict:
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
     f = validate_conductor(args.conductor)
-    entries = [_enumerate_entry(r, shanks_params(r)) for r in representations(f)]
+    reps = representations(f)
+    entries = [_enumerate_entry(r, shanks_params(r), period_poly_formula(f, r.M)) for r in reps]
     _emit(_conductor_report(f, entries, verified=False), args)
     return 0
 
@@ -206,7 +207,7 @@ def table_rows() -> list[dict]:
                 "pair": f"({sp.n1}, {sp.n2})",
                 "eta_relation": format_relation(sp.scale, sp.offset),
                 "shanks": format_poly(cleared_shanks_poly(sp), sp.n2),
-                "period_poly": format_poly(rec.predicted_poly),
+                "period_poly": format_poly(rec.period_poly),
             }
         )
     return rows

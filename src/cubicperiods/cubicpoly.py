@@ -73,22 +73,23 @@ def substitute_affine(p: RationalCubic, a: int, b: int) -> RationalCubic:
     )
 
 
-def main_identity_sides(f: Conductor, sp: ShanksParams) -> tuple[RationalCubic, RationalCubic]:
+def main_identity_sides(
+    sp: ShanksParams, poly: RationalCubic
+) -> tuple[RationalCubic, RationalCubic]:
     """The two sides of n2^3 * mu * f_n(X) = P(scale*X + offset), in integers,
-    for the relation eta = scale*rho + offset of sp and M = 2*n1 + 3*n2.  The
+    for the relation eta = scale*rho + offset of sp and the closed form P =
+    poly of the pair, period_poly_formula(f, M) with M = 2*n1 + 3*n2.  The
     left side is scale*n2 = mu*n2^2 times the integer cubic n2*f_n.
     """
     lhs = cleared_shanks_poly(sp).scale(sp.scale * sp.n2)
-    rhs = substitute_affine(
-        period_poly_formula(f, 2 * sp.n1 + 3 * sp.n2), sp.scale, sp.offset
-    )
+    rhs = substitute_affine(poly, sp.scale, sp.offset)
     return lhs, rhs
 
 
-def verify_main_identity(f: Conductor, sp: ShanksParams) -> float:
+def verify_main_identity(f: Conductor, sp: ShanksParams, poly: RationalCubic) -> float:
     """Check the two sides of main_identity_sides for exact equality; any
     coefficient difference raises IdentityFailure.  The residual is 0.0."""
-    lhs, rhs = main_identity_sides(f, sp)
+    lhs, rhs = main_identity_sides(sp, poly)
     if lhs != rhs:
         diffs = [
             (deg, lc, rc)

@@ -43,8 +43,8 @@ t open, J is refused, never guessed.
 No Cornacchia step runs here: the prime elements that the pairs are built
 from come from Cornacchia's algorithm (prime_element), so matching the
 periods against the pairs still compares two independent computations.
-For q = 9 the cube of the six-term sum is multiplied out in Z[zeta9].  The
-same cubes give the Gaussian periods (periods.gaussian_periods).
+For q = 9 the cube of the six-term sum is multiplied out in Z[zeta9].  One
+tuple of cubes per conductor feeds the periods and the character check.
 
 The identification is never assumed: every step is re-checked exactly,
 N(J) = p and J = -1 mod 3 included.
@@ -245,15 +245,11 @@ def _chi9_gauss_sum(e: int) -> tuple[tuple[int, ...], EisensteinInt]:
     return tau, EisensteinInt(cube[0], cube[3])
 
 
-@functools.lru_cache(maxsize=1)
 def component_gauss_sums(f: Conductor) -> tuple[EisensteinInt, ...]:
     """tau_q^3 for the character chi_q(g_q) = zeta3 of each component q of
     f, in component order: p * J(chi_p, chi_p) for a prime p, the cube
     multiplied out in Z[zeta9] for q = 9.  The character chi_q(g_q) =
     zeta3^2 has the conjugate cube, since chi_q(-1) = 1.
-
-    The periods of every kernel and the character check of every field of a
-    conductor read these cubes, so those of the last conductor are kept.
     """
     return tuple(
         _chi9_gauss_sum(1)[1] if q == 9 else q * jacobi_sum(q)
@@ -342,7 +338,9 @@ def rhs_elements(
     ]
 
 
-def character_for_representation(r: Representation) -> tuple[int, ...]:
+def character_for_representation(
+    r: Representation, cubes: tuple[EisensteinInt, ...]
+) -> tuple[int, ...]:
     """The primitive cubic character mod f attached to a wild pair (M, N),
     as its exponents at the component generators, in component order.
 
@@ -350,7 +348,7 @@ def character_for_representation(r: Representation) -> tuple[int, ...]:
     factors that the pair carries from rhs_elements.  They are multiplied
     out again and compared with (M + 3N*sqrt(-3))/2, and each prime
     component is validated exactly against J(chi_p, chi_p) = -pi_p, that is
-    tau_p^3 = -p * pi_p with the cube from component_gauss_sums, conjugated
+    tau_p^3 = -p * pi_p with cubes = component_gauss_sums(f), conjugated
     when the exponent is 2.
     """
     f = r.conductor
@@ -372,11 +370,11 @@ def character_for_representation(r: Representation) -> tuple[int, ...]:
     else:
         raise FactorizationMismatch(f"the unit {r.unit} is not 3 * zeta3^(+-1)")
     moduli = _component_moduli(f)
-    cubes = dict(zip(moduli, component_gauss_sums(f)))
+    by_modulus = dict(zip(moduli, cubes))
     exponents = {9: chi9(sign)}
     for p, pi in zip(f.odd_primes, r.prime_elements):
         e = cubic_residue_character(p, pi)
-        cube = cubes[p] if e == 1 else cubes[p].conjugate()
+        cube = by_modulus[p] if e == 1 else by_modulus[p].conjugate()
         if cube != -p * pi:
             raise NormalizationFailure(
                 f"tau^3 = {cube} mod {p} is not -{p} * pi for the prime element pi = {pi}"

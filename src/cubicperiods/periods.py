@@ -74,7 +74,6 @@ class PeriodTriple(NamedTuple):
     eta1: float
     eta2: float
     kernel: tuple[int, ...]
-    conductor: Conductor
     cube: EisensteinInt
 
     def values(self) -> tuple[float, float, float]:
@@ -83,14 +82,15 @@ class PeriodTriple(NamedTuple):
 
 class FieldRecord(NamedTuple):
     """One cyclic cubic field: the pair, its (n1, n2) and relation
-    eta = scale*rho + offset (quadform.shanks_params, derived once), the
-    periods of the kernel matched to it (periods.kernel), the roots of its
-    Shanks cubic, and the residual of each of its checks, by name, in the
-    order they ran (0.0 for the exact ones).  The conductor and the closed
-    form are the pair's."""
+    eta = scale*rho + offset (quadform.shanks_params) and its closed form
+    (cubicpoly.period_poly_formula), each derived once, the periods of the
+    kernel matched to it (periods.kernel), the roots of its Shanks cubic,
+    and the residual of each of its checks, by name, in the order they ran
+    (0.0 for the exact ones).  The conductor is the pair's."""
 
     representation: Representation
     shanks_params: ShanksParams
+    period_poly: RationalCubic
     periods: PeriodTriple
     shanks_roots: tuple[float, float, float]
     verdicts: dict[str, float]
@@ -98,10 +98,6 @@ class FieldRecord(NamedTuple):
     @property
     def conductor(self) -> Conductor:
         return self.representation.conductor
-
-    @property
-    def predicted_poly(self) -> RationalCubic:
-        return period_poly_formula(self.conductor, self.representation.M)
 
     def max_residual(self) -> float:
         return max(self.verdicts.values(), default=0.0)
@@ -128,19 +124,20 @@ def _period_sum(f: Conductor) -> int:
     return 0 if f.is_wild else f.mu
 
 
-def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
+def gaussian_periods(f: Conductor, cubes: tuple[EisensteinInt, ...]) -> list[PeriodTriple]:
     """The periods of every kernel, in the order of primitive_cubic_kernels.
 
-    tau_q^3 is the exact cube for the character chi_q(g_q) = zeta3, one per
-    component.  For the kernel c, T is the product of tau_q^3 where c_q = 1
-    and of its conjugate where c_q = 2, and with t = sqrt(f)*exp(i*phi/3),
-    phi = arg(T), period j is (mu + 2*Re(zeta3^-j * t))/3.  The products are
-    built by doubling over the components, the last one varying fastest, as
-    in primitive_cubic_kernels: about one multiplication per kernel.
+    cubes = component_gauss_sums(f) holds tau_q^3, the exact cube for the
+    character chi_q(g_q) = zeta3 of each component.  For the kernel c, T is
+    the product of tau_q^3 where c_q = 1 and of its conjugate where c_q = 2,
+    and with t = sqrt(f)*exp(i*phi/3), phi = arg(T), period j is
+    (mu + 2*Re(zeta3^-j * t))/3.  The products are built by doubling over
+    the components, the last one varying fastest, as in
+    primitive_cubic_kernels: about one multiplication per kernel.
     """
     mu = _period_sum(f)
     root_f = math.sqrt(f.value)
-    first, *rest = component_gauss_sums(f)
+    first, *rest = cubes
     # The Gaussian sum mod f is prod chi_q(f/q) * tau(chi_q).  That product
     # of chi_q(f/q) is a cube root of unity: it leaves T unchanged, and any
     # cube root of T only permutes the three periods of the kernel, which
@@ -160,25 +157,25 @@ def gaussian_periods(f: Conductor) -> list[PeriodTriple]:
             ),
             reverse=True,
         )
-        triples.append(PeriodTriple(*etas, kernel, f, cube))
+        triples.append(PeriodTriple(*etas, kernel, cube))
     return triples
 
 
-def numeric_period_poly(pt: PeriodTriple) -> RationalCubic:
-    """The period polynomial of pt, exactly, from its cube T:
+def numeric_period_poly(f: Conductor, pt: PeriodTriple) -> RationalCubic:
+    """The period polynomial of pt, periods mod f, exactly, from its cube T:
 
         X^3 - mu*X^2 + (mu^2 - f)/3 * X - (mu^3 - 3*f*mu + Tr(T))/27.
 
     Nothing is rounded; a coefficient that is not an integer raises
     NonIntegralCoefficient.
     """
-    f = pt.conductor.value
-    mu = _period_sum(pt.conductor)
-    c1, r1 = divmod(mu * mu - f, 3)
-    c0, r0 = divmod(-(mu**3 - 3 * f * mu + pt.cube.trace()), 27)
+    v = f.value
+    mu = _period_sum(f)
+    c1, r1 = divmod(mu * mu - v, 3)
+    c0, r0 = divmod(-(mu**3 - 3 * v * mu + pt.cube.trace()), 27)
     if r1 or r0:
         raise NonIntegralCoefficient(
-            f"f={f}: the period polynomial of T = {pt.cube} has a coefficient "
+            f"f={v}: the period polynomial of T = {pt.cube} has a coefficient "
             f"that is not an integer"
         )
     return RationalCubic(1, -mu, c1, c0)
@@ -255,7 +252,7 @@ def verify_sign_congruences(rec: FieldRecord) -> float:
     f = rec.conductor
     if not f.is_wild:
         raise ValueError("sign congruences apply to wild records")
-    eta_product = -numeric_period_poly(rec.periods).c0
+    eta_product = -numeric_period_poly(f, rec.periods).c0
     if (eta_product + f.mu) % 3 != 0:
         raise CongruenceFailure(
             f"f={f.value}: period product {eta_product} is not (-1)^(nu+1) mod 3"
@@ -263,9 +260,9 @@ def verify_sign_congruences(rec: FieldRecord) -> float:
     return 0.0
 
 
-def verify_kernel_character(rec: FieldRecord) -> float:
+def verify_kernel_character(rec: FieldRecord, cubes: tuple[EisensteinInt, ...]) -> float:
     """The character built from (M, N) must cut out the kernel matched to it
-    by the trace of its cube.
+    by the trace of its cube.  cubes = component_gauss_sums(rec.conductor).
 
     On labels the character is the functional whose coefficients are its
     exponents at the component generators.  Two functionals on (Z/3)^k
@@ -273,7 +270,7 @@ def verify_kernel_character(rec: FieldRecord) -> float:
     exponents are scaled to first coordinate 1, as every kernel vector is,
     and compared with the matched vector.
     """
-    exponents = character_for_representation(rec.representation)
+    exponents = character_for_representation(rec.representation, cubes)
     # 1 and 2 are their own inverses mod 3
     scaled = tuple(e * exponents[0] % 3 for e in exponents)
     if scaled != rec.periods.kernel:
@@ -295,11 +292,12 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     affine identity and the period relation, and when f is wild against the
     sign congruences, the twelve generators and the kernel character; a
     record only exists if all of its checks pass, and its verdicts keep that
-    order.  The relation of each pair (shanks_params) and the roots of f_n
-    are found once per record, here, for every check to share.
+    order.  The cubes (once per conductor) and each pair's relation, closed
+    form and roots of f_n are derived here, once, and passed to every check.
     """
     reps = representations(f)
-    triples = gaussian_periods(f)
+    cubes = component_gauss_sums(f)
+    triples = gaussian_periods(f, cubes)
     if len(triples) != len(reps):
         raise CountMismatch(
             f"conductor {f.value}: {len(reps)} pairs but {len(triples)} kernels"
@@ -320,13 +318,14 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     records = []
     for r in reps:
         sp = shanks_params(r)
-        verdicts = {"oracle_equivalence": 0.0, "main_identity": verify_main_identity(f, sp)}
+        poly = period_poly_formula(f, r.M)
+        verdicts = {"oracle_equivalence": 0.0, "main_identity": verify_main_identity(f, sp, poly)}
         roots = real_roots_cubic(cleared_shanks_poly(sp))
-        rec = FieldRecord(r, sp, assigned[r], roots, verdicts)
+        rec = FieldRecord(r, sp, poly, assigned[r], roots, verdicts)
         verdicts["period_relation"] = verify_period_relation(rec)
         if f.is_wild:
             verdicts["sign_congruences"] = verify_sign_congruences(rec)
             verdicts["generators"] = verify_generators(rec)
-            verdicts["kernel_character"] = verify_kernel_character(rec)
+            verdicts["kernel_character"] = verify_kernel_character(rec, cubes)
         records.append(rec)
     return records

@@ -14,6 +14,7 @@ import pytest
 from cubicperiods import (
     RationalCubic,
     moebius,
+    period_poly_formula,
     primitive_cubic_kernels,
     real_roots_cubic,
     representations,
@@ -71,7 +72,8 @@ def test_criterion_2_main_identity_wild(conductors_10k):
             if cond.kind != "wild":
                 continue
             for rep in representations(cond):
-                assert verify_main_identity(cond, shanks_params(rep)) == 0.0
+                poly = period_poly_formula(cond, rep.M)
+                assert verify_main_identity(cond, shanks_params(rep), poly) == 0.0
                 count += 1
         elapsed = time.perf_counter() - start
         assert count > 0
@@ -86,7 +88,8 @@ def test_criterion_3_main_identity_tame(conductors_10k):
             if cond.kind != "tame":
                 continue
             for rep in representations(cond):
-                assert verify_main_identity(cond, shanks_params(rep)) == 0.0
+                poly = period_poly_formula(cond, rep.M)
+                assert verify_main_identity(cond, shanks_params(rep), poly) == 0.0
                 count += 1
         elapsed = time.perf_counter() - start
         assert count > 0

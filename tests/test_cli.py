@@ -15,7 +15,7 @@ from cubicperiods import (
     BudgetExceeded,
     validate_conductor,
 )
-from cubicperiods import curve, eisenstein, periods, quadform
+from cubicperiods import cubicpoly, curve, eisenstein, periods, quadform
 from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
 
@@ -97,7 +97,7 @@ def test_scan_reports_its_first_failing_conductor(capsys, monkeypatch):
     monkeypatch.setattr(
         periods,
         "gaussian_periods",
-        lambda f: [pt._replace(eta0=pt.eta0 + 1e-9) for pt in original(f)],
+        lambda f, cubes: [pt._replace(eta0=pt.eta0 + 1e-9) for pt in original(f, cubes)],
     )
     code, out, err = run(capsys, ["scan", "--min", "50", "--max", "100"])
     assert code == 1
@@ -252,16 +252,18 @@ def test_prime_component_beyond_the_count_is_verified(capsys, conductor):
 def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
     # 15561 = 9 * 7 * 13 * 19 has 8 fields.  The periods take one trace per
     # prime component, and the character check of every field reads the
-    # cubes of the periods instead of building its own (24 more)
+    # cubes of the periods instead of building its own.  Nothing keeps the
+    # cubes of a conductor, so a second run in one process traces again
     calls = []
     jacobi_trace = curve.jacobi_trace
     monkeypatch.setattr(
         curve, "jacobi_trace", lambda p: calls.append(p) or jacobi_trace(p)
     )
-    eisenstein.component_gauss_sums.cache_clear()
-    code, _, _ = run(capsys, ["verify", "--conductor", "15561"])
-    assert code == 0
-    assert calls == [7, 13, 19]
+    for _ in range(2):
+        calls.clear()
+        code, _, _ = run(capsys, ["verify", "--conductor", "15561"])
+        assert code == 0
+        assert calls == [7, 13, 19]
 
 
 def test_verify_takes_every_prime_by_points(capsys, monkeypatch):
@@ -272,10 +274,28 @@ def test_verify_takes_every_prime_by_points(capsys, monkeypatch):
     monkeypatch.setattr(
         curve, "jacobi_trace", lambda p: traced.append(p) or jacobi_trace(p)
     )
-    eisenstein.component_gauss_sums.cache_clear()
     code, _, _ = run(capsys, ["verify", "--conductor", "826371"])
     assert code == 0
     assert traced == [7, 13, 1009]
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """The arguments of every call of module.name from here on.  Every
+    module attribute of the package that holds the function is rebound, so
+    names bound by `from .module import name` count too."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, m in list(sys.modules.items()):
+        if module_name == "cubicperiods" or module_name.startswith("cubicperiods."):
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, counted)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -283,23 +303,27 @@ def test_verify_takes_every_prime_by_points(capsys, monkeypatch):
     [(["verify", "--conductor", "15561", "--format", "json"], 8), (["table"], 4)],
 )
 def test_each_field_derives_its_relation_once(capsys, monkeypatch, argv, fields):
-    # every module attribute that holds shanks_params is rebound, so names
-    # bound by `from .quadform import shanks_params` count too
-    original = quadform.shanks_params
-    calls = []
-
-    def counted(r):
-        calls.append(r)
-        return original(r)
-
-    for name, module in list(sys.modules.items()):
-        if name == "cubicperiods" or name.startswith("cubicperiods."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    calls = count_calls(monkeypatch, quadform, "shanks_params")
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert len(calls) == fields
+
+
+@pytest.mark.parametrize(
+    "argv,gauss_sums,closed_forms",
+    [(["verify", "--conductor", "15561", "--format", "json"], 1, 8), (["table"], 1, 4)],
+)
+def test_cubes_once_per_conductor_and_closed_form_once_per_field(
+    capsys, monkeypatch, argv, gauss_sums, closed_forms
+):
+    # match_fields passes the cubes to the periods and to every character
+    # check, and the closed form it builds is the one that the main
+    # identity checks and the report prints
+    cubes = count_calls(monkeypatch, eisenstein, "component_gauss_sums")
+    polys = count_calls(monkeypatch, cubicpoly, "period_poly_formula")
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert (len(cubes), len(polys)) == (gauss_sums, closed_forms)
 
 
 def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
@@ -319,7 +343,6 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
     )
     with pytest.raises(BudgetExceeded, match="open"):
         eisenstein.jacobi_sum(p)
-    eisenstein.component_gauss_sums.cache_clear()
     code, out, err = run(capsys, ["verify", "--conductor", str(7 * p)])
     assert code == 2
     assert out == ""
@@ -331,7 +354,6 @@ def test_open_trace_at_a_small_prime_exits_2(capsys, monkeypatch, e_alone):
     # open, and verify refuses rather than count J
     points = curve._points
     monkeypatch.setattr(curve, "_points", lambda q: e_alone(q) if q == 1117 else points(q))
-    eisenstein.component_gauss_sums.cache_clear()
     code, out, err = run(capsys, ["verify", "--conductor", "7819"])
     assert code == 2
     assert out == ""

@@ -115,15 +115,16 @@ def test_main_identity_examples(f, MN):
     cond = validate_conductor(f)
     rep = next(r for r in representations(cond) if (r.M, r.N) == MN)
     sp = shanks_params(rep)
-    assert verify_main_identity(cond, sp) == 0.0
-    lhs, rhs = main_identity_sides(cond, sp)
+    poly = period_poly_formula(cond, rep.M)
+    assert verify_main_identity(cond, sp, poly) == 0.0
+    lhs, rhs = main_identity_sides(sp, poly)
     assert lhs == rhs
 
 
 def test_main_identity_exhaustive():
     for cond in conductors_up_to(100_000):
         for rep in representations(cond):
-            verify_main_identity(cond, shanks_params(rep))
+            verify_main_identity(cond, shanks_params(rep), period_poly_formula(cond, rep.M))
 
 
 def test_delta_examples(delta):

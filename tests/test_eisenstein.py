@@ -18,7 +18,13 @@ from cubicperiods import (
 )
 from cubicperiods import curve
 from cubicperiods.arith import _generator, _primes_below, is_probable_prime
-from cubicperiods.eisenstein import POINT_COUNT_BUDGET, UNITS, ZETA, primary_associate
+from cubicperiods.eisenstein import (
+    POINT_COUNT_BUDGET,
+    UNITS,
+    ZETA,
+    component_gauss_sums,
+    primary_associate,
+)
 from cubicperiods.curve import jacobi_trace
 
 PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
@@ -242,7 +248,7 @@ def z9_product(x, y) -> tuple[int, ...]:
 
 def test_character_for_representation_nine(character_values, residue_sets, factor_rhs):
     r = representations(F9)[0]
-    vector = character_for_representation(r)
+    vector = character_for_representation(r, component_gauss_sums(F9))
     assert len(vector) == 1 and residue_sets(F9, vector)[0] == frozenset({1, 8})
     assert level_sets(character_values(9, *factor_rhs(r))) == residue_sets(F9, vector)
 
@@ -255,7 +261,7 @@ def test_character_kernels_have_index_three(
         kernels = set()
         for r in representations(cond):
             chi = character_values(f, *factor_rhs(r))
-            vector = character_for_representation(r)
+            vector = character_for_representation(r, component_gauss_sums(cond))
             assert level_sets(chi) == residue_sets(cond, vector)
             kern = level_sets(chi)[0]
             assert len(kern) * 3 == len(chi)
@@ -287,7 +293,8 @@ def test_characters_of_all_wild_conductors(
         for a in chi:
             for g in lifts:
                 assert (chi[a] + chi[g]) % 3 == chi[a * g % f]
-        assert level_sets(chi) == residue_sets(cond, character_for_representation(rec.representation))
+        vector = character_for_representation(rec.representation, component_gauss_sums(cond))
+        assert level_sets(chi) == residue_sets(cond, vector)
         tau = sum(cmath.exp(2j * cmath.pi * (a / f + e / 3)) for a, e in chi.items())
         assert abs(abs(tau) ** 2 - f) < 1e-6
 
@@ -303,7 +310,8 @@ def test_prime_components_are_powers_at_the_generator(wild_records_10k, factor_r
         cond = rec.conductor
         _, pis = factor_rhs(rec.representation)
         moduli = sorted((9, *cond.odd_primes))
-        exponents = dict(zip(moduli, character_for_representation(rec.representation)))
+        vector = character_for_representation(rec.representation, component_gauss_sums(cond))
+        exponents = dict(zip(moduli, vector))
         for p, pi in zip(cond.odd_primes, pis):
             omega = -pi.a * pow(pi.b, -1, p) % p
             g = _smallest_generator(p)

@@ -105,7 +105,7 @@ def test_verify_generators_819(shanks_poly):
         sp.n2**3
     )
     assert h == (1, 0, -273, -1547)
-    assert h == rec.predicted_poly
+    assert h == rec.period_poly
 
 
 def test_verify_generators_nine(shanks_poly):

@@ -34,7 +34,7 @@ def test_every_value_type_is_immutable():
         wild,
         rec.representation,
         rec.shanks_params,
-        rec.predicted_poly,
+        rec.period_poly,
         rec.representation.unit,
         rec.periods,
         rec,

@@ -91,7 +91,7 @@ def test_prime_kernel_equals_cubes(residue_sets):
 
 
 def test_gaussian_periods_nine(residue_sets):
-    (pt,) = gaussian_periods(F9)
+    (pt,) = gaussian_periods(F9, component_gauss_sums(F9))
     assert residue_sets(F9, pt.kernel)[0] == frozenset({1, 8})
     expected = sorted((2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4)), reverse=True)
     assert pt.values() == pytest.approx(expected, abs=1e-12)
@@ -101,7 +101,7 @@ def test_gaussian_periods_nine(residue_sets):
 
 
 def test_gaussian_periods_seven_sum(residue_sets):
-    (pt,) = gaussian_periods(F7)
+    (pt,) = gaussian_periods(F7, component_gauss_sums(F7))
     assert residue_sets(F7, pt.kernel)[0] == frozenset({1, 6})
     assert sum(pt.values()) == pytest.approx(-1.0, abs=1e-12)
 
@@ -110,7 +110,7 @@ def test_period_sum_partition(residue_sets):
     for cond in conductors_up_to(500):
         expected = 0 if cond.kind == "wild" else (-1) ** cond.nu
         units = {a for a in range(1, cond.value) if math.gcd(a, cond.value) == 1}
-        for pt in gaussian_periods(cond):
+        for pt in gaussian_periods(cond, component_gauss_sums(cond)):
             cosets = residue_sets(cond, pt.kernel)
             assert set().union(*cosets) == units
             assert sum(map(len, cosets)) == len(units)
@@ -123,7 +123,7 @@ def test_periods_equal_direct_cosine_sums(residue_sets):
     # coefficient vector, at every f <= 2000 and at larger fixed conductors
     large = [validate_conductor(f) for f in (15561, 53599, 60433, 73237, 482391)]
     for cond in conductors_up_to(2000) + large:
-        triples = gaussian_periods(cond)
+        triples = gaussian_periods(cond, component_gauss_sums(cond))
         assert [pt.kernel for pt in triples] == primitive_cubic_kernels(cond)
         for pt in triples:
             direct = sorted(
@@ -144,7 +144,7 @@ def test_periods_make_no_pass_over_the_units(f):
     cond = validate_conductor(f)
     mu = 0 if cond.is_wild else cond.mu
     start = time.perf_counter()
-    triples = gaussian_periods(cond)
+    triples = gaussian_periods(cond, component_gauss_sums(cond))
     assert time.perf_counter() - start < 1.0
     assert len(triples) == cond.field_count
     # the closed form X^3 - mu*X^2 + (mu^2 - f)/3*X + ... gives the trace mu
@@ -162,7 +162,7 @@ def test_gaussian_periods_follow_the_kernel_order():
     kernels = [(1, *tail) for tail in itertools.product((1, 2), repeat=3)]
     assert primitive_cubic_kernels(F15561) == kernels
     cubes = component_gauss_sums(F15561)
-    triples = gaussian_periods(F15561)
+    triples = gaussian_periods(F15561, cubes)
     assert [pt.kernel for pt in triples] == kernels
     for pt in triples:
         expected = math.prod(t if c == 1 else t.conjugate() for t, c in zip(cubes, pt.kernel))
@@ -170,11 +170,14 @@ def test_gaussian_periods_follow_the_kernel_order():
 
 
 def test_numeric_period_poly_examples():
-    (pt9,) = gaussian_periods(F9)
-    assert numeric_period_poly(pt9) == (1, 0, -3, 1)
-    (pt7,) = gaussian_periods(F7)
-    assert numeric_period_poly(pt7) == (1, 1, -2, -1)
-    got = {numeric_period_poly(pt) for pt in gaussian_periods(F819)}
+    (pt9,) = gaussian_periods(F9, component_gauss_sums(F9))
+    assert numeric_period_poly(F9, pt9) == (1, 0, -3, 1)
+    (pt7,) = gaussian_periods(F7, component_gauss_sums(F7))
+    assert numeric_period_poly(F7, pt7) == (1, 1, -2, -1)
+    got = {
+        numeric_period_poly(F819, pt)
+        for pt in gaussian_periods(F819, component_gauss_sums(F819))
+    }
     assert got == {
         (1, 0, -273, 1729),
         (1, 0, -273, -1547),
@@ -186,7 +189,7 @@ def test_numeric_period_poly_examples():
 def test_numeric_period_poly_residual_is_the_oracle_residual():
     # the polynomial is exact, so the matching verdict carries no residual
     for rec in match_fields(F819):
-        assert numeric_period_poly(rec.periods) == rec.predicted_poly
+        assert numeric_period_poly(F819, rec.periods) == rec.period_poly
         assert rec.verdicts["oracle_equivalence"] == 0.0
 
 
@@ -196,8 +199,8 @@ def assert_kernels_match_pairs(cond):
     nothing rounded.  Tr T is mu*f*M of exactly one pair, and T is mu*f*w or
     its conjugate for w = (M + 3N*sqrt(-3))/2 of that pair."""
     reps = representations(cond)
-    triples = gaussian_periods(cond)
-    exact = {numeric_period_poly(pt) for pt in triples}
+    triples = gaussian_periods(cond, component_gauss_sums(cond))
+    exact = {numeric_period_poly(cond, pt) for pt in triples}
     closed = {period_poly_formula(cond, r.M) for r in reps}
     assert exact == closed, cond.value
     assert len(exact) == cond.field_count
@@ -278,10 +281,10 @@ def plant_cubes(monkeypatch, plant):
     """Make match_fields see the periods of gaussian_periods with their list
     of cubes rewritten by plant."""
 
-    def planted(f):
-        triples = gaussian_periods(f)
-        cubes = plant([pt.cube for pt in triples])
-        return [pt._replace(cube=cube) for pt, cube in zip(triples, cubes, strict=True)]
+    def planted(f, cubes):
+        triples = gaussian_periods(f, cubes)
+        planted_cubes = plant([pt.cube for pt in triples])
+        return [pt._replace(cube=cube) for pt, cube in zip(triples, planted_cubes, strict=True)]
 
     monkeypatch.setattr(periods_module, "gaussian_periods", planted)
 
@@ -314,7 +317,7 @@ def assert_integer_identities_match(cond, oracle):
     for rep in representations(cond):
         sp = shanks_params(rep)
         expected = oracle(cond, sp)
-        sides = main_identity_sides(cond, sp)
+        sides = main_identity_sides(sp, period_poly_formula(cond, rep.M))
         assert sides == (expected["lhs"], expected["rhs"])
         assert all(type(c) is int for p in sides for c in p), (cond.value, sp)
         assert expected["h"] == expected["mu_p_mu_x"]
@@ -359,7 +362,7 @@ def test_real_roots_rejects_complex():
 def test_match_fields_819_rows():
     records = match_fields(F819)
     by_pair = {
-        (rec.shanks_params.n1, rec.shanks_params.n2): rec.predicted_poly
+        (rec.shanks_params.n1, rec.shanks_params.n2): rec.period_poly
         for rec in records
     }
     assert by_pair == {
@@ -377,7 +380,7 @@ def test_match_fields_nine_and_63():
     assert (rec.shanks_params.n1, rec.shanks_params.n2) == (-3, 1)
     recs = match_fields(F63)
     assert len(recs) == 2
-    assert len({rec.predicted_poly for rec in recs}) == 2
+    assert len({rec.period_poly for rec in recs}) == 2
 
 
 def test_period_relation_values_819(shanks_poly):
@@ -453,7 +456,7 @@ def test_sign_congruences():
         verify_sign_congruences(rec)
     (rec9,) = match_fields(F9)
     verify_sign_congruences(rec9)
-    const = rec9.predicted_poly.c0
+    const = rec9.period_poly.c0
     assert (-const - (-1) ** (0 + 1)) % 3 == 0
 
 
@@ -476,7 +479,7 @@ def test_coset_relabeling_leaves_multiset_invariant(residue_sets):
     # computing the three fiber sums directly, in any labeling, must give
     # the same multiset as the sorted PeriodTriple
     for cond in (F9, F7, F63):
-        for pt in gaussian_periods(cond):
+        for pt in gaussian_periods(cond, component_gauss_sums(cond)):
             fv = cond.value
             kern = residue_sets(cond, pt.kernel)[0]
             units = [a for a in range(1, fv) if math.gcd(a, fv) == 1]
@@ -497,18 +500,21 @@ def test_coset_relabeling_leaves_multiset_invariant(residue_sets):
 def test_kernel_character_cross_check_wild(wild_records_10k):
     assert len(wild_records_10k) > 0
     for rec in wild_records_10k:
-        verify_kernel_character(rec)
+        verify_kernel_character(rec, component_gauss_sums(rec.conductor))
 
 
 def test_kernel_character_rejects_another_kernel():
     records = match_fields(F819)
+    cubes = component_gauss_sums(F819)
     vectors = [rec.periods.kernel for rec in records]
     for rec in records:
         for other in vectors:
             if other == rec.periods.kernel:
                 continue
             with pytest.raises(MatchingFailure):
-                verify_kernel_character(rec._replace(periods=rec.periods._replace(kernel=other)))
+                verify_kernel_character(
+                    rec._replace(periods=rec.periods._replace(kernel=other)), cubes
+                )
 
 
 def replace_factorization(rec, **changes):
@@ -519,30 +525,33 @@ def replace_factorization(rec, **changes):
 def test_kernel_character_rejects_a_conjugated_prime_element():
     # the conjugate of one carried prime element no longer multiplies out to
     # (M + 3N*sqrt(-3))/2
+    cubes = component_gauss_sums(F15561)
     for rec in match_fields(F15561):
         elements = rec.representation.prime_elements
         for i in range(len(elements)):
             swapped = (*elements[:i], elements[i].conjugate(), *elements[i + 1 :])
             with pytest.raises(FactorizationMismatch):
-                verify_kernel_character(replace_factorization(rec, prime_elements=swapped))
+                verify_kernel_character(replace_factorization(rec, prime_elements=swapped), cubes)
 
 
 def test_kernel_character_rejects_a_flipped_unit():
     # 3*zeta3^-sign in place of 3*zeta3^sign
+    cubes = component_gauss_sums(F15561)
     for rec in match_fields(F15561):
         flipped = rec.representation.unit.conjugate()
         with pytest.raises(FactorizationMismatch):
-            verify_kernel_character(replace_factorization(rec, unit=flipped))
+            verify_kernel_character(replace_factorization(rec, unit=flipped), cubes)
 
 
 def test_kernel_character_rejects_associates_with_the_same_product():
     # zeta3*pi_1 and zeta3^2*pi_2 keep the product and the norms, but are not
     # primary, so tau_p^3 = -p*pi_p fails
+    cubes = component_gauss_sums(F15561)
     for rec in match_fields(F15561):
         first, second, *rest = rec.representation.prime_elements
         moved = (ZETA * first, ZETA * ZETA * second, *rest)
         with pytest.raises(NormalizationFailure):
-            verify_kernel_character(replace_factorization(rec, prime_elements=moved))
+            verify_kernel_character(replace_factorization(rec, prime_elements=moved), cubes)
 
 
 def test_glued_character_cuts_out_the_matched_kernel(
