@@ -39,7 +39,6 @@ from .eisenstein import (
     character_for_representation,
     chi9,
     chi9_gauss_sum_report,
-    cubic_residue_character,
     jacobi_sum,
     prime_element,
     rhs_elements,
@@ -57,7 +56,6 @@ from .errors import (
     MatchingFailure,
     NonIntegralCoefficient,
     NormalizationFailure,
-    NotPrimitiveRoot,
     RelationFailure,
     ToleranceExceeded,
     VerificationError,

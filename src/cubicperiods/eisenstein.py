@@ -5,21 +5,19 @@ zeta3^2 = -1 - zeta3 and sqrt(-3) = 1 + 2*zeta3.  The ring is norm-Euclidean
 for the norm a^2 - a*b + b^2 and its six units are +-1, +-zeta3, +-zeta3^2.
 
 The *primary* associate, congruent to 1 mod 3, is the normal form pinned
-down by the Gaussian-sum normalization -tau(chi_p)^3 = p * pi: for a
-prime element pi of norm p = 1 mod 3, the cubic residue character chi_p
+down by the Gaussian-sum normalization tau(chi_p)^3 = -p * pi for the
+cubic residue character chi_p mod a prime element pi of norm p = 1 mod 3
 (chi_p(a) = zeta3^e when a^((p-1)/3) = omega^e mod p, omega the residue of
-zeta3 mod pi) has a Gaussian sum whose negated cube is p times the primary
-associate of pi.  That normalization is what ties each pair (M, N) with
-4f = M^2 + 27 N^2 to a specific character of conductor f via
+zeta3 mod pi).  It ties each pair (M, N) with 4f = M^2 + 27 N^2 to one
+character of conductor f via
 
-    (M + 3N*sqrt(-3))/2 = 3 * zeta3^(+-1) * pi_1 * ... * pi_nu.
+    w = (M + 3N*sqrt(-3))/2 = 3 * zeta3^(+-1) * pi_1 * ... * pi_nu,
 
-The pairs are listed from this factorization (rhs_elements): one primary
-prime element per prime of f, from a cube root of unity mod p, and the
-products of them and their conjugates, with the unit 1 when f is tame.
-Each pair keeps the unit and the prime elements it was built from, and
-the character check reads them there; it re-multiplies them, so a wrong
-unit or conjugate cannot slip through.
+with the unit 1 in place of 3*zeta3^(+-1) when f is tame.  The pairs are
+listed from this product (rhs_elements), with one primary prime element
+per prime of f from Cornacchia's algorithm, and the pairs keep no factor:
+character_for_representation reads which prime above p divides w off w
+itself, by a congruence mod p.
 
 A character of the cyclic group (Z/q)^x, q = 9 or a prime p, is fixed by
 its value at a generator, so each component character is held as one
@@ -40,11 +38,11 @@ J = 0 mod the prime (p, zeta3 - omega) for omega = g^((p-1)/3), g the
 smallest generator, the residue of chi(g) = zeta3.  When the points leave
 t open, J is refused, never guessed.
 
-No Cornacchia step runs here: the prime elements that the pairs are built
-from come from Cornacchia's algorithm (prime_element), so matching the
-periods against the pairs still compares two independent computations.
-For q = 9 the cube of the six-term sum is multiplied out in Z[zeta9].  One
-tuple of cubes per conductor feeds the periods and the character check.
+No Cornacchia step runs here, and the character of a pair needs no
+Gaussian sum, so matching the periods against the pairs compares two
+independent computations.  For q = 9 the cube of the six-term sum is
+multiplied out in Z[zeta9].  One tuple of cubes per conductor feeds the
+periods.
 
 The identification is never assumed: every step is re-checked exactly,
 N(J) = p and J = -1 mod 3 included.
@@ -62,8 +60,6 @@ from .errors import (
     CongruenceFailure,
     FactorizationMismatch,
     IdentityFailure,
-    NormalizationFailure,
-    NotPrimitiveRoot,
 )
 
 if TYPE_CHECKING:
@@ -145,29 +141,12 @@ def chi9(sign: int) -> int:
     return sign % 3
 
 
-def cubic_residue_character(p: int, pi: EisensteinInt) -> int:
-    """Exponent e with g^((p-1)/3) = zeta3^e mod pi at the smallest generator
-    g mod p, which fixes chi(a) = a^((p-1)/3) mod pi at every a.
-
-    The quotient Z[zeta3]/(pi) is the field with p elements; zeta3 reduces
-    to an integer omega with omega^2 + omega + 1 = 0 mod p, which turns
-    character evaluation into modular exponentiation.
-    """
-    if pi.norm() != p:
-        raise ValueError("pi must have norm p")
-    if pi.b % p == 0:
-        raise NotPrimitiveRoot(f"{pi} does not embed zeta3 into Z/{p}")
-    omega = -pi.a * pow(pi.b, -1, p) % p
-    if (omega * omega + omega + 1) % p != 0:
-        raise NotPrimitiveRoot(f"residue {omega} of zeta3 mod {pi} is not a cube root of 1")
+def zeta3_residue(p: int) -> int:
+    """omega_p = g^((p-1)/3) mod p for the smallest generator g mod a prime
+    p = 1 mod 3: the residue of zeta3 mod the prime (p, zeta3 - omega_p),
+    so chi(g) = zeta3 is chi(a) = zeta3^e when a^((p-1)/3) = omega_p^e."""
     g, _ = _generator(p)
-    k = (p - 1) // 3
-    t = pow(g, k, p)
-    if t == omega:
-        return 1
-    if t == omega * omega % p:
-        return 2
-    raise NotPrimitiveRoot(f"{g}^{k} mod {p} is not a primitive cube root of unity")
+    return pow(g, (p - 1) // 3, p)
 
 
 def jacobi_sum(p: int) -> EisensteinInt:
@@ -198,8 +177,7 @@ def jacobi_sum(p: int) -> EisensteinInt:
         )
     b = math.isqrt((4 * p - t * t) // 3)
     a = (t + b) // 2
-    g, _ = _generator(p)
-    if (a + b * pow(g, (p - 1) // 3, p)) % p:
+    if (a + b * zeta3_residue(p)) % p:
         a, b = a - b, -b
     jacobi = EisensteinInt(a, b)
     if jacobi.norm() != p:
@@ -302,82 +280,50 @@ def prime_element(p: int) -> EisensteinInt:
     return pi
 
 
-def rhs_elements(
-    f: Conductor,
-) -> list[tuple[EisensteinInt, EisensteinInt, tuple[EisensteinInt, ...]]]:
-    """(M + 3N*sqrt(-3))/2 for every normalized pair (M, N) of f, each with
-    its factorization: the unit, and the prime element of each odd prime of
-    f, in order, that were multiplied into it.
+def rhs_elements(f: Conductor) -> list[EisensteinInt]:
+    """(M + 3N*sqrt(-3))/2 for every normalized pair (M, N) of f.
 
     Each is a unit times the product over the odd primes p | f of pi_p or
     conj(pi_p), pi_p = prime_element(p): unit 1 when f is tame, so the
     product is primary, and 3*zeta3^(+-1) when wild.  Conjugation keeps M
     and negates N, so one factor is held fixed (pi_p of the first prime
     when tame, 3*zeta3 when wild) and a product with negative zeta3
-    coordinate is replaced by its conjugate, and so is each of its
-    factors: one element per pair, 2^(nu-1) tame and 2^nu wild.
+    coordinate is replaced by its conjugate: one element per pair, 2^(nu-1)
+    tame and 2^nu wild.
     """
     pis = [prime_element(p) for p in f.odd_primes]
     if f.is_wild:
-        unit = 3 * ZETA
-        elements, free = [(unit, ())], pis
+        elements, free = [3 * ZETA], pis
     else:
-        unit = ONE
-        elements, free = [(pis[0], (pis[0],))], pis[1:]
+        elements, free = pis[:1], pis[1:]
     for pi in free:
         pi_bar = pi.conjugate()
-        elements = [
-            (x * y, factors + (y,)) for x, factors in elements for y in (pi, pi_bar)
-        ]
-    unit_bar = unit.conjugate()
-    return [
-        (x, unit, factors)
-        if x.b > 0
-        else (x.conjugate(), unit_bar, tuple(y.conjugate() for y in factors))
-        for x, factors in elements
-    ]
+        elements = [x * y for x in elements for y in (pi, pi_bar)]
+    return [x if x.b > 0 else x.conjugate() for x in elements]
 
 
-def character_for_representation(
-    r: Representation, cubes: tuple[EisensteinInt, ...]
-) -> tuple[int, ...]:
-    """The primitive cubic character mod f attached to a wild pair (M, N),
-    as its exponents at the component generators, in component order.
+def character_for_representation(r: Representation, omegas: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive cubic character mod f of the pair (M, N), as its
+    exponents at the component generators in component order, read off
+    w = (M + 3N*sqrt(-3))/2 = a + b*zeta3; omegas holds zeta3_residue(p)
+    for each odd prime p of f, in order.
 
-    The mod-9 sign and the prime elements are the unit 3*zeta3^sign and the
-    factors that the pair carries from rhs_elements.  They are multiplied
-    out again and compared with (M + 3N*sqrt(-3))/2, and each prime
-    component is validated exactly against J(chi_p, chi_p) = -pi_p, that is
-    tau_p^3 = -p * pi_p with cubes = component_gauss_sums(f), conjugated
-    when the exponent is 2.
+    The exponent at p is 1 when the prime (p, zeta3 - omega_p) divides w,
+    a + b*omega_p = 0 mod p, and 2 when its conjugate does, a - b -
+    b*omega_p = 0 mod p; when neither does, FactorizationMismatch.  At 9
+    it is chi9(sign) = N mod 3, as the wild normalization makes w/3 =
+    (M0 + N)/2 + N*zeta3 = zeta3^sign mod 3.
     """
     f = r.conductor
-    if not f.is_wild:
-        raise ValueError("the character check applies to wild representations")
-    product = r.unit
-    for pi in r.prime_elements:
-        product = product * pi
-    source = EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
-    if len(r.prime_elements) != f.nu or product != source:
-        raise FactorizationMismatch(
-            f"{r.unit} times the prime elements {r.prime_elements} does not give "
-            f"(M + 3N*sqrt(-3))/2 for (M, N) = ({r.M}, {r.N})"
-        )
-    if r.unit == 3 * ZETA:
-        sign = 1
-    elif r.unit == 3 * ZETA_SQ:
-        sign = -1
-    else:
-        raise FactorizationMismatch(f"the unit {r.unit} is not 3 * zeta3^(+-1)")
-    moduli = _component_moduli(f)
-    by_modulus = dict(zip(moduli, cubes))
-    exponents = {9: chi9(sign)}
-    for p, pi in zip(f.odd_primes, r.prime_elements):
-        e = cubic_residue_character(p, pi)
-        cube = by_modulus[p] if e == 1 else by_modulus[p].conjugate()
-        if cube != -p * pi:
-            raise NormalizationFailure(
-                f"tau^3 = {cube} mod {p} is not -{p} * pi for the prime element pi = {pi}"
+    a, b = r.element
+    exponents = {9: r.N % 3} if f.is_wild else {}
+    for p, omega in zip(f.odd_primes, omegas, strict=True):
+        if (a + b * omega) % p == 0:
+            exponents[p] = 1
+        elif (a - b - b * omega) % p == 0:
+            exponents[p] = 2
+        else:
+            raise FactorizationMismatch(
+                f"(M + 3N*sqrt(-3))/2 = {r.element} lies above no prime over {p}"
             )
-        exponents[p] = e
-    return tuple(exponents[q] for q in moduli)
+    return tuple(exponents[q] for q in _component_moduli(f))

@@ -27,12 +27,8 @@ class FactorizationMismatch(VerificationError):
     """A product of extracted factors fails to reproduce its source."""
 
 
-class NotPrimitiveRoot(VerificationError):
-    """A power map landed outside the expected cube roots of unity."""
-
-
 class NormalizationFailure(VerificationError):
-    """No prime associate satisfies the Gaussian-sum normalization."""
+    """A Gaussian-sum cube is not the one its normalization predicts."""
 
 
 class NonIntegralCoefficient(VerificationError):

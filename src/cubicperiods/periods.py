@@ -29,7 +29,8 @@ and X, and in the constant exactly when Tr(T) = m*f*M for m = Conductor.mu
 when tame, where m^2 = 1, and m*f*M when wild.  So each kernel is matched
 to a pair by the trace of its cube, which pins T down to conjugation: for
 w = (M + 3N*sqrt(-3))/2, N(T) = |t|^6 = f^3 = N(m*f*w), and T is a root of
-X^2 - Tr(T)*X + N(T), so T is m*f*w or its conjugate.  That matching is
+X^2 - Tr(T)*X + N(T), so T is m*f*w or its conjugate, and the pair's
+character says which (verify_kernel_character).  That matching is
 the central two-route consistency check of the package, with Jacobi sums
 on one side and the quadratic form on the other.  The float periods, which
 the period relation and the generator checks compare with roots of the
@@ -50,13 +51,19 @@ from .cubicpoly import (
     period_poly_formula,
     verify_main_identity,
 )
-from .eisenstein import EisensteinInt, character_for_representation, component_gauss_sums
+from .eisenstein import (
+    EisensteinInt,
+    character_for_representation,
+    component_gauss_sums,
+    zeta3_residue,
+)
 from .errors import (
     ComplexRoots,
     CongruenceFailure,
     CountMismatch,
     MatchingFailure,
     NonIntegralCoefficient,
+    NormalizationFailure,
     RelationFailure,
     ToleranceExceeded,
 )
@@ -260,23 +267,34 @@ def verify_sign_congruences(rec: FieldRecord) -> float:
     return 0.0
 
 
-def verify_kernel_character(rec: FieldRecord, cubes: tuple[EisensteinInt, ...]) -> float:
-    """The character built from (M, N) must cut out the kernel matched to it
-    by the trace of its cube.  cubes = component_gauss_sums(rec.conductor).
+def verify_kernel_character(rec: FieldRecord, omegas: tuple[int, ...]) -> float:
+    """The pair's character must have the matched kernel's cube T and cut
+    out that kernel; omegas as for character_for_representation.
 
-    On labels the character is the functional whose coefficients are its
-    exponents at the component generators.  Two functionals on (Z/3)^k
-    have the same kernel exactly when they are proportional, so the
-    exponents are scaled to first coordinate 1, as every kernel vector is,
-    and compared with the matched vector.
+    The character with exponents e has tau^3 = m*f*w, m = Conductor.mu.  A
+    kernel vector starts with 1, so T = m*f*w when e0 = 1 and its conjugate
+    when e0 = 2; otherwise NormalizationFailure.  This orients the matching,
+    which fixed only Tr T, and implies tau_p^3 = -p*pi_p at each p by unique
+    factorization.  Two functionals on (Z/3)^k share a kernel exactly when
+    they are proportional, so the exponents scaled to first coordinate 1
+    must be the matched vector, or MatchingFailure.
     """
-    exponents = character_for_representation(rec.representation, cubes)
+    f = rec.conductor
+    r = rec.representation
+    exponents = character_for_representation(r, omegas)
+    expected = f.mu * f.value * r.element
+    if exponents[0] == 2:
+        expected = expected.conjugate()
+    if rec.periods.cube != expected:
+        raise NormalizationFailure(
+            f"f={f.value}, M={r.M}: the matched T = {rec.periods.cube} is not {expected}"
+        )
     # 1 and 2 are their own inverses mod 3
     scaled = tuple(e * exponents[0] % 3 for e in exponents)
     if scaled != rec.periods.kernel:
         raise MatchingFailure(
-            f"f={rec.conductor.value}, M={rec.representation.M}: character exponents "
-            f"{exponents} do not cut out the period-matched kernel {rec.periods.kernel}"
+            f"f={f.value}, M={r.M}: character exponents {exponents} do not cut out "
+            f"the period-matched kernel {rec.periods.kernel}"
         )
     return 0.0
 
@@ -289,15 +307,17 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     matches no pair, or a pair that two kernels match, raises
     MatchingFailure; with as many kernels as pairs, the matching is then a
     bijection.  Each record is then checked, in this order, against the
-    affine identity and the period relation, and when f is wild against the
-    sign congruences, the twelve generators and the kernel character; a
-    record only exists if all of its checks pass, and its verdicts keep that
-    order.  The cubes (once per conductor) and each pair's relation, closed
-    form and roots of f_n are derived here, once, and passed to every check.
+    affine identity and the period relation, when f is wild against the
+    sign congruences and the twelve generators, and against the kernel
+    character, which orients T.  A record only exists if all of its checks
+    pass; its verdicts keep that order, and only a wild one names the kernel
+    character.  The cubes and omega_p (once per conductor) and each pair's
+    relation, closed form and roots of f_n are derived here, once, and
+    passed to the checks that read them.
     """
     reps = representations(f)
-    cubes = component_gauss_sums(f)
-    triples = gaussian_periods(f, cubes)
+    triples = gaussian_periods(f, component_gauss_sums(f))
+    omegas = tuple(zeta3_residue(p) for p in f.odd_primes)
     if len(triples) != len(reps):
         raise CountMismatch(
             f"conductor {f.value}: {len(reps)} pairs but {len(triples)} kernels"
@@ -326,6 +346,9 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
         if f.is_wild:
             verdicts["sign_congruences"] = verify_sign_congruences(rec)
             verdicts["generators"] = verify_generators(rec)
-            verdicts["kernel_character"] = verify_kernel_character(rec, cubes)
+            verdicts["kernel_character"] = verify_kernel_character(rec, omegas)
+        else:
+            # a tame report has no kernel_character verdict, but the check runs
+            verify_kernel_character(rec, omegas)
         records.append(rec)
     return records

@@ -8,8 +8,6 @@ cyclic cubic fields of conductor f.  They are not searched for: each pair
 is the element (M + 3N*sqrt(-3))/2 = a + b*zeta3 of Z[zeta3], a unit times
 one prime element above each odd prime of f (eisenstein.rhs_elements), so
 the factorization of f gives them all at O(nu log p + 2^nu) integer cost.
-Each pair keeps that factorization, the unit and the prime elements, for
-the character check of a wild field to read.
 The substitution n1 = (M - 3N)/2, n2 = N turns a pair into coprime
 parameters with n1^2 + 3*n1*n2 + 9*n2^2 = f, and shanks_params derives with
 them the paper's relation eta = scale*rho + offset between the periods and
@@ -28,28 +26,24 @@ from .errors import CountMismatch, FactorizationMismatch, NonIntegralCoefficient
 
 
 class Representation(NamedTuple):
-    """One normalized pair (M, N); M0 = M/3 is derived, in the wild case only.
-
-    (M + 3N*sqrt(-3))/2 = unit * prod(prime_elements), as rhs_elements built
-    it: the unit is 1 when tame and 3*zeta3^(+-1) when wild, and there is one
-    prime element, pi_p or conj(pi_p), per odd prime p of f, in order.  Only
-    the character check, which re-multiplies them, relies on the unit and
-    the prime elements.  They take part in equality and hashing like every
-    field; representations builds each pair once, so nothing compares two
-    builds of one pair.  The constructor checks nothing: representations
-    checks each pair it builds (_check_pair).
+    """One normalized pair (M, N) of its conductor; M0 and the element w are
+    derived.  The constructor checks nothing; representations checks each
+    pair it builds (_check_pair).
     """
 
     M: int
     N: int
     conductor: Conductor
-    unit: EisensteinInt
-    prime_elements: tuple[EisensteinInt, ...]
 
     @property
     def M0(self) -> int | None:
         """M/3 when f is wild, None when tame."""
         return self.M // 3 if self.conductor.is_wild else None
+
+    @property
+    def element(self) -> EisensteinInt:
+        """w = (M + 3N*sqrt(-3))/2 = (M + 3N)/2 + 3N*zeta3, as sqrt(-3) = 1 + 2*zeta3."""
+        return EisensteinInt((self.M + 3 * self.N) // 2, 3 * self.N)
 
 
 def _check_pair(r: Representation) -> None:
@@ -97,8 +91,8 @@ def representations(f: Conductor) -> list[Representation]:
     normalization of every pair, and the count must be the field count.
     """
     found: list[Representation] = []
-    for x, unit, prime_elements in rhs_elements(f):
-        r = Representation(x.trace(), x.b // 3, f, unit, prime_elements)
+    for x in rhs_elements(f):
+        r = Representation(x.trace(), x.b // 3, f)
         try:
             _check_pair(r)
         except ValueError as exc:

@@ -13,7 +13,6 @@ from cubicperiods import (
     GeneratorFailure,
     RationalCubic,
     conductors_up_to,
-    cubic_residue_character,
     curve,
     factorize,
     match_fields,
@@ -117,12 +116,14 @@ def _units_by_label(cond) -> dict[tuple[int, ...], list[int]]:
     gens = unit_group(cond).generators
     classes = {(): [1 % f]}
     for g, order in gens:
-        powers = [pow(g, e, f) for e in range(order)]
-        grown: dict[tuple[int, ...], list[int]] = {}
-        for label, units in classes.items():
-            for e, p in enumerate(powers):
-                grown.setdefault(label + (e % 3,), []).extend(a * p % f for a in units)
-        classes = grown
+        powers = [1]
+        for _ in range(order - 1):
+            powers.append(powers[-1] * g % f)
+        classes = {
+            label + (r,): [a * p % f for a in units for p in powers[r::3]]
+            for label, units in classes.items()
+            for r in range(3)
+        }
     # distinct units, phi(f) of them (unit_group checks the orders against phi)
     units = [a for group in classes.values() for a in group]
     assert len(set(units)) == len(units) == math.prod(o for _, o in gens)
@@ -273,6 +274,20 @@ def nine_count_jacobi():
     return jacobi_by_nine_counts
 
 
+def cubic_residue_character(p: int, pi: EisensteinInt) -> int:
+    """Oracle: the exponent e with g^((p-1)/3) = zeta3^e mod pi at the
+    smallest generator g mod p, for a prime element pi of norm p, with
+    omega = -a/b mod p the residue of zeta3 mod pi = a + b*zeta3."""
+    omega = -pi.a * pow(pi.b, -1, p) % p
+    return {omega: 1, omega * omega % p: 2}[pow(_generator(p)[0], (p - 1) // 3, p)]
+
+
+@pytest.fixture(scope="session")
+def residue_character():
+    """cubic_residue_character(p, pi): the exponent of chi_pi at the generator."""
+    return cubic_residue_character
+
+
 def jacobi_by_prime_element(p: int) -> EisensteinInt:
     """Oracle: J(chi, chi) in O(log p), with no point of E and no count.
     J(chi_pi, chi_pi) = -pi for the cubic residue character chi_pi mod the
@@ -326,21 +341,19 @@ def eis_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
     return canonical_associate(x)
 
 
-def factor_rhs(r) -> tuple[int, list[EisensteinInt]]:
-    """Oracle: factor (M + 3N*sqrt(-3))/2 of a wild pair as
-    3 * zeta3^sign * pi_1 * ... * pi_nu by Euclidean gcds, independently of
-    the factorization the pair carries.
+def factor_rhs(r) -> tuple[int | None, list[EisensteinInt]]:
+    """Oracle: factor w = (M + 3N*sqrt(-3))/2 of a pair by Euclidean gcds,
+    as 3 * zeta3^sign * pi_1 * ... * pi_nu when wild and as pi_1 * ... *
+    pi_nu, sign None, when tame, independently of how the pair was built.
 
     The pi_i are the primary prime elements above the odd primes of the
-    conductor, each of which divides the left side exactly once because its
-    norm is squarefree.  The decomposition is re-multiplied and compared to
-    the source.
+    conductor, each of which divides w exactly once because its norm is
+    squarefree.  The decomposition is re-multiplied and compared to w.
     """
-    if r.conductor.kind != "wild":
-        raise ValueError("factor_rhs applies to wild representations")
+    wild = r.conductor.kind == "wild"
     x = EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
     try:
-        rem = exact_div(x, EisensteinInt(3, 0))
+        rem = exact_div(x, EisensteinInt(3, 0)) if wild else x
     except ValueError as exc:
         raise FactorizationMismatch(str(exc)) from exc
     pis: list[EisensteinInt] = []
@@ -353,18 +366,15 @@ def factor_rhs(r) -> tuple[int, list[EisensteinInt]]:
         except ValueError as exc:
             raise FactorizationMismatch(str(exc)) from exc
         pis.append(pi)
-    if rem == ZETA:
-        sign = 1
-    elif rem == ZETA_SQ:
-        sign = -1
-    else:
-        raise FactorizationMismatch(f"leftover unit {rem} is not zeta3^(+-1)")
-    product = EisensteinInt(3, 0) * (ZETA if sign == 1 else ZETA_SQ)
+    units = {ZETA: 1, ZETA_SQ: -1} if wild else {EisensteinInt(1, 0): None}
+    if rem not in units:
+        raise FactorizationMismatch(f"leftover unit {rem} is not one of {list(units)}")
+    product = 3 * rem if wild else rem
     for pi in pis:
         product = product * pi
     if product != x:
         raise FactorizationMismatch(f"product {product} does not reproduce {x}")
-    return sign, pis
+    return units[rem], pis
 
 
 @pytest.fixture(scope="session")
@@ -375,7 +385,7 @@ def gcd_oracle():
 
 @pytest.fixture(scope="session", name="factor_rhs")
 def factor_rhs_fixture():
-    """factor_rhs(r): (sign, prime elements) of a wild pair, by gcds."""
+    """factor_rhs(r): (sign, prime elements) of a pair, by gcds; sign None when tame."""
     return factor_rhs
 
 
@@ -385,9 +395,9 @@ def character_by_definition(f, sign, pis) -> dict[int, int]:
 
     The component mod 9 (present when 9 | f) is sign*(a^2 - 1)/3 mod 3.  The
     component mod p = N(pi) is the e with a^((p-1)/3) = omega^e mod p,
-    where omega = -pi.a/pi.b is the residue of zeta3 mod pi.  The pair
-    (sign, pis) is what the factor_rhs oracle returns for a wild
-    representation.
+    where omega = -pi.a/pi.b is the residue of zeta3 mod pi, taken once per
+    coset of the cubes mod p.  The pair (sign, pis) is what the factor_rhs
+    oracle returns for a representation.
     """
     components = []
     if f % 9 == 0:
@@ -396,12 +406,22 @@ def character_by_definition(f, sign, pis) -> dict[int, int]:
         p = pi.norm()
         omega = -pi.a * pow(pi.b, -1, p) % p
         exponent_of = {1: 0, omega: 1, omega * omega % p: 2}
-        components.append((p, {a: exponent_of[pow(a, (p - 1) // 3, p)] for a in range(1, p)}))
-    return {
-        a: sum(chi[a % q] for q, chi in components) % 3
-        for a in range(1, f)
-        if math.gcd(a, f) == 1
-    }
+        # a^((p-1)/3) is 1 at the cubes, so it is b^((p-1)/3) on b times them
+        cubes = {x * x * x % p for x in range(1, p)}
+        chi: dict[int, int] = {}
+        for b in range(1, p):
+            if b not in chi:
+                e = exponent_of[pow(b, (p - 1) // 3, p)]
+                chi.update((b * c % p, e) for c in cubes)
+        components.append((p, chi))
+    # The table of component q, with 9 at the non-units, repeated f/q times
+    # holds chi_q(a mod q) at byte a.  The tables of all components add
+    # without carry, so byte a of the sum is the sum of the chi_q(a mod q),
+    # 9 or more exactly when a is no unit.
+    total = 0
+    for q, chi in components:
+        total += int.from_bytes(bytes(chi.get(a, 9) for a in range(q)) * (f // q), "little")
+    return {a: s % 3 for a, s in enumerate(total.to_bytes(f, "little")) if s < 9}
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,6 @@ from cubicperiods import (
     validate_conductor,
     verify_main_identity,
 )
-from cubicperiods.eisenstein import ONE
 
 
 def C(*coeffs) -> RationalCubic:
@@ -81,7 +80,7 @@ def test_affine_relation_examples(f, n1, expected):
 def test_affine_relation_rejects_fractional_shift(f, n1):
     # an unnormalized pair with N = 1 and M = 2*n1 + 3; the constructor
     # checks nothing, and the shift of n1 is not an integer
-    rep = Representation(2 * n1 + 3, 1, validate_conductor(f), ONE, ())
+    rep = Representation(2 * n1 + 3, 1, validate_conductor(f))
     with pytest.raises(NonIntegralCoefficient):
         shanks_params(rep)
 

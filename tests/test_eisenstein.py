@@ -7,13 +7,14 @@ import pytest
 from cubicperiods import (
     BudgetExceeded,
     EisensteinInt,
+    FactorizationMismatch,
     character_for_representation,
     chi9,
     chi9_gauss_sum_report,
-    cubic_residue_character,
     jacobi_sum,
     prime_element,
     representations,
+    rhs_elements,
     validate_conductor,
 )
 from cubicperiods import curve
@@ -22,8 +23,8 @@ from cubicperiods.eisenstein import (
     POINT_COUNT_BUDGET,
     UNITS,
     ZETA,
-    component_gauss_sums,
     primary_associate,
+    zeta3_residue,
 )
 from cubicperiods.curve import jacobi_trace
 
@@ -63,11 +64,10 @@ def test_trace():
         assert x.trace() == x.conjugate().trace()
         assert x.trace() == pytest.approx(2 * x.to_complex().real, abs=1e-9)
     # the element (M + 3N*sqrt(-3))/2 each pair of 819 is built from has trace M
-    for r in representations(validate_conductor(819)):
-        w = r.unit
-        for pi in r.prime_elements:
-            w = w * pi
-        assert w.trace() == r.M
+    f819 = validate_conductor(819)
+    elements = rhs_elements(f819)
+    for r in representations(f819):
+        assert r.element in elements and r.element.trace() == r.M
 
 
 def test_gcd_examples(gcd_oracle):
@@ -154,14 +154,22 @@ def test_factor_rhs_819(factor_rhs):
     assert product == EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
 
 
-def test_factor_rhs_rejects_tame(factor_rhs):
-    r = representations(validate_conductor(7))[0]
-    with pytest.raises(ValueError):
-        factor_rhs(r)
+def test_factor_rhs_seven(factor_rhs):
+    # a tame pair is the primary prime element itself, with the unit 1
+    (r,) = representations(validate_conductor(7))
+    assert factor_rhs(r) == (None, [EisensteinInt(1, 3)])
+    # its negative, (M, N) = (1, -1), is no product of primary prime elements
+    with pytest.raises(FactorizationMismatch):
+        factor_rhs(r._replace(M=-r.M, N=-r.N))
 
 
 F7 = validate_conductor(7)
 F9 = validate_conductor(9)
+
+
+def omegas(cond) -> tuple[int, ...]:
+    """zeta3_residue(p) for each odd prime p of the conductor, in order."""
+    return tuple(zeta3_residue(p) for p in cond.odd_primes)
 
 
 def level_sets(chi: dict[int, int]) -> tuple[frozenset[int], ...]:
@@ -181,7 +189,8 @@ def test_chi9_table(character_values, residue_sets):
     assert residue_sets(F9, (chi9(1),))[0] == frozenset({1, 8})
 
 
-def test_cubic_residue_character_mod7(character_values, residue_sets):
+def test_cubic_residue_character_mod7(character_values, residue_sets, residue_character):
+    cubic_residue_character = residue_character
     pi = EisensteinInt(3, 2)
     chi = character_values(7, None, [pi])
     assert chi[1] == 0
@@ -193,11 +202,17 @@ def test_cubic_residue_character_mod7(character_values, residue_sets):
     assert all((chi[a] + conj[a]) % 3 == 0 for a in range(1, 7))
     e, e_conj = (cubic_residue_character(7, x) for x in (pi, pi.conjugate()))
     assert (e + e_conj) % 3 == 0
+    # the package reads the same exponent off the pair's element, the
+    # primary prime element above 7
+    (r,) = representations(F7)
+    assert character_for_representation(r, (zeta3_residue(7),)) == (
+        cubic_residue_character(7, r.element),
+    )
 
 
-def test_gaussian_sum_modulus(character_values, float_gauss_sum):
+def test_gaussian_sum_modulus(character_values, float_gauss_sum, residue_character):
     pi = EisensteinInt(3, 2)
-    tau = float_gauss_sum(7, cubic_residue_character(7, pi))
+    tau = float_gauss_sum(7, residue_character(7, pi))
     assert abs(abs(tau) ** 2 - 7) < 1e-9
     direct = sum(
         cmath.exp(2j * cmath.pi * (a / 7 + e / 3))
@@ -208,10 +223,10 @@ def test_gaussian_sum_modulus(character_values, float_gauss_sum):
         float_gauss_sum(7, 0)  # the trivial character is not primitive
 
 
-def test_gaussian_sum_normalization_mod7(float_gauss_sum):
+def test_gaussian_sum_normalization_mod7(float_gauss_sum, residue_character):
     # -tau^3 = 7 * pi for the primary prime attached to the character
     pi = primary_associate(EisensteinInt(3, 2))
-    tau = float_gauss_sum(7, cubic_residue_character(7, pi))
+    tau = float_gauss_sum(7, residue_character(7, pi))
     assert abs(-(tau**3) - 7 * pi.to_complex()) < 1e-6
 
 
@@ -248,7 +263,7 @@ def z9_product(x, y) -> tuple[int, ...]:
 
 def test_character_for_representation_nine(character_values, residue_sets, factor_rhs):
     r = representations(F9)[0]
-    vector = character_for_representation(r, component_gauss_sums(F9))
+    vector = character_for_representation(r, omegas(F9))
     assert len(vector) == 1 and residue_sets(F9, vector)[0] == frozenset({1, 8})
     assert level_sets(character_values(9, *factor_rhs(r))) == residue_sets(F9, vector)
 
@@ -261,7 +276,7 @@ def test_character_kernels_have_index_three(
         kernels = set()
         for r in representations(cond):
             chi = character_values(f, *factor_rhs(r))
-            vector = character_for_representation(r, component_gauss_sums(cond))
+            vector = character_for_representation(r, omegas(cond))
             assert level_sets(chi) == residue_sets(cond, vector)
             kern = level_sets(chi)[0]
             assert len(kern) * 3 == len(chi)
@@ -293,7 +308,7 @@ def test_characters_of_all_wild_conductors(
         for a in chi:
             for g in lifts:
                 assert (chi[a] + chi[g]) % 3 == chi[a * g % f]
-        vector = character_for_representation(rec.representation, component_gauss_sums(cond))
+        vector = character_for_representation(rec.representation, omegas(cond))
         assert level_sets(chi) == residue_sets(cond, vector)
         tau = sum(cmath.exp(2j * cmath.pi * (a / f + e / 3)) for a, e in chi.items())
         assert abs(abs(tau) ** 2 - f) < 1e-6
@@ -310,7 +325,7 @@ def test_prime_components_are_powers_at_the_generator(wild_records_10k, factor_r
         cond = rec.conductor
         _, pis = factor_rhs(rec.representation)
         moduli = sorted((9, *cond.odd_primes))
-        vector = character_for_representation(rec.representation, component_gauss_sums(cond))
+        vector = character_for_representation(rec.representation, omegas(cond))
         exponents = dict(zip(moduli, vector))
         for p, pi in zip(cond.odd_primes, pis):
             omega = -pi.a * pow(pi.b, -1, p) % p
@@ -342,15 +357,15 @@ def test_prime_element_is_a_primary_prime_of_norm_p():
 
 def test_factor_rhs_inverts_rhs_elements(wild_records_10k, factor_rhs):
     # every pair is read from an element of rhs_elements, and the factor_rhs
-    # oracle takes it apart by gcds into prime_element(p) or its conjugate
-    # for each p | f: exactly the unit and prime elements the pair carries
+    # oracle takes it apart by gcds into the unit 3*zeta3^(+-1) and
+    # prime_element(p) or its conjugate for each p | f
     for rec in wild_records_10k:
         r = rec.representation
         sign, pis = factor_rhs(r)
-        for p, pi in zip(rec.conductor.odd_primes, pis):
+        assert sign in (1, -1)
+        for p, pi in zip(rec.conductor.odd_primes, pis, strict=True):
             assert pi in (prime_element(p), prime_element(p).conjugate())
-        assert r.unit == 3 * (ZETA if sign == 1 else ZETA * ZETA)
-        assert r.prime_elements == tuple(pis)
+        assert r.element in rhs_elements(rec.conductor)
 
 
 def test_index_table_equals_the_powers_of_the_generator(count_oracle):

@@ -12,9 +12,7 @@ from cubicperiods import (
     BudgetExceeded,
     ComplexRoots,
     CongruenceFailure,
-    FactorizationMismatch,
     MatchingFailure,
-    NormalizationFailure,
     RationalCubic,
     RelationFailure,
     conductors_up_to,
@@ -32,9 +30,11 @@ from cubicperiods import (
     verify_period_relation,
     verify_sign_congruences,
 )
+from cubicperiods import eisenstein
 from cubicperiods import periods as periods_module
 from cubicperiods.arith import is_probable_prime
-from cubicperiods.eisenstein import ZETA, EisensteinInt, component_gauss_sums
+from cubicperiods.cli import main
+from cubicperiods.eisenstein import ZETA, EisensteinInt, component_gauss_sums, zeta3_residue
 from cubicperiods.verdicts import rounding_bound
 
 F9 = validate_conductor(9)
@@ -497,15 +497,19 @@ def test_coset_relabeling_leaves_multiset_invariant(residue_sets):
                 assert sums == pytest.approx(list(pt.values()), abs=1e-9)
 
 
+def omegas(cond) -> tuple[int, ...]:
+    """zeta3_residue(p) for each odd prime p of the conductor, in order."""
+    return tuple(zeta3_residue(p) for p in cond.odd_primes)
+
+
 def test_kernel_character_cross_check_wild(wild_records_10k):
     assert len(wild_records_10k) > 0
     for rec in wild_records_10k:
-        verify_kernel_character(rec, component_gauss_sums(rec.conductor))
+        verify_kernel_character(rec, omegas(rec.conductor))
 
 
 def test_kernel_character_rejects_another_kernel():
     records = match_fields(F819)
-    cubes = component_gauss_sums(F819)
     vectors = [rec.periods.kernel for rec in records]
     for rec in records:
         for other in vectors:
@@ -513,56 +517,47 @@ def test_kernel_character_rejects_another_kernel():
                 continue
             with pytest.raises(MatchingFailure):
                 verify_kernel_character(
-                    rec._replace(periods=rec.periods._replace(kernel=other)), cubes
+                    rec._replace(periods=rec.periods._replace(kernel=other)), omegas(F819)
                 )
 
 
-def replace_factorization(rec, **changes):
-    """A copy of a field record whose pair carries another factorization."""
-    return rec._replace(representation=rec.representation._replace(**changes))
+def test_verify_is_the_same_with_either_prime_element(capsys, monkeypatch):
+    # which of pi_p and conj(pi_p) prime_element returns changes no pair and
+    # no report, so a pair needs to carry no factor of its element
+    def reports():
+        out = []
+        for f in (91, 1729, 819, 15561):
+            assert main(["verify", "--conductor", str(f), "--format", "json"]) == 0
+            out.append(capsys.readouterr().out)
+        return out
 
-
-def test_kernel_character_rejects_a_conjugated_prime_element():
-    # the conjugate of one carried prime element no longer multiplies out to
-    # (M + 3N*sqrt(-3))/2
-    cubes = component_gauss_sums(F15561)
-    for rec in match_fields(F15561):
-        elements = rec.representation.prime_elements
-        for i in range(len(elements)):
-            swapped = (*elements[:i], elements[i].conjugate(), *elements[i + 1 :])
-            with pytest.raises(FactorizationMismatch):
-                verify_kernel_character(replace_factorization(rec, prime_elements=swapped), cubes)
-
-
-def test_kernel_character_rejects_a_flipped_unit():
-    # 3*zeta3^-sign in place of 3*zeta3^sign
-    cubes = component_gauss_sums(F15561)
-    for rec in match_fields(F15561):
-        flipped = rec.representation.unit.conjugate()
-        with pytest.raises(FactorizationMismatch):
-            verify_kernel_character(replace_factorization(rec, unit=flipped), cubes)
-
-
-def test_kernel_character_rejects_associates_with_the_same_product():
-    # zeta3*pi_1 and zeta3^2*pi_2 keep the product and the norms, but are not
-    # primary, so tau_p^3 = -p*pi_p fails
-    cubes = component_gauss_sums(F15561)
-    for rec in match_fields(F15561):
-        first, second, *rest = rec.representation.prime_elements
-        moved = (ZETA * first, ZETA * ZETA * second, *rest)
-        with pytest.raises(NormalizationFailure):
-            verify_kernel_character(replace_factorization(rec, prime_elements=moved), cubes)
+    expected = reports()
+    prime_element = eisenstein.prime_element
+    monkeypatch.setattr(
+        eisenstein,
+        "prime_element",
+        lambda p: prime_element(p).conjugate() if p in (7, 13) else prime_element(p),
+    )
+    assert eisenstein.prime_element(7) == prime_element(7).conjugate()
+    assert reports() == expected
 
 
 def test_glued_character_cuts_out_the_matched_kernel(
-    wild_records_10k, character_values, residue_sets, factor_rhs
+    all_records_10k, character_values, residue_sets, unit_group, factor_rhs
 ):
     # the O(f) character evaluated from its definition and glued along the
-    # residues mod f, against the residue set of the matched coefficient vector
-    for rec in wild_records_10k:
-        chi = character_values(rec.conductor.value, *factor_rhs(rec.representation))
+    # residues mod f, against the residue set of the matched coefficient
+    # vector, at every field up to 10^4; and its exponent e0 at the first
+    # component generator orients the matched cube: T = m*f*w when e0 = 1
+    # and conj(m*f*w) when e0 = 2, for w = (M + 3N*sqrt(-3))/2 and m = (-1)^nu
+    for rec in itertools.chain.from_iterable(all_records_10k.values()):
+        cond, r = rec.conductor, rec.representation
+        chi = character_values(cond.value, *factor_rhs(r))
         kernel = frozenset(a for a, e in chi.items() if e == 0)
-        assert kernel == residue_sets(rec.conductor, rec.periods.kernel)[0]
+        assert kernel == residue_sets(cond, rec.periods.kernel)[0]
+        e0 = chi[unit_group(cond).generators[0][0]]
+        mfw = (-1) ** cond.nu * cond.value * EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
+        assert rec.periods.cube == (mfw if e0 == 1 else mfw.conjugate())
 
 
 def test_records_hold_coefficient_vectors():

@@ -13,7 +13,6 @@ from cubicperiods import (
     validate_conductor,
 )
 from cubicperiods.arith import is_probable_prime
-from cubicperiods.eisenstein import ONE
 from cubicperiods.quadform import _check_pair
 
 
@@ -151,9 +150,9 @@ def test_shanks_params_roundtrip(delta):
 def test_representation_validates_fields():
     f = validate_conductor(7)
     with pytest.raises(ValueError):
-        _check_pair(Representation(2, 1, f, ONE, ()))
+        _check_pair(Representation(2, 1, f))
     # 35^2 + 27*7^2 = 4*637 with 35 = 2 mod 3, but n1 = n2 = 7; 637 = 7^2*13
     # is no conductor, so the Conductor is built by hand
     f637 = Conductor(637, (7, 13))
     with pytest.raises(ValueError, match="coprime"):
-        _check_pair(Representation(35, 7, f637, ONE, ()))
+        _check_pair(Representation(35, 7, f637))
