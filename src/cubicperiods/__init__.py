@@ -5,8 +5,9 @@ For any valid conductor the package enumerates the normalized solutions of
 4f = M^2 + 27 N^2, builds the matching one-parameter cubics and period
 polynomials with exact integer arithmetic, builds the period polynomial of
 every kernel a second way, exactly, from the cubes of the Gaussian sums of
-the CRT components of the conductor (Jacobi sums in Z[zeta3]), matches the
-two routes by the trace of each cube, and verifies the linear relation between
+the CRT components of the conductor (Jacobi sums in Z[zeta3]), matches each
+pair to the kernel its character cuts out by one exact equation between the
+kernel's cube and the pair, and verifies the linear relation between
 the periods and the roots of the cubics, exactly where the statement is
 exact and within a rounding bound worked out from the inputs where it is
 numeric.
@@ -53,7 +54,6 @@ from .errors import (
     GeneratorFailure,
     IdentityFailure,
     InvalidConductor,
-    MatchingFailure,
     NonIntegralCoefficient,
     NormalizationFailure,
     RelationFailure,

@@ -47,10 +47,6 @@ class ComplexRoots(VerificationError):
     """A cubic expected to be totally real has non-real roots."""
 
 
-class MatchingFailure(VerificationError):
-    """Representations and character kernels do not match bijectively."""
-
-
 class RelationFailure(VerificationError):
     """The linear relation between periods and cubic roots failed."""
 

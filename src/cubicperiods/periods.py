@@ -23,18 +23,20 @@ e3 = t^3 + conj(t)^3 = Tr(T) for T = t^3, and the period polynomial is
 T is exact: the Gaussian sum factors over the components up to a cube
 root of unity, which the cube removes, so T is the product of the exact
 cubes tau_q^3 in Z[zeta3] (eisenstein.component_gauss_sums) and their
-conjugates.  This cubic and the closed form of a pair (M, N) agree in X^2
-and X, and in the constant exactly when Tr(T) = m*f*M for m = Conductor.mu
-(mu(f) tame, mu(f/9) wild): the closed form's -27*c0 is m*((M - 3)*f + 1)
-when tame, where m^2 = 1, and m*f*M when wild.  So each kernel is matched
-to a pair by the trace of its cube, which pins T down to conjugation: for
-w = (M + 3N*sqrt(-3))/2, N(T) = |t|^6 = f^3 = N(m*f*w), and T is a root of
-X^2 - Tr(T)*X + N(T), so T is m*f*w or its conjugate, and the pair's
-character says which (verify_kernel_character).  That matching is
-the central two-route consistency check of the package, with Jacobi sums
-on one side and the quadratic form on the other.  The float periods, which
-the period relation and the generator checks compare with roots of the
-Shanks cubics, come from a cube root of T in O(1) per kernel.
+conjugates.  Each pair (M, N) is matched to the kernel its own character
+cuts out, whose T must be m*f*w or its conjugate, for w = (M +
+3N*sqrt(-3))/2 and m = Conductor.mu (verify_kernel_character).  That one
+exact equation is the central two-route consistency check of the package,
+with Jacobi sums on one side and the quadratic form on the other, and it
+proves the rest of the matching.  It gives Tr(T) = m*f*M, so this cubic and
+the closed form of the pair agree: they share X^2 and X, and the closed
+form's -27*c0 is m*((M - 3)*f + 1) when tame, where m^2 = 1, and m*f*M when
+wild.  It fixes w up to conjugation, and no two normalized pairs (N > 0)
+are conjugate, so no two pairs reach one kernel; as representations and
+primitive_cubic_kernels each check their count against the field count,
+the matching is a bijection.  The float periods, which the period relation
+and the generator checks compare with roots of the Shanks cubics, come
+from a cube root of T in O(1) per kernel.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from .errors import (
     ComplexRoots,
     CongruenceFailure,
     CountMismatch,
-    MatchingFailure,
     NonIntegralCoefficient,
     NormalizationFailure,
     RelationFailure,
@@ -228,9 +229,10 @@ def real_roots_cubic(p: RationalCubic) -> tuple[float, float, float]:
 
 
 def verify_period_relation(rec: FieldRecord) -> float:
-    """The periods equal scale*rho + offset over the roots rho of f_n,
-    compared as multisets (no ordering of the conjugates is implied).  The
-    exact checks prove it, so the float distance, the residual, is held to
+    """The periods equal scale*rho + offset over the roots rho of f_n: the
+    values scale*rho + offset, sorted descending, are compared one by one
+    with the periods in their stored descending order.  The exact checks
+    prove it, so the float distance, the residual, is held to
     rounding_bound.
     """
     f = rec.conductor
@@ -267,88 +269,67 @@ def verify_sign_congruences(rec: FieldRecord) -> float:
     return 0.0
 
 
-def verify_kernel_character(rec: FieldRecord, omegas: tuple[int, ...]) -> float:
-    """The pair's character must have the matched kernel's cube T and cut
-    out that kernel; omegas as for character_for_representation.
+def verify_kernel_character(
+    r: Representation, triples: list[PeriodTriple], omegas: tuple[int, ...]
+) -> PeriodTriple:
+    """The triple of the kernel that the pair's character cuts out, once its
+    cube T is checked to be the pair's; triples as gaussian_periods returns
+    them, omegas as for character_for_representation.
 
-    The character with exponents e has tau^3 = m*f*w, m = Conductor.mu.  A
-    kernel vector starts with 1, so T = m*f*w when e0 = 1 and its conjugate
-    when e0 = 2; otherwise NormalizationFailure.  This orients the matching,
-    which fixed only Tr T, and implies tau_p^3 = -p*pi_p at each p by unique
-    factorization.  Two functionals on (Z/3)^k share a kernel exactly when
-    they are proportional, so the exponents scaled to first coordinate 1
-    must be the matched vector, or MatchingFailure.
+    Two functionals on (Z/3)^k share a kernel exactly when they are
+    proportional, so the character with exponents e cuts out the kernel of
+    e scaled to first coordinate 1.  Its Gaussian sum has tau^3 = m*f*w, m =
+    Conductor.mu, and a kernel's T is the cube for the exponents that start
+    with 1, so T = m*f*w when e0 = 1 and its conjugate when e0 = 2;
+    otherwise NormalizationFailure.  This implies tau_p^3 = -p*pi_p at each
+    p by unique factorization.
     """
-    f = rec.conductor
-    r = rec.representation
+    f = r.conductor
     exponents = character_for_representation(r, omegas)
+    # 1 and 2 are their own inverses mod 3
+    kernel = tuple(e * exponents[0] % 3 for e in exponents)
+    # triples come in the order of primitive_cubic_kernels: binary numbers
+    # with the digits c - 1 of kernel[1:]
+    pt = triples[int("0" + "".join(str(c - 1) for c in kernel[1:]), 2)]
     expected = f.mu * f.value * r.element
     if exponents[0] == 2:
         expected = expected.conjugate()
-    if rec.periods.cube != expected:
+    if pt.cube != expected:
         raise NormalizationFailure(
-            f"f={f.value}, M={r.M}: the matched T = {rec.periods.cube} is not {expected}"
+            f"f={f.value}, M={r.M}: T = {pt.cube} of kernel {kernel} is not {expected}"
         )
-    # 1 and 2 are their own inverses mod 3
-    scaled = tuple(e * exponents[0] % 3 for e in exponents)
-    if scaled != rec.periods.kernel:
-        raise MatchingFailure(
-            f"f={f.value}, M={r.M}: character exponents {exponents} do not cut out "
-            f"the period-matched kernel {rec.periods.kernel}"
-        )
-    return 0.0
+    return pt
 
 
 def match_fields(f: Conductor) -> list[FieldRecord]:
-    """Match each kernel to the pair with f.mu*f*M = Tr(T) for its cube T,
-    and run every check of each field.
+    """Match each pair to the kernel its character cuts out, and run every
+    check of each field.
 
-    The pairs have distinct M, so each has its own key.  A kernel that
-    matches no pair, or a pair that two kernels match, raises
-    MatchingFailure; with as many kernels as pairs, the matching is then a
-    bijection.  Each record is then checked, in this order, against the
-    affine identity and the period relation, when f is wild against the
-    sign congruences and the twelve generators, and against the kernel
-    character, which orients T.  A record only exists if all of its checks
-    pass; its verdicts keep that order, and only a wild one names the kernel
-    character.  The cubes and omega_p (once per conductor) and each pair's
-    relation, closed form and roots of f_n are derived here, once, and
-    passed to the checks that read them.
+    For each pair, in this order: the kernel character, which matches the
+    pair to its kernel and requires that kernel's T (verify_kernel_character),
+    the affine identity, the period relation, and when f is wild the sign
+    congruences and the twelve generators.  The module docstring shows why
+    the matching is a bijection.  A record only exists if all of its checks
+    pass; its verdicts keep that order, but a wild record lists the kernel
+    character last, and a tame one does not list it.  The cubes and omega_p
+    (once per conductor) and each pair's relation, closed form and roots of
+    f_n are derived here, once, and passed to the checks that read them.
     """
     reps = representations(f)
     triples = gaussian_periods(f, component_gauss_sums(f))
     omegas = tuple(zeta3_residue(p) for p in f.odd_primes)
-    if len(triples) != len(reps):
-        raise CountMismatch(
-            f"conductor {f.value}: {len(reps)} pairs but {len(triples)} kernels"
-        )
-    by_trace = {f.mu * f.value * r.M: r for r in reps}
-    assigned: dict[Representation, PeriodTriple] = {}
-    for pt in triples:
-        r = by_trace.get(pt.cube.trace())
-        if r is None:
-            raise MatchingFailure(
-                f"conductor {f.value}: no pair has mu*f*M = Tr T for T = {pt.cube}"
-            )
-        if r in assigned:
-            raise MatchingFailure(
-                f"conductor {f.value}: two kernels match the pair M={r.M}"
-            )
-        assigned[r] = pt
     records = []
     for r in reps:
+        pt = verify_kernel_character(r, triples, omegas)
         sp = shanks_params(r)
         poly = period_poly_formula(f, r.M)
         verdicts = {"oracle_equivalence": 0.0, "main_identity": verify_main_identity(f, sp, poly)}
         roots = real_roots_cubic(cleared_shanks_poly(sp))
-        rec = FieldRecord(r, sp, poly, assigned[r], roots, verdicts)
+        rec = FieldRecord(r, sp, poly, pt, roots, verdicts)
         verdicts["period_relation"] = verify_period_relation(rec)
         if f.is_wild:
             verdicts["sign_congruences"] = verify_sign_congruences(rec)
             verdicts["generators"] = verify_generators(rec)
-            verdicts["kernel_character"] = verify_kernel_character(rec, omegas)
-        else:
-            # a tame report has no kernel_character verdict, but the check runs
-            verify_kernel_character(rec, omegas)
+            verdicts["kernel_character"] = 0.0
         records.append(rec)
     return records

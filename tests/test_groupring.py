@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from cubicperiods import (
     validate_conductor,
     verify_generators,
 )
+from cubicperiods import groupring
+from cubicperiods.cli import main
 
 
 def test_gr_mul_examples(group_ring):
@@ -143,3 +147,13 @@ def test_verify_generators_rejects_a_moved_period():
     moved = rec.periods._replace(eta0=rec.periods.eta0 + 0.5)
     with pytest.raises(GeneratorFailure, match=r"\(b\)"):
         verify_generators(rec._replace(periods=moved))
+
+
+@pytest.mark.parametrize("f", [63, 15561])
+def test_generator_residual_does_not_depend_on_the_sum_of_floats(capsys, monkeypatch, f):
+    # Python 3.12 made sum() of floats compensated, like math.fsum; the
+    # reported residual must still be the left-to-right sum's
+    monkeypatch.setattr(groupring, "sum", math.fsum, raising=False)
+    assert main(["verify", "--conductor", str(f), "--format", "json"]) == 0
+    golden = Path(__file__).parent / "golden" / f"verify-{f}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()

@@ -12,7 +12,7 @@ from cubicperiods import (
     BudgetExceeded,
     ComplexRoots,
     CongruenceFailure,
-    MatchingFailure,
+    NormalizationFailure,
     RationalCubic,
     RelationFailure,
     conductors_up_to,
@@ -297,14 +297,14 @@ def test_matching_rejects_a_cube_times_zeta3(monkeypatch, cond):
         plant_cubes(
             monkeypatch, lambda cubes: [ZETA * c if j == i else c for j, c in enumerate(cubes)]
         )
-        with pytest.raises(MatchingFailure):
+        with pytest.raises(NormalizationFailure):
             match_fields(cond)
 
 
 @pytest.mark.parametrize("cond", [F63, F819, F15561], ids=lambda c: str(c.value))
 def test_matching_rejects_two_kernels_with_one_cube(monkeypatch, cond):
     plant_cubes(monkeypatch, lambda cubes: [cubes[0], cubes[0], *cubes[2:]])
-    with pytest.raises(MatchingFailure, match="two kernels"):
+    with pytest.raises(NormalizationFailure):
         match_fields(cond)
 
 
@@ -505,20 +505,25 @@ def omegas(cond) -> tuple[int, ...]:
 def test_kernel_character_cross_check_wild(wild_records_10k):
     assert len(wild_records_10k) > 0
     for rec in wild_records_10k:
-        verify_kernel_character(rec, omegas(rec.conductor))
+        cond = rec.conductor
+        triples = gaussian_periods(cond, component_gauss_sums(cond))
+        assert verify_kernel_character(rec.representation, triples, omegas(cond)) == rec.periods
 
 
 def test_kernel_character_rejects_another_kernel():
     records = match_fields(F819)
-    vectors = [rec.periods.kernel for rec in records]
+    triples = gaussian_periods(F819, component_gauss_sums(F819))
     for rec in records:
-        for other in vectors:
-            if other == rec.periods.kernel:
+        for other in records:
+            if other is rec:
                 continue
-            with pytest.raises(MatchingFailure):
-                verify_kernel_character(
-                    rec._replace(periods=rec.periods._replace(kernel=other)), omegas(F819)
-                )
+            # the other record's triple under this pair's kernel
+            planted = [
+                other.periods._replace(kernel=pt.kernel) if pt == rec.periods else pt
+                for pt in triples
+            ]
+            with pytest.raises(NormalizationFailure):
+                verify_kernel_character(rec.representation, planted, omegas(F819))
 
 
 def test_verify_is_the_same_with_either_prime_element(capsys, monkeypatch):
