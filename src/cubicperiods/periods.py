@@ -32,11 +32,12 @@ proves the rest of the matching.  It gives Tr(T) = m*f*M, so this cubic and
 the closed form of the pair agree: they share X^2 and X, and the closed
 form's -27*c0 is m*((M - 3)*f + 1) when tame, where m^2 = 1, and m*f*M when
 wild.  It fixes w up to conjugation, and no two normalized pairs (N > 0)
-are conjugate, so no two pairs reach one kernel; as representations and
-primitive_cubic_kernels each check their count against the field count,
-the matching is a bijection.  The float periods, which the period relation
+are conjugate, so no two pairs reach one kernel.  representations checks
+that there are field_count pairs, and the 2^(k-1) kernels of k components
+are field_count by construction, so every kernel is reached once: the
+matching is a bijection.  The float periods, which the period relation
 and the generator checks compare with roots of the Shanks cubics, come
-from a cube root of T in O(1) per kernel.
+from a cube root of T in O(1) per field.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .cubicpoly import (
     verify_main_identity,
 )
 from .eisenstein import (
+    ONE,
     EisensteinInt,
     character_for_representation,
     component_gauss_sums,
@@ -92,9 +94,9 @@ class FieldRecord(NamedTuple):
     """One cyclic cubic field: the pair, its (n1, n2) and relation
     eta = scale*rho + offset (quadform.shanks_params) and its closed form
     (cubicpoly.period_poly_formula), each derived once, the periods of the
-    kernel matched to it (periods.kernel), the roots of its Shanks cubic,
-    and the residual of each of its checks, by name, in the order they ran
-    (0.0 for the exact ones).  The conductor is the pair's."""
+    kernel its character cuts out (verify_kernel_character), the roots of
+    its Shanks cubic, and the residual of each of its checks, by name, in
+    the order they ran (0.0 for the exact ones).  The conductor is the pair's."""
 
     representation: Representation
     shanks_params: ShanksParams
@@ -132,41 +134,32 @@ def _period_sum(f: Conductor) -> int:
     return 0 if f.is_wild else f.mu
 
 
-def gaussian_periods(f: Conductor, cubes: tuple[EisensteinInt, ...]) -> list[PeriodTriple]:
-    """The periods of every kernel, in the order of primitive_cubic_kernels.
+def gaussian_periods(
+    f: Conductor, kernel: tuple[int, ...], cubes: tuple[EisensteinInt, ...]
+) -> PeriodTriple:
+    """The periods of one kernel (a coefficient vector).
 
     cubes = component_gauss_sums(f) holds tau_q^3, the exact cube for the
-    character chi_q(g_q) = zeta3 of each component.  For the kernel c, T is
-    the product of tau_q^3 where c_q = 1 and of its conjugate where c_q = 2,
-    and with t = sqrt(f)*exp(i*phi/3), phi = arg(T), period j is
-    (mu + 2*Re(zeta3^-j * t))/3.  The products are built by doubling over
-    the components, the last one varying fastest, as in
-    primitive_cubic_kernels: about one multiplication per kernel.
+    character chi_q(g_q) = zeta3 of each component.  T is the product of
+    tau_q^3 where c_q = 1 and of its conjugate where c_q = 2, and with t =
+    sqrt(f)*exp(i*phi/3), phi = arg(T), period j is (mu + 2*Re(zeta3^-j * t))/3.
     """
     mu = _period_sum(f)
     root_f = math.sqrt(f.value)
-    first, *rest = cubes
     # The Gaussian sum mod f is prod chi_q(f/q) * tau(chi_q).  That product
     # of chi_q(f/q) is a cube root of unity: it leaves T unchanged, and any
     # cube root of T only permutes the three periods of the kernel, which
     # are sorted.
-    products = [first]
-    for t in rest:
-        t_bar = t.conjugate()
-        products = [x * y for x in products for y in (t, t_bar)]
-    triples = []
-    for kernel, cube in zip(primitive_cubic_kernels(f), products, strict=True):
-        z = cube.to_complex()
-        phi = math.atan2(z.imag, z.real)
-        etas = sorted(
-            (
-                (mu + 2 * root_f * math.cos((phi - 2 * math.pi * j) / 3)) / 3
-                for j in range(3)
-            ),
-            reverse=True,
-        )
-        triples.append(PeriodTriple(*etas, kernel, cube))
-    return triples
+    cube = math.prod(
+        (t if c == 1 else t.conjugate() for t, c in zip(cubes, kernel, strict=True)), start=ONE
+    )
+    z = cube.to_complex()
+    phi = math.atan2(z.imag, z.real)
+    etas = sorted(
+        ((mu + 2 * root_f * math.cos((phi - 2 * math.pi * j) / 3)) / 3 for j in range(3)),
+        reverse=True,
+    )
+    return PeriodTriple(*etas, kernel, cube)
 
 
 def numeric_period_poly(f: Conductor, pt: PeriodTriple) -> RationalCubic:
@@ -242,7 +235,7 @@ def verify_period_relation(rec: FieldRecord) -> float:
     bound = rounding_bound(rec.periods.values(), sp.scale, rec.shanks_roots, sp.offset)
     if residual > bound:
         raise RelationFailure(
-            f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): multiset distance {residual} > {bound}"
+            f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): ordered distance {residual} > {bound}"
         )
     return residual
 
@@ -270,11 +263,11 @@ def verify_sign_congruences(rec: FieldRecord) -> float:
 
 
 def verify_kernel_character(
-    r: Representation, triples: list[PeriodTriple], omegas: tuple[int, ...]
+    r: Representation, cubes: tuple[EisensteinInt, ...], omegas: tuple[int, ...]
 ) -> PeriodTriple:
-    """The triple of the kernel that the pair's character cuts out, once its
-    cube T is checked to be the pair's; triples as gaussian_periods returns
-    them, omegas as for character_for_representation.
+    """The periods of the kernel that the pair's character cuts out, once
+    its cube T is checked to be the pair's; cubes as for gaussian_periods,
+    omegas as for character_for_representation.
 
     Two functionals on (Z/3)^k share a kernel exactly when they are
     proportional, so the character with exponents e cuts out the kernel of
@@ -288,9 +281,7 @@ def verify_kernel_character(
     exponents = character_for_representation(r, omegas)
     # 1 and 2 are their own inverses mod 3
     kernel = tuple(e * exponents[0] % 3 for e in exponents)
-    # triples come in the order of primitive_cubic_kernels: binary numbers
-    # with the digits c - 1 of kernel[1:]
-    pt = triples[int("0" + "".join(str(c - 1) for c in kernel[1:]), 2)]
+    pt = gaussian_periods(f, kernel, cubes)
     expected = f.mu * f.value * r.element
     if exponents[0] == 2:
         expected = expected.conjugate()
@@ -316,11 +307,11 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     f_n are derived here, once, and passed to the checks that read them.
     """
     reps = representations(f)
-    triples = gaussian_periods(f, component_gauss_sums(f))
+    cubes = component_gauss_sums(f)
     omegas = tuple(zeta3_residue(p) for p in f.odd_primes)
     records = []
     for r in reps:
-        pt = verify_kernel_character(r, triples, omegas)
+        pt = verify_kernel_character(r, cubes, omegas)
         sp = shanks_params(r)
         poly = period_poly_formula(f, r.M)
         verdicts = {"oracle_equivalence": 0.0, "main_identity": verify_main_identity(f, sp, poly)}

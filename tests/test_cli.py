@@ -94,11 +94,12 @@ def test_scan_reports_its_first_failing_conductor(capsys, monkeypatch):
     # 61 is the first conductor in [50, 100]; with every largest period
     # moved by 1e-9 its period relation, the first float check, fails
     original = periods.gaussian_periods
-    monkeypatch.setattr(
-        periods,
-        "gaussian_periods",
-        lambda f, cubes: [pt._replace(eta0=pt.eta0 + 1e-9) for pt in original(f, cubes)],
-    )
+
+    def planted(f, kernel, cubes):
+        pt = original(f, kernel, cubes)
+        return pt._replace(eta0=pt.eta0 + 1e-9)
+
+    monkeypatch.setattr(periods, "gaussian_periods", planted)
     code, out, err = run(capsys, ["scan", "--min", "50", "--max", "100"])
     assert code == 1
     assert out == ""
@@ -307,6 +308,20 @@ def test_each_field_derives_its_relation_once(capsys, monkeypatch, argv, fields)
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert len(calls) == fields
+
+
+@pytest.mark.parametrize(
+    "argv,fields",
+    [(["verify", "--conductor", "15561", "--format", "json"], 8), (["table"], 4)],
+)
+def test_each_field_builds_the_periods_of_its_own_kernel(capsys, monkeypatch, argv, fields):
+    # each pair's character names its kernel, whose periods are built for
+    # that pair alone: no list of every kernel is made
+    triples = count_calls(monkeypatch, periods, "gaussian_periods")
+    kernel_lists = count_calls(monkeypatch, periods, "primitive_cubic_kernels")
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert (len(triples), len(kernel_lists)) == (fields, 0)
 
 
 @pytest.mark.parametrize(

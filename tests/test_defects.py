@@ -11,6 +11,7 @@ import pytest
 
 from cubicperiods import VerificationError, match_fields, validate_conductor
 from cubicperiods import arith, eisenstein, periods
+from cubicperiods.arith import _component_moduli
 from cubicperiods.cli import main
 from cubicperiods.eisenstein import ZETA
 
@@ -102,13 +103,30 @@ def move_largest_root_by_100_ulps(monkeypatch):
 
 def swap_eta1_and_eta2(monkeypatch):
     gaussian_periods = periods.gaussian_periods
-    monkeypatch.setattr(
-        periods,
-        "gaussian_periods",
-        lambda f, cubes: [
-            pt._replace(eta1=pt.eta2, eta2=pt.eta1) for pt in gaussian_periods(f, cubes)
-        ],
-    )
+
+    def planted(f, kernel, cubes):
+        pt = gaussian_periods(f, kernel, cubes)
+        return pt._replace(eta1=pt.eta2, eta2=pt.eta1)
+
+    monkeypatch.setattr(periods, "gaussian_periods", planted)
+
+
+# The pair's character names its kernel: with its exponent at one component
+# flipped it names another kernel, whose T is another pair's, or at the
+# first component the conjugate of the pair's own.
+def flip_character_at(q):
+    def plant(monkeypatch):
+        character_for_representation = periods.character_for_representation
+
+        def planted(r, omegas):
+            exponents = list(character_for_representation(r, omegas))
+            i = _component_moduli(r.conductor).index(q)
+            exponents[i] = 3 - exponents[i]
+            return tuple(exponents)
+
+        monkeypatch.setattr(periods, "character_for_representation", planted)
+
+    return plant
 
 
 def rows(plant, name, conductors, error, check):
@@ -168,6 +186,18 @@ ROWS = [
         "NormalizationFailure", "verify_kernel_character",
     ),
     *rows(negate_mu, "negate-mu", (91, 819), "NormalizationFailure", "verify_kernel_character"),
+    *rows(
+        flip_character_at(7), "flip-character-at-7", (91, 819),
+        "NormalizationFailure", "verify_kernel_character",
+    ),
+    *rows(
+        flip_character_at(13), "flip-character-at-13", (91, 819),
+        "NormalizationFailure", "verify_kernel_character",
+    ),
+    *rows(
+        flip_character_at(9), "flip-character-at-9", (9, 819),
+        "NormalizationFailure", "verify_kernel_character",
+    ),
     *rows(
         negate_prime_element_at_7, "negate-prime-element-at-7", (91, 819),
         "FactorizationMismatch", "representations",

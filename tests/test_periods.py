@@ -91,7 +91,8 @@ def test_prime_kernel_equals_cubes(residue_sets):
 
 
 def test_gaussian_periods_nine(residue_sets):
-    (pt,) = gaussian_periods(F9, component_gauss_sums(F9))
+    (kernel,) = primitive_cubic_kernels(F9)
+    pt = gaussian_periods(F9, kernel, component_gauss_sums(F9))
     assert residue_sets(F9, pt.kernel)[0] == frozenset({1, 8})
     expected = sorted((2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4)), reverse=True)
     assert pt.values() == pytest.approx(expected, abs=1e-12)
@@ -101,7 +102,8 @@ def test_gaussian_periods_nine(residue_sets):
 
 
 def test_gaussian_periods_seven_sum(residue_sets):
-    (pt,) = gaussian_periods(F7, component_gauss_sums(F7))
+    (kernel,) = primitive_cubic_kernels(F7)
+    pt = gaussian_periods(F7, kernel, component_gauss_sums(F7))
     assert residue_sets(F7, pt.kernel)[0] == frozenset({1, 6})
     assert sum(pt.values()) == pytest.approx(-1.0, abs=1e-12)
 
@@ -110,7 +112,8 @@ def test_period_sum_partition(residue_sets):
     for cond in conductors_up_to(500):
         expected = 0 if cond.kind == "wild" else (-1) ** cond.nu
         units = {a for a in range(1, cond.value) if math.gcd(a, cond.value) == 1}
-        for pt in gaussian_periods(cond, component_gauss_sums(cond)):
+        cubes = component_gauss_sums(cond)
+        for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
             cosets = residue_sets(cond, pt.kernel)
             assert set().union(*cosets) == units
             assert sum(map(len, cosets)) == len(units)
@@ -123,9 +126,10 @@ def test_periods_equal_direct_cosine_sums(residue_sets):
     # coefficient vector, at every f <= 2000 and at larger fixed conductors
     large = [validate_conductor(f) for f in (15561, 53599, 60433, 73237, 482391)]
     for cond in conductors_up_to(2000) + large:
-        triples = gaussian_periods(cond, component_gauss_sums(cond))
-        assert [pt.kernel for pt in triples] == primitive_cubic_kernels(cond)
-        for pt in triples:
+        cubes = component_gauss_sums(cond)
+        for kernel in primitive_cubic_kernels(cond):
+            pt = gaussian_periods(cond, kernel, cubes)
+            assert pt.kernel == kernel
             direct = sorted(
                 (
                     sum(math.cos(2 * math.pi * a / cond.value) for a in coset)
@@ -144,7 +148,8 @@ def test_periods_make_no_pass_over_the_units(f):
     cond = validate_conductor(f)
     mu = 0 if cond.is_wild else cond.mu
     start = time.perf_counter()
-    triples = gaussian_periods(cond, component_gauss_sums(cond))
+    cubes = component_gauss_sums(cond)
+    triples = [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]
     assert time.perf_counter() - start < 1.0
     assert len(triples) == cond.field_count
     # the closed form X^3 - mu*X^2 + (mu^2 - f)/3*X + ... gives the trace mu
@@ -156,27 +161,29 @@ def test_periods_make_no_pass_over_the_units(f):
 
 
 def test_gaussian_periods_follow_the_kernel_order():
-    # the cubes are built by doubling over the components, and must come out
-    # in the order of primitive_cubic_kernels, each the product over the
-    # components of tau_q^3 or its conjugate as the kernel says
+    # the cube of each kernel is the product over the components of tau_q^3
+    # or its conjugate as the kernel says, and the eight kernels of 15561
+    # have eight cubes
     kernels = [(1, *tail) for tail in itertools.product((1, 2), repeat=3)]
     assert primitive_cubic_kernels(F15561) == kernels
     cubes = component_gauss_sums(F15561)
-    triples = gaussian_periods(F15561, cubes)
+    triples = [gaussian_periods(F15561, k, cubes) for k in kernels]
     assert [pt.kernel for pt in triples] == kernels
     for pt in triples:
         expected = math.prod(t if c == 1 else t.conjugate() for t, c in zip(cubes, pt.kernel))
         assert pt.cube == expected, pt.kernel
+    assert len({pt.cube for pt in triples}) == 8
 
 
 def test_numeric_period_poly_examples():
-    (pt9,) = gaussian_periods(F9, component_gauss_sums(F9))
-    assert numeric_period_poly(F9, pt9) == (1, 0, -3, 1)
-    (pt7,) = gaussian_periods(F7, component_gauss_sums(F7))
-    assert numeric_period_poly(F7, pt7) == (1, 1, -2, -1)
+    for cond, expected in ((F9, (1, 0, -3, 1)), (F7, (1, 1, -2, -1))):
+        (kernel,) = primitive_cubic_kernels(cond)
+        pt = gaussian_periods(cond, kernel, component_gauss_sums(cond))
+        assert numeric_period_poly(cond, pt) == expected
+    cubes = component_gauss_sums(F819)
     got = {
-        numeric_period_poly(F819, pt)
-        for pt in gaussian_periods(F819, component_gauss_sums(F819))
+        numeric_period_poly(F819, gaussian_periods(F819, k, cubes))
+        for k in primitive_cubic_kernels(F819)
     }
     assert got == {
         (1, 0, -273, 1729),
@@ -199,7 +206,8 @@ def assert_kernels_match_pairs(cond):
     nothing rounded.  Tr T is mu*f*M of exactly one pair, and T is mu*f*w or
     its conjugate for w = (M + 3N*sqrt(-3))/2 of that pair."""
     reps = representations(cond)
-    triples = gaussian_periods(cond, component_gauss_sums(cond))
+    cubes = component_gauss_sums(cond)
+    triples = [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]
     exact = {numeric_period_poly(cond, pt) for pt in triples}
     closed = {period_poly_formula(cond, r.M) for r in reps}
     assert exact == closed, cond.value
@@ -278,13 +286,15 @@ def test_exact_period_poly_equals_the_closed_form_on_random_conductors(cond):
 
 
 def plant_cubes(monkeypatch, plant):
-    """Make match_fields see the periods of gaussian_periods with their list
-    of cubes rewritten by plant."""
+    """Make match_fields see the periods of gaussian_periods with the cubes
+    of the kernels, in the order of primitive_cubic_kernels, rewritten by
+    plant."""
 
-    def planted(f, cubes):
-        triples = gaussian_periods(f, cubes)
-        planted_cubes = plant([pt.cube for pt in triples])
-        return [pt._replace(cube=cube) for pt, cube in zip(triples, planted_cubes, strict=True)]
+    def planted(f, kernel, cubes):
+        kernels = primitive_cubic_kernels(f)
+        planted_cubes = plant([gaussian_periods(f, k, cubes).cube for k in kernels])
+        pt = gaussian_periods(f, kernel, cubes)
+        return pt._replace(cube=planted_cubes[kernels.index(kernel)])
 
     monkeypatch.setattr(periods_module, "gaussian_periods", planted)
 
@@ -479,7 +489,8 @@ def test_coset_relabeling_leaves_multiset_invariant(residue_sets):
     # computing the three fiber sums directly, in any labeling, must give
     # the same multiset as the sorted PeriodTriple
     for cond in (F9, F7, F63):
-        for pt in gaussian_periods(cond, component_gauss_sums(cond)):
+        cubes = component_gauss_sums(cond)
+        for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
             fv = cond.value
             kern = residue_sets(cond, pt.kernel)[0]
             units = [a for a in range(1, fv) if math.gcd(a, fv) == 1]
@@ -506,24 +517,25 @@ def test_kernel_character_cross_check_wild(wild_records_10k):
     assert len(wild_records_10k) > 0
     for rec in wild_records_10k:
         cond = rec.conductor
-        triples = gaussian_periods(cond, component_gauss_sums(cond))
-        assert verify_kernel_character(rec.representation, triples, omegas(cond)) == rec.periods
+        cubes = component_gauss_sums(cond)
+        assert verify_kernel_character(rec.representation, cubes, omegas(cond)) == rec.periods
 
 
-def test_kernel_character_rejects_another_kernel():
+def test_kernel_character_rejects_another_kernel(monkeypatch):
     records = match_fields(F819)
-    triples = gaussian_periods(F819, component_gauss_sums(F819))
+    cubes = component_gauss_sums(F819)
     for rec in records:
         for other in records:
             if other is rec:
                 continue
-            # the other record's triple under this pair's kernel
-            planted = [
-                other.periods._replace(kernel=pt.kernel) if pt == rec.periods else pt
-                for pt in triples
-            ]
+            # the other record's periods under this pair's kernel
+            monkeypatch.setattr(
+                periods_module,
+                "gaussian_periods",
+                lambda f, kernel, cubes, other=other: other.periods._replace(kernel=kernel),
+            )
             with pytest.raises(NormalizationFailure):
-                verify_kernel_character(rec.representation, planted, omegas(F819))
+                verify_kernel_character(rec.representation, cubes, omegas(F819))
 
 
 def test_verify_is_the_same_with_either_prime_element(capsys, monkeypatch):
