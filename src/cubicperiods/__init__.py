@@ -35,12 +35,10 @@ from .cubicpoly import (
     verify_main_identity,
 )
 from .eisenstein import (
-    POINT_COUNT_BUDGET,
     EisensteinInt,
     character_for_representation,
     chi9,
     chi9_gauss_sum_report,
-    jacobi_sum,
     prime_element,
     rhs_elements,
 )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import heapq
 import itertools
 import math
 from typing import NamedTuple
@@ -311,6 +310,9 @@ def conductors_up_to(
     _require_below_mr_bound(bound)
     if kind is not None and kind not in KINDS:
         raise ValueError(f"{kind!r} is not a kind of conductor")
+    # Imported here, as only scan lists conductors.
+    import heapq
+
     classes = KINDS.values() if kind is None else [KINDS[kind]]
     candidates = heapq.merge(
         *(range(start + (r - start) % m, bound + 1, m) for r, m in classes)

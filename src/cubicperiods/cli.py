@@ -22,10 +22,12 @@ usage, help and error messages are the ones argparse writes when stdout
 is not a terminal.  It does not import argparse, which would load gettext,
 locale and shutil into every cold command, and only -h and bad input
 import the usage module, so a command that parses compiles none of it.
+Likewise the Gaussian-sum route (gausssums) is imported where verify,
+scan or table first runs it, so enumerate compiles none of it.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
-for verify and scan a prime factor above eisenstein.POINT_COUNT_BUDGET,
+for verify and scan a prime factor above gausssums.POINT_COUNT_BUDGET,
 or one whose Jacobi sum the points of the curve leave open) or an --out
 the report cannot be written to.
 Reports go to stdout (or --out); diagnostics go to stderr.

@@ -13,6 +13,10 @@ leave more than one candidate.
 Points are affine pairs (x, y) of integers mod p, and None is the point at
 infinity.  The group law of y^2 = x^3 + B does not read B, so one pair of
 functions serves every model of E and of its twist.
+
+gausssums.jacobi_sum imports this module where it first runs, so only a
+conductor with a prime component loads it: enumerate never does, nor
+verify of 9.
 """
 
 from __future__ import annotations

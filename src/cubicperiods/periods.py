@@ -22,12 +22,13 @@ e3 = t^3 + conj(t)^3 = Tr(T) for T = t^3, and the period polynomial is
 
 T is exact: the Gaussian sum factors over the components up to a cube
 root of unity, which the cube removes, so T is the product of the exact
-cubes tau_q^3 in Z[zeta3] (eisenstein.component_gauss_sums) and their
+cubes tau_q^3 in Z[zeta3] (gausssums.component_gauss_sums) and their
 conjugates.  Each pair (M, N) is matched to the kernel its own character
 cuts out, whose T must be m*f*w or its conjugate, for w = (M +
 3N*sqrt(-3))/2 and m = Conductor.mu (verify_kernel_character).  That one
 exact equation is the central two-route consistency check of the package,
-with Jacobi sums on one side and the quadratic form on the other, and it
+with Jacobi sums on one side (gausssums, which match_fields imports where
+it first runs) and the quadratic form on the other (eisenstein), and it
 proves the rest of the matching.  It gives Tr(T) = m*f*M, so this cubic and
 the closed form of the pair agree: they share X^2 and X, and the closed
 form's -27*c0 is m*((M - 3)*f + 1) when tame, where m^2 = 1, and m*f*M when
@@ -54,13 +55,7 @@ from .cubicpoly import (
     period_poly_formula,
     verify_main_identity,
 )
-from .eisenstein import (
-    ONE,
-    EisensteinInt,
-    character_for_representation,
-    component_gauss_sums,
-    zeta3_residue,
-)
+from .eisenstein import ONE, EisensteinInt, character_for_representation, zeta3_residue
 from .errors import (
     ComplexRoots,
     CongruenceFailure,
@@ -306,6 +301,10 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     (once per conductor) and each pair's relation, closed form and roots of
     f_n are derived here, once, and passed to the checks that read them.
     """
+    # Imported here, so that a command that matches no field, such as
+    # enumerate, never compiles the Gaussian-sum route.
+    from .gausssums import component_gauss_sums
+
     reps = representations(f)
     cubes = component_gauss_sums(f)
     omegas = tuple(zeta3_residue(p) for p in f.odd_primes)

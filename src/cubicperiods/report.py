@@ -7,15 +7,15 @@ of _json, the function json.encoder quotes with, so its bytes equal
 json.dumps(report, indent=2) + "\n".  json with an indent runs its
 pure-Python encoder anyway, and importing json compiles the regexes of its
 decoder and scanner, which writing a report never uses: a few ms of
-every cold start.  csv is imported by the CSV renderers, on first use,
-so that a JSON or markdown report does not load it.
+every cold start.  Each format imports what only it uses, on first use:
+render_json imports _json and the CSV renderers import csv, so that a
+markdown report loads neither.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from _json import encode_basestring_ascii as _quote
 
 from .cubicpoly import RationalCubic
 
@@ -119,12 +119,13 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _write_json(value, newline: str, out) -> None:
+def _write_json(value, newline: str, out, quote) -> None:
     """Pass the chunks of value in the indent=2 layout to out; newline is
-    the line break and indent before value's own closing bracket.  The
-    type checks run in json.encoder's order, bool before int."""
+    the line break and indent before value's own closing bracket, and
+    quote quotes a string.  The type checks run in json.encoder's order,
+    bool before int."""
     if isinstance(value, str):
-        out(_quote(value))
+        out(quote(value))
     elif value is None:
         out("null")
     elif value is True:
@@ -143,7 +144,7 @@ def _write_json(value, newline: str, out) -> None:
         sep = "[" + inner
         for item in value:
             out(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, quote)
             sep = "," + inner
         out(newline + "]")
     elif isinstance(value, dict):
@@ -154,9 +155,9 @@ def _write_json(value, newline: str, out) -> None:
         sep = "{" + inner
         for key, item in value.items():
             out(sep)
-            out(_quote(key))
+            out(quote(key))
             out(": ")
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, quote)
             sep = "," + inner
         out(newline + "}")
     else:
@@ -167,8 +168,10 @@ def render_json(report: dict) -> str:
     """json.dumps(report, indent=2) + "\n", byte for byte, for reports of
     dicts with str keys, lists, tuples, str, int, float, bool and None;
     TypeError for any other key or value."""
+    from _json import encode_basestring_ascii
+
     chunks: list[str] = []
-    _write_json(report, "\n", chunks.append)
+    _write_json(report, "\n", chunks.append, encode_basestring_ascii)
     chunks.append("\n")
     return "".join(chunks)
 

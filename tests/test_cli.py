@@ -11,11 +11,11 @@ import pytest
 
 from cubicperiods import (
     MR_BOUND,
-    POINT_COUNT_BUDGET,
     BudgetExceeded,
     validate_conductor,
 )
-from cubicperiods import cubicpoly, curve, eisenstein, periods, quadform
+from cubicperiods import cubicpoly, curve, gausssums, periods, quadform
+from cubicperiods.gausssums import POINT_COUNT_BUDGET
 from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
 
@@ -334,7 +334,7 @@ def test_cubes_once_per_conductor_and_closed_form_once_per_field(
     # match_fields passes the cubes to the periods and to every character
     # check, and the closed form it builds is the one that the main
     # identity checks and the report prints
-    cubes = count_calls(monkeypatch, eisenstein, "component_gauss_sums")
+    cubes = count_calls(monkeypatch, gausssums, "component_gauss_sums")
     polys = count_calls(monkeypatch, cubicpoly, "period_poly_formula")
     code, _, _ = run(capsys, argv)
     assert code == 0
@@ -357,7 +357,7 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
         lambda q: iter([(point, 1)] * curve._POINT_TRIES) if q == p else points(q),
     )
     with pytest.raises(BudgetExceeded, match="open"):
-        eisenstein.jacobi_sum(p)
+        gausssums.jacobi_sum(p)
     code, out, err = run(capsys, ["verify", "--conductor", str(7 * p)])
     assert code == 2
     assert out == ""
@@ -482,14 +482,15 @@ def test_cold_enumerate_allocates_under_a_megabyte(tmp_path):
 # types are NamedTuples, not frozen dataclasses (which import inspect);
 # report.render_json writes JSON without the json package; no command
 # imports fractions (which imports decimal), as every cubic holds ints;
-# csv and cmath are imported only where used; --out is written with
+# csv, cmath and heapq (which only scan's conductors_up_to merges with)
+# are imported only where used; --out is written with
 # open(), not pathlib; the arguments are parsed without argparse, which
 # imports gettext (and so locale) for its messages and shutil for the
 # terminal width, and the usage and help text is laid out only for -h or
 # bad input
 UNUSED_ON_THE_COLD_PATH = (
     "argparse", "cmath", "csv", "cubicperiods.usage", "dataclasses", "decimal",
-    "fractions", "gettext", "inspect", "json", "locale", "pathlib", "shutil",
+    "fractions", "gettext", "heapq", "inspect", "json", "locale", "pathlib", "shutil",
 )
 
 
@@ -521,25 +522,30 @@ def test_cold_command_leaves_unused_modules_unloaded(tmp_path, argv):
 
 
 def test_only_a_jacobi_sum_loads_the_curve(tmp_path):
-    # the points are imported where jacobi_sum first runs: enumerate, and
-    # verify of 9, which has no prime component, leave cubicperiods.curve
-    # unloaded, and verify of 15561 = 9 * 7 * 13 * 19 loads it
+    # the Gaussian-sum route is imported where a command first runs it, and
+    # the points where jacobi_sum first runs: enumerate loads neither, nor
+    # _json for a markdown report; verify of 9, which has no prime
+    # component, loads gausssums but leaves cubicperiods.curve unloaded;
+    # verify of 15561 = 9 * 7 * 13 * 19 loads both
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent(
         f"""
         import sys
         sys.path.insert(0, {str(src)!r})
         from cubicperiods.cli import main
-        for argv in (["enumerate", "7"], ["verify", "9"], ["verify", "15561"]):
-            main([argv[0], "--conductor", argv[1], "--out", {str(tmp_path / "r.json")!r}])
-            print("cubicperiods.curve" in sys.modules)
+        lazy = ("cubicperiods.gausssums", "cubicperiods.curve", "_json")
+        for argv in (
+            ["enumerate", "7", "--format", "md"], ["verify", "9"], ["verify", "15561"]
+        ):
+            main([argv[0], "--conductor", *argv[1:], "--out", {str(tmp_path / "r.out")!r}])
+            print(*(m in sys.modules for m in lazy))
         """
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert proc.stdout.splitlines() == ["False False False", "True False True", "True True True"]
 
 
 def test_csv_format(capsys):

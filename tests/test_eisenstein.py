@@ -11,7 +11,6 @@ from cubicperiods import (
     character_for_representation,
     chi9,
     chi9_gauss_sum_report,
-    jacobi_sum,
     prime_element,
     representations,
     rhs_elements,
@@ -20,13 +19,13 @@ from cubicperiods import (
 from cubicperiods import curve
 from cubicperiods.arith import _generator, _primes_below, is_probable_prime
 from cubicperiods.eisenstein import (
-    POINT_COUNT_BUDGET,
     UNITS,
     ZETA,
     primary_associate,
     zeta3_residue,
 )
 from cubicperiods.curve import jacobi_trace
+from cubicperiods.gausssums import POINT_COUNT_BUDGET, jacobi_sum
 
 PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
 # Every prime = 1 mod 3 below 2*10^5.

@@ -34,7 +34,8 @@ from cubicperiods import eisenstein
 from cubicperiods import periods as periods_module
 from cubicperiods.arith import is_probable_prime
 from cubicperiods.cli import main
-from cubicperiods.eisenstein import ZETA, EisensteinInt, component_gauss_sums, zeta3_residue
+from cubicperiods.eisenstein import ZETA, EisensteinInt, zeta3_residue
+from cubicperiods.gausssums import component_gauss_sums
 from cubicperiods.verdicts import rounding_bound
 
 F9 = validate_conductor(9)
