@@ -30,6 +30,7 @@ from .cubicpoly import (
     cleared_shanks_poly,
     cubic_discriminant,
     main_identity_sides,
+    period_poly,
     period_poly_formula,
     substitute_affine,
     verify_main_identity,

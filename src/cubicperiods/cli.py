@@ -9,7 +9,7 @@ Subcommands:
 Common flags: --format {json,csv,md,markdown} (default json; markdown is
 an alias for md) and --out PATH (- for stdout).  No flag sets a tolerance:
 the checks are exact but for the float ones, which compare with a bound
-worked out from their inputs (verdicts.rounding_bound).
+worked out from their inputs (verdicts.relation).
 
 Every check runs in periods.match_fields; this module parses arguments and
 shapes its records into reports.  The parser is driven by one table,

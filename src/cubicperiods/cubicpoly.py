@@ -1,16 +1,28 @@
-"""Exact integer cubics: the one-parameter family f_n, period polynomials,
-affine substitution, the identity tying the two together, and the
-discriminant by which periods.real_roots_cubic decides realness.
+"""Exact integer cubics: the one-parameter family f_n, the period
+polynomial, affine substitution, the identity tying the two together, and
+the discriminant by which periods.real_roots_cubic decides realness.
 
 f_n(X) = X^3 - n*X^2 - (n+3)*X - 1 is generic for cyclic cubic fields and
 has square discriminant (n^2 + 3n + 9)^2.  For n = n1/n2 the package holds
-it as the integer cubic n2*f_n (cleared_shanks_poly), its one home.  For a
-conductor f with pair (M, N) the period polynomial has the closed form
+it as the integer cubic n2*f_n (cleared_shanks_poly), its one home.
 
-    X^3 - mu(f)*X^2 + (1-f)/3 * X - mu(f)*((M-3)*f + 1)/27      (tame)
-    X^3 - f/3 * X - mu(f/9)*f*M/27                              (wild)
+The periods eta_j of conductor f sum to m = period_sum(f), mu(f) when f
+is tame and 0 when wild, and with tau = prod (3*eta_j - m) (periods shows
+why) their cubic is
 
-and agrees with f_n up to the change of variable X -> scale*X + offset of
+    X^3 - m*X^2 + (m^2 - f)/3 * X - (m^3 - 3*f*m + tau)/27,
+
+period_poly(f, tau), the one formula.  The pair (M, N) of a field has
+tau = mu*f*M, with mu = Conductor.mu, so its closed form is
+period_poly_formula(f, M): when tame, m = mu and mu^2 = 1 give
+
+    X^3 - mu*X^2 + (1-f)/3 * X - mu*((M-3)*f + 1)/27,
+
+and when wild, m = 0 and mu = mu(f/9) give
+
+    X^3 - f/3 * X - mu*f*M/27.
+
+It agrees with f_n up to the change of variable X -> scale*X + offset of
 the pair's relation (quadform.shanks_params).  That identity is checked
 exactly in integer arithmetic, on n2*f_n.
 """
@@ -43,23 +55,34 @@ def cleared_shanks_poly(sp: ShanksParams) -> RationalCubic:
     return RationalCubic(sp.n2, -sp.n1, -(sp.n1 + 3 * sp.n2), -sp.n2)
 
 
+def period_sum(f: Conductor) -> int:
+    """The sum of the three periods: mu(f) when f is tame, 0 when wild."""
+    return 0 if f.is_wild else f.mu
+
+
+def period_poly(f: Conductor, trace: int) -> RationalCubic:
+    """The module docstring's formula at tau = trace, Tr(T) for the cube T
+    of the periods' Gaussian sum.  Nothing is rounded; a coefficient that
+    is not an integer raises NonIntegralCoefficient."""
+    v = f.value
+    m = period_sum(f)
+    c1, r1 = divmod(m * m - v, 3)
+    c0, r0 = divmod(-(m**3 - 3 * v * m + trace), 27)
+    if r1 or r0:
+        raise NonIntegralCoefficient(
+            f"period polynomial for f={v}, Tr T={trace}: remainders {r1} mod 3, {r0} mod 27"
+        )
+    return RationalCubic(1, -m, c1, c0)
+
+
 def period_poly_formula(f: Conductor, M: int) -> RationalCubic:
-    """Closed-form period polynomial for conductor f and the M of one of its pairs."""
+    """Closed-form period polynomial for conductor f and the M of one of its
+    pairs: period_poly at Tr T = mu*f*M."""
     v = f.value
     n_squared, rest = divmod(4 * v - M * M, 27)
     if rest or n_squared <= 0 or math.isqrt(n_squared) ** 2 != n_squared:
         raise ValueError(f"M = {M} does not solve 4f = M^2 + 27N^2 for f={v}")
-    mu = f.mu
-    if not f.is_wild:
-        c2, c1, c0 = -mu, divmod(1 - v, 3), divmod(-mu * ((M - 3) * v + 1), 27)
-    else:
-        c2, c1, c0 = 0, divmod(-v, 3), divmod(-mu * v * M, 27)
-    if c1[1] or c0[1]:
-        raise NonIntegralCoefficient(
-            f"period polynomial for f={v}, M={M} has a non-integer coefficient "
-            f"(remainders {c1[1]} mod 3 and {c0[1]} mod 27)"
-        )
-    return RationalCubic(1, c2, c1[0], c0[0])
+    return period_poly(f, f.mu * v * M)
 
 
 def substitute_affine(p: RationalCubic, a: int, b: int) -> RationalCubic:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import GeneratorFailure
-from .verdicts import rounding_bound
+from .verdicts import relation
 
 if TYPE_CHECKING:
     from .periods import FieldRecord
@@ -46,9 +46,7 @@ def verify_generators(rec: "FieldRecord") -> float:
     f = rec.conductor
     if not f.is_wild:
         raise ValueError("generator checks apply to wild records")
-    sp = rec.shanks_params
-    mapped = [sp.scale * rho + sp.offset for rho in rec.shanks_roots]
-    bound = rounding_bound(rec.periods.values(), sp.scale, rec.shanks_roots, sp.offset)
+    mapped, bound = relation(rec)
 
     # left to right, as sum() did before Python 3.12 made it compensated
     trace = abs(mapped[0] + mapped[1] + mapped[2])

@@ -10,15 +10,14 @@ vector (1, c_2, ..., c_k) with c_i in {1, 2}.
 
 The periods are the finite Fourier sums over the three characters trivial
 on a kernel: with t = tau(chi) the Gaussian sum mod f of a character that
-cuts it out and mu the period sum (mu(f) tame, 0 wild),
+cuts it out and mu = cubicpoly.period_sum(f) (mu(f) tame, 0 wild),
 
     eta_j = (mu + zeta3^-j * t + zeta3^j * conj(t)) / 3,
 
 since tau(chi-bar) = conj(tau(chi)) when chi(-1) = 1, as for every cubic
 character.  So Y_j = 3*eta_j - mu has e1 = 0, e2 = -3*|t|^2 = -3f and
 e3 = t^3 + conj(t)^3 = Tr(T) for T = t^3, and the period polynomial is
-
-    X^3 - mu*X^2 + (mu^2 - f)/3 * X - (mu^3 - 3*f*mu + Tr(T))/27.
+cubicpoly.period_poly(f, Tr(T)).
 
 T is exact: the Gaussian sum factors over the components up to a cube
 root of unity, which the cube removes, so T is the product of the exact
@@ -29,11 +28,10 @@ cuts out, whose T must be m*f*w or its conjugate, for w = (M +
 exact equation is the central two-route consistency check of the package,
 with Jacobi sums on one side (gausssums, which match_fields imports where
 it first runs) and the quadratic form on the other (eisenstein), and it
-proves the rest of the matching.  It gives Tr(T) = m*f*M, so this cubic and
-the closed form of the pair agree: they share X^2 and X, and the closed
-form's -27*c0 is m*((M - 3)*f + 1) when tame, where m^2 = 1, and m*f*M when
-wild.  It fixes w up to conjugation, and no two normalized pairs (N > 0)
-are conjugate, so no two pairs reach one kernel.  representations checks
+proves the rest of the matching.  It gives Tr(T) = m*f*M, so this cubic is
+the closed form of the pair, period_poly_formula(f, M) = period_poly(f,
+m*f*M): one polynomial.  It fixes w up to conjugation, and no two
+normalized pairs (N > 0) are conjugate, so no two pairs reach one kernel.  representations checks
 that there are field_count pairs, and the 2^(k-1) kernels of k components
 are field_count by construction, so every kernel is reached once: the
 matching is a bijection.  The float periods, which the period relation
@@ -52,7 +50,9 @@ from .cubicpoly import (
     RationalCubic,
     cleared_shanks_poly,
     cubic_discriminant,
+    period_poly,
     period_poly_formula,
+    period_sum,
     verify_main_identity,
 )
 from .eisenstein import ONE, EisensteinInt, character_for_representation, zeta3_residue
@@ -60,14 +60,13 @@ from .errors import (
     ComplexRoots,
     CongruenceFailure,
     CountMismatch,
-    NonIntegralCoefficient,
     NormalizationFailure,
     RelationFailure,
     ToleranceExceeded,
 )
 from .groupring import verify_generators
 from .quadform import Representation, ShanksParams, representations, shanks_params
-from .verdicts import _ROOT_ROUNDOFF, rounding_bound
+from .verdicts import _ROOT_ROUNDOFF, relation
 
 
 class PeriodTriple(NamedTuple):
@@ -124,11 +123,6 @@ def primitive_cubic_kernels(f: Conductor) -> list[tuple[int, ...]]:
     return kernels
 
 
-def _period_sum(f: Conductor) -> int:
-    """mu = eta0 + eta1 + eta2: mu(f) when f is tame, 0 when wild."""
-    return 0 if f.is_wild else f.mu
-
-
 def gaussian_periods(
     f: Conductor, kernel: tuple[int, ...], cubes: tuple[EisensteinInt, ...]
 ) -> PeriodTriple:
@@ -139,7 +133,7 @@ def gaussian_periods(
     tau_q^3 where c_q = 1 and of its conjugate where c_q = 2, and with t =
     sqrt(f)*exp(i*phi/3), phi = arg(T), period j is (mu + 2*Re(zeta3^-j * t))/3.
     """
-    mu = _period_sum(f)
+    mu = period_sum(f)
     root_f = math.sqrt(f.value)
     # The Gaussian sum mod f is prod chi_q(f/q) * tau(chi_q).  That product
     # of chi_q(f/q) is a cube root of unity: it leaves T unchanged, and any
@@ -158,23 +152,9 @@ def gaussian_periods(
 
 
 def numeric_period_poly(f: Conductor, pt: PeriodTriple) -> RationalCubic:
-    """The period polynomial of pt, periods mod f, exactly, from its cube T:
-
-        X^3 - mu*X^2 + (mu^2 - f)/3 * X - (mu^3 - 3*f*mu + Tr(T))/27.
-
-    Nothing is rounded; a coefficient that is not an integer raises
-    NonIntegralCoefficient.
-    """
-    v = f.value
-    mu = _period_sum(f)
-    c1, r1 = divmod(mu * mu - v, 3)
-    c0, r0 = divmod(-(mu**3 - 3 * v * mu + pt.cube.trace()), 27)
-    if r1 or r0:
-        raise NonIntegralCoefficient(
-            f"f={v}: the period polynomial of T = {pt.cube} has a coefficient "
-            f"that is not an integer"
-        )
-    return RationalCubic(1, -mu, c1, c0)
+    """The exact period polynomial of pt, periods mod f: cubicpoly.period_poly
+    at the trace of its cube T."""
+    return period_poly(f, pt.cube.trace())
 
 
 def real_roots_cubic(p: RationalCubic) -> tuple[float, float, float]:
@@ -218,16 +198,16 @@ def real_roots_cubic(p: RationalCubic) -> tuple[float, float, float]:
 
 def verify_period_relation(rec: FieldRecord) -> float:
     """The periods equal scale*rho + offset over the roots rho of f_n: the
-    values scale*rho + offset, sorted descending, are compared one by one
+    values of verdicts.relation, sorted descending, are compared one by one
     with the periods in their stored descending order.  The exact checks
-    prove it, so the float distance, the residual, is held to
-    rounding_bound.
+    prove it, so the float distance, the residual, is held to the bound
+    that relation gives.
     """
     f = rec.conductor
     sp = rec.shanks_params
-    mapped = sorted((sp.scale * rho + sp.offset for rho in rec.shanks_roots), reverse=True)
+    mapped, bound = relation(rec)
+    mapped.sort(reverse=True)
     residual = max(abs(m - e) for m, e in zip(mapped, rec.periods.values()))
-    bound = rounding_bound(rec.periods.values(), sp.scale, rec.shanks_roots, sp.offset)
     if residual > bound:
         raise RelationFailure(
             f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): ordered distance {residual} > {bound}"
@@ -237,8 +217,8 @@ def verify_period_relation(rec: FieldRecord) -> float:
 
 def verify_sign_congruences(rec: FieldRecord) -> float:
     """The product of the periods is -mu = (-1)^(nu+1) mod 3.  It is read
-    from the Gauss sum, as -c0 of numeric_period_poly (Tr(T)/27 when f is
-    wild), so a wrong cube T fails it.
+    from the Gauss sum, as -c0 of cubicpoly.period_poly at Tr(T) (Tr(T)/27
+    when f is wild), so a wrong cube T fails it.
 
     On a record of match_fields it cannot fail, so it guards records built
     elsewhere: the matching made Tr(T) = mu*f*M, so the product is the

@@ -1,6 +1,7 @@
 """The rounding bounds of the float checks.  A check that passes returns
 its residual, the worst float deviation it saw (0.0 for the exact ones),
-and one that fails raises a VerificationError subclass.
+and one that fails raises a VerificationError subclass.  relation gives
+the float side of a field: the values of its relation and their bound.
 
 The exact matching and the main identity prove eta_j = scale*rho_j +
 offset, the relation of the pair (quadform.shanks_params), so the float
@@ -27,9 +28,14 @@ _RELATION_ROUNDOFF = 64
 _ROOT_ROUNDOFF = 16 * _U
 
 
-def rounding_bound(etas, scale: int, roots, offset: int) -> float:
-    """C*u*S for the periods and the roots rho of f_n of one field, with
-    S = max over j of max(|eta_j|, |scale*rho_j| + |offset|, 1)."""
-    pairs = zip(etas, roots, strict=True)
-    size = max(max(abs(eta), abs(scale * rho) + abs(offset), 1.0) for eta, rho in pairs)
-    return _RELATION_ROUNDOFF * _U * size
+def relation(rec) -> tuple[list[float], float]:
+    """The float relation of a field (a periods.FieldRecord): the values
+    scale*rho + offset of its pair's relation (quadform.shanks_params) over
+    the roots rho of its Shanks cubic, in root order, and their rounding
+    bound C*u*S against its periods eta, S = max over j of max(|eta_j|,
+    |scale*rho_j| + |offset|, 1)."""
+    sp = rec.shanks_params
+    mapped = [sp.scale * rho + sp.offset for rho in rec.shanks_roots]
+    pairs = zip(rec.periods.values(), rec.shanks_roots, strict=True)
+    size = max(max(abs(eta), abs(sp.scale * rho) + abs(sp.offset), 1.0) for eta, rho in pairs)
+    return mapped, _RELATION_ROUNDOFF * _U * size

@@ -17,7 +17,6 @@ from cubicperiods import (
     factorize,
     match_fields,
     moebius,
-    period_poly_formula,
     prime_element,
     substitute_affine,
 )
@@ -454,6 +453,25 @@ def paper_relation_fixture():
     return paper_relation
 
 
+def closed_form_period_poly(cond, M: int) -> RationalCubic:
+    """Oracle: the paper's closed form of the period polynomial of the pair
+    with this M, in Fraction arithmetic, with mu = (-1)^nu:
+
+        X^3 - mu*X^2 + (1-f)/3 * X - mu*((M-3)*f + 1)/27      (tame)
+        X^3 - f/3 * X - mu*f*M/27                              (wild)
+    """
+    f, mu = cond.value, (-1) ** cond.nu
+    if cond.is_wild:
+        return RationalCubic(1, 0, Fraction(-f, 3), Fraction(-mu * f * M, 27))
+    return RationalCubic(1, -mu, Fraction(1 - f, 3), Fraction(-mu * ((M - 3) * f + 1), 27))
+
+
+@pytest.fixture(scope="session", name="closed_form_period_poly")
+def closed_form_period_poly_fixture():
+    """closed_form_period_poly(cond, M): the paper's closed form."""
+    return closed_form_period_poly
+
+
 def fraction_identities(cond, sp) -> dict:
     """Oracle: the main identity and what it implies for the generators of a
     wild field, in Fraction arithmetic, with every coefficient and
@@ -465,8 +483,7 @@ def fraction_identities(cond, sp) -> dict:
     that of s*alpha + t.
     """
     mu, shift = paper_relation(cond, sp.n1)
-    poly = period_poly_formula(cond, 2 * sp.n1 + 3 * sp.n2)
-    p = RationalCubic(*map(Fraction, poly))
+    p = closed_form_period_poly(cond, 2 * sp.n1 + 3 * sp.n2)
     fn = RationalCubic(*map(Fraction, shanks_poly(Fraction(sp.n1, sp.n2))))
     h = substitute_affine(fn, Fraction(1, sp.n2), Fraction(-shift, sp.n2)).scale(
         Fraction(sp.n2**3)

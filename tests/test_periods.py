@@ -12,6 +12,7 @@ from cubicperiods import (
     BudgetExceeded,
     ComplexRoots,
     CongruenceFailure,
+    NonIntegralCoefficient,
     NormalizationFailure,
     RationalCubic,
     RelationFailure,
@@ -19,6 +20,7 @@ from cubicperiods import (
     gaussian_periods,
     match_fields,
     numeric_period_poly,
+    period_poly,
     period_poly_formula,
     primitive_cubic_kernels,
     real_roots_cubic,
@@ -36,7 +38,7 @@ from cubicperiods.arith import is_probable_prime
 from cubicperiods.cli import main
 from cubicperiods.eisenstein import ZETA, EisensteinInt, zeta3_residue
 from cubicperiods.gausssums import component_gauss_sums
-from cubicperiods.verdicts import rounding_bound
+from cubicperiods.verdicts import relation
 
 F9 = validate_conductor(9)
 F7 = validate_conductor(7)
@@ -201,6 +203,15 @@ def test_numeric_period_poly_residual_is_the_oracle_residual():
         assert rec.verdicts["oracle_equivalence"] == 0.0
 
 
+def test_period_poly_rejects_a_trace_off_by_one():
+    # the one integrality check of the Gauss-sum cubic and the closed form:
+    # at f = 7 the trace mu*f*M = 7 gives X^3 + X^2 - 2X - 1, and 8 leaves
+    # -(20 + 8)/27 for the constant term
+    assert period_poly(F7, 7) == (1, 1, -2, -1)
+    with pytest.raises(NonIntegralCoefficient):
+        period_poly(F7, 8)
+
+
 def assert_kernels_match_pairs(cond):
     """The integer cubic of every kernel, from the exact cube T of its
     Gaussian sum, against the closed form of every pair: equal as sets, with
@@ -319,16 +330,19 @@ def test_matching_rejects_two_kernels_with_one_cube(monkeypatch, cond):
         match_fields(cond)
 
 
-def assert_integer_identities_match(cond, oracle):
-    """The integer sides of the main identity equal their Fraction
-    formulation, for every pair.  On that formulation alone, what the
-    identity implies for the generators of a wild field holds too: h, the
-    minimal polynomial of alpha, is mu*P(mu*X), and h and the minimal
-    polynomials of +-alpha +- 1 have integer coefficients."""
+def assert_integer_identities_match(cond, oracle, closed_form):
+    """The closed form of every pair is the paper's, and the integer sides
+    of the main identity equal their Fraction formulation.  On that
+    formulation alone, what the identity implies for the generators of a
+    wild field holds too: h, the minimal polynomial of alpha, is
+    mu*P(mu*X), and h and the minimal polynomials of +-alpha +- 1 have
+    integer coefficients."""
     for rep in representations(cond):
         sp = shanks_params(rep)
         expected = oracle(cond, sp)
-        sides = main_identity_sides(sp, period_poly_formula(cond, rep.M))
+        poly = period_poly_formula(cond, rep.M)
+        assert poly == closed_form(cond, rep.M), (cond.value, rep.M)
+        sides = main_identity_sides(sp, poly)
         assert sides == (expected["lhs"], expected["rhs"])
         assert all(type(c) is int for p in sides for c in p), (cond.value, sp)
         assert expected["h"] == expected["mu_p_mu_x"]
@@ -336,17 +350,19 @@ def assert_integer_identities_match(cond, oracle):
         assert all(c.denominator == 1 for p in polys for c in p), (cond.value, sp)
 
 
-def test_integer_identities_equal_the_fraction_oracle(fraction_oracle):
+def test_integer_identities_equal_the_fraction_oracle(
+    fraction_oracle, closed_form_period_poly
+):
     for cond in conductors_up_to(20_000):
-        assert_integer_identities_match(cond, fraction_oracle)
+        assert_integer_identities_match(cond, fraction_oracle, closed_form_period_poly)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(conductors_within_the_budget())
 def test_integer_identities_equal_the_fraction_oracle_on_random_conductors(
-    fraction_oracle, cond
+    fraction_oracle, closed_form_period_poly, cond
 ):
-    assert_integer_identities_match(cond, fraction_oracle)
+    assert_integer_identities_match(cond, fraction_oracle, closed_form_period_poly)
 
 
 def test_real_roots_examples(shanks_poly):
@@ -426,8 +442,7 @@ def test_period_relation_rejects_a_period_moved_by_1e_9():
 def assert_float_headroom(records):
     """Every float residual is at most a quarter of its rounding bound."""
     for rec in records:
-        sp = rec.shanks_params
-        bound = rounding_bound(rec.periods.values(), sp.scale, rec.shanks_roots, sp.offset)
+        _, bound = relation(rec)
         for name in ("period_relation", "generators"):
             if name in rec.verdicts:
                 assert rec.verdicts[name] <= bound / 4, (rec.conductor.value, name)
