@@ -12,18 +12,16 @@ the checks are exact but for the float ones, which compare with a bound
 worked out from their inputs (verdicts.relation).
 
 Every check runs in periods.match_fields; this module parses arguments and
-shapes its records into reports.  The parser is driven by one table,
-COMMANDS, which gives each command its function, its help line and its
-flags.  The parsing here, and the usage line and -h text that the usage
-module lays out, are all derived from it.  The parser takes the forms
-argparse takes: --flag VALUE and --flag=VALUE, a unique prefix of a flag,
-a repeated flag (the last one wins) and negative numbers as values.  Its
-usage, help and error messages are the ones argparse writes when stdout
-is not a terminal.  It does not import argparse, which would load gettext,
-locale and shutil into every cold command, and only -h and bad input
-import the usage module, so a command that parses compiles none of it.
-Likewise the Gaussian-sum route (gausssums) is imported where verify,
-scan or table first runs it, so enumerate compiles none of it.
+shapes its records into reports.  One table, COMMANDS, gives each command
+its function, its help line and its flags, and two parsers read it.  A
+well-formed argv, COMMAND (--flag VALUE | --flag=VALUE)* with whole flag
+names, valid values and every required flag, is read by _parse, a few
+lines that import nothing.  Any other argv (-h, a prefix of a flag, "--",
+a value that starts with '-', or an error) goes to an argparse parser
+built from the same table on first use, so argparse writes every help and
+error message, and a cold command never loads argparse, gettext, locale
+or shutil.  Likewise the Gaussian-sum route (gausssums) is imported where
+verify, scan or table first runs it, so enumerate compiles none of it.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
@@ -230,18 +228,11 @@ def cmd_table(args: SimpleNamespace) -> int:
     return 0
 
 
-PROG = "cubicperiods"
-DESCRIPTION = (
-    "Enumerate and verify Gaussian periods and Shanks cubics for cyclic cubic "
-    "conductors."
-)
-
 # A flag's value is int, the tuple of the strings it accepts, or the
 # metavar of a free string.
 Flag = collections.namedtuple(
     "Flag", "name value required default help", defaults=(False, None, "")
 )
-_HELP = Flag("help", None, help="show this help message and exit")
 _REPORT_FLAGS = (
     Flag("format", (*FORMATS, "markdown"), default="json",
          help="report format (default json; markdown is an alias for md)"),
@@ -269,129 +260,78 @@ COMMANDS = {
 }
 
 
-class _Exit(Exception):
-    """Parsing stopped: -h printed its help (code 0), or the input is bad (2)."""
-
-    def __init__(self, code: int) -> None:
-        self.code = code
-
-
-def _error(command: str | None, message: str) -> _Exit:
-    """Write the usage and message to stderr, as argparse does, and return
-    the exception that ends parsing with exit code 2."""
-    from .usage import usage
-
-    prog = PROG if command is None else f"{PROG} {command}"
-    sys.stderr.write(f"{usage(command)}{prog}: error: {message}\n")
-    return _Exit(2)
-
-
-def _show_help(command: str | None, explicit: str | None) -> _Exit:
-    """-h: write the help of command (the top level when None) to stdout."""
-    if explicit is not None:
-        return _error(command, f"argument -h/--help: ignored explicit argument {explicit!r}")
-    from .usage import help_text
-
-    sys.stdout.write(help_text(command))
-    return _Exit(0)
-
-
-def _is_negative_number(arg: str) -> bool:
-    whole, dot, fraction = arg[1:].partition(".")
-    return (fraction if dot else whole).isdecimal() and (whole == "" or whole.isdecimal())
-
-
-def _classify(arg: str, flags: tuple, command: str | None):
-    """None when arg is a value; else the flag it names (None if unknown)
-    and the value it gives after '=' (None if it gives none).  As in
-    argparse, a unique prefix names a flag, and an argument that starts
-    with '-' is a value only if it is '-' or '--', a negative number, or
-    holds a space."""
-    if not arg.startswith("-") or arg in ("-", "--"):
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The command and flag values of a well-formed argv: a command, then
+    whole flag names, each as --flag=VALUE or as --flag VALUE where VALUE
+    does not start with '-', with every int an int, every choice valid and
+    every required flag given.  None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
         return None
-    if not arg.startswith("--"):
-        if arg.startswith("-h"):
-            return _HELP, arg[2:].removeprefix("=") if len(arg) > 2 else None
-        return None if _is_negative_number(arg) or " " in arg else (None, None)
-    key, eq, value = arg[2:].partition("=")
-    hits = [f for f in flags if f.name == key] or [f for f in flags if f.name.startswith(key)]
-    if len(hits) > 1:
-        matches = ", ".join(f"--{f.name}" for f in hits)
-        raise _error(command, f"ambiguous option: {arg} could match {matches}")
-    if hits:
-        return hits[0], value if eq else None
-    return None if " " in arg else (None, None)
-
-
-def _parse(command: str, args: list[str], extras: list[str]) -> dict:
-    """The flag values of command from args, in the order argparse takes
-    them.  Arguments it does not know go to extras, and so does everything
-    from a "--" on."""
-    if "--" in args:
-        extras += args[args.index("--"):]
-        args = args[:args.index("--")]
-    flags = (_HELP, *COMMANDS[command][2])
-    kinds = [_classify(arg, flags, command) for arg in args]
-    values = {flag.name: flag.default for flag in flags[1:]}
-    i = 0
-    while i < len(args):
-        kind, i = kinds[i], i + 1
-        if kind is None or kind[0] is None:
-            extras.append(args[i - 1])
-            continue
-        flag, value = kind
-        if flag is _HELP:
-            raise _show_help(command, value)
-        name = f"--{flag.name}"
-        if value is None:
-            if i == len(args) or kinds[i] is not None:
-                raise _error(command, f"argument {name}: expected one argument")
-            value, i = args[i], i + 1
+    flags = {f"--{flag.name}": flag for flag in COMMANDS[argv[0]][2]}
+    values = {flag.name: flag.default for flag in flags.values()}
+    args = iter(argv[1:])
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        flag = flags.get(name)
+        if flag is None:
+            return None
+        if not eq:
+            value = next(args, "-")
+            if value.startswith("-"):
+                return None
         if flag.value is int:
             try:
                 value = int(value)
             except ValueError:
-                raise _error(command, f"argument {name}: invalid int value: {value!r}") from None
+                return None
         elif isinstance(flag.value, tuple) and value not in flag.value:
-            choices = ", ".join(map(repr, flag.value))
-            raise _error(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+            return None
         values[flag.name] = value
-    missing = [f"--{flag.name}" for flag in flags if flag.required and values[flag.name] is None]
-    if missing:
-        raise _error(command, f"the following arguments are required: {', '.join(missing)}")
-    return values
+    if any(flag.required and values[flag.name] is None for flag in flags.values()):
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
-def parse_args(argv: list[str]) -> tuple[str, SimpleNamespace]:
-    """The command that argv names and its flags.  Raises _Exit once -h has
-    printed its help, or once the usage and an error have gone to stderr."""
-    extras: list[str] = []
-    for i, arg in enumerate(argv):
-        kind = _classify(arg, (_HELP,), None)
-        if kind is None:
-            break
-        if kind[0] is _HELP:
-            raise _show_help(None, kind[1])
-        extras.append(arg)
-    else:
-        raise _error(None, "the following arguments are required: command")
-    command = argv[i]
-    if command not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        raise _error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    values = _parse(command, argv[i + 1:], extras)
-    if extras:
-        raise _error(None, f"unrecognized arguments: {' '.join(extras)}")
-    return command, SimpleNamespace(**values)
+def _argparser():
+    """The argparse parser of COMMANDS, for every argv that _parse leaves:
+    -h, prefixes, "--", values that start with '-', and all errors.  Its
+    usage and help are laid out for 78 columns, whatever the terminal."""
+    import argparse
+
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
+    parser = argparse.ArgumentParser(
+        prog="cubicperiods",
+        description="Enumerate and verify Gaussian periods and Shanks cubics "
+        "for cyclic cubic conductors.",
+        formatter_class=formatter,
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text, flags) in COMMANDS.items():
+        sub = commands.add_parser(command, help=text, formatter_class=formatter)
+        for flag in flags:
+            if flag.value is int:
+                kind = {"type": int}
+            elif isinstance(flag.value, tuple):
+                kind = {"choices": flag.value}
+            else:
+                kind = {"metavar": flag.value}
+            sub.add_argument(
+                f"--{flag.name}", required=flag.required, default=flag.default,
+                help=flag.help, **kind,
+            )
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _argparser().parse_args(argv)
+        except SystemExit as exc:  # -h printed its help, or an error went to stderr
+            return exc.code
     try:
-        command, args = parse_args(sys.argv[1:] if argv is None else argv)
-    except _Exit as exc:
-        return exc.code
-    try:
-        return COMMANDS[command][0](args)
+        return COMMANDS[args.command][0](args)
     except (InvalidConductor, BudgetExceeded, _Unwritable) as exc:
         _diag(f"error: {exc}")
         return 2

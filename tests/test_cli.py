@@ -8,6 +8,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicperiods import (
     MR_BOUND,
@@ -16,6 +18,8 @@ from cubicperiods import (
 )
 from cubicperiods import cubicpoly, curve, gausssums, periods, quadform
 from cubicperiods.gausssums import POINT_COUNT_BUDGET
+from cubicperiods import cli
+from cubicperiods.arith import KINDS
 from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
 
@@ -484,12 +488,11 @@ def test_cold_enumerate_allocates_under_a_megabyte(tmp_path):
 # imports fractions (which imports decimal), as every cubic holds ints;
 # csv, cmath and heapq (which only scan's conductors_up_to merges with)
 # are imported only where used; --out is written with
-# open(), not pathlib; the arguments are parsed without argparse, which
-# imports gettext (and so locale) for its messages and shutil for the
-# terminal width, and the usage and help text is laid out only for -h or
-# bad input
+# open(), not pathlib; a well-formed argv is parsed without argparse,
+# which imports gettext (and so locale) for its messages and shutil for
+# the terminal width, and which only -h and other argvs load
 UNUSED_ON_THE_COLD_PATH = (
-    "argparse", "cmath", "csv", "cubicperiods.usage", "dataclasses", "decimal",
+    "argparse", "cmath", "csv", "dataclasses", "decimal",
     "fractions", "gettext", "heapq", "inspect", "json", "locale", "pathlib", "shutil",
 )
 
@@ -512,6 +515,27 @@ def test_cold_command_leaves_unused_modules_unloaded(tmp_path, argv):
         from cubicperiods.cli import main
         code = main({argv!r} + ["--out", {str(tmp_path / "r.out")!r}])
         print(code, *sorted(set({UNUSED_ON_THE_COLD_PATH!r}) & set(sys.modules)))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def test_cold_scan_parses_without_argparse(tmp_path):
+    # scan, in the shape of the benchmark's scan ops, takes the strict
+    # parser too
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["scan", "--min", "1", "--max", "30", "--kind", "wild", "--format", "csv"]
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        from cubicperiods.cli import main
+        code = main({argv!r} + ["--out", {str(tmp_path / "r.csv")!r}])
+        print(code, *sorted({{"argparse", "gettext", "locale", "shutil"}} & set(sys.modules)))
         """
     )
     proc = subprocess.run(
@@ -690,6 +714,31 @@ HELP_TEXTS = {
         "                        md)\n"
         "  --out PATH            write the report to a file (- for stdout)\n",
     ),
+    "enumerate": (
+        ["enumerate", "-h"],
+        "usage: cubicperiods enumerate [-h] --conductor CONDUCTOR\n"
+        "                              [--format {json,csv,md,markdown}] [--out PATH]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --conductor CONDUCTOR\n"
+        "                        a conductor f: distinct primes = 1 mod 3, times 1 or 9\n"
+        "  --format {json,csv,md,markdown}\n"
+        "                        report format (default json; markdown is an alias for\n"
+        "                        md)\n"
+        "  --out PATH            write the report to a file (- for stdout)\n",
+    ),
+    "table": (
+        ["table", "-h"],
+        "usage: cubicperiods table [-h] [--format {json,csv,md,markdown}] [--out PATH]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {json,csv,md,markdown}\n"
+        "                        report format (default json; markdown is an alias for\n"
+        "                        md)\n"
+        "  --out PATH            write the report to a file (- for stdout)\n",
+    ),
 }
 
 
@@ -700,3 +749,72 @@ def test_help_text_keeps_its_layout(capsys, monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "40")
     argv, text = HELP_TEXTS[name]
     assert run(capsys, argv) == (0, text, "")
+
+
+TOP_USAGE = "usage: cubicperiods [-h] {enumerate,verify,scan,table} ...\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["--"], "cubicperiods: error: the following arguments are required: command\n"),
+        (
+            ["verify", "--conductor", "7", "9", "--", "--max"],
+            "cubicperiods: error: unrecognized arguments: 9 -- --max\n",
+        ),
+    ],
+    ids=["alone", "after-a-command"],
+)
+def test_double_dash_errors_as_argparse_does(capsys, argv, err):
+    assert run(capsys, argv) == (2, "", TOP_USAGE + err)
+
+
+_FLAG_NAMES = sorted({f"--{flag.name}" for _, _, flags in cli.COMMANDS.values() for flag in flags})
+_WORDS = st.one_of(
+    st.sampled_from(
+        [*cli.COMMANDS, "-", "--", "-h", "--help", "", "x", "a=b", "r.out",
+         *report_mod.FORMATS, "markdown", "xml", *KINDS, "odd"]
+    ),
+    st.integers(-10**6, 10**6).map(str),
+)
+
+
+def _value(flag):
+    if flag.value is int:
+        return st.integers(-10**6, 10**6).map(str)
+    if isinstance(flag.value, tuple):
+        return st.sampled_from(flag.value)
+    return st.sampled_from(["r.out", "-", "", "a=b"])
+
+
+@st.composite
+def _argvs(draw):
+    """A command and its flags, as --flag VALUE or --flag=VALUE, most
+    of them whole, with valid values and every required flag, but now and
+    then a prefix, a value that is any word, a required flag left out or
+    a word put in anywhere: a prefix of a flag, -h, "--" or any other."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = cli.COMMANDS[command][2]
+    required = [flag for flag in flags if flag.required and draw(st.integers(0, 9))]
+    argv = [command]
+    more = draw(st.lists(st.sampled_from(flags), max_size=4))
+    for flag in draw(st.permutations(required + more)):
+        whole = f"--{flag.name}"
+        name = draw(st.sampled_from([whole] * 4 + [whole[:3], whole[:4]]))
+        value = draw(st.one_of(*[_value(flag)] * 4, _WORDS))
+        argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+    words = st.one_of(_WORDS, st.sampled_from(_FLAG_NAMES).map(lambda name: name[:4]))
+    for word, at in draw(st.lists(st.tuples(words, st.floats(0, 1)), max_size=2)):
+        argv.insert(round(at * len(argv)), word)
+    return argv
+
+
+_PARSER = cli._argparser()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_argvs())
+def test_strict_parser_agrees_with_argparse(argv):
+    strict = cli._parse(argv)
+    if strict is not None:
+        assert vars(strict) == vars(_PARSER.parse_args(argv))
