@@ -11,9 +11,10 @@ an alias for md) and --out PATH (- for stdout).  No flag sets a tolerance:
 the checks are exact but for the float ones, which compare with a bound
 worked out from their inputs (verdicts.relation).
 
-Every check runs in periods.match_fields; this module parses arguments and
-shapes its records into reports.  One table, COMMANDS, gives each command
-its function, its help line and its flags, and two parsers read it.  A
+Every check runs in periods.match_fields, and report builds every report
+from its records; this module parses arguments, runs the commands and
+writes their reports.  One table, COMMANDS, gives each command its
+function, its help line and its flags, and two parsers read it.  A
 well-formed argv, COMMAND (--flag VALUE | --flag=VALUE)* with whole flag
 names, valid values and every required flag, is read by _parse, a few
 lines that import nothing.  Any other argv (-h, a prefix of a flag, "--",
@@ -40,19 +41,20 @@ import sys
 from types import SimpleNamespace
 
 from .arith import KINDS, Conductor, conductors_up_to, validate_conductor
-from .cubicpoly import cleared_shanks_poly, period_poly_formula
-from .eisenstein import chi9_gauss_sum_report
+from .cubicpoly import period_poly_formula
 from .errors import BudgetExceeded, InvalidConductor, VerificationError
-from .periods import FieldRecord, match_fields
+from .periods import match_fields
 from .quadform import representations, shanks_params
 from .report import (
     FORMATS,
     GOLDEN_TABLE_ROWS,
     TABLE_CONDUCTOR,
-    format_poly,
-    format_rational,
-    format_relation,
+    conductor_report,
+    field_entry,
+    pair_entry,
     render_report,
+    scan_summary,
+    table_report,
 )
 
 
@@ -86,67 +88,20 @@ def _emit(report: dict, args: SimpleNamespace) -> None:
         ) from exc
 
 
-def _enumerate_entry(r, sp, poly) -> dict:
-    return {
-        "M": r.M,
-        "N": r.N,
-        "n1": sp.n1,
-        "n2": sp.n2,
-        "shanks": [format_rational(c, sp.n2) for c in cleared_shanks_poly(sp)],
-        "period_poly": list(poly),
-    }
-
-
-def _field_entry(rec: FieldRecord) -> dict:
-    entry = _enumerate_entry(rec.representation, rec.shanks_params, rec.period_poly)
-    entry["periods"] = list(rec.periods.values())
-    entry["verdicts"] = dict.fromkeys(rec.verdicts, True)
-    entry["residual"] = rec.max_residual()
-    return entry
-
-
-@functools.cache
-def _chi9_note() -> str:
-    """The note on the Gaussian sums mod 9 of a wild report: a fact about
-    the two characters mod 9, the same for every conductor."""
-    gs = [chi9_gauss_sum_report(sign) for sign in (1, -1)]
-    return (
-        "gauss sum mod 9 vs 27*zeta3^(+-1): tau matches = "
-        f"{all(g['tau_matches'] for g in gs)}, tau^3 matches = "
-        f"{all(g['tau_cubed_matches'] for g in gs)}"
-    )
-
-
-def _conductor_report(f: Conductor, entries: list[dict], verified: bool) -> dict:
-    """The report of one conductor with one entry per field, and its notes:
-    on nu = 0, then, for a verified wild conductor, on the sums mod 9."""
-    report = {"conductor": f.value, "kind": f.kind, "fields": entries}
-    notes = []
-    if f.is_wild and f.nu == 0:
-        notes.append(
-            "nu = 0: the conductor is 9 itself, with no odd prime factors"
-        )
-    if f.is_wild and verified:
-        notes.append(_chi9_note())
-    if notes:
-        report["notes"] = notes
-    return report
-
-
 def verify_report(f: Conductor) -> dict:
     """Full verification of one conductor (match_fields), as a report dict.
 
     Raises a VerificationError subclass as soon as any check fails.
     """
-    entries = [_field_entry(rec) for rec in match_fields(f)]
-    return _conductor_report(f, entries, verified=True)
+    return conductor_report(f, [field_entry(rec) for rec in match_fields(f)], verified=True)
 
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
     f = validate_conductor(args.conductor)
-    reps = representations(f)
-    entries = [_enumerate_entry(r, shanks_params(r), period_poly_formula(f, r.M)) for r in reps]
-    _emit(_conductor_report(f, entries, verified=False), args)
+    entries = [
+        pair_entry(r, shanks_params(r), period_poly_formula(f, r.M)) for r in representations(f)
+    ]
+    _emit(conductor_report(f, entries, verified=False), args)
     return 0
 
 
@@ -175,16 +130,7 @@ def cmd_scan(args: SimpleNamespace) -> int:
             return 1
         total_fields += len(records)
         worst = max(worst, *(rec.max_residual() for rec in records))
-    summary = {
-        "min": args.min,
-        "max": args.max,
-        "kind": args.kind or "all",
-        "conductors": len(conductors),
-        "total_fields": total_fields,
-        "worst_residual": worst,
-        "all_pass": True,
-    }
-    _emit(summary, args)
+    _emit(scan_summary(args.min, args.max, args.kind, len(conductors), total_fields, worst), args)
     _diag(
         _style(
             f"scan [{args.min}, {args.max}]: {len(conductors)} conductors, "
@@ -195,28 +141,10 @@ def cmd_scan(args: SimpleNamespace) -> int:
     return 0
 
 
-def table_rows() -> list[dict]:
-    """Compute the reference-table rows for conductor 819 from scratch."""
-    f = validate_conductor(TABLE_CONDUCTOR)
-    records = sorted(match_fields(f), key=lambda rec: rec.shanks_params.n2)
-    rows = []
-    for rec in records:
-        sp = rec.shanks_params
-        rows.append(
-            {
-                "pair": f"({sp.n1}, {sp.n2})",
-                "eta_relation": format_relation(sp.scale, sp.offset),
-                "shanks": format_poly(cleared_shanks_poly(sp), sp.n2),
-                "period_poly": format_poly(rec.period_poly),
-            }
-        )
-    return rows
-
-
 def cmd_table(args: SimpleNamespace) -> int:
-    rows = table_rows()
-    _emit({"conductor": TABLE_CONDUCTOR, "rows": rows}, args)
-    golden = [dict(row) for row in GOLDEN_TABLE_ROWS]
+    report = table_report(match_fields(validate_conductor(TABLE_CONDUCTOR)))
+    _emit(report, args)
+    rows, golden = report["rows"], list(GOLDEN_TABLE_ROWS)
     if rows != golden:
         for computed, expected in zip(rows, golden):
             if computed != expected:

@@ -1,5 +1,12 @@
-"""Report rendering (JSON, CSV, markdown) and the built-in reference table
-for conductor 819.
+"""Reports: every report's shape, built from the records of a command and
+rendered as JSON, CSV or markdown, and the reference table for conductor 819.
+
+Each kind of report lists its columns once, and its builder and both its
+tables read the list: an enumerate entry per pair has _PAIR_COLUMNS, a
+verify entry per field adds its periods, checks and worst residual in
+_FIELD_COLUMNS, and a table row of 819 has _TABLE_COLUMNS, which also give
+the markdown headers and lay out GOLDEN_TABLE_ROWS.  A scan report is one
+summary.  render_report picks the layout from the report's keys.
 
 JSON is written here, not by the json package: render_json lays out the
 indent=2 form itself and quotes strings with the C encode_basestring_ascii
@@ -14,10 +21,18 @@ markdown report loads neither.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
+from typing import TYPE_CHECKING
 
-from .cubicpoly import RationalCubic
+from .cubicpoly import RationalCubic, cleared_shanks_poly
+from .eisenstein import chi9_gauss_sum_report
+
+if TYPE_CHECKING:
+    from .arith import Conductor
+    from .periods import FieldRecord
+    from .quadform import Representation, ShanksParams
 
 # The names of the report formats: JSON, CSV and markdown.
 FORMATS = ("json", "csv", "md")
@@ -65,48 +80,95 @@ def format_relation(scale: int, offset: int) -> str:
     return f"{head} {sign} {abs(offset)}"
 
 
+_PAIR_COLUMNS = ("M", "N", "n1", "n2", "shanks", "period_poly")
+_FIELD_COLUMNS = (*_PAIR_COLUMNS, "periods", "verdicts", "residual")
+# Each table column's key and its markdown header.
+_TABLE_COLUMNS = {
+    "pair": "(n1, n2)",
+    "eta_relation": "eta relation",
+    "shanks": "shanks cubic",
+    "period_poly": "period polynomial",
+}
+
 # Reference data for conductor 819 = 9 * 7 * 13: the four pairs, the linear
 # relation between each period triple and the roots of the matching cubic,
 # the cubic itself, and the period polynomial.  Rows are ordered by n2.
 TABLE_CONDUCTOR = 819
-GOLDEN_TABLE_ROWS = (
-    {
-        "pair": "(-30, 1)",
-        "eta_relation": "rho + 10",
-        "shanks": "X^3 + 30*X^2 + 27*X - 1",
-        "period_poly": "X^3 - 273*X + 1729",
-    },
-    {
-        "pair": "(18, 5)",
-        "eta_relation": "5*rho - 6",
-        "shanks": "X^3 - 18/5*X^2 - 33/5*X - 1",
-        "period_poly": "X^3 - 273*X - 1547",
-    },
-    {
-        "pair": "(-3, 10)",
-        "eta_relation": "10*rho + 1",
-        "shanks": "X^3 + 3/10*X^2 - 27/10*X - 1",
-        "period_poly": "X^3 - 273*X - 728",
-    },
-    {
-        "pair": "(-18, 11)",
-        "eta_relation": "11*rho + 6",
-        "shanks": "X^3 + 18/11*X^2 - 15/11*X - 1",
-        "period_poly": "X^3 - 273*X + 91",
-    },
+GOLDEN_TABLE_ROWS = tuple(
+    dict(zip(_TABLE_COLUMNS, row))
+    for row in (
+        ("(-30, 1)", "rho + 10", "X^3 + 30*X^2 + 27*X - 1", "X^3 - 273*X + 1729"),
+        ("(18, 5)", "5*rho - 6", "X^3 - 18/5*X^2 - 33/5*X - 1", "X^3 - 273*X - 1547"),
+        ("(-3, 10)", "10*rho + 1", "X^3 + 3/10*X^2 - 27/10*X - 1", "X^3 - 273*X - 728"),
+        ("(-18, 11)", "11*rho + 6", "X^3 + 18/11*X^2 - 15/11*X - 1", "X^3 - 273*X + 91"),
+    )
 )
 
-_FIELD_COLUMNS = (
-    "M",
-    "N",
-    "n1",
-    "n2",
-    "shanks",
-    "period_poly",
-    "periods",
-    "verdicts",
-    "residual",
-)
+
+def pair_entry(r: Representation, sp: ShanksParams, poly: RationalCubic) -> dict:
+    """The enumerate entry of pair r, with its parameters sp and its period
+    polynomial poly."""
+    shanks = [format_rational(c, sp.n2) for c in cleared_shanks_poly(sp)]
+    return dict(zip(_PAIR_COLUMNS, (r.M, r.N, sp.n1, sp.n2, shanks, list(poly))))
+
+
+def field_entry(rec: FieldRecord) -> dict:
+    """The verify entry of one field: its pair's entry, then its periods,
+    the checks it passed and the worst residual among them."""
+    entry = pair_entry(rec.representation, rec.shanks_params, rec.period_poly)
+    checks = (list(rec.periods.values()), dict.fromkeys(rec.verdicts, True), rec.max_residual())
+    entry.update(zip(_FIELD_COLUMNS[len(_PAIR_COLUMNS):], checks))
+    return entry
+
+
+@functools.cache
+def _chi9_note() -> str:
+    """The note on the Gaussian sums mod 9 of a wild report: a fact about
+    the two characters mod 9, the same for every conductor."""
+    gs = [chi9_gauss_sum_report(sign) for sign in (1, -1)]
+    return (
+        "gauss sum mod 9 vs 27*zeta3^(+-1): tau matches = "
+        f"{all(g['tau_matches'] for g in gs)}, tau^3 matches = "
+        f"{all(g['tau_cubed_matches'] for g in gs)}"
+    )
+
+
+def conductor_report(f: Conductor, entries: list[dict], verified: bool) -> dict:
+    """The report of one conductor with one entry per field, and its notes:
+    on nu = 0, then, for a verified wild conductor, on the sums mod 9."""
+    report = {"conductor": f.value, "kind": f.kind, "fields": entries}
+    notes = []
+    if f.is_wild and f.nu == 0:
+        notes.append("nu = 0: the conductor is 9 itself, with no odd prime factors")
+    if f.is_wild and verified:
+        notes.append(_chi9_note())
+    if notes:
+        report["notes"] = notes
+    return report
+
+
+def table_report(records: list[FieldRecord]) -> dict:
+    """The reference table of the fields of conductor 819, in order of n2."""
+    rows = []
+    for rec in sorted(records, key=lambda rec: rec.shanks_params.n2):
+        sp = rec.shanks_params
+        values = (
+            f"({sp.n1}, {sp.n2})",
+            format_relation(sp.scale, sp.offset),
+            format_poly(cleared_shanks_poly(sp), sp.n2),
+            format_poly(rec.period_poly),
+        )
+        rows.append(dict(zip(_TABLE_COLUMNS, values)))
+    return {"conductor": TABLE_CONDUCTOR, "rows": rows}
+
+
+def scan_summary(
+    lo: int, hi: int, kind: str | None, conductors: int, fields: int, worst: float
+) -> dict:
+    """The report of a scan of [lo, hi] (kind None for both kinds) whose
+    conductors all passed."""
+    return {"min": lo, "max": hi, "kind": kind or "all", "conductors": conductors,
+            "total_fields": fields, "worst_residual": worst, "all_pass": True}
 
 
 def _json_float(x: float) -> str:
@@ -192,6 +254,15 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
+def _md_table(headers, rows) -> list[str]:
+    """The lines of a markdown table of rows of strings under headers."""
+    return [
+        "| " + " | ".join(headers) + " |",
+        "|" + "|".join(" --- " for _ in headers) + "|",
+        *("| " + " | ".join(row) + " |" for row in rows),
+    ]
+
+
 def _render_fields_csv(report: dict) -> str:
     return _csv(
         [("conductor", "kind") + _FIELD_COLUMNS]
@@ -210,32 +281,20 @@ def _render_fields_markdown(report: dict) -> str:
     if report.get("notes"):
         lines.append("")
     cols = [c for c in _FIELD_COLUMNS if any(c in e for e in report["fields"])]
-    lines.append("| " + " | ".join(cols) + " |")
-    lines.append("|" + "|".join(" --- " for _ in cols) + "|")
-    for entry in report["fields"]:
-        lines.append(
-            "| " + " | ".join(_flatten(entry[c]) if c in entry else "" for c in cols) + " |"
-        )
-    return "\n".join(lines) + "\n"
+    rows = ([_flatten(e[c]) if c in e else "" for c in cols] for e in report["fields"])
+    return "\n".join(lines + _md_table(cols, rows)) + "\n"
 
 
 def _render_table_csv(report: dict) -> str:
-    cols = ("pair", "eta_relation", "shanks", "period_poly")
     return _csv(
-        [("conductor",) + cols]
-        + [[report["conductor"]] + [row[c] for c in cols] for row in report["rows"]]
+        [("conductor", *_TABLE_COLUMNS)]
+        + [[report["conductor"]] + [row[c] for c in _TABLE_COLUMNS] for row in report["rows"]]
     )
 
 
 def _render_table_markdown(report: dict) -> str:
-    lines = [f"# conductor {report['conductor']}", ""]
-    lines.append("| (n1, n2) | eta relation | shanks cubic | period polynomial |")
-    lines.append("| --- | --- | --- | --- |")
-    for row in report["rows"]:
-        lines.append(
-            f"| {row['pair']} | {row['eta_relation']} | {row['shanks']} "
-            f"| {row['period_poly']} |"
-        )
+    rows = ([row[c] for c in _TABLE_COLUMNS] for row in report["rows"])
+    lines = [f"# conductor {report['conductor']}", "", *_md_table(_TABLE_COLUMNS.values(), rows)]
     return "\n".join(lines) + "\n"
 
 

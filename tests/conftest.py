@@ -27,6 +27,7 @@ from cubicperiods.eisenstein import (
     ZETA_SQ,
     EisensteinInt,
     primary_associate,
+    zeta3_residue,
 )
 
 BOUND = 10_000
@@ -37,6 +38,42 @@ def euler_phi(fac) -> int:
     for p, e in fac:
         phi *= (p - 1) * p ** (e - 1)
     return phi
+
+
+def sieve_moebius(limit: int) -> list[int]:
+    """Independent linear-sieve oracle for the Moebius function."""
+    mu = [1] * (limit + 1)
+    mu[0] = 0
+    spf = [0] * (limit + 1)
+    primes: list[int] = []
+    for i in range(2, limit + 1):
+        if spf[i] == 0:
+            spf[i] = i
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            if p > spf[i] or i * p > limit:
+                break
+            spf[i * p] = p
+            mu[i * p] = 0 if i % p == 0 else -mu[i]
+    return mu
+
+
+@pytest.fixture(scope="session", name="sieve_moebius")
+def sieve_moebius_fixture():
+    """sieve_moebius(limit): the Moebius values of 0..limit by a linear sieve."""
+    return sieve_moebius
+
+
+def omegas(cond) -> tuple[int, ...]:
+    """zeta3_residue(p) for each odd prime p of the conductor, in order."""
+    return tuple(zeta3_residue(p) for p in cond.odd_primes)
+
+
+@pytest.fixture(scope="session", name="omegas")
+def omegas_fixture():
+    """omegas(cond): zeta3_residue of each odd prime of the conductor."""
+    return omegas
 
 
 @dataclass(frozen=True)

@@ -163,23 +163,10 @@ def test_criterion_8_group_ring_suite(all_records_10k, group_ring, shanks_poly):
         assert checked > 0
 
 
-def test_criterion_9a_moebius_sieve():
+def test_criterion_9a_moebius_sieve(sieve_moebius):
     with criterion(9, "Moebius agrees with an independent sieve up to 10^6"):
         limit = 1_000_000
-        mu = [1] * (limit + 1)
-        mu[0] = 0
-        spf = [0] * (limit + 1)
-        primes = []
-        for i in range(2, limit + 1):
-            if spf[i] == 0:
-                spf[i] = i
-                primes.append(i)
-                mu[i] = -1
-            for p in primes:
-                if p > spf[i] or i * p > limit:
-                    break
-                spf[i * p] = p
-                mu[i * p] = 0 if i % p == 0 else -mu[i]
+        mu = sieve_moebius(limit)
         for m in range(1, limit + 1):
             assert moebius(m) == mu[m], m
 

@@ -16,25 +16,6 @@ from cubicperiods import (
 from cubicperiods.arith import _MR_WITNESSES, _TRIAL_BOUND, is_probable_prime
 
 
-def sieve_moebius(limit: int) -> list[int]:
-    """Independent linear-sieve oracle for the Moebius function."""
-    mu = [1] * (limit + 1)
-    mu[0] = 0
-    spf = [0] * (limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if p > spf[i] or i * p > limit:
-                break
-            spf[i * p] = p
-            mu[i * p] = 0 if i % p == 0 else -mu[i]
-    return mu
-
-
 def test_factorize_examples():
     assert factorize(1) == ()
     assert factorize(819) == ((3, 2), (7, 1), (13, 1))
@@ -217,7 +198,7 @@ def test_moebius_examples(m, expected):
     assert moebius(m) == expected
 
 
-def test_moebius_agrees_with_sieve():
+def test_moebius_agrees_with_sieve(sieve_moebius):
     limit = 20_000
     mu = sieve_moebius(limit)
     for m in range(1, limit + 1):

@@ -588,6 +588,57 @@ def test_markdown_alias(capsys):
     assert out == out_md
 
 
+# Layouts that no golden file pins: an enumerate CSV leaves the three
+# columns of a verified field empty, a verify report of 9 has two notes,
+# and a markdown scan summary is a list.
+LAYOUTS = {
+    "enumerate-819.csv": (
+        ["enumerate", "--conductor", "819", "--format", "csv"],
+        "conductor,kind,M,N,n1,n2,shanks,period_poly,periods,verdicts,residual\n"
+        "819,wild,51,5,18,5,1 -18/5 -33/5 -1,1 0 -273 -1547,,,\n"
+        "819,wild,24,10,-3,10,1 3/10 -27/10 -1,1 0 -273 -728,,,\n"
+        "819,wild,-3,11,-18,11,1 18/11 -15/11 -1,1 0 -273 91,,,\n"
+        "819,wild,-57,1,-30,1,1 30 27 -1,1 0 -273 1729,,,\n",
+        "",
+    ),
+    "verify-9.md": (
+        ["verify", "--conductor", "9", "--format", "md"],
+        "# conductor 9 (wild)\n"
+        "\n"
+        "note: nu = 0: the conductor is 9 itself, with no odd prime factors\n"
+        "note: gauss sum mod 9 vs 27*zeta3^(+-1): tau matches = False, tau^3 matches = True\n"
+        "\n"
+        "| M | N | n1 | n2 | shanks | period_poly | periods | verdicts | residual |\n"
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
+        "| -3 | 1 | -3 | 1 | 1 3 0 -1 | 1 0 -3 1 "
+        "| 1.532088886237956 0.34729635533386083 -1.879385241571817 "
+        "| oracle_equivalence=pass;main_identity=pass;period_relation=pass;"
+        "sign_congruences=pass;generators=pass;kernel_character=pass "
+        "| 2.220446049250313e-16 |\n",
+        "conductor 9: all checks passed\n",
+    ),
+    "scan-1-300.md": (
+        ["scan", "--min", "1", "--max", "300", "--format", "md"],
+        "# scan summary\n"
+        "\n"
+        "- min: 1\n"
+        "- max: 300\n"
+        "- kind: all\n"
+        "- conductors: 38\n"
+        "- total_fields: 47\n"
+        "- worst_residual: 6.217248937900877e-15\n"
+        "- all_pass: True\n",
+        "scan [1, 300]: 38 conductors, 47 fields, worst residual 6.217e-15\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_report_layout_keeps_its_bytes(capsys, name):
+    argv, out, err = LAYOUTS[name]
+    assert run(capsys, argv) == (0, out, err)
+
+
 @pytest.mark.parametrize(
     "argv,usage",
     [

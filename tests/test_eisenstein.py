@@ -166,11 +166,6 @@ F7 = validate_conductor(7)
 F9 = validate_conductor(9)
 
 
-def omegas(cond) -> tuple[int, ...]:
-    """zeta3_residue(p) for each odd prime p of the conductor, in order."""
-    return tuple(zeta3_residue(p) for p in cond.odd_primes)
-
-
 def level_sets(chi: dict[int, int]) -> tuple[frozenset[int], ...]:
     """The units where chi takes the exponents 0, 1 and 2."""
     return tuple(frozenset(a for a, e in chi.items() if e == j) for j in range(3))
@@ -260,7 +255,7 @@ def z9_product(x, y) -> tuple[int, ...]:
     return tuple(cyclic[:6])
 
 
-def test_character_for_representation_nine(character_values, residue_sets, factor_rhs):
+def test_character_for_representation_nine(character_values, residue_sets, factor_rhs, omegas):
     r = representations(F9)[0]
     vector = character_for_representation(r, omegas(F9))
     assert len(vector) == 1 and residue_sets(F9, vector)[0] == frozenset({1, 8})
@@ -268,7 +263,7 @@ def test_character_for_representation_nine(character_values, residue_sets, facto
 
 
 def test_character_kernels_have_index_three(
-    character_values, residue_sets, unit_group, factor_rhs
+    character_values, residue_sets, unit_group, factor_rhs, omegas
 ):
     for f in (9, 63, 819):
         cond = validate_conductor(f)
@@ -295,7 +290,7 @@ def test_character_kernels_have_index_three(
 
 
 def test_characters_of_all_wild_conductors(
-    wild_records_10k, character_values, residue_sets, unit_group, factor_rhs
+    wild_records_10k, character_values, residue_sets, unit_group, factor_rhs, omegas
 ):
     for rec in wild_records_10k:
         cond = rec.conductor
@@ -317,7 +312,7 @@ def _smallest_generator(p: int) -> int:
     return next(g for g in range(2, p) if len({pow(g, j, p) for j in range(p - 1)}) == p - 1)
 
 
-def test_prime_components_are_powers_at_the_generator(wild_records_10k, factor_rhs):
+def test_prime_components_are_powers_at_the_generator(wild_records_10k, factor_rhs, omegas):
     # a^((p-1)/3) = omega^(e*j) mod p at every a = g^j: the definition of
     # chi_p agrees with the exponent e held for p, at every residue
     for rec in wild_records_10k:

@@ -36,7 +36,7 @@ from cubicperiods import eisenstein
 from cubicperiods import periods as periods_module
 from cubicperiods.arith import is_probable_prime
 from cubicperiods.cli import main
-from cubicperiods.eisenstein import ZETA, EisensteinInt, zeta3_residue
+from cubicperiods.eisenstein import ZETA, EisensteinInt
 from cubicperiods.gausssums import component_gauss_sums
 from cubicperiods.verdicts import relation
 
@@ -524,12 +524,7 @@ def test_coset_relabeling_leaves_multiset_invariant(residue_sets):
                 assert sums == pytest.approx(list(pt.values()), abs=1e-9)
 
 
-def omegas(cond) -> tuple[int, ...]:
-    """zeta3_residue(p) for each odd prime p of the conductor, in order."""
-    return tuple(zeta3_residue(p) for p in cond.odd_primes)
-
-
-def test_kernel_character_cross_check_wild(wild_records_10k):
+def test_kernel_character_cross_check_wild(wild_records_10k, omegas):
     assert len(wild_records_10k) > 0
     for rec in wild_records_10k:
         cond = rec.conductor
@@ -537,7 +532,7 @@ def test_kernel_character_cross_check_wild(wild_records_10k):
         assert verify_kernel_character(rec.representation, cubes, omegas(cond)) == rec.periods
 
 
-def test_kernel_character_rejects_another_kernel(monkeypatch):
+def test_kernel_character_rejects_another_kernel(monkeypatch, omegas):
     records = match_fields(F819)
     cubes = component_gauss_sums(F819)
     for rec in records:
