@@ -306,8 +306,9 @@ def conductors_up_to(
     raises ValueError.
 
     A product of primes = 1 mod 3 is 1 mod 6, so a tame conductor is 1 mod
-    6 and a wild one 9 mod 54; only those candidates are validated.  A bound
-    at or above MR_BOUND raises InvalidConductor, as validate_conductor does.
+    6 and a wild one 9 mod 54; only those candidates are validated, from
+    max(start, 1).  A bound at or above MR_BOUND raises InvalidConductor, as
+    validate_conductor does.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -317,6 +318,7 @@ def conductors_up_to(
     # Imported here, as only scan lists conductors.
     import heapq
 
+    start = max(start, 1)
     classes = KINDS.values() if kind is None else [KINDS[kind]]
     candidates = heapq.merge(
         *(range(start + (r - start) % m, bound + 1, m) for r, m in classes)

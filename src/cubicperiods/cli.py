@@ -9,7 +9,7 @@ Subcommands:
 Common flags: --format {json,csv,md,markdown} (default json; markdown is
 an alias for md) and --out PATH (- for stdout).  No flag sets a tolerance:
 the checks are exact but for the float ones, which compare with a bound
-worked out from their inputs (verdicts.relation).
+worked out from their inputs (periods.relation).
 
 Every check runs in periods.match_fields, and report builds every report
 from its records; this module parses arguments, runs the commands and

@@ -149,8 +149,11 @@ def prime_element(p: int) -> EisensteinInt:
     of -3 mod p.  Cornacchia's algorithm (Euclid on p and r, stopped below
     sqrt(p)) then gives p = x^2 + 3y^2, and x + y*sqrt(-3) =
     (x + y) + 2y*zeta3 has norm p.  This is gcd(p, omega - zeta3) worked
-    out in integers: which of pi and conj(pi) comes out is left open.
+    out in integers: which of pi and conj(pi) comes out is left open.  A p
+    below 7 or not 1 mod 6 raises ValueError.
     """
+    if p < 7 or p % 6 != 1:
+        raise ValueError(f"{p} is not a prime = 1 mod 3")
     k = (p - 1) // 3
     a = 2
     while (omega := pow(a, k, p)) == 1:

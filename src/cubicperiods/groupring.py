@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import GeneratorFailure
-from .verdicts import relation
 
 if TYPE_CHECKING:
     from .periods import FieldRecord
@@ -26,16 +25,16 @@ if TYPE_CHECKING:
 def verify_generators(rec: "FieldRecord") -> float:
     """Checks on the twelve ring-of-integers generators of a wild field.
 
-    (a) the values scale*rho + offset of the pair's relation (quadform.
-        shanks_params) are mu*alpha for alpha = n2*rho + shift and mu = +-1,
-        and sum to zero, as alpha has trace zero;
+    (a) the values scale*rho + offset of rec.relation (the pair's relation,
+        quadform.shanks_params) are mu*alpha for alpha = n2*rho + shift and
+        mu = +-1, and sum to zero, as alpha has trace zero;
     (b) each period plus one coincides with one of +-(scale*rho + offset) +- 1,
         the twelve numbers +-alpha^(i) +- 1.
 
-    Both are corollaries of the exact checks, held to the rounding bound:
-    (a) is the X^2 coefficient of h below, 0, and (b) is the period relation
-    eta_j + 1 = mu*alpha_j + 1.  The residual is the larger of the two
-    deviations.
+    Both are corollaries of the exact checks, held to the rounding bound of
+    rec.relation: (a) is the X^2 coefficient of h below, 0, and (b) is the
+    period relation eta_j + 1 = mu*alpha_j + 1.  The residual is the larger
+    of the two deviations.
 
     That the candidates are algebraic integers is the main identity: the
     minimal polynomial of alpha is h(Y) = n2^3*f_n((Y - shift)/n2), so the
@@ -46,7 +45,7 @@ def verify_generators(rec: "FieldRecord") -> float:
     f = rec.conductor
     if not f.is_wild:
         raise ValueError("generator checks apply to wild records")
-    mapped, bound = relation(rec)
+    mapped, bound = rec.relation
 
     # left to right, as sum() did before Python 3.12 made it compensated
     trace = abs(mapped[0] + mapped[1] + mapped[2])

@@ -66,7 +66,6 @@ from .errors import (
 )
 from .groupring import verify_generators
 from .quadform import Representation, ShanksParams, representations, shanks_params
-from .verdicts import _ROOT_ROUNDOFF, relation
 
 
 class PeriodTriple(NamedTuple):
@@ -85,18 +84,18 @@ class PeriodTriple(NamedTuple):
 
 
 class FieldRecord(NamedTuple):
-    """One cyclic cubic field: the pair, its (n1, n2) and relation
-    eta = scale*rho + offset (quadform.shanks_params) and its closed form
-    (cubicpoly.period_poly_formula), each derived once, the periods of the
-    kernel its character cuts out (verify_kernel_character), the roots of
-    its Shanks cubic, and the residual of each of its checks, by name, in
-    the order they ran (0.0 for the exact ones).  The conductor is the pair's."""
+    """One cyclic cubic field: the pair, its (n1, n2) and relation eta =
+    scale*rho + offset (quadform.shanks_params), its closed form
+    (cubicpoly.period_poly_formula) and float relation (relation), each
+    derived once, the periods of the kernel its character cuts out
+    (verify_kernel_character), and each check's residual by name, in the
+    order run (0.0 if exact).  The conductor is the pair's."""
 
     representation: Representation
     shanks_params: ShanksParams
     period_poly: RationalCubic
     periods: PeriodTriple
-    shanks_roots: tuple[float, float, float]
+    relation: tuple[tuple[float, float, float], float]
     verdicts: dict[str, float]
 
     @property
@@ -157,6 +156,14 @@ def numeric_period_poly(f: Conductor, pt: PeriodTriple) -> RationalCubic:
     return period_poly(f, pt.cube.trace())
 
 
+_U = 2.0**-53
+_RELATION_ROUNDOFF = 64
+# The residual |p(x)| of a float root x of a cubic, relative to the sum of
+# its Horner terms: about 10 units (3 from rounding the root, 6 from
+# evaluating, 1 from the coefficients), with room for a root an ulp off.
+_ROOT_ROUNDOFF = 16 * _U
+
+
 def real_roots_cubic(p: RationalCubic) -> tuple[float, float, float]:
     """Three real roots of a totally real cubic, sorted descending.
 
@@ -196,17 +203,44 @@ def real_roots_cubic(p: RationalCubic) -> tuple[float, float, float]:
     return (roots[0], roots[1], roots[2])
 
 
+def relation(
+    sp: ShanksParams, roots: tuple[float, float, float], periods: PeriodTriple
+) -> tuple[tuple[float, float, float], float]:
+    """The float side of a field: the values scale*rho + offset of its
+    pair's relation (quadform.shanks_params) over the roots rho of its
+    Shanks cubic, in root order, and their rounding bound C*u*S against its
+    periods eta, S = max over j of max(|eta_j|, |scale*rho_j| + |offset|, 1).
+
+    The exact matching and the main identity prove the relation, so the
+    float checks (the period relation, generator checks (a) and (b)) fail
+    only on rounding: each residual, the worst float deviation a check saw,
+    is held to C*u*S, u = 2^-53.  C counts roundings of at most u*S each,
+    added up in the worst case (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 5.1).  A period (mu + 2*sqrt(f)*cos(theta))/3
+    carries about 24 in sqrt(f)*cos(theta), 19 of them in the angle, scaled
+    by 2*sqrt(f)/3 <= 1.54*S (a period is at least (sqrt(3f) - 1)/3), and 1
+    more: 38.  scale*rho + offset carries about 7: a polished root within
+    two ulps, the product, the offset and the sum; (a) sums three of those,
+    about 25.  (b) adds 2 for its +-1, so 47 in all, and C = 64.  The
+    largest residual measured is 8.2*u*S, at f = 86149.
+    """
+    mapped = tuple(sp.scale * rho + sp.offset for rho in roots)
+    pairs = zip(periods.values(), roots, strict=True)
+    size = max(max(abs(eta), abs(sp.scale * rho) + abs(sp.offset), 1.0) for eta, rho in pairs)
+    return mapped, _RELATION_ROUNDOFF * _U * size
+
+
 def verify_period_relation(rec: FieldRecord) -> float:
     """The periods equal scale*rho + offset over the roots rho of f_n: the
-    values of verdicts.relation, sorted descending, are compared one by one
-    with the periods in their stored descending order.  The exact checks
-    prove it, so the float distance, the residual, is held to the bound
-    that relation gives.
+    values of rec.relation, sorted descending, are compared one by one with
+    the periods in their stored descending order.  The exact checks prove
+    it, so the float distance, the residual, is held to the bound that
+    rec.relation holds.
     """
     f = rec.conductor
     sp = rec.shanks_params
-    mapped, bound = relation(rec)
-    mapped.sort(reverse=True)
+    values, bound = rec.relation
+    mapped = sorted(values, reverse=True)
     residual = max(abs(m - e) for m, e in zip(mapped, rec.periods.values()))
     if residual > bound:
         raise RelationFailure(
@@ -278,8 +312,8 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     the matching is a bijection.  A record only exists if all of its checks
     pass; its verdicts keep that order, but a wild record lists the kernel
     character last, and a tame one does not list it.  The cubes and omega_p
-    (once per conductor) and each pair's relation, closed form and roots of
-    f_n are derived here, once, and passed to the checks that read them.
+    (once per conductor) and each pair's relation, closed form and float
+    side are derived here, once, and passed to the checks that read them.
     """
     # Imported here, so that a command that matches no field, such as
     # enumerate, never compiles the Gaussian-sum route.
@@ -295,7 +329,7 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
         poly = period_poly_formula(f, r.M)
         verdicts = {"oracle_equivalence": 0.0, "main_identity": verify_main_identity(f, sp, poly)}
         roots = real_roots_cubic(cleared_shanks_poly(sp))
-        rec = FieldRecord(r, sp, poly, pt, roots, verdicts)
+        rec = FieldRecord(r, sp, poly, pt, relation(sp, roots, pt), verdicts)
         verdicts["period_relation"] = verify_period_relation(rec)
         if f.is_wild:
             verdicts["sign_congruences"] = verify_sign_congruences(rec)

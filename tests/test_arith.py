@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicperiods import arith
 from cubicperiods import (
     MR_BOUND,
     InvalidConductor,
@@ -263,6 +264,24 @@ def test_conductors_up_to_examples():
     assert conductors_up_to(100, "wild", start=10) == conductors_up_to(100, "wild")[1:]
     with pytest.raises(ValueError):
         conductors_up_to(10, "odd")
+
+
+def test_conductors_up_to_walks_no_candidate_below_one(monkeypatch):
+    # a start below 1 is clamped to 1: walked from -10**12, the candidates
+    # would take hours, so validating more than the 17 tame and 2 wild
+    # candidates up to 100 fails at once
+    expected = conductors_up_to(100)
+    validate = arith.validate_conductor
+    seen = []
+
+    def counted(f):
+        seen.append(f)
+        if len(seen) > 19:
+            raise RuntimeError(f"candidate {f} validated after {seen[:3]}")
+        return validate(f)
+
+    monkeypatch.setattr(arith, "validate_conductor", counted)
+    assert conductors_up_to(100, start=-10**12) == expected
 
 
 @pytest.mark.parametrize(

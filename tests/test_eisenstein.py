@@ -1,9 +1,13 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubicperiods
 from cubicperiods import (
     BudgetExceeded,
     EisensteinInt,
@@ -347,6 +351,28 @@ def test_prime_element_is_a_primary_prime_of_norm_p():
         assert primary == {pi, pi.conjugate()}
         omega = -pi.a * pow(pi.b, -1, p) % p
         assert omega != 1 and pow(omega, 3, p) == 1
+
+
+def test_prime_element_refuses_what_is_not_a_prime_1_mod_6():
+    # below 7 the search for a non-cube a^((p-1)//3) != 1 may never end (at
+    # p = 1, 2 and 3 the exponent is 0), so the calls run in a child that
+    # must finish in time
+    src = Path(cubicperiods.__file__).resolve().parents[1]
+    bad = [-7, 0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 17]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "from cubicperiods import prime_element\n"
+        f"for p in {bad!r}:\n"
+        "    try:\n"
+        "        prime_element(p)\n"
+        "    except ValueError:\n"
+        "        print(p)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(p) for p in bad]
 
 
 def test_factor_rhs_inverts_rhs_elements(wild_records_10k, factor_rhs):

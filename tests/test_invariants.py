@@ -41,6 +41,9 @@ def test_every_value_type_is_immutable():
     ]
     assert len({type(v) for v in values}) == 7
     assert all(type(v) is float for v in rec.verdicts.values())
+    mapped, bound = rec.relation
+    assert type(rec.relation) is tuple and type(mapped) is tuple and len(mapped) == 3
+    assert all(type(v) is float for v in (*mapped, bound))
     for value in values:
         for name in (*type(value).__annotations__, "extra"):
             with pytest.raises(AttributeError):

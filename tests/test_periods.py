@@ -12,6 +12,7 @@ from cubicperiods import (
     BudgetExceeded,
     ComplexRoots,
     CongruenceFailure,
+    GeneratorFailure,
     NonIntegralCoefficient,
     NormalizationFailure,
     RationalCubic,
@@ -28,6 +29,7 @@ from cubicperiods import (
     main_identity_sides,
     shanks_params,
     validate_conductor,
+    verify_generators,
     verify_kernel_character,
     verify_period_relation,
     verify_sign_congruences,
@@ -38,7 +40,6 @@ from cubicperiods.arith import is_probable_prime
 from cubicperiods.cli import main
 from cubicperiods.eisenstein import ZETA, EisensteinInt
 from cubicperiods.gausssums import component_gauss_sums
-from cubicperiods.verdicts import relation
 
 F9 = validate_conductor(9)
 F7 = validate_conductor(7)
@@ -439,10 +440,23 @@ def test_period_relation_rejects_a_period_moved_by_1e_9():
             verify_period_relation(rec._replace(periods=moved))
 
 
+def test_float_checks_read_the_relation_on_the_record():
+    # match_fields derives rec.relation once, and both float checks read
+    # it: one value moved by 1e-9 fails the period relation, and the trace
+    # of the generator check (a)
+    for rec in match_fields(F819):
+        values, bound = rec.relation
+        moved = rec._replace(relation=((values[0] + 1e-9, *values[1:]), bound))
+        with pytest.raises(RelationFailure):
+            verify_period_relation(moved)
+        with pytest.raises(GeneratorFailure, match=r"^\(a\)"):
+            verify_generators(moved)
+
+
 def assert_float_headroom(records):
     """Every float residual is at most a quarter of its rounding bound."""
     for rec in records:
-        _, bound = relation(rec)
+        _, bound = rec.relation
         for name in ("period_relation", "generators"):
             if name in rec.verdicts:
                 assert rec.verdicts[name] <= bound / 4, (rec.conductor.value, name)
