@@ -59,19 +59,31 @@ from .errors import (
     ToleranceExceeded,
     VerificationError,
 )
-from .groupring import verify_generators
-from .periods import (
-    FieldRecord,
-    PeriodTriple,
-    gaussian_periods,
-    match_fields,
-    numeric_period_poly,
-    primitive_cubic_kernels,
-    real_roots_cubic,
-    verify_kernel_character,
-    verify_period_relation,
-    verify_sign_congruences,
-)
 from .quadform import Representation, ShanksParams, representations, shanks_params
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The names of periods and groupring, which only verify, scan and table
+    run, so that importing the package (or a cold enumerate) compiles
+    neither module: each is imported on the first access to one of its
+    names (PEP 562)."""
+    module = {
+        "verify_generators": "groupring",
+        "FieldRecord": "periods",
+        "PeriodTriple": "periods",
+        "gaussian_periods": "periods",
+        "match_fields": "periods",
+        "numeric_period_poly": "periods",
+        "primitive_cubic_kernels": "periods",
+        "real_roots_cubic": "periods",
+        "verify_kernel_character": "periods",
+        "verify_period_relation": "periods",
+        "verify_sign_congruences": "periods",
+    }.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)

@@ -21,8 +21,17 @@ lines that import nothing.  Any other argv (-h, a prefix of a flag, "--",
 a value that starts with '-', or an error) goes to an argparse parser
 built from the same table on first use, so argparse writes every help and
 error message, and a cold command never loads argparse, gettext, locale
-or shutil.  Likewise the Gaussian-sum route (gausssums) is imported where
-verify, scan or table first runs it, so enumerate compiles none of it.
+or shutil.
+
+The modules each command compiles.  Every command: the package root,
+arith, cubicpoly, eisenstein, errors, quadform, report and this module.
+enumerate: nothing more.  verify, scan and table: also periods, with the
+groupring it imports, and gausssums, where match_fields first runs; and
+curve, where the first Jacobi sum of a prime component is counted (verify
+of 9 has none).  periods is registered at import as a module that runs on
+its first attribute access (_lazy_module), not imported in the commands,
+so that a tracer which rebinds the functions of the package's modules in
+sys.modules when it starts (bench/spans.py) finds it there.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
@@ -36,14 +45,14 @@ from __future__ import annotations
 
 import collections
 import functools
+import importlib.util
 import os
 import sys
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 from .arith import KINDS, Conductor, conductors_up_to, validate_conductor
 from .cubicpoly import period_poly_formula
 from .errors import BudgetExceeded, InvalidConductor, VerificationError
-from .periods import match_fields
 from .quadform import representations, shanks_params
 from .report import (
     FORMATS,
@@ -56,6 +65,27 @@ from .report import (
     scan_summary,
     table_report,
 )
+
+
+def _lazy_module(name: str) -> ModuleType:
+    """The submodule name of this package, registered in sys.modules (and as
+    an attribute of the package, as an import does) to run on its first
+    attribute access, or the module itself if it was already imported."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only verify, scan and table run match_fields, so periods (and groupring,
+# which it imports) is compiled where one of them first calls it.
+periods = _lazy_module("periods")
 
 
 def _style(text: str, code: str) -> str:
@@ -93,7 +123,8 @@ def verify_report(f: Conductor) -> dict:
 
     Raises a VerificationError subclass as soon as any check fails.
     """
-    return conductor_report(f, [field_entry(rec) for rec in match_fields(f)], verified=True)
+    entries = [field_entry(rec) for rec in periods.match_fields(f)]
+    return conductor_report(f, entries, verified=True)
 
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
@@ -121,7 +152,7 @@ def cmd_scan(args: SimpleNamespace) -> int:
     worst = 0.0
     for cond in conductors:
         try:
-            records = match_fields(cond)
+            records = periods.match_fields(cond)
         except VerificationError as exc:
             _diag(
                 f"verification failure at conductor {cond.value}: "
@@ -142,7 +173,7 @@ def cmd_scan(args: SimpleNamespace) -> int:
 
 
 def cmd_table(args: SimpleNamespace) -> int:
-    report = table_report(match_fields(validate_conductor(TABLE_CONDUCTOR)))
+    report = table_report(periods.match_fields(validate_conductor(TABLE_CONDUCTOR)))
     _emit(report, args)
     rows, golden = report["rows"], list(GOLDEN_TABLE_ROWS)
     if rows != golden:

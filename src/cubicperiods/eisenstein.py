@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import Conductor, _component_moduli, _generator
+from .arith import Conductor, _component_moduli, _generator, is_probable_prime
 from .errors import FactorizationMismatch
 
 if TYPE_CHECKING:
@@ -150,9 +150,9 @@ def prime_element(p: int) -> EisensteinInt:
     sqrt(p)) then gives p = x^2 + 3y^2, and x + y*sqrt(-3) =
     (x + y) + 2y*zeta3 has norm p.  This is gcd(p, omega - zeta3) worked
     out in integers: which of pi and conj(pi) comes out is left open.  A p
-    below 7 or not 1 mod 6 raises ValueError.
+    below 7, not 1 mod 6 or composite raises ValueError.
     """
-    if p < 7 or p % 6 != 1:
+    if p < 7 or p % 6 != 1 or not is_probable_prime(p):
         raise ValueError(f"{p} is not a prime = 1 mod 3")
     k = (p - 1) // 3
     a = 2

@@ -524,6 +524,35 @@ def test_cold_command_leaves_unused_modules_unloaded(tmp_path, argv):
     assert proc.stdout.split() == ["0"]
 
 
+@pytest.mark.parametrize(
+    "argv,compiled",
+    [
+        (["enumerate", "--conductor", "7", "--format", "md"], "False"),
+        (["verify", "--conductor", "9"], "True"),
+    ],
+    ids=["enumerate", "verify"],
+)
+def test_only_verify_scan_and_table_compile_periods(tmp_path, argv, compiled):
+    # periods imports groupring at its top, so groupring is loaded exactly
+    # when periods has run: a cold enumerate, the benchmark's set-up op,
+    # runs neither, and a cold verify runs both
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        from cubicperiods.cli import main
+        code = main({argv!r} + ["--out", {str(tmp_path / "r.out")!r}])
+        print(code, "cubicperiods.groupring" in sys.modules)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", compiled]
+
+
 def test_cold_scan_parses_without_argparse(tmp_path):
     # scan, in the shape of the benchmark's scan ops, takes the strict
     # parser too

@@ -16,10 +16,11 @@ TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob(
 
 def definitions(tree: ast.Module):
     """(qualified name, bare name) of each top-level def and class and of
-    each method that is not a dunder."""
+    each method that is not a dunder: the interpreter calls dunders, a
+    module's __getattr__ (PEP 562) as much as a class's __init__."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if isinstance(node, defs):
+        if isinstance(node, defs) and not node.name.startswith("__"):
             yield node.name, node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
