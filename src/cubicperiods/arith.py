@@ -1,6 +1,5 @@
 """Integer groundwork: factorization, the Moebius function, conductor checks,
-and the coordinates of (Z/f)^x: its CRT components and their smallest
-generators.
+and the coordinates of (Z/f)^x: its CRT components.
 
 A positive integer is the conductor of a cyclic cubic field exactly when it
 is either a squarefree product p1*...*pk of primes congruent to 1 mod 3
@@ -13,7 +12,6 @@ trusted Conductor value.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -277,25 +275,6 @@ def _component_moduli(f: Conductor) -> list[int]:
     if f.is_wild:
         comps.append(9)
     return sorted(comps)
-
-
-@functools.lru_cache(maxsize=1024)
-def _generator(q: int) -> tuple[int, int]:
-    """Smallest generator of the cyclic group (Z/qZ)^x for q prime or q = 9,
-    with the order of that group.  Kept per q, because finding it factors
-    q - 1 (about 25 us for a prime near 10^5 on a 2-core machine with
-    Python 3.11) and its one caller, eisenstein.zeta3_residue, asks for
-    each prime of a conductor twice (for the omegas of match_fields and
-    inside jacobi_sum), then again at every conductor of a scan, or op of a
-    run, that shares the prime."""
-    order = 6 if q == 9 else q - 1
-    prime_divisors = [p for p, _ in factorize(order)]
-    for g in range(2, q):
-        if math.gcd(g, q) != 1:
-            continue
-        if all(pow(g, order // p, q) != 1 for p in prime_divisors):
-            return g, order
-    raise ValueError(f"no generator mod {q}")
 
 
 def conductors_up_to(

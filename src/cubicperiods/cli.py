@@ -27,11 +27,11 @@ The modules each command compiles.  Every command: the package root,
 arith, cubicpoly, eisenstein, errors, quadform, report and this module.
 enumerate: nothing more.  verify, scan and table: also periods, with the
 groupring it imports, and gausssums, where match_fields first runs; and
-curve, where the first Jacobi sum of a prime component is counted (verify
-of 9 has none).  periods is registered at import as a module that runs on
-its first attribute access (_lazy_module), not imported in the commands,
-so that a tracer which rebinds the functions of the package's modules in
-sys.modules when it starts (bench/spans.py) finds it there.
+curve, where the first Jacobi sum of a prime component is read off its
+points (verify of 9 has none).  periods is registered at import as a
+module that runs on its first attribute access (_lazy_module), not
+imported by the commands, so that a tracer that rebinds the package's
+functions in sys.modules when it starts (bench/spans.py) finds it there.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and

@@ -25,19 +25,31 @@ its value at a generator, so each component character is held as one
 exponent e in {1, 2}: chi(g) = zeta3^e at the smallest generator g, the
 coordinate that kernel vectors use too.  Then chi(g^j) = zeta3^(e*j).
 
+Each prime has two cube roots of unity mod p, on purpose.  Cornacchia's,
+the first non-cube a^((p-1)/3), serves the pairs and enumerate
+(prime_element).  omega_p = g^((p-1)/3) at the smallest generator g
+(zeta3_residue) serves only verify, scan and table: match_fields derives
+it once per prime for the character check and Stickelberger's sign in
+gausssums.jacobi_sum.  They stay two: the search for g would add 6% to
+enumerate (4.3 ms for the 120 primes of enumerate-huge seed 1, against
+72 ms for its 60 ops), and Cornacchia's omega as omega_p would swap T
+and conj(T) at some fields, changing the last digits of the periods that
+verify prints at 7, 63, 819 and 15561.
+
 The character of a pair needs no Gaussian sum.  The cubes of the Gaussian
 sums are the other route, in the gausssums module, which shares only this
-ring and omega_p (zeta3_residue) with this one, so matching the periods
+ring and the omegas of match_fields with this one, so matching the periods
 against the pairs compares two independent computations.
 chi9_gauss_sum_report reads the sum mod 9 from there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import Conductor, _component_moduli, _generator, is_probable_prime
+from .arith import Conductor, _component_moduli, factorize, is_probable_prime
 from .errors import FactorizationMismatch
 
 if TYPE_CHECKING:
@@ -113,12 +125,18 @@ def chi9(sign: int) -> int:
     return sign % 3
 
 
+@functools.lru_cache(maxsize=1024)
 def zeta3_residue(p: int) -> int:
     """omega_p = g^((p-1)/3) mod p for the smallest generator g mod a prime
     p = 1 mod 3: the residue of zeta3 mod the prime (p, zeta3 - omega_p),
-    so chi(g) = zeta3 is chi(a) = zeta3^e when a^((p-1)/3) = omega_p^e."""
-    g, _ = _generator(p)
-    return pow(g, (p - 1) // 3, p)
+    so chi(g) = zeta3 is chi(a) = zeta3^e when a^((p-1)/3) = omega_p^e.
+    Kept per p, as finding g factors p - 1 (about 25 us near 10^5 on a
+    2-core machine, Python 3.11), for the conductors of a scan that share p."""
+    prime_divisors = [q for q, _ in factorize(p - 1)]
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
+            return pow(g, (p - 1) // 3, p)
+    raise ValueError(f"no generator mod {p}")
 
 
 def chi9_gauss_sum_report(sign: int) -> dict:
@@ -193,11 +211,11 @@ def rhs_elements(f: Conductor) -> list[EisensteinInt]:
     return [x if x.b > 0 else x.conjugate() for x in elements]
 
 
-def character_for_representation(r: Representation, omegas: tuple[int, ...]) -> tuple[int, ...]:
+def character_for_representation(r: Representation, omegas: dict[int, int]) -> tuple[int, ...]:
     """The primitive cubic character mod f of the pair (M, N), as its
     exponents at the component generators in component order, read off
-    w = (M + 3N*sqrt(-3))/2 = a + b*zeta3; omegas holds zeta3_residue(p)
-    for each odd prime p of f, in order.
+    w = (M + 3N*sqrt(-3))/2 = a + b*zeta3; omegas maps each odd prime p of
+    f to zeta3_residue(p).
 
     The exponent at p is 1 when the prime (p, zeta3 - omega_p) divides w,
     a + b*omega_p = 0 mod p, and 2 when its conjugate does, a - b -
@@ -205,16 +223,17 @@ def character_for_representation(r: Representation, omegas: tuple[int, ...]) -> 
     it is chi9(sign) = N mod 3, as the wild normalization makes w/3 =
     (M0 + N)/2 + N*zeta3 = zeta3^sign mod 3.
     """
-    f = r.conductor
     a, b = r.element
-    exponents = {9: r.N % 3} if f.is_wild else {}
-    for p, omega in zip(f.odd_primes, omegas, strict=True):
-        if (a + b * omega) % p == 0:
-            exponents[p] = 1
-        elif (a - b - b * omega) % p == 0:
-            exponents[p] = 2
+    exponents = []
+    for q in _component_moduli(r.conductor):
+        if q == 9:
+            exponents.append(r.N % 3)
+        elif (a + b * omegas[q]) % q == 0:
+            exponents.append(1)
+        elif (a - b - b * omegas[q]) % q == 0:
+            exponents.append(2)
         else:
             raise FactorizationMismatch(
-                f"(M + 3N*sqrt(-3))/2 = {r.element} lies above no prime over {p}"
+                f"(M + 3N*sqrt(-3))/2 = {r.element} lies above no prime over {q}"
             )
-    return tuple(exponents[q] for q in _component_moduli(f))
+    return tuple(exponents)

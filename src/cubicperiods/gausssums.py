@@ -20,8 +20,8 @@ p + 1 - t points; later points only narrow the candidates of the first.
 4p = t^2 + 3b^2 then gives J = (t + b)/2 + b*zeta3 up to the sign of b,
 that is up to conjugation, and Stickelberger's congruence picks the sign:
 J = 0 mod the prime (p, zeta3 - omega) for omega = g^((p-1)/3), g the
-smallest generator, the residue of chi(g) = zeta3.  When the points leave
-t open, J is refused, never guessed.
+smallest generator, the residue of chi(g) = zeta3, given by match_fields.
+When the points leave t open, J is refused, never guessed.
 
 For q = 9 the cube of the six-term sum is multiplied out in Z[zeta9].
 One tuple of cubes per conductor feeds the periods.
@@ -36,7 +36,7 @@ import functools
 import math
 
 from .arith import Conductor, _component_moduli
-from .eisenstein import EisensteinInt, zeta3_residue
+from .eisenstein import EisensteinInt
 from .errors import (
     BudgetExceeded,
     CongruenceFailure,
@@ -51,7 +51,7 @@ from .errors import (
 POINT_COUNT_BUDGET = 10**16
 
 
-def jacobi_sum(p: int) -> EisensteinInt:
+def jacobi_sum(p: int, omega: int) -> EisensteinInt:
     """J(chi, chi) = sum over 2 <= a < p of chi(a) * chi(1 - a) for the
     character chi(g) = zeta3 at the smallest generator g mod p, a prime
     = 1 mod 3.  Then tau(chi)^3 = p * J(chi, chi) exactly.
@@ -59,9 +59,9 @@ def jacobi_sum(p: int) -> EisensteinInt:
     J = a + b*zeta3 is read off its trace t = Tr J, from the points of E
     and its twist (curve.jacobi_trace): 4p = t^2 + 3b^2 gives b up to
     sign and a = (t + b)/2, and Stickelberger's congruence keeps the sign
-    with a + b*omega = 0 mod p, omega = g^((p-1)/3).  A trace the points
-    leave open is refused with BudgetExceeded, at any p.  N(J) = p and
-    J = -1 mod 3 are checked (Ireland and Rosen, ch. 9 section 4).
+    with a + b*omega = 0 mod p, omega = g^((p-1)/3) as given.  A trace the
+    points leave open is refused with BudgetExceeded, at any p.  N(J) = p
+    and J = -1 mod 3 are checked (Ireland and Rosen, ch. 9 section 4).
     """
     if p > POINT_COUNT_BUDGET:
         raise BudgetExceeded(
@@ -79,7 +79,7 @@ def jacobi_sum(p: int) -> EisensteinInt:
         )
     b = math.isqrt((4 * p - t * t) // 3)
     a = (t + b) // 2
-    if (a + b * zeta3_residue(p)) % p:
+    if (a + b * omega) % p:
         a, b = a - b, -b
     jacobi = EisensteinInt(a, b)
     if jacobi.norm() != p:
@@ -125,13 +125,13 @@ def _chi9_gauss_sum(e: int) -> tuple[tuple[int, ...], EisensteinInt]:
     return tau, EisensteinInt(cube[0], cube[3])
 
 
-def component_gauss_sums(f: Conductor) -> tuple[EisensteinInt, ...]:
+def component_gauss_sums(f: Conductor, omegas: dict[int, int]) -> tuple[EisensteinInt, ...]:
     """tau_q^3 for the character chi_q(g_q) = zeta3 of each component q of
-    f, in component order: p * J(chi_p, chi_p) for a prime p, the cube
-    multiplied out in Z[zeta9] for q = 9.  The character chi_q(g_q) =
-    zeta3^2 has the conjugate cube, since chi_q(-1) = 1.
+    f, in component order: p * J(chi_p, chi_p) for a prime p (omegas[p] =
+    omega_p), the cube multiplied out in Z[zeta9] for q = 9.  The character
+    chi_q(g_q) = zeta3^2 has the conjugate cube, since chi_q(-1) = 1.
     """
     return tuple(
-        _chi9_gauss_sum(1)[1] if q == 9 else q * jacobi_sum(q)
+        _chi9_gauss_sum(1)[1] if q == 9 else q * jacobi_sum(q, omegas[q])
         for q in _component_moduli(f)
     )

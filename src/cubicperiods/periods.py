@@ -31,12 +31,14 @@ it first runs) and the quadratic form on the other (eisenstein), and it
 proves the rest of the matching.  It gives Tr(T) = m*f*M, so this cubic is
 the closed form of the pair, period_poly_formula(f, M) = period_poly(f,
 m*f*M): one polynomial.  It fixes w up to conjugation, and no two
-normalized pairs (N > 0) are conjugate, so no two pairs reach one kernel.  representations checks
-that there are field_count pairs, and the 2^(k-1) kernels of k components
-are field_count by construction, so every kernel is reached once: the
-matching is a bijection.  The float periods, which the period relation
-and the generator checks compare with roots of the Shanks cubics, come
-from a cube root of T in O(1) per field.
+normalized pairs (N > 0) are conjugate, so no two pairs reach one
+kernel.  representations checks that there are field_count pairs, and the
+2^(k-1) kernels of k components are field_count by construction, so every
+kernel is reached once: the matching is a bijection.  The float periods,
+which the period relation and the generator checks compare with roots of
+the Shanks cubics, come from a cube root of T in O(1) per field.  The one
+value per prime that the routes share, omega_p (eisenstein.zeta3_residue),
+match_fields derives once.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def gaussian_periods(
 ) -> PeriodTriple:
     """The periods of one kernel (a coefficient vector).
 
-    cubes = component_gauss_sums(f) holds tau_q^3, the exact cube for the
+    cubes, from component_gauss_sums, holds tau_q^3, the exact cube for the
     character chi_q(g_q) = zeta3 of each component.  T is the product of
     tau_q^3 where c_q = 1 and of its conjugate where c_q = 2, and with t =
     sqrt(f)*exp(i*phi/3), phi = arg(T), period j is (mu + 2*Re(zeta3^-j * t))/3.
@@ -272,7 +274,7 @@ def verify_sign_congruences(rec: FieldRecord) -> float:
 
 
 def verify_kernel_character(
-    r: Representation, cubes: tuple[EisensteinInt, ...], omegas: tuple[int, ...]
+    r: Representation, cubes: tuple[EisensteinInt, ...], omegas: dict[int, int]
 ) -> PeriodTriple:
     """The periods of the kernel that the pair's character cuts out, once
     its cube T is checked to be the pair's; cubes as for gaussian_periods,
@@ -320,8 +322,8 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     from .gausssums import component_gauss_sums
 
     reps = representations(f)
-    cubes = component_gauss_sums(f)
-    omegas = tuple(zeta3_residue(p) for p in f.odd_primes)
+    omegas = {p: zeta3_residue(p) for p in f.odd_primes}
+    cubes = component_gauss_sums(f, omegas)
     records = []
     for r in reps:
         pt = verify_kernel_character(r, cubes, omegas)

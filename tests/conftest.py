@@ -20,7 +20,7 @@ from cubicperiods import (
     prime_element,
     substitute_affine,
 )
-from cubicperiods.arith import _component_moduli, _generator, _primes_below
+from cubicperiods.arith import _component_moduli, _primes_below
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
@@ -65,15 +65,36 @@ def sieve_moebius_fixture():
     return sieve_moebius
 
 
-def omegas(cond) -> tuple[int, ...]:
-    """zeta3_residue(p) for each odd prime p of the conductor, in order."""
-    return tuple(zeta3_residue(p) for p in cond.odd_primes)
+def omegas(cond) -> dict[int, int]:
+    """Each odd prime p of the conductor mapped to zeta3_residue(p), as
+    match_fields derives them."""
+    return {p: zeta3_residue(p) for p in cond.odd_primes}
 
 
 @pytest.fixture(scope="session", name="omegas")
 def omegas_fixture():
-    """omegas(cond): zeta3_residue of each odd prime of the conductor."""
+    """omegas(cond): each odd prime of the conductor to its zeta3_residue."""
     return omegas
+
+
+@functools.lru_cache(maxsize=None)
+def generator(q: int) -> tuple[int, int]:
+    """Oracle: the smallest generator of the cyclic group (Z/qZ)^x for q
+    prime or q = 9, with the order of that group."""
+    order = 6 if q == 9 else q - 1
+    prime_divisors = [p for p, _ in factorize(order)]
+    for g in range(2, q):
+        if math.gcd(g, q) != 1:
+            continue
+        if all(pow(g, order // p, q) != 1 for p in prime_divisors):
+            return g, order
+    raise ValueError(f"no generator mod {q}")
+
+
+@pytest.fixture(scope="session", name="generator")
+def generator_fixture():
+    """generator(q): the smallest generator mod q (prime or 9) and the group order."""
+    return generator
 
 
 @dataclass(frozen=True)
@@ -89,7 +110,7 @@ def unit_group(f) -> UnitGroup:
     residue mod f that is 1 at the other components, with its order."""
     gens = []
     for q in _component_moduli(f):
-        g, order = _generator(q)
+        g, order = generator(q)
         rest = f.value // q
         # lift to a residue that is g mod q and 1 mod f/q
         lift = (1 + rest * ((g - 1) * pow(rest, -1, q) % q)) % f.value
@@ -108,7 +129,7 @@ def unit_group_fixture():
 def index_classes(q: int) -> tuple[list[int], ...]:
     """The units mod q of index 0, 1 and 2 mod 3, that is the powers g^j of
     the smallest generator split by j mod 3."""
-    g, order = _generator(q)
+    g, order = generator(q)
     powers = []
     x = 1
     for _ in range(order):
@@ -210,7 +231,7 @@ def index_table(p: int) -> bytearray:
             f"the index table mod {p} needs the primes below {s}, beyond the "
             f"prime table's bound {COUNT_PRIME_BOUND}"
         )
-    g, _ = _generator(p)
+    g, _ = generator(p)
     k = (p - 1) // 3
     omega = pow(g, k, p)
     index_of = {1: 0, omega: 1, omega * omega % p: 2}
@@ -315,7 +336,7 @@ def cubic_residue_character(p: int, pi: EisensteinInt) -> int:
     smallest generator g mod p, for a prime element pi of norm p, with
     omega = -a/b mod p the residue of zeta3 mod pi = a + b*zeta3."""
     omega = -pi.a * pow(pi.b, -1, p) % p
-    return {omega: 1, omega * omega % p: 2}[pow(_generator(p)[0], (p - 1) // 3, p)]
+    return {omega: 1, omega * omega % p: 2}[pow(generator(p)[0], (p - 1) // 3, p)]
 
 
 @pytest.fixture(scope="session")

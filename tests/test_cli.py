@@ -16,7 +16,7 @@ from cubicperiods import (
     BudgetExceeded,
     validate_conductor,
 )
-from cubicperiods import cubicpoly, curve, gausssums, periods, quadform
+from cubicperiods import cubicpoly, curve, eisenstein, gausssums, periods, quadform
 from cubicperiods.gausssums import POINT_COUNT_BUDGET
 from cubicperiods import cli
 from cubicperiods.arith import KINDS
@@ -345,6 +345,29 @@ def test_cubes_once_per_conductor_and_closed_form_once_per_field(
     assert (len(cubes), len(polys)) == (gauss_sums, closed_forms)
 
 
+@pytest.mark.parametrize(
+    "argv,residues,elements",
+    [
+        (["verify", "--conductor", "15561", "--format", "json"], [7, 13, 19], [7, 13, 19]),
+        (["enumerate", "--conductor", "14165638864191"], [], [1059571, 1485469]),
+    ],
+)
+def test_each_prime_derives_its_omega_and_its_element_once(
+    capsys, monkeypatch, argv, residues, elements
+):
+    # match_fields derives omega_p once per prime of the conductor and hands
+    # it to the character check and to the Jacobi sums; rhs_elements builds
+    # pi_p once per prime; enumerate matches no field and needs no omega_p.
+    # periods is a lazy module: loaded first, its import cannot bind the
+    # counting wrapper, which would count each call twice
+    assert periods.match_fields
+    omegas = count_calls(monkeypatch, eisenstein, "zeta3_residue")
+    pis = count_calls(monkeypatch, eisenstein, "prime_element")
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert ([p for p, in omegas], [p for p, in pis]) == (residues, elements)
+
+
 def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
     # 10000141, the first prime = 1 mod 3 above 10^7, has t = 4258 and
     # 10004400 = 2^4 * 3^2 * 5^2 * 7 * 397 points on E.  3150 times the
@@ -361,7 +384,7 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
         lambda q: iter([(point, 1)] * curve._POINT_TRIES) if q == p else points(q),
     )
     with pytest.raises(BudgetExceeded, match="open"):
-        gausssums.jacobi_sum(p)
+        gausssums.jacobi_sum(p, eisenstein.zeta3_residue(p))
     code, out, err = run(capsys, ["verify", "--conductor", str(7 * p)])
     assert code == 2
     assert out == ""

@@ -22,7 +22,7 @@ def replace_jacobi_sum_at(q, change):
         monkeypatch.setattr(
             gausssums,
             "jacobi_sum",
-            lambda p: change(jacobi_sum(p)) if p == q else jacobi_sum(p),
+            lambda p, omega: change(jacobi_sum(p, omega)) if p == q else jacobi_sum(p, omega),
         )
 
     return plant

@@ -21,7 +21,7 @@ from cubicperiods import (
     validate_conductor,
 )
 from cubicperiods import curve
-from cubicperiods.arith import _generator, _primes_below, is_probable_prime
+from cubicperiods.arith import _primes_below, is_probable_prime
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
@@ -203,7 +203,7 @@ def test_cubic_residue_character_mod7(character_values, residue_sets, residue_ch
     # the package reads the same exponent off the pair's element, the
     # primary prime element above 7
     (r,) = representations(F7)
-    assert character_for_representation(r, (zeta3_residue(7),)) == (
+    assert character_for_representation(r, {7: zeta3_residue(7)}) == (
         cubic_residue_character(7, r.element),
     )
 
@@ -388,13 +388,15 @@ def test_factor_rhs_inverts_rhs_elements(wild_records_10k, factor_rhs):
         assert r.element in rhs_elements(rec.conductor)
 
 
-def test_index_table_equals_the_powers_of_the_generator(count_oracle):
+def test_index_table_equals_the_powers_of_the_generator(count_oracle, generator):
     # the count oracle's table, built from the primes below sqrt(p) and the
     # strided blocks, against j mod 3 at g^j for every j, at every prime
-    # = 1 mod 3 below 2*10^4
+    # = 1 mod 3 below 2*10^4; and the package's omega_p, whose generator
+    # search the oracle does not share, is g^((p-1)/3)
     assert len(PRIMES_1_MOD_3) == 1124
     for p in PRIMES_1_MOD_3:
-        g, order = _generator(p)
+        g, order = generator(p)
+        assert zeta3_residue(p) == pow(g, (p - 1) // 3, p), p
         expected = bytearray(p)
         x = 1
         for j in range(order):
@@ -425,7 +427,7 @@ def test_index_table_refuses_a_prime_beyond_the_prime_table(count_oracle):
 
 def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():
     for p in PRIMES_1_MOD_3:
-        jacobi = jacobi_sum(p)
+        jacobi = jacobi_sum(p, zeta3_residue(p))
         assert jacobi.norm() == p
         assert (jacobi.a % 3, jacobi.b % 3) == (2, 0)
         # -J is the primary prime element of norm p, up to conjugation
@@ -438,7 +440,8 @@ def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(count_oracle, nin
     # below 2*10^4 and at two large primes, the second the largest the count
     # oracle is asked for
     for p in [*PRIMES_1_MOD_3, 1_000_003, 9_999_991]:
-        assert jacobi_sum(p) == count_oracle.jacobi(p) == nine_count_jacobi(p), p
+        jacobi = jacobi_sum(p, zeta3_residue(p))
+        assert jacobi == count_oracle.jacobi(p) == nine_count_jacobi(p), p
 
 
 def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
@@ -447,7 +450,7 @@ def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
     for p in PRIMES_1_MOD_3:
         if p > 3000:
             break
-        cube = p * jacobi_sum(p)
+        cube = p * jacobi_sum(p, zeta3_residue(p))
         for e, expected in ((1, cube), (2, cube.conjugate())):
             tau = float_gauss_sum(p, e)
             assert abs(tau**3 - expected.to_complex()) < 1e-6, (p, e)
@@ -458,7 +461,7 @@ def test_points_equal_the_count(count_oracle):
     # prime = 1 mod 3 from 7 to 5*10^4 and at two large primes, the second
     # the largest the count oracle is asked for
     for p in [*(p for p in POINT_PRIMES if p <= 50_000), 1_000_003, 9_999_991]:
-        assert jacobi_sum(p) == count_oracle.jacobi(p), p
+        assert jacobi_sum(p, zeta3_residue(p)) == count_oracle.jacobi(p), p
 
 
 def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
@@ -475,7 +478,7 @@ def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
         sampled.append(n)
     assert max(sampled) <= POINT_COUNT_BUDGET
     for p in [*POINT_PRIMES, *sampled]:
-        assert jacobi_sum(p) == prime_element_jacobi(p), p
+        assert jacobi_sum(p, zeta3_residue(p)) == prime_element_jacobi(p), p
 
 
 def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi, e_alone):
@@ -483,9 +486,9 @@ def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi
     # the points of E alone it stays open, and jacobi_sum refuses, however
     # small p is
     for p in E_AMBIGUOUS:
-        assert jacobi_sum(p) == prime_element_jacobi(p), p
+        assert jacobi_sum(p, zeta3_residue(p)) == prime_element_jacobi(p), p
     monkeypatch.setattr(curve, "_points", e_alone)
     for p in E_AMBIGUOUS:
         assert jacobi_trace(p) is None, p
         with pytest.raises(BudgetExceeded, match="open"):
-            jacobi_sum(p)
+            jacobi_sum(p, zeta3_residue(p))

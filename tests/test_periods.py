@@ -94,9 +94,9 @@ def test_prime_kernel_equals_cubes(residue_sets):
         assert residue_sets(cond, vector)[0] == cubes
 
 
-def test_gaussian_periods_nine(residue_sets):
+def test_gaussian_periods_nine(residue_sets, omegas):
     (kernel,) = primitive_cubic_kernels(F9)
-    pt = gaussian_periods(F9, kernel, component_gauss_sums(F9))
+    pt = gaussian_periods(F9, kernel, component_gauss_sums(F9, omegas(F9)))
     assert residue_sets(F9, pt.kernel)[0] == frozenset({1, 8})
     expected = sorted((2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4)), reverse=True)
     assert pt.values() == pytest.approx(expected, abs=1e-12)
@@ -105,18 +105,18 @@ def test_gaussian_periods_nine(residue_sets):
     )
 
 
-def test_gaussian_periods_seven_sum(residue_sets):
+def test_gaussian_periods_seven_sum(residue_sets, omegas):
     (kernel,) = primitive_cubic_kernels(F7)
-    pt = gaussian_periods(F7, kernel, component_gauss_sums(F7))
+    pt = gaussian_periods(F7, kernel, component_gauss_sums(F7, omegas(F7)))
     assert residue_sets(F7, pt.kernel)[0] == frozenset({1, 6})
     assert sum(pt.values()) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_period_sum_partition(residue_sets):
+def test_period_sum_partition(residue_sets, omegas):
     for cond in conductors_up_to(500):
         expected = 0 if cond.kind == "wild" else (-1) ** cond.nu
         units = {a for a in range(1, cond.value) if math.gcd(a, cond.value) == 1}
-        cubes = component_gauss_sums(cond)
+        cubes = component_gauss_sums(cond, omegas(cond))
         for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
             cosets = residue_sets(cond, pt.kernel)
             assert set().union(*cosets) == units
@@ -124,13 +124,13 @@ def test_period_sum_partition(residue_sets):
             assert sum(pt.values()) == pytest.approx(expected, abs=1e-9 * cond.value)
 
 
-def test_periods_equal_direct_cosine_sums(residue_sets):
+def test_periods_equal_direct_cosine_sums(residue_sets, omegas):
     # the periods from the component Gaussian sums against the definition:
     # O(f) cosine sums over the materialized kernel and cosets of each
     # coefficient vector, at every f <= 2000 and at larger fixed conductors
     large = [validate_conductor(f) for f in (15561, 53599, 60433, 73237, 482391)]
     for cond in conductors_up_to(2000) + large:
-        cubes = component_gauss_sums(cond)
+        cubes = component_gauss_sums(cond, omegas(cond))
         for kernel in primitive_cubic_kernels(cond):
             pt = gaussian_periods(cond, kernel, cubes)
             assert pt.kernel == kernel
@@ -145,14 +145,14 @@ def test_periods_equal_direct_cosine_sums(residue_sets):
 
 
 @pytest.mark.parametrize("f", [85276009, 767484081])
-def test_periods_make_no_pass_over_the_units(f):
+def test_periods_make_no_pass_over_the_units(f, omegas):
     # 7*13*19*31*37*43 (tame) and 9 times it (wild), nu = 6: a pass over
     # the phi(f) units would build lists of up to 3.5*10^8 residues, while
     # the component Gaussian sums add at most 42 terms each
     cond = validate_conductor(f)
     mu = 0 if cond.is_wild else cond.mu
     start = time.perf_counter()
-    cubes = component_gauss_sums(cond)
+    cubes = component_gauss_sums(cond, omegas(cond))
     triples = [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]
     assert time.perf_counter() - start < 1.0
     assert len(triples) == cond.field_count
@@ -164,13 +164,13 @@ def test_periods_make_no_pass_over_the_units(f):
         assert abs(sum(eta * eta for eta in pt.values()) - squares) < 1e-12 * squares
 
 
-def test_gaussian_periods_follow_the_kernel_order():
+def test_gaussian_periods_follow_the_kernel_order(omegas):
     # the cube of each kernel is the product over the components of tau_q^3
     # or its conjugate as the kernel says, and the eight kernels of 15561
     # have eight cubes
     kernels = [(1, *tail) for tail in itertools.product((1, 2), repeat=3)]
     assert primitive_cubic_kernels(F15561) == kernels
-    cubes = component_gauss_sums(F15561)
+    cubes = component_gauss_sums(F15561, omegas(F15561))
     triples = [gaussian_periods(F15561, k, cubes) for k in kernels]
     assert [pt.kernel for pt in triples] == kernels
     for pt in triples:
@@ -179,12 +179,12 @@ def test_gaussian_periods_follow_the_kernel_order():
     assert len({pt.cube for pt in triples}) == 8
 
 
-def test_numeric_period_poly_examples():
+def test_numeric_period_poly_examples(omegas):
     for cond, expected in ((F9, (1, 0, -3, 1)), (F7, (1, 1, -2, -1))):
         (kernel,) = primitive_cubic_kernels(cond)
-        pt = gaussian_periods(cond, kernel, component_gauss_sums(cond))
+        pt = gaussian_periods(cond, kernel, component_gauss_sums(cond, omegas(cond)))
         assert numeric_period_poly(cond, pt) == expected
-    cubes = component_gauss_sums(F819)
+    cubes = component_gauss_sums(F819, omegas(F819))
     got = {
         numeric_period_poly(F819, gaussian_periods(F819, k, cubes))
         for k in primitive_cubic_kernels(F819)
@@ -213,13 +213,13 @@ def test_period_poly_rejects_a_trace_off_by_one():
         period_poly(F7, 8)
 
 
-def assert_kernels_match_pairs(cond):
+def assert_kernels_match_pairs(cond, omegas):
     """The integer cubic of every kernel, from the exact cube T of its
     Gaussian sum, against the closed form of every pair: equal as sets, with
     nothing rounded.  Tr T is mu*f*M of exactly one pair, and T is mu*f*w or
     its conjugate for w = (M + 3N*sqrt(-3))/2 of that pair."""
     reps = representations(cond)
-    cubes = component_gauss_sums(cond)
+    cubes = component_gauss_sums(cond, omegas(cond))
     triples = [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]
     exact = {numeric_period_poly(cond, pt) for pt in triples}
     closed = {period_poly_formula(cond, r.M) for r in reps}
@@ -233,9 +233,9 @@ def assert_kernels_match_pairs(cond):
         assert pt.cube in (w, w.conjugate()), (cond.value, r.M)
 
 
-def test_exact_period_poly_equals_the_closed_form():
+def test_exact_period_poly_equals_the_closed_form(omegas):
     for cond in conductors_up_to(20_000):
-        assert_kernels_match_pairs(cond)
+        assert_kernels_match_pairs(cond, omegas)
 
 
 def prime_1_mod_3_at_most(n: int) -> int:
@@ -287,12 +287,12 @@ def conductors_within_the_budget(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(conductors_within_the_budget())
-def test_exact_period_poly_equals_the_closed_form_on_random_conductors(cond):
+def test_exact_period_poly_equals_the_closed_form_on_random_conductors(omegas, cond):
     # a trace the points leave open is refused, never guessed, so it may
     # stop a draw with BudgetExceeded but not with a mismatch; none is known
     # below SMALL_PRIMES
     try:
-        assert_kernels_match_pairs(cond)
+        assert_kernels_match_pairs(cond, omegas)
     except BudgetExceeded:
         assert max(cond.odd_primes) > SMALL_PRIMES
         reject()
@@ -515,11 +515,11 @@ def test_sign_congruences_rejects_tame():
         verify_sign_congruences(rec)
 
 
-def test_coset_relabeling_leaves_multiset_invariant(residue_sets):
+def test_coset_relabeling_leaves_multiset_invariant(residue_sets, omegas):
     # computing the three fiber sums directly, in any labeling, must give
     # the same multiset as the sorted PeriodTriple
     for cond in (F9, F7, F63):
-        cubes = component_gauss_sums(cond)
+        cubes = component_gauss_sums(cond, omegas(cond))
         for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
             fv = cond.value
             kern = residue_sets(cond, pt.kernel)[0]
@@ -542,13 +542,13 @@ def test_kernel_character_cross_check_wild(wild_records_10k, omegas):
     assert len(wild_records_10k) > 0
     for rec in wild_records_10k:
         cond = rec.conductor
-        cubes = component_gauss_sums(cond)
+        cubes = component_gauss_sums(cond, omegas(cond))
         assert verify_kernel_character(rec.representation, cubes, omegas(cond)) == rec.periods
 
 
 def test_kernel_character_rejects_another_kernel(monkeypatch, omegas):
     records = match_fields(F819)
-    cubes = component_gauss_sums(F819)
+    cubes = component_gauss_sums(F819, omegas(F819))
     for rec in records:
         for other in records:
             if other is rec:
