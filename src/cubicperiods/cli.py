@@ -27,7 +27,7 @@ The modules each command compiles.  Every command: the package root,
 arith, cubicpoly, eisenstein, errors, quadform, report and this module.
 enumerate: nothing more.  verify, scan and table: also periods, with the
 groupring it imports, and gausssums, where match_fields first runs; and
-curve, where the first Jacobi sum of a prime component is read off its
+curve, where the first Jacobi sum of a prime component is proven by its
 points (verify of 9 has none).  periods is registered at import as a
 module that runs on its first attribute access (_lazy_module), not
 imported by the commands, so that a tracer that rebinds the package's
@@ -36,7 +36,7 @@ functions in sys.modules when it starts (bench/spans.py) finds it there.
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
 for verify and scan a prime factor above gausssums.POINT_COUNT_BUDGET,
-or one whose Jacobi sum the points of the curve leave open) or an --out
+or one whose Jacobi sum no point of the curve proves) or an --out
 the report cannot be written to.
 Reports go to stdout (or --out); diagnostics go to stderr.
 """

@@ -1,14 +1,15 @@
-"""The curve E: y^2 = x^3 - 432 over F_p, p = 1 mod 3, and the trace of the
-Jacobi sum that its number of points gives.
+"""The curve E: y^2 = x^3 - 432 over F_p, p = 1 mod 3, and the proof that
+a candidate is the trace of the Jacobi sum.
 
 For the cubic character chi mod p, E has p + 1 + Tr J(chi, chi) points
 over F_p and its quadratic twist p + 1 - Tr J (Ireland and Rosen, ch. 18,
-the curves y^2 = x^3 + D).  jacobi_trace finds t = Tr J among the
-O(sqrt(p)) candidates that the Hasse bound and a congruence mod 9 leave, by
-baby-step giant-step in O(p^(1/4)) group operations (Cohen, ch. 7,
-Shanks-Mestre).  Points are taken in order of x on E and on its twist,
-without a square root, and the answer is None, never a guess, when they
-leave more than one candidate.
+the curves y^2 = x^3 + D).  certified_trace searches nothing: it is given
+the one candidate that Stickelberger's congruence names
+(gausssums.jacobi_sum) and accepts it only when the order of one point
+leaves a single group order in Hasse's interval (R. Schoof, "Counting
+points on elliptic curves over finite fields", 1995; Cohen, ch. 7).
+Points are taken in order of x on E and on its twist, without a square
+root, and a candidate that no point proves is refused, never taken.
 
 Points are affine pairs (x, y) of integers mod p, and None is the point at
 infinity.  The group law of y^2 = x^3 + B does not read B, so one pair of
@@ -24,8 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 
-# Points tried before the trace is left open.  The primes = 1 mod 3 from
-# 7 to 2*10^5 need one point in 98% of cases and 19441 needs the most, 11.
+from .arith import factorize
+
+# Points tried before the trace is left open.  Of the 8,988 primes = 1 mod 3
+# below 2*10^5 the first point proves 8,742, and 19441 needs the most, 11.
+# The points of E alone leave 225 of them unproven, 7 and 13 among them.
 _POINT_TRIES = 32
 
 
@@ -73,69 +77,36 @@ def _points(p: int):
             yield (s * x % p, s * s % p), 1 if pow(s, half, p) == 1 else -1
 
 
-def _bsgs(P: tuple[int, int], sign: int, p: int, t_lo: int, count: int) -> set[int] | None:
-    """The k in range(count) with (p + 1 + sign*(t_lo + 9k))*P = O, or None
-    when Q = sign*9P has order at most 2m and cannot tell them apart.
+def certified_trace(p: int, t: int) -> bool:
+    """Whether the order of one point proves that t = Tr J(chi, chi).
 
-    That is R + k*Q = O with R = (p + 1 + sign*t_lo)*P.  The baby steps
-    j*Q, 1 <= j <= m, are held by x-coordinate, which j*Q shares with
-    -j*Q only; the giant steps R + 2m*i*Q meet them as R + 2m*i*Q = j*Q, so
-    k = 2m*i - j, or -j*Q, so k = 2m*i + j, and R = O gives k = 2m*i.
-    Every k in range(count) is 2m*i +- j for some such i and j.
+    A point P of E (sign 1) or of its twist (sign -1) must satisfy n*P = O
+    for n = p + 1 + sign*t, and one that does not refutes t.  d, the
+    product of the q-parts of ord(P) over the prime powers q^e || n from the
+    largest q down, divides n and the group order.  The first q-part is
+    found by multiplying (n/q^e)*P by q up to e times, which checks
+    n*P = O on the way.  Hasse's bound puts the
+    group order within 2*sqrt(p) of p + 1, as t^2 <= 4p puts n, and for
+    t = -(p + 1) mod 9 both are = n mod 9 (#E = 0 and #E' = 2(p + 1) mod 9,
+    as J = -1 mod 3).  So once lcm(d, 9)^2 > 16p the group order is n, the
+    one number of its class mod lcm(d, 9) in the interval.  _points starts
+    past the 3-torsion points of E at x = 0; the others, such as those at
+    x = 12, have 9P = O and prove nothing.
     """
-    Q = _mul(9, P, p)
-    if Q is None:
-        return None
-    if sign < 0:
-        Q = Q[0], -Q[1] % p
-    m = math.isqrt(count // 2) + 1
-    baby: dict[int, tuple[int, int]] = {}
-    S = None
-    for j in range(1, m + 1):
-        S = _add(S, Q, p)
-        if S is None or S[0] in baby:
-            return None
-        baby[S[0]] = j, S[1]
-    step = _add(S, S, p)
-    if step is None:
-        return None
-    R = _mul(p + 1 + sign * t_lo, P, p)
-    found = set()
-    for i in range(0, count + m, 2 * m):
-        if R is None:
-            found.add(i)
-        elif R[0] in baby:
-            j, y = baby[R[0]]
-            found.add(i - j if R[1] == y else i + j)
-        R = _add(R, step, p)
-    return {k for k in found if 0 <= k < count}
-
-
-def jacobi_trace(p: int) -> int | None:
-    """t = Tr J(chi, chi), or None when the points tried leave more than
-    one candidate.
-
-    E: y^2 = x^3 - 432 has p + 1 + t points over F_p, and its quadratic
-    twist p + 1 - t.  J = -1 + 3*beta gives t = -2 + 3*Tr(beta) and p + 1
-    + t = 9*N(beta), so t = -(p + 1) mod 9, and 4p = t^2 + 3b^2 with b != 0
-    for J = a + b*zeta3, so t^2 < 4p.  The first point for which _bsgs
-    tells the candidates apart gives them, and each later point keeps those
-    t for which p + 1 + sign*t kills it.  _points starts past the
-    3-torsion points of E at x = 0; the others, such as those at x = 12,
-    have 9P = O, and _bsgs passes them over.
-    """
-    t_max = math.isqrt(4 * p - 1)
-    t_lo = -t_max + (-(p + 1) + t_max) % 9
-    count = (t_max - t_lo) // 9 + 1
-    candidates = None
+    if t * t > 4 * p or (p + 1 + t) % 9:
+        return False
     for P, sign in itertools.islice(_points(p), _POINT_TRIES):
-        if candidates is None:
-            found = _bsgs(P, sign, p, t_lo, count)
-            if found is None:
-                continue
-            candidates = [t_lo + 9 * k for k in found]
-        else:
-            candidates = [t for t in candidates if _mul(p + 1 + sign * t, P, p) is None]
-        if len(candidates) == 1:
-            return candidates[0]
-    return None
+        n = p + 1 + sign * t
+        d = 1
+        for q, e in reversed(factorize(n)):
+            Q = _mul(n // q**e, P, p)
+            for _ in range(e):
+                if Q is None:
+                    break
+                Q = _mul(q, Q, p)
+                d *= q
+            if Q is not None:
+                return False
+            if math.lcm(d, 9) ** 2 > 16 * p:
+                return True
+    return False

@@ -29,17 +29,21 @@ Each prime has two cube roots of unity mod p, on purpose.  Cornacchia's,
 the first non-cube a^((p-1)/3), serves the pairs and enumerate
 (prime_element).  omega_p = g^((p-1)/3) at the smallest generator g
 (zeta3_residue) serves only verify, scan and table: match_fields derives
-it once per prime for the character check and Stickelberger's sign in
-gausssums.jacobi_sum.  They stay two: the search for g would add 6% to
-enumerate (4.3 ms for the 120 primes of enumerate-huge seed 1, against
-72 ms for its 60 ops), and Cornacchia's omega as omega_p would swap T
-and conj(T) at some fields, changing the last digits of the periods that
-verify prints at 7, 63, 819 and 15561.
+it once per prime for the character check and for
+gausssums.jacobi_sum, which runs Cornacchia's step on it
+(cornacchia_element) and picks by Stickelberger's congruence.  They stay
+two: the search for g would add 6% to enumerate (4.3 ms for the 120
+primes of enumerate-huge seed 1, against 72 ms for its 60 ops), and
+Cornacchia's omega as omega_p would swap T and conj(T) at some fields,
+changing the last digits of the periods that verify prints at 7, 63, 819
+and 15561.
 
 The character of a pair needs no Gaussian sum.  The cubes of the Gaussian
 sums are the other route, in the gausssums module, which shares only this
-ring and the omegas of match_fields with this one, so matching the periods
-against the pairs compares two independent computations.
+ring, Cornacchia's step and the omegas of match_fields with this one and
+takes its Jacobi sums only once the points of a curve prove them, so
+matching the periods against the pairs compares two independent
+computations.
 chi9_gauss_sum_report reads the sum mod 9 from there.
 """
 
@@ -159,23 +163,17 @@ def chi9_gauss_sum_report(sign: int) -> dict:
     }
 
 
-def prime_element(p: int) -> EisensteinInt:
-    """A primary prime element of norm p, for a prime p = 1 mod 3.
+def cornacchia_element(p: int, omega: int) -> EisensteinInt:
+    """The primary element of norm p above (p, zeta3 - omega) or its
+    conjugate, for a prime p = 1 mod 3 and a primitive cube root of unity
+    omega mod p.
 
-    omega = a^((p-1)/3) mod p for the first a >= 2 with omega != 1 is a
-    primitive cube root of unity mod p, so r = 2*omega + 1 is a square root
-    of -3 mod p.  Cornacchia's algorithm (Euclid on p and r, stopped below
-    sqrt(p)) then gives p = x^2 + 3y^2, and x + y*sqrt(-3) =
-    (x + y) + 2y*zeta3 has norm p.  This is gcd(p, omega - zeta3) worked
-    out in integers: which of pi and conj(pi) comes out is left open.  A p
-    below 7, not 1 mod 6 or composite raises ValueError.
+    r = 2*omega + 1 is a square root of -3 mod p.  Cornacchia's algorithm
+    (Euclid on p and r, stopped below sqrt(p)) then gives p = x^2 + 3y^2,
+    and x + y*sqrt(-3) = (x + y) + 2y*zeta3 has norm p.  This is
+    gcd(p, omega - zeta3) worked out in integers: which of pi and conj(pi)
+    comes out is left open.
     """
-    if p < 7 or p % 6 != 1 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not a prime = 1 mod 3")
-    k = (p - 1) // 3
-    a = 2
-    while (omega := pow(a, k, p)) == 1:
-        a += 1
     prev, r = p, (2 * omega + 1) % p
     while r * r > p:
         prev, r = r, prev % r
@@ -187,6 +185,21 @@ def prime_element(p: int) -> EisensteinInt:
             f"Cornacchia's algorithm for {p} = x^2 + 3y^2 ended at x = {r}, not a solution"
         )
     return pi
+
+
+def prime_element(p: int) -> EisensteinInt:
+    """A primary prime element of norm p, for a prime p = 1 mod 3:
+    cornacchia_element at omega = a^((p-1)/3) mod p for the first a >= 2
+    with omega != 1, a primitive cube root of unity mod p.  A p below 7,
+    not 1 mod 6 or composite raises ValueError.
+    """
+    if p < 7 or p % 6 != 1 or not is_probable_prime(p):
+        raise ValueError(f"{p} is not a prime = 1 mod 3")
+    k = (p - 1) // 3
+    a = 2
+    while (omega := pow(a, k, p)) == 1:
+        a += 1
+    return cornacchia_element(p, omega)
 
 
 def rhs_elements(f: Conductor) -> list[EisensteinInt]:

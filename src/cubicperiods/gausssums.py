@@ -3,25 +3,25 @@ component of a conductor.
 
 This is one of the two independent computations that the matching of
 periods.match_fields compares.  The other, the pair route of eisenstein,
-reads each pair's character off its element w = (M + 3N*sqrt(-3))/2 with
-Cornacchia's prime elements; no Cornacchia step runs here, and no pair is
-read.  Only verify, scan and table take this route, so it is imported
-where it first runs, and enumerate, which matches no field, never
+reads each pair's character off its element w = (M + 3N*sqrt(-3))/2; no
+pair is read here.  Only verify, scan and table take this route, so it is
+imported where it first runs, and enumerate, which matches no field, never
 compiles it.
 
 The Gaussian sums enter only through their cubes, which are exact: for a
 prime p, tau(chi_p)^3 = p * J(chi_p, chi_p) with the Jacobi sum J in
-Z[zeta3] (Ireland and Rosen, ch. 8 section 3).  jacobi_sum reads the
-trace t = Tr J off the curve E: y^2 = x^3 - 432, which has p + 1 + t
-points over F_p (Ireland and Rosen, ch. 18), by baby-step giant-step in
-O(p^(1/4)) group operations (curve.jacobi_trace; Cohen, ch. 7).  The
-points are taken in order of x, on E and on its quadratic twist, which has
-p + 1 - t points; later points only narrow the candidates of the first.
-4p = t^2 + 3b^2 then gives J = (t + b)/2 + b*zeta3 up to the sign of b,
-that is up to conjugation, and Stickelberger's congruence picks the sign:
-J = 0 mod the prime (p, zeta3 - omega) for omega = g^((p-1)/3), g the
-smallest generator, the residue of chi(g) = zeta3, given by match_fields.
-When the points leave t open, J is refused, never guessed.
+Z[zeta3] (Ireland and Rosen, ch. 8 section 3).  Stickelberger's
+congruence names J: J = -1 mod 3 and N(J) = p make -J a primary prime
+element of norm p, and J = 0 mod the prime (p, zeta3 - omega) for
+omega = g^((p-1)/3), g the smallest generator, the residue of
+chi(g) = zeta3, given by match_fields.  jacobi_sum takes Cornacchia's
+element on that omega (eisenstein.cornacchia_element), which is pi or
+conj(pi), and the congruence picks the one of the two.  The routes stay
+independent all the same: the candidate comes from the congruence, and
+only the curve E: y^2 = x^3 - 432, which has p + 1 + Tr J points over F_p
+(Ireland and Rosen, ch. 18), accepts it, by the order of one point of E
+or of its quadratic twist (curve.certified_trace).  When no point proves
+the candidate, J is refused, never guessed.
 
 For q = 9 the cube of the six-term sum is multiplied out in Z[zeta9].
 One tuple of cubes per conductor feeds the periods.
@@ -33,10 +33,9 @@ N(J) = p and J = -1 mod 3 included.
 from __future__ import annotations
 
 import functools
-import math
 
 from .arith import Conductor, _component_moduli
-from .eisenstein import EisensteinInt
+from .eisenstein import EisensteinInt, cornacchia_element
 from .errors import (
     BudgetExceeded,
     CongruenceFailure,
@@ -44,10 +43,13 @@ from .errors import (
     IdentityFailure,
 )
 
-# Largest prime component whose Jacobi sum is computed at all.  By points it
-# takes O(p^(1/4)) group operations, 30 ms for a prime near 10^15 and 60 ms
-# near 10^16 (means of 10 primes, 2-core Intel Xeon VM), so verify and scan
-# refuse a conductor with a larger prime factor.
+# Largest prime component whose Jacobi sum is computed at all.  Its
+# certificate takes about one multiple of one point and the factorization
+# of p + 1 + Tr J: a median of 0.46 ms for primes near 10^12 and 0.83 ms
+# for primes in 10^15..10^16, 4.3 ms at most (300 seeded primes each,
+# 2-core Intel Xeon VM, Python 3.11.7).  The cost of that factorization
+# above 10^16, Brent's rho on its cofactor, is unmeasured, so verify and
+# scan refuse a conductor with a larger prime factor.
 POINT_COUNT_BUDGET = 10**16
 
 
@@ -56,32 +58,31 @@ def jacobi_sum(p: int, omega: int) -> EisensteinInt:
     character chi(g) = zeta3 at the smallest generator g mod p, a prime
     = 1 mod 3.  Then tau(chi)^3 = p * J(chi, chi) exactly.
 
-    J = a + b*zeta3 is read off its trace t = Tr J, from the points of E
-    and its twist (curve.jacobi_trace): 4p = t^2 + 3b^2 gives b up to
-    sign and a = (t + b)/2, and Stickelberger's congruence keeps the sign
-    with a + b*omega = 0 mod p, omega = g^((p-1)/3) as given.  A trace the
-    points leave open is refused with BudgetExceeded, at any p.  N(J) = p
-    and J = -1 mod 3 are checked (Ireland and Rosen, ch. 9 section 4).
+    J = -pi for the primary prime element pi of norm p with
+    a + b*omega = 0 mod p, omega = g^((p-1)/3) as given (Stickelberger's
+    congruence): cornacchia_element(p, omega) or its conjugate.  J is
+    taken only when curve.certified_trace proves Tr J, and is refused with
+    BudgetExceeded otherwise, at any p.  N(J) = p and J = -1 mod 3 are
+    checked (Ireland and Rosen, ch. 9 section 4).
     """
     if p > POINT_COUNT_BUDGET:
         raise BudgetExceeded(
-            f"the Jacobi sum mod {p} takes O(p^(1/4)) point operations, beyond "
-            f"the budget of prime components up to {POINT_COUNT_BUDGET}"
+            f"the Jacobi sum mod {p} is certified by factoring p + 1 +- Tr J, at a "
+            f"cost unmeasured beyond the budget of prime components up to "
+            f"{POINT_COUNT_BUDGET}"
         )
     # Imported here, so that a conductor with no prime component, such as
     # 9, never loads the module.
-    from .curve import jacobi_trace
+    from .curve import certified_trace
 
-    t = jacobi_trace(p)
-    if t is None:
+    pi = cornacchia_element(p, omega)
+    if (pi.a + pi.b * omega) % p:
+        pi = pi.conjugate()
+    jacobi = -pi
+    if not certified_trace(p, jacobi.trace()):
         raise BudgetExceeded(
             f"the points mod {p} leave Tr J(chi, chi) open, and J is never guessed"
         )
-    b = math.isqrt((4 * p - t * t) // 3)
-    a = (t + b) // 2
-    if (a + b * omega) % p:
-        a, b = a - b, -b
-    jacobi = EisensteinInt(a, b)
     if jacobi.norm() != p:
         raise FactorizationMismatch(f"J(chi, chi) = {jacobi} mod {p} has norm {jacobi.norm()}")
     if jacobi.a % 3 != 2 or jacobi.b % 3 != 0:

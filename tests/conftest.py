@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from cubicperiods import (
     substitute_affine,
 )
 from cubicperiods.arith import _component_moduli, _primes_below
+from cubicperiods.curve import _POINT_TRIES, _add, _mul, _points
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
@@ -296,7 +298,7 @@ def count_oracle():
 
 def points_of_e_alone(p: int, points=curve._points):
     """curve._points without the points of the twist: at the primes where
-    the first points of E leave more than one trace, the trace stays open."""
+    the first points of E alone prove no trace, the trace stays open."""
     return ((P, sign) for P, sign in points(p) if sign == 1)
 
 
@@ -304,6 +306,101 @@ def points_of_e_alone(p: int, points=curve._points):
 def e_alone():
     """points_of_e_alone(p): a stand-in for curve._points."""
     return points_of_e_alone
+
+
+# Oracle: the baby-step giant-step search for Tr J(chi, chi) over the
+# O(sqrt(p)) candidates, in O(p^(1/4)) group operations (Cohen, ch. 7,
+# Shanks-Mestre).  It shares the points and the group law of the curve
+# module, but not the candidate that Stickelberger's congruence names.
+
+
+def _bsgs(P: tuple[int, int], sign: int, p: int, t_lo: int, count: int) -> set[int] | None:
+    """The k in range(count) with (p + 1 + sign*(t_lo + 9k))*P = O, or None
+    when Q = sign*9P has order at most 2m and cannot tell them apart.
+
+    That is R + k*Q = O with R = (p + 1 + sign*t_lo)*P.  The baby steps
+    j*Q, 1 <= j <= m, are held by x-coordinate, which j*Q shares with
+    -j*Q only; the giant steps R + 2m*i*Q meet them as R + 2m*i*Q = j*Q, so
+    k = 2m*i - j, or -j*Q, so k = 2m*i + j, and R = O gives k = 2m*i.
+    Every k in range(count) is 2m*i +- j for some such i and j.
+    """
+    Q = _mul(9, P, p)
+    if Q is None:
+        return None
+    if sign < 0:
+        Q = Q[0], -Q[1] % p
+    m = math.isqrt(count // 2) + 1
+    baby: dict[int, tuple[int, int]] = {}
+    S = None
+    for j in range(1, m + 1):
+        S = _add(S, Q, p)
+        if S is None or S[0] in baby:
+            return None
+        baby[S[0]] = j, S[1]
+    step = _add(S, S, p)
+    if step is None:
+        return None
+    R = _mul(p + 1 + sign * t_lo, P, p)
+    found = set()
+    for i in range(0, count + m, 2 * m):
+        if R is None:
+            found.add(i)
+        elif R[0] in baby:
+            j, y = baby[R[0]]
+            found.add(i - j if R[1] == y else i + j)
+        R = _add(R, step, p)
+    return {k for k in found if 0 <= k < count}
+
+
+def jacobi_trace(p: int) -> int | None:
+    """t = Tr J(chi, chi), or None when the points tried leave more than
+    one candidate.
+
+    E: y^2 = x^3 - 432 has p + 1 + t points over F_p, and its quadratic
+    twist p + 1 - t.  J = -1 + 3*beta gives t = -2 + 3*Tr(beta) and p + 1
+    + t = 9*N(beta), so t = -(p + 1) mod 9, and 4p = t^2 + 3b^2 with b != 0
+    for J = a + b*zeta3, so t^2 < 4p.  The first point for which _bsgs
+    tells the candidates apart gives them, and each later point keeps those
+    t for which p + 1 + sign*t kills it.  _points starts past the
+    3-torsion points of E at x = 0; the others, such as those at x = 12,
+    have 9P = O, and _bsgs passes them over.
+    """
+    t_max = math.isqrt(4 * p - 1)
+    t_lo = -t_max + (-(p + 1) + t_max) % 9
+    count = (t_max - t_lo) // 9 + 1
+    candidates = None
+    for P, sign in itertools.islice(_points(p), _POINT_TRIES):
+        if candidates is None:
+            found = _bsgs(P, sign, p, t_lo, count)
+            if found is None:
+                continue
+            candidates = [t_lo + 9 * k for k in found]
+        else:
+            candidates = [t for t in candidates if _mul(p + 1 + sign * t, P, p) is None]
+        if len(candidates) == 1:
+            return candidates[0]
+    return None
+
+
+def jacobi_by_bsgs(p: int) -> EisensteinInt:
+    """Oracle: J(chi, chi) rebuilt from t = jacobi_trace(p), with no
+    Cornacchia step: 4p = t^2 + 3b^2 gives b up to sign and a = (t + b)/2,
+    and Stickelberger's congruence a + b*omega_p = 0 mod p keeps the sign.
+    Unchecked: the norm and the congruence mod 3 are left to the caller."""
+    t = jacobi_trace(p)
+    if t is None:
+        raise ValueError(f"the points mod {p} leave the trace open")
+    b = math.isqrt((4 * p - t * t) // 3)
+    a = (t + b) // 2
+    if (a + b * zeta3_residue(p)) % p:
+        a, b = a - b, -b
+    return EisensteinInt(a, b)
+
+
+@pytest.fixture(scope="session")
+def bsgs_jacobi():
+    """jacobi_by_bsgs(p): J(chi, chi) from the trace that the search finds."""
+    return jacobi_by_bsgs
 
 
 def jacobi_by_nine_counts(p: int) -> EisensteinInt:

@@ -233,8 +233,8 @@ def test_scan_beyond_proven_primality_exits_2(capsys):
 )
 def test_prime_component_beyond_the_budget_exits_2(capsys, argv):
     # 70000000000000483 = 7 * 10000000000000069, the first prime = 1 mod 3
-    # above 10^16, where the Jacobi sum by points takes about 60 ms a prime
-    # and grows like p^(1/4): it is refused first
+    # above 10^16, where the cost of factoring the group order that
+    # certifies the Jacobi sum is unmeasured: it is refused first
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     elapsed = time.perf_counter() - start
@@ -260,9 +260,9 @@ def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
     # cubes of the periods instead of building its own.  Nothing keeps the
     # cubes of a conductor, so a second run in one process traces again
     calls = []
-    jacobi_trace = curve.jacobi_trace
+    certified_trace = curve.certified_trace
     monkeypatch.setattr(
-        curve, "jacobi_trace", lambda p: calls.append(p) or jacobi_trace(p)
+        curve, "certified_trace", lambda p, t: calls.append(p) or certified_trace(p, t)
     )
     for _ in range(2):
         calls.clear()
@@ -275,9 +275,9 @@ def test_verify_takes_every_prime_by_points(capsys, monkeypatch):
     # 826371 = 9 * 7 * 13 * 1009 has 8 fields.  Small and large primes alike
     # take the points of E and its twist, each prime once
     traced = []
-    jacobi_trace = curve.jacobi_trace
+    certified_trace = curve.certified_trace
     monkeypatch.setattr(
-        curve, "jacobi_trace", lambda p: traced.append(p) or jacobi_trace(p)
+        curve, "certified_trace", lambda p, t: traced.append(p) or certified_trace(p, t)
     )
     code, _, _ = run(capsys, ["verify", "--conductor", "826371"])
     assert code == 0
@@ -371,8 +371,9 @@ def test_each_prime_derives_its_omega_and_its_element_once(
 def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
     # 10000141, the first prime = 1 mod 3 above 10^7, has t = 4258 and
     # 10004400 = 2^4 * 3^2 * 5^2 * 7 * 397 points on E.  3150 times the
-    # first point of E is killed by p + 1 + t at t = -2888 too, so with that
-    # point alone two traces survive, and neither is taken
+    # first point of E is killed by p + 1 + t at t = -2888 too, so its order
+    # divides 2 * 397 and cannot tell the two apart in Hasse's interval: with
+    # that point alone the trace is not proven, and J is not taken
     p = 10_000_141
     first = next(P for P, sign in curve._points(p) if sign == 1)
     point = curve._mul(3150, first, p)

@@ -20,7 +20,7 @@ from cubicperiods import (
     rhs_elements,
     validate_conductor,
 )
-from cubicperiods import curve
+from cubicperiods import curve, gausssums
 from cubicperiods.arith import _primes_below, is_probable_prime
 from cubicperiods.eisenstein import (
     UNITS,
@@ -28,16 +28,30 @@ from cubicperiods.eisenstein import (
     primary_associate,
     zeta3_residue,
 )
-from cubicperiods.curve import jacobi_trace
 from cubicperiods.gausssums import POINT_COUNT_BUDGET, jacobi_sum
 
 PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
 # Every prime = 1 mod 3 below 2*10^5.
 POINT_PRIMES = [p for p in _primes_below(200_000) if p % 3 == 1]
-# The first curve._POINT_TRIES points of E alone leave more than one trace at
-# these primes, two near 10^3, two near 10^4 and four in 1.2..1.31*10^5; they
-# do so at 169 primes = 1 mod 3 below 2*10^5, 7 and 13 among them.
+# The first curve._POINT_TRIES points of E alone prove no trace at these
+# primes, two near 10^3, two near 10^4 and four in 1.2..1.31*10^5; they
+# prove none at 225 primes = 1 mod 3 below 2*10^5, 7 and 13 among them, and
+# left more than one trace at 169 of them to baby-step giant-step.
 E_AMBIGUOUS = [1117, 1123, 9901, 11131, 121453, 123553, 127807, 129169]
+
+
+def seeded_primes() -> list[int]:
+    """50 primes = 1 mod 3 with a seeded number of digits from 6 to 16."""
+    rng = random.Random(19)
+    sampled = []
+    for _ in range(50):
+        digits = rng.randint(6, 16)
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        n -= (n - 1) % 6
+        while not is_probable_prime(n):
+            n -= 6
+        sampled.append(n)
+    return sampled
 
 
 def test_basic_algebra():
@@ -457,7 +471,7 @@ def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
 
 
 def test_points_equal_the_count(count_oracle):
-    # baby-step giant-step on E and its twist against the count, at every
+    # the certificate on E and its twist against the count, at every
     # prime = 1 mod 3 from 7 to 5*10^4 and at two large primes, the second
     # the largest the count oracle is asked for
     for p in [*(p for p in POINT_PRIMES if p <= 50_000), 1_000_003, 9_999_991]:
@@ -467,15 +481,7 @@ def test_points_equal_the_count(count_oracle):
 def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
     # at every prime = 1 mod 3 from 7 to 2*10^5, and at 50
     # primes = 1 mod 3 with a seeded number of digits up to the budget
-    rng = random.Random(19)
-    sampled = []
-    for _ in range(50):
-        digits = rng.randint(6, 16)
-        n = rng.randrange(10 ** (digits - 1), 10**digits)
-        n -= (n - 1) % 6
-        while not is_probable_prime(n):
-            n -= 6
-        sampled.append(n)
+    sampled = seeded_primes()
     assert max(sampled) <= POINT_COUNT_BUDGET
     for p in [*POINT_PRIMES, *sampled]:
         assert jacobi_sum(p, zeta3_residue(p)) == prime_element_jacobi(p), p
@@ -485,10 +491,72 @@ def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi
     # the points of the twist among the first ones settle the trace; with
     # the points of E alone it stays open, and jacobi_sum refuses, however
     # small p is
+    traces = {}
     for p in E_AMBIGUOUS:
-        assert jacobi_sum(p, zeta3_residue(p)) == prime_element_jacobi(p), p
+        jacobi = jacobi_sum(p, zeta3_residue(p))
+        assert jacobi == prime_element_jacobi(p), p
+        traces[p] = jacobi.trace()
     monkeypatch.setattr(curve, "_points", e_alone)
     for p in E_AMBIGUOUS:
-        assert jacobi_trace(p) is None, p
+        assert not curve.certified_trace(p, traces[p]), p
         with pytest.raises(BudgetExceeded, match="open"):
             jacobi_sum(p, zeta3_residue(p))
+
+
+def test_certificate_equals_baby_step_giant_step(bsgs_jacobi):
+    # the search over every candidate trace that the certificate replaced,
+    # at the seeded primes: above 10^7 the one oracle that does not share
+    # the candidate from Cornacchia's element
+    for p in seeded_primes():
+        assert jacobi_sum(p, zeta3_residue(p)) == bsgs_jacobi(p), p
+
+
+def test_certificate_proves_one_trace_in_the_hasse_interval():
+    # of all s with s^2 <= 4p, only Tr J is proven, at every prime = 1 mod 3
+    # below 3000; without the class mod 9, a second s would pass at 31, 61
+    # and 19 more of them
+    for p in (p for p in PRIMES_1_MOD_3 if p < 3000):
+        bound = math.isqrt(4 * p)
+        proven = [s for s in range(-bound, bound + 1) if curve.certified_trace(p, s)]
+        assert proven == [jacobi_sum(p, zeta3_residue(p)).trace()], p
+
+
+REFUSAL_PRIMES = [7, 13, 1117, 10_000_141]
+
+
+@pytest.mark.parametrize("p", REFUSAL_PRIMES)
+def test_certificate_refuses_every_other_candidate(p):
+    # t + 9 and t - 9 keep the class mod 9, and the associates of J other
+    # than J have other traces; no point proves any of them
+    jacobi = jacobi_sum(p, zeta3_residue(p))
+    t = jacobi.trace()
+    assert curve.certified_trace(p, t)
+    others = [t + 9, t - 9, *((u * jacobi).trace() for u in UNITS[1:])]
+    assert t not in others
+    assert not any(curve.certified_trace(p, s) for s in others), others
+
+
+@pytest.mark.parametrize("p", REFUSAL_PRIMES)
+def test_a_point_of_order_nine_proves_nothing(monkeypatch, p):
+    # E's points at x = 12 have 9P = O: n kills them for every candidate,
+    # and lcm(ord(P), 9)^2 = 81 never passes 16p
+    t = jacobi_sum(p, zeta3_residue(p)).trace()
+    point = 12 % p, 36 % p
+    assert curve._mul(9, point, p) is None
+    monkeypatch.setattr(curve, "_points", lambda q: iter([(point, 1)] * curve._POINT_TRIES))
+    assert not curve.certified_trace(p, t)
+
+
+@pytest.mark.parametrize("p", REFUSAL_PRIMES)
+def test_a_wrong_cornacchia_element_is_refused(monkeypatch, p):
+    # zeta3*pi has norm p and lies above the same prime as pi, so
+    # Stickelberger's pick keeps it; the curve refuses the trace of
+    # -zeta3*pi, and jacobi_sum returns no J
+    element = gausssums.cornacchia_element
+    monkeypatch.setattr(
+        gausssums,
+        "cornacchia_element",
+        lambda q, omega: ZETA * element(q, omega) if q == p else element(q, omega),
+    )
+    with pytest.raises(BudgetExceeded, match="open"):
+        jacobi_sum(p, zeta3_residue(p))
