@@ -7,6 +7,17 @@ is either a squarefree product p1*...*pk of primes congruent to 1 mod 3
 ramification).  Everything downstream keys off this classification, so the
 validator here is the single entry point that turns a bare integer into a
 trusted Conductor value.
+
+factorize splits what trial division leaves by Pollard's p-1 method (J. M.
+Pollard, "Theorems on factorization and primality testing", Proc.
+Cambridge Philos. Soc. 76 (1974)), with the standard stage-2 continuation
+(P. L. Montgomery, "Speeding the Pollard and elliptic curve methods of
+factorization", Math. Comp. 48 (1987)), and then by Brent's rho.  Every odd
+prime p of a conductor is 1 mod 3, so 6 divides p - 1 and p - 1 is smooth
+more often than for a random number of its size.  Of 384 two-prime
+conductors in 10^12..10^14 (primes above 10^6), stage 1 splits 113 and
+stage 2 83, and p-1 costs about 0.1 ms a cofactor whether or not it
+splits it; factorize takes 0.70 times the time of rho alone on them.
 """
 
 from __future__ import annotations
@@ -19,16 +30,16 @@ from typing import NamedTuple
 from .errors import InvalidConductor
 
 # factorize trial-divides only below this bound; larger factors are found
-# by Brent's rho, whose cost grows with the square root of the factor
-# rather than with the number of primes below it: like sqrt(p / 5) for a
-# factor p = 1 mod 6, as every prime of a conductor but 3 is, and like
-# sqrt(p) for p = 5 mod 6 (see _brent_rho).
+# by Pollard p-1 (see _PM1_B1) or by Brent's rho, whose cost grows with the
+# square root of the factor rather than with the number of primes below
+# it: like sqrt(p / 5) for a factor p = 1 mod 6, as every prime of a
+# conductor but 3 is, and like sqrt(p) for p = 5 mod 6 (see _brent_rho).
 _TRIAL_BOUND = 1000
 # Differences multiplied together per gcd in Brent's rho.  The gcd that
 # finds a factor comes half a batch after the step that met it, on
-# average: over 240 two-prime conductors in 10^12..10^14 rho takes 1015
-# steps at 32 and 1073 at 128 in the mean, and one gcd per 32 steps still
-# costs little.
+# average: over 240 two-prime conductors in 10^12..10^14 rho alone takes
+# 1015 steps at 32 and 1073 at 128 in the mean, and on the 119 of them that
+# p-1 leaves to rho 1069 and 1127; one gcd per 32 steps still costs little.
 _RHO_BATCH = 32
 
 # Miller-Rabin to the first k primes as bases is deterministic below psi_k,
@@ -66,8 +77,27 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 
 # The only primes the package tabulates: factorize hands what is left after
-# them to Miller-Rabin and rho.
+# them to Miller-Rabin, p-1 and rho.
 _TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+
+# Pollard p-1 finds a prime p when p - 1 is B1-smooth but for one prime
+# factor up to B2.  Stage 1 raises 2 to lcm(1, ..., B1), the product of the
+# largest powers of the primes up to B1 (354 bits; built in integers, as
+# math.log(243, 3) is 4.999...); stage 2 walks the primes of _TRIAL_PRIMES
+# in (B1, B2], so B2 = _TRIAL_BOUND and no other table is kept.
+_PM1_B1 = 250
+_PM1_EXPONENT = math.lcm(*range(1, _PM1_B1 + 1))
+_PM1_STAGE2 = _TRIAL_PRIMES[bisect.bisect_right(_TRIAL_PRIMES, _PM1_B1) :]
+_PM1_GAPS = tuple(b - a for a, b in itertools.pairwise(_PM1_STAGE2))
+# factorize tries p-1 only on a cofactor at least this large, the measured
+# break-even.  p-1 costs about 0.06 ms near 10^11 and 0.1 ms near 10^13
+# whether or not it splits n, while rho finds a small prime in a few dozen
+# steps.  Against rho alone, on 200 seeded two-prime cofactors of primes
+# = 1 mod 3 per half decade (2-core Xeon VM, Python 3.11.7), factorize
+# took 1.24x the time in 10^10..10^10.5 and 0.99x in 10^11..10^11.5 when
+# the smaller prime was log-uniform above 1000, and 0.94x and 0.74x when
+# the larger prime was at most 10 times the smaller.
+_PM1_MIN = 10**11
 
 
 def is_probable_prime(n: int) -> bool:
@@ -139,10 +169,35 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
+def _pollard_pm1(n: int) -> int | None:
+    """A proper factor of an odd composite n by Pollard's p-1 method with
+    bounds _PM1_B1 and _TRIAL_BOUND, or None when neither stage splits n.
+
+    Stage 1 takes b = 2^_PM1_EXPONENT mod n and gcd(b - 1, n); a gcd of n
+    means every prime of n was found at once, and gives None.  Stage 2
+    steps x = b^s through the primes s of _PM1_STAGE2, one product by a
+    kept b^gap per prime, multiplies the x - 1 together mod n and takes one
+    gcd at the end (Montgomery 1987).
+    """
+    b = pow(2, _PM1_EXPONENT, n)
+    g = math.gcd(b - 1, n)
+    if g == 1:
+        steps = {gap: pow(b, gap, n) for gap in set(_PM1_GAPS)}
+        x = pow(b, _PM1_STAGE2[0], n)
+        acc = x - 1
+        for gap in _PM1_GAPS:
+            x = x * steps[gap] % n
+            acc = acc * (x - 1) % n
+        g = math.gcd(acc, n)
+    return g if 1 < g < n else None
+
+
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """The prime factorization of m as its (prime, exponent) pairs, sorted
     by prime; () for m = 1.  Trial division by the primes below
-    _TRIAL_BOUND, then Miller-Rabin and Brent's rho on what is left.
+    _TRIAL_BOUND, then Miller-Rabin on what is left, and on a composite
+    cofactor Pollard p-1 when it is at least _PM1_MIN and Brent's rho when
+    p-1 is not tried or does not split it.
 
     A cofactor below _TRIAL_BOUND^2 with no prime factor below the bound is
     prime, so small m never reach Miller-Rabin.  A cofactor at or above
@@ -167,7 +222,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
                 raise ValueError(f"{q} is not below {MR_BOUND}, where primality is proven")
             found[q] = found.get(q, 0) + 1
             continue
-        d = _brent_rho(q)
+        d = (q >= _PM1_MIN and _pollard_pm1(q)) or _brent_rho(q)
         stack.append(d)
         stack.append(q // d)
     factors = tuple(sorted(found.items()))

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,14 @@ from cubicperiods import (
     moebius,
     validate_conductor,
 )
-from cubicperiods.arith import _MR_WITNESSES, _TRIAL_BOUND, is_probable_prime
+from cubicperiods.arith import (
+    _MR_WITNESSES,
+    _PM1_EXPONENT,
+    _PM1_MIN,
+    _PM1_STAGE2,
+    _TRIAL_BOUND,
+    is_probable_prime,
+)
 
 
 def test_factorize_examples():
@@ -39,10 +47,105 @@ def test_factorize_roundtrip():
 
 def test_factorize_beyond_sieve():
     # neither factor is below the trial-division bound or in the prime
-    # table, so Brent's rho splits the product
+    # table, so p-1 (stage 2 finds 1000033) or Brent's rho splits the product
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == ((p, 1), (q, 1))
     assert factorize(p * p) == ((p, 2),)
+
+
+def test_pm1_exponent_is_the_largest_prime_powers_up_to_b1():
+    exponent = 1
+    for p in arith._TRIAL_PRIMES:
+        if p <= arith._PM1_B1:
+            power = p
+            while power * p <= arith._PM1_B1:
+                power *= p
+            exponent *= power
+    assert _PM1_EXPONENT == exponent and exponent.bit_length() == 354
+
+
+def pm1_stage(p: int) -> int | None:
+    """The p-1 stage that finds the prime p, from the module's bounds: 1 when
+    2^_PM1_EXPONENT = 1 mod p, 2 when that holds once raised to one prime s
+    of _PM1_STAGE2, None when neither does."""
+    b = pow(2, _PM1_EXPONENT, p)
+    if b == 1:
+        return 1
+    return 2 if any(pow(b, s, p) == 1 for s in _PM1_STAGE2) else None
+
+
+# the stages that find p and q, by route of _pollard_pm1(p * q)
+PM1_ROUTES = {
+    "stage 1": (1, None),
+    "stage 2": (2, None),
+    # stage 1 finds both primes at once, so gcd(b - 1, n) = n
+    "stage 1 gives n": (1, 1),
+    "neither": (None, None),
+}
+
+
+@pytest.mark.parametrize(
+    "p,q,route",
+    [
+        (1_000_273, 10_000_141, "stage 1"),
+        # 1000032 = 2^5 * 3 * 11 * 947
+        (1_000_033, 10_000_141, "stage 2"),
+        (1_000_273, 10_000_453, "stage 1 gives n"),
+        (1_000_003, 10_000_141, "neither"),
+    ],
+)
+def test_each_pm1_route_splits_a_conductor(monkeypatch, p, q, route):
+    assert (pm1_stage(p), pm1_stage(q)) == PM1_ROUTES[route]
+    n = p * q
+    assert n >= _PM1_MIN
+    split = route in ("stage 1", "stage 2")
+    assert arith._pollard_pm1(n) == (p if split else None)
+    rho_calls = []
+    rho = arith._brent_rho
+    monkeypatch.setattr(arith, "_brent_rho", lambda m: rho_calls.append(m) or rho(m))
+    assert factorize(n) == ((p, 1), (q, 1))
+    assert rho_calls == ([] if split else [n])
+    assert validate_conductor(n).odd_primes == (p, q)
+
+
+def test_pm1_runs_only_on_cofactors_at_or_above_its_gate(monkeypatch):
+    pm1 = arith._pollard_pm1
+    calls = []
+    monkeypatch.setattr(arith, "_pollard_pm1", lambda n: calls.append(n) or pm1(n))
+    small = 1009 * 1013
+    assert small < _PM1_MIN
+    assert factorize(small) == ((1009, 1), (1013, 1))
+    assert calls == []
+    large = 1_000_003 * 1_000_033
+    assert large >= _PM1_MIN
+    assert factorize(7 * large) == ((7, 1), (1_000_003, 1), (1_000_033, 1))
+    assert calls == [large]
+
+
+def next_prime(n: int) -> int:
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(st.integers(10**5, 10**7).map(next_prime), min_size=2, max_size=3))
+def test_pm1_gives_a_proper_divisor_and_leaves_factorize_unchanged(primes):
+    n = math.prod(primes)
+    d = arith._pollard_pm1(n)
+    assert d is None or (1 < d < n and n % d == 0)
+    with mock.patch.object(arith, "_pollard_pm1", lambda m: None):
+        by_rho = factorize(n)
+    assert factorize(n) == by_rho == tuple(sorted(Counter(primes).items()))
+
+
+# a prime of each route: stage 1, stage 2 and neither
+@pytest.mark.parametrize("p", [1_000_273, 1_000_033, 1_000_003])
+def test_factorize_square_cofactors_above_the_pm1_gate(p):
+    assert p * p >= _PM1_MIN
+    assert factorize(p * p) == ((p, 2),)
+    for q in (1009, 10_000_141):
+        assert factorize(p * p * q) == tuple(sorted(((p, 2), (q, 1))))
 
 
 def trial_division(m: int, primes: list[int]) -> tuple[tuple[int, int], ...]:

@@ -69,7 +69,13 @@ def test_moved_checks_raise_under_optimization():
             return "no error"
 
         print(sys.flags.optimize)
-        # a rho step that returns a non-divisor of 1009 * 1013
+        # a p-1 step that returns a non-divisor of 1000003 * 1000033, above
+        # the gate
+        pm1 = arith._pollard_pm1
+        arith._pollard_pm1 = lambda n: 7
+        print(outcome(arith.factorize, 1000003 * 1000033))
+        arith._pollard_pm1 = pm1
+        # a rho step that returns a non-divisor of 1009 * 1013, below the gate
         arith._brent_rho = lambda n: 7
         print(outcome(arith.factorize, 1009 * 1013))
         # a factorization of 7 as 13
@@ -91,6 +97,7 @@ def test_moved_checks_raise_under_optimization():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "1",
+        "ValueError: factor product does not equal value",
         "ValueError: factor product does not equal value",
         "ValueError: inconsistent Conductor fields",
         "FactorizationMismatch: conductor 7: EisensteinInt(a=4, b=3) gives no "
