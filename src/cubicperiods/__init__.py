@@ -40,7 +40,6 @@ from .eisenstein import (
     character_for_representation,
     chi9,
     chi9_gauss_sum_report,
-    prime_element,
     rhs_elements,
 )
 from .errors import (

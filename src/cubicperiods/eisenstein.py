@@ -27,7 +27,7 @@ coordinate that kernel vectors use too.  Then chi(g^j) = zeta3^(e*j).
 
 Each prime has two cube roots of unity mod p, on purpose.  Cornacchia's,
 the first non-cube a^((p-1)/3), serves the pairs and enumerate
-(prime_element).  omega_p = g^((p-1)/3) at the smallest generator g
+(_prime_element).  omega_p = g^((p-1)/3) at the smallest generator g
 (zeta3_residue) serves only verify, scan and table: match_fields derives
 it once per prime for the character check and for
 gausssums.jacobi_sum, which runs Cornacchia's step on it
@@ -53,7 +53,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import Conductor, _component_moduli, factorize, is_probable_prime
+from .arith import Conductor, _component_moduli, factorize
 from .errors import FactorizationMismatch
 
 if TYPE_CHECKING:
@@ -187,13 +187,14 @@ def cornacchia_element(p: int, omega: int) -> EisensteinInt:
     return pi
 
 
-def prime_element(p: int) -> EisensteinInt:
+def _prime_element(p: int) -> EisensteinInt:
     """A primary prime element of norm p, for a prime p = 1 mod 3:
     cornacchia_element at omega = a^((p-1)/3) mod p for the first a >= 2
-    with omega != 1, a primitive cube root of unity mod p.  A p below 7,
-    not 1 mod 6 or composite raises ValueError.
+    with omega != 1, a primitive cube root of unity mod p.  p is not proven
+    prime; a p below 7 or not 1 mod 6 raises ValueError, as the search
+    might never end there (at p = 2 and 3 the exponent is 0).
     """
-    if p < 7 or p % 6 != 1 or not is_probable_prime(p):
+    if p < 7 or p % 6 != 1:
         raise ValueError(f"{p} is not a prime = 1 mod 3")
     k = (p - 1) // 3
     a = 2
@@ -206,14 +207,15 @@ def rhs_elements(f: Conductor) -> list[EisensteinInt]:
     """(M + 3N*sqrt(-3))/2 for every normalized pair (M, N) of f.
 
     Each is a unit times the product over the odd primes p | f of pi_p or
-    conj(pi_p), pi_p = prime_element(p): unit 1 when f is tame, so the
+    conj(pi_p), pi_p = _prime_element(p): unit 1 when f is tame, so the
     product is primary, and 3*zeta3^(+-1) when wild.  Conjugation keeps M
     and negates N, so one factor is held fixed (pi_p of the first prime
     when tame, 3*zeta3 when wild) and a product with negative zeta3
     coordinate is replaced by its conjugate: one element per pair, 2^(nu-1)
-    tame and 2^nu wild.
+    tame and 2^nu wild.  validate_conductor has proven each p prime, so
+    pi_p is taken without a second proof.
     """
-    pis = [prime_element(p) for p in f.odd_primes]
+    pis = [_prime_element(p) for p in f.odd_primes]
     if f.is_wild:
         elements, free = [3 * ZETA], pis
     else:

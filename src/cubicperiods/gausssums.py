@@ -45,9 +45,9 @@ from .errors import (
 
 # Largest prime component whose Jacobi sum is computed at all.  Its
 # certificate takes about one multiple of one point and the factorization
-# of p + 1 + Tr J: a median of 0.46 ms for primes near 10^12 and 0.83 ms
-# for primes in 10^15..10^16, 4.3 ms at most (300 seeded primes each,
-# 2-core Intel Xeon VM, Python 3.11.7).  The cost of that factorization
+# of p + 1 + Tr J: a median of 0.29 ms for primes in 10^12..10^12.5 and
+# 0.63 ms for primes in 10^15..10^16, 4.0 ms at most (300 seeded primes
+# each, 2-core Intel Xeon VM, Python 3.11.7).  The cost of that factorization
 # above 10^16, Brent's rho on its cofactor, is unmeasured, so verify and
 # scan refuse a conductor with a larger prime factor.
 POINT_COUNT_BUDGET = 10**16

@@ -18,16 +18,16 @@ from cubicperiods import (
     factorize,
     match_fields,
     moebius,
-    prime_element,
     substitute_affine,
 )
-from cubicperiods.arith import _component_moduli, _primes_below
+from cubicperiods.arith import _component_moduli, _primes_below, is_probable_prime
 from cubicperiods.curve import _POINT_TRIES, _add, _mul, _points
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
     ZETA_SQ,
     EisensteinInt,
+    _prime_element,
     primary_associate,
     zeta3_residue,
 )
@@ -440,6 +440,16 @@ def cubic_residue_character(p: int, pi: EisensteinInt) -> int:
 def residue_character():
     """cubic_residue_character(p, pi): the exponent of chi_pi at the generator."""
     return cubic_residue_character
+
+
+def prime_element(p: int) -> EisensteinInt:
+    """The package's prime element of norm p (eisenstein._prime_element),
+    for a prime p = 1 mod 3.  A p below 7, not 1 mod 6 or composite raises
+    ValueError: the package takes p from a validated conductor and does not
+    prove it prime again."""
+    if not is_probable_prime(p):
+        raise ValueError(f"{p} is not a prime = 1 mod 3")
+    return _prime_element(p)
 
 
 def jacobi_by_prime_element(p: int) -> EisensteinInt:

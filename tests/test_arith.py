@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -17,9 +18,11 @@ from cubicperiods import (
 )
 from cubicperiods.arith import (
     _MR_WITNESSES,
+    _PM1_B1,
+    _PM1_B2,
+    _PM1_D,
     _PM1_EXPONENT,
     _PM1_MIN,
-    _PM1_STAGE2,
     _TRIAL_BOUND,
     is_probable_prime,
 )
@@ -64,23 +67,44 @@ def test_pm1_exponent_is_the_largest_prime_powers_up_to_b1():
     assert _PM1_EXPONENT == exponent and exponent.bit_length() == 354
 
 
+# the primes that stage 2 must cover
+STAGE2_PRIMES = [s for s in arith._primes_below(_PM1_B2 + 1) if s > _PM1_B1]
+
+
 def pm1_stage(p: int) -> int | None:
     """The p-1 stage that finds the prime p, from the module's bounds: 1 when
     2^_PM1_EXPONENT = 1 mod p, 2 when that holds once raised to one prime s
-    of _PM1_STAGE2, None when neither does."""
+    in (_PM1_B1, _PM1_B2], None when neither does."""
     b = pow(2, _PM1_EXPONENT, p)
     if b == 1:
         return 1
-    return 2 if any(pow(b, s, p) == 1 for s in _PM1_STAGE2) else None
+    return 2 if any(pow(b, s, p) == 1 for s in STAGE2_PRIMES) else None
 
 
-# the stages that find p and q, by route of _pollard_pm1(p * q)
+def stage2_pair(p: int) -> tuple[int, int]:
+    """(v, u) with s = v*_PM1_D +- u, for the prime s of STAGE2_PRIMES that
+    stage 2 finds p by: v is the nearest integer to s/D."""
+    b = pow(2, _PM1_EXPONENT, p)
+    s = next(s for s in STAGE2_PRIMES if pow(b, s, p) == 1)
+    v = round(s / _PM1_D)
+    return v, abs(s - v * _PM1_D)
+
+
+# the stages that find p and q, and whether _pollard_pm1(p * q) splits it,
+# by route
 PM1_ROUTES = {
-    "stage 1": (1, None),
-    "stage 2": (2, None),
-    # stage 1 finds both primes at once, so gcd(b - 1, n) = n
-    "stage 1 gives n": (1, 1),
-    "neither": (None, None),
+    "stage 1": ((1, None), True),
+    "stage 2": ((2, None), True),
+    "stage 2 beyond 1000": ((2, None), True),
+    # stage 1 finds both primes at once, so gcd(b - 1, n) = n; raising 2
+    # one prime power at a time finds q at 137 and p only at 229
+    "stage 1 gives n": ((1, 1), True),
+    # stage 2 finds both primes at one giant step, in two of its terms
+    "one giant step": ((2, 2), True),
+    # stage 2 finds both primes in one term
+    "one term gives n": ((2, 2), False),
+    "neither": ((None, None), False),
+    "beyond B2": ((None, None), False),
 }
 
 
@@ -90,22 +114,60 @@ PM1_ROUTES = {
         (1_000_273, 10_000_141, "stage 1"),
         # 1000032 = 2^5 * 3 * 11 * 947
         (1_000_033, 10_000_141, "stage 2"),
+        # 1000098 = 2 * 3^2 * 11 * 5051
+        (1_000_099, 10_000_141, "stage 2 beyond 1000"),
         (1_000_273, 10_000_453, "stage 1 gives n"),
+        # 5051 = 24*210 + 11 and 10001832 = 2^3 * 3 * 83 * (24*210 - 19)
+        (1_000_099, 10_001_833, "one giant step"),
+        # 1000608 = 2^5 * 3 * 7 * (7*210 + 19) and
+        # 10011900 = 2^2 * 3 * 5^2 * 23 * (7*210 - 19)
+        (1_000_609, 10_011_901, "one term gives n"),
+        # 1000002 = 2 * 3 * 166667 and 10000140 = 2^2 * 3 * 5 * 166669
         (1_000_003, 10_000_141, "neither"),
+        # 1000038 = 2 * 3 * 13 * 12821 and 10000188 = 2^2 * 3^2 * 11 * 25253
+        (1_000_039, 10_000_189, "beyond B2"),
     ],
 )
 def test_each_pm1_route_splits_a_conductor(monkeypatch, p, q, route):
-    assert (pm1_stage(p), pm1_stage(q)) == PM1_ROUTES[route]
+    stages, split = PM1_ROUTES[route]
+    assert (pm1_stage(p), pm1_stage(q)) == stages
+    if route.startswith("one "):
+        (v, u), (w, t) = stage2_pair(p), stage2_pair(q)
+        assert v == w and (u == t) == (route == "one term gives n")
     n = p * q
     assert n >= _PM1_MIN
-    split = route in ("stage 1", "stage 2")
-    assert arith._pollard_pm1(n) == (p if split else None)
+    assert arith._pollard_pm1(n) in ((p, q) if split else (None,))
     rho_calls = []
     rho = arith._brent_rho
     monkeypatch.setattr(arith, "_brent_rho", lambda m: rho_calls.append(m) or rho(m))
     assert factorize(n) == ((p, 1), (q, 1))
     assert rho_calls == ([] if split else [n])
     assert validate_conductor(n).odd_primes == (p, q)
+
+
+def test_pm1_stage_two_visits_a_pair_for_every_prime_up_to_b2(monkeypatch):
+    # each product of stage 2 is one giant step G = b^((vD)^2); each of its
+    # terms G - H is read back as the baby step H = b^(u^2) of its pair
+    # (v, u), and every prime s in (B1, B2] must divide (vD)^2 - u^2 for a
+    # pair visited.  Neither stage splits n, so stage 2 runs to its end
+    n = 1_000_003 * 10_000_141
+    steps = []
+
+    def prod(terms):
+        steps.append(list(terms))
+        return math.prod(steps[-1])
+
+    monkeypatch.setattr(arith, "math", SimpleNamespace(gcd=math.gcd, prod=prod))
+    assert arith._pollard_pm1(n) is None
+    b = pow(2, _PM1_EXPONENT, n)
+    baby = {pow(b, u * u, n): u for u in range(1, _PM1_D // 2)}
+    pairs = set()
+    for v, terms in enumerate(steps, 1):
+        giant = pow(b, (v * _PM1_D) ** 2, n)
+        pairs.update((v, baby[(giant - term) % n]) for term in terms)
+    assert len(pairs) == sum(map(len, steps))
+    for s in STAGE2_PRIMES:
+        assert any(((v * _PM1_D) ** 2 - u * u) % s == 0 for v, u in pairs), s
 
 
 def test_pm1_runs_only_on_cofactors_at_or_above_its_gate(monkeypatch):
@@ -129,7 +191,7 @@ def next_prime(n: int) -> int:
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(st.lists(st.integers(10**5, 10**7).map(next_prime), min_size=2, max_size=3))
+@given(st.lists(st.integers(10**5, 10**8).map(next_prime), min_size=2, max_size=3))
 def test_pm1_gives_a_proper_divisor_and_leaves_factorize_unchanged(primes):
     n = math.prod(primes)
     d = arith._pollard_pm1(n)
@@ -139,8 +201,8 @@ def test_pm1_gives_a_proper_divisor_and_leaves_factorize_unchanged(primes):
     assert factorize(n) == by_rho == tuple(sorted(Counter(primes).items()))
 
 
-# a prime of each route: stage 1, stage 2 and neither
-@pytest.mark.parametrize("p", [1_000_273, 1_000_033, 1_000_003])
+# a prime of each route: stage 1, stage 2 below and above 1000, and neither
+@pytest.mark.parametrize("p", [1_000_273, 1_000_033, 1_000_099, 1_000_003])
 def test_factorize_square_cofactors_above_the_pm1_gate(p):
     assert p * p >= _PM1_MIN
     assert factorize(p * p) == ((p, 2),)

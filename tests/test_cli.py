@@ -362,7 +362,7 @@ def test_each_prime_derives_its_omega_and_its_element_once(
     # counting wrapper, which would count each call twice
     assert periods.match_fields
     omegas = count_calls(monkeypatch, eisenstein, "zeta3_residue")
-    pis = count_calls(monkeypatch, eisenstein, "prime_element")
+    pis = count_calls(monkeypatch, eisenstein, "_prime_element")
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert ([p for p, in omegas], [p for p, in pis]) == (residues, elements)

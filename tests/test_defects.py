@@ -66,10 +66,10 @@ def negate_mu(monkeypatch):
 
 def replace_prime_element_at_7(change):
     def plant(monkeypatch):
-        prime_element = eisenstein.prime_element
+        prime_element = eisenstein._prime_element
         monkeypatch.setattr(
             eisenstein,
-            "prime_element",
+            "_prime_element",
             lambda p: change(prime_element(p)) if p == 7 else prime_element(p),
         )
 

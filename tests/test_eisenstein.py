@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import prime_element
 
 import cubicperiods
 from cubicperiods import (
@@ -15,7 +16,6 @@ from cubicperiods import (
     character_for_representation,
     chi9,
     chi9_gauss_sum_report,
-    prime_element,
     representations,
     rhs_elements,
     validate_conductor,
@@ -374,8 +374,8 @@ def test_prime_element_refuses_what_is_not_a_prime_1_mod_6():
     src = Path(cubicperiods.__file__).resolve().parents[1]
     bad = [-7, 0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 17, 25, 49, 55, 85, 91, 121, 169]
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r})\n"
-        "from cubicperiods import prime_element\n"
+        f"import sys; sys.path[:0] = [{str(src)!r}, {str(Path(__file__).parent)!r}]\n"
+        "from conftest import prime_element\n"
         f"for p in {bad!r}:\n"
         "    try:\n"
         "        prime_element(p)\n"

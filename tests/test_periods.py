@@ -574,13 +574,13 @@ def test_verify_is_the_same_with_either_prime_element(capsys, monkeypatch):
         return out
 
     expected = reports()
-    prime_element = eisenstein.prime_element
+    prime_element = eisenstein._prime_element
     monkeypatch.setattr(
         eisenstein,
-        "prime_element",
+        "_prime_element",
         lambda p: prime_element(p).conjugate() if p in (7, 13) else prime_element(p),
     )
-    assert eisenstein.prime_element(7) == prime_element(7).conjugate()
+    assert eisenstein._prime_element(7) == prime_element(7).conjugate()
     assert reports() == expected
 
 
