@@ -143,7 +143,10 @@ def gaussian_periods(
     cube = math.prod(
         (t if c == 1 else t.conjugate() for t, c in zip(cubes, kernel, strict=True)), start=ONE
     )
-    z = cube.to_complex()
+    # T and conj(T) (angle -phi) give the same periods but not the same last
+    # digits, and which one a kernel holds depends on omega_p: the angle is
+    # read from the one with b >= 0, so the floats depend on the field alone.
+    z = (cube if cube.b >= 0 else cube.conjugate()).to_complex()
     phi = math.atan2(z.imag, z.real)
     etas = sorted(
         ((mu + 2 * root_f * math.cos((phi - 2 * math.pi * j) / 3)) / 3 for j in range(3)),

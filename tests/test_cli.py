@@ -679,9 +679,9 @@ LAYOUTS = {
         "- kind: all\n"
         "- conductors: 38\n"
         "- total_fields: 47\n"
-        "- worst_residual: 6.217248937900877e-15\n"
+        "- worst_residual: 3.552713678800501e-15\n"
         "- all_pass: True\n",
-        "scan [1, 300]: 38 conductors, 47 fields, worst residual 6.217e-15\n",
+        "scan [1, 300]: 38 conductors, 47 fields, worst residual 3.553e-15\n",
     ),
 }
 
