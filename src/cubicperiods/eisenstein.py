@@ -15,45 +15,34 @@ character of conductor f via
     w = (M + 3N*sqrt(-3))/2 = 3 * zeta3^(+-1) * pi_1 * ... * pi_nu,
 
 with the unit 1 in place of 3*zeta3^(+-1) when f is tame.  The pairs are
-listed from this product (rhs_elements), with one primary prime element
-per prime of f from Cornacchia's algorithm, and the pairs keep no factor:
+listed from this product (rhs_elements) and keep no factor:
 character_for_representation reads which prime above p divides w off w
 itself, by a congruence mod p.
 
-A character of the cyclic group (Z/q)^x, q = 9 or a prime p, is fixed by
-its value at a generator, so each component character is held as one
-exponent e in {1, 2}: chi(g) = zeta3^e at the smallest generator g, the
-coordinate that kernel vectors use too.  Then chi(g^j) = zeta3^(e*j).
-
-Each prime has two cube roots of unity mod p, on purpose.  Cornacchia's,
-the first non-cube a^((p-1)/3), serves the pairs and enumerate
-(_prime_element).  omega_p = g^((p-1)/3) at the smallest generator g
-(zeta3_residue) serves only verify, scan and table: match_fields derives
-it once per prime for the character check and for
-gausssums.jacobi_sum, which runs Cornacchia's step on it
-(cornacchia_element) and picks by Stickelberger's congruence.  They stay
-two: the search for g would add 6% to enumerate (4.3 ms for the 120
-primes of enumerate-huge seed 1, against 72 ms for its 60 ops), and
-Cornacchia's omega as omega_p would swap T and conj(T) at some fields,
-changing the last digits of the periods that verify prints at 7, 63, 819
-and 15561.
+Each odd prime p of f takes one Cornacchia step, one record
+(_prime_element): omega_p = a^((p-1)/3) mod p at the first a >= 2 that is
+no cube mod p, and from it a primary prime element pi_p of norm p, which
+builds the pairs.  omega_p names the component character chi_p(a) =
+zeta3^e when a^((p-1)/3) = omega_p^e mod p; mod 9 it is chi_9(2) = zeta3.
+A cubic character mod f is a product of powers chi_q^e_q, held as its
+exponents e_q in {1, 2}, the coordinates that kernel vectors use too.  The
+other cube root of unity mod p would conjugate chi_p and swap e_p, and
+change no field, pair or period.
 
 The character of a pair needs no Gaussian sum.  The cubes of the Gaussian
 sums are the other route, in the gausssums module, which shares only this
-ring, Cornacchia's step and the omegas of match_fields with this one and
-takes its Jacobi sums only once the points of a curve prove them, so
-matching the periods against the pairs compares two independent
-computations.
+ring, Cornacchia's step and omega_p with this one and takes its Jacobi
+sums only once the points of a curve prove them, so matching the periods
+against the pairs compares two independent computations.
 chi9_gauss_sum_report reads the sum mod 9 from there.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import Conductor, _component_moduli, factorize
+from .arith import Conductor, _component_moduli
 from .errors import FactorizationMismatch
 
 if TYPE_CHECKING:
@@ -129,20 +118,6 @@ def chi9(sign: int) -> int:
     return sign % 3
 
 
-@functools.lru_cache(maxsize=1024)
-def zeta3_residue(p: int) -> int:
-    """omega_p = g^((p-1)/3) mod p for the smallest generator g mod a prime
-    p = 1 mod 3: the residue of zeta3 mod the prime (p, zeta3 - omega_p),
-    so chi(g) = zeta3 is chi(a) = zeta3^e when a^((p-1)/3) = omega_p^e.
-    Kept per p, as finding g factors p - 1 (about 25 us near 10^5 on a
-    2-core machine, Python 3.11), for the conductors of a scan that share p."""
-    prime_divisors = [q for q, _ in factorize(p - 1)]
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
-            return pow(g, (p - 1) // 3, p)
-    raise ValueError(f"no generator mod {p}")
-
-
 def chi9_gauss_sum_report(sign: int) -> dict:
     """Record whether tau or tau^3 for the mod-9 character equals 27*zeta3^sign.
 
@@ -187,12 +162,19 @@ def cornacchia_element(p: int, omega: int) -> EisensteinInt:
     return pi
 
 
-def _prime_element(p: int) -> EisensteinInt:
-    """A primary prime element of norm p, for a prime p = 1 mod 3:
-    cornacchia_element at omega = a^((p-1)/3) mod p for the first a >= 2
-    with omega != 1, a primitive cube root of unity mod p.  p is not proven
-    prime; a p below 7 or not 1 mod 6 raises ValueError, as the search
-    might never end there (at p = 2 and 3 the exponent is 0).
+class PrimeElement(NamedTuple):
+    """The record of a prime p = 1 mod 3 (_prime_element): omega, which
+    names chi_p, and pi, a primary prime element of norm p."""
+
+    omega: int
+    pi: EisensteinInt
+
+
+def _prime_element(p: int) -> PrimeElement:
+    """omega = a^((p-1)/3) mod p for the first a >= 2 with omega != 1, a
+    primitive cube root of unity mod p, and cornacchia_element at omega.
+    p is not proven prime; a p below 7 or not 1 mod 6 raises ValueError,
+    as the search might never end there (at p = 2 and 3 the exponent is 0).
     """
     if p < 7 or p % 6 != 1:
         raise ValueError(f"{p} is not a prime = 1 mod 3")
@@ -200,22 +182,28 @@ def _prime_element(p: int) -> EisensteinInt:
     a = 2
     while (omega := pow(a, k, p)) == 1:
         a += 1
-    return cornacchia_element(p, omega)
+    return PrimeElement(omega, cornacchia_element(p, omega))
 
 
-def rhs_elements(f: Conductor) -> list[EisensteinInt]:
-    """(M + 3N*sqrt(-3))/2 for every normalized pair (M, N) of f.
+def prime_elements(f: Conductor) -> dict[int, PrimeElement]:
+    """Each odd prime p of f mapped to its record _prime_element(p)."""
+    return {p: _prime_element(p) for p in f.odd_primes}
+
+
+def rhs_elements(f: Conductor, primes: dict[int, PrimeElement]) -> list[EisensteinInt]:
+    """(M + 3N*sqrt(-3))/2 for every normalized pair (M, N) of f, from the
+    records primes = prime_elements(f).
 
     Each is a unit times the product over the odd primes p | f of pi_p or
-    conj(pi_p), pi_p = _prime_element(p): unit 1 when f is tame, so the
-    product is primary, and 3*zeta3^(+-1) when wild.  Conjugation keeps M
-    and negates N, so one factor is held fixed (pi_p of the first prime
-    when tame, 3*zeta3 when wild) and a product with negative zeta3
-    coordinate is replaced by its conjugate: one element per pair, 2^(nu-1)
-    tame and 2^nu wild.  validate_conductor has proven each p prime, so
-    pi_p is taken without a second proof.
+    conj(pi_p): unit 1 when f is tame, so the product is primary, and
+    3*zeta3^(+-1) when wild.  Conjugation keeps M and negates N, so one
+    factor is held fixed (pi_p of the first prime when tame, 3*zeta3 when
+    wild) and a product with negative zeta3 coordinate is replaced by its
+    conjugate: one element per pair, 2^(nu-1) tame and 2^nu wild.
+    validate_conductor has proven each p prime, so pi_p is taken without a
+    second proof.
     """
-    pis = [_prime_element(p) for p in f.odd_primes]
+    pis = [primes[p].pi for p in f.odd_primes]
     if f.is_wild:
         elements, free = [3 * ZETA], pis
     else:
@@ -228,9 +216,9 @@ def rhs_elements(f: Conductor) -> list[EisensteinInt]:
 
 def character_for_representation(r: Representation, omegas: dict[int, int]) -> tuple[int, ...]:
     """The primitive cubic character mod f of the pair (M, N), as its
-    exponents at the component generators in component order, read off
-    w = (M + 3N*sqrt(-3))/2 = a + b*zeta3; omegas maps each odd prime p of
-    f to zeta3_residue(p).
+    exponents e_q of chi_q in component order, read off w = (M +
+    3N*sqrt(-3))/2 = a + b*zeta3; omegas maps each odd prime p of f to
+    omega_p, the omega of its record (_prime_element).
 
     The exponent at p is 1 when the prime (p, zeta3 - omega_p) divides w,
     a + b*omega_p = 0 mod p, and 2 when its conjugate does, a - b -

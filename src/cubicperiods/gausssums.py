@@ -12,10 +12,10 @@ The Gaussian sums enter only through their cubes, which are exact: for a
 prime p, tau(chi_p)^3 = p * J(chi_p, chi_p) with the Jacobi sum J in
 Z[zeta3] (Ireland and Rosen, ch. 8 section 3).  Stickelberger's
 congruence names J: J = -1 mod 3 and N(J) = p make -J a primary prime
-element of norm p, and J = 0 mod the prime (p, zeta3 - omega) for
-omega = g^((p-1)/3), g the smallest generator, the residue of
-chi(g) = zeta3, given by match_fields.  jacobi_sum takes Cornacchia's
-element on that omega (eisenstein.cornacchia_element), which is pi or
+element of norm p, and J = 0 mod the prime (p, zeta3 - omega_p) for the
+omega_p that names chi_p, which match_fields reads from the prime's
+record (eisenstein._prime_element).  jacobi_sum runs Cornacchia's step on
+that omega again (eisenstein.cornacchia_element), which gives pi or
 conj(pi), and the congruence picks the one of the two.  The routes stay
 independent all the same: the candidate comes from the congruence, and
 only the curve E: y^2 = x^3 - 432, which has p + 1 + Tr J points over F_p
@@ -55,12 +55,12 @@ POINT_COUNT_BUDGET = 10**16
 
 def jacobi_sum(p: int, omega: int) -> EisensteinInt:
     """J(chi, chi) = sum over 2 <= a < p of chi(a) * chi(1 - a) for the
-    character chi(g) = zeta3 at the smallest generator g mod p, a prime
+    character chi(a) = zeta3^e when a^((p-1)/3) = omega^e mod p, a prime
     = 1 mod 3.  Then tau(chi)^3 = p * J(chi, chi) exactly.
 
     J = -pi for the primary prime element pi of norm p with
-    a + b*omega = 0 mod p, omega = g^((p-1)/3) as given (Stickelberger's
-    congruence): cornacchia_element(p, omega) or its conjugate.  J is
+    a + b*omega = 0 mod p (Stickelberger's congruence):
+    cornacchia_element(p, omega) or its conjugate.  J is
     taken only when curve.certified_trace proves Tr J, and is refused with
     BudgetExceeded otherwise, at any p.  N(J) = p and J = -1 mod 3 are
     checked (Ireland and Rosen, ch. 9 section 4).
@@ -127,10 +127,10 @@ def _chi9_gauss_sum(e: int) -> tuple[tuple[int, ...], EisensteinInt]:
 
 
 def component_gauss_sums(f: Conductor, omegas: dict[int, int]) -> tuple[EisensteinInt, ...]:
-    """tau_q^3 for the character chi_q(g_q) = zeta3 of each component q of
-    f, in component order: p * J(chi_p, chi_p) for a prime p (omegas[p] =
+    """tau_q^3 for the component character chi_q of each component q of f,
+    in component order: p * J(chi_p, chi_p) for a prime p (omegas[p] =
     omega_p), the cube multiplied out in Z[zeta9] for q = 9.  The character
-    chi_q(g_q) = zeta3^2 has the conjugate cube, since chi_q(-1) = 1.
+    chi_q^2 has the conjugate cube, since chi_q(-1) = 1.
     """
     return tuple(
         _chi9_gauss_sum(1)[1] if q == 9 else q * jacobi_sum(q, omegas[q])

@@ -2,9 +2,9 @@
 matching of kernels to representations.
 
 The units mod f split by the CRT over the components q of f (each prime
-p | f, and 9 when f is wild) into cyclic groups, each with its smallest
-generator g_q.  A cubic character is a product of component characters
-chi_q(g_q) = zeta3^(c_q); it is primitive when every c_q is nonzero, and
+p | f, and 9 when f is wild).  A cubic character is a product of powers
+chi_q^(c_q) of the component characters of eisenstein (chi_p named by
+omega_p, chi_9(2) = zeta3); it is primitive when every c_q is nonzero, and
 conjugate characters share a kernel, so each kernel is the coefficient
 vector (1, c_2, ..., c_k) with c_i in {1, 2}.
 
@@ -37,8 +37,8 @@ kernel.  representations checks that there are field_count pairs, and the
 kernel is reached once: the matching is a bijection.  The float periods,
 which the period relation and the generator checks compare with roots of
 the Shanks cubics, come from a cube root of T in O(1) per field.  The one
-value per prime that the routes share, omega_p (eisenstein.zeta3_residue),
-match_fields derives once.
+value per prime that the routes share, omega_p, match_fields reads from
+the records that build the pairs (eisenstein.prime_elements).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .cubicpoly import (
     period_sum,
     verify_main_identity,
 )
-from .eisenstein import ONE, EisensteinInt, character_for_representation, zeta3_residue
+from .eisenstein import ONE, EisensteinInt, character_for_representation, prime_elements
 from .errors import (
     ComplexRoots,
     CongruenceFailure,
@@ -71,9 +71,10 @@ from .quadform import Representation, ShanksParams, representations, shanks_para
 
 
 class PeriodTriple(NamedTuple):
-    """The three periods for one kernel (a coefficient vector), sorted in
-    descending order, with the exact cube T = t^3 of the kernel's Gaussian
-    sum that they come from."""
+    """The three periods for one kernel, sorted in descending order, with
+    the exact cube T = t^3 of the kernel's Gaussian sum that they come
+    from.  The kernel is a coefficient vector over the component characters
+    chi_q of eisenstein, chi_p named by omega_p."""
 
     eta0: float
     eta1: float
@@ -130,7 +131,7 @@ def gaussian_periods(
     """The periods of one kernel (a coefficient vector).
 
     cubes, from component_gauss_sums, holds tau_q^3, the exact cube for the
-    character chi_q(g_q) = zeta3 of each component.  T is the product of
+    component character chi_q of each component.  T is the product of
     tau_q^3 where c_q = 1 and of its conjugate where c_q = 2, and with t =
     sqrt(f)*exp(i*phi/3), phi = arg(T), period j is (mu + 2*Re(zeta3^-j * t))/3.
     """
@@ -316,16 +317,18 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     congruences and the twelve generators.  The module docstring shows why
     the matching is a bijection.  A record only exists if all of its checks
     pass; its verdicts keep that order, but a wild record lists the kernel
-    character last, and a tame one does not list it.  The cubes and omega_p
-    (once per conductor) and each pair's relation, closed form and float
-    side are derived here, once, and passed to the checks that read them.
+    character last, and a tame one does not list it.  The records of the
+    primes, which give the pairs and omega_p, and the cubes (once per
+    conductor) and each pair's relation, closed form and float side are
+    derived here, once, and passed to the checks that read them.
     """
     # Imported here, so that a command that matches no field, such as
     # enumerate, never compiles the Gaussian-sum route.
     from .gausssums import component_gauss_sums
 
-    reps = representations(f)
-    omegas = {p: zeta3_residue(p) for p in f.odd_primes}
+    primes = prime_elements(f)
+    reps = representations(f, primes)
+    omegas = {p: e.omega for p, e in primes.items()}
     cubes = component_gauss_sums(f, omegas)
     records = []
     for r in reps:

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .arith import Conductor
-from .eisenstein import EisensteinInt, rhs_elements
+from .eisenstein import EisensteinInt, PrimeElement, prime_elements, rhs_elements
 from .errors import CountMismatch, FactorizationMismatch, NonIntegralCoefficient
 
 
@@ -82,16 +82,20 @@ class ShanksParams(NamedTuple):
     offset: int
 
 
-def representations(f: Conductor) -> list[Representation]:
-    """All normalized (M, N) for f, sorted by M descending.
+def representations(
+    f: Conductor, primes: dict[int, PrimeElement] | None = None
+) -> list[Representation]:
+    """All normalized (M, N) for f, sorted by M descending, built from the
+    records of its primes (eisenstein.prime_elements), derived here unless
+    the caller holds them.
 
-    Each element a + b*zeta3 of eisenstein.rhs_elements(f) equals
+    Each element a + b*zeta3 of eisenstein.rhs_elements equals
     (M + 3N*sqrt(-3))/2 with sqrt(-3) = 1 + 2*zeta3, so M = 2a - b is its
     trace and N = b/3.  _check_pair re-checks the equation and the
     normalization of every pair, and the count must be the field count.
     """
     found: list[Representation] = []
-    for x in rhs_elements(f):
+    for x in rhs_elements(f, prime_elements(f) if primes is None else primes):
         r = Representation(x.trace(), x.b // 3, f)
         try:
             _check_pair(r)

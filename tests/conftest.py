@@ -29,7 +29,6 @@ from cubicperiods.eisenstein import (
     EisensteinInt,
     _prime_element,
     primary_associate,
-    zeta3_residue,
 )
 
 BOUND = 10_000
@@ -67,18 +66,6 @@ def sieve_moebius_fixture():
     return sieve_moebius
 
 
-def omegas(cond) -> dict[int, int]:
-    """Each odd prime p of the conductor mapped to zeta3_residue(p), as
-    match_fields derives them."""
-    return {p: zeta3_residue(p) for p in cond.odd_primes}
-
-
-@pytest.fixture(scope="session", name="omegas")
-def omegas_fixture():
-    """omegas(cond): each odd prime of the conductor to its zeta3_residue."""
-    return omegas
-
-
 @functools.lru_cache(maxsize=None)
 def generator(q: int) -> tuple[int, int]:
     """Oracle: the smallest generator of the cyclic group (Z/qZ)^x for q
@@ -91,6 +78,47 @@ def generator(q: int) -> tuple[int, int]:
         if all(pow(g, order // p, q) != 1 for p in prime_divisors):
             return g, order
     raise ValueError(f"no generator mod {q}")
+
+
+def generator_omega(p: int) -> int:
+    """Oracle: omega = g^((p-1)/3) mod p at the smallest generator g mod a
+    prime p = 1 mod 3, so that chi_p(g) = zeta3 for the character chi_p
+    that omega names: the labels of the oracles that count at g."""
+    return pow(generator(p)[0], (p - 1) // 3, p)
+
+
+def omegas(cond) -> dict[int, int]:
+    """Each odd prime p of the conductor mapped to generator_omega(p), so
+    that kernels and characters are labelled at the smallest generators,
+    as by unit_group and coset_sets."""
+    return {p: generator_omega(p) for p in cond.odd_primes}
+
+
+@pytest.fixture(scope="session", name="omegas")
+def omegas_fixture():
+    """omegas(cond): each odd prime of the conductor to its generator_omega."""
+    return omegas
+
+
+def generator_labels(cond, vector) -> tuple[int, ...]:
+    """A coefficient vector over the package's component characters chi_q,
+    chi_p named by the omega of eisenstein._prime_element(p), rewritten over
+    the characters chi_q(g_q) = zeta3 at the smallest generators g_q, by
+    which unit_group and coset_sets label; and back, as the map is its own
+    inverse.  Where the package's omega_p is the square of generator_omega(p),
+    chi_p is the square of the generator's character and coordinate p
+    doubles mod 3; mod 9 both take chi_9(2) = zeta3."""
+    doubled = [
+        q != 9 and _prime_element(q).omega != generator_omega(q) for q in _component_moduli(cond)
+    ]
+    return tuple(c * (1 + d) % 3 for c, d in zip(vector, doubled, strict=True))
+
+
+@pytest.fixture(scope="session", name="generator_labels")
+def generator_labels_fixture():
+    """generator_labels(cond, vector): a kernel vector between the package's
+    labels and the smallest generators'."""
+    return generator_labels
 
 
 @pytest.fixture(scope="session", name="generator")
@@ -385,14 +413,15 @@ def jacobi_trace(p: int) -> int | None:
 def jacobi_by_bsgs(p: int) -> EisensteinInt:
     """Oracle: J(chi, chi) rebuilt from t = jacobi_trace(p), with no
     Cornacchia step: 4p = t^2 + 3b^2 gives b up to sign and a = (t + b)/2,
-    and Stickelberger's congruence a + b*omega_p = 0 mod p keeps the sign.
+    and Stickelberger's congruence a + b*omega = 0 mod p at omega =
+    generator_omega(p) keeps the sign.
     Unchecked: the norm and the congruence mod 3 are left to the caller."""
     t = jacobi_trace(p)
     if t is None:
         raise ValueError(f"the points mod {p} leave the trace open")
     b = math.isqrt((4 * p - t * t) // 3)
     a = (t + b) // 2
-    if (a + b * zeta3_residue(p)) % p:
+    if (a + b * generator_omega(p)) % p:
         a, b = a - b, -b
     return EisensteinInt(a, b)
 
@@ -443,13 +472,13 @@ def residue_character():
 
 
 def prime_element(p: int) -> EisensteinInt:
-    """The package's prime element of norm p (eisenstein._prime_element),
-    for a prime p = 1 mod 3.  A p below 7, not 1 mod 6 or composite raises
-    ValueError: the package takes p from a validated conductor and does not
-    prove it prime again."""
+    """The package's prime element of norm p (the pi of
+    eisenstein._prime_element), for a prime p = 1 mod 3.  A p below 7, not
+    1 mod 6 or composite raises ValueError: the package takes p from a
+    validated conductor and does not prove it prime again."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not a prime = 1 mod 3")
-    return _prime_element(p)
+    return _prime_element(p).pi
 
 
 def jacobi_by_prime_element(p: int) -> EisensteinInt:

@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import generator_omega
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -346,26 +347,23 @@ def test_cubes_once_per_conductor_and_closed_form_once_per_field(
 
 
 @pytest.mark.parametrize(
-    "argv,residues,elements",
+    "argv,primes",
     [
-        (["verify", "--conductor", "15561", "--format", "json"], [7, 13, 19], [7, 13, 19]),
-        (["enumerate", "--conductor", "14165638864191"], [], [1059571, 1485469]),
+        (["verify", "--conductor", "15561", "--format", "json"], [7, 13, 19]),
+        (["enumerate", "--conductor", "14165638864191"], [1059571, 1485469]),
     ],
 )
-def test_each_prime_derives_its_omega_and_its_element_once(
-    capsys, monkeypatch, argv, residues, elements
-):
-    # match_fields derives omega_p once per prime of the conductor and hands
-    # it to the character check and to the Jacobi sums; rhs_elements builds
-    # pi_p once per prime; enumerate matches no field and needs no omega_p.
+def test_each_prime_derives_its_omega_and_its_element_once(capsys, monkeypatch, argv, primes):
+    # one Cornacchia step per prime of the conductor gives both pi_p, which
+    # builds the pairs, and omega_p, which match_fields hands to the
+    # character check and to the Jacobi sums; enumerate reads only pi_p.
     # periods is a lazy module: loaded first, its import cannot bind the
     # counting wrapper, which would count each call twice
     assert periods.match_fields
-    omegas = count_calls(monkeypatch, eisenstein, "zeta3_residue")
-    pis = count_calls(monkeypatch, eisenstein, "_prime_element")
+    records = count_calls(monkeypatch, eisenstein, "_prime_element")
     code, _, _ = run(capsys, argv)
     assert code == 0
-    assert ([p for p, in omegas], [p for p, in pis]) == (residues, elements)
+    assert [p for p, in records] == primes
 
 
 def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
@@ -385,7 +383,7 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
         lambda q: iter([(point, 1)] * curve._POINT_TRIES) if q == p else points(q),
     )
     with pytest.raises(BudgetExceeded, match="open"):
-        gausssums.jacobi_sum(p, eisenstein.zeta3_residue(p))
+        gausssums.jacobi_sum(p, generator_omega(p))
     code, out, err = run(capsys, ["verify", "--conductor", str(7 * p)])
     assert code == 2
     assert out == ""

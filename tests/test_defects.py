@@ -65,13 +65,15 @@ def negate_mu(monkeypatch):
 
 
 def replace_prime_element_at_7(change):
+    # on pi_7 alone: omega_7 and the Jacobi sums that it names stay right
     def plant(monkeypatch):
         prime_element = eisenstein._prime_element
-        monkeypatch.setattr(
-            eisenstein,
-            "_prime_element",
-            lambda p: change(prime_element(p)) if p == 7 else prime_element(p),
-        )
+
+        def planted(p):
+            record = prime_element(p)
+            return record._replace(pi=change(record.pi)) if p == 7 else record
+
+        monkeypatch.setattr(eisenstein, "_prime_element", planted)
 
     return plant
 

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import prime_element
+from conftest import generator_omega, prime_element
 
 import cubicperiods
 from cubicperiods import (
@@ -25,8 +25,9 @@ from cubicperiods.arith import _primes_below, is_probable_prime
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
+    _prime_element,
     primary_associate,
-    zeta3_residue,
+    prime_elements,
 )
 from cubicperiods.gausssums import POINT_COUNT_BUDGET, jacobi_sum
 
@@ -82,7 +83,7 @@ def test_trace():
         assert x.trace() == pytest.approx(2 * x.to_complex().real, abs=1e-9)
     # the element (M + 3N*sqrt(-3))/2 each pair of 819 is built from has trace M
     f819 = validate_conductor(819)
-    elements = rhs_elements(f819)
+    elements = rhs_elements(f819, prime_elements(f819))
     for r in representations(f819):
         assert r.element in elements and r.element.trace() == r.M
 
@@ -217,7 +218,7 @@ def test_cubic_residue_character_mod7(character_values, residue_sets, residue_ch
     # the package reads the same exponent off the pair's element, the
     # primary prime element above 7
     (r,) = representations(F7)
-    assert character_for_representation(r, {7: zeta3_residue(7)}) == (
+    assert character_for_representation(r, {7: generator_omega(7)}) == (
         cubic_residue_character(7, r.element),
     )
 
@@ -399,18 +400,19 @@ def test_factor_rhs_inverts_rhs_elements(wild_records_10k, factor_rhs):
         assert sign in (1, -1)
         for p, pi in zip(rec.conductor.odd_primes, pis, strict=True):
             assert pi in (prime_element(p), prime_element(p).conjugate())
-        assert r.element in rhs_elements(rec.conductor)
+        assert r.element in rhs_elements(rec.conductor, prime_elements(rec.conductor))
 
 
 def test_index_table_equals_the_powers_of_the_generator(count_oracle, generator):
     # the count oracle's table, built from the primes below sqrt(p) and the
     # strided blocks, against j mod 3 at g^j for every j, at every prime
-    # = 1 mod 3 below 2*10^4; and the package's omega_p, whose generator
-    # search the oracle does not share, is g^((p-1)/3)
+    # = 1 mod 3 below 2*10^4; and the package's omega_p, from the first
+    # non-cube, is g^((p-1)/3) or its square
     assert len(PRIMES_1_MOD_3) == 1124
     for p in PRIMES_1_MOD_3:
         g, order = generator(p)
-        assert zeta3_residue(p) == pow(g, (p - 1) // 3, p), p
+        omega = pow(g, (p - 1) // 3, p)
+        assert _prime_element(p).omega in (omega, omega * omega % p), p
         expected = bytearray(p)
         x = 1
         for j in range(order):
@@ -441,7 +443,7 @@ def test_index_table_refuses_a_prime_beyond_the_prime_table(count_oracle):
 
 def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():
     for p in PRIMES_1_MOD_3:
-        jacobi = jacobi_sum(p, zeta3_residue(p))
+        jacobi = jacobi_sum(p, generator_omega(p))
         assert jacobi.norm() == p
         assert (jacobi.a % 3, jacobi.b % 3) == (2, 0)
         # -J is the primary prime element of norm p, up to conjugation
@@ -454,7 +456,7 @@ def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(count_oracle, nin
     # below 2*10^4 and at two large primes, the second the largest the count
     # oracle is asked for
     for p in [*PRIMES_1_MOD_3, 1_000_003, 9_999_991]:
-        jacobi = jacobi_sum(p, zeta3_residue(p))
+        jacobi = jacobi_sum(p, generator_omega(p))
         assert jacobi == count_oracle.jacobi(p) == nine_count_jacobi(p), p
 
 
@@ -464,7 +466,7 @@ def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
     for p in PRIMES_1_MOD_3:
         if p > 3000:
             break
-        cube = p * jacobi_sum(p, zeta3_residue(p))
+        cube = p * jacobi_sum(p, generator_omega(p))
         for e, expected in ((1, cube), (2, cube.conjugate())):
             tau = float_gauss_sum(p, e)
             assert abs(tau**3 - expected.to_complex()) < 1e-6, (p, e)
@@ -475,7 +477,7 @@ def test_points_equal_the_count(count_oracle):
     # prime = 1 mod 3 from 7 to 5*10^4 and at two large primes, the second
     # the largest the count oracle is asked for
     for p in [*(p for p in POINT_PRIMES if p <= 50_000), 1_000_003, 9_999_991]:
-        assert jacobi_sum(p, zeta3_residue(p)) == count_oracle.jacobi(p), p
+        assert jacobi_sum(p, generator_omega(p)) == count_oracle.jacobi(p), p
 
 
 def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
@@ -484,7 +486,7 @@ def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
     sampled = seeded_primes()
     assert max(sampled) <= POINT_COUNT_BUDGET
     for p in [*POINT_PRIMES, *sampled]:
-        assert jacobi_sum(p, zeta3_residue(p)) == prime_element_jacobi(p), p
+        assert jacobi_sum(p, generator_omega(p)) == prime_element_jacobi(p), p
 
 
 def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi, e_alone):
@@ -493,14 +495,14 @@ def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi
     # small p is
     traces = {}
     for p in E_AMBIGUOUS:
-        jacobi = jacobi_sum(p, zeta3_residue(p))
+        jacobi = jacobi_sum(p, generator_omega(p))
         assert jacobi == prime_element_jacobi(p), p
         traces[p] = jacobi.trace()
     monkeypatch.setattr(curve, "_points", e_alone)
     for p in E_AMBIGUOUS:
         assert not curve.certified_trace(p, traces[p]), p
         with pytest.raises(BudgetExceeded, match="open"):
-            jacobi_sum(p, zeta3_residue(p))
+            jacobi_sum(p, generator_omega(p))
 
 
 def test_certificate_equals_baby_step_giant_step(bsgs_jacobi):
@@ -508,7 +510,7 @@ def test_certificate_equals_baby_step_giant_step(bsgs_jacobi):
     # at the seeded primes: above 10^7 the one oracle that does not share
     # the candidate from Cornacchia's element
     for p in seeded_primes():
-        assert jacobi_sum(p, zeta3_residue(p)) == bsgs_jacobi(p), p
+        assert jacobi_sum(p, generator_omega(p)) == bsgs_jacobi(p), p
 
 
 def test_certificate_proves_one_trace_in_the_hasse_interval():
@@ -518,7 +520,7 @@ def test_certificate_proves_one_trace_in_the_hasse_interval():
     for p in (p for p in PRIMES_1_MOD_3 if p < 3000):
         bound = math.isqrt(4 * p)
         proven = [s for s in range(-bound, bound + 1) if curve.certified_trace(p, s)]
-        assert proven == [jacobi_sum(p, zeta3_residue(p)).trace()], p
+        assert proven == [jacobi_sum(p, generator_omega(p)).trace()], p
 
 
 REFUSAL_PRIMES = [7, 13, 1117, 10_000_141]
@@ -528,7 +530,7 @@ REFUSAL_PRIMES = [7, 13, 1117, 10_000_141]
 def test_certificate_refuses_every_other_candidate(p):
     # t + 9 and t - 9 keep the class mod 9, and the associates of J other
     # than J have other traces; no point proves any of them
-    jacobi = jacobi_sum(p, zeta3_residue(p))
+    jacobi = jacobi_sum(p, generator_omega(p))
     t = jacobi.trace()
     assert curve.certified_trace(p, t)
     others = [t + 9, t - 9, *((u * jacobi).trace() for u in UNITS[1:])]
@@ -540,7 +542,7 @@ def test_certificate_refuses_every_other_candidate(p):
 def test_a_point_of_order_nine_proves_nothing(monkeypatch, p):
     # E's points at x = 12 have 9P = O: n kills them for every candidate,
     # and lcm(ord(P), 9)^2 = 81 never passes 16p
-    t = jacobi_sum(p, zeta3_residue(p)).trace()
+    t = jacobi_sum(p, generator_omega(p)).trace()
     point = 12 % p, 36 % p
     assert curve._mul(9, point, p) is None
     monkeypatch.setattr(curve, "_points", lambda q: iter([(point, 1)] * curve._POINT_TRIES))
@@ -559,4 +561,4 @@ def test_a_wrong_cornacchia_element_is_refused(monkeypatch, p):
         lambda q, omega: ZETA * element(q, omega) if q == p else element(q, omega),
     )
     with pytest.raises(BudgetExceeded, match="open"):
-        jacobi_sum(p, zeta3_residue(p))
+        jacobi_sum(p, generator_omega(p))

@@ -83,11 +83,11 @@ def test_moved_checks_raise_under_optimization():
         print(outcome(arith.validate_conductor, 7))
         # 4 + 3*zeta3 gives (M, N) = (5, 1), and 25 + 27 is not 4*7
         f = arith.Conductor(7, (7,))
-        quadform.rhs_elements = lambda f: [EisensteinInt(4, 3)]
+        quadform.rhs_elements = lambda f, primes: [EisensteinInt(4, 3)]
         print(outcome(quadform.representations, f))
         # 28 + 21*zeta3 gives (M, N) = (35, 7) and n1 = n2 = 7 for 637 = 7^2*13
         f = arith.Conductor(637, (7, 13))
-        quadform.rhs_elements = lambda f: [EisensteinInt(28, 21)]
+        quadform.rhs_elements = lambda f, primes: [EisensteinInt(28, 21)]
         print(outcome(quadform.representations, f))
         """
     )

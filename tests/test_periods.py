@@ -1,9 +1,11 @@
 import itertools
 import math
+import struct
 import time
 from fractions import Fraction
 
 import pytest
+from conftest import generator_omega
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -38,7 +40,7 @@ from cubicperiods import eisenstein
 from cubicperiods import periods as periods_module
 from cubicperiods.arith import is_probable_prime
 from cubicperiods.cli import main
-from cubicperiods.eisenstein import ZETA, EisensteinInt
+from cubicperiods.eisenstein import ZETA, EisensteinInt, prime_elements
 from cubicperiods.gausssums import component_gauss_sums
 
 F9 = validate_conductor(9)
@@ -538,12 +540,15 @@ def test_coset_relabeling_leaves_multiset_invariant(residue_sets, omegas):
                 assert sums == pytest.approx(list(pt.values()), abs=1e-9)
 
 
-def test_kernel_character_cross_check_wild(wild_records_10k, omegas):
+def test_kernel_character_cross_check_wild(wild_records_10k):
+    # with the omega_p of the package's records, which label the kernels of
+    # match_fields
     assert len(wild_records_10k) > 0
     for rec in wild_records_10k:
         cond = rec.conductor
-        cubes = component_gauss_sums(cond, omegas(cond))
-        assert verify_kernel_character(rec.representation, cubes, omegas(cond)) == rec.periods
+        omegas = {p: e.omega for p, e in prime_elements(cond).items()}
+        cubes = component_gauss_sums(cond, omegas)
+        assert verify_kernel_character(rec.representation, cubes, omegas) == rec.periods
 
 
 def test_kernel_character_rejects_another_kernel(monkeypatch, omegas):
@@ -575,29 +580,70 @@ def test_verify_is_the_same_with_either_prime_element(capsys, monkeypatch):
 
     expected = reports()
     prime_element = eisenstein._prime_element
-    monkeypatch.setattr(
-        eisenstein,
-        "_prime_element",
-        lambda p: prime_element(p).conjugate() if p in (7, 13) else prime_element(p),
-    )
-    assert eisenstein._prime_element(7) == prime_element(7).conjugate()
+
+    def conjugated(p):
+        record = prime_element(p)
+        return record._replace(pi=record.pi.conjugate()) if p in (7, 13) else record
+
+    monkeypatch.setattr(eisenstein, "_prime_element", conjugated)
+    assert eisenstein._prime_element(7).pi == prime_element(7).pi.conjugate()
     assert reports() == expected
 
 
+def test_periods_do_not_depend_on_which_omega_labels_the_characters(monkeypatch):
+    # omega_p = g^((p-1)/3) at the smallest generator g in each prime's
+    # record, in place of the package's: the kernels and cubes of some fields
+    # are relabelled (a coordinate of a kernel doubles, T turns into conj(T)),
+    # but the pairs, the periods, the relations and the verdicts with their
+    # residuals stay the same, bit for bit, at every conductor up to 2*10^4
+    def floats(records):
+        return [
+            (
+                rec.representation,
+                struct.pack("<3d", *rec.periods.values()),
+                struct.pack("<4d", *rec.relation[0], rec.relation[1]),
+                list(rec.verdicts),
+                struct.pack(f"<{len(rec.verdicts)}d", *rec.verdicts.values()),
+            )
+            for rec in records
+        ]
+
+    conductors = conductors_up_to(20_000)
+    package = {cond.value: match_fields(cond) for cond in conductors}
+    prime_element = eisenstein._prime_element
+    monkeypatch.setattr(
+        eisenstein,
+        "_prime_element",
+        lambda p: prime_element(p)._replace(omega=generator_omega(p)),
+    )
+    kernels = cubes = 0
+    for cond in conductors:
+        records = match_fields(cond)
+        assert floats(records) == floats(package[cond.value]), cond.value
+        for rec, other in zip(records, package[cond.value]):
+            kernels += rec.periods.kernel != other.periods.kernel
+            cubes += rec.periods.cube == other.periods.cube.conjugate()
+    # 860 kernels and 976 cubes are relabelled: the two omegas differ at many primes
+    assert kernels > 0 and cubes > 0
+
+
 def test_glued_character_cuts_out_the_matched_kernel(
-    all_records_10k, character_values, residue_sets, unit_group, factor_rhs
+    all_records_10k, character_values, residue_sets, unit_group, factor_rhs, generator_labels
 ):
     # the O(f) character evaluated from its definition and glued along the
     # residues mod f, against the residue set of the matched coefficient
-    # vector, at every field up to 10^4; and its exponent e0 at the first
-    # component generator orients the matched cube: T = m*f*w when e0 = 1
-    # and conj(m*f*w) when e0 = 2, for w = (M + 3N*sqrt(-3))/2 and m = (-1)^nu
+    # vector, at every field up to 10^4; and its exponent e0 over the first
+    # component character orients the matched cube: T = m*f*w when e0 = 1
+    # and conj(m*f*w) when e0 = 2, for w = (M + 3N*sqrt(-3))/2 and m = (-1)^nu.
+    # The records label by the package's omega_p, the residue sets and the
+    # exponents read at the component generators by the smallest generators
     for rec in itertools.chain.from_iterable(all_records_10k.values()):
         cond, r = rec.conductor, rec.representation
         chi = character_values(cond.value, *factor_rhs(r))
         kernel = frozenset(a for a, e in chi.items() if e == 0)
-        assert kernel == residue_sets(cond, rec.periods.kernel)[0]
-        e0 = chi[unit_group(cond).generators[0][0]]
+        assert kernel == residue_sets(cond, generator_labels(cond, rec.periods.kernel))[0]
+        at_generators = tuple(chi[g] for g, _ in unit_group(cond).generators)
+        e0 = generator_labels(cond, at_generators)[0]
         mfw = (-1) ** cond.nu * cond.value * EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
         assert rec.periods.cube == (mfw if e0 == 1 else mfw.conjugate())
 
