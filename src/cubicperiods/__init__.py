@@ -28,7 +28,6 @@ from .arith import (
 from .cubicpoly import (
     RationalCubic,
     cleared_shanks_poly,
-    cubic_discriminant,
     main_identity_sides,
     period_poly,
     period_poly_formula,
@@ -44,7 +43,6 @@ from .eisenstein import (
 )
 from .errors import (
     BudgetExceeded,
-    ComplexRoots,
     CongruenceFailure,
     CountMismatch,
     CubicPeriodsError,
@@ -76,7 +74,7 @@ def __getattr__(name: str):
         "match_fields": "periods",
         "numeric_period_poly": "periods",
         "primitive_cubic_kernels": "periods",
-        "real_roots_cubic": "periods",
+        "shanks_roots": "periods",
         "verify_kernel_character": "periods",
         "verify_period_relation": "periods",
         "verify_sign_congruences": "periods",

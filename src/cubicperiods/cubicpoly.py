@@ -1,6 +1,6 @@
 """Exact integer cubics: the one-parameter family f_n, the period
-polynomial, affine substitution, the identity tying the two together, and
-the discriminant by which periods.real_roots_cubic decides realness.
+polynomial, affine substitution, and the identity tying the two together.
+disc(n2*f_n) = f^2 for f = n1^2 + 3*n1*n2 + 9*n2^2, so f_n is totally real.
 
 f_n(X) = X^3 - n*X^2 - (n+3)*X - 1 is generic for cyclic cubic fields and
 has square discriminant (n^2 + 3n + 9)^2.  For n = n1/n2 the package holds
@@ -124,13 +124,3 @@ def verify_main_identity(f: Conductor, sp: ShanksParams, poly: RationalCubic) ->
         )
     return 0.0
 
-
-def cubic_discriminant(p: RationalCubic) -> int:
-    a, b, c, d = p
-    return (
-        18 * a * b * c * d
-        - 4 * b**3 * d
-        + b * b * c * c
-        - 4 * a * c**3
-        - 27 * a * a * d * d
-    )

@@ -91,14 +91,18 @@ def certified_trace(p: int, t: int) -> bool:
     as J = -1 mod 3).  So once lcm(d, 9)^2 > 16p the group order is n, the
     one number of its class mod lcm(d, 9) in the interval.  _points starts
     past the 3-torsion points of E at x = 0; the others, such as those at
-    x = 12, have 9P = O and prove nothing.
+    x = 12, have 9P = O and prove nothing.  Each of the two orders is
+    factored once, at its first point.
     """
     if t * t > 4 * p or (p + 1 + t) % 9:
         return False
+    factors = {}
     for P, sign in itertools.islice(_points(p), _POINT_TRIES):
         n = p + 1 + sign * t
+        if n not in factors:
+            factors[n] = factorize(n)
         d = 1
-        for q, e in reversed(factorize(n)):
+        for q, e in reversed(factors[n]):
             Q = _mul(n // q**e, P, p)
             for _ in range(e):
                 if Q is None:

@@ -43,10 +43,6 @@ class ToleranceExceeded(VerificationError):
     """A float residual exceeded its rounding bound."""
 
 
-class ComplexRoots(VerificationError):
-    """A cubic expected to be totally real has non-real roots."""
-
-
 class RelationFailure(VerificationError):
     """The linear relation between periods and cubic roots failed."""
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -633,6 +634,24 @@ def shanks_poly(n: int | Fraction) -> RationalCubic:
 def shanks_poly_fixture():
     """shanks_poly(n): f_n with rational coefficients."""
     return shanks_poly
+
+
+def cubic_discriminant(p: RationalCubic):
+    """Oracle: the discriminant of a*X^3 + b*X^2 + c*X + d."""
+    a, b, c, d = p
+    return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+
+
+def shanks_root_oracle(n1: int, n2: int, x: float) -> Decimal:
+    """Oracle: the root of f_n, n = n1/n2, that x approximates, refined by
+    Newton's method in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        n = Decimal(n1) / n2
+        r = Decimal(x)
+        for _ in range(8):
+            r -= (((r - n) * r - (n + 3)) * r - 1) / ((3 * r - 2 * n) * r - (n + 3))
+        return r
 
 
 def paper_relation(cond, n1: int) -> tuple[int, Fraction]:

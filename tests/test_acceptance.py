@@ -17,9 +17,9 @@ from cubicperiods import (
     numeric_period_poly,
     period_poly_formula,
     primitive_cubic_kernels,
-    real_roots_cubic,
     representations,
     shanks_params,
+    shanks_roots,
     substitute_affine,
     verify_main_identity,
     verify_sign_congruences,
@@ -136,7 +136,7 @@ def test_criterion_7_sign_congruences(conductors_10k, all_records_10k):
         assert count > 0
 
 
-def test_criterion_8_group_ring_suite(all_records_10k, group_ring, shanks_poly):
+def test_criterion_8_group_ring_suite(all_records_10k, group_ring):
     ONE, ConjugateVector = group_ring.ONE, group_ring.ConjugateVector
     apply, gr_mul = group_ring.apply, group_ring.gr_mul
     idempotents, unit_list_p3 = group_ring.idempotents, group_ring.unit_list_p3
@@ -153,7 +153,7 @@ def test_criterion_8_group_ring_suite(all_records_10k, group_ring, shanks_poly):
                 continue
             for rec in records:
                 sp = rec.shanks_params
-                roots = real_roots_cubic(shanks_poly(Fraction(sp.n1, sp.n2)))
+                roots = shanks_roots(sp)
                 alphas = [sp.n2 * rho - sp.n1 / 3 for rho in roots]
                 plus_one = ConjugateVector(*(a + 1 for a in alphas))
                 flipped = apply(flip, plus_one)

@@ -245,14 +245,39 @@ def test_prime_component_beyond_the_budget_exits_2(capsys, argv):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("conductor", [70000987, 69999999999999559])
+# Each conductor with its number of fields.  70000987 = 7 * 10000141 was
+# refused while every Jacobi sum was counted in O(p), up to 10^7;
+# 69999999999999559 = 7 * 9999999999999937 has the largest prime = 1 mod 3
+# within the budget of the points.  The rest failed ToleranceExceeded while
+# the trigonometric form gave all three roots of f_n, which loses the
+# digits of the two near -1 and 0 once |n| passes about 5*10^5: Shanks'
+# conductors n^2 + 3n + 9 at n = 496714 (3643 * 67726129), 10^6 + 1 (a
+# prime) and 3000003 (9 * 7 * 43 * 3322269103), and 10^24 + 27, whose nine
+# primes are all below 2*10^5.
+VERIFIED_FIELDS = {
+    70000987: 2,
+    69999999999999559: 2,
+    246726287947: 2,
+    1000005000013: 1,
+    9000027000027: 8,
+    10**24 + 27: 256,
+}
+
+
+@pytest.mark.parametrize("conductor", list(VERIFIED_FIELDS))
 def test_prime_component_beyond_the_count_is_verified(capsys, conductor):
-    # 70000987 = 7 * 10000141 was refused while every Jacobi sum was
-    # counted in O(p), up to 10^7; 69999999999999559 = 7 * 9999999999999937
-    # has the largest prime = 1 mod 3 within the budget of the points
     code, out, _ = run(capsys, ["verify", "--conductor", str(conductor)])
     assert code == 0
-    assert len(json.loads(out)["fields"]) == 2
+    assert len(json.loads(out)["fields"]) == VERIFIED_FIELDS[conductor]
+
+
+def test_scan_past_10_to_the_24_passes(capsys):
+    # 10^24 + 27 is the one conductor of the window
+    argv = ["scan", "--min", str(10**24 + 20), "--max", str(10**24 + 40), "--format", "csv"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3:5] == ["1", "256"]
+    assert out.splitlines()[1].endswith(",True")
 
 
 def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import cubic_discriminant
 
 from cubicperiods import (
     RationalCubic,
@@ -11,7 +12,6 @@ from cubicperiods import (
     ShanksParams,
     cleared_shanks_poly,
     conductors_up_to,
-    cubic_discriminant,
     main_identity_sides,
     period_poly_formula,
     representations,

@@ -94,13 +94,13 @@ def shift_offset_by_one(monkeypatch):
 # At 7 and 9 a move of 100 ulps is inside the rounding bound, so it is no
 # defect there.
 def move_largest_root_by_100_ulps(monkeypatch):
-    real_roots_cubic = periods.real_roots_cubic
+    shanks_roots = periods.shanks_roots
 
-    def planted(p):
-        largest, *rest = real_roots_cubic(p)
+    def planted(sp):
+        largest, *rest = shanks_roots(sp)
         return (largest + 100 * math.ulp(largest), *rest)
 
-    monkeypatch.setattr(periods, "real_roots_cubic", planted)
+    monkeypatch.setattr(periods, "shanks_roots", planted)
 
 
 def swap_eta1_and_eta2(monkeypatch):

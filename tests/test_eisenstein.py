@@ -523,6 +523,19 @@ def test_certificate_proves_one_trace_in_the_hasse_interval():
         assert proven == [jacobi_sum(p, generator_omega(p)).trace()], p
 
 
+@pytest.mark.parametrize("p", [109, 19441])
+def test_certificate_factors_each_order_once(monkeypatch, p):
+    # the trace at 109 takes 4 points, at 19441 11, on E and its twist: two
+    # group orders, each factored once, where 4 and 11 factorizations were
+    # made while every point factored its own
+    t = jacobi_sum(p, generator_omega(p)).trace()
+    calls = []
+    factorize = curve.factorize
+    monkeypatch.setattr(curve, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert curve.certified_trace(p, t)
+    assert sorted(calls) == sorted([p + 1 - t, p + 1 + t])
+
+
 REFUSAL_PRIMES = [7, 13, 1117, 10_000_141]
 
 

@@ -8,7 +8,7 @@ import pytest
 from cubicperiods import (
     GeneratorFailure,
     match_fields,
-    real_roots_cubic,
+    shanks_roots,
     substitute_affine,
     validate_conductor,
     verify_generators,
@@ -112,11 +112,11 @@ def test_verify_generators_819(shanks_poly):
     assert h == rec.period_poly
 
 
-def test_verify_generators_nine(shanks_poly):
+def test_verify_generators_nine():
     (rec,) = match_fields(validate_conductor(9))
     verify_generators(rec)
     # eta0 + 1 is alpha + 1 for the largest root
-    rho = real_roots_cubic(shanks_poly(-3))[0]
+    rho = shanks_roots(rec.shanks_params)[0]
     alpha = rho + 1
     assert rec.periods.eta0 + 1 == pytest.approx(alpha + 1, abs=1e-9)
 
