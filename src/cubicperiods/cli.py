@@ -35,9 +35,8 @@ functions in sys.modules when it starts (bench/spans.py) finds it there.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
-for verify and scan a prime factor above gausssums.POINT_COUNT_BUDGET,
-or one whose Jacobi sum no point of the curve proves) or an --out
-the report cannot be written to.
+for verify and scan a prime factor whose Jacobi sum no point of the
+curve proves) or an --out the report cannot be written to.
 Reports go to stdout (or --out); diagnostics go to stderr.
 """
 

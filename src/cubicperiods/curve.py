@@ -25,11 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 
-from .arith import factorize
+from .arith import MR_BOUND, factorize
 
 # Points tried before the trace is left open.  Of the 8,988 primes = 1 mod 3
 # below 2*10^5 the first point proves 8,742, and 19441 needs the most, 11.
 # The points of E alone leave 225 of them unproven, 7 and 13 among them.
+# The first point proves each of 4,000 seeded primes in 10^22..10^23.6,
+# and 11 points prove every one of the 1,000 largest below MR_BOUND.
 _POINT_TRIES = 32
 
 
@@ -92,13 +94,17 @@ def certified_trace(p: int, t: int) -> bool:
     one number of its class mod lcm(d, 9) in the interval.  _points starts
     past the 3-torsion points of E at x = 0; the others, such as those at
     x = 12, have 9P = O and prove nothing.  Each of the two orders is
-    factored once, at its first point.
+    factored once, at its first point.  The points of an order at or above
+    MR_BOUND, where factorize proves no prime, prove nothing: only f = p
+    has one, and one at most, as the mean of the two orders is p + 1.
     """
     if t * t > 4 * p or (p + 1 + t) % 9:
         return False
     factors = {}
     for P, sign in itertools.islice(_points(p), _POINT_TRIES):
         n = p + 1 + sign * t
+        if n >= MR_BOUND:
+            continue
         if n not in factors:
             factors[n] = factorize(n)
         d = 1

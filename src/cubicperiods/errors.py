@@ -12,7 +12,7 @@ class InvalidConductor(CubicPeriodsError):
 
 
 class BudgetExceeded(CubicPeriodsError):
-    """A valid input needs more time or memory than a documented budget allows."""
+    """A valid input is refused: no point tried proves a Jacobi sum of it."""
 
 
 class VerificationError(CubicPeriodsError):

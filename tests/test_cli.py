@@ -1,5 +1,7 @@
 import fractions
 import json
+import math
+import random
 import subprocess
 import sys
 import textwrap
@@ -18,9 +20,8 @@ from cubicperiods import (
     validate_conductor,
 )
 from cubicperiods import cubicpoly, curve, eisenstein, gausssums, periods, quadform
-from cubicperiods.gausssums import POINT_COUNT_BUDGET
 from cubicperiods import cli
-from cubicperiods.arith import KINDS
+from cubicperiods.arith import KINDS, is_probable_prime
 from cubicperiods.cli import main, verify_report
 from cubicperiods import report as report_mod
 
@@ -225,38 +226,26 @@ def test_scan_beyond_proven_primality_exits_2(capsys):
     assert f"{MR_BOUND + 50} is not below {MR_BOUND}" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--conductor", "70000000000000483"],
-        ["scan", "--min", "70000000000000483", "--max", "70000000000000483"],
-    ],
-)
-def test_prime_component_beyond_the_budget_exits_2(capsys, argv):
-    # 70000000000000483 = 7 * 10000000000000069, the first prime = 1 mod 3
-    # above 10^16, where the cost of factoring the group order that
-    # certifies the Jacobi sum is unmeasured: it is refused first
-    start = time.perf_counter()
-    code, out, err = run(capsys, argv)
-    elapsed = time.perf_counter() - start
-    assert code == 2
-    assert out == ""
-    assert str(POINT_COUNT_BUDGET) in err
-    assert elapsed < 1.0
-
-
 # Each conductor with its number of fields.  70000987 = 7 * 10000141 was
 # refused while every Jacobi sum was counted in O(p), up to 10^7;
 # 69999999999999559 = 7 * 9999999999999937 has the largest prime = 1 mod 3
-# within the budget of the points.  The rest failed ToleranceExceeded while
-# the trigonometric form gave all three roots of f_n, which loses the
-# digits of the two near -1 and 0 once |n| passes about 5*10^5: Shanks'
+# below 10^16, and 70000000000000483 = 7 * 10000000000000069 the smallest
+# above, where the Jacobi sum was refused for its size.  The three primes
+# just below MR_BOUND have a group order at or above it, a probable prime
+# that factorize refuses to call prime, so their certificates take the
+# points of the other curve.  The rest failed ToleranceExceeded while the
+# trigonometric form gave all three roots of f_n, which loses the digits
+# of the two near -1 and 0 once |n| passes about 5*10^5: Shanks'
 # conductors n^2 + 3n + 9 at n = 496714 (3643 * 67726129), 10^6 + 1 (a
 # prime) and 3000003 (9 * 7 * 43 * 3322269103), and 10^24 + 27, whose nine
 # primes are all below 2*10^5.
 VERIFIED_FIELDS = {
     70000987: 2,
     69999999999999559: 2,
+    70000000000000483: 2,
+    3317044064679887385942649: 1,
+    3317044064679887385939553: 1,
+    3317044064679887385922003: 1,
     246726287947: 2,
     1000005000013: 1,
     9000027000027: 8,
@@ -278,6 +267,50 @@ def test_scan_past_10_to_the_24_passes(capsys):
     assert code == 0
     assert out.splitlines()[1].split(",")[3:5] == ["1", "256"]
     assert out.splitlines()[1].endswith(",True")
+
+
+def test_scan_past_10_to_the_16_passes(capsys):
+    argv = ["scan", "--min", "70000000000000483", "--max", "70000000000000483"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["conductors"], summary["total_fields"], summary["all_pass"]) == (1, 2, True)
+
+
+def seeded_large_conductors() -> list[int]:
+    """Eight conductors c*p, c = 9, 63, 91, 9, 7, 1, 9, 7 (wild and tame),
+    with p a prime = 1 mod 3 whose log is uniform in the k-th of eight equal
+    slices of (log 10^16, log MR_BOUND/7) for the k-th; each c*p is below
+    MR_BOUND."""
+    rng = random.Random(16)
+    low, high = 16, math.log10(MR_BOUND // 7)
+    conductors = []
+    for k, c in enumerate((9, 63, 91, 9, 7, 1, 9, 7)):
+        n = int(10 ** rng.uniform(low + (high - low) * k / 8, low + (high - low) * (k + 1) / 8))
+        n -= (n - 1) % 6
+        while not is_probable_prime(n):
+            n -= 6
+        conductors.append(c * n)
+    return conductors
+
+
+@pytest.mark.parametrize("conductor", seeded_large_conductors())
+def test_prime_component_beyond_10_to_the_16_is_verified(capsys, conductor):
+    code, out, _ = run(capsys, ["verify", "--conductor", str(conductor)])
+    assert code == 0
+    assert len(json.loads(out)["fields"]) == validate_conductor(conductor).field_count
+
+
+def test_scan_among_the_large_conductors_passes(capsys):
+    # a window of 61 around the last of them, 7 times a prime near 2*10^23;
+    # it holds two more conductors, 487 * 3041001901589615088901 and
+    # 9 * 164551991786015838699421, each with 2 fields
+    f = seeded_large_conductors()[-1]
+    assert f == 1480967926074142548294763
+    code, out, _ = run(capsys, ["scan", "--min", str(f - 30), "--max", str(f + 30)])
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["conductors"], summary["total_fields"], summary["all_pass"]) == (3, 6, True)
 
 
 def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):

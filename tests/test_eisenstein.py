@@ -21,7 +21,7 @@ from cubicperiods import (
     validate_conductor,
 )
 from cubicperiods import curve, gausssums
-from cubicperiods.arith import _primes_below, is_probable_prime
+from cubicperiods.arith import MR_BOUND, _primes_below, is_probable_prime
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
@@ -29,7 +29,7 @@ from cubicperiods.eisenstein import (
     primary_associate,
     prime_elements,
 )
-from cubicperiods.gausssums import POINT_COUNT_BUDGET, jacobi_sum
+from cubicperiods.gausssums import jacobi_sum
 
 PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
 # Every prime = 1 mod 3 below 2*10^5.
@@ -42,12 +42,17 @@ E_AMBIGUOUS = [1117, 1123, 9901, 11131, 121453, 123553, 127807, 129169]
 
 
 def seeded_primes() -> list[int]:
-    """50 primes = 1 mod 3 with a seeded number of digits from 6 to 16."""
+    """70 primes = 1 mod 3: 50 with a seeded number of digits from 6 to 16,
+    then 20 log-uniform in (10^16, MR_BOUND/7), as large as the prime of a
+    conductor 7p can be."""
     rng = random.Random(19)
     sampled = []
-    for _ in range(50):
-        digits = rng.randint(6, 16)
-        n = rng.randrange(10 ** (digits - 1), 10**digits)
+    for k in range(70):
+        if k < 50:
+            digits = rng.randint(6, 16)
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+        else:
+            n = int(10 ** rng.uniform(16, math.log10(MR_BOUND // 7)))
         n -= (n - 1) % 6
         while not is_probable_prime(n):
             n -= 6
@@ -481,11 +486,9 @@ def test_points_equal_the_count(count_oracle):
 
 
 def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
-    # at every prime = 1 mod 3 from 7 to 2*10^5, and at 50
-    # primes = 1 mod 3 with a seeded number of digits up to the budget
-    sampled = seeded_primes()
-    assert max(sampled) <= POINT_COUNT_BUDGET
-    for p in [*POINT_PRIMES, *sampled]:
+    # at every prime = 1 mod 3 from 7 to 2*10^5, and at the 70 seeded
+    # primes = 1 mod 3 up to MR_BOUND/7
+    for p in [*POINT_PRIMES, *seeded_primes()]:
         assert jacobi_sum(p, generator_omega(p)) == prime_element_jacobi(p), p
 
 
@@ -507,9 +510,13 @@ def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi
 
 def test_certificate_equals_baby_step_giant_step(bsgs_jacobi):
     # the search over every candidate trace that the certificate replaced,
-    # at the seeded primes: above 10^7 the one oracle that does not share
-    # the candidate from Cornacchia's element
-    for p in seeded_primes():
+    # at the seeded primes below 10^16 and the first three in (10^16, 10^20):
+    # above 10^7 the one oracle that does not share the candidate from
+    # Cornacchia's element.  It takes about p^(1/4) steps, 0.06 s near
+    # 3*10^16 and 0.65 s near 8*10^19
+    sampled = seeded_primes()
+    beyond = [p for p in sampled if 10**16 < p < 10**20][:3]
+    for p in [*(p for p in sampled if p < 10**16), *beyond]:
         assert jacobi_sum(p, generator_omega(p)) == bsgs_jacobi(p), p
 
 
@@ -534,6 +541,27 @@ def test_certificate_factors_each_order_once(monkeypatch, p):
     monkeypatch.setattr(curve, "factorize", lambda n: calls.append(n) or factorize(n))
     assert curve.certified_trace(p, t)
     assert sorted(calls) == sorted([p + 1 - t, p + 1 + t])
+
+
+@pytest.mark.parametrize(
+    "p", [3317044064679887385942649, 3317044064679887385939553, 3317044064679887385922003]
+)
+def test_an_order_at_or_above_mr_bound_proves_nothing(monkeypatch, p):
+    # three primes just below MR_BOUND whose twist has a probable prime
+    # order at or above it, where factorize proves nothing: that order is
+    # never factored, the points of E prove the trace, and the points of the
+    # twist alone leave it open
+    t = jacobi_sum(p, generator_omega(p)).trace()
+    assert p + 1 - t >= MR_BOUND and is_probable_prime(p + 1 - t)
+    calls = []
+    factorize = curve.factorize
+    monkeypatch.setattr(curve, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert curve.certified_trace(p, t)
+    assert calls == [p + 1 + t]
+    points = curve._points
+    monkeypatch.setattr(curve, "_points", lambda q: (P for P in points(q) if P[1] == -1))
+    assert not curve.certified_trace(p, t)
+    assert calls == [p + 1 + t]
 
 
 REFUSAL_PRIMES = [7, 13, 1117, 10_000_141]

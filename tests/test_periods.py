@@ -259,7 +259,7 @@ LARGE_PRIMES = 10**12
 
 
 @st.composite
-def conductors_within_the_budget(draw):
+def random_conductors(draw):
     """Tame and wild conductors with nu <= 6 primes = 1 mod 3 up to
     SMALL_PRIMES, each with a uniform number of digits, and in about half
     the draws one more prime in (SMALL_PRIMES, LARGE_PRIMES]; the largest
@@ -290,7 +290,7 @@ def conductors_within_the_budget(draw):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(conductors_within_the_budget())
+@given(random_conductors())
 def test_exact_period_poly_equals_the_closed_form_on_random_conductors(omegas, cond):
     # a trace the points leave open is refused, never guessed, so it may
     # stop a draw with BudgetExceeded but not with a mismatch; none is known
@@ -363,7 +363,7 @@ def test_integer_identities_equal_the_fraction_oracle(
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(conductors_within_the_budget())
+@given(random_conductors())
 def test_integer_identities_equal_the_fraction_oracle_on_random_conductors(
     fraction_oracle, closed_form_period_poly, cond
 ):
