@@ -62,25 +62,24 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """The names of periods and groupring, which only verify, scan and table
-    run, so that importing the package (or a cold enumerate) compiles
-    neither module: each is imported on the first access to one of its
-    names (PEP 562)."""
-    module = {
-        "verify_generators": "groupring",
-        "FieldRecord": "periods",
-        "PeriodTriple": "periods",
-        "gaussian_periods": "periods",
-        "match_fields": "periods",
-        "numeric_period_poly": "periods",
-        "primitive_cubic_kernels": "periods",
-        "shanks_roots": "periods",
-        "verify_kernel_character": "periods",
-        "verify_period_relation": "periods",
-        "verify_sign_congruences": "periods",
-    }.get(name)
-    if module is None:
+    """The names of periods, which only verify, scan and table run, and of
+    the groupring it imports: periods is imported on the first access to
+    one of them (PEP 562), so that importing the package (or a cold
+    enumerate) compiles neither it nor the modules it imports."""
+    if name not in {
+        "FieldRecord",
+        "PeriodTriple",
+        "gaussian_periods",
+        "match_fields",
+        "numeric_period_poly",
+        "primitive_cubic_kernels",
+        "shanks_roots",
+        "verify_generators",
+        "verify_kernel_character",
+        "verify_period_relation",
+        "verify_sign_congruences",
+    }:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    from . import periods
 
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    return getattr(periods, name)

@@ -228,12 +228,27 @@ def _pollard_pm1(n: int) -> int | None:
     return None
 
 
-def factorize(m: int) -> tuple[tuple[int, int], ...]:
+def _trial_divide(m: int) -> tuple[dict[int, int], int]:
+    """The prime powers of m below _TRIAL_BOUND, by trial division in
+    ascending order, and the cofactor left, which stops at the first p with
+    p^2 above it: every prime of the cofactor exceeds every prime found."""
+    found: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+    return found, m
+
+
+def factorize(m: int, trial: tuple | None = None) -> tuple[tuple[int, int], ...]:
     """The prime factorization of m as its (prime, exponent) pairs, sorted
     by prime; () for m = 1.  Trial division by the primes below
     _TRIAL_BOUND, then Miller-Rabin on what is left, and on a composite
     cofactor Pollard p-1 when it is at least _PM1_MIN and Brent's rho when
-    p-1 is not tried or does not split it.
+    p-1 is not tried or does not split it.  trial, when given, is
+    _trial_divide(m), which the caller has already run.
 
     A cofactor below _TRIAL_BOUND^2 with no prime factor below the bound is
     prime, so small m never reach Miller-Rabin.  A cofactor at or above
@@ -243,13 +258,8 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     if m < 1:
         raise ValueError("factorize requires a positive integer")
     value = m
-    found: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
-            break
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
+    found, m = _trial_divide(m) if trial is None else trial
+    found = dict(found)
     stack = [m] if m > 1 else []
     while stack:
         q = stack.pop()
@@ -326,25 +336,15 @@ def _require_below_mr_bound(f: int) -> None:
         )
 
 
-def validate_conductor(f: int) -> Conductor:
-    """Classify f as a tame or wild conductor, or raise InvalidConductor.
-
-    The only accepted shapes are p1*...*pk (k >= 1) and 9*p1*...*pk
-    (k >= 0) with distinct primes pi = 1 mod 3.  In particular f = 9 is
-    accepted (the wild case with no odd primes) while f = 1 is not.
-    """
-    if f < 1:
-        raise InvalidConductor(f"{f} is not a positive integer")
-    _require_below_mr_bound(f)
-    if f % 2 == 0:
-        raise InvalidConductor(f"{f} is even")
-    factors = factorize(f)
+def _refuse_factors(f: int, factors) -> None:
+    """Raise InvalidConductor for the first of the (prime, exponent) pairs
+    of f, in ascending order of prime, that no conductor has: a 3-part
+    other than 1 or 9 first, then a square, then a prime = 2 mod 3."""
     three_part = dict(factors).get(3, 0)
     if three_part not in (0, 2):
         raise InvalidConductor(
             f"the 3-part of {f} is 3^{three_part}; it must be 1 or 9"
         )
-    odd_primes = []
     for p, e in factors:
         if p == 3:
             continue
@@ -352,7 +352,31 @@ def validate_conductor(f: int) -> Conductor:
             raise InvalidConductor(f"{f} is not squarefree away from 9 ({p}^{e} divides it)")
         if p % 3 != 1:
             raise InvalidConductor(f"prime factor {p} of {f} is congruent to 2 mod 3")
-        odd_primes.append(p)
+
+
+def validate_conductor(f: int) -> Conductor:
+    """Classify f as a tame or wild conductor, or raise InvalidConductor.
+
+    The only accepted shapes are p1*...*pk (k >= 1) and 9*p1*...*pk
+    (k >= 0) with distinct primes pi = 1 mod 3.  In particular f = 9 is
+    accepted (the wild case with no odd primes) while f = 1 is not.
+
+    The prime powers that trial division finds are checked before the
+    cofactor is split: every prime of the cofactor is larger, and one found
+    above 3 means the 3-part was found whole, so a refusal there is the one
+    that the whole factorization gives.
+    """
+    if f < 1:
+        raise InvalidConductor(f"{f} is not a positive integer")
+    _require_below_mr_bound(f)
+    if f % 2 == 0:
+        raise InvalidConductor(f"{f} is even")
+    trial = _trial_divide(f)
+    _refuse_factors(f, trial[0].items())
+    factors = factorize(f, trial)
+    _refuse_factors(f, factors)
+    odd_primes = [p for p, _ in factors if p != 3]
+    three_part = dict(factors).get(3, 0)
     if three_part == 0 and not odd_primes:
         raise InvalidConductor("1 is not a conductor")
     if math.prod(odd_primes) * 3**three_part != f:

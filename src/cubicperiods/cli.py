@@ -26,9 +26,7 @@ or shutil.
 The modules each command compiles.  Every command: the package root,
 arith, cubicpoly, eisenstein, errors, quadform, report and this module.
 enumerate: nothing more.  verify, scan and table: also periods, with the
-groupring it imports, and gausssums, where match_fields first runs; and
-curve, where the first Jacobi sum of a prime component is proven by its
-points (verify of 9 has none).  periods is registered at import as a
+groupring and gausssums it imports.  periods is registered at import as a
 module that runs on its first attribute access (_lazy_module), not
 imported by the commands, so that a tracer that rebinds the package's
 functions in sys.modules when it starts (bench/spans.py) finds it there.
@@ -82,8 +80,9 @@ def _lazy_module(name: str) -> ModuleType:
     return module
 
 
-# Only verify, scan and table run match_fields, so periods (and groupring,
-# which it imports) is compiled where one of them first calls it.
+# Only verify, scan and table run match_fields, so periods (and groupring
+# and gausssums, which it imports) is compiled where one of them first
+# calls it.
 periods = _lazy_module("periods")
 
 

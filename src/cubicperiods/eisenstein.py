@@ -125,6 +125,7 @@ def chi9_gauss_sum_report(sign: int) -> dict:
     modulus 27; both comparisons are made exactly, in Z[zeta9], rather than
     assumed.
     """
+    # Imported here, as every command loads this module and few read the sum.
     from .gausssums import _chi9_gauss_sum
 
     tau, cube = _chi9_gauss_sum(chi9(sign))

@@ -26,8 +26,8 @@ conjugates.  Each pair (M, N) is matched to the kernel its own character
 cuts out, whose T must be m*f*w or its conjugate, for w = (M +
 3N*sqrt(-3))/2 and m = Conductor.mu (verify_kernel_character).  That one
 exact equation is the central two-route consistency check of the package,
-with Jacobi sums on one side (gausssums, which match_fields imports where
-it first runs) and the quadratic form on the other (eisenstein), and it
+with Jacobi sums on one side (gausssums, the Gaussian-sum route) and the
+quadratic form on the other (eisenstein, the pair route), and it
 proves the rest of the matching.  It gives Tr(T) = m*f*M, so this cubic is
 the closed form of the pair, period_poly_formula(f, M) = period_poly(f,
 m*f*M): one polynomial.  It fixes w up to conjugation, and no two
@@ -65,6 +65,7 @@ from .errors import (
     RelationFailure,
     ToleranceExceeded,
 )
+from .gausssums import component_gauss_sums
 from .groupring import verify_generators
 from .quadform import Representation, ShanksParams, representations, shanks_params
 
@@ -327,10 +328,6 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     conductor) and each pair's relation, closed form and float side are
     derived here, once, and passed to the checks that read them.
     """
-    # Imported here, so that a command that matches no field, such as
-    # enumerate, never compiles the Gaussian-sum route.
-    from .gausssums import component_gauss_sums
-
     primes = prime_elements(f)
     reps = representations(f, primes)
     omegas = {p: e.omega for p, e in primes.items()}

@@ -15,14 +15,12 @@ from cubicperiods import (
     GeneratorFailure,
     RationalCubic,
     conductors_up_to,
-    curve,
     factorize,
     match_fields,
     moebius,
     substitute_affine,
 )
 from cubicperiods.arith import _component_moduli, _primes_below, is_probable_prime
-from cubicperiods.curve import _POINT_TRIES, _add, _mul, _points
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
@@ -31,6 +29,7 @@ from cubicperiods.eisenstein import (
     _prime_element,
     primary_associate,
 )
+from cubicperiods.gausssums import _POINT_TRIES, _add, _mul, _points
 
 BOUND = 10_000
 
@@ -65,6 +64,30 @@ def sieve_moebius(limit: int) -> list[int]:
 def sieve_moebius_fixture():
     """sieve_moebius(limit): the Moebius values of 0..limit by a linear sieve."""
     return sieve_moebius
+
+
+def validate_by_factorization(f: int) -> tuple[int, ...] | str:
+    """Oracle: validate_conductor as it was before it refused on trial
+    division alone.  The odd primes of the conductor f, or the message of
+    the InvalidConductor it raises, read off the whole factorization of f:
+    the 3-part first, then the first prime, in ascending order, that is
+    squared or 2 mod 3.  f is odd, positive and below MR_BOUND."""
+    factors = factorize(f)
+    three_part = dict(factors).get(3, 0)
+    if three_part not in (0, 2):
+        return f"the 3-part of {f} is 3^{three_part}; it must be 1 or 9"
+    odd_primes = []
+    for p, e in factors:
+        if p == 3:
+            continue
+        if e > 1:
+            return f"{f} is not squarefree away from 9 ({p}^{e} divides it)"
+        if p % 3 != 1:
+            return f"prime factor {p} of {f} is congruent to 2 mod 3"
+        odd_primes.append(p)
+    if three_part == 0 and not odd_primes:
+        return "1 is not a conductor"
+    return tuple(odd_primes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,22 +348,22 @@ def count_oracle():
     )
 
 
-def points_of_e_alone(p: int, points=curve._points):
-    """curve._points without the points of the twist: at the primes where
+def points_of_e_alone(p: int, points=_points):
+    """gausssums._points without the points of the twist: at the primes where
     the first points of E alone prove no trace, the trace stays open."""
     return ((P, sign) for P, sign in points(p) if sign == 1)
 
 
 @pytest.fixture(scope="session")
 def e_alone():
-    """points_of_e_alone(p): a stand-in for curve._points."""
+    """points_of_e_alone(p): a stand-in for gausssums._points."""
     return points_of_e_alone
 
 
 # Oracle: the baby-step giant-step search for Tr J(chi, chi) over the
 # O(sqrt(p)) candidates, in O(p^(1/4)) group operations (Cohen, ch. 7,
-# Shanks-Mestre).  It shares the points and the group law of the curve
-# module, but not the candidate that Stickelberger's congruence names.
+# Shanks-Mestre).  It shares the points and the group law of gausssums,
+# but not the candidate that Stickelberger's congruence names.
 
 
 def _bsgs(P: tuple[int, int], sign: int, p: int, t_lo: int, count: int) -> set[int] | None:

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from conftest import validate_by_factorization
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubicperiods import arith
@@ -24,6 +25,7 @@ from cubicperiods.arith import (
     _PM1_EXPONENT,
     _PM1_MIN,
     _TRIAL_BOUND,
+    _TRIAL_PRIMES,
     is_probable_prime,
 )
 
@@ -257,6 +259,22 @@ def test_validate_rejects_a_square_beyond_trial_division():
         validate_conductor(7 * 1009**2)
 
 
+def test_validate_refuses_a_small_offender_without_splitting_the_cofactor(monkeypatch):
+    # 17 * 66155599207 * 1316831249381: trial division finds 17 = 2 mod 3,
+    # and the cofactor, which would take p-1 and rho, is left unsplit
+
+    def unsplit(n):
+        raise AssertionError(f"cofactor {n} split")
+
+    monkeypatch.setattr(arith, "_pollard_pm1", unsplit)
+    monkeypatch.setattr(arith, "_brent_rho", unsplit)
+    f = 1480967926074142548294739
+    assert f == 17 * 66155599207 * 1316831249381
+    with pytest.raises(InvalidConductor) as refusal:
+        validate_conductor(f)
+    assert str(refusal.value) == f"prime factor 17 of {f} is congruent to 2 mod 3"
+
+
 def test_strong_pseudoprime_to_the_first_twelve_primes_is_composite():
     # 318665857834031151167461 passes Miller-Rabin to every base up to 37;
     # base 41 exposes it, which makes the test deterministic below MR_BOUND
@@ -328,6 +346,36 @@ PSI = (
     3825123056546413051,
     318665857834031151167461,
 )
+
+
+def _prime_powers(primes: list[int]):
+    """Up to two distinct primes drawn from primes, each to the power 1 or 2."""
+    return st.lists(
+        st.tuples(st.sampled_from(primes), st.integers(1, 2)),
+        max_size=2,
+        unique_by=lambda power: power[0],
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.integers(0, 3), _prime_powers(_TRIAL_PRIMES[2:]), _prime_powers(PRIMES_ABOVE_TRIAL))
+@example(0, [(13, 2)], [(1009, 1), (1021, 1)])
+@example(1, [(5, 1)], [(1009, 1)])
+@example(3, [], [(1013, 2)])
+@example(2, [(7, 1)], [(1013, 1)])
+@example(0, [(7, 1)], [(1009, 2), (1021, 1)])
+def test_validate_refuses_as_the_whole_factorization_does(three, small, large):
+    # 3-parts 1, 3, 9 and 27, trial primes and primes above the trial bound
+    # of both classes mod 3, squared or not: the refusals that trial
+    # division settles give the message of the whole factorization
+    f = 3**three * math.prod(p**e for p, e in small + large)
+    assume(f < MR_BOUND)
+    expected = validate_by_factorization(f)
+    try:
+        outcome = validate_conductor(f).odd_primes
+    except InvalidConductor as refusal:
+        outcome = str(refusal)
+    assert outcome == expected
 
 
 @pytest.mark.parametrize("k,psi", list(enumerate(PSI, start=1)))

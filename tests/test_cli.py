@@ -19,7 +19,7 @@ from cubicperiods import (
     BudgetExceeded,
     validate_conductor,
 )
-from cubicperiods import cubicpoly, curve, eisenstein, gausssums, periods, quadform
+from cubicperiods import cubicpoly, eisenstein, gausssums, periods, quadform
 from cubicperiods import cli
 from cubicperiods.arith import KINDS, is_probable_prime
 from cubicperiods.cli import main, verify_report
@@ -319,9 +319,9 @@ def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
     # cubes of the periods instead of building its own.  Nothing keeps the
     # cubes of a conductor, so a second run in one process traces again
     calls = []
-    certified_trace = curve.certified_trace
+    certified_trace = gausssums.certified_trace
     monkeypatch.setattr(
-        curve, "certified_trace", lambda p, t: calls.append(p) or certified_trace(p, t)
+        gausssums, "certified_trace", lambda p, t: calls.append(p) or certified_trace(p, t)
     )
     for _ in range(2):
         calls.clear()
@@ -334,9 +334,9 @@ def test_verify_takes_every_prime_by_points(capsys, monkeypatch):
     # 826371 = 9 * 7 * 13 * 1009 has 8 fields.  Small and large primes alike
     # take the points of E and its twist, each prime once
     traced = []
-    certified_trace = curve.certified_trace
+    certified_trace = gausssums.certified_trace
     monkeypatch.setattr(
-        curve, "certified_trace", lambda p, t: traced.append(p) or certified_trace(p, t)
+        gausssums, "certified_trace", lambda p, t: traced.append(p) or certified_trace(p, t)
     )
     code, _, _ = run(capsys, ["verify", "--conductor", "826371"])
     assert code == 0
@@ -431,14 +431,15 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
     # divides 2 * 397 and cannot tell the two apart in Hasse's interval: with
     # that point alone the trace is not proven, and J is not taken
     p = 10_000_141
-    first = next(P for P, sign in curve._points(p) if sign == 1)
-    point = curve._mul(3150, first, p)
-    assert [t for t in (4258, -2888) if curve._mul(p + 1 + t, point, p) is None] == [4258, -2888]
-    points = curve._points
+    first = next(P for P, sign in gausssums._points(p) if sign == 1)
+    point = gausssums._mul(3150, first, p)
+    killed = [t for t in (4258, -2888) if gausssums._mul(p + 1 + t, point, p) is None]
+    assert killed == [4258, -2888]
+    points = gausssums._points
     monkeypatch.setattr(
-        curve,
+        gausssums,
         "_points",
-        lambda q: iter([(point, 1)] * curve._POINT_TRIES) if q == p else points(q),
+        lambda q: iter([(point, 1)] * gausssums._POINT_TRIES) if q == p else points(q),
     )
     with pytest.raises(BudgetExceeded, match="open"):
         gausssums.jacobi_sum(p, generator_omega(p))
@@ -451,8 +452,8 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
 def test_open_trace_at_a_small_prime_exits_2(capsys, monkeypatch, e_alone):
     # 7819 = 7 * 1117: with the points of E alone the trace mod 1117 stays
     # open, and verify refuses rather than count J
-    points = curve._points
-    monkeypatch.setattr(curve, "_points", lambda q: e_alone(q) if q == 1117 else points(q))
+    points = gausssums._points
+    monkeypatch.setattr(gausssums, "_points", lambda q: e_alone(q) if q == 1117 else points(q))
     code, out, err = run(capsys, ["verify", "--conductor", "7819"])
     assert code == 2
     assert out == ""
@@ -654,22 +655,19 @@ def test_cold_scan_parses_without_argparse(tmp_path):
     assert proc.stdout.split() == ["0"]
 
 
-def test_only_a_jacobi_sum_loads_the_curve(tmp_path):
-    # the Gaussian-sum route is imported where a command first runs it, and
-    # the points where jacobi_sum first runs: enumerate loads neither, nor
-    # _json for a markdown report; verify of 9, which has no prime
-    # component, loads gausssums but leaves cubicperiods.curve unloaded;
-    # verify of 15561 = 9 * 7 * 13 * 19 loads both
+def test_only_a_field_match_loads_the_gaussian_sums(tmp_path):
+    # periods imports the Gaussian-sum route, with the points that prove
+    # its Jacobi sums, and only the commands that match fields load periods:
+    # enumerate loads neither gausssums nor, for a markdown report, _json;
+    # verify of 9, which has no prime component, loads both
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent(
         f"""
         import sys
         sys.path.insert(0, {str(src)!r})
         from cubicperiods.cli import main
-        lazy = ("cubicperiods.gausssums", "cubicperiods.curve", "_json")
-        for argv in (
-            ["enumerate", "7", "--format", "md"], ["verify", "9"], ["verify", "15561"]
-        ):
+        lazy = ("cubicperiods.gausssums", "_json")
+        for argv in (["enumerate", "7", "--format", "md"], ["verify", "9"]):
             main([argv[0], "--conductor", *argv[1:], "--out", {str(tmp_path / "r.out")!r}])
             print(*(m in sys.modules for m in lazy))
         """
@@ -678,7 +676,7 @@ def test_only_a_jacobi_sum_loads_the_curve(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False False False", "True False True", "True True True"]
+    assert proc.stdout.splitlines() == ["False False", "True True"]
 
 
 def test_csv_format(capsys):

@@ -20,7 +20,7 @@ from cubicperiods import (
     rhs_elements,
     validate_conductor,
 )
-from cubicperiods import curve, gausssums
+from cubicperiods import gausssums
 from cubicperiods.arith import MR_BOUND, _primes_below, is_probable_prime
 from cubicperiods.eisenstein import (
     UNITS,
@@ -34,7 +34,7 @@ from cubicperiods.gausssums import jacobi_sum
 PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
 # Every prime = 1 mod 3 below 2*10^5.
 POINT_PRIMES = [p for p in _primes_below(200_000) if p % 3 == 1]
-# The first curve._POINT_TRIES points of E alone prove no trace at these
+# The first gausssums._POINT_TRIES points of E alone prove no trace at these
 # primes, two near 10^3, two near 10^4 and four in 1.2..1.31*10^5; they
 # prove none at 225 primes = 1 mod 3 below 2*10^5, 7 and 13 among them, and
 # left more than one trace at 169 of them to baby-step giant-step.
@@ -501,9 +501,9 @@ def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi
         jacobi = jacobi_sum(p, generator_omega(p))
         assert jacobi == prime_element_jacobi(p), p
         traces[p] = jacobi.trace()
-    monkeypatch.setattr(curve, "_points", e_alone)
+    monkeypatch.setattr(gausssums, "_points", e_alone)
     for p in E_AMBIGUOUS:
-        assert not curve.certified_trace(p, traces[p]), p
+        assert not gausssums.certified_trace(p, traces[p]), p
         with pytest.raises(BudgetExceeded, match="open"):
             jacobi_sum(p, generator_omega(p))
 
@@ -526,7 +526,7 @@ def test_certificate_proves_one_trace_in_the_hasse_interval():
     # and 19 more of them
     for p in (p for p in PRIMES_1_MOD_3 if p < 3000):
         bound = math.isqrt(4 * p)
-        proven = [s for s in range(-bound, bound + 1) if curve.certified_trace(p, s)]
+        proven = [s for s in range(-bound, bound + 1) if gausssums.certified_trace(p, s)]
         assert proven == [jacobi_sum(p, generator_omega(p)).trace()], p
 
 
@@ -537,9 +537,9 @@ def test_certificate_factors_each_order_once(monkeypatch, p):
     # made while every point factored its own
     t = jacobi_sum(p, generator_omega(p)).trace()
     calls = []
-    factorize = curve.factorize
-    monkeypatch.setattr(curve, "factorize", lambda n: calls.append(n) or factorize(n))
-    assert curve.certified_trace(p, t)
+    factorize = gausssums.factorize
+    monkeypatch.setattr(gausssums, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert gausssums.certified_trace(p, t)
     assert sorted(calls) == sorted([p + 1 - t, p + 1 + t])
 
 
@@ -554,13 +554,13 @@ def test_an_order_at_or_above_mr_bound_proves_nothing(monkeypatch, p):
     t = jacobi_sum(p, generator_omega(p)).trace()
     assert p + 1 - t >= MR_BOUND and is_probable_prime(p + 1 - t)
     calls = []
-    factorize = curve.factorize
-    monkeypatch.setattr(curve, "factorize", lambda n: calls.append(n) or factorize(n))
-    assert curve.certified_trace(p, t)
+    factorize = gausssums.factorize
+    monkeypatch.setattr(gausssums, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert gausssums.certified_trace(p, t)
     assert calls == [p + 1 + t]
-    points = curve._points
-    monkeypatch.setattr(curve, "_points", lambda q: (P for P in points(q) if P[1] == -1))
-    assert not curve.certified_trace(p, t)
+    points = gausssums._points
+    monkeypatch.setattr(gausssums, "_points", lambda q: (P for P in points(q) if P[1] == -1))
+    assert not gausssums.certified_trace(p, t)
     assert calls == [p + 1 + t]
 
 
@@ -573,10 +573,10 @@ def test_certificate_refuses_every_other_candidate(p):
     # than J have other traces; no point proves any of them
     jacobi = jacobi_sum(p, generator_omega(p))
     t = jacobi.trace()
-    assert curve.certified_trace(p, t)
+    assert gausssums.certified_trace(p, t)
     others = [t + 9, t - 9, *((u * jacobi).trace() for u in UNITS[1:])]
     assert t not in others
-    assert not any(curve.certified_trace(p, s) for s in others), others
+    assert not any(gausssums.certified_trace(p, s) for s in others), others
 
 
 @pytest.mark.parametrize("p", REFUSAL_PRIMES)
@@ -585,9 +585,10 @@ def test_a_point_of_order_nine_proves_nothing(monkeypatch, p):
     # and lcm(ord(P), 9)^2 = 81 never passes 16p
     t = jacobi_sum(p, generator_omega(p)).trace()
     point = 12 % p, 36 % p
-    assert curve._mul(9, point, p) is None
-    monkeypatch.setattr(curve, "_points", lambda q: iter([(point, 1)] * curve._POINT_TRIES))
-    assert not curve.certified_trace(p, t)
+    assert gausssums._mul(9, point, p) is None
+    tries = [(point, 1)] * gausssums._POINT_TRIES
+    monkeypatch.setattr(gausssums, "_points", lambda q: iter(tries))
+    assert not gausssums.certified_trace(p, t)
 
 
 @pytest.mark.parametrize("p", REFUSAL_PRIMES)

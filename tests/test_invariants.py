@@ -79,7 +79,7 @@ def test_moved_checks_raise_under_optimization():
         arith._brent_rho = lambda n: 7
         print(outcome(arith.factorize, 1009 * 1013))
         # a factorization of 7 as 13
-        arith.factorize = lambda m: ((13, 1),)
+        arith.factorize = lambda m, trial=None: ((13, 1),)
         print(outcome(arith.validate_conductor, 7))
         # 4 + 3*zeta3 gives (M, N) = (5, 1), and 25 + 27 is not 4*7
         f = arith.Conductor(7, (7,))
