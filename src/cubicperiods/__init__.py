@@ -14,7 +14,9 @@ numeric.
 
 The package holds what its four commands (enumerate, verify, scan, table)
 run; algebra they do not reach, such as group-ring arithmetic and an
-irreducibility test, lives in the tests as oracles.
+irreducibility test, lives in the tests as oracles.  The two routes that
+the matching compares are eisenstein (the pairs) and the Gaussian-sum
+functions of periods, which read no pair.
 """
 
 from .arith import (
@@ -63,9 +65,9 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     """The names of periods, which only verify, scan and table run, and of
-    the groupring it imports: periods is imported on the first access to
-    one of them (PEP 562), so that importing the package (or a cold
-    enumerate) compiles neither it nor the modules it imports."""
+    the groupring it imports: periods, with the Gaussian sums, is imported
+    on the first access to one of them (PEP 562), so that importing the
+    package (or a cold enumerate) compiles neither it nor groupring."""
     if name not in {
         "FieldRecord",
         "PeriodTriple",

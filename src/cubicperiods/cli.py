@@ -25,11 +25,13 @@ or shutil.
 
 The modules each command compiles.  Every command: the package root,
 arith, cubicpoly, eisenstein, errors, quadform, report and this module.
-enumerate: nothing more.  verify, scan and table: also periods, with the
-groupring and gausssums it imports.  periods is registered at import as a
-module that runs on its first attribute access (_lazy_module), not
-imported by the commands, so that a tracer that rebinds the package's
-functions in sys.modules when it starts (bench/spans.py) finds it there.
+enumerate: nothing more.  verify, scan and table: also periods, which
+holds both the Gaussian sums and the matching, with the groupring it
+imports.  periods is registered at import as a module that runs on its
+first attribute access (_lazy_module), not imported by the commands, so
+that a tracer that rebinds the package's functions in sys.modules when it
+starts (bench/spans.py) finds it there, and with it the factorize that
+the Gaussian sums call.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
@@ -80,9 +82,8 @@ def _lazy_module(name: str) -> ModuleType:
     return module
 
 
-# Only verify, scan and table run match_fields, so periods (and groupring
-# and gausssums, which it imports) is compiled where one of them first
-# calls it.
+# Only verify, scan and table run match_fields, so periods (and groupring,
+# which it imports) is compiled where one of them first calls it.
 periods = _lazy_module("periods")
 
 

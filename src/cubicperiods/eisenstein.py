@@ -30,11 +30,11 @@ other cube root of unity mod p would conjugate chi_p and swap e_p, and
 change no field, pair or period.
 
 The character of a pair needs no Gaussian sum.  The cubes of the Gaussian
-sums are the other route, in the gausssums module, which shares only this
-ring, Cornacchia's step and omega_p with this one and takes its Jacobi
-sums only once the points of a curve prove them, so matching the periods
-against the pairs compares two independent computations.
-chi9_gauss_sum_report reads the sum mod 9 from there.
+sums are the other route, periods.component_gauss_sums and the functions
+it calls, which share only this ring, Cornacchia's step and omega_p with
+this one and take their Jacobi sums only once the points of a curve prove
+them, so matching the periods against the pairs compares two independent
+computations.  chi9_gauss_sum_report reads the sum mod 9 from there.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def chi9_gauss_sum_report(sign: int) -> dict:
     assumed.
     """
     # Imported here, as every command loads this module and few read the sum.
-    from .gausssums import _chi9_gauss_sum
+    from .periods import _chi9_gauss_sum
 
     tau, cube = _chi9_gauss_sum(chi9(sign))
     reference = 27 * (ZETA if sign == 1 else ZETA_SQ)

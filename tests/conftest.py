@@ -29,7 +29,7 @@ from cubicperiods.eisenstein import (
     _prime_element,
     primary_associate,
 )
-from cubicperiods.gausssums import _POINT_TRIES, _add, _mul, _points
+from cubicperiods.periods import _POINT_TRIES, _add, _mul, _points
 
 BOUND = 10_000
 
@@ -349,20 +349,20 @@ def count_oracle():
 
 
 def points_of_e_alone(p: int, points=_points):
-    """gausssums._points without the points of the twist: at the primes where
+    """periods._points without the points of the twist: at the primes where
     the first points of E alone prove no trace, the trace stays open."""
     return ((P, sign) for P, sign in points(p) if sign == 1)
 
 
 @pytest.fixture(scope="session")
 def e_alone():
-    """points_of_e_alone(p): a stand-in for gausssums._points."""
+    """points_of_e_alone(p): a stand-in for periods._points."""
     return points_of_e_alone
 
 
 # Oracle: the baby-step giant-step search for Tr J(chi, chi) over the
 # O(sqrt(p)) candidates, in O(p^(1/4)) group operations (Cohen, ch. 7,
-# Shanks-Mestre).  It shares the points and the group law of gausssums,
+# Shanks-Mestre).  It shares the points and the group law of periods,
 # but not the candidate that Stickelberger's congruence names.
 
 

@@ -19,7 +19,7 @@ from cubicperiods import (
     BudgetExceeded,
     validate_conductor,
 )
-from cubicperiods import cubicpoly, eisenstein, gausssums, periods, quadform
+from cubicperiods import cubicpoly, eisenstein, periods, quadform
 from cubicperiods import cli
 from cubicperiods.arith import KINDS, is_probable_prime
 from cubicperiods.cli import main, verify_report
@@ -155,7 +155,7 @@ def test_verify_large_conductor_exits_0(capsys, conductor):
 @pytest.mark.parametrize(
     "conductor", [999990700022949986149, 8999916300206549875341]
 )
-def test_verify_huge_conductor_fails_on_float_precision(conductor):
+def test_verify_huge_conductor_passes_at_float_precision(conductor):
     # 9999943 * 9999973 * 9999991 (tame) and 9 times it (wild): the exact
     # matching and main identity pass, and periods near 10^10 miss the
     # mapped Shanks roots by 3.8e-6 and 2.3e-5, which failed against an
@@ -319,9 +319,9 @@ def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
     # cubes of the periods instead of building its own.  Nothing keeps the
     # cubes of a conductor, so a second run in one process traces again
     calls = []
-    certified_trace = gausssums.certified_trace
+    certified_trace = periods.certified_trace
     monkeypatch.setattr(
-        gausssums, "certified_trace", lambda p, t: calls.append(p) or certified_trace(p, t)
+        periods, "certified_trace", lambda p, t: calls.append(p) or certified_trace(p, t)
     )
     for _ in range(2):
         calls.clear()
@@ -334,9 +334,9 @@ def test_verify_takes_every_prime_by_points(capsys, monkeypatch):
     # 826371 = 9 * 7 * 13 * 1009 has 8 fields.  Small and large primes alike
     # take the points of E and its twist, each prime once
     traced = []
-    certified_trace = gausssums.certified_trace
+    certified_trace = periods.certified_trace
     monkeypatch.setattr(
-        gausssums, "certified_trace", lambda p, t: traced.append(p) or certified_trace(p, t)
+        periods, "certified_trace", lambda p, t: traced.append(p) or certified_trace(p, t)
     )
     code, _, _ = run(capsys, ["verify", "--conductor", "826371"])
     assert code == 0
@@ -397,7 +397,7 @@ def test_cubes_once_per_conductor_and_closed_form_once_per_field(
     # match_fields passes the cubes to the periods and to every character
     # check, and the closed form it builds is the one that the main
     # identity checks and the report prints
-    cubes = count_calls(monkeypatch, gausssums, "component_gauss_sums")
+    cubes = count_calls(monkeypatch, periods, "component_gauss_sums")
     polys = count_calls(monkeypatch, cubicpoly, "period_poly_formula")
     code, _, _ = run(capsys, argv)
     assert code == 0
@@ -431,18 +431,18 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
     # divides 2 * 397 and cannot tell the two apart in Hasse's interval: with
     # that point alone the trace is not proven, and J is not taken
     p = 10_000_141
-    first = next(P for P, sign in gausssums._points(p) if sign == 1)
-    point = gausssums._mul(3150, first, p)
-    killed = [t for t in (4258, -2888) if gausssums._mul(p + 1 + t, point, p) is None]
+    first = next(P for P, sign in periods._points(p) if sign == 1)
+    point = periods._mul(3150, first, p)
+    killed = [t for t in (4258, -2888) if periods._mul(p + 1 + t, point, p) is None]
     assert killed == [4258, -2888]
-    points = gausssums._points
+    points = periods._points
     monkeypatch.setattr(
-        gausssums,
+        periods,
         "_points",
-        lambda q: iter([(point, 1)] * gausssums._POINT_TRIES) if q == p else points(q),
+        lambda q: iter([(point, 1)] * periods._POINT_TRIES) if q == p else points(q),
     )
     with pytest.raises(BudgetExceeded, match="open"):
-        gausssums.jacobi_sum(p, generator_omega(p))
+        periods.jacobi_sum(p, generator_omega(p))
     code, out, err = run(capsys, ["verify", "--conductor", str(7 * p)])
     assert code == 2
     assert out == ""
@@ -452,8 +452,8 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
 def test_open_trace_at_a_small_prime_exits_2(capsys, monkeypatch, e_alone):
     # 7819 = 7 * 1117: with the points of E alone the trace mod 1117 stays
     # open, and verify refuses rather than count J
-    points = gausssums._points
-    monkeypatch.setattr(gausssums, "_points", lambda q: e_alone(q) if q == 1117 else points(q))
+    points = periods._points
+    monkeypatch.setattr(periods, "_points", lambda q: e_alone(q) if q == 1117 else points(q))
     code, out, err = run(capsys, ["verify", "--conductor", "7819"])
     assert code == 2
     assert out == ""
@@ -614,9 +614,9 @@ def test_cold_command_leaves_unused_modules_unloaded(tmp_path, argv):
     ids=["enumerate", "verify"],
 )
 def test_only_verify_scan_and_table_compile_periods(tmp_path, argv, compiled):
-    # periods imports groupring at its top, so groupring is loaded exactly
-    # when periods has run: a cold enumerate, the benchmark's set-up op,
-    # runs neither, and a cold verify runs both
+    # periods, which holds the Gaussian sums, imports groupring at its top,
+    # so groupring is loaded exactly when periods has run: a cold enumerate,
+    # the benchmark's set-up op, runs neither, and a cold verify runs both
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent(
         f"""
@@ -655,28 +655,27 @@ def test_cold_scan_parses_without_argparse(tmp_path):
     assert proc.stdout.split() == ["0"]
 
 
-def test_only_a_field_match_loads_the_gaussian_sums(tmp_path):
-    # periods imports the Gaussian-sum route, with the points that prove
-    # its Jacobi sums, and only the commands that match fields load periods:
-    # enumerate loads neither gausssums nor, for a markdown report, _json;
-    # verify of 9, which has no prime component, loads both
+def test_only_a_json_report_loads_the_json_encoder(tmp_path):
+    # render_json imports _json where it first runs: a markdown enumerate
+    # leaves it unloaded, and a JSON verify of 9 loads it (that periods, with
+    # the Gaussian sums, loads only when a field is matched is checked by
+    # test_only_verify_scan_and_table_compile_periods)
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent(
         f"""
         import sys
         sys.path.insert(0, {str(src)!r})
         from cubicperiods.cli import main
-        lazy = ("cubicperiods.gausssums", "_json")
         for argv in (["enumerate", "7", "--format", "md"], ["verify", "9"]):
             main([argv[0], "--conductor", *argv[1:], "--out", {str(tmp_path / "r.out")!r}])
-            print(*(m in sys.modules for m in lazy))
+            print("_json" in sys.modules)
         """
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False False", "True True"]
+    assert proc.stdout.splitlines() == ["False", "True"]
 
 
 def test_csv_format(capsys):

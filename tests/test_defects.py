@@ -10,7 +10,7 @@ import traceback
 import pytest
 
 from cubicperiods import VerificationError, match_fields, validate_conductor
-from cubicperiods import arith, eisenstein, gausssums, periods
+from cubicperiods import arith, eisenstein, periods
 from cubicperiods.arith import _component_moduli
 from cubicperiods.cli import main
 from cubicperiods.eisenstein import ZETA
@@ -18,9 +18,9 @@ from cubicperiods.eisenstein import ZETA
 
 def replace_jacobi_sum_at(q, change):
     def plant(monkeypatch):
-        jacobi_sum = gausssums.jacobi_sum
+        jacobi_sum = periods.jacobi_sum
         monkeypatch.setattr(
-            gausssums,
+            periods,
             "jacobi_sum",
             lambda p, omega: change(jacobi_sum(p, omega)) if p == q else jacobi_sum(p, omega),
         )
@@ -44,13 +44,13 @@ def negate_jacobi_sum_at(q):
 
 def replace_chi9_cube(change):
     def plant(monkeypatch):
-        chi9_gauss_sum = gausssums._chi9_gauss_sum
+        chi9_gauss_sum = periods._chi9_gauss_sum
 
         def planted(e):
             tau, cube = chi9_gauss_sum(e)
             return tau, change(cube)
 
-        monkeypatch.setattr(gausssums, "_chi9_gauss_sum", planted)
+        monkeypatch.setattr(periods, "_chi9_gauss_sum", planted)
 
     return plant
 

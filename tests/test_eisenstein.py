@@ -20,7 +20,7 @@ from cubicperiods import (
     rhs_elements,
     validate_conductor,
 )
-from cubicperiods import gausssums
+from cubicperiods import periods
 from cubicperiods.arith import MR_BOUND, _primes_below, is_probable_prime
 from cubicperiods.eisenstein import (
     UNITS,
@@ -29,12 +29,12 @@ from cubicperiods.eisenstein import (
     primary_associate,
     prime_elements,
 )
-from cubicperiods.gausssums import jacobi_sum
+from cubicperiods.periods import jacobi_sum
 
 PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
 # Every prime = 1 mod 3 below 2*10^5.
 POINT_PRIMES = [p for p in _primes_below(200_000) if p % 3 == 1]
-# The first gausssums._POINT_TRIES points of E alone prove no trace at these
+# The first periods._POINT_TRIES points of E alone prove no trace at these
 # primes, two near 10^3, two near 10^4 and four in 1.2..1.31*10^5; they
 # prove none at 225 primes = 1 mod 3 below 2*10^5, 7 and 13 among them, and
 # left more than one trace at 169 of them to baby-step giant-step.
@@ -501,9 +501,9 @@ def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi
         jacobi = jacobi_sum(p, generator_omega(p))
         assert jacobi == prime_element_jacobi(p), p
         traces[p] = jacobi.trace()
-    monkeypatch.setattr(gausssums, "_points", e_alone)
+    monkeypatch.setattr(periods, "_points", e_alone)
     for p in E_AMBIGUOUS:
-        assert not gausssums.certified_trace(p, traces[p]), p
+        assert not periods.certified_trace(p, traces[p]), p
         with pytest.raises(BudgetExceeded, match="open"):
             jacobi_sum(p, generator_omega(p))
 
@@ -526,7 +526,7 @@ def test_certificate_proves_one_trace_in_the_hasse_interval():
     # and 19 more of them
     for p in (p for p in PRIMES_1_MOD_3 if p < 3000):
         bound = math.isqrt(4 * p)
-        proven = [s for s in range(-bound, bound + 1) if gausssums.certified_trace(p, s)]
+        proven = [s for s in range(-bound, bound + 1) if periods.certified_trace(p, s)]
         assert proven == [jacobi_sum(p, generator_omega(p)).trace()], p
 
 
@@ -537,9 +537,9 @@ def test_certificate_factors_each_order_once(monkeypatch, p):
     # made while every point factored its own
     t = jacobi_sum(p, generator_omega(p)).trace()
     calls = []
-    factorize = gausssums.factorize
-    monkeypatch.setattr(gausssums, "factorize", lambda n: calls.append(n) or factorize(n))
-    assert gausssums.certified_trace(p, t)
+    factorize = periods.factorize
+    monkeypatch.setattr(periods, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert periods.certified_trace(p, t)
     assert sorted(calls) == sorted([p + 1 - t, p + 1 + t])
 
 
@@ -554,13 +554,13 @@ def test_an_order_at_or_above_mr_bound_proves_nothing(monkeypatch, p):
     t = jacobi_sum(p, generator_omega(p)).trace()
     assert p + 1 - t >= MR_BOUND and is_probable_prime(p + 1 - t)
     calls = []
-    factorize = gausssums.factorize
-    monkeypatch.setattr(gausssums, "factorize", lambda n: calls.append(n) or factorize(n))
-    assert gausssums.certified_trace(p, t)
+    factorize = periods.factorize
+    monkeypatch.setattr(periods, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert periods.certified_trace(p, t)
     assert calls == [p + 1 + t]
-    points = gausssums._points
-    monkeypatch.setattr(gausssums, "_points", lambda q: (P for P in points(q) if P[1] == -1))
-    assert not gausssums.certified_trace(p, t)
+    points = periods._points
+    monkeypatch.setattr(periods, "_points", lambda q: (P for P in points(q) if P[1] == -1))
+    assert not periods.certified_trace(p, t)
     assert calls == [p + 1 + t]
 
 
@@ -573,10 +573,10 @@ def test_certificate_refuses_every_other_candidate(p):
     # than J have other traces; no point proves any of them
     jacobi = jacobi_sum(p, generator_omega(p))
     t = jacobi.trace()
-    assert gausssums.certified_trace(p, t)
+    assert periods.certified_trace(p, t)
     others = [t + 9, t - 9, *((u * jacobi).trace() for u in UNITS[1:])]
     assert t not in others
-    assert not any(gausssums.certified_trace(p, s) for s in others), others
+    assert not any(periods.certified_trace(p, s) for s in others), others
 
 
 @pytest.mark.parametrize("p", REFUSAL_PRIMES)
@@ -585,10 +585,10 @@ def test_a_point_of_order_nine_proves_nothing(monkeypatch, p):
     # and lcm(ord(P), 9)^2 = 81 never passes 16p
     t = jacobi_sum(p, generator_omega(p)).trace()
     point = 12 % p, 36 % p
-    assert gausssums._mul(9, point, p) is None
-    tries = [(point, 1)] * gausssums._POINT_TRIES
-    monkeypatch.setattr(gausssums, "_points", lambda q: iter(tries))
-    assert not gausssums.certified_trace(p, t)
+    assert periods._mul(9, point, p) is None
+    tries = [(point, 1)] * periods._POINT_TRIES
+    monkeypatch.setattr(periods, "_points", lambda q: iter(tries))
+    assert not periods.certified_trace(p, t)
 
 
 @pytest.mark.parametrize("p", REFUSAL_PRIMES)
@@ -596,9 +596,9 @@ def test_a_wrong_cornacchia_element_is_refused(monkeypatch, p):
     # zeta3*pi has norm p and lies above the same prime as pi, so
     # Stickelberger's pick keeps it; the curve refuses the trace of
     # -zeta3*pi, and jacobi_sum returns no J
-    element = gausssums.cornacchia_element
+    element = periods.cornacchia_element
     monkeypatch.setattr(
-        gausssums,
+        periods,
         "cornacchia_element",
         lambda q, omega: ZETA * element(q, omega) if q == p else element(q, omega),
     )

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ import struct
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import generator_omega, shanks_root_oracle
@@ -43,7 +45,7 @@ from cubicperiods import periods as periods_module
 from cubicperiods.arith import is_probable_prime
 from cubicperiods.cli import main
 from cubicperiods.eisenstein import ZETA, EisensteinInt, prime_elements
-from cubicperiods.gausssums import component_gauss_sums
+from cubicperiods.periods import component_gauss_sums
 
 F9 = validate_conductor(9)
 F7 = validate_conductor(7)
@@ -575,6 +577,34 @@ def test_kernel_character_rejects_another_kernel(monkeypatch, omegas):
             )
             with pytest.raises(NormalizationFailure):
                 verify_kernel_character(rec.representation, cubes, omegas(F819))
+
+
+# The Gaussian-sum route and the names of the pair route it must not read:
+# the two routes share periods, so what keeps them independent is what
+# each function of the Gaussian-sum route names.
+GAUSS_SUM_ROUTE = (
+    "component_gauss_sums", "jacobi_sum", "certified_trace", "_points", "_mul", "_add",
+    "_chi9_gauss_sum", "_z9", "_z9_mul",
+)
+PAIR_ROUTE_NAMES = {
+    "prime_elements", "_prime_element", "rhs_elements", "representations",
+    "character_for_representation", "Representation", "PrimeElement",
+}
+PAIR_ROUTE_ATTRIBUTES = PAIR_ROUTE_NAMES | {"pi", "element"}
+
+
+def test_the_gaussian_sum_route_reads_no_pair():
+    tree = ast.parse(Path(periods_module.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(GAUSS_SUM_ROUTE) <= set(functions)
+    read = {
+        (name, node.id if isinstance(node, ast.Name) else "." + node.attr)
+        for name in GAUSS_SUM_ROUTE
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Name) and node.id in PAIR_ROUTE_NAMES
+        or isinstance(node, ast.Attribute) and node.attr in PAIR_ROUTE_ATTRIBUTES
+    }
+    assert not read, sorted(read)
 
 
 def test_verify_is_the_same_with_either_prime_element(capsys, monkeypatch):

@@ -70,3 +70,10 @@ def test_a_traced_run_counts_every_called_layer(workload):
         if name not in UNCALLED[workload] and not metrics[f"{name}.calls"]["value"] > 0
     ]
     assert not unread, unread
+    if workload == "verify-band":
+        # the certificate of each Jacobi sum factors its group orders, in
+        # periods, where the tracer rebinds factorize too
+        factorize, validate = (
+            metrics[f"arith.{fn}.calls"]["value"] for fn in ("factorize", "validate_conductor")
+        )
+        assert factorize > validate, (factorize, validate)
