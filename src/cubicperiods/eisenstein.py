@@ -29,12 +29,13 @@ exponents e_q in {1, 2}, the coordinates that kernel vectors use too.  The
 other cube root of unity mod p would conjugate chi_p and swap e_p, and
 change no field, pair or period.
 
-The character of a pair needs no Gaussian sum.  The cubes of the Gaussian
-sums are the other route, periods.component_gauss_sums and the functions
-it calls, which share only this ring, Cornacchia's step and omega_p with
-this one and take their Jacobi sums only once the points of a curve prove
-them, so matching the periods against the pairs compares two independent
-computations.  chi9_gauss_sum_report reads the sum mod 9 from there.
+The character of a pair needs no Gaussian sum.  The Jacobi sums and the
+cubes of the Gaussian sums of periods are the other route, which shares
+only this ring, Cornacchia's step and omega_p with this one and takes a
+Jacobi sum only with the proof that the points of a curve give, so
+matching the periods against the pairs compares two independent
+computations.  Nothing here reads the J or the proof of a prime's record.
+chi9_gauss_sum_report reads the sum mod 9 from periods.
 """
 
 from __future__ import annotations
@@ -215,11 +216,13 @@ def rhs_elements(f: Conductor, primes: dict[int, PrimeElement]) -> list[Eisenste
     return [x if x.b > 0 else x.conjugate() for x in elements]
 
 
-def character_for_representation(r: Representation, omegas: dict[int, int]) -> tuple[int, ...]:
+def character_for_representation(
+    r: Representation, primes: dict[int, PrimeElement]
+) -> tuple[int, ...]:
     """The primitive cubic character mod f of the pair (M, N), as its
     exponents e_q of chi_q in component order, read off w = (M +
-    3N*sqrt(-3))/2 = a + b*zeta3; omegas maps each odd prime p of f to
-    omega_p, the omega of its record (_prime_element).
+    3N*sqrt(-3))/2 = a + b*zeta3; primes maps each odd prime p of f to its
+    record, of which omega_p alone is read (_prime_element).
 
     The exponent at p is 1 when the prime (p, zeta3 - omega_p) divides w,
     a + b*omega_p = 0 mod p, and 2 when its conjugate does, a - b -
@@ -232,9 +235,9 @@ def character_for_representation(r: Representation, omegas: dict[int, int]) -> t
     for q in _component_moduli(r.conductor):
         if q == 9:
             exponents.append(r.N % 3)
-        elif (a + b * omegas[q]) % q == 0:
+        elif (a + b * primes[q].omega) % q == 0:
             exponents.append(1)
-        elif (a - b - b * omegas[q]) % q == 0:
+        elif (a - b - b * primes[q].omega) % q == 0:
             exponents.append(2)
         else:
             raise FactorizationMismatch(

@@ -39,27 +39,28 @@ kernel is reached once: the matching is a bijection.  The float periods,
 which the period relation and the generator checks compare with the roots
 of the Shanks cubics, come from a cube root of T in O(1) per field, and
 the roots of f_n are one Galois orbit of rho -> -1/(1 + rho): one root is
-solved for, and the other two are its images (shanks_roots).  The one
-value per prime that the routes share, omega_p, match_fields reads from
-the records that build the pairs (eisenstein.prime_elements).
+solved for, and the other two are its images (shanks_roots).  One record
+per odd prime p of f (prime_records) holds omega_p and pi_p
+(eisenstein.prime_elements), and J at omega_p with its proof.
 
-The Gaussian-sum route is component_gauss_sums and the functions it
-calls: jacobi_sum, certified_trace with its points (_points, _add, _mul)
-and the sum mod 9 (_chi9_gauss_sum, _z9, _z9_mul).  They read omega_p
-and never a pair, its element or its prime elements, so the two routes
-stay independent by what each function reads.  The Gaussian sums enter
-only through their cubes, which are exact: for a prime p, tau(chi_p)^3 =
-p * J(chi_p, chi_p) with the Jacobi sum J in Z[zeta3] (Ireland and Rosen,
-ch. 8 section 3).  Stickelberger's congruence names J: J = -1 mod 3 and
-N(J) = p make -J a primary prime element of norm p, and J = 0 mod the
-prime (p, zeta3 - omega_p) for the omega_p that names chi_p.  jacobi_sum
-runs Cornacchia's step on that omega again (eisenstein.cornacchia_element),
-which gives pi or conj(pi), and the congruence picks the one of the two.
-The candidate comes from the congruence, and only the curve E: y^2 = x^3 -
-432, which has p + 1 + Tr J points over F_p (Ireland and Rosen, ch. 18),
-accepts it, by the order of one point of E or of its quadratic twist
-(certified_trace).  When no point proves the candidate, J is refused,
-never guessed; no p is refused for its size.
+The Gaussian-sum route is jacobi_sum, certified_trace with its points
+(_points, _add, _mul) and proof (TraceProof), the sum mod 9
+(_chi9_gauss_sum, _z9, _z9_mul) and component_gauss_sums, which reads J
+off the records.  They read omega_p and never a pair, its element or its
+prime elements, so the two routes stay independent by what each function
+reads.  The Gaussian sums enter only through their cubes, which are exact:
+for a prime p, tau(chi_p)^3 = p * J(chi_p, chi_p) with the Jacobi sum J in
+Z[zeta3] (Ireland and Rosen, ch. 8 section 3).  Stickelberger's congruence
+names J: J = -1 mod 3 and N(J) = p make -J a primary prime element of norm
+p, and J = 0 mod the prime (p, zeta3 - omega_p) for the omega_p that names
+chi_p.  jacobi_sum runs Cornacchia's step on that omega again
+(eisenstein.cornacchia_element), which gives pi or conj(pi), and the
+congruence picks the one of the two.  The candidate comes from the
+congruence, and only the curve E: y^2 = x^3 - 432, which has p + 1 + Tr J
+points over F_p (Ireland and Rosen, ch. 18), accepts it, by the order of
+one point of E or of its quadratic twist (certified_trace, which returns
+what it read as the proof).  When no point proves the candidate, J is
+refused, never guessed; no p is refused for its size.
 
 certified_trace searches nothing: it accepts the one candidate only when
 the order of one point leaves a single group order in Hasse's interval
@@ -138,8 +139,8 @@ def _add(
 
 def _mul(k: int, P: tuple[int, int], p: int) -> tuple[int, int] | None:
     """k*P for k >= 1, doubling from the top bit of k."""
-    R = None
-    for bit in bin(k)[2:]:
+    R = P
+    for bit in bin(k)[3:]:
         R = _add(R, R, p)
         if bit == "1":
             R = _add(R, P, p)
@@ -147,7 +148,7 @@ def _mul(k: int, P: tuple[int, int], p: int) -> tuple[int, int] | None:
 
 
 def _points(p: int):
-    """(P, sign) for x = 1, 2, ... with s = x^3 - 432 nonzero mod p.
+    """(x, P, sign) for x = 1, 2, ... with s = x^3 - 432 nonzero mod p.
 
     P = (s*x, s^2) lies on Y^2 = X^3 - 432*s^3, which is s*y^2 = x^3 - 432
     in X = s*x, Y = s^2*y: the twist of E by s.  It is E when s is a square
@@ -157,39 +158,49 @@ def _points(p: int):
     for x in itertools.count(1):
         s = (x * x * x - 432) % p
         if s:
-            yield (s * x % p, s * s % p), 1 if pow(s, half, p) == 1 else -1
+            yield x, (s * x % p, s * s % p), 1 if pow(s, half, p) == 1 else -1
 
 
-def certified_trace(p: int, t: int) -> bool:
-    """Whether the order of one point proves that t = Tr J(chi, chi).
+class TraceProof(NamedTuple):
+    """The proof that certified_trace returns: x, sign, n and the q^e read."""
+
+    x: int
+    sign: int
+    order: int
+    prime_powers: tuple[tuple[int, int], ...]
+
+
+def certified_trace(p: int, t: int) -> TraceProof | None:
+    """A proof by the order of one point that t = Tr J(chi, chi), or None.
 
     A point P of E (sign 1) or of its twist (sign -1) must satisfy n*P = O
     for n = p + 1 + sign*t, and one that does not refutes t.  d, the
-    product of the q-parts of ord(P) over the prime powers q^e || n from the
-    largest q down, divides n and the group order.  The first q-part is
-    found by multiplying (n/q^e)*P by q up to e times, which checks
-    n*P = O on the way.  Hasse's bound puts the
-    group order within 2*sqrt(p) of p + 1, as t^2 <= 4p puts n, and for
-    t = -(p + 1) mod 9 both are = n mod 9 (#E = 0 and #E' = 2(p + 1) mod 9,
-    as J = -1 mod 3).  So once lcm(d, 9)^2 > 16p the group order is n, the
-    one number of its class mod lcm(d, 9) in the interval.  _points starts
-    past the 3-torsion points of E at x = 0; the others, such as those at
-    x = 12, have 9P = O and prove nothing.  Each of the two orders is
-    factored once, at its first point.  The points of an order at or above
-    MR_BOUND, where factorize proves no prime, prove nothing: only f = p
-    has one, and one at most, as the mean of the two orders is p + 1.
+    product of the q-parts of ord(P) over the prime powers q^e || n from
+    the largest q down, divides n and the group order.  The first q-part is
+    found by multiplying (n/q^e)*P by q up to e times, which checks n*P = O
+    on the way.  Hasse's bound puts the group order within 2*sqrt(p) of
+    p + 1, as t^2 <= 4p puts n, and for t = -(p + 1) mod 9 both are = n
+    mod 9 (#E = 0 and #E' = 2(p + 1) mod 9, as J = -1 mod 3).  So once
+    lcm(d, 9)^2 > 16p the group order is n, the one number of its class
+    mod lcm(d, 9) in the interval.  The proof holds the x of P in _points,
+    its sign, n and the q^e read.  _points starts past the 3-torsion
+    points of E at x = 0; the others, such as those at x = 12, have 9P = O
+    and prove nothing.  Each of the two orders is factored once, at its
+    first point.  The points of an order at or above MR_BOUND, where
+    factorize proves no prime, prove nothing: only f = p has one, and one
+    at most, as the mean of the two orders is p + 1.
     """
     if t * t > 4 * p or (p + 1 + t) % 9:
-        return False
+        return None
     factors = {}
-    for P, sign in itertools.islice(_points(p), _POINT_TRIES):
+    for x, P, sign in itertools.islice(_points(p), _POINT_TRIES):
         n = p + 1 + sign * t
         if n >= MR_BOUND:
             continue
         if n not in factors:
-            factors[n] = factorize(n)
+            factors[n] = factorize(n)[::-1]
         d = 1
-        for q, e in reversed(factors[n]):
+        for i, (q, e) in enumerate(factors[n], 1):
             Q = _mul(n // q**e, P, p)
             for _ in range(e):
                 if Q is None:
@@ -197,34 +208,34 @@ def certified_trace(p: int, t: int) -> bool:
                 Q = _mul(q, Q, p)
                 d *= q
             if Q is not None:
-                return False
+                return None
             if math.lcm(d, 9) ** 2 > 16 * p:
-                return True
-    return False
+                return TraceProof(x, sign, n, factors[n][:i])
+    return None
 
 
-def jacobi_sum(p: int, omega: int) -> EisensteinInt:
-    """J(chi, chi) = sum over 2 <= a < p of chi(a) * chi(1 - a) for the
-    character chi(a) = zeta3^e when a^((p-1)/3) = omega^e mod p, a prime
-    = 1 mod 3.  Then tau(chi)^3 = p * J(chi, chi) exactly.
+def jacobi_sum(p: int, omega: int) -> tuple[EisensteinInt, TraceProof]:
+    """J(chi, chi) = sum over 2 <= a < p of chi(a) * chi(1 - a), with the
+    proof of its trace, for the character chi(a) = zeta3^e when a^((p-1)/3)
+    = omega^e mod p, a prime = 1 mod 3; tau(chi)^3 = p * J(chi, chi).
 
     J = -pi for the primary prime element pi of norm p with
     a + b*omega = 0 mod p (Stickelberger's congruence):
-    cornacchia_element(p, omega) or its conjugate.  J is taken only when
-    certified_trace proves Tr J, and is refused with BudgetExceeded
-    otherwise, never for the size of p.  N(J) = p and J = -1 mod 3 are
-    checked (Ireland and Rosen, ch. 9 section 4).  Over 1,000 seeded primes
-    in 10^22..10^23.6 this took 1.2-1.5 ms at the median, 4.7-7.3 ms at p90
-    and 0.27-0.43 s at most, on three seeds (2-core Xeon VM, Python 3.11.7).
-    Every number factored is below MR_BOUND, so rho splits off a prime below
-    1.8*10^12: 0.44-1.48 s at two constructed p, and about a second at most,
-    an estimate.
+    cornacchia_element(p, omega) or its conjugate.  J is taken only with
+    the proof of Tr J that certified_trace returns, and is refused with
+    BudgetExceeded otherwise, never for the size of p.  N(J) = p and J = -1
+    mod 3 are checked (Ireland and Rosen, ch. 9 section 4).  Over 1,000
+    seeded primes in 10^22..10^23.6 this took 1.2-1.5 ms at the median,
+    4.7-7.3 ms at p90 and 0.27-0.43 s at most, on three seeds (2-core Xeon
+    VM, Python 3.11.7).  Every number factored is below MR_BOUND, so rho
+    splits off a prime below 1.8*10^12: 0.44-1.48 s at two constructed p,
+    and about a second at most, an estimate.
     """
     pi = cornacchia_element(p, omega)
     if (pi.a + pi.b * omega) % p:
         pi = pi.conjugate()
     jacobi = -pi
-    if not certified_trace(p, jacobi.trace()):
+    if (proof := certified_trace(p, jacobi.trace())) is None:
         raise BudgetExceeded(
             f"the points mod {p} leave Tr J(chi, chi) open, and J is never guessed"
         )
@@ -232,7 +243,22 @@ def jacobi_sum(p: int, omega: int) -> EisensteinInt:
         raise FactorizationMismatch(f"J(chi, chi) = {jacobi} mod {p} has norm {jacobi.norm()}")
     if jacobi.a % 3 != 2 or jacobi.b % 3 != 0:
         raise CongruenceFailure(f"J(chi, chi) = {jacobi} mod {p} is not -1 mod 3")
-    return jacobi
+    return jacobi, proof
+
+
+class PrimeRecord(NamedTuple):
+    """An eisenstein.PrimeElement and J(chi_p, chi_p) with its proof."""
+
+    omega: int
+    pi: EisensteinInt
+    jacobi: EisensteinInt
+    proof: TraceProof
+
+
+def prime_records(f: Conductor) -> dict[int, PrimeRecord]:
+    """The record of each odd prime p of f, with J from jacobi_sum at
+    omega_p, whose own Cornacchia step keeps a wrong pi_p from J."""
+    return {p: PrimeRecord(*e, *jacobi_sum(p, e.omega)) for p, e in prime_elements(f).items()}
 
 
 def _z9(coeffs: list[int]) -> tuple[int, ...]:
@@ -271,15 +297,16 @@ def _chi9_gauss_sum(e: int) -> tuple[tuple[int, ...], EisensteinInt]:
     return tau, EisensteinInt(cube[0], cube[3])
 
 
-def component_gauss_sums(f: Conductor, omegas: dict[int, int]) -> tuple[EisensteinInt, ...]:
+def component_gauss_sums(
+    f: Conductor, primes: dict[int, PrimeRecord]
+) -> tuple[EisensteinInt, ...]:
     """tau_q^3 for the component character chi_q of each component q of f,
-    in component order: p * J(chi_p, chi_p) for a prime p (omegas[p] =
-    omega_p), the cube multiplied out in Z[zeta9] for q = 9.  The character
+    in component order: p * J(chi_p, chi_p) for a prime p, J from its record
+    in primes, the cube multiplied out in Z[zeta9] for q = 9.  The character
     chi_q^2 has the conjugate cube, since chi_q(-1) = 1.
     """
     return tuple(
-        _chi9_gauss_sum(1)[1] if q == 9 else q * jacobi_sum(q, omegas[q])
-        for q in _component_moduli(f)
+        _chi9_gauss_sum(1)[1] if q == 9 else q * primes[q].jacobi for q in _component_moduli(f)
     )
 
 
@@ -497,11 +524,11 @@ def verify_sign_congruences(rec: FieldRecord) -> float:
 
 
 def verify_kernel_character(
-    r: Representation, cubes: tuple[EisensteinInt, ...], omegas: dict[int, int]
+    r: Representation, cubes: tuple[EisensteinInt, ...], primes: dict[int, PrimeRecord]
 ) -> PeriodTriple:
     """The periods of the kernel that the pair's character cuts out, once
     its cube T is checked to be the pair's; cubes as for gaussian_periods,
-    omegas as for character_for_representation.
+    primes as for character_for_representation.
 
     Two functionals on (Z/3)^k share a kernel exactly when they are
     proportional, so the character with exponents e cuts out the kernel of
@@ -512,7 +539,7 @@ def verify_kernel_character(
     p by unique factorization.
     """
     f = r.conductor
-    exponents = character_for_representation(r, omegas)
+    exponents = character_for_representation(r, primes)
     # 1 and 2 are their own inverses mod 3
     kernel = tuple(e * exponents[0] % 3 for e in exponents)
     pt = gaussian_periods(f, kernel, cubes)
@@ -537,17 +564,17 @@ def match_fields(f: Conductor) -> list[FieldRecord]:
     the matching is a bijection.  A record only exists if all of its checks
     pass; its verdicts keep that order, but a wild record lists the kernel
     character last, and a tame one does not list it.  The records of the
-    primes, which give the pairs and omega_p, and the cubes (once per
-    conductor) and each pair's relation, closed form and float side are
-    derived here, once, and passed to the checks that read them.
+    primes (prime_records), which give the pairs, omega_p and J, and the
+    cubes (once per conductor) and each pair's relation, closed form and
+    float side are derived here, once, and passed to the checks that read
+    them.
     """
-    primes = prime_elements(f)
+    primes = prime_records(f)
     reps = representations(f, primes)
-    omegas = {p: e.omega for p, e in primes.items()}
-    cubes = component_gauss_sums(f, omegas)
+    cubes = component_gauss_sums(f, primes)
     records = []
     for r in reps:
-        pt = verify_kernel_character(r, cubes, omegas)
+        pt = verify_kernel_character(r, cubes, primes)
         sp = shanks_params(r)
         poly = period_poly_formula(f, r.M)
         verdicts = {"oracle_equivalence": 0.0, "main_identity": verify_main_identity(f, sp, poly)}

@@ -27,9 +27,10 @@ from cubicperiods.eisenstein import (
     ZETA_SQ,
     EisensteinInt,
     _prime_element,
+    cornacchia_element,
     primary_associate,
 )
-from cubicperiods.periods import _POINT_TRIES, _add, _mul, _points
+from cubicperiods.periods import PrimeRecord, jacobi_sum
 
 BOUND = 10_000
 
@@ -111,17 +112,26 @@ def generator_omega(p: int) -> int:
     return pow(generator(p)[0], (p - 1) // 3, p)
 
 
-def omegas(cond) -> dict[int, int]:
-    """Each odd prime p of the conductor mapped to generator_omega(p), so
+@functools.lru_cache(maxsize=None)
+def generator_record(p: int) -> PrimeRecord:
+    """The record of periods.prime_records for a prime p = 1 mod 3, at
+    omega = generator_omega(p) in place of the package's omega_p."""
+    omega = generator_omega(p)
+    return PrimeRecord(omega, cornacchia_element(p, omega), *jacobi_sum(p, omega))
+
+
+def generator_primes(cond) -> dict[int, PrimeRecord]:
+    """Each odd prime p of the conductor mapped to generator_record(p), so
     that kernels and characters are labelled at the smallest generators,
     as by unit_group and coset_sets."""
-    return {p: generator_omega(p) for p in cond.odd_primes}
+    return {p: generator_record(p) for p in cond.odd_primes}
 
 
-@pytest.fixture(scope="session", name="omegas")
-def omegas_fixture():
-    """omegas(cond): each odd prime of the conductor to its generator_omega."""
-    return omegas
+@pytest.fixture(scope="session", name="generator_primes")
+def generator_primes_fixture():
+    """generator_primes(cond): each odd prime of the conductor to its record
+    at generator_omega."""
+    return generator_primes
 
 
 def generator_labels(cond, vector) -> tuple[int, ...]:
@@ -348,10 +358,140 @@ def count_oracle():
     )
 
 
-def points_of_e_alone(p: int, points=_points):
+# The proof checker: a group law of y^2 = x^3 + B over F_p and a
+# Miller-Rabin test of its own, with which each proof of
+# periods.certified_trace is re-checked, and on which the baby-step
+# giant-step oracle below runs.
+
+POINT_TRIES = 32
+
+
+def curve_points(p: int):
+    """(x, P, sign) for x = 1, 2, ... with s = x^3 - 432 nonzero mod p, in
+    the form of periods._points: P = (s*x, s^2) on Y^2 = X^3 - 432*s^3, the
+    twist of E: y^2 = x^3 - 432 by s, and sign the Legendre symbol of s."""
+    for x in itertools.count(1):
+        s = (x**3 - 432) % p
+        if s:
+            yield x, (s * x % p, s * s % p), 1 if pow(s, (p - 1) // 2, p) == 1 else -1
+
+
+def point_sum(P, Q, p: int):
+    """P + Q on a curve y^2 = x^3 + B over F_p, None the point at infinity."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if (x1 - x2) % p:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p)
+    elif (y1 + y2) % p:
+        slope = 3 * x1 * x1 * pow(2 * y1, -1, p)
+    else:
+        return None
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def point_multiple(k: int, P, p: int):
+    """k*P for k >= 0, summing the doublings of P at the set bits of k,
+    from the lowest bit up."""
+    R = None
+    while k:
+        if k & 1:
+            R = point_sum(R, P, p)
+        k >>= 1
+        if k:
+            P = point_sum(P, P, p)
+    return R
+
+
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least strong pseudoprime to the first k prime bases, for k = 4,
+# 7 and 13: below it those k bases prove n prime (G. Jaeschke, Math. Comp.
+# 61, 1993; J. Sorenson and J. Webster, Math. Comp. 86, 2017).
+MR_PSI = (
+    (3_215_031_751, 4),
+    (341_550_071_728_321, 7),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+
+
+def miller_rabin(n: int) -> bool:
+    """Whether n < psi_13 is prime, by the strong test to as many of
+    MR_BASES as MR_PSI asks for."""
+    if n < 2 or any(n % a == 0 for a in MR_BASES):
+        return n in MR_BASES
+    k = next((k for psi, k in MR_PSI if n < psi), None)
+    if k is None:
+        raise ValueError(f"{n} is beyond psi_13, where the bases prove nothing")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in MR_BASES[:k]:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def refute_trace_proof(p: int, t: int, proof) -> str | None:
+    """The first claim of a proof (x, sign, n, prime powers) of
+    periods.certified_trace that t = Tr J(chi, chi) mod p which fails, or
+    None when every claim holds: p is a prime = 1 mod 3; t^2 <= 4p and
+    t = -(p + 1) mod 9; the sign is the Legendre symbol of s = x^3 - 432;
+    P = (s*x, s^2) lies on Y^2 = X^3 - 432*s^3; n = p + 1 + sign*t; the
+    q are distinct primes with q^e || n; n*P = O, which each q-part
+    checks on the way; and lcm(d, 9)^2 > 16p for the product d of the
+    q-parts of ord(P), where the q-part is the order of (n/q^e)*P.  Then n is the order of the group of P, the one
+    number of its class mod lcm(d, 9) within 2*sqrt(p) of p + 1."""
+    x, sign, n, prime_powers = proof
+    if p % 3 != 1 or not miller_rabin(p):
+        return "p is not a prime = 1 mod 3"
+    if t * t > 4 * p or (p + 1 + t) % 9:
+        return "t is not in Hasse's interval and -(p + 1) mod 9"
+    s = (x**3 - 432) % p
+    if s == 0 or pow(s, (p - 1) // 2, p) != sign % p:
+        return "the sign is not the Legendre symbol of x^3 - 432"
+    P = s * x % p, s * s % p
+    if (P[1] ** 2 - P[0] ** 3 + 432 * s**3) % p:
+        return "the point is not on its curve"
+    if n != p + 1 + sign * t:
+        return "n is not p + 1 + sign*t"
+    if len({q for q, _ in prime_powers}) != len(prime_powers):
+        return "a prime is read twice"
+    d = 1
+    for q, e in prime_powers:
+        if e < 1 or not miller_rabin(q) or n % q**e or n % q ** (e + 1) == 0:
+            return f"{q}^{e} is not a prime power that exactly divides n"
+        # q^j * (n/q^e)*P = O for some j <= e: that is n*P = O
+        Q = point_multiple(n // q**e, P, p)
+        for _ in range(e):
+            if Q is None:
+                break
+            Q = point_multiple(q, Q, p)
+            d *= q
+        if Q is not None:
+            return "n*P is not O"
+    if math.lcm(d, 9) ** 2 <= 16 * p:
+        return "lcm(d, 9)^2 is not above 16p"
+    return None
+
+
+@pytest.fixture(scope="session")
+def refute_proof():
+    """refute_trace_proof(p, t, proof): the first claim of the proof that fails."""
+    return refute_trace_proof
+
+
+def points_of_e_alone(p: int):
     """periods._points without the points of the twist: at the primes where
     the first points of E alone prove no trace, the trace stays open."""
-    return ((P, sign) for P, sign in points(p) if sign == 1)
+    return (point for point in curve_points(p) if point[2] == 1)
 
 
 @pytest.fixture(scope="session")
@@ -362,8 +502,9 @@ def e_alone():
 
 # Oracle: the baby-step giant-step search for Tr J(chi, chi) over the
 # O(sqrt(p)) candidates, in O(p^(1/4)) group operations (Cohen, ch. 7,
-# Shanks-Mestre).  It shares the points and the group law of periods,
-# but not the candidate that Stickelberger's congruence names.
+# Shanks-Mestre).  It runs on the points and the group law of the proof
+# checker, and does not read the candidate that Stickelberger's congruence
+# names.
 
 
 def _bsgs(P: tuple[int, int], sign: int, p: int, t_lo: int, count: int) -> set[int] | None:
@@ -376,7 +517,7 @@ def _bsgs(P: tuple[int, int], sign: int, p: int, t_lo: int, count: int) -> set[i
     k = 2m*i - j, or -j*Q, so k = 2m*i + j, and R = O gives k = 2m*i.
     Every k in range(count) is 2m*i +- j for some such i and j.
     """
-    Q = _mul(9, P, p)
+    Q = point_multiple(9, P, p)
     if Q is None:
         return None
     if sign < 0:
@@ -385,14 +526,14 @@ def _bsgs(P: tuple[int, int], sign: int, p: int, t_lo: int, count: int) -> set[i
     baby: dict[int, tuple[int, int]] = {}
     S = None
     for j in range(1, m + 1):
-        S = _add(S, Q, p)
+        S = point_sum(S, Q, p)
         if S is None or S[0] in baby:
             return None
         baby[S[0]] = j, S[1]
-    step = _add(S, S, p)
+    step = point_sum(S, S, p)
     if step is None:
         return None
-    R = _mul(p + 1 + sign * t_lo, P, p)
+    R = point_multiple(p + 1 + sign * t_lo, P, p)
     found = set()
     for i in range(0, count + m, 2 * m):
         if R is None:
@@ -400,7 +541,7 @@ def _bsgs(P: tuple[int, int], sign: int, p: int, t_lo: int, count: int) -> set[i
         elif R[0] in baby:
             j, y = baby[R[0]]
             found.add(i - j if R[1] == y else i + j)
-        R = _add(R, step, p)
+        R = point_sum(R, step, p)
     return {k for k in found if 0 <= k < count}
 
 
@@ -413,7 +554,7 @@ def jacobi_trace(p: int) -> int | None:
     + t = 9*N(beta), so t = -(p + 1) mod 9, and 4p = t^2 + 3b^2 with b != 0
     for J = a + b*zeta3, so t^2 < 4p.  The first point for which _bsgs
     tells the candidates apart gives them, and each later point keeps those
-    t for which p + 1 + sign*t kills it.  _points starts past the
+    t for which p + 1 + sign*t kills it.  curve_points starts past the
     3-torsion points of E at x = 0; the others, such as those at x = 12,
     have 9P = O, and _bsgs passes them over.
     """
@@ -421,14 +562,16 @@ def jacobi_trace(p: int) -> int | None:
     t_lo = -t_max + (-(p + 1) + t_max) % 9
     count = (t_max - t_lo) // 9 + 1
     candidates = None
-    for P, sign in itertools.islice(_points(p), _POINT_TRIES):
+    for _, P, sign in itertools.islice(curve_points(p), POINT_TRIES):
         if candidates is None:
             found = _bsgs(P, sign, p, t_lo, count)
             if found is None:
                 continue
             candidates = [t_lo + 9 * k for k in found]
         else:
-            candidates = [t for t in candidates if _mul(p + 1 + sign * t, P, p) is None]
+            candidates = [
+                t for t in candidates if point_multiple(p + 1 + sign * t, P, p) is None
+            ]
         if len(candidates) == 1:
             return candidates[0]
     return None

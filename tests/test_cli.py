@@ -413,8 +413,9 @@ def test_cubes_once_per_conductor_and_closed_form_once_per_field(
 )
 def test_each_prime_derives_its_omega_and_its_element_once(capsys, monkeypatch, argv, primes):
     # one Cornacchia step per prime of the conductor gives both pi_p, which
-    # builds the pairs, and omega_p, which match_fields hands to the
-    # character check and to the Jacobi sums; enumerate reads only pi_p.
+    # builds the pairs, and omega_p, at which the record of the prime takes
+    # its Jacobi sum and which the character check reads; enumerate reads
+    # only pi_p.
     # periods is a lazy module: loaded first, its import cannot bind the
     # counting wrapper, which would count each call twice
     assert periods.match_fields
@@ -431,15 +432,16 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
     # divides 2 * 397 and cannot tell the two apart in Hasse's interval: with
     # that point alone the trace is not proven, and J is not taken
     p = 10_000_141
-    first = next(P for P, sign in periods._points(p) if sign == 1)
+    first = next(P for _, P, sign in periods._points(p) if sign == 1)
     point = periods._mul(3150, first, p)
     killed = [t for t in (4258, -2888) if periods._mul(p + 1 + t, point, p) is None]
     assert killed == [4258, -2888]
+    # no x of _points gives this point, so it is offered with none
     points = periods._points
     monkeypatch.setattr(
         periods,
         "_points",
-        lambda q: iter([(point, 1)] * periods._POINT_TRIES) if q == p else points(q),
+        lambda q: iter([(None, point, 1)] * periods._POINT_TRIES) if q == p else points(q),
     )
     with pytest.raises(BudgetExceeded, match="open"):
         periods.jacobi_sum(p, generator_omega(p))

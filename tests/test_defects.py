@@ -17,13 +17,16 @@ from cubicperiods.eisenstein import ZETA
 
 
 def replace_jacobi_sum_at(q, change):
+    # on J alone: its proof, and the record of the prime that holds both,
+    # stay as they are
     def plant(monkeypatch):
         jacobi_sum = periods.jacobi_sum
-        monkeypatch.setattr(
-            periods,
-            "jacobi_sum",
-            lambda p, omega: change(jacobi_sum(p, omega)) if p == q else jacobi_sum(p, omega),
-        )
+
+        def planted(p, omega):
+            jacobi, proof = jacobi_sum(p, omega)
+            return (change(jacobi) if p == q else jacobi), proof
+
+        monkeypatch.setattr(periods, "jacobi_sum", planted)
 
     return plant
 
@@ -120,8 +123,8 @@ def flip_character_at(q):
     def plant(monkeypatch):
         character_for_representation = periods.character_for_representation
 
-        def planted(r, omegas):
-            exponents = list(character_for_representation(r, omegas))
+        def planted(r, primes):
+            exponents = list(character_for_representation(r, primes))
             i = _component_moduli(r.conductor).index(q)
             exponents[i] = 3 - exponents[i]
             return tuple(exponents)

@@ -1,4 +1,6 @@
 import cmath
+import functools
+import itertools
 import math
 import random
 import subprocess
@@ -16,6 +18,7 @@ from cubicperiods import (
     character_for_representation,
     chi9,
     chi9_gauss_sum_report,
+    factorize,
     representations,
     rhs_elements,
     validate_conductor,
@@ -207,7 +210,9 @@ def test_chi9_table(character_values, residue_sets):
     assert residue_sets(F9, (chi9(1),))[0] == frozenset({1, 8})
 
 
-def test_cubic_residue_character_mod7(character_values, residue_sets, residue_character):
+def test_cubic_residue_character_mod7(
+    character_values, residue_sets, residue_character, generator_primes
+):
     cubic_residue_character = residue_character
     pi = EisensteinInt(3, 2)
     chi = character_values(7, None, [pi])
@@ -223,7 +228,7 @@ def test_cubic_residue_character_mod7(character_values, residue_sets, residue_ch
     # the package reads the same exponent off the pair's element, the
     # primary prime element above 7
     (r,) = representations(F7)
-    assert character_for_representation(r, {7: generator_omega(7)}) == (
+    assert character_for_representation(r, generator_primes(F7)) == (
         cubic_residue_character(7, r.element),
     )
 
@@ -279,22 +284,24 @@ def z9_product(x, y) -> tuple[int, ...]:
     return tuple(cyclic[:6])
 
 
-def test_character_for_representation_nine(character_values, residue_sets, factor_rhs, omegas):
+def test_character_for_representation_nine(
+    character_values, residue_sets, factor_rhs, generator_primes
+):
     r = representations(F9)[0]
-    vector = character_for_representation(r, omegas(F9))
+    vector = character_for_representation(r, generator_primes(F9))
     assert len(vector) == 1 and residue_sets(F9, vector)[0] == frozenset({1, 8})
     assert level_sets(character_values(9, *factor_rhs(r))) == residue_sets(F9, vector)
 
 
 def test_character_kernels_have_index_three(
-    character_values, residue_sets, unit_group, factor_rhs, omegas
+    character_values, residue_sets, unit_group, factor_rhs, generator_primes
 ):
     for f in (9, 63, 819):
         cond = validate_conductor(f)
         kernels = set()
         for r in representations(cond):
             chi = character_values(f, *factor_rhs(r))
-            vector = character_for_representation(r, omegas(cond))
+            vector = character_for_representation(r, generator_primes(cond))
             assert level_sets(chi) == residue_sets(cond, vector)
             kern = level_sets(chi)[0]
             assert len(kern) * 3 == len(chi)
@@ -314,7 +321,7 @@ def test_character_kernels_have_index_three(
 
 
 def test_characters_of_all_wild_conductors(
-    wild_records_10k, character_values, residue_sets, unit_group, factor_rhs, omegas
+    wild_records_10k, character_values, residue_sets, unit_group, factor_rhs, generator_primes
 ):
     for rec in wild_records_10k:
         cond = rec.conductor
@@ -326,7 +333,7 @@ def test_characters_of_all_wild_conductors(
         for a in chi:
             for g in lifts:
                 assert (chi[a] + chi[g]) % 3 == chi[a * g % f]
-        vector = character_for_representation(rec.representation, omegas(cond))
+        vector = character_for_representation(rec.representation, generator_primes(cond))
         assert level_sets(chi) == residue_sets(cond, vector)
         tau = sum(cmath.exp(2j * cmath.pi * (a / f + e / 3)) for a, e in chi.items())
         assert abs(abs(tau) ** 2 - f) < 1e-6
@@ -336,14 +343,16 @@ def _smallest_generator(p: int) -> int:
     return next(g for g in range(2, p) if len({pow(g, j, p) for j in range(p - 1)}) == p - 1)
 
 
-def test_prime_components_are_powers_at_the_generator(wild_records_10k, factor_rhs, omegas):
+def test_prime_components_are_powers_at_the_generator(
+    wild_records_10k, factor_rhs, generator_primes
+):
     # a^((p-1)/3) = omega^(e*j) mod p at every a = g^j: the definition of
     # chi_p agrees with the exponent e held for p, at every residue
     for rec in wild_records_10k:
         cond = rec.conductor
         _, pis = factor_rhs(rec.representation)
         moduli = sorted((9, *cond.odd_primes))
-        vector = character_for_representation(rec.representation, omegas(cond))
+        vector = character_for_representation(rec.representation, generator_primes(cond))
         exponents = dict(zip(moduli, vector))
         for p, pi in zip(cond.odd_primes, pis):
             omega = -pi.a * pow(pi.b, -1, p) % p
@@ -448,7 +457,7 @@ def test_index_table_refuses_a_prime_beyond_the_prime_table(count_oracle):
 
 def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():
     for p in PRIMES_1_MOD_3:
-        jacobi = jacobi_sum(p, generator_omega(p))
+        jacobi, _ = jacobi_sum(p, generator_omega(p))
         assert jacobi.norm() == p
         assert (jacobi.a % 3, jacobi.b % 3) == (2, 0)
         # -J is the primary prime element of norm p, up to conjugation
@@ -461,7 +470,7 @@ def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(count_oracle, nin
     # below 2*10^4 and at two large primes, the second the largest the count
     # oracle is asked for
     for p in [*PRIMES_1_MOD_3, 1_000_003, 9_999_991]:
-        jacobi = jacobi_sum(p, generator_omega(p))
+        jacobi, _ = jacobi_sum(p, generator_omega(p))
         assert jacobi == count_oracle.jacobi(p) == nine_count_jacobi(p), p
 
 
@@ -471,7 +480,7 @@ def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
     for p in PRIMES_1_MOD_3:
         if p > 3000:
             break
-        cube = p * jacobi_sum(p, generator_omega(p))
+        cube = p * jacobi_sum(p, generator_omega(p))[0]
         for e, expected in ((1, cube), (2, cube.conjugate())):
             tau = float_gauss_sum(p, e)
             assert abs(tau**3 - expected.to_complex()) < 1e-6, (p, e)
@@ -482,14 +491,69 @@ def test_points_equal_the_count(count_oracle):
     # prime = 1 mod 3 from 7 to 5*10^4 and at two large primes, the second
     # the largest the count oracle is asked for
     for p in [*(p for p in POINT_PRIMES if p <= 50_000), 1_000_003, 9_999_991]:
-        assert jacobi_sum(p, generator_omega(p)) == count_oracle.jacobi(p), p
+        assert jacobi_sum(p, generator_omega(p))[0] == count_oracle.jacobi(p), p
+
+
+@functools.cache
+def point_prime_sums() -> dict:
+    """jacobi_sum(p, generator_omega(p)), J with its proof, at every prime
+    = 1 mod 3 from 7 to 2*10^5 and at the 70 seeded primes = 1 mod 3 up to
+    MR_BOUND/7: 9,058 primes, taken once for the tests that read them."""
+    return {p: jacobi_sum(p, generator_omega(p)) for p in [*POINT_PRIMES, *seeded_primes()]}
 
 
 def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
-    # at every prime = 1 mod 3 from 7 to 2*10^5, and at the 70 seeded
-    # primes = 1 mod 3 up to MR_BOUND/7
-    for p in [*POINT_PRIMES, *seeded_primes()]:
-        assert jacobi_sum(p, generator_omega(p)) == prime_element_jacobi(p), p
+    sums = point_prime_sums()
+    assert len(sums) == 8988 + 70
+    for p, (jacobi, _) in sums.items():
+        assert jacobi == prime_element_jacobi(p), p
+
+
+def test_every_proof_holds_on_its_own_arithmetic(refute_proof):
+    # each claim of each proof, re-checked with the checker's own group law
+    # and Miller-Rabin test: 19441 reads the most points, 11, and 1117 is
+    # one of the E_AMBIGUOUS primes, proven on the twist
+    sums = point_prime_sums()
+    for p, (jacobi, proof) in sums.items():
+        assert refute_proof(p, jacobi.trace(), proof) is None, (p, proof)
+    assert sums[19441][1].x == 11
+    assert sums[1117][1].sign == -1
+
+
+@pytest.mark.parametrize("p", [13, 1117, 19441, 10_000_141, seeded_primes()[-1]])
+def test_the_proof_checker_refuses_a_changed_proof(refute_proof, p):
+    # one row per claim: a flipped sign, the last prime power left out, a
+    # prime read twice, a trace of another class mod 9, and another trace
+    # of the class of t in Hasse's interval, with the proof of t and with
+    # its own group order, whole and factored, which the point of t does
+    # not kill, as d | n and lcm(d, 9) > 9
+    jacobi, proof = jacobi_sum(p, generator_omega(p))
+    t = jacobi.trace()
+    assert refute_proof(p, t, proof) is None
+    other = t + 9 if (t + 9) ** 2 <= 4 * p else t - 9
+    n = p + 1 + proof.sign * other
+    changed = {
+        "Legendre": (t, proof._replace(sign=-proof.sign)),
+        "lcm": (t, proof._replace(prime_powers=proof.prime_powers[:-1])),
+        "read twice": (t, proof._replace(prime_powers=proof.prime_powers * 2)),
+        "Hasse": (t + 1, proof),
+        "p + 1 + sign*t": (other, proof),
+        "n*P": (other, proof._replace(order=n, prime_powers=factorize(n)[::-1])),
+    }
+    for reason, (s, wrong) in changed.items():
+        assert reason in (refute_proof(p, s, wrong) or ""), (p, reason)
+
+
+@pytest.mark.parametrize("p", [7, 13, 1117, 10_000_141])
+def test_multiples_equal_repeated_additions(p):
+    # periods._mul, which doubles from the top bit of k, against k - 1
+    # additions of P, for k = 1..64, at points of E and of its twist; at 7
+    # and 13 the orders are small and the sums pass through O
+    for _, P, _ in itertools.islice(periods._points(p), 6):
+        R = P
+        for k in range(1, 65):
+            assert periods._mul(k, P, p) == R, (p, P, k)
+            R = periods._add(R, P, p)
 
 
 def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi, e_alone):
@@ -498,12 +562,12 @@ def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi
     # small p is
     traces = {}
     for p in E_AMBIGUOUS:
-        jacobi = jacobi_sum(p, generator_omega(p))
+        jacobi, _ = jacobi_sum(p, generator_omega(p))
         assert jacobi == prime_element_jacobi(p), p
         traces[p] = jacobi.trace()
     monkeypatch.setattr(periods, "_points", e_alone)
     for p in E_AMBIGUOUS:
-        assert not periods.certified_trace(p, traces[p]), p
+        assert periods.certified_trace(p, traces[p]) is None, p
         with pytest.raises(BudgetExceeded, match="open"):
             jacobi_sum(p, generator_omega(p))
 
@@ -517,7 +581,7 @@ def test_certificate_equals_baby_step_giant_step(bsgs_jacobi):
     sampled = seeded_primes()
     beyond = [p for p in sampled if 10**16 < p < 10**20][:3]
     for p in [*(p for p in sampled if p < 10**16), *beyond]:
-        assert jacobi_sum(p, generator_omega(p)) == bsgs_jacobi(p), p
+        assert jacobi_sum(p, generator_omega(p))[0] == bsgs_jacobi(p), p
 
 
 def test_certificate_proves_one_trace_in_the_hasse_interval():
@@ -526,8 +590,8 @@ def test_certificate_proves_one_trace_in_the_hasse_interval():
     # and 19 more of them
     for p in (p for p in PRIMES_1_MOD_3 if p < 3000):
         bound = math.isqrt(4 * p)
-        proven = [s for s in range(-bound, bound + 1) if periods.certified_trace(p, s)]
-        assert proven == [jacobi_sum(p, generator_omega(p)).trace()], p
+        proven = [s for s in range(-bound, bound + 1) if periods.certified_trace(p, s) is not None]
+        assert proven == [jacobi_sum(p, generator_omega(p))[0].trace()], p
 
 
 @pytest.mark.parametrize("p", [109, 19441])
@@ -535,11 +599,11 @@ def test_certificate_factors_each_order_once(monkeypatch, p):
     # the trace at 109 takes 4 points, at 19441 11, on E and its twist: two
     # group orders, each factored once, where 4 and 11 factorizations were
     # made while every point factored its own
-    t = jacobi_sum(p, generator_omega(p)).trace()
+    t = jacobi_sum(p, generator_omega(p))[0].trace()
     calls = []
     factorize = periods.factorize
     monkeypatch.setattr(periods, "factorize", lambda n: calls.append(n) or factorize(n))
-    assert periods.certified_trace(p, t)
+    assert periods.certified_trace(p, t) is not None
     assert sorted(calls) == sorted([p + 1 - t, p + 1 + t])
 
 
@@ -551,16 +615,16 @@ def test_an_order_at_or_above_mr_bound_proves_nothing(monkeypatch, p):
     # order at or above it, where factorize proves nothing: that order is
     # never factored, the points of E prove the trace, and the points of the
     # twist alone leave it open
-    t = jacobi_sum(p, generator_omega(p)).trace()
+    t = jacobi_sum(p, generator_omega(p))[0].trace()
     assert p + 1 - t >= MR_BOUND and is_probable_prime(p + 1 - t)
     calls = []
     factorize = periods.factorize
     monkeypatch.setattr(periods, "factorize", lambda n: calls.append(n) or factorize(n))
-    assert periods.certified_trace(p, t)
+    assert periods.certified_trace(p, t) is not None
     assert calls == [p + 1 + t]
     points = periods._points
-    monkeypatch.setattr(periods, "_points", lambda q: (P for P in points(q) if P[1] == -1))
-    assert not periods.certified_trace(p, t)
+    monkeypatch.setattr(periods, "_points", lambda q: (pt for pt in points(q) if pt[2] == -1))
+    assert periods.certified_trace(p, t) is None
     assert calls == [p + 1 + t]
 
 
@@ -571,24 +635,24 @@ REFUSAL_PRIMES = [7, 13, 1117, 10_000_141]
 def test_certificate_refuses_every_other_candidate(p):
     # t + 9 and t - 9 keep the class mod 9, and the associates of J other
     # than J have other traces; no point proves any of them
-    jacobi = jacobi_sum(p, generator_omega(p))
+    jacobi, _ = jacobi_sum(p, generator_omega(p))
     t = jacobi.trace()
-    assert periods.certified_trace(p, t)
+    assert periods.certified_trace(p, t) is not None
     others = [t + 9, t - 9, *((u * jacobi).trace() for u in UNITS[1:])]
     assert t not in others
-    assert not any(periods.certified_trace(p, s) for s in others), others
+    assert all(periods.certified_trace(p, s) is None for s in others), others
 
 
 @pytest.mark.parametrize("p", REFUSAL_PRIMES)
 def test_a_point_of_order_nine_proves_nothing(monkeypatch, p):
     # E's points at x = 12 have 9P = O: n kills them for every candidate,
     # and lcm(ord(P), 9)^2 = 81 never passes 16p
-    t = jacobi_sum(p, generator_omega(p)).trace()
+    t = jacobi_sum(p, generator_omega(p))[0].trace()
     point = 12 % p, 36 % p
     assert periods._mul(9, point, p) is None
-    tries = [(point, 1)] * periods._POINT_TRIES
+    tries = [(None, point, 1)] * periods._POINT_TRIES
     monkeypatch.setattr(periods, "_points", lambda q: iter(tries))
-    assert not periods.certified_trace(p, t)
+    assert periods.certified_trace(p, t) is None
 
 
 @pytest.mark.parametrize("p", REFUSAL_PRIMES)

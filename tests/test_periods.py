@@ -44,8 +44,9 @@ from cubicperiods import eisenstein
 from cubicperiods import periods as periods_module
 from cubicperiods.arith import is_probable_prime
 from cubicperiods.cli import main
-from cubicperiods.eisenstein import ZETA, EisensteinInt, prime_elements
-from cubicperiods.periods import component_gauss_sums
+from cubicperiods import quadform
+from cubicperiods.eisenstein import ZETA, EisensteinInt, PrimeElement
+from cubicperiods.periods import PrimeRecord, component_gauss_sums, prime_records
 
 F9 = validate_conductor(9)
 F7 = validate_conductor(7)
@@ -100,9 +101,9 @@ def test_prime_kernel_equals_cubes(residue_sets):
         assert residue_sets(cond, vector)[0] == cubes
 
 
-def test_gaussian_periods_nine(residue_sets, omegas):
+def test_gaussian_periods_nine(residue_sets, generator_primes):
     (kernel,) = primitive_cubic_kernels(F9)
-    pt = gaussian_periods(F9, kernel, component_gauss_sums(F9, omegas(F9)))
+    pt = gaussian_periods(F9, kernel, component_gauss_sums(F9, generator_primes(F9)))
     assert residue_sets(F9, pt.kernel)[0] == frozenset({1, 8})
     expected = sorted((2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4)), reverse=True)
     assert pt.values() == pytest.approx(expected, abs=1e-12)
@@ -111,18 +112,18 @@ def test_gaussian_periods_nine(residue_sets, omegas):
     )
 
 
-def test_gaussian_periods_seven_sum(residue_sets, omegas):
+def test_gaussian_periods_seven_sum(residue_sets, generator_primes):
     (kernel,) = primitive_cubic_kernels(F7)
-    pt = gaussian_periods(F7, kernel, component_gauss_sums(F7, omegas(F7)))
+    pt = gaussian_periods(F7, kernel, component_gauss_sums(F7, generator_primes(F7)))
     assert residue_sets(F7, pt.kernel)[0] == frozenset({1, 6})
     assert sum(pt.values()) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_period_sum_partition(residue_sets, omegas):
+def test_period_sum_partition(residue_sets, generator_primes):
     for cond in conductors_up_to(500):
         expected = 0 if cond.kind == "wild" else (-1) ** cond.nu
         units = {a for a in range(1, cond.value) if math.gcd(a, cond.value) == 1}
-        cubes = component_gauss_sums(cond, omegas(cond))
+        cubes = component_gauss_sums(cond, generator_primes(cond))
         for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
             cosets = residue_sets(cond, pt.kernel)
             assert set().union(*cosets) == units
@@ -130,13 +131,13 @@ def test_period_sum_partition(residue_sets, omegas):
             assert sum(pt.values()) == pytest.approx(expected, abs=1e-9 * cond.value)
 
 
-def test_periods_equal_direct_cosine_sums(residue_sets, omegas):
+def test_periods_equal_direct_cosine_sums(residue_sets, generator_primes):
     # the periods from the component Gaussian sums against the definition:
     # O(f) cosine sums over the materialized kernel and cosets of each
     # coefficient vector, at every f <= 2000 and at larger fixed conductors
     large = [validate_conductor(f) for f in (15561, 53599, 60433, 73237, 482391)]
     for cond in conductors_up_to(2000) + large:
-        cubes = component_gauss_sums(cond, omegas(cond))
+        cubes = component_gauss_sums(cond, generator_primes(cond))
         for kernel in primitive_cubic_kernels(cond):
             pt = gaussian_periods(cond, kernel, cubes)
             assert pt.kernel == kernel
@@ -151,14 +152,14 @@ def test_periods_equal_direct_cosine_sums(residue_sets, omegas):
 
 
 @pytest.mark.parametrize("f", [85276009, 767484081])
-def test_periods_make_no_pass_over_the_units(f, omegas):
+def test_periods_make_no_pass_over_the_units(f, generator_primes):
     # 7*13*19*31*37*43 (tame) and 9 times it (wild), nu = 6: a pass over
     # the phi(f) units would build lists of up to 3.5*10^8 residues, while
     # the component Gaussian sums add at most 42 terms each
     cond = validate_conductor(f)
     mu = 0 if cond.is_wild else cond.mu
     start = time.perf_counter()
-    cubes = component_gauss_sums(cond, omegas(cond))
+    cubes = component_gauss_sums(cond, generator_primes(cond))
     triples = [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]
     assert time.perf_counter() - start < 1.0
     assert len(triples) == cond.field_count
@@ -170,13 +171,13 @@ def test_periods_make_no_pass_over_the_units(f, omegas):
         assert abs(sum(eta * eta for eta in pt.values()) - squares) < 1e-12 * squares
 
 
-def test_gaussian_periods_follow_the_kernel_order(omegas):
+def test_gaussian_periods_follow_the_kernel_order(generator_primes):
     # the cube of each kernel is the product over the components of tau_q^3
     # or its conjugate as the kernel says, and the eight kernels of 15561
     # have eight cubes
     kernels = [(1, *tail) for tail in itertools.product((1, 2), repeat=3)]
     assert primitive_cubic_kernels(F15561) == kernels
-    cubes = component_gauss_sums(F15561, omegas(F15561))
+    cubes = component_gauss_sums(F15561, generator_primes(F15561))
     triples = [gaussian_periods(F15561, k, cubes) for k in kernels]
     assert [pt.kernel for pt in triples] == kernels
     for pt in triples:
@@ -185,12 +186,12 @@ def test_gaussian_periods_follow_the_kernel_order(omegas):
     assert len({pt.cube for pt in triples}) == 8
 
 
-def test_numeric_period_poly_examples(omegas):
+def test_numeric_period_poly_examples(generator_primes):
     for cond, expected in ((F9, (1, 0, -3, 1)), (F7, (1, 1, -2, -1))):
         (kernel,) = primitive_cubic_kernels(cond)
-        pt = gaussian_periods(cond, kernel, component_gauss_sums(cond, omegas(cond)))
+        pt = gaussian_periods(cond, kernel, component_gauss_sums(cond, generator_primes(cond)))
         assert numeric_period_poly(cond, pt) == expected
-    cubes = component_gauss_sums(F819, omegas(F819))
+    cubes = component_gauss_sums(F819, generator_primes(F819))
     got = {
         numeric_period_poly(F819, gaussian_periods(F819, k, cubes))
         for k in primitive_cubic_kernels(F819)
@@ -219,13 +220,13 @@ def test_period_poly_rejects_a_trace_off_by_one():
         period_poly(F7, 8)
 
 
-def assert_kernels_match_pairs(cond, omegas):
+def assert_kernels_match_pairs(cond, generator_primes):
     """The integer cubic of every kernel, from the exact cube T of its
     Gaussian sum, against the closed form of every pair: equal as sets, with
     nothing rounded.  Tr T is mu*f*M of exactly one pair, and T is mu*f*w or
     its conjugate for w = (M + 3N*sqrt(-3))/2 of that pair."""
     reps = representations(cond)
-    cubes = component_gauss_sums(cond, omegas(cond))
+    cubes = component_gauss_sums(cond, generator_primes(cond))
     triples = [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]
     exact = {numeric_period_poly(cond, pt) for pt in triples}
     closed = {period_poly_formula(cond, r.M) for r in reps}
@@ -239,9 +240,9 @@ def assert_kernels_match_pairs(cond, omegas):
         assert pt.cube in (w, w.conjugate()), (cond.value, r.M)
 
 
-def test_exact_period_poly_equals_the_closed_form(omegas):
+def test_exact_period_poly_equals_the_closed_form(generator_primes):
     for cond in conductors_up_to(20_000):
-        assert_kernels_match_pairs(cond, omegas)
+        assert_kernels_match_pairs(cond, generator_primes)
 
 
 def prime_1_mod_3_at_most(n: int) -> int:
@@ -293,12 +294,12 @@ def random_conductors(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(random_conductors())
-def test_exact_period_poly_equals_the_closed_form_on_random_conductors(omegas, cond):
+def test_exact_period_poly_equals_the_closed_form_on_random_conductors(generator_primes, cond):
     # a trace the points leave open is refused, never guessed, so it may
     # stop a draw with BudgetExceeded but not with a mismatch; none is known
     # below SMALL_PRIMES
     try:
-        assert_kernels_match_pairs(cond, omegas)
+        assert_kernels_match_pairs(cond, generator_primes)
     except BudgetExceeded:
         assert max(cond.odd_primes) > SMALL_PRIMES
         reject()
@@ -528,11 +529,11 @@ def test_sign_congruences_rejects_tame():
         verify_sign_congruences(rec)
 
 
-def test_coset_relabeling_leaves_multiset_invariant(residue_sets, omegas):
+def test_coset_relabeling_leaves_multiset_invariant(residue_sets, generator_primes):
     # computing the three fiber sums directly, in any labeling, must give
     # the same multiset as the sorted PeriodTriple
     for cond in (F9, F7, F63):
-        cubes = component_gauss_sums(cond, omegas(cond))
+        cubes = component_gauss_sums(cond, generator_primes(cond))
         for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
             fv = cond.value
             kern = residue_sets(cond, pt.kernel)[0]
@@ -557,14 +558,14 @@ def test_kernel_character_cross_check_wild(wild_records_10k):
     assert len(wild_records_10k) > 0
     for rec in wild_records_10k:
         cond = rec.conductor
-        omegas = {p: e.omega for p, e in prime_elements(cond).items()}
-        cubes = component_gauss_sums(cond, omegas)
-        assert verify_kernel_character(rec.representation, cubes, omegas) == rec.periods
+        primes = prime_records(cond)
+        cubes = component_gauss_sums(cond, primes)
+        assert verify_kernel_character(rec.representation, cubes, primes) == rec.periods
 
 
-def test_kernel_character_rejects_another_kernel(monkeypatch, omegas):
+def test_kernel_character_rejects_another_kernel(monkeypatch, generator_primes):
     records = match_fields(F819)
-    cubes = component_gauss_sums(F819, omegas(F819))
+    cubes = component_gauss_sums(F819, generator_primes(F819))
     for rec in records:
         for other in records:
             if other is rec:
@@ -576,34 +577,78 @@ def test_kernel_character_rejects_another_kernel(monkeypatch, omegas):
                 lambda f, kernel, cubes, other=other: other.periods._replace(kernel=kernel),
             )
             with pytest.raises(NormalizationFailure):
-                verify_kernel_character(rec.representation, cubes, omegas(F819))
+                verify_kernel_character(rec.representation, cubes, generator_primes(F819))
 
 
 # The Gaussian-sum route and the names of the pair route it must not read:
 # the two routes share periods, so what keeps them independent is what
-# each function of the Gaussian-sum route names.
+# each function of the Gaussian-sum route, and the proof it returns, names.
 GAUSS_SUM_ROUTE = (
-    "component_gauss_sums", "jacobi_sum", "certified_trace", "_points", "_mul", "_add",
-    "_chi9_gauss_sum", "_z9", "_z9_mul",
+    "component_gauss_sums", "jacobi_sum", "certified_trace", "TraceProof", "_points", "_mul",
+    "_add", "_chi9_gauss_sum", "_z9", "_z9_mul",
 )
 PAIR_ROUTE_NAMES = {
     "prime_elements", "_prime_element", "rhs_elements", "representations",
     "character_for_representation", "Representation", "PrimeElement",
 }
 PAIR_ROUTE_ATTRIBUTES = PAIR_ROUTE_NAMES | {"pi", "element"}
+# And the other way: the pair route must name no Jacobi sum, no proof, no
+# field of a prime's record that the Gaussian-sum route adds, and not the
+# module periods.
+PAIR_ROUTE = {
+    eisenstein: (
+        "_prime_element", "prime_elements", "cornacchia_element", "rhs_elements",
+        "character_for_representation",
+    ),
+    quadform: ("representations",),
+}
+GAUSS_SUM_ROUTE_NAMES = {
+    "jacobi_sum", "certified_trace", "component_gauss_sums", "prime_records", "PrimeRecord",
+    "TraceProof", "periods",
+}
+GAUSS_SUM_ROUTE_ATTRIBUTES = GAUSS_SUM_ROUTE_NAMES | (
+    set(PrimeRecord._fields) - set(PrimeElement._fields)
+)
+
+
+def names_read(module, names, read_names, read_attributes) -> set[tuple[str, str]]:
+    """(definition, name) for each use, in the top-level functions and
+    classes of module called names, of a name in read_names, an attribute
+    in read_attributes, or an import of or from one of read_names."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    definitions = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert set(names) <= set(definitions)
+    read = set()
+    for name in names:
+        for node in ast.walk(definitions[name]):
+            if isinstance(node, ast.Name) and node.id in read_names:
+                read.add((name, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in read_attributes:
+                read.add((name, "." + node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    modules.append(node.module or "")
+                read |= {(name, m) for m in modules if m.split(".")[-1] in read_names}
+    return read
 
 
 def test_the_gaussian_sum_route_reads_no_pair():
-    tree = ast.parse(Path(periods_module.__file__).read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert set(GAUSS_SUM_ROUTE) <= set(functions)
-    read = {
-        (name, node.id if isinstance(node, ast.Name) else "." + node.attr)
-        for name in GAUSS_SUM_ROUTE
-        for node in ast.walk(functions[name])
-        if isinstance(node, ast.Name) and node.id in PAIR_ROUTE_NAMES
-        or isinstance(node, ast.Attribute) and node.attr in PAIR_ROUTE_ATTRIBUTES
-    }
+    read = names_read(periods_module, GAUSS_SUM_ROUTE, PAIR_ROUTE_NAMES, PAIR_ROUTE_ATTRIBUTES)
+    assert not read, sorted(read)
+
+
+def test_the_pair_route_reads_no_gaussian_sum():
+    # a record of a prime holds J and its proof next to omega and pi, and
+    # the pair route reads only the two that its own Cornacchia step made
+    assert GAUSS_SUM_ROUTE_ATTRIBUTES > {"jacobi", "proof"}
+    read = set()
+    for module, names in PAIR_ROUTE.items():
+        read |= names_read(module, names, GAUSS_SUM_ROUTE_NAMES, GAUSS_SUM_ROUTE_ATTRIBUTES)
     assert not read, sorted(read)
 
 
