@@ -17,7 +17,20 @@ run; algebra they do not reach, such as group-ring arithmetic and an
 irreducibility test, lives in the tests as oracles.  The two routes that
 the matching compares are eisenstein (the pairs) and the Gaussian-sum
 functions of periods, which read no pair.
+
+Every command compiles all the modules but periods and the groupring it
+imports, which only verify, scan and table run: periods is registered
+here, before any other submodule is imported, as a module that runs on
+its first attribute access, so that every module imports it plainly and
+a tracer that starts after `import cubicperiods` finds it in sys.modules.
 """
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+periods = module_from_spec(find_spec(f"{__name__}.periods"))
+sys.modules[periods.__name__] = periods
+LazyLoader(periods.__loader__).exec_module(periods)
 
 from .arith import (
     Conductor,
@@ -64,10 +77,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """The names of periods, which only verify, scan and table run, and of
-    the groupring it imports: periods, with the Gaussian sums, is imported
-    on the first access to one of them (PEP 562), so that importing the
-    package (or a cold enumerate) compiles neither it nor groupring."""
+    """The names of periods and of the groupring it imports, read from the
+    lazy periods (PEP 562), which compiles on the first access to one."""
     if name not in {
         "FieldRecord",
         "PeriodTriple",
@@ -82,6 +93,4 @@ def __getattr__(name: str):
         "verify_sign_congruences",
     }:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import periods
-
     return getattr(periods, name)

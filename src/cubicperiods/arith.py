@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import InvalidConductor
@@ -359,13 +360,18 @@ def validate_conductor(f: int) -> Conductor:
 
     The only accepted shapes are p1*...*pk (k >= 1) and 9*p1*...*pk
     (k >= 0) with distinct primes pi = 1 mod 3.  In particular f = 9 is
-    accepted (the wild case with no odd primes) while f = 1 is not.
+    accepted (the wild case with no odd primes) while f = 1 is not, and
+    a value that is not an integer, such as 7.0 or "7", is refused.
 
     The prime powers that trial division finds are checked before the
     cofactor is split: every prime of the cofactor is larger, and one found
     above 3 means the 3-part was found whole, so a refusal there is the one
     that the whole factorization gives.
     """
+    try:
+        f = operator.index(f)
+    except TypeError:
+        raise InvalidConductor(f"{f!r} is not an integer") from None
     if f < 1:
         raise InvalidConductor(f"{f} is not a positive integer")
     _require_below_mr_bound(f)

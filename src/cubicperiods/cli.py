@@ -11,8 +11,9 @@ an alias for md) and --out PATH (- for stdout).  No flag sets a tolerance:
 the checks are exact but for the float ones, which compare with a bound
 worked out from their inputs (periods.relation).
 
-Every check runs in periods.match_fields, and report builds every report
-from its records; this module parses arguments, runs the commands and
+Every check runs in periods.match_fields, which compiles on its first
+call (see the package root), and report builds every report from its
+records; this module parses arguments, runs the commands and
 writes their reports.  One table, COMMANDS, gives each command its
 function, its help line and its flags, and two parsers read it.  A
 well-formed argv, COMMAND (--flag VALUE | --flag=VALUE)* with whole flag
@@ -22,16 +23,6 @@ a value that starts with '-', or an error) goes to an argparse parser
 built from the same table on first use, so argparse writes every help and
 error message, and a cold command never loads argparse, gettext, locale
 or shutil.
-
-The modules each command compiles.  Every command: the package root,
-arith, cubicpoly, eisenstein, errors, quadform, report and this module.
-enumerate: nothing more.  verify, scan and table: also periods, which
-holds both the Gaussian sums and the matching, with the groupring it
-imports.  periods is registered at import as a module that runs on its
-first attribute access (_lazy_module), not imported by the commands, so
-that a tracer that rebinds the package's functions in sys.modules when it
-starts (bench/spans.py) finds it there, and with it the factorize that
-the Gaussian sums call.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input
 (including a conductor or a scan's --max at or above arith.MR_BOUND, and
@@ -44,11 +35,11 @@ from __future__ import annotations
 
 import collections
 import functools
-import importlib.util
 import os
 import sys
-from types import ModuleType, SimpleNamespace
+from types import SimpleNamespace
 
+from . import periods
 from .arith import KINDS, Conductor, conductors_up_to, validate_conductor
 from .cubicpoly import period_poly_formula
 from .errors import BudgetExceeded, InvalidConductor, VerificationError
@@ -64,27 +55,6 @@ from .report import (
     scan_summary,
     table_report,
 )
-
-
-def _lazy_module(name: str) -> ModuleType:
-    """The submodule name of this package, registered in sys.modules (and as
-    an attribute of the package, as an import does) to run on its first
-    attribute access, or the module itself if it was already imported."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    setattr(sys.modules[__package__], name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-# Only verify, scan and table run match_fields, so periods (and groupring,
-# which it imports) is compiled where one of them first calls it.
-periods = _lazy_module("periods")
 
 
 def _style(text: str, code: str) -> str:

@@ -35,7 +35,8 @@ only this ring, Cornacchia's step and omega_p with this one and takes a
 Jacobi sum only with the proof that the points of a curve give, so
 matching the periods against the pairs compares two independent
 computations.  Nothing here reads the J or the proof of a prime's record.
-chi9_gauss_sum_report reads the sum mod 9 from periods.
+chi9_gauss_sum_report reads the sum mod 9 from periods, the lazy module
+that the package root registers, so importing it here compiles nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import periods
 from .arith import Conductor, _component_moduli
 from .errors import FactorizationMismatch
 
@@ -126,10 +128,7 @@ def chi9_gauss_sum_report(sign: int) -> dict:
     modulus 27; both comparisons are made exactly, in Z[zeta9], rather than
     assumed.
     """
-    # Imported here, as every command loads this module and few read the sum.
-    from .periods import _chi9_gauss_sum
-
-    tau, cube = _chi9_gauss_sum(chi9(sign))
+    tau, cube = periods._chi9_gauss_sum(chi9(sign))
     reference = 27 * (ZETA if sign == 1 else ZETA_SQ)
     return {
         "tau": tau,

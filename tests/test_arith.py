@@ -462,7 +462,7 @@ def test_validate_tame():
 
 
 @pytest.mark.parametrize(
-    "bad", [99, 1, 3, 21, 27, 49, 18, 0, -5, 63 * 3, 9 * 49, 9 * 11]
+    "bad", [99, 1, 3, 21, 27, 49, 18, 0, -5, 63 * 3, 9 * 49, 9 * 11, 7.0, 819.0, "7"]
 )
 def test_validate_rejections(bad):
     with pytest.raises(InvalidConductor):

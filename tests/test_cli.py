@@ -1,3 +1,4 @@
+import ast
 import fractions
 import json
 import math
@@ -634,6 +635,42 @@ def test_only_verify_scan_and_table_compile_periods(tmp_path, argv, compiled):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", compiled]
+
+
+def test_importing_the_package_registers_periods_without_running_it():
+    # the package root registers periods as a module that runs on its first
+    # attribute access, so a library caller, and a tracer that starts after
+    # the import, finds it in sys.modules with groupring still unloaded
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        import cubicperiods
+        print(*(f"cubicperiods.{{name}}" in sys.modules for name in ("periods", "groupring")))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
+def test_no_function_imports_a_module_of_the_package():
+    # periods is the one lazy boundary and the package root draws it, so
+    # every module imports the package's modules at its top; the standard
+    # library's deferrals are what UNUSED_ON_THE_COLD_PATH checks
+    package = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.stem}.{fn.name}"
+        for path in sorted(package.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert not found, found
 
 
 def test_cold_scan_parses_without_argparse(tmp_path):
