@@ -322,12 +322,13 @@ class Conductor(NamedTuple):
         The odd part of a conductor is a product of nu distinct primes, so
         this is (-1)^nu.
         """
-        return (-1) ** self.nu
+        return -1 if len(self.odd_primes) % 2 else 1
 
     @property
     def field_count(self) -> int:
         """Number of cyclic cubic fields of conductor f: 2^(nu-1) tame, 2^nu wild."""
-        return 2**self.nu if self.is_wild else 2 ** (self.nu - 1)
+        nu = len(self.odd_primes)
+        return 2**nu if self.value % 9 == 0 else 2 ** (nu - 1)
 
 
 def _require_below_mr_bound(f: int) -> None:

@@ -55,43 +55,56 @@ _SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
 class EisensteinInt(NamedTuple):
-    """a + b*zeta3 with integer a, b."""
+    """a + b*zeta3 with integer a, b.
+
+    The operators unpack their operands once and build their results with
+    tuple.__new__, which skips the generated constructor's call.
+    """
 
     a: int
     b: int
 
     def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a + other.a, self.b + other.b)
+        a, b = self
+        c, d = other
+        return tuple.__new__(EisensteinInt, (a + c, b + d))
 
     def __sub__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a - other.a, self.b - other.b)
+        a, b = self
+        c, d = other
+        return tuple.__new__(EisensteinInt, (a - c, b - d))
 
     def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.a, -self.b)
+        a, b = self
+        return tuple.__new__(EisensteinInt, (-a, -b))
 
     def __mul__(self, other):
+        a, b = self
         if isinstance(other, int):
-            return EisensteinInt(self.a * other, self.b * other)
+            return tuple.__new__(EisensteinInt, (a * other, b * other))
         # zeta3^2 = -1 - zeta3
-        return EisensteinInt(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a - self.b * other.b,
-        )
+        c, d = other
+        bd = b * d
+        return tuple.__new__(EisensteinInt, (a * c - bd, a * d + b * c - bd))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "EisensteinInt":
-        return EisensteinInt(self.a - self.b, -self.b)
+        a, b = self
+        return tuple.__new__(EisensteinInt, (a - b, -b))
 
     def norm(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        a, b = self
+        return a * a - a * b + b * b
 
     def trace(self) -> int:
         """x + conj(x) = 2a - b."""
-        return 2 * self.a - self.b
+        a, b = self
+        return 2 * a - b
 
     def to_complex(self) -> complex:
-        return complex(self.a - self.b / 2.0, self.b * _SQRT3_2)
+        a, b = self
+        return complex(a - b / 2.0, b * _SQRT3_2)
 
 
 ONE = EisensteinInt(1, 0)

@@ -44,7 +44,8 @@ per odd prime p of f (prime_records) holds omega_p and pi_p
 (eisenstein.prime_elements), and J at omega_p with its proof.
 
 The Gaussian-sum route is jacobi_sum, certified_trace with its points
-(_points, _add, _mul) and proof (TraceProof), the sum mod 9
+(_points, and _mul, the ladder that multiplies them) and proof
+(TraceProof), the sum mod 9
 (_chi9_gauss_sum, _z9, _z9_mul) and component_gauss_sums, which reads J
 off the records.  They read omega_p and never a pair, its element or its
 prime elements, so the two routes stay independent by what each function
@@ -68,7 +69,7 @@ the order of one point leaves a single group order in Hasse's interval
 Cohen, ch. 7).  Points are taken in order of x on E and on its twist,
 without a square root.  They are affine pairs (x, y) of integers mod p,
 and None is the point at infinity; the group law of y^2 = x^3 + B does not
-read B, so one pair of functions serves every model of E and of its twist.
+read B, so one ladder serves every model of E and of its twist.
 For q = 9 the cube of the six-term sum is multiplied out in Z[zeta9].  The
 identification is never assumed: every step is re-checked exactly, N(J) =
 p and J = -1 mod 3 included.
@@ -117,34 +118,39 @@ from .quadform import Representation, ShanksParams, representations, shanks_para
 _POINT_TRIES = 32
 
 
-def _add(
-    P: tuple[int, int] | None, Q: tuple[int, int] | None, p: int
-) -> tuple[int, int] | None:
-    """P + Q on a curve y^2 = x^3 + B over F_p."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 != x2:
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    elif (y1 + y2) % p:
-        slope = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
-    else:
-        return None
-    x3 = (slope * slope - x1 - x2) % p
-    return x3, (slope * (x1 - x3) - y1) % p
-
-
 def _mul(k: int, P: tuple[int, int], p: int) -> tuple[int, int] | None:
-    """k*P for k >= 1, doubling from the top bit of k."""
-    R = P
+    """k*P for k >= 1 on a curve y^2 = x^3 + B over F_p, doubling from the
+    top bit of k and adding P at each set bit, in affine coordinates.
+
+    R is (x, y), or the point at infinity when x is None.  R + R is the
+    tangent step, O when 2y = 0 mod p.  R + P is P when R = O, the chord
+    step when the x differ, the tangent step at R when they agree and
+    y + y_P is nonzero mod p, and O when it is zero.
+    """
+    px, py = P
+    x, y = P
     for bit in bin(k)[3:]:
-        R = _add(R, R, p)
+        if x is not None:
+            if d := (y + y) % p:
+                slope = 3 * x * x * pow(d, -1, p) % p
+                x3 = (slope * slope - x - x) % p
+                x, y = x3, (slope * (x - x3) - y) % p
+            else:
+                x = None
         if bit == "1":
-            R = _add(R, P, p)
-    return R
+            if x is None:
+                x, y = px, py
+            elif x != px:
+                slope = (py - y) * pow(px - x, -1, p) % p
+                x3 = (slope * slope - x - px) % p
+                x, y = x3, (slope * (x - x3) - y) % p
+            elif (y + py) % p:
+                slope = 3 * x * x * pow(2 * y, -1, p) % p
+                x3 = (slope * slope - x - px) % p
+                x, y = x3, (slope * (x - x3) - y) % p
+            else:
+                x = None
+    return None if x is None else (x, y)
 
 
 def _points(p: int):
@@ -192,15 +198,17 @@ def certified_trace(p: int, t: int) -> TraceProof | None:
     """
     if t * t > 4 * p or (p + 1 + t) % 9:
         return None
+    bound = 16 * p
     factors = {}
     for x, P, sign in itertools.islice(_points(p), _POINT_TRIES):
         n = p + 1 + sign * t
         if n >= MR_BOUND:
             continue
-        if n not in factors:
-            factors[n] = factorize(n)[::-1]
+        prime_powers = factors.get(n)
+        if prime_powers is None:
+            prime_powers = factors[n] = factorize(n)[::-1]
         d = 1
-        for i, (q, e) in enumerate(factors[n], 1):
+        for i, (q, e) in enumerate(prime_powers, 1):
             Q = _mul(n // q**e, P, p)
             for _ in range(e):
                 if Q is None:
@@ -209,8 +217,8 @@ def certified_trace(p: int, t: int) -> TraceProof | None:
                 d *= q
             if Q is not None:
                 return None
-            if math.lcm(d, 9) ** 2 > 16 * p:
-                return TraceProof(x, sign, n, factors[n][:i])
+            if math.lcm(d, 9) ** 2 > bound:
+                return TraceProof(x, sign, n, prime_powers[:i])
     return None
 
 
@@ -232,16 +240,18 @@ def jacobi_sum(p: int, omega: int) -> tuple[EisensteinInt, TraceProof]:
     and about a second at most, an estimate.
     """
     pi = cornacchia_element(p, omega)
-    if (pi.a + pi.b * omega) % p:
+    a, b = pi
+    if (a + b * omega) % p:
         pi = pi.conjugate()
     jacobi = -pi
     if (proof := certified_trace(p, jacobi.trace())) is None:
         raise BudgetExceeded(
             f"the points mod {p} leave Tr J(chi, chi) open, and J is never guessed"
         )
-    if jacobi.norm() != p:
-        raise FactorizationMismatch(f"J(chi, chi) = {jacobi} mod {p} has norm {jacobi.norm()}")
-    if jacobi.a % 3 != 2 or jacobi.b % 3 != 0:
+    if (norm := jacobi.norm()) != p:
+        raise FactorizationMismatch(f"J(chi, chi) = {jacobi} mod {p} has norm {norm}")
+    a, b = jacobi
+    if a % 3 != 2 or b % 3 != 0:
         raise CongruenceFailure(f"J(chi, chi) = {jacobi} mod {p} is not -1 mod 3")
     return jacobi, proof
 
@@ -381,18 +391,22 @@ def gaussian_periods(
     # of chi_q(f/q) is a cube root of unity: it leaves T unchanged, and any
     # cube root of T only permutes the three periods of the kernel, which
     # are sorted.
-    cube = math.prod(
-        (t if c == 1 else t.conjugate() for t, c in zip(cubes, kernel, strict=True)), start=ONE
-    )
+    cube = ONE
+    for t, c in zip(cubes, kernel, strict=True):
+        cube = cube * (t if c == 1 else t.conjugate())
     # T and conj(T) (angle -phi) give the same periods but not the same last
     # digits, and which one a kernel holds depends on omega_p: the angle is
     # read from the one with b >= 0, so the floats depend on the field alone.
     z = (cube if cube.b >= 0 else cube.conjugate()).to_complex()
     phi = math.atan2(z.imag, z.real)
-    etas = sorted(
-        ((mu + 2 * root_f * math.cos((phi - 2 * math.pi * j) / 3)) / 3 for j in range(3)),
-        reverse=True,
-    )
+    # period j at phi - 2*pi*j, j = 0, 1, 2
+    scale, turn = 2 * root_f, 2 * math.pi
+    etas = [
+        (mu + scale * math.cos(phi / 3)) / 3,
+        (mu + scale * math.cos((phi - turn) / 3)) / 3,
+        (mu + scale * math.cos((phi - turn * 2) / 3)) / 3,
+    ]
+    etas.sort(reverse=True)
     return PeriodTriple(*etas, kernel, cube)
 
 
@@ -476,9 +490,15 @@ def relation(
     (b) adds 2 for its +-1, so 47 in all, and C = 64.  The largest residual
     measured is 5.7*u*S, at f = 76459.
     """
-    mapped = tuple(sp.scale * rho + sp.offset for rho in roots)
-    pairs = zip(periods.values(), roots, strict=True)
-    size = max(max(abs(eta), abs(sp.scale * rho) + abs(sp.offset), 1.0) for eta, rho in pairs)
+    _, _, scale, offset = sp
+    rho0, rho1, rho2 = roots
+    eta0, eta1, eta2 = periods.values()
+    mapped = (scale * rho0 + offset, scale * rho1 + offset, scale * rho2 + offset)
+    size = max(
+        max(abs(eta0), abs(scale * rho0) + abs(offset), 1.0),
+        max(abs(eta1), abs(scale * rho1) + abs(offset), 1.0),
+        max(abs(eta2), abs(scale * rho2) + abs(offset), 1.0),
+    )
     return mapped, _RELATION_ROUNDOFF * _U * size
 
 
@@ -489,12 +509,13 @@ def verify_period_relation(rec: FieldRecord) -> float:
     it, so the float distance, the residual, is held to the bound that
     rec.relation holds.
     """
-    f = rec.conductor
-    sp = rec.shanks_params
     values, bound = rec.relation
-    mapped = sorted(values, reverse=True)
-    residual = max(abs(m - e) for m, e in zip(mapped, rec.periods.values()))
+    m0, m1, m2 = sorted(values, reverse=True)
+    eta0, eta1, eta2 = rec.periods.values()
+    residual = max(abs(m0 - eta0), abs(m1 - eta1), abs(m2 - eta2))
     if residual > bound:
+        f = rec.conductor
+        sp = rec.shanks_params
         raise RelationFailure(
             f"f={f.value}, (n1,n2)=({sp.n1},{sp.n2}): ordered distance {residual} > {bound}"
         )

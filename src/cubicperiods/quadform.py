@@ -124,11 +124,12 @@ def shanks_params(r: Representation) -> ShanksParams:
     representations builds, and its docstring shows why n1 is an integer,
     n1^2 + 3*n1*n2 + 9*n2^2 = f and the wild congruence hold.
     """
-    f = r.conductor
-    n1, n2 = (r.M - 3 * r.N) // 2, r.N
+    M, n2, f = r
+    n1 = (M - 3 * n2) // 2
     numerator = -n1 if f.is_wild else 1 - n1
     if numerator % 3 != 0:
         raise NonIntegralCoefficient(
             f"shift {numerator}/3 for f={f.value}, n1={n1} is not an integer"
         )
-    return ShanksParams(n1, n2, f.mu * n2, f.mu * (numerator // 3))
+    mu = f.mu
+    return ShanksParams(n1, n2, mu * n2, mu * (numerator // 3))

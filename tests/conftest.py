@@ -391,6 +391,26 @@ def point_sum(P, Q, p: int):
     return x3, (slope * (x1 - x3) - y1) % p
 
 
+def ladder_add(P, Q, p: int):
+    """P + Q on a curve y^2 = x^3 + B over F_p: the step that periods._mul
+    makes inline, with the same branches (the x compared as integers), kept
+    as the ladder's oracle."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 != x2:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    elif (y1 + y2) % p:
+        slope = 3 * x1 * x1 * pow(2 * y1, -1, p) % p
+    else:
+        return None
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
 def point_multiple(k: int, P, p: int):
     """k*P for k >= 0, summing the doublings of P at the set bits of k,
     from the lowest bit up."""

@@ -8,7 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import generator_omega, prime_element
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import generator_omega, ladder_add, prime_element
 
 import cubicperiods
 from cubicperiods import (
@@ -32,7 +34,7 @@ from cubicperiods.eisenstein import (
     primary_associate,
     prime_elements,
 )
-from cubicperiods.periods import jacobi_sum
+from cubicperiods.periods import TraceProof, jacobi_sum
 
 PRIMES_1_MOD_3 = [p for p in range(7, 20_000, 6) if is_probable_prime(p)]
 # Every prime = 1 mod 3 below 2*10^5.
@@ -71,6 +73,46 @@ def test_basic_algebra():
     assert sqrt_m3 * sqrt_m3 == EisensteinInt(-3, 0)
     assert all(u.norm() == 1 for u in UNITS)
     assert len(set(UNITS)) == 6
+
+
+def times(x) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The matrix of multiplication by x = a + b*zeta3 on the basis (1, zeta3),
+    as zeta3^2 = -1 - zeta3."""
+    a, b = x
+    return ((a, -b), (b, a - b))
+
+
+def apply(m, v) -> tuple[int, int]:
+    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+
+LARGE = st.integers(-(10**30), 10**30)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.tuples(LARGE, LARGE), st.tuples(LARGE, LARGE), LARGE)
+def test_operators_equal_the_matrix_oracle(u, v, k):
+    # each operator against 2x2 integer matrices on the coordinates, and
+    # each element it returns an EisensteinInt, not a plain tuple
+    x, y = EisensteinInt(*u), EisensteinInt(*v)
+    scalar = ((k, 0), (0, k))
+    minus_one = ((-1, 0), (0, -1))
+    conjugation = ((1, -1), (0, -1))
+    elements = {
+        "x + y": (x + y, (u[0] + v[0], u[1] + v[1])),
+        "x - y": (x - y, (u[0] - v[0], u[1] - v[1])),
+        "-x": (-x, apply(minus_one, u)),
+        "x*y": (x * y, apply(times(x), v)),
+        "k*x": (k * x, apply(scalar, u)),
+        "x*k": (x * k, apply(scalar, u)),
+        "conjugate": (x.conjugate(), apply(conjugation, u)),
+    }
+    for name, (result, expected) in elements.items():
+        assert type(result) is EisensteinInt, name
+        assert result == expected, name
+    (a, b), (c, d) = times(x)
+    assert x.norm() == a * d - b * c
+    assert x.trace() == a + d
 
 
 def test_norm_multiplicative_random():
@@ -518,6 +560,12 @@ def test_every_proof_holds_on_its_own_arithmetic(refute_proof):
         assert refute_proof(p, jacobi.trace(), proof) is None, (p, proof)
     assert sums[19441][1].x == 11
     assert sums[1117][1].sign == -1
+    # the proofs that read more than one point or prime power
+    assert sums[109][1] == TraceProof(4, -1, 112, ((7, 1),))
+    assert sums[463][1] == (7, -1, 487, ((487, 1),))
+    assert sums[1021][1] == (3, 1, 1008, ((7, 1), (3, 2), (2, 4)))
+    assert sums[10009][1] == (2, -1, 10192, ((13, 1), (7, 2)))
+    assert sums[13309][1] == (1, 1, 13104, ((13, 1), (7, 1), (3, 2), (2, 4)))
 
 
 @pytest.mark.parametrize("p", [13, 1117, 19441, 10_000_141, seeded_primes()[-1]])
@@ -544,16 +592,43 @@ def test_the_proof_checker_refuses_a_changed_proof(refute_proof, p):
         assert reason in (refute_proof(p, s, wrong) or ""), (p, reason)
 
 
-@pytest.mark.parametrize("p", [7, 13, 1117, 10_000_141])
+@pytest.mark.parametrize("p", [7, 13, 1117, 120_011, 10_000_141])
 def test_multiples_equal_repeated_additions(p):
     # periods._mul, which doubles from the top bit of k, against k - 1
-    # additions of P, for k = 1..64, at points of E and of its twist; at 7
-    # and 13 the orders are small and the sums pass through O
+    # additions of P by the step it makes inline, for k = 1..64, at points
+    # of E and of its twist; at 7 and 13 the orders are small and the sums
+    # pass through O
     for _, P, _ in itertools.islice(periods._points(p), 6):
         R = P
         for k in range(1, 65):
             assert periods._mul(k, P, p) == R, (p, P, k)
-            R = periods._add(R, P, p)
+            R = ladder_add(R, P, p)
+
+
+@pytest.mark.parametrize("p", [10009, 13309])
+def test_the_multiples_a_proof_reads_equal_repeated_additions(p):
+    # the scalars that certified_trace multiplies by, n/q^e and then q up
+    # to e times, at the point of the proof, against repeated additions:
+    # 10009 reads 7^2, and 13309 four prime powers, 2^4 among them
+    def repeated(k, Q):
+        R = Q
+        for _ in range(k - 1):
+            R = ladder_add(R, Q, p)
+        return R
+
+    _, proof = jacobi_sum(p, generator_omega(p))
+    P = next(P for x, P, _ in periods._points(p) if x == proof.x)
+    for q, e in proof.prime_powers:
+        k = proof.order // q**e
+        Q = periods._mul(k, P, p)
+        assert Q == repeated(k, P), (p, q)
+        for _ in range(e):
+            if Q is None:
+                break
+            R = periods._mul(q, Q, p)
+            assert R == repeated(q, Q), (p, q)
+            Q = R
+        assert Q is None, (p, q)
 
 
 def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi, e_alone):
