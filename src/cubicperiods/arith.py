@@ -254,8 +254,10 @@ def factorize(m: int, trial: tuple | None = None) -> tuple[tuple[int, int], ...]
     A cofactor below _TRIAL_BOUND^2 with no prime factor below the bound is
     prime, so small m never reach Miller-Rabin.  A cofactor at or above
     MR_BOUND that passes Miller-Rabin raises ValueError, since the test
-    proves nothing there.
+    proves nothing there.  m is taken by operator.index: a float such as
+    7.0, or a str, raises TypeError.
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError("factorize requires a positive integer")
     value = m
@@ -279,7 +281,8 @@ def factorize(m: int, trial: tuple | None = None) -> tuple[tuple[int, int], ...]
 
 
 def moebius(m: int) -> int:
-    """Moebius function: 0 unless m is squarefree, else (-1)^(number of primes)."""
+    """Moebius function: 0 unless m is squarefree, else (-1)^(number of
+    primes).  A non-integer m raises TypeError, as in factorize."""
     if m < 1:
         raise ValueError("moebius requires a positive integer")
     factors = factorize(m)

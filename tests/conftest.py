@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -59,12 +58,6 @@ def sieve_moebius(limit: int) -> list[int]:
             spf[i * p] = p
             mu[i * p] = 0 if i % p == 0 else -mu[i]
     return mu
-
-
-@pytest.fixture(scope="session", name="sieve_moebius")
-def sieve_moebius_fixture():
-    """sieve_moebius(limit): the Moebius values of 0..limit by a linear sieve."""
-    return sieve_moebius
 
 
 def validate_by_factorization(f: int) -> tuple[int, ...] | str:
@@ -127,13 +120,6 @@ def generator_primes(cond) -> dict[int, PrimeRecord]:
     return {p: generator_record(p) for p in cond.odd_primes}
 
 
-@pytest.fixture(scope="session", name="generator_primes")
-def generator_primes_fixture():
-    """generator_primes(cond): each odd prime of the conductor to its record
-    at generator_omega."""
-    return generator_primes
-
-
 def generator_labels(cond, vector) -> tuple[int, ...]:
     """A coefficient vector over the package's component characters chi_q,
     chi_p named by the omega of eisenstein._prime_element(p), rewritten over
@@ -146,19 +132,6 @@ def generator_labels(cond, vector) -> tuple[int, ...]:
         q != 9 and _prime_element(q).omega != generator_omega(q) for q in _component_moduli(cond)
     ]
     return tuple(c * (1 + d) % 3 for c, d in zip(vector, doubled, strict=True))
-
-
-@pytest.fixture(scope="session", name="generator_labels")
-def generator_labels_fixture():
-    """generator_labels(cond, vector): a kernel vector between the package's
-    labels and the smallest generators'."""
-    return generator_labels
-
-
-@pytest.fixture(scope="session", name="generator")
-def generator_fixture():
-    """generator(q): the smallest generator mod q (prime or 9) and the group order."""
-    return generator
 
 
 @dataclass(frozen=True)
@@ -182,12 +155,6 @@ def unit_group(f) -> UnitGroup:
     if math.prod(o for _, o in gens) != euler_phi(factorize(f.value)):
         raise CountMismatch(f"component orders do not multiply to phi({f.value})")
     return UnitGroup(f.value, tuple(gens))
-
-
-@pytest.fixture(scope="session", name="unit_group")
-def unit_group_fixture():
-    """unit_group(cond): the CRT-lifted component generators of (Z/f)^x."""
-    return unit_group
 
 
 def index_classes(q: int) -> tuple[list[int], ...]:
@@ -222,12 +189,6 @@ def gaussian_sum(q: int, e: int) -> complex:
     return total
 
 
-@pytest.fixture(scope="session")
-def float_gauss_sum():
-    """gaussian_sum(q, e): the O(q) float Gaussian sum."""
-    return gaussian_sum
-
-
 @functools.lru_cache(maxsize=4)
 def _units_by_label(cond) -> dict[tuple[int, ...], list[int]]:
     """The units mod f grouped by label, built as products of powers of the
@@ -258,12 +219,6 @@ def coset_sets(cond, vector) -> tuple[frozenset[int], frozenset[int], frozenset[
     for label, units in _units_by_label(cond).items():
         cosets[sum(c * e for c, e in zip(vector, label)) % 3].extend(units)
     return tuple(frozenset(c) for c in cosets)
-
-
-@pytest.fixture(scope="session")
-def residue_sets():
-    """coset_sets(cond, vector): the kernel and cosets of a vector as residue sets."""
-    return coset_sets
 
 
 # The count reads the primes below isqrt(p) + 1 <= 3163 for a prime p below
@@ -343,19 +298,6 @@ def jacobi_by_count(p: int) -> EisensteinInt:
     n2 += middle == 2
     n0 = p - 2 - n1 - n2
     return EisensteinInt(n0 - n2, n1 - n2)
-
-
-@pytest.fixture(scope="session")
-def count_oracle():
-    """The O(p) count of J(chi, chi) from the index table mod p, with the
-    prime table it reads."""
-    return SimpleNamespace(
-        index_table=index_table,
-        jacobi=jacobi_by_count,
-        bound=COUNT_BOUND,
-        prime_bound=COUNT_PRIME_BOUND,
-        primes=COUNT_PRIMES,
-    )
 
 
 # The proof checker: a group law of y^2 = x^3 + B over F_p and a
@@ -467,8 +409,9 @@ def refute_trace_proof(p: int, t: int, proof) -> str | None:
     P = (s*x, s^2) lies on Y^2 = X^3 - 432*s^3; n = p + 1 + sign*t; the
     q are distinct primes with q^e || n; n*P = O, which each q-part
     checks on the way; and lcm(d, 9)^2 > 16p for the product d of the
-    q-parts of ord(P), where the q-part is the order of (n/q^e)*P.  Then n is the order of the group of P, the one
-    number of its class mod lcm(d, 9) within 2*sqrt(p) of p + 1."""
+    q-parts of ord(P), where the q-part is the order of (n/q^e)*P.  Then n
+    is the order of the group of P, the one number of its class mod
+    lcm(d, 9) within 2*sqrt(p) of p + 1."""
     x, sign, n, prime_powers = proof
     if p % 3 != 1 or not miller_rabin(p):
         return "p is not a prime = 1 mod 3"
@@ -502,22 +445,10 @@ def refute_trace_proof(p: int, t: int, proof) -> str | None:
     return None
 
 
-@pytest.fixture(scope="session")
-def refute_proof():
-    """refute_trace_proof(p, t, proof): the first claim of the proof that fails."""
-    return refute_trace_proof
-
-
 def points_of_e_alone(p: int):
     """periods._points without the points of the twist: at the primes where
     the first points of E alone prove no trace, the trace stays open."""
     return (point for point in curve_points(p) if point[2] == 1)
-
-
-@pytest.fixture(scope="session")
-def e_alone():
-    """points_of_e_alone(p): a stand-in for periods._points."""
-    return points_of_e_alone
 
 
 # Oracle: the baby-step giant-step search for Tr J(chi, chi) over the
@@ -613,49 +544,12 @@ def jacobi_by_bsgs(p: int) -> EisensteinInt:
     return EisensteinInt(a, b)
 
 
-@pytest.fixture(scope="session")
-def bsgs_jacobi():
-    """jacobi_by_bsgs(p): J(chi, chi) from the trace that the search finds."""
-    return jacobi_by_bsgs
-
-
-def jacobi_by_nine_counts(p: int) -> EisensteinInt:
-    """Oracle: J(chi, chi) mod p from all p - 2 terms, with no pairing of a
-    and 1 - a.  Each count n_k of the a in 2..p-1 whose indices at a and at
-    1 - a add up to k mod 3 is a sum of popcounts of ANDs: the 0/1 indicator
-    bytes of index i read little-endian and those of index j read
-    big-endian, for the nine pairs (i, j).  Unchecked: the norm and the
-    congruence are left to the caller."""
-    core = index_table(p)[2:]
-    indicators = [bytes(int(x == r) for x in range(256)) for r in range(3)]
-    firsts = [int.from_bytes(core.translate(indicators[i]), "little") for i in range(3)]
-    counts = [0, 0, 0]
-    for j in range(3):
-        seconds = int.from_bytes(core.translate(indicators[j]), "big")
-        for i, first in enumerate(firsts):
-            counts[(i + j) % 3] += (first & seconds).bit_count()
-    n0, n1, n2 = counts
-    return EisensteinInt(n0 - n2, n1 - n2)
-
-
-@pytest.fixture(scope="session")
-def nine_count_jacobi():
-    """jacobi_by_nine_counts(p): J(chi, chi) by the nine full-length counts."""
-    return jacobi_by_nine_counts
-
-
 def cubic_residue_character(p: int, pi: EisensteinInt) -> int:
     """Oracle: the exponent e with g^((p-1)/3) = zeta3^e mod pi at the
     smallest generator g mod p, for a prime element pi of norm p, with
     omega = -a/b mod p the residue of zeta3 mod pi = a + b*zeta3."""
     omega = -pi.a * pow(pi.b, -1, p) % p
     return {omega: 1, omega * omega % p: 2}[pow(generator(p)[0], (p - 1) // 3, p)]
-
-
-@pytest.fixture(scope="session")
-def residue_character():
-    """cubic_residue_character(p, pi): the exponent of chi_pi at the generator."""
-    return cubic_residue_character
 
 
 def prime_element(p: int) -> EisensteinInt:
@@ -677,12 +571,6 @@ def jacobi_by_prime_element(p: int) -> EisensteinInt:
     chi_conj(pi) when it is 2."""
     pi = prime_element(p)
     return -pi if cubic_residue_character(p, pi) == 1 else -pi.conjugate()
-
-
-@pytest.fixture(scope="session")
-def prime_element_jacobi():
-    """jacobi_by_prime_element(p): J(chi, chi) from the prime element of norm p."""
-    return jacobi_by_prime_element
 
 
 def exact_div(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
@@ -757,18 +645,6 @@ def factor_rhs(r) -> tuple[int | None, list[EisensteinInt]]:
     return units[rem], pis
 
 
-@pytest.fixture(scope="session")
-def gcd_oracle():
-    """(eis_gcd, exact_div, canonical_associate): Euclid's algorithm in Z[zeta3]."""
-    return eis_gcd, exact_div, canonical_associate
-
-
-@pytest.fixture(scope="session", name="factor_rhs")
-def factor_rhs_fixture():
-    """factor_rhs(r): (sign, prime elements) of a pair, by gcds; sign None when tame."""
-    return factor_rhs
-
-
 def character_by_definition(f, sign, pis) -> dict[int, int]:
     """chi(a) as an exponent of zeta3 for every unit a mod f, evaluated
     residue by residue from the definitions and glued by the CRT.
@@ -804,22 +680,10 @@ def character_by_definition(f, sign, pis) -> dict[int, int]:
     return {a: s % 3 for a, s in enumerate(total.to_bytes(f, "little")) if s < 9}
 
 
-@pytest.fixture(scope="session")
-def character_values():
-    """character_by_definition(f, sign, pis): the O(f) reference character."""
-    return character_by_definition
-
-
 def shanks_poly(n: int | Fraction) -> RationalCubic:
     """Oracle: f_n = X^3 - n*X^2 - (n+3)*X - 1 for a rational n, which the
     package holds only as the integer cubic n2*f_n (cleared_shanks_poly)."""
     return RationalCubic(1, -n, -(n + 3), -1)
-
-
-@pytest.fixture(scope="session", name="shanks_poly")
-def shanks_poly_fixture():
-    """shanks_poly(n): f_n with rational coefficients."""
-    return shanks_poly
 
 
 def cubic_discriminant(p: RationalCubic):
@@ -846,12 +710,6 @@ def paper_relation(cond, n1: int) -> tuple[int, Fraction]:
     return (-1) ** cond.nu, Fraction(-n1 if cond.is_wild else 1 - n1, 3)
 
 
-@pytest.fixture(scope="session", name="paper_relation")
-def paper_relation_fixture():
-    """paper_relation(cond, n1): (mu, shift) by the paper's formulas."""
-    return paper_relation
-
-
 def closed_form_period_poly(cond, M: int) -> RationalCubic:
     """Oracle: the paper's closed form of the period polynomial of the pair
     with this M, in Fraction arithmetic, with mu = (-1)^nu:
@@ -863,12 +721,6 @@ def closed_form_period_poly(cond, M: int) -> RationalCubic:
     if cond.is_wild:
         return RationalCubic(1, 0, Fraction(-f, 3), Fraction(-mu * f * M, 27))
     return RationalCubic(1, -mu, Fraction(1 - f, 3), Fraction(-mu * ((M - 3) * f + 1), 27))
-
-
-@pytest.fixture(scope="session", name="closed_form_period_poly")
-def closed_form_period_poly_fixture():
-    """closed_form_period_poly(cond, M): the paper's closed form."""
-    return closed_form_period_poly
 
 
 def fraction_identities(cond, sp) -> dict:
@@ -898,12 +750,6 @@ def fraction_identities(cond, sp) -> dict:
             for t in (1, -1)
         },
     }
-
-
-@pytest.fixture(scope="session")
-def fraction_oracle():
-    """fraction_identities(cond, sp): the exact identities in Fraction arithmetic."""
-    return fraction_identities
 
 
 class GroupRingElement(NamedTuple):
@@ -991,31 +837,8 @@ def apply(x: GroupRingElement, v: ConjugateVector) -> ConjugateVector:
     )
 
 
-@pytest.fixture(scope="session")
-def group_ring():
-    """Oracle: the group ring of <s>, with the units and the action on
-    conjugates whose effect verify_generators inlines."""
-    return SimpleNamespace(
-        GroupRingElement=GroupRingElement,
-        ONE=ONE,
-        SIGMA=SIGMA,
-        SIGMA_SQ=SIGMA_SQ,
-        gr_mul=gr_mul,
-        idempotents=idempotents,
-        unit_list_p3=unit_list_p3,
-        ConjugateVector=ConjugateVector,
-        apply=apply,
-    )
-
-
 def delta(n1: int, n2: int) -> int:
     return n1 * n1 + 3 * n1 * n2 + 9 * n2 * n2
-
-
-@pytest.fixture(scope="session", name="delta")
-def delta_fixture():
-    """delta(n1, n2) = n1^2 + 3*n1*n2 + 9*n2^2, which is f for every pair."""
-    return delta
 
 
 class ShanksRootRing:
@@ -1106,13 +929,6 @@ def resolvent_identities(n1: int, n2: int, shift) -> dict:
     }
 
 
-@pytest.fixture(scope="session", name="resolvents")
-def resolvents_fixture():
-    """resolvent_identities(n1, n2, shift): the resolvent identities of the
-    pair, in exact arithmetic in Q[rho]/(f_n)."""
-    return resolvent_identities
-
-
 def _divisors(n: int) -> list[int]:
     fac = factorize(n)
     divs = [1]
@@ -1155,13 +971,6 @@ def irreducibility_criterion(n1: int, n2: int) -> bool:
     return moebius(d // 9) != 0
 
 
-@pytest.fixture(scope="session")
-def irreducibility():
-    """(is_irreducible_cubic, irreducibility_criterion): the rational-root
-    test and the Eisenstein-type sufficient condition on (n1, n2)."""
-    return is_irreducible_cubic, irreducibility_criterion
-
-
 def search_pairs(cond) -> list[tuple[int, int]]:
     """Oracle: the normalized (M, N) of a conductor by an O(sqrt f) search
     over N, sorted by M descending.  For each N the complementary square
@@ -1178,12 +987,6 @@ def search_pairs(cond) -> list[tuple[int, int]]:
         elif s % 3 == 0 and n % 3 != 0:
             found.extend((3 * m0, n) for m0 in (s // 3, -s // 3) if m0 % 3 == 2)
     return sorted(found, key=lambda pair: -pair[0])
-
-
-@pytest.fixture(scope="session")
-def search_oracle():
-    """search_pairs(cond): the normalized pairs by the O(sqrt f) search."""
-    return search_pairs
 
 
 @pytest.fixture(scope="session")

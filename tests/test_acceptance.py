@@ -10,6 +10,19 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import (
+    ONE,
+    ConjugateVector,
+    apply,
+    coset_sets,
+    gr_mul,
+    idempotents,
+    irreducibility_criterion,
+    is_irreducible_cubic,
+    shanks_poly,
+    sieve_moebius,
+    unit_list_p3,
+)
 
 from cubicperiods import (
     RationalCubic,
@@ -112,15 +125,15 @@ def test_criterion_5_oracle_equivalence(all_records_10k):
                 assert numeric_period_poly(rec.conductor, rec.periods) == rec.period_poly
 
 
-def test_criterion_6_counting(conductors_10k, all_records_10k, residue_sets):
+def test_criterion_6_counting(conductors_10k, all_records_10k):
     with criterion(6, "2^(nu-1) / 2^nu counting and bijective matching"):
         for cond in conductors_10k:
             expected = 2 ** (cond.nu - 1) if cond.kind == "tame" else 2**cond.nu
             reps = representations(cond)
-            kernels = [residue_sets(cond, v)[0] for v in primitive_cubic_kernels(cond)]
+            kernels = [coset_sets(cond, v)[0] for v in primitive_cubic_kernels(cond)]
             records = all_records_10k[cond.value]
             assert len(reps) == len(kernels) == len(records) == expected
-            assert {residue_sets(cond, rec.periods.kernel)[0] for rec in records} == set(kernels)
+            assert {coset_sets(cond, rec.periods.kernel)[0] for rec in records} == set(kernels)
             assert {rec.representation for rec in records} == set(reps)
 
 
@@ -136,10 +149,7 @@ def test_criterion_7_sign_congruences(conductors_10k, all_records_10k):
         assert count > 0
 
 
-def test_criterion_8_group_ring_suite(all_records_10k, group_ring):
-    ONE, ConjugateVector = group_ring.ONE, group_ring.ConjugateVector
-    apply, gr_mul = group_ring.apply, group_ring.gr_mul
-    idempotents, unit_list_p3 = group_ring.idempotents, group_ring.unit_list_p3
+def test_criterion_8_group_ring_suite(all_records_10k):
     with criterion(8, "group-ring units and generator action on wild records <= 10^3"):
         tame_units = unit_list_p3(wild=False)
         wild_units = unit_list_p3(wild=True)
@@ -163,7 +173,7 @@ def test_criterion_8_group_ring_suite(all_records_10k, group_ring):
         assert checked > 0
 
 
-def test_criterion_9a_moebius_sieve(sieve_moebius):
+def test_criterion_9a_moebius_sieve():
     with criterion(9, "Moebius agrees with an independent sieve up to 10^6"):
         limit = 1_000_000
         mu = sieve_moebius(limit)
@@ -171,8 +181,7 @@ def test_criterion_9a_moebius_sieve(sieve_moebius):
             assert moebius(m) == mu[m], m
 
 
-def test_criterion_9b_irreducibility_implication(conductors_10k, irreducibility, shanks_poly):
-    is_irreducible_cubic, irreducibility_criterion = irreducibility
+def test_criterion_9b_irreducibility_implication(conductors_10k):
     with criterion(9, f"irreducibility criterion implies no rational root, pairs <= {BOUND}"):
         for cond in conductors_10k:
             for rep in representations(cond):

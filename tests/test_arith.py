@@ -4,7 +4,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from conftest import validate_by_factorization
+from conftest import sieve_moebius, validate_by_factorization
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +39,13 @@ def test_factorize_examples():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@pytest.mark.parametrize("fn", [factorize, moebius])
+@pytest.mark.parametrize("bad", [6.5, 7.0, "7"])
+def test_factorize_and_moebius_reject_a_non_integer(fn, bad):
+    with pytest.raises(TypeError):
+        fn(bad)
 
 
 def test_factorize_roundtrip():
@@ -412,7 +419,7 @@ def test_moebius_examples(m, expected):
     assert moebius(m) == expected
 
 
-def test_moebius_agrees_with_sieve(sieve_moebius):
+def test_moebius_agrees_with_sieve():
     limit = 20_000
     mu = sieve_moebius(limit)
     for m in range(1, limit + 1):

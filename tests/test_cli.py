@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import generator_omega
+from conftest import generator_omega, points_of_e_alone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -452,11 +452,13 @@ def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
     assert "open" in err
 
 
-def test_open_trace_at_a_small_prime_exits_2(capsys, monkeypatch, e_alone):
+def test_open_trace_at_a_small_prime_exits_2(capsys, monkeypatch):
     # 7819 = 7 * 1117: with the points of E alone the trace mod 1117 stays
     # open, and verify refuses rather than count J
     points = periods._points
-    monkeypatch.setattr(periods, "_points", lambda q: e_alone(q) if q == 1117 else points(q))
+    monkeypatch.setattr(
+        periods, "_points", lambda q: points_of_e_alone(q) if q == 1117 else points(q)
+    )
     code, out, err = run(capsys, ["verify", "--conductor", "7819"])
     assert code == 2
     assert out == ""

@@ -3,7 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import cubic_discriminant
+from conftest import (
+    cubic_discriminant,
+    delta,
+    irreducibility_criterion,
+    is_irreducible_cubic,
+    paper_relation,
+    resolvent_identities,
+    shanks_poly,
+)
 
 from cubicperiods import (
     RationalCubic,
@@ -26,7 +34,7 @@ def C(*coeffs) -> RationalCubic:
     return RationalCubic(*[Fraction(c) for c in coeffs])
 
 
-def test_shanks_poly_examples(shanks_poly):
+def test_shanks_poly_examples():
     assert shanks_poly(Fraction(18, 5)) == C(1, Fraction(-18, 5), Fraction(-33, 5), -1)
     assert shanks_poly(0) == C(1, 0, -3, -1)
     assert shanks_poly(-30) == C(1, 30, 27, -1)
@@ -85,7 +93,7 @@ def test_affine_relation_rejects_fractional_shift(f, n1):
         shanks_params(rep)
 
 
-def test_substitute_affine_examples(shanks_poly):
+def test_substitute_affine_examples():
     x_cubed = C(1, 0, 0, 0)
     assert substitute_affine(x_cubed, 1, 0) == x_cubed
     # shift of the conductor-9 period polynomial; expanding by hand:
@@ -126,14 +134,13 @@ def test_main_identity_exhaustive():
             verify_main_identity(cond, shanks_params(rep), period_poly_formula(cond, rep.M))
 
 
-def test_delta_examples(delta):
+def test_delta_examples():
     assert delta(18, 5) == 819
     assert delta(0, 1) == 9
     assert delta(-2, 1) == 7
 
 
-def test_irreducibility(irreducibility, shanks_poly):
-    is_irreducible_cubic, _ = irreducibility
+def test_irreducibility():
     assert is_irreducible_cubic(C(1, 0, -3, -1))
     assert not is_irreducible_cubic(C(1, 0, -1, 0))
     assert is_irreducible_cubic(shanks_poly(Fraction(18, 5)))
@@ -142,8 +149,7 @@ def test_irreducibility(irreducibility, shanks_poly):
         is_irreducible_cubic(C(0, 1, 0, 0))
 
 
-def test_irreducibility_catches_rational_root(irreducibility):
-    is_irreducible_cubic, _ = irreducibility
+def test_irreducibility_catches_rational_root():
     # (2X - 1)(X^2 + X + 1) = 2X^3 + X^2 + X - 1
     assert not is_irreducible_cubic(C(2, 1, 1, -1))
 
@@ -151,19 +157,16 @@ def test_irreducibility_catches_rational_root(irreducibility):
 @pytest.mark.parametrize(
     "n1,n2,expected", [(18, 5, True), (-2, 1, False), (-3, 1, True), (3, 1, False)]
 )
-def test_irreducibility_criterion(irreducibility, n1, n2, expected):
-    _, irreducibility_criterion = irreducibility
+def test_irreducibility_criterion(n1, n2, expected):
     assert irreducibility_criterion(n1, n2) is expected
 
 
-def test_irreducibility_criterion_rejects_non_coprime(irreducibility):
-    _, irreducibility_criterion = irreducibility
+def test_irreducibility_criterion_rejects_non_coprime():
     with pytest.raises(ValueError):
         irreducibility_criterion(6, 3)
 
 
-def test_irreducibility_criterion_implies_irreducible(irreducibility, shanks_poly):
-    is_irreducible_cubic, irreducibility_criterion = irreducibility
+def test_irreducibility_criterion_implies_irreducible():
     for cond in conductors_up_to(2000):
         for rep in representations(cond):
             sp = shanks_params(rep)
@@ -174,7 +177,7 @@ def test_irreducibility_criterion_implies_irreducible(irreducibility, shanks_pol
             assert is_irreducible_cubic(poly)
 
 
-def test_discriminant_examples(shanks_poly):
+def test_discriminant_examples():
     assert cubic_discriminant(C(1, 0, -3, -1)) == 81
     for n in (0, Fraction(18, 5), -30):
         assert cubic_discriminant(shanks_poly(n)) == (n * n + 3 * n + 9) ** 2
@@ -187,13 +190,13 @@ def test_distinct_representations_give_distinct_polys():
         assert len(polys) == len(representations(cond))
 
 
-def assert_resolvent_identities(resolvents, n1, n2, shift):
+def assert_resolvent_identities(n1, n2, shift):
     """r^3 = f*w in exact arithmetic, as its two halves: the cubed
     resolvents of alpha_j = n2*rho_j + shift sum to f*M, and
     D = (alpha_0 - alpha_1)*(alpha_1 - alpha_2)*(alpha_2 - alpha_0) is
     -f*n2, for f = n1^2 + 3*n1*n2 + 9*n2^2 and M = 2*n1 + 3*n2."""
     f, M = n1 * n1 + 3 * n1 * n2 + 9 * n2 * n2, 2 * n1 + 3 * n2
-    got = resolvents(n1, n2, shift)
+    got = resolvent_identities(n1, n2, shift)
     assert got["cycle"] == [(-1, 0, 0)] * 3, (n1, n2)
     assert got["at_roots"] == [(0, 0, 0)] * 3, (n1, n2)
     assert got["resolvent_sum"] == (f * M, 0, 0), (n1, n2, shift)
@@ -201,15 +204,15 @@ def assert_resolvent_identities(resolvents, n1, n2, shift):
 
 
 @pytest.mark.parametrize("f", [7, 9, 819, 104823])
-def test_resolvent_identities_at_every_pair(resolvents, paper_relation, f):
+def test_resolvent_identities_at_every_pair(f):
     cond = validate_conductor(f)
     for rep in representations(cond):
         sp = shanks_params(rep)
         _, shift = paper_relation(cond, sp.n1)
-        assert_resolvent_identities(resolvents, sp.n1, sp.n2, shift)
+        assert_resolvent_identities(sp.n1, sp.n2, shift)
 
 
-def test_resolvent_identities_on_random_pairs(resolvents):
+def test_resolvent_identities_on_random_pairs():
     # uniform pairs up to 10^10 put f near 10^21; the resolvent sum and D do
     # not depend on the shift, so it is drawn freely
     rng = random.Random(20261018)
@@ -218,5 +221,5 @@ def test_resolvent_identities_on_random_pairs(resolvents):
         n1, n2 = rng.randint(-(10**10), 10**10), rng.randint(1, 10**10)
         if math.gcd(n1, n2) != 1:
             continue
-        assert_resolvent_identities(resolvents, n1, n2, rng.randint(-(10**10), 10**10))
+        assert_resolvent_identities(n1, n2, rng.randint(-(10**10), 10**10))
         checked += 1

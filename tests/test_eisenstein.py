@@ -10,7 +10,31 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import generator_omega, ladder_add, prime_element
+from conftest import (
+    COUNT_BOUND,
+    COUNT_PRIME_BOUND,
+    COUNT_PRIMES,
+    canonical_associate,
+    character_by_definition,
+    coset_sets,
+    cubic_residue_character,
+    eis_gcd,
+    exact_div,
+    factor_rhs,
+    gaussian_sum,
+    generator,
+    generator_omega,
+    generator_primes,
+    index_table,
+    jacobi_by_bsgs,
+    jacobi_by_count,
+    jacobi_by_prime_element,
+    ladder_add,
+    points_of_e_alone,
+    prime_element,
+    refute_trace_proof,
+    unit_group,
+)
 
 import cubicperiods
 from cubicperiods import (
@@ -138,8 +162,7 @@ def test_trace():
         assert r.element in elements and r.element.trace() == r.M
 
 
-def test_gcd_examples(gcd_oracle):
-    eis_gcd, _, canonical_associate = gcd_oracle
+def test_gcd_examples():
     g = eis_gcd(EisensteinInt(7, 0), EisensteinInt(1, 3))
     assert g == EisensteinInt(3, 2) and g.norm() == 7
     x = EisensteinInt(1, 1)
@@ -149,8 +172,7 @@ def test_gcd_examples(gcd_oracle):
         eis_gcd(EisensteinInt(0, 0), EisensteinInt(0, 0))
 
 
-def test_gcd_divides_both_random(gcd_oracle):
-    eis_gcd, exact_div, _ = gcd_oracle
+def test_gcd_divides_both_random():
     rng = random.Random(11)
     for _ in range(200):
         x = EisensteinInt(rng.randint(-30, 30), rng.randint(-30, 30))
@@ -163,8 +185,7 @@ def test_gcd_divides_both_random(gcd_oracle):
                 exact_div(v, g)  # raises if not divisible
 
 
-def test_canonical_associate_is_stable_across_associates(gcd_oracle):
-    canonical_associate = gcd_oracle[2]
+def test_canonical_associate_is_stable_across_associates():
     rng = random.Random(13)
     for _ in range(100):
         x = EisensteinInt(rng.randint(-20, 20), rng.randint(-20, 20))
@@ -196,13 +217,13 @@ def test_primary_associate():
                 primary_associate(x)
 
 
-def test_factor_rhs_nine(factor_rhs):
+def test_factor_rhs_nine():
     r = representations(validate_conductor(9))[0]
     sign, pis = factor_rhs(r)
     assert sign == 1 and pis == []
 
 
-def test_factor_rhs_63(factor_rhs):
+def test_factor_rhs_63():
     r = next(x for x in representations(validate_conductor(63)) if x.M == 15)
     sign, pis = factor_rhs(r)
     assert sign == 1
@@ -210,7 +231,7 @@ def test_factor_rhs_63(factor_rhs):
     assert pis[0].norm() == 7
 
 
-def test_factor_rhs_819(factor_rhs):
+def test_factor_rhs_819():
     r = next(x for x in representations(validate_conductor(819)) if x.M == -57)
     sign, pis = factor_rhs(r)
     assert sign == 1
@@ -222,7 +243,7 @@ def test_factor_rhs_819(factor_rhs):
     assert product == EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
 
 
-def test_factor_rhs_seven(factor_rhs):
+def test_factor_rhs_seven():
     # a tame pair is the primary prime element itself, with the unit 1
     (r,) = representations(validate_conductor(7))
     assert factor_rhs(r) == (None, [EisensteinInt(1, 3)])
@@ -240,30 +261,27 @@ def level_sets(chi: dict[int, int]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(a for a, e in chi.items() if e == j) for j in range(3))
 
 
-def test_chi9_table(character_values, residue_sets):
-    plus = character_values(9, 1, [])
+def test_chi9_table():
+    plus = character_by_definition(9, 1, [])
     assert plus == {1: 0, 2: 1, 4: 2, 5: 2, 7: 1, 8: 0}
-    minus = character_values(9, -1, [])
+    minus = character_by_definition(9, -1, [])
     assert all((plus[a] + minus[a]) % 3 == 0 for a in plus)
     # the exponent at the generator 2 fixes the whole character
     assert (chi9(1), chi9(-1)) == (plus[2], minus[2]) == (1, 2)
-    assert level_sets(plus) == residue_sets(F9, (chi9(1),))
-    assert level_sets(minus) == residue_sets(F9, (chi9(-1),))
-    assert residue_sets(F9, (chi9(1),))[0] == frozenset({1, 8})
+    assert level_sets(plus) == coset_sets(F9, (chi9(1),))
+    assert level_sets(minus) == coset_sets(F9, (chi9(-1),))
+    assert coset_sets(F9, (chi9(1),))[0] == frozenset({1, 8})
 
 
-def test_cubic_residue_character_mod7(
-    character_values, residue_sets, residue_character, generator_primes
-):
-    cubic_residue_character = residue_character
+def test_cubic_residue_character_mod7():
     pi = EisensteinInt(3, 2)
-    chi = character_values(7, None, [pi])
+    chi = character_by_definition(7, None, [pi])
     assert chi[1] == 0
     for a in range(1, 7):
         for b in range(1, 7):
             assert (chi[a] + chi[b]) % 3 == chi[a * b % 7]
-    assert level_sets(chi) == residue_sets(F7, (cubic_residue_character(7, pi),))
-    conj = character_values(7, None, [pi.conjugate()])
+    assert level_sets(chi) == coset_sets(F7, (cubic_residue_character(7, pi),))
+    conj = character_by_definition(7, None, [pi.conjugate()])
     assert all((chi[a] + conj[a]) % 3 == 0 for a in range(1, 7))
     e, e_conj = (cubic_residue_character(7, x) for x in (pi, pi.conjugate()))
     assert (e + e_conj) % 3 == 0
@@ -275,27 +293,27 @@ def test_cubic_residue_character_mod7(
     )
 
 
-def test_gaussian_sum_modulus(character_values, float_gauss_sum, residue_character):
+def test_gaussian_sum_modulus():
     pi = EisensteinInt(3, 2)
-    tau = float_gauss_sum(7, residue_character(7, pi))
+    tau = gaussian_sum(7, cubic_residue_character(7, pi))
     assert abs(abs(tau) ** 2 - 7) < 1e-9
     direct = sum(
         cmath.exp(2j * cmath.pi * (a / 7 + e / 3))
-        for a, e in character_values(7, None, [pi]).items()
+        for a, e in character_by_definition(7, None, [pi]).items()
     )
     assert abs(tau - direct) < 1e-9
     with pytest.raises(ValueError):
-        float_gauss_sum(7, 0)  # the trivial character is not primitive
+        gaussian_sum(7, 0)  # the trivial character is not primitive
 
 
-def test_gaussian_sum_normalization_mod7(float_gauss_sum, residue_character):
+def test_gaussian_sum_normalization_mod7():
     # -tau^3 = 7 * pi for the primary prime attached to the character
     pi = primary_associate(EisensteinInt(3, 2))
-    tau = float_gauss_sum(7, residue_character(7, pi))
+    tau = gaussian_sum(7, cubic_residue_character(7, pi))
     assert abs(-(tau**3) - 7 * pi.to_complex()) < 1e-6
 
 
-def test_chi9_gauss_sum_cube_matches(float_gauss_sum):
+def test_chi9_gauss_sum_cube_matches():
     for sign in (1, -1):
         rep = chi9_gauss_sum_report(sign)
         assert rep["tau_cubed_matches"] is True
@@ -310,7 +328,7 @@ def test_chi9_gauss_sum_cube_matches(float_gauss_sum):
         # the exact coordinates against the float O(q) sum
         zeta9 = cmath.exp(2j * cmath.pi / 9)
         exact = sum(c * zeta9**k for k, c in enumerate(tau))
-        assert abs(exact - float_gauss_sum(9, chi9(sign))) < 1e-12
+        assert abs(exact - gaussian_sum(9, chi9(sign))) < 1e-12
 
 
 def z9_product(x, y) -> tuple[int, ...]:
@@ -326,25 +344,21 @@ def z9_product(x, y) -> tuple[int, ...]:
     return tuple(cyclic[:6])
 
 
-def test_character_for_representation_nine(
-    character_values, residue_sets, factor_rhs, generator_primes
-):
+def test_character_for_representation_nine():
     r = representations(F9)[0]
     vector = character_for_representation(r, generator_primes(F9))
-    assert len(vector) == 1 and residue_sets(F9, vector)[0] == frozenset({1, 8})
-    assert level_sets(character_values(9, *factor_rhs(r))) == residue_sets(F9, vector)
+    assert len(vector) == 1 and coset_sets(F9, vector)[0] == frozenset({1, 8})
+    assert level_sets(character_by_definition(9, *factor_rhs(r))) == coset_sets(F9, vector)
 
 
-def test_character_kernels_have_index_three(
-    character_values, residue_sets, unit_group, factor_rhs, generator_primes
-):
+def test_character_kernels_have_index_three():
     for f in (9, 63, 819):
         cond = validate_conductor(f)
         kernels = set()
         for r in representations(cond):
-            chi = character_values(f, *factor_rhs(r))
+            chi = character_by_definition(f, *factor_rhs(r))
             vector = character_for_representation(r, generator_primes(cond))
-            assert level_sets(chi) == residue_sets(cond, vector)
+            assert level_sets(chi) == coset_sets(cond, vector)
             kern = level_sets(chi)[0]
             assert len(kern) * 3 == len(chi)
             # exhaustively multiplicative, with order exactly 3
@@ -362,13 +376,11 @@ def test_character_kernels_have_index_three(
         assert len(kernels) == len(representations(cond))
 
 
-def test_characters_of_all_wild_conductors(
-    wild_records_10k, character_values, residue_sets, unit_group, factor_rhs, generator_primes
-):
+def test_characters_of_all_wild_conductors(wild_records_10k):
     for rec in wild_records_10k:
         cond = rec.conductor
         f = cond.value
-        chi = character_values(f, *factor_rhs(rec.representation))
+        chi = character_by_definition(f, *factor_rhs(rec.representation))
         assert 3 * len(level_sets(chi)[0]) == len(chi)
         # multiplicativity against each component generator implies it in full
         lifts = [g for g, _ in unit_group(cond).generators]
@@ -376,7 +388,7 @@ def test_characters_of_all_wild_conductors(
             for g in lifts:
                 assert (chi[a] + chi[g]) % 3 == chi[a * g % f]
         vector = character_for_representation(rec.representation, generator_primes(cond))
-        assert level_sets(chi) == residue_sets(cond, vector)
+        assert level_sets(chi) == coset_sets(cond, vector)
         tau = sum(cmath.exp(2j * cmath.pi * (a / f + e / 3)) for a, e in chi.items())
         assert abs(abs(tau) ** 2 - f) < 1e-6
 
@@ -385,9 +397,7 @@ def _smallest_generator(p: int) -> int:
     return next(g for g in range(2, p) if len({pow(g, j, p) for j in range(p - 1)}) == p - 1)
 
 
-def test_prime_components_are_powers_at_the_generator(
-    wild_records_10k, factor_rhs, generator_primes
-):
+def test_prime_components_are_powers_at_the_generator(wild_records_10k):
     # a^((p-1)/3) = omega^(e*j) mod p at every a = g^j: the definition of
     # chi_p agrees with the exponent e held for p, at every residue
     for rec in wild_records_10k:
@@ -446,7 +456,7 @@ def test_prime_element_refuses_what_is_not_a_prime_1_mod_6():
     assert proc.stdout.split() == [str(p) for p in bad]
 
 
-def test_factor_rhs_inverts_rhs_elements(wild_records_10k, factor_rhs):
+def test_factor_rhs_inverts_rhs_elements(wild_records_10k):
     # every pair is read from an element of rhs_elements, and the factor_rhs
     # oracle takes it apart by gcds into the unit 3*zeta3^(+-1) and
     # prime_element(p) or its conjugate for each p | f
@@ -459,7 +469,7 @@ def test_factor_rhs_inverts_rhs_elements(wild_records_10k, factor_rhs):
         assert r.element in rhs_elements(rec.conductor, prime_elements(rec.conductor))
 
 
-def test_index_table_equals_the_powers_of_the_generator(count_oracle, generator):
+def test_index_table_equals_the_powers_of_the_generator():
     # the count oracle's table, built from the primes below sqrt(p) and the
     # strided blocks, against j mod 3 at g^j for every j, at every prime
     # = 1 mod 3 below 2*10^4; and the package's omega_p, from the first
@@ -474,49 +484,28 @@ def test_index_table_equals_the_powers_of_the_generator(count_oracle, generator)
         for j in range(order):
             expected[x] = j % 3
             x = x * g % p
-        assert count_oracle.index_table(p) == expected, p
+        assert index_table(p) == expected, p
 
 
-def test_prime_table_holds_every_prime_the_index_table_reads(count_oracle):
+def test_prime_table_holds_every_prime_the_index_table_reads():
     # the index table reads the primes below isqrt(p) + 1, for p up to the
     # largest the count oracle is asked for
-    reach = math.isqrt(count_oracle.bound) + 1
-    assert reach <= count_oracle.prime_bound
-    assert count_oracle.primes == tuple(
-        n for n in range(count_oracle.prime_bound) if is_probable_prime(n)
-    )
+    reach = math.isqrt(COUNT_BOUND) + 1
+    assert reach <= COUNT_PRIME_BOUND
+    assert COUNT_PRIMES == tuple(n for n in range(COUNT_PRIME_BOUND) if is_probable_prime(n))
 
 
-def test_index_table_refuses_a_prime_beyond_the_prime_table(count_oracle):
+def test_index_table_refuses_a_prime_beyond_the_prime_table():
     # the least prime = 1 mod 3 above the square of the table's bound needs
     # primes the table does not hold
-    p = count_oracle.prime_bound**2 + 1
+    p = COUNT_PRIME_BOUND**2 + 1
     while p % 3 != 1 or not is_probable_prime(p):
         p += 1
     with pytest.raises(ValueError, match="prime table"):
-        count_oracle.index_table(p)
+        index_table(p)
 
 
-def test_jacobi_sum_is_a_prime_element_minus_one_mod_3():
-    for p in PRIMES_1_MOD_3:
-        jacobi, _ = jacobi_sum(p, generator_omega(p))
-        assert jacobi.norm() == p
-        assert (jacobi.a % 3, jacobi.b % 3) == (2, 0)
-        # -J is the primary prime element of norm p, up to conjugation
-        assert -jacobi in (prime_element(p), prime_element(p).conjugate())
-
-
-def test_jacobi_sum_over_half_the_pairs_equals_the_nine_counts(count_oracle, nine_count_jacobi):
-    # the points, and the count over the pairs {a, 1 - a} by bit planes,
-    # against the nine counts over all p - 2 terms, at every prime = 1 mod 3
-    # below 2*10^4 and at two large primes, the second the largest the count
-    # oracle is asked for
-    for p in [*PRIMES_1_MOD_3, 1_000_003, 9_999_991]:
-        jacobi, _ = jacobi_sum(p, generator_omega(p))
-        assert jacobi == count_oracle.jacobi(p) == nine_count_jacobi(p), p
-
-
-def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
+def test_float_gauss_sum_cubed_is_p_times_jacobi():
     # tau(chi)^3 = p * J(chi, chi) against the O(p) float sum, for both
     # characters of every prime = 1 mod 3 below 3000
     for p in PRIMES_1_MOD_3:
@@ -524,16 +513,16 @@ def test_float_gauss_sum_cubed_is_p_times_jacobi(float_gauss_sum):
             break
         cube = p * jacobi_sum(p, generator_omega(p))[0]
         for e, expected in ((1, cube), (2, cube.conjugate())):
-            tau = float_gauss_sum(p, e)
+            tau = gaussian_sum(p, e)
             assert abs(tau**3 - expected.to_complex()) < 1e-6, (p, e)
 
 
-def test_points_equal_the_count(count_oracle):
+def test_points_equal_the_count():
     # the certificate on E and its twist against the count, at every
     # prime = 1 mod 3 from 7 to 5*10^4 and at two large primes, the second
     # the largest the count oracle is asked for
     for p in [*(p for p in POINT_PRIMES if p <= 50_000), 1_000_003, 9_999_991]:
-        assert jacobi_sum(p, generator_omega(p))[0] == count_oracle.jacobi(p), p
+        assert jacobi_sum(p, generator_omega(p))[0] == jacobi_by_count(p), p
 
 
 @functools.cache
@@ -544,20 +533,20 @@ def point_prime_sums() -> dict:
     return {p: jacobi_sum(p, generator_omega(p)) for p in [*POINT_PRIMES, *seeded_primes()]}
 
 
-def test_points_equal_the_prime_element_oracle(prime_element_jacobi):
+def test_points_equal_the_prime_element_oracle():
     sums = point_prime_sums()
     assert len(sums) == 8988 + 70
     for p, (jacobi, _) in sums.items():
-        assert jacobi == prime_element_jacobi(p), p
+        assert jacobi == jacobi_by_prime_element(p), p
 
 
-def test_every_proof_holds_on_its_own_arithmetic(refute_proof):
+def test_every_proof_holds_on_its_own_arithmetic():
     # each claim of each proof, re-checked with the checker's own group law
     # and Miller-Rabin test: 19441 reads the most points, 11, and 1117 is
     # one of the E_AMBIGUOUS primes, proven on the twist
     sums = point_prime_sums()
     for p, (jacobi, proof) in sums.items():
-        assert refute_proof(p, jacobi.trace(), proof) is None, (p, proof)
+        assert refute_trace_proof(p, jacobi.trace(), proof) is None, (p, proof)
     assert sums[19441][1].x == 11
     assert sums[1117][1].sign == -1
     # the proofs that read more than one point or prime power
@@ -569,7 +558,7 @@ def test_every_proof_holds_on_its_own_arithmetic(refute_proof):
 
 
 @pytest.mark.parametrize("p", [13, 1117, 19441, 10_000_141, seeded_primes()[-1]])
-def test_the_proof_checker_refuses_a_changed_proof(refute_proof, p):
+def test_the_proof_checker_refuses_a_changed_proof(p):
     # one row per claim: a flipped sign, the last prime power left out, a
     # prime read twice, a trace of another class mod 9, and another trace
     # of the class of t in Hasse's interval, with the proof of t and with
@@ -577,7 +566,7 @@ def test_the_proof_checker_refuses_a_changed_proof(refute_proof, p):
     # not kill, as d | n and lcm(d, 9) > 9
     jacobi, proof = jacobi_sum(p, generator_omega(p))
     t = jacobi.trace()
-    assert refute_proof(p, t, proof) is None
+    assert refute_trace_proof(p, t, proof) is None
     other = t + 9 if (t + 9) ** 2 <= 4 * p else t - 9
     n = p + 1 + proof.sign * other
     changed = {
@@ -589,7 +578,7 @@ def test_the_proof_checker_refuses_a_changed_proof(refute_proof, p):
         "n*P": (other, proof._replace(order=n, prime_powers=factorize(n)[::-1])),
     }
     for reason, (s, wrong) in changed.items():
-        assert reason in (refute_proof(p, s, wrong) or ""), (p, reason)
+        assert reason in (refute_trace_proof(p, s, wrong) or ""), (p, reason)
 
 
 @pytest.mark.parametrize("p", [7, 13, 1117, 120_011, 10_000_141])
@@ -631,23 +620,23 @@ def test_the_multiples_a_proof_reads_equal_repeated_additions(p):
         assert Q is None, (p, q)
 
 
-def test_traces_that_e_leaves_open_are_settled(monkeypatch, prime_element_jacobi, e_alone):
+def test_traces_that_e_leaves_open_are_settled(monkeypatch):
     # the points of the twist among the first ones settle the trace; with
     # the points of E alone it stays open, and jacobi_sum refuses, however
     # small p is
     traces = {}
     for p in E_AMBIGUOUS:
         jacobi, _ = jacobi_sum(p, generator_omega(p))
-        assert jacobi == prime_element_jacobi(p), p
+        assert jacobi == jacobi_by_prime_element(p), p
         traces[p] = jacobi.trace()
-    monkeypatch.setattr(periods, "_points", e_alone)
+    monkeypatch.setattr(periods, "_points", points_of_e_alone)
     for p in E_AMBIGUOUS:
         assert periods.certified_trace(p, traces[p]) is None, p
         with pytest.raises(BudgetExceeded, match="open"):
             jacobi_sum(p, generator_omega(p))
 
 
-def test_certificate_equals_baby_step_giant_step(bsgs_jacobi):
+def test_certificate_equals_baby_step_giant_step():
     # the search over every candidate trace that the certificate replaced,
     # at the seeded primes below 10^16 and the first three in (10^16, 10^20):
     # above 10^7 the one oracle that does not share the candidate from
@@ -656,7 +645,7 @@ def test_certificate_equals_baby_step_giant_step(bsgs_jacobi):
     sampled = seeded_primes()
     beyond = [p for p in sampled if 10**16 < p < 10**20][:3]
     for p in [*(p for p in sampled if p < 10**16), *beyond]:
-        assert jacobi_sum(p, generator_omega(p))[0] == bsgs_jacobi(p), p
+        assert jacobi_sum(p, generator_omega(p))[0] == jacobi_by_bsgs(p), p
 
 
 def test_certificate_proves_one_trace_in_the_hasse_interval():

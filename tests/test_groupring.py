@@ -4,6 +4,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import (
+    ONE,
+    SIGMA,
+    SIGMA_SQ,
+    ConjugateVector,
+    GroupRingElement,
+    apply,
+    gr_mul,
+    idempotents,
+    shanks_poly,
+    unit_list_p3,
+)
 
 from cubicperiods import (
     GeneratorFailure,
@@ -17,10 +29,7 @@ from cubicperiods import groupring
 from cubicperiods.cli import main
 
 
-def test_gr_mul_examples(group_ring):
-    ONE, SIGMA, SIGMA_SQ = group_ring.ONE, group_ring.SIGMA, group_ring.SIGMA_SQ
-    GroupRingElement, gr_mul = group_ring.GroupRingElement, group_ring.gr_mul
-    idempotents = group_ring.idempotents
+def test_gr_mul_examples():
     assert gr_mul(SIGMA, SIGMA_SQ) == ONE
     e1, ef = idempotents()
     assert gr_mul(e1, e1) == e1
@@ -31,8 +40,7 @@ def test_gr_mul_examples(group_ring):
     assert gr_mul(flip, flip) == ONE
 
 
-def test_ring_axioms_on_grid(group_ring):
-    GroupRingElement, gr_mul = group_ring.GroupRingElement, group_ring.gr_mul
+def test_ring_axioms_on_grid():
     vals = [Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2)]
     grid = [GroupRingElement(a, b, c) for a in vals for b in vals for c in vals][:20]
     for x in grid:
@@ -43,8 +51,7 @@ def test_ring_axioms_on_grid(group_ring):
                 assert gr_mul(x, y + z) == gr_mul(x, y) + gr_mul(x, z)
 
 
-def test_unit_lists(group_ring):
-    ONE, gr_mul, unit_list_p3 = group_ring.ONE, group_ring.gr_mul, group_ring.unit_list_p3
+def test_unit_lists():
     tame = unit_list_p3(wild=False)
     assert len(tame) == 6
     wild = unit_list_p3(wild=True)
@@ -65,9 +72,7 @@ def test_unit_lists(group_ring):
     assert max(order(u) for u in wild) == 6
 
 
-def test_apply_examples(group_ring):
-    ConjugateVector, ONE, SIGMA = group_ring.ConjugateVector, group_ring.ONE, group_ring.SIGMA
-    apply, idempotents = group_ring.apply, group_ring.idempotents
+def test_apply_examples():
     v = ConjugateVector(1.0, 2.0, 3.0)
     assert apply(SIGMA, v).values() == (2.0, 3.0, 1.0)
     e1, _ = idempotents()
@@ -81,9 +86,7 @@ def test_apply_examples(group_ring):
     )
 
 
-def test_apply_respects_multiplication(group_ring):
-    GroupRingElement, ConjugateVector = group_ring.GroupRingElement, group_ring.ConjugateVector
-    apply, gr_mul = group_ring.apply, group_ring.gr_mul
+def test_apply_respects_multiplication():
     rng = random.Random(99)
     for _ in range(100):
         x = GroupRingElement(*[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)])
@@ -94,7 +97,7 @@ def test_apply_respects_multiplication(group_ring):
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_verify_generators_819(shanks_poly):
+def test_verify_generators_819():
     records = {
         (rec.shanks_params.n1, rec.shanks_params.n2): rec
         for rec in match_fields(validate_conductor(819))

@@ -9,7 +9,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import generator_omega, shanks_root_oracle
+from conftest import (
+    character_by_definition,
+    closed_form_period_poly,
+    coset_sets,
+    factor_rhs,
+    fraction_identities,
+    generator_labels,
+    generator_omega,
+    generator_primes,
+    shanks_poly,
+    shanks_root_oracle,
+    unit_group,
+)
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -64,7 +76,7 @@ WILD_VERDICTS = [
 ]
 
 
-def test_unit_group_examples(unit_group):
+def test_unit_group_examples():
     assert unit_group(F9).generators == ((2, 6),)
     assert unit_group(F7).generators == ((3, 6),)
     gens = unit_group(F63).generators
@@ -74,37 +86,37 @@ def test_unit_group_examples(unit_group):
         assert all(pow(g, order // p, 63) != 1 for p in (2, 3))
 
 
-def test_kernels_examples(residue_sets):
+def test_kernels_examples():
     assert primitive_cubic_kernels(F9) == [(1,)]
-    assert residue_sets(F9, (1,))[0] == frozenset({1, 8})
+    assert coset_sets(F9, (1,))[0] == frozenset({1, 8})
     assert primitive_cubic_kernels(F7) == [(1,)]
-    assert residue_sets(F7, (1,))[0] == frozenset({1, 6})
-    kernels = [residue_sets(F819, k)[0] for k in primitive_cubic_kernels(F819)]
+    assert coset_sets(F7, (1,))[0] == frozenset({1, 6})
+    kernels = [coset_sets(F819, k)[0] for k in primitive_cubic_kernels(F819)]
     assert len(kernels) == 4
     assert all(len(k) == 432 // 3 for k in kernels)
     assert len(set(kernels)) == 4
 
 
-def test_kernels_contain_minus_one(residue_sets):
+def test_kernels_contain_minus_one():
     for cond in (F9, F7, F63, F819):
         for vector in primitive_cubic_kernels(cond):
-            assert (cond.value - 1) in residue_sets(cond, vector)[0]
+            assert (cond.value - 1) in coset_sets(cond, vector)[0]
 
 
-def test_prime_kernel_equals_cubes(residue_sets):
+def test_prime_kernel_equals_cubes():
     # independent characterization: for a prime-power conductor the unique
     # kernel is the set of cubes of units
     for f in (7, 13, 19, 31, 61, 9):
         cond = validate_conductor(f)
         (vector,) = primitive_cubic_kernels(cond)
         cubes = {pow(x, 3, f) for x in range(1, f) if math.gcd(x, f) == 1}
-        assert residue_sets(cond, vector)[0] == cubes
+        assert coset_sets(cond, vector)[0] == cubes
 
 
-def test_gaussian_periods_nine(residue_sets, generator_primes):
+def test_gaussian_periods_nine():
     (kernel,) = primitive_cubic_kernels(F9)
     pt = gaussian_periods(F9, kernel, component_gauss_sums(F9, generator_primes(F9)))
-    assert residue_sets(F9, pt.kernel)[0] == frozenset({1, 8})
+    assert coset_sets(F9, pt.kernel)[0] == frozenset({1, 8})
     expected = sorted((2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4)), reverse=True)
     assert pt.values() == pytest.approx(expected, abs=1e-12)
     assert pt.values() == pytest.approx(
@@ -112,26 +124,26 @@ def test_gaussian_periods_nine(residue_sets, generator_primes):
     )
 
 
-def test_gaussian_periods_seven_sum(residue_sets, generator_primes):
+def test_gaussian_periods_seven_sum():
     (kernel,) = primitive_cubic_kernels(F7)
     pt = gaussian_periods(F7, kernel, component_gauss_sums(F7, generator_primes(F7)))
-    assert residue_sets(F7, pt.kernel)[0] == frozenset({1, 6})
+    assert coset_sets(F7, pt.kernel)[0] == frozenset({1, 6})
     assert sum(pt.values()) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_period_sum_partition(residue_sets, generator_primes):
+def test_period_sum_partition():
     for cond in conductors_up_to(500):
         expected = 0 if cond.kind == "wild" else (-1) ** cond.nu
         units = {a for a in range(1, cond.value) if math.gcd(a, cond.value) == 1}
         cubes = component_gauss_sums(cond, generator_primes(cond))
         for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
-            cosets = residue_sets(cond, pt.kernel)
+            cosets = coset_sets(cond, pt.kernel)
             assert set().union(*cosets) == units
             assert sum(map(len, cosets)) == len(units)
             assert sum(pt.values()) == pytest.approx(expected, abs=1e-9 * cond.value)
 
 
-def test_periods_equal_direct_cosine_sums(residue_sets, generator_primes):
+def test_periods_equal_direct_cosine_sums():
     # the periods from the component Gaussian sums against the definition:
     # O(f) cosine sums over the materialized kernel and cosets of each
     # coefficient vector, at every f <= 2000 and at larger fixed conductors
@@ -144,7 +156,7 @@ def test_periods_equal_direct_cosine_sums(residue_sets, generator_primes):
             direct = sorted(
                 (
                     sum(math.cos(2 * math.pi * a / cond.value) for a in coset)
-                    for coset in residue_sets(cond, pt.kernel)
+                    for coset in coset_sets(cond, pt.kernel)
                 ),
                 reverse=True,
             )
@@ -152,7 +164,7 @@ def test_periods_equal_direct_cosine_sums(residue_sets, generator_primes):
 
 
 @pytest.mark.parametrize("f", [85276009, 767484081])
-def test_periods_make_no_pass_over_the_units(f, generator_primes):
+def test_periods_make_no_pass_over_the_units(f):
     # 7*13*19*31*37*43 (tame) and 9 times it (wild), nu = 6: a pass over
     # the phi(f) units would build lists of up to 3.5*10^8 residues, while
     # the component Gaussian sums add at most 42 terms each
@@ -171,7 +183,7 @@ def test_periods_make_no_pass_over_the_units(f, generator_primes):
         assert abs(sum(eta * eta for eta in pt.values()) - squares) < 1e-12 * squares
 
 
-def test_gaussian_periods_follow_the_kernel_order(generator_primes):
+def test_gaussian_periods_follow_the_kernel_order():
     # the cube of each kernel is the product over the components of tau_q^3
     # or its conjugate as the kernel says, and the eight kernels of 15561
     # have eight cubes
@@ -186,7 +198,7 @@ def test_gaussian_periods_follow_the_kernel_order(generator_primes):
     assert len({pt.cube for pt in triples}) == 8
 
 
-def test_numeric_period_poly_examples(generator_primes):
+def test_numeric_period_poly_examples():
     for cond, expected in ((F9, (1, 0, -3, 1)), (F7, (1, 1, -2, -1))):
         (kernel,) = primitive_cubic_kernels(cond)
         pt = gaussian_periods(cond, kernel, component_gauss_sums(cond, generator_primes(cond)))
@@ -220,7 +232,7 @@ def test_period_poly_rejects_a_trace_off_by_one():
         period_poly(F7, 8)
 
 
-def assert_kernels_match_pairs(cond, generator_primes):
+def assert_kernels_match_pairs(cond):
     """The integer cubic of every kernel, from the exact cube T of its
     Gaussian sum, against the closed form of every pair: equal as sets, with
     nothing rounded.  Tr T is mu*f*M of exactly one pair, and T is mu*f*w or
@@ -240,9 +252,9 @@ def assert_kernels_match_pairs(cond, generator_primes):
         assert pt.cube in (w, w.conjugate()), (cond.value, r.M)
 
 
-def test_exact_period_poly_equals_the_closed_form(generator_primes):
+def test_exact_period_poly_equals_the_closed_form():
     for cond in conductors_up_to(20_000):
-        assert_kernels_match_pairs(cond, generator_primes)
+        assert_kernels_match_pairs(cond)
 
 
 def prime_1_mod_3_at_most(n: int) -> int:
@@ -294,12 +306,12 @@ def random_conductors(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(random_conductors())
-def test_exact_period_poly_equals_the_closed_form_on_random_conductors(generator_primes, cond):
+def test_exact_period_poly_equals_the_closed_form_on_random_conductors(cond):
     # a trace the points leave open is refused, never guessed, so it may
     # stop a draw with BudgetExceeded but not with a mismatch; none is known
     # below SMALL_PRIMES
     try:
-        assert_kernels_match_pairs(cond, generator_primes)
+        assert_kernels_match_pairs(cond)
     except BudgetExceeded:
         assert max(cond.odd_primes) > SMALL_PRIMES
         reject()
@@ -338,7 +350,7 @@ def test_matching_rejects_two_kernels_with_one_cube(monkeypatch, cond):
         match_fields(cond)
 
 
-def assert_integer_identities_match(cond, oracle, closed_form):
+def assert_integer_identities_match(cond):
     """The closed form of every pair is the paper's, and the integer sides
     of the main identity equal their Fraction formulation.  On that
     formulation alone, what the identity implies for the generators of a
@@ -347,9 +359,9 @@ def assert_integer_identities_match(cond, oracle, closed_form):
     integer coefficients."""
     for rep in representations(cond):
         sp = shanks_params(rep)
-        expected = oracle(cond, sp)
+        expected = fraction_identities(cond, sp)
         poly = period_poly_formula(cond, rep.M)
-        assert poly == closed_form(cond, rep.M), (cond.value, rep.M)
+        assert poly == closed_form_period_poly(cond, rep.M), (cond.value, rep.M)
         sides = main_identity_sides(sp, poly)
         assert sides == (expected["lhs"], expected["rhs"])
         assert all(type(c) is int for p in sides for c in p), (cond.value, sp)
@@ -358,22 +370,18 @@ def assert_integer_identities_match(cond, oracle, closed_form):
         assert all(c.denominator == 1 for p in polys for c in p), (cond.value, sp)
 
 
-def test_integer_identities_equal_the_fraction_oracle(
-    fraction_oracle, closed_form_period_poly
-):
+def test_integer_identities_equal_the_fraction_oracle():
     for cond in conductors_up_to(20_000):
-        assert_integer_identities_match(cond, fraction_oracle, closed_form_period_poly)
+        assert_integer_identities_match(cond)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(random_conductors())
-def test_integer_identities_equal_the_fraction_oracle_on_random_conductors(
-    fraction_oracle, closed_form_period_poly, cond
-):
-    assert_integer_identities_match(cond, fraction_oracle, closed_form_period_poly)
+def test_integer_identities_equal_the_fraction_oracle_on_random_conductors(cond):
+    assert_integer_identities_match(cond)
 
 
-def test_real_roots_examples(shanks_poly):
+def test_real_roots_examples():
     # f_0 = X^3 - 3X - 1 has the roots of X^3 - 3X + 1, negated
     roots = shanks_roots(ShanksParams(0, 1, 0, 0))
     assert roots == pytest.approx(
@@ -529,14 +537,14 @@ def test_sign_congruences_rejects_tame():
         verify_sign_congruences(rec)
 
 
-def test_coset_relabeling_leaves_multiset_invariant(residue_sets, generator_primes):
+def test_coset_relabeling_leaves_multiset_invariant():
     # computing the three fiber sums directly, in any labeling, must give
     # the same multiset as the sorted PeriodTriple
     for cond in (F9, F7, F63):
         cubes = component_gauss_sums(cond, generator_primes(cond))
         for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
             fv = cond.value
-            kern = residue_sets(cond, pt.kernel)[0]
+            kern = coset_sets(cond, pt.kernel)[0]
             units = [a for a in range(1, fv) if math.gcd(a, fv) == 1]
             outside = [a for a in units if a not in kern]
             for rep_choice in outside[:3]:
@@ -563,7 +571,7 @@ def test_kernel_character_cross_check_wild(wild_records_10k):
         assert verify_kernel_character(rec.representation, cubes, primes) == rec.periods
 
 
-def test_kernel_character_rejects_another_kernel(monkeypatch, generator_primes):
+def test_kernel_character_rejects_another_kernel(monkeypatch):
     records = match_fields(F819)
     cubes = component_gauss_sums(F819, generator_primes(F819))
     for rec in records:
@@ -711,9 +719,7 @@ def test_periods_do_not_depend_on_which_omega_labels_the_characters(monkeypatch)
     assert kernels > 0 and cubes > 0
 
 
-def test_glued_character_cuts_out_the_matched_kernel(
-    all_records_10k, character_values, residue_sets, unit_group, factor_rhs, generator_labels
-):
+def test_glued_character_cuts_out_the_matched_kernel(all_records_10k):
     # the O(f) character evaluated from its definition and glued along the
     # residues mod f, against the residue set of the matched coefficient
     # vector, at every field up to 10^4; and its exponent e0 over the first
@@ -723,9 +729,9 @@ def test_glued_character_cuts_out_the_matched_kernel(
     # exponents read at the component generators by the smallest generators
     for rec in itertools.chain.from_iterable(all_records_10k.values()):
         cond, r = rec.conductor, rec.representation
-        chi = character_values(cond.value, *factor_rhs(r))
+        chi = character_by_definition(cond.value, *factor_rhs(r))
         kernel = frozenset(a for a, e in chi.items() if e == 0)
-        assert kernel == residue_sets(cond, generator_labels(cond, rec.periods.kernel))[0]
+        assert kernel == coset_sets(cond, generator_labels(cond, rec.periods.kernel))[0]
         at_generators = tuple(chi[g] for g, _ in unit_group(cond).generators)
         e0 = generator_labels(cond, at_generators)[0]
         mfw = (-1) ** cond.nu * cond.value * EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
@@ -739,14 +745,14 @@ def test_records_hold_coefficient_vectors():
         assert type(rec.periods.kernel) is tuple and len(rec.periods.kernel) == 3
 
 
-def test_counts_and_bijection_small(residue_sets):
+def test_counts_and_bijection_small():
     for cond in conductors_up_to(1500):
         reps = representations(cond)
-        kernels = [residue_sets(cond, v)[0] for v in primitive_cubic_kernels(cond)]
+        kernels = [coset_sets(cond, v)[0] for v in primitive_cubic_kernels(cond)]
         assert len(reps) == len(kernels)
         records = match_fields(cond)
         assert len(records) == len(reps)
-        assert {residue_sets(cond, rec.periods.kernel)[0] for rec in records} == set(kernels)
+        assert {coset_sets(cond, rec.periods.kernel)[0] for rec in records} == set(kernels)
 
 
 PRIMES_1_MOD_3_BELOW_2E5 = [p for p in range(7, 200_000, 6) if is_probable_prime(p)]

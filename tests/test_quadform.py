@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from conftest import delta, search_pairs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -62,7 +63,7 @@ def test_representations_match_brute_force():
         assert got == brute_force_pairs(cond.value, cond.kind == "wild")
 
 
-def test_counts_match_prediction(search_oracle):
+def test_counts_match_prediction():
     # the enumerator itself raises CountMismatch when the formula fails,
     # and the pairs built from prime elements must be the searched ones
     for cond in conductors_up_to(100_000):
@@ -70,7 +71,7 @@ def test_counts_match_prediction(search_oracle):
         expected = 2 ** (cond.nu - 1) if cond.kind == "tame" else 2**cond.nu
         assert len(reps) == expected
         assert len({r.M for r in reps}) == len(reps)
-        assert [(r.M, r.N) for r in reps] == search_oracle(cond)
+        assert [(r.M, r.N) for r in reps] == search_pairs(cond)
 
 
 LIMIT = 10**10
@@ -109,9 +110,9 @@ def conductors(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(conductors())
-def test_representations_match_search_on_random_conductors(search_oracle, delta, cond):
+def test_representations_match_search_on_random_conductors(cond):
     reps = representations(cond)
-    assert [(r.M, r.N) for r in reps] == search_oracle(cond)
+    assert [(r.M, r.N) for r in reps] == search_pairs(cond)
     # the facts _check_pair implies and shanks_params no longer re-checks
     for r in reps:
         n1, n2, _, _ = shanks_params(r)
@@ -130,14 +131,14 @@ def test_representations_match_search_on_random_conductors(search_oracle, delta,
         (7, (-1, 1), (-2, 1, 7)),
     ],
 )
-def test_shanks_params_examples(delta, f, MN, expected):
+def test_shanks_params_examples(f, MN, expected):
     cond = validate_conductor(f)
     rep = next(r for r in representations(cond) if (r.M, r.N) == MN)
     sp = shanks_params(rep)
     assert (sp.n1, sp.n2, delta(sp.n1, sp.n2)) == expected
 
 
-def test_shanks_params_roundtrip(delta):
+def test_shanks_params_roundtrip():
     for cond in conductors_up_to(3000):
         for rep in representations(cond):
             sp = shanks_params(rep)

@@ -1,7 +1,8 @@
 """Every function, class and method of the package is reached by what its
 commands run: algebra that only the tests call belongs with the tests, as
 an oracle in conftest.py.  Every name a module of the package assigns at
-top level is read by the package."""
+top level is read by the package.  Every oracle and constant of conftest.py
+is read by the tests, so a retired oracle leaves no helper behind."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ from test_trace_layers import traced_layers
 PACKAGE = Path(cubicperiods.__file__).resolve().parent
 ENTRY_POINTS = {("cli", "entrypoint")}  # pyproject.toml [project.scripts]
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+TESTS = {path.stem: ast.parse(path.read_text()) for path in Path(__file__).parent.glob("*.py")}
 
 
 def definitions(tree: ast.Module):
@@ -43,15 +45,19 @@ def assignments(tree: ast.Module):
                     yield name.id
 
 
-# The names and attributes that the modules other than __init__ read.  A
-# Load context: an assignment stores its name, and does not count.
-READ = {
-    node.id if isinstance(node, ast.Name) else node.attr
-    for module, tree in TREES.items()
-    if module != "__init__"
-    for node in ast.walk(tree)
-    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-}
+def loads(trees) -> set[str]:
+    """The names and attributes that the trees read.  A Load context: an
+    assignment stores its name, and does not count."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+# What the modules other than __init__ read.
+READ = loads(tree for module, tree in TREES.items() if module != "__init__")
 
 
 def test_every_definition_is_reached():
@@ -73,4 +79,27 @@ def test_every_assigned_name_is_read():
         for name in assignments(tree)
         if name not in READ
     ]
+    assert not unread, unread
+
+
+def is_fixture(node) -> bool:
+    return any("fixture" in ast.unparse(d) for d in node.decorator_list)
+
+
+def test_every_oracle_is_read():
+    # read by a test module or by conftest.py: a name or attribute loaded, a
+    # name imported from conftest, or a parameter of a test or a fixture,
+    # which is how pytest hands a fixture over
+    read = loads(TESTS.values())
+    for tree in TESTS.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "conftest":
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.FunctionDef) and (
+                node.name.startswith("test_") or is_fixture(node)
+            ):
+                read.update(arg.arg for arg in node.args.args)
+    conftest = TESTS["conftest"]
+    unread = [qualified for qualified, name in definitions(conftest) if name not in read]
+    unread += [name for name in assignments(conftest) if name not in read]
     assert not unread, unread
