@@ -283,6 +283,7 @@ def factorize(m: int, trial: tuple | None = None) -> tuple[tuple[int, int], ...]
 def moebius(m: int) -> int:
     """Moebius function: 0 unless m is squarefree, else (-1)^(number of
     primes).  A non-integer m raises TypeError, as in factorize."""
+    m = operator.index(m)
     if m < 1:
         raise ValueError("moebius requires a positive integer")
     factors = factorize(m)

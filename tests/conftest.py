@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -987,6 +988,25 @@ def search_pairs(cond) -> list[tuple[int, int]]:
         elif s % 3 == 0 and n % 3 != 0:
             found.extend((3 * m0, n) for m0 in (s // 3, -s // 3) if m0 % 3 == 2)
     return sorted(found, key=lambda pair: -pair[0])
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """The arguments of every call of module.name from here on.  Every
+    module attribute of the package that holds the function is rebound, so
+    names bound by `from .module import name` count too."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, m in list(sys.modules.items()):
+        if module_name == "cubicperiods" or module_name.startswith("cubicperiods."):
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

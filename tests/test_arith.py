@@ -4,7 +4,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from conftest import sieve_moebius, validate_by_factorization
+from conftest import count_calls, sieve_moebius, validate_by_factorization
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +42,7 @@ def test_factorize_rejects_nonpositive():
 
 
 @pytest.mark.parametrize("fn", [factorize, moebius])
-@pytest.mark.parametrize("bad", [6.5, 7.0, "7"])
+@pytest.mark.parametrize("bad", [6.5, 7.0, "7", 0.5, -2.5])
 def test_factorize_and_moebius_reject_a_non_integer(fn, bad):
     with pytest.raises(TypeError):
         fn(bad)
@@ -146,11 +146,9 @@ def test_each_pm1_route_splits_a_conductor(monkeypatch, p, q, route):
     n = p * q
     assert n >= _PM1_MIN
     assert arith._pollard_pm1(n) in ((p, q) if split else (None,))
-    rho_calls = []
-    rho = arith._brent_rho
-    monkeypatch.setattr(arith, "_brent_rho", lambda m: rho_calls.append(m) or rho(m))
+    rho_calls = count_calls(monkeypatch, arith, "_brent_rho")
     assert factorize(n) == ((p, 1), (q, 1))
-    assert rho_calls == ([] if split else [n])
+    assert rho_calls == ([] if split else [(n,)])
     assert validate_conductor(n).odd_primes == (p, q)
 
 
@@ -180,9 +178,7 @@ def test_pm1_stage_two_visits_a_pair_for_every_prime_up_to_b2(monkeypatch):
 
 
 def test_pm1_runs_only_on_cofactors_at_or_above_its_gate(monkeypatch):
-    pm1 = arith._pollard_pm1
-    calls = []
-    monkeypatch.setattr(arith, "_pollard_pm1", lambda n: calls.append(n) or pm1(n))
+    calls = count_calls(monkeypatch, arith, "_pollard_pm1")
     small = 1009 * 1013
     assert small < _PM1_MIN
     assert factorize(small) == ((1009, 1), (1013, 1))
@@ -190,7 +186,7 @@ def test_pm1_runs_only_on_cofactors_at_or_above_its_gate(monkeypatch):
     large = 1_000_003 * 1_000_033
     assert large >= _PM1_MIN
     assert factorize(7 * large) == ((7, 1), (1_000_003, 1), (1_000_033, 1))
-    assert calls == [large]
+    assert calls == [(large,)]
 
 
 def next_prime(n: int) -> int:

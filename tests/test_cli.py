@@ -1,17 +1,15 @@
 import ast
-import fractions
 import json
 import math
 import random
 import subprocess
 import sys
-import textwrap
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import generator_omega, points_of_e_alone
+from cold_probe import COLD
+from conftest import count_calls, generator_omega, points_of_e_alone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,40 +162,6 @@ def test_verify_huge_conductor_passes_at_float_precision(conductor):
     verify_report(validate_conductor(conductor))
 
 
-def fraction_calls(argv) -> tuple[int, Counter]:
-    """Exit code of main(argv) and the calls it made into fractions.py, by name."""
-    calls: Counter = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
-            calls[frame.f_code.co_name] += 1
-
-    sys.setprofile(profile)
-    try:
-        code = main(argv)
-    finally:
-        sys.setprofile(None)
-    return code, calls
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--conductor", "15561"],
-        ["scan", "--min", "1", "--max", "2000"],
-        ["enumerate", "--conductor", "819"],
-        ["table"],
-    ],
-)
-def test_no_fraction_is_built_on_the_hot_path(capsys, argv):
-    # the exact identities and the Shanks cubics run in integers: no
-    # Fraction arithmetic at all
-    code, calls = fraction_calls(argv)
-    capsys.readouterr()
-    assert code == 0
-    assert calls == Counter()
-
-
 def test_enumerate_huge_conductor_is_fast(capsys):
     # 100000039900000351 = 100000039 * 1000000009: the O(sqrt f) search for
     # the pairs took 31 s on a 2-core machine; the prime elements take ms
@@ -314,116 +278,82 @@ def test_scan_among_the_large_conductors_passes(capsys):
     assert (summary["conductors"], summary["total_fields"], summary["all_pass"]) == (3, 6, True)
 
 
-def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
-    # 15561 = 9 * 7 * 13 * 19 has 8 fields.  The periods take one trace per
-    # prime component, and the character check of every field reads the
-    # cubes of the periods instead of building its own.  Nothing keeps the
-    # cubes of a conductor, so a second run in one process traces again
-    calls = []
-    certified_trace = periods.certified_trace
-    monkeypatch.setattr(
-        periods, "certified_trace", lambda p, t: calls.append(p) or certified_trace(p, t)
-    )
-    for _ in range(2):
-        calls.clear()
-        code, _, _ = run(capsys, ["verify", "--conductor", "15561"])
-        assert code == 0
-        assert calls == [7, 13, 19]
+# The functions that LEDGER counts, with a module that holds each.
+COUNTED = {
+    "certified_trace": periods,
+    "_prime_element": eisenstein,
+    "component_gauss_sums": periods,
+    "shanks_params": quadform,
+    "gaussian_periods": periods,
+    "period_poly_formula": cubicpoly,
+    "primitive_cubic_kernels": periods,
+}
 
-
-def test_verify_takes_every_prime_by_points(capsys, monkeypatch):
-    # 826371 = 9 * 7 * 13 * 1009 has 8 fields.  Small and large primes alike
-    # take the points of E and its twist, each prime once
-    traced = []
-    certified_trace = periods.certified_trace
-    monkeypatch.setattr(
-        periods, "certified_trace", lambda p, t: traced.append(p) or certified_trace(p, t)
-    )
-    code, _, _ = run(capsys, ["verify", "--conductor", "826371"])
-    assert code == 0
-    assert traced == [7, 13, 1009]
-
-
-def count_calls(monkeypatch, module, name) -> list:
-    """The arguments of every call of module.name from here on.  Every
-    module attribute of the package that holds the function is rebound, so
-    names bound by `from .module import name` count too."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for module_name, m in list(sys.modules.items()):
-        if module_name == "cubicperiods" or module_name.startswith("cubicperiods."):
-            for attr, value in list(vars(m).items()):
-                if value is original:
-                    monkeypatch.setattr(m, attr, counted)
-    return calls
-
-
-@pytest.mark.parametrize(
-    "argv,fields",
-    [(["verify", "--conductor", "15561", "--format", "json"], 8), (["table"], 4)],
-)
-def test_each_field_derives_its_relation_once(capsys, monkeypatch, argv, fields):
-    calls = count_calls(monkeypatch, quadform, "shanks_params")
-    code, _, _ = run(capsys, argv)
-    assert code == 0
-    assert len(calls) == fields
+# argv -> the calls that one run of it makes of each function of COUNTED:
+# a list is the first argument of each call, in order, and an int their
+# number.  The periods take one trace per prime of the conductor; one
+# Cornacchia step per prime gives both pi_p, which builds the pairs, and
+# omega_p, at which the record of the prime takes its Jacobi sum; the cubes
+# are computed once per conductor and passed to the periods and to every
+# character check; each field derives its relation once and builds the
+# periods of its own kernel, with no list of every kernel; and the closed
+# form that each field builds once is the one that the main identity checks
+# and the report prints.
+LEDGER = {
+    # 15561 = 9 * 7 * 13 * 19 and 826371 = 9 * 7 * 13 * 1009 have 8 fields
+    # each: small and large primes alike take the points of E and its twist
+    "verify --conductor 15561 --format json": {
+        "certified_trace": [7, 13, 19], "_prime_element": [7, 13, 19],
+        "component_gauss_sums": 1, "shanks_params": 8, "gaussian_periods": 8,
+        "period_poly_formula": 8, "primitive_cubic_kernels": 0,
+    },
+    "verify --conductor 826371": {
+        "certified_trace": [7, 13, 1009], "_prime_element": [7, 13, 1009],
+        "component_gauss_sums": 1, "shanks_params": 8, "gaussian_periods": 8,
+        "period_poly_formula": 8, "primitive_cubic_kernels": 0,
+    },
+    "table": {
+        "certified_trace": [7, 13], "_prime_element": [7, 13],
+        "component_gauss_sums": 1, "shanks_params": 4, "gaussian_periods": 4,
+        "period_poly_formula": 4, "primitive_cubic_kernels": 0,
+    },
+    # enumerate reads only pi_p: it takes no Jacobi sum and builds no periods
+    "enumerate --conductor 14165638864191": {
+        "certified_trace": [], "_prime_element": [1059571, 1485469],
+        "component_gauss_sums": 0, "shanks_params": 4, "gaussian_periods": 0,
+        "period_poly_formula": 4, "primitive_cubic_kernels": 0,
+    },
+    # 229 conductors with 317 fields; their odd primes, each counted once
+    # for every conductor it divides, number 287: a prime that divides
+    # several conductors is traced and solved again for each
+    "scan --min 1 --max 2000 --format csv": {
+        "certified_trace": 287, "_prime_element": 287,
+        "component_gauss_sums": 229, "shanks_params": 317, "gaussian_periods": 317,
+        "period_poly_formula": 317, "primitive_cubic_kernels": 0,
+    },
+}
 
 
 @pytest.mark.parametrize(
-    "argv,fields",
-    [(["verify", "--conductor", "15561", "--format", "json"], 8), (["table"], 4)],
+    "argv", LEDGER, ids=lambda argv: "-".join(w for w in argv.split() if w[0] != "-")
 )
-def test_each_field_builds_the_periods_of_its_own_kernel(capsys, monkeypatch, argv, fields):
-    # each pair's character names its kernel, whose periods are built for
-    # that pair alone: no list of every kernel is made
-    triples = count_calls(monkeypatch, periods, "gaussian_periods")
-    kernel_lists = count_calls(monkeypatch, periods, "primitive_cubic_kernels")
-    code, _, _ = run(capsys, argv)
-    assert code == 0
-    assert (len(triples), len(kernel_lists)) == (fields, 0)
-
-
-@pytest.mark.parametrize(
-    "argv,gauss_sums,closed_forms",
-    [(["verify", "--conductor", "15561", "--format", "json"], 1, 8), (["table"], 1, 4)],
-)
-def test_cubes_once_per_conductor_and_closed_form_once_per_field(
-    capsys, monkeypatch, argv, gauss_sums, closed_forms
-):
-    # match_fields passes the cubes to the periods and to every character
-    # check, and the closed form it builds is the one that the main
-    # identity checks and the report prints
-    cubes = count_calls(monkeypatch, periods, "component_gauss_sums")
-    polys = count_calls(monkeypatch, cubicpoly, "period_poly_formula")
-    code, _, _ = run(capsys, argv)
-    assert code == 0
-    assert (len(cubes), len(polys)) == (gauss_sums, closed_forms)
-
-
-@pytest.mark.parametrize(
-    "argv,primes",
-    [
-        (["verify", "--conductor", "15561", "--format", "json"], [7, 13, 19]),
-        (["enumerate", "--conductor", "14165638864191"], [1059571, 1485469]),
-    ],
-)
-def test_each_prime_derives_its_omega_and_its_element_once(capsys, monkeypatch, argv, primes):
-    # one Cornacchia step per prime of the conductor gives both pi_p, which
-    # builds the pairs, and omega_p, at which the record of the prime takes
-    # its Jacobi sum and which the character check reads; enumerate reads
-    # only pi_p.
+def test_ledger_of_calls(capsys, monkeypatch, argv):
     # periods is a lazy module: loaded first, its import cannot bind the
-    # counting wrapper, which would count each call twice
+    # counting wrapper, which would count each call twice.  A second run in
+    # one process makes the same calls: nothing keeps the records, the
+    # cubes or the fields of a conductor
     assert periods.match_fields
-    records = count_calls(monkeypatch, eisenstein, "_prime_element")
-    code, _, _ = run(capsys, argv)
-    assert code == 0
-    assert [p for p, in records] == primes
+    calls = {name: count_calls(monkeypatch, module, name) for name, module in COUNTED.items()}
+    expected = LEDGER[argv]
+    for _ in range(2):
+        for seen in calls.values():
+            seen.clear()
+        assert run(capsys, argv.split())[0] == 0
+        ledger = {
+            name: [args[0] for args in seen] if isinstance(expected[name], list) else len(seen)
+            for name, seen in calls.items()
+        }
+        assert ledger == expected
 
 
 def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
@@ -545,124 +475,10 @@ def test_unwritable_out_exits_2(capsys, tmp_path, command, target):
     assert err == f"error: cannot write report to {out}: {reason}\n"
 
 
-def test_cold_enumerate_allocates_under_a_megabyte(tmp_path):
-    # the first command of a fresh interpreter builds no table beyond what
-    # its input needs
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = textwrap.dedent(
-        f"""
-        import sys, tracemalloc
-        sys.path.insert(0, {str(src)!r})
-        from cubicperiods.cli import main
-        tracemalloc.start()
-        code = main(["enumerate", "--conductor", "7", "--out", {str(tmp_path / "7.json")!r}])
-        print(code, tracemalloc.get_traced_memory()[1])
-        """
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    exit_code, peak = map(int, proc.stdout.split())
-    assert exit_code == 0
-    assert peak < 1_000_000, f"traced peak {peak} bytes"
-
-
-# modules a cold enumerate, verify or table leaves unloaded: the value
-# types are NamedTuples, not frozen dataclasses (which import inspect);
-# report.render_json writes JSON without the json package; no command
-# imports fractions (which imports decimal), as every cubic holds ints;
-# csv, cmath and heapq (which only scan's conductors_up_to merges with)
-# are imported only where used; --out is written with
-# open(), not pathlib; a well-formed argv is parsed without argparse,
-# which imports gettext (and so locale) for its messages and shutil for
-# the terminal width, and which only -h and other argvs load
-UNUSED_ON_THE_COLD_PATH = (
-    "argparse", "cmath", "csv", "dataclasses", "decimal",
-    "fractions", "gettext", "heapq", "inspect", "json", "locale", "pathlib", "shutil",
-)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["enumerate", "--conductor", "7", "--format", "md"],
-        ["verify", "--conductor", "819", "--format", "json"],
-        ["table", "--format", "md"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_cold_command_leaves_unused_modules_unloaded(tmp_path, argv):
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = textwrap.dedent(
-        f"""
-        import sys
-        sys.path.insert(0, {str(src)!r})
-        from cubicperiods.cli import main
-        code = main({argv!r} + ["--out", {str(tmp_path / "r.out")!r}])
-        print(code, *sorted(set({UNUSED_ON_THE_COLD_PATH!r}) & set(sys.modules)))
-        """
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
-
-
-@pytest.mark.parametrize(
-    "argv,compiled",
-    [
-        (["enumerate", "--conductor", "7", "--format", "md"], "False"),
-        (["verify", "--conductor", "9"], "True"),
-    ],
-    ids=["enumerate", "verify"],
-)
-def test_only_verify_scan_and_table_compile_periods(tmp_path, argv, compiled):
-    # periods, which holds the Gaussian sums, imports groupring at its top,
-    # so groupring is loaded exactly when periods has run: a cold enumerate,
-    # the benchmark's set-up op, runs neither, and a cold verify runs both
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = textwrap.dedent(
-        f"""
-        import sys
-        sys.path.insert(0, {str(src)!r})
-        from cubicperiods.cli import main
-        code = main({argv!r} + ["--out", {str(tmp_path / "r.out")!r}])
-        print(code, "cubicperiods.groupring" in sys.modules)
-        """
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", compiled]
-
-
-def test_importing_the_package_registers_periods_without_running_it():
-    # the package root registers periods as a module that runs on its first
-    # attribute access, so a library caller, and a tracer that starts after
-    # the import, finds it in sys.modules with groupring still unloaded
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = textwrap.dedent(
-        f"""
-        import sys
-        sys.path.insert(0, {str(src)!r})
-        import cubicperiods
-        print(*(f"cubicperiods.{{name}}" in sys.modules for name in ("periods", "groupring")))
-        """
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False"]
-
-
 def test_no_function_imports_a_module_of_the_package():
     # periods is the one lazy boundary and the package root draws it, so
     # every module imports the package's modules at its top; the standard
-    # library's deferrals are what UNUSED_ON_THE_COLD_PATH checks
+    # library's deferrals are what cold_probe.COLD checks
     package = Path(cli.__file__).resolve().parent
     found = [
         f"{path.stem}.{fn.name}"
@@ -675,48 +491,13 @@ def test_no_function_imports_a_module_of_the_package():
     assert not found, found
 
 
-def test_cold_scan_parses_without_argparse(tmp_path):
-    # scan, in the shape of the benchmark's scan ops, takes the strict
-    # parser too
-    src = Path(__file__).resolve().parents[1] / "src"
-    argv = ["scan", "--min", "1", "--max", "30", "--kind", "wild", "--format", "csv"]
-    code = textwrap.dedent(
-        f"""
-        import sys
-        sys.path.insert(0, {str(src)!r})
-        from cubicperiods.cli import main
-        code = main({argv!r} + ["--out", {str(tmp_path / "r.csv")!r}])
-        print(code, *sorted({{"argparse", "gettext", "locale", "shutil"}} & set(sys.modules)))
-        """
-    )
+@pytest.mark.parametrize("row", COLD)
+def test_cold_interpreter(row):
+    probe = Path(__file__).with_name("cold_probe.py")
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", str(probe), row], capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
-
-
-def test_only_a_json_report_loads_the_json_encoder(tmp_path):
-    # render_json imports _json where it first runs: a markdown enumerate
-    # leaves it unloaded, and a JSON verify of 9 loads it (that periods, with
-    # the Gaussian sums, loads only when a field is matched is checked by
-    # test_only_verify_scan_and_table_compile_periods)
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = textwrap.dedent(
-        f"""
-        import sys
-        sys.path.insert(0, {str(src)!r})
-        from cubicperiods.cli import main
-        for argv in (["enumerate", "7", "--format", "md"], ["verify", "9"]):
-            main([argv[0], "--conductor", *argv[1:], "--out", {str(tmp_path / "r.out")!r}])
-            print("_json" in sys.modules)
-        """
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False", "True"]
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_csv_format(capsys):
