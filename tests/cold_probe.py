@@ -2,8 +2,9 @@
 
     python -S tests/cold_probe.py NAME
 
-runs the steps of COLD[NAME], in order, in this interpreter, and prints
-each cell that differs from what it observes; it exits 1 if any does.
+runs the steps of COLD[NAME], in order, in this interpreter, prints what
+it observes of each step as one line (source, loaded, ran, peak) on stdout
+and each step that differs from its row on stderr; it exits 1 if any does.
 tests/test_cli.py runs every row this way, and so does the CI golden job,
 which reads COLD from this file with ast.literal_eval.  The probe imports
 only sys, os and tracemalloc, none of WATCHED, and no module of the
@@ -98,9 +99,10 @@ def probe(name: str) -> int:
         traced = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         seen = (code, tuple(sorted(m for m in WATCHED if m in sys.modules)), periods_ran())
+        print(repr((source, *seen[1:], traced)))
         if seen != (0, loaded, ran) or traced > peak:
             print(f"{name}: {source}: exit, loaded and ran {seen}, peak {traced};"
-                  f" expected {(0, loaded, ran)}, peak at most {peak}")
+                  f" expected {(0, loaded, ran)}, peak at most {peak}", file=sys.stderr)
             failures += 1
     return failures
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from cold_probe import COLD
+from cold_probe import COLD, UNUSED_ON_THE_COLD_PATH
 from conftest import count_calls, generator_omega, points_of_e_alone
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,26 +335,70 @@ LEDGER = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv", LEDGER, ids=lambda argv: "-".join(w for w in argv.split() if w[0] != "-")
-)
-def test_ledger_of_calls(capsys, monkeypatch, argv):
+def ledger(capsys, monkeypatch, argv: str) -> dict:
+    """The calls that the LEDGER row argv makes of each function of COUNTED,
+    in the shape of its cells, the same on two runs in one process."""
     # periods is a lazy module: loaded first, its import cannot bind the
     # counting wrapper, which would count each call twice.  A second run in
     # one process makes the same calls: nothing keeps the records, the
     # cubes or the fields of a conductor
     assert periods.match_fields
     calls = {name: count_calls(monkeypatch, module, name) for name, module in COUNTED.items()}
-    expected = LEDGER[argv]
+    runs = []
     for _ in range(2):
         for seen in calls.values():
             seen.clear()
         assert run(capsys, argv.split())[0] == 0
-        ledger = {
-            name: [args[0] for args in seen] if isinstance(expected[name], list) else len(seen)
+        runs.append({
+            name: [args[0] for args in seen] if isinstance(LEDGER[argv][name], list) else len(seen)
             for name, seen in calls.items()
-        }
-        assert ledger == expected
+        })
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+@pytest.mark.parametrize(
+    "argv", LEDGER, ids=lambda argv: "-".join(w for w in argv.split() if w[0] != "-")
+)
+def test_ledger_of_calls(capsys, monkeypatch, argv):
+    assert ledger(capsys, monkeypatch, argv) == LEDGER[argv]
+
+
+# The tests below each read the cells of a LEDGER row that their name states
+VERIFY_15561 = "verify --conductor 15561 --format json"
+FIELDS = [(VERIFY_15561.split(), 8), (["table"], 4)]
+
+
+def test_verify_computes_each_gauss_sum_once_per_conductor(capsys, monkeypatch):
+    calls = ledger(capsys, monkeypatch, VERIFY_15561)
+    assert (calls["certified_trace"], calls["component_gauss_sums"]) == ([7, 13, 19], 1)
+
+
+@pytest.mark.parametrize("argv,fields", FIELDS)
+def test_each_field_derives_its_relation_once(capsys, monkeypatch, argv, fields):
+    assert ledger(capsys, monkeypatch, " ".join(argv))["shanks_params"] == fields
+
+
+@pytest.mark.parametrize("argv,fields", FIELDS)
+def test_each_field_builds_the_periods_of_its_own_kernel(capsys, monkeypatch, argv, fields):
+    calls = ledger(capsys, monkeypatch, " ".join(argv))
+    assert (calls["gaussian_periods"], calls["primitive_cubic_kernels"]) == (fields, 0)
+
+
+@pytest.mark.parametrize(
+    "argv,gauss_sums,closed_forms", [(VERIFY_15561.split(), 1, 8), (["table"], 1, 4)]
+)
+def test_cubes_once_per_conductor_and_closed_form_once_per_field(
+    capsys, monkeypatch, argv, gauss_sums, closed_forms
+):
+    calls = ledger(capsys, monkeypatch, " ".join(argv))
+    cells = (calls["component_gauss_sums"], calls["period_poly_formula"])
+    assert cells == (gauss_sums, closed_forms)
+
+
+@pytest.mark.parametrize("argv,primes", [(VERIFY_15561.split(), [7, 13, 19])])
+def test_each_prime_derives_its_omega_and_its_element_once(capsys, monkeypatch, argv, primes):
+    assert ledger(capsys, monkeypatch, " ".join(argv))["_prime_element"] == primes
 
 
 def test_open_trace_beyond_the_count_exits_2(capsys, monkeypatch):
@@ -491,13 +536,57 @@ def test_no_function_imports_a_module_of_the_package():
     assert not found, found
 
 
-@pytest.mark.parametrize("row", COLD)
-def test_cold_interpreter(row):
+@functools.cache
+def cold(row: str) -> tuple[int, str, list[tuple]]:
+    """The exit code and stderr of the probe of COLD[row] in a fresh
+    python -S, and what it observed of each step: (source, loaded, ran, peak)."""
     probe = Path(__file__).with_name("cold_probe.py")
     proc = subprocess.run(
         [sys.executable, "-S", str(probe), row], capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    steps = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+    return proc.returncode, proc.stderr, steps
+
+
+@pytest.mark.parametrize("row", COLD)
+def test_cold_interpreter(row):
+    code, err, _ = cold(row)
+    assert code == 0, err
+
+
+# The tests below each read the cells of a COLD row that their name states,
+# from the one probe of that row
+def test_cold_enumerate_allocates_under_a_megabyte():
+    source, _, _, peak = cold("enumerate-then-verify")[2][0]
+    assert source.startswith("enumerate ")
+    assert peak < 1_000_000, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("step", [0], ids=["enumerate"])
+def test_cold_command_leaves_unused_modules_unloaded(step):
+    source, loaded, _, _ = cold("enumerate-then-verify")[2][step]
+    assert set(loaded) & set(UNUSED_ON_THE_COLD_PATH) == set(), source
+
+
+@pytest.mark.parametrize("step,ran", [(0, False), (1, True)], ids=["enumerate", "verify"])
+def test_only_verify_scan_and_table_compile_periods(step, ran):
+    source, _, seen, _ = cold("enumerate-then-verify")[2][step]
+    assert seen is ran, source
+
+
+def test_only_a_json_report_loads_the_json_encoder():
+    steps = cold("enumerate-then-verify")[2]
+    assert [(source, "_json" in loaded) for source, loaded, _, _ in steps] == [
+        ("enumerate --conductor 7 --format md", False), ("verify --conductor 9", True)
+    ]
+
+
+@pytest.mark.parametrize("argv", [step[0].split() for step in COLD["one-after-another"]])
+def test_no_fraction_is_built_on_the_hot_path(argv):
+    # the exact identities and the Shanks cubics run in integers: after
+    # each command of the row, fractions is still unloaded
+    loaded = {source: loaded for source, loaded, _, _ in cold("one-after-another")[2]}
+    assert "fractions" not in loaded[" ".join(argv)]
 
 
 def test_csv_format(capsys):
