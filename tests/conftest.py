@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
@@ -10,7 +9,6 @@ from typing import NamedTuple
 import pytest
 
 from cubicperiods import (
-    CountMismatch,
     FactorizationMismatch,
     GeneratorFailure,
     RationalCubic,
@@ -33,13 +31,6 @@ from cubicperiods.eisenstein import (
 from cubicperiods.periods import PrimeRecord, jacobi_sum
 
 BOUND = 10_000
-
-
-def euler_phi(fac) -> int:
-    phi = 1
-    for p, e in fac:
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def sieve_moebius(limit: int) -> list[int]:
@@ -116,110 +107,8 @@ def generator_record(p: int) -> PrimeRecord:
 
 def generator_primes(cond) -> dict[int, PrimeRecord]:
     """Each odd prime p of the conductor mapped to generator_record(p), so
-    that kernels and characters are labelled at the smallest generators,
-    as by unit_group and coset_sets."""
+    that kernels and characters are labelled at the smallest generators."""
     return {p: generator_record(p) for p in cond.odd_primes}
-
-
-def generator_labels(cond, vector) -> tuple[int, ...]:
-    """A coefficient vector over the package's component characters chi_q,
-    chi_p named by the omega of eisenstein._prime_element(p), rewritten over
-    the characters chi_q(g_q) = zeta3 at the smallest generators g_q, by
-    which unit_group and coset_sets label; and back, as the map is its own
-    inverse.  Where the package's omega_p is the square of generator_omega(p),
-    chi_p is the square of the generator's character and coordinate p
-    doubles mod 3; mod 9 both take chi_9(2) = zeta3."""
-    doubled = [
-        q != 9 and _prime_element(q).omega != generator_omega(q) for q in _component_moduli(cond)
-    ]
-    return tuple(c * (1 + d) % 3 for c, d in zip(vector, doubled, strict=True))
-
-
-@dataclass(frozen=True)
-class UnitGroup:
-    """(Z/fZ)^x as a product of cyclic groups, one per prime-power factor."""
-
-    modulus: int
-    generators: tuple[tuple[int, int], ...]
-
-
-def unit_group(f) -> UnitGroup:
-    """The smallest generator of each CRT component of f, lifted to a
-    residue mod f that is 1 at the other components, with its order."""
-    gens = []
-    for q in _component_moduli(f):
-        g, order = generator(q)
-        rest = f.value // q
-        # lift to a residue that is g mod q and 1 mod f/q
-        lift = (1 + rest * ((g - 1) * pow(rest, -1, q) % q)) % f.value
-        gens.append((lift, order))
-    if math.prod(o for _, o in gens) != euler_phi(factorize(f.value)):
-        raise CountMismatch(f"component orders do not multiply to phi({f.value})")
-    return UnitGroup(f.value, tuple(gens))
-
-
-def index_classes(q: int) -> tuple[list[int], ...]:
-    """The units mod q of index 0, 1 and 2 mod 3, that is the powers g^j of
-    the smallest generator split by j mod 3."""
-    g, order = generator(q)
-    powers = []
-    x = 1
-    for _ in range(order):
-        powers.append(x)
-        x = x * g % q
-    return powers[0::3], powers[1::3], powers[2::3]
-
-
-def gaussian_sum(q: int, e: int) -> complex:
-    """Oracle: tau(chi) = sum over the units a mod q of chi(a) * exp(2*pi*i*a/q)
-    in floats, for chi(g) = zeta3^e at the smallest generator g mod q (q
-    prime or 9): sum over r of zeta3^(e*r) times the fsums of cos(2*pi*a/q)
-    and sin(2*pi*a/q) over the index class r.  O(q), with |tau|^2 = q
-    checked to 1e-6."""
-    if e not in (1, 2):
-        raise ValueError("a primitive cubic character has exponent 1 or 2")
-    step = 2 * math.pi / q
-    total = 0j
-    for r, units in enumerate(index_classes(q)):
-        angles = [step * a for a in units]
-        zeta_power = UNITS[e * r % 3].to_complex()  # zeta3^(e*r)
-        total += zeta_power * complex(
-            math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles))
-        )
-    assert abs(abs(total) ** 2 - q) < 1e-6, (q, e, total)
-    return total
-
-
-@functools.lru_cache(maxsize=4)
-def _units_by_label(cond) -> dict[tuple[int, ...], list[int]]:
-    """The units mod f grouped by label, built as products of powers of the
-    CRT-lifted generators of unit_group: a = prod g_i^e_i has label
-    (e_i mod 3)."""
-    f = cond.value
-    gens = unit_group(cond).generators
-    classes = {(): [1 % f]}
-    for g, order in gens:
-        powers = [1]
-        for _ in range(order - 1):
-            powers.append(powers[-1] * g % f)
-        classes = {
-            label + (r,): [a * p % f for a in units for p in powers[r::3]]
-            for label, units in classes.items()
-            for r in range(3)
-        }
-    # distinct units, phi(f) of them (unit_group checks the orders against phi)
-    units = [a for group in classes.values() for a in group]
-    assert len(set(units)) == len(units) == math.prod(o for _, o in gens)
-    return classes
-
-
-def coset_sets(cond, vector) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """The kernel of the coefficient vector and its two cosets, as residue
-    sets: coset j holds the units whose label l satisfies vector . l = j mod 3."""
-    cosets: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for label, units in _units_by_label(cond).items():
-        cosets[sum(c * e for c, e in zip(vector, label)) % 3].extend(units)
-    return tuple(frozenset(c) for c in cosets)
 
 
 # The count reads the primes below isqrt(p) + 1 <= 3163 for a prime p below
@@ -547,9 +436,8 @@ def jacobi_by_bsgs(p: int) -> EisensteinInt:
 
 def cubic_residue_character(p: int, pi: EisensteinInt) -> int:
     """Oracle: the exponent e with g^((p-1)/3) = zeta3^e mod pi at the
-    smallest generator g mod p, for a prime element pi of norm p, with
-    omega = -a/b mod p the residue of zeta3 mod pi = a + b*zeta3."""
-    omega = -pi.a * pow(pi.b, -1, p) % p
+    smallest generator g mod p, for a prime element pi of norm p."""
+    omega = zeta3_residue(pi)
     return {omega: 1, omega * omega % p: 2}[pow(generator(p)[0], (p - 1) // 3, p)]
 
 
@@ -647,38 +535,153 @@ def factor_rhs(r) -> tuple[int | None, list[EisensteinInt]]:
 
 
 def character_by_definition(f, sign, pis) -> dict[int, int]:
-    """chi(a) as an exponent of zeta3 for every unit a mod f, evaluated
-    residue by residue from the definitions and glued by the CRT.
+    """chi(a) as an exponent of zeta3 for every unit a mod f, from the
+    definitions of its components: sign*(a^2 - 1)/3 mod 3 at 9, when 9 | f,
+    and at p = N(pi) the e with a^((p-1)/3) = omega^e mod p, for omega =
+    zeta3_residue(pi).  (sign, pis) is what factor_rhs returns for a pair."""
+    chi = {}
+    for a in range(1, f):
+        if math.gcd(a, f) == 1:
+            e = sign * ((a * a % 9 - 1) // 3) if f % 9 == 0 else 0
+            for pi in pis:
+                p, omega = pi.norm(), zeta3_residue(pi)
+                e += {1: 0, omega: 1, omega * omega % p: 2}[pow(a, (p - 1) // 3, p)]
+            chi[a] = e % 3
+    return chi
 
-    The component mod 9 (present when 9 | f) is sign*(a^2 - 1)/3 mod 3.  The
-    component mod p = N(pi) is the e with a^((p-1)/3) = omega^e mod p,
-    where omega = -pi.a/pi.b is the residue of zeta3 mod pi, taken once per
-    coset of the cubes mod p.  The pair (sign, pis) is what the factor_rhs
-    oracle returns for a representation.
-    """
-    components = []
-    if f % 9 == 0:
-        components.append((9, {a: sign * ((a * a - 1) // 3) % 3 for a in (1, 2, 4, 5, 7, 8)}))
-    for pi in pis:
-        p = pi.norm()
-        omega = -pi.a * pow(pi.b, -1, p) % p
-        exponent_of = {1: 0, omega: 1, omega * omega % p: 2}
-        # a^((p-1)/3) is 1 at the cubes, so it is b^((p-1)/3) on b times them
-        cubes = {x * x * x % p for x in range(1, p)}
-        chi: dict[int, int] = {}
-        for b in range(1, p):
-            if b not in chi:
-                e = exponent_of[pow(b, (p - 1) // 3, p)]
-                chi.update((b * c % p, e) for c in cubes)
-        components.append((p, chi))
-    # The table of component q, with 9 at the non-units, repeated f/q times
-    # holds chi_q(a mod q) at byte a.  The tables of all components add
-    # without carry, so byte a of the sum is the sum of the chi_q(a mod q),
-    # 9 or more exactly when a is no unit.
-    total = 0
-    for q, chi in components:
-        total += int.from_bytes(bytes(chi.get(a, 9) for a in range(q)) * (f // q), "little")
-    return {a: s % 3 for a, s in enumerate(total.to_bytes(f, "little")) if s < 9}
+
+# The exact oracle of the periods and Gaussian sums.  A prime ell = 1 mod m
+# splits completely in Q(zeta_m), so the sums of roots of unity that define
+# them are exact sums in F_ell.  A character is named, component by
+# component, by an omega_q: chi_q(a) = zeta3^e when a^(phi(q)/3) = omega_q^e
+# mod q, for q prime or 9.  No Gaussian sum, Jacobi sum, closed form or
+# character of the package is read.
+
+
+@functools.lru_cache(maxsize=256)
+def split_prime(m: int, floor: int) -> int:
+    """The least prime ell = 1 mod m above floor."""
+    ell = floor + 1 + (-floor) % m
+    while not miller_rabin(ell):
+        ell += m
+    return ell
+
+
+@functools.lru_cache(maxsize=256)
+def root_of_unity(m: int, ell: int) -> int:
+    """The first x^((ell - 1)/m), x = 2, 3, ..., of order m mod ell."""
+    primes = [p for p, _ in factorize(m)]
+    for x in itertools.count(2):
+        z = pow(x, (ell - 1) // m, ell)
+        if all(pow(z, m // p, ell) != 1 for p in primes):
+            return z
+
+
+@functools.lru_cache(maxsize=64)
+def index_sums(q: int, z: int, ell: int) -> list[int]:
+    """B[r] = sum of z^a mod ell over the units a = g^i mod q with i = r mod
+    3, g the smallest generator mod q and z a q-th root of unity: O(q)."""
+    g, order = generator(q)
+    powers = [1] * q
+    for a in range(1, q):
+        powers[a] = powers[a - 1] * z % ell
+    units = [1] * order
+    for i in range(1, order):
+        units[i] = units[i - 1] * g % q
+    return [sum(map(powers.__getitem__, units[r::3])) % ell for r in range(3)]
+
+
+def character_sums(q: int, omega: int, z: int, ell: int) -> list[int]:
+    """S[r] = sum of z^a mod ell over the units a mod q with chi(a) = zeta3^r
+    for the chi that omega names: B[e*r] of index_sums, as chi(g^i) =
+    zeta3^(e*i) for g^(phi(q)/3) = omega^e, and e*e = 1 mod 3."""
+    g, order = generator(q)
+    e = {omega: 1, omega * omega % q: 2}[pow(g, order // 3, q)]
+    base = index_sums(q, z, ell)
+    return [base[e * r % 3] for r in range(3)]
+
+
+@functools.lru_cache(maxsize=None)
+def periods_mod_ell(cond, labels) -> tuple[int, tuple[int, int, int]]:
+    """Oracle: (ell, (eta_0, eta_1, eta_2)), eta_j the sum of z^a mod ell
+    over the units a mod f with chi(a) = zeta3^j, for the least prime ell = 1
+    mod 3f above 4f^2, z = root_of_unity(f, ell) and chi the product of the
+    chi_q that labels name, one omega_q per component (_component_moduli).
+
+    By the CRT a = sum of a_q*e_q over the idempotents e_q (1 mod q, 0 mod
+    f/q), so z^a = prod z_q^(a_q) for z_q = z^(e_q): the periods are the
+    convolution over Z/3 of the character_sums of the components, O(sum of
+    q) and not O(f).  As |eta_j| <= (1 + 2*sqrt(f))/3, every symmetric
+    function of the periods is an integer below f^2 < ell/4 in absolute
+    value, its centered residue."""
+    f = cond.value
+    ell = split_prime(3 * f, 4 * f * f)
+    z = root_of_unity(f, ell)
+    etas = (1, 0, 0)
+    for q, omega in zip(_component_moduli(cond), labels, strict=True):
+        rest = f // q
+        s = character_sums(q, omega, pow(z, rest * pow(rest, -1, q), ell), ell)
+        etas = tuple(sum(etas[r] * s[(j - r) % 3] for r in range(3)) % ell for j in range(3))
+    return ell, etas
+
+
+def centered(x: int, ell: int) -> int:
+    """The residue of x mod ell in (-ell/2, ell/2)."""
+    x %= ell
+    return x - ell if 2 * x > ell else x
+
+
+def period_poly_mod_ell(cond, labels) -> RationalCubic:
+    """Oracle: X^3 - e1*X^2 + e2*X - e3 over the periods of periods_mod_ell."""
+    ell, (a, b, c) = periods_mod_ell(cond, labels)
+    e1, e2, e3 = (centered(e, ell) for e in (a + b + c, a * b + b * c + c * a, a * b * c))
+    return RationalCubic(1, -e1, e2, -e3)
+
+
+def zeta3_residue(pi: EisensteinInt) -> int:
+    """omega = -pi.a/pi.b mod p = N(pi), the residue of zeta3 mod pi, which
+    names the cubic residue character mod pi."""
+    p = pi.norm()
+    return -pi.a * pow(pi.b, -1, p) % p
+
+
+def pair_labels(r) -> tuple[int, ...]:
+    """The labels of the pair's own character, from its definition: at p the
+    zeta3_residue of the pi_p of factor_rhs, at 9 the omega_9 = 4^sign mod 9
+    of chi_9(a) = zeta3^(sign*(a^2 - 1)/3), as a^2 = 4^e when (a^2 - 1)/3 = e."""
+    sign, pis = factor_rhs(r)
+    omegas = {pi.norm(): zeta3_residue(pi) for pi in pis}
+    if sign is not None:
+        omegas[9] = pow(4, sign % 3, 9)
+    return tuple(omegas[q] for q in _component_moduli(r.conductor))
+
+
+def kernel_labels(cond, vector) -> tuple[int, ...]:
+    """The labels of the package's coefficient vector, prod chi_q^(c_q), with
+    chi_p named by the package's omega_p (eisenstein._prime_element) and
+    chi_9(2) = zeta3, so omega_9 = 2^2 = 4; chi_q^c is named by omega_q^c."""
+    return tuple(
+        pow(4 if q == 9 else _prime_element(q).omega, c, q)
+        for q, c in zip(_component_moduli(cond), vector, strict=True)
+    )
+
+
+def gauss_field(q: int) -> tuple[int, int, int]:
+    """(ell, z, w): the least prime ell = 1 mod 3q above 4q^3, and the images
+    z = Z^3 of zeta_q and w = Z^q of zeta3 at Z = root_of_unity(3q, ell).  Two
+    elements of Z[zeta3] of absolute value at most q^(3/2), as tau^3 and q*J,
+    differ by one of norm at most 4q^3 < ell, which maps to 0 only if it is 0."""
+    ell = split_prime(3 * q, 4 * q**3)
+    root = root_of_unity(3 * q, ell)
+    return ell, pow(root, 3, ell), pow(root, q, ell)
+
+
+def gauss_sum_mod_ell(q: int, omega: int, field: tuple[int, int, int]) -> int:
+    """Oracle: tau(chi) = sum over the units a mod q of chi(a)*zeta_q^a, for
+    the chi that omega names, in a field (ell, z, w) of gauss_field."""
+    ell, z, w = field
+    s = character_sums(q, omega, z, ell)
+    return (s[0] + w * s[1] + w * w * s[2]) % ell
 
 
 def shanks_poly(n: int | Fraction) -> RationalCubic:
@@ -818,19 +821,20 @@ def unit_list_p3(wild: bool) -> list[GroupRingElement]:
 
 
 class ConjugateVector(NamedTuple):
-    """(x, s(x), s^2(x)) for an algebraic number x of a matched field."""
+    """(x, s(x), s^2(x)) for an algebraic number x of a matched field, as
+    floats or, exactly, as Fractions."""
 
-    x0: float
-    x1: float
-    x2: float
+    x0: float | Fraction
+    x1: float | Fraction
+    x2: float | Fraction
 
-    def values(self) -> tuple[float, float, float]:
+    def values(self) -> tuple:
         return (self.x0, self.x1, self.x2)
 
 
 def apply(x: GroupRingElement, v: ConjugateVector) -> ConjugateVector:
-    """Linear action: s shifts coordinates cyclically."""
-    c0, c1, c2 = float(x.c0), float(x.c1), float(x.c2)
+    """Linear action: s shifts coordinates cyclically.  Exact on Fractions."""
+    c0, c1, c2 = x
     return ConjugateVector(
         c0 * v.x0 + c1 * v.x1 + c2 * v.x2,
         c0 * v.x1 + c1 * v.x2 + c2 * v.x0,

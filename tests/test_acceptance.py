@@ -9,16 +9,15 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
 from conftest import (
-    ONE,
     ConjugateVector,
+    ShanksRootRing,
     apply,
-    coset_sets,
-    gr_mul,
-    idempotents,
     irreducibility_criterion,
     is_irreducible_cubic,
+    kernel_labels,
+    paper_relation,
+    period_poly_mod_ell,
     shanks_poly,
     sieve_moebius,
     unit_list_p3,
@@ -32,7 +31,6 @@ from cubicperiods import (
     primitive_cubic_kernels,
     representations,
     shanks_params,
-    shanks_roots,
     substitute_affine,
     verify_main_identity,
     verify_sign_congruences,
@@ -130,11 +128,16 @@ def test_criterion_6_counting(conductors_10k, all_records_10k):
         for cond in conductors_10k:
             expected = 2 ** (cond.nu - 1) if cond.kind == "tame" else 2**cond.nu
             reps = representations(cond)
-            kernels = [coset_sets(cond, v)[0] for v in primitive_cubic_kernels(cond)]
+            kernels = primitive_cubic_kernels(cond)
             records = all_records_10k[cond.value]
             assert len(reps) == len(kernels) == len(records) == expected
-            assert {coset_sets(cond, rec.periods.kernel)[0] for rec in records} == set(kernels)
+            assert {rec.periods.kernel for rec in records} == set(kernels)
             assert {rec.representation for rec in records} == set(reps)
+            # the kernels cut out distinct fields: from the definition of the
+            # periods, in F_ell, one period polynomial per kernel and per pair
+            polys = {period_poly_mod_ell(cond, kernel_labels(cond, v)) for v in kernels}
+            assert polys == {rec.period_poly for rec in records}
+            assert len(polys) == expected
 
 
 def test_criterion_7_sign_congruences(conductors_10k, all_records_10k):
@@ -154,21 +157,26 @@ def test_criterion_8_group_ring_suite(all_records_10k):
         tame_units = unit_list_p3(wild=False)
         wild_units = unit_list_p3(wild=True)
         assert len(tame_units) == 6 and len(wild_units) == 12
-        e1, _ = idempotents()
-        flip = ONE - 2 * e1
-        assert gr_mul(flip, flip) == ONE
+        signs = [(s, t) for s in (1, -1) for t in (1, -1)]
         checked = 0
         for value, records in all_records_10k.items():
             if value > 1000 or not records[0].conductor.is_wild:
                 continue
             for rec in records:
+                # the twelve units on alpha + 1 in Q[rho]/(f_n), alpha_j =
+                # n2*rho_j + shift: exactly the twelve +-alpha^(i) +- 1
                 sp = rec.shanks_params
-                roots = shanks_roots(sp)
-                alphas = [sp.n2 * rho - sp.n1 / 3 for rho in roots]
-                plus_one = ConjugateVector(*(a + 1 for a in alphas))
-                flipped = apply(flip, plus_one)
-                expected = [a - 1 for a in alphas]
-                assert flipped.values() == pytest.approx(expected, abs=TOLERANCE)
+                ring = ShanksRootRing(sp.n1, sp.n2)
+                _, shift = paper_relation(rec.conductor, sp.n1)
+                alphas = [ring.add(ring.scale(sp.n2, r), ring.const(shift)) for r in ring.roots()]
+                plus_one = [ring.add(a, ring.const(1)) for a in alphas]
+                # the action on each coordinate over 1, rho, rho^2
+                coordinates = [ConjugateVector(*(v[k] for v in plus_one)) for k in range(3)]
+                images = {tuple(apply(u, c).x0 for c in coordinates) for u in wild_units}
+                expected = {
+                    ring.add(ring.scale(s, a), ring.const(t)) for a in alphas for s, t in signs
+                }
+                assert len(expected) == 12 and images == expected, (value, sp)
                 checked += 1
         assert checked > 0
 

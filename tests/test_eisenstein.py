@@ -1,4 +1,3 @@
-import cmath
 import functools
 import itertools
 import math
@@ -16,13 +15,13 @@ from conftest import (
     COUNT_PRIMES,
     canonical_associate,
     character_by_definition,
-    coset_sets,
     count_calls,
     cubic_residue_character,
     eis_gcd,
     exact_div,
     factor_rhs,
-    gaussian_sum,
+    gauss_field,
+    gauss_sum_mod_ell,
     generator,
     generator_omega,
     generator_primes,
@@ -34,7 +33,7 @@ from conftest import (
     points_of_e_alone,
     prime_element,
     refute_trace_proof,
-    unit_group,
+    zeta3_residue,
 )
 
 import cubicperiods
@@ -51,7 +50,7 @@ from cubicperiods import (
     validate_conductor,
 )
 from cubicperiods import periods
-from cubicperiods.arith import MR_BOUND, _primes_below, is_probable_prime
+from cubicperiods.arith import MR_BOUND, _component_moduli, _primes_below, is_probable_prime
 from cubicperiods.eisenstein import (
     UNITS,
     ZETA,
@@ -262,6 +261,16 @@ def level_sets(chi: dict[int, int]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(a for a, e in chi.items() if e == j) for j in range(3))
 
 
+def exponents_at_generators(r) -> tuple[int, ...]:
+    """The pair's own character, from its definition (factor_rhs), as its
+    exponents at the smallest generator of each component: O(nu)."""
+    sign, pis = factor_rhs(r)
+    exponents = {pi.norm(): cubic_residue_character(pi.norm(), pi) for pi in pis}
+    if sign is not None:
+        exponents[9] = sign % 3  # chi_9(2) = zeta3^sign
+    return tuple(exponents[q] for q in _component_moduli(r.conductor))
+
+
 def test_chi9_table():
     plus = character_by_definition(9, 1, [])
     assert plus == {1: 0, 2: 1, 4: 2, 5: 2, 7: 1, 8: 0}
@@ -269,9 +278,7 @@ def test_chi9_table():
     assert all((plus[a] + minus[a]) % 3 == 0 for a in plus)
     # the exponent at the generator 2 fixes the whole character
     assert (chi9(1), chi9(-1)) == (plus[2], minus[2]) == (1, 2)
-    assert level_sets(plus) == coset_sets(F9, (chi9(1),))
-    assert level_sets(minus) == coset_sets(F9, (chi9(-1),))
-    assert coset_sets(F9, (chi9(1),))[0] == frozenset({1, 8})
+    assert level_sets(plus)[0] == level_sets(minus)[0] == frozenset({1, 8})
 
 
 def test_cubic_residue_character_mod7():
@@ -281,7 +288,8 @@ def test_cubic_residue_character_mod7():
     for a in range(1, 7):
         for b in range(1, 7):
             assert (chi[a] + chi[b]) % 3 == chi[a * b % 7]
-    assert level_sets(chi) == coset_sets(F7, (cubic_residue_character(7, pi),))
+    # the exponent at the smallest generator 3 fixes the whole character
+    assert chi[generator(7)[0]] == cubic_residue_character(7, pi)
     conj = character_by_definition(7, None, [pi.conjugate()])
     assert all((chi[a] + conj[a]) % 3 == 0 for a in range(1, 7))
     e, e_conj = (cubic_residue_character(7, x) for x in (pi, pi.conjugate()))
@@ -295,23 +303,25 @@ def test_cubic_residue_character_mod7():
 
 
 def test_gaussian_sum_modulus():
+    # tau(chi)*tau(chi^2) = chi(-1)*7 = 7, and tau(chi) is the sum over the
+    # definition's table of chi, exactly in F_ell (conftest.gauss_field)
     pi = EisensteinInt(3, 2)
-    tau = gaussian_sum(7, cubic_residue_character(7, pi))
-    assert abs(abs(tau) ** 2 - 7) < 1e-9
+    ell, z, w = field = gauss_field(7)
+    omega = zeta3_residue(pi)
+    tau, tau_bar = (gauss_sum_mod_ell(7, x, field) for x in (omega, omega * omega % 7))
+    assert tau * tau_bar % ell == 7
     direct = sum(
-        cmath.exp(2j * cmath.pi * (a / 7 + e / 3))
-        for a, e in character_by_definition(7, None, [pi]).items()
+        pow(w, e, ell) * pow(z, a, ell) for a, e in character_by_definition(7, None, [pi]).items()
     )
-    assert abs(tau - direct) < 1e-9
-    with pytest.raises(ValueError):
-        gaussian_sum(7, 0)  # the trivial character is not primitive
+    assert tau == direct % ell
 
 
 def test_gaussian_sum_normalization_mod7():
     # -tau^3 = 7 * pi for the primary prime attached to the character
     pi = primary_associate(EisensteinInt(3, 2))
-    tau = gaussian_sum(7, cubic_residue_character(7, pi))
-    assert abs(-(tau**3) - 7 * pi.to_complex()) < 1e-6
+    ell, _, w = field = gauss_field(7)
+    tau = gauss_sum_mod_ell(7, zeta3_residue(pi), field)
+    assert -pow(tau, 3, ell) % ell == 7 * (pi.a + pi.b * w) % ell
 
 
 def test_chi9_gauss_sum_cube_matches():
@@ -326,10 +336,14 @@ def test_chi9_gauss_sum_cube_matches():
         for k, c in enumerate(tau):
             conj[-k % 9] += c
         assert z9_product(tau, conj) == (9, 0, 0, 0, 0, 0)
-        # the exact coordinates against the float O(q) sum
-        zeta9 = cmath.exp(2j * cmath.pi / 9)
-        exact = sum(c * zeta9**k for k, c in enumerate(tau))
-        assert abs(exact - gaussian_sum(9, chi9(sign))) < 1e-12
+        # the coordinates against the definition, in F_ell at each of the
+        # six embeddings zeta9 -> z^u, so exactly; omega_9 = 4^chi9(sign)
+        ell, z, _ = gauss_field(9)
+        for u in (1, 2, 4, 5, 7, 8):
+            zu = pow(z, u, ell)
+            coordinates = sum(c * pow(zu, k, ell) for k, c in enumerate(tau)) % ell
+            field = ell, zu, pow(zu, 3, ell)
+            assert gauss_sum_mod_ell(9, pow(4, chi9(sign), 9), field) == coordinates, u
 
 
 def z9_product(x, y) -> tuple[int, ...]:
@@ -347,9 +361,10 @@ def z9_product(x, y) -> tuple[int, ...]:
 
 def test_character_for_representation_nine():
     r = representations(F9)[0]
+    sign, pis = factor_rhs(r)
     vector = character_for_representation(r, generator_primes(F9))
-    assert len(vector) == 1 and coset_sets(F9, vector)[0] == frozenset({1, 8})
-    assert level_sets(character_by_definition(9, *factor_rhs(r))) == coset_sets(F9, vector)
+    assert vector == (chi9(sign),) == exponents_at_generators(r)
+    assert level_sets(character_by_definition(9, sign, pis))[0] == frozenset({1, 8})
 
 
 def test_character_kernels_have_index_three():
@@ -359,7 +374,8 @@ def test_character_kernels_have_index_three():
         for r in representations(cond):
             chi = character_by_definition(f, *factor_rhs(r))
             vector = character_for_representation(r, generator_primes(cond))
-            assert level_sets(chi) == coset_sets(cond, vector)
+            assert vector == exponents_at_generators(r)
+            assert all(e != 0 for e in vector)
             kern = level_sets(chi)[0]
             assert len(kern) * 3 == len(chi)
             # exhaustively multiplicative, with order exactly 3
@@ -367,31 +383,17 @@ def test_character_kernels_have_index_three():
                 for b in chi:
                     assert (chi[a] + chi[b]) % 3 == chi[a * b % f]
             assert any(e != 0 for e in chi.values())
-            # primitive: nontrivial on every prime-power component, probed on
-            # the CRT-lifted generator of each component, where chi takes
-            # the exponent that the vector holds
-            lifts = [lift for lift, _ in unit_group(cond).generators]
-            assert [chi[lift] for lift in lifts] == list(vector)
-            assert all(e != 0 for e in vector)
             kernels.add(kern)
         assert len(kernels) == len(representations(cond))
 
 
 def test_characters_of_all_wild_conductors(wild_records_10k):
+    # the package's character of each wild pair against the pair's own
+    # character from its definition, component by component
     for rec in wild_records_10k:
-        cond = rec.conductor
-        f = cond.value
-        chi = character_by_definition(f, *factor_rhs(rec.representation))
-        assert 3 * len(level_sets(chi)[0]) == len(chi)
-        # multiplicativity against each component generator implies it in full
-        lifts = [g for g, _ in unit_group(cond).generators]
-        for a in chi:
-            for g in lifts:
-                assert (chi[a] + chi[g]) % 3 == chi[a * g % f]
-        vector = character_for_representation(rec.representation, generator_primes(cond))
-        assert level_sets(chi) == coset_sets(cond, vector)
-        tau = sum(cmath.exp(2j * cmath.pi * (a / f + e / 3)) for a, e in chi.items())
-        assert abs(abs(tau) ** 2 - f) < 1e-6
+        r = rec.representation
+        vector = character_for_representation(r, generator_primes(rec.conductor))
+        assert vector == exponents_at_generators(r), (rec.conductor.value, r.M)
 
 
 def _smallest_generator(p: int) -> int:
@@ -408,7 +410,7 @@ def test_prime_components_are_powers_at_the_generator(wild_records_10k):
         vector = character_for_representation(rec.representation, generator_primes(cond))
         exponents = dict(zip(moduli, vector))
         for p, pi in zip(cond.odd_primes, pis):
-            omega = -pi.a * pow(pi.b, -1, p) % p
+            omega = zeta3_residue(pi)
             g = _smallest_generator(p)
             e = exponents[p]
             for j in range(p - 1):
@@ -431,7 +433,7 @@ def test_prime_element_is_a_primary_prime_of_norm_p():
             if a * a - a * b + b * b == p and a % 3 == 1 and b % 3 == 0
         }
         assert primary == {pi, pi.conjugate()}
-        omega = -pi.a * pow(pi.b, -1, p) % p
+        omega = zeta3_residue(pi)
         assert omega != 1 and pow(omega, 3, p) == 1
 
 
@@ -506,16 +508,24 @@ def test_index_table_refuses_a_prime_beyond_the_prime_table():
         index_table(p)
 
 
-def test_float_gauss_sum_cubed_is_p_times_jacobi():
-    # tau(chi)^3 = p * J(chi, chi) against the O(p) float sum, for both
-    # characters of every prime = 1 mod 3 below 3000
+def test_gauss_sum_cubed_is_q_times_jacobi():
+    # tau(chi)^3 = q*J(chi, chi) and tau(chi^2)^3 its conjugate, exactly in
+    # F_ell, for both characters of every prime = 1 mod 3 below 3000, and
+    # mod 9 against the cube that periods multiplies out in Z[zeta9]
+    cases = []
     for p in PRIMES_1_MOD_3:
         if p > 3000:
             break
-        cube = p * jacobi_sum(p, generator_omega(p))[0]
-        for e, expected in ((1, cube), (2, cube.conjugate())):
-            tau = gaussian_sum(p, e)
-            assert abs(tau**3 - expected.to_complex()) < 1e-6, (p, e)
+        omega = generator_omega(p)
+        cube = p * jacobi_sum(p, omega)[0]
+        cases += [(p, omega, cube), (p, omega * omega % p, cube.conjugate())]
+    for sign in (1, -1):
+        cases.append((9, pow(4, chi9(sign), 9), chi9_gauss_sum_report(sign)["tau_cubed"]))
+    assert len(cases) == 2 * 207 + 2
+    for q, omega, cube in cases:
+        ell, _, w = field = gauss_field(q)
+        tau = gauss_sum_mod_ell(q, omega, field)
+        assert pow(tau, 3, ell) == (cube.a + cube.b * w) % ell, (q, omega)
 
 
 def test_points_equal_the_count():

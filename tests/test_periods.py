@@ -9,18 +9,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import conftest
 from conftest import (
-    character_by_definition,
+    centered,
     closed_form_period_poly,
-    coset_sets,
-    factor_rhs,
     fraction_identities,
-    generator_labels,
     generator_omega,
     generator_primes,
+    kernel_labels,
+    pair_labels,
+    period_poly_mod_ell,
+    periods_mod_ell,
+    root_of_unity,
     shanks_poly,
     shanks_root_oracle,
-    unit_group,
 )
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -76,47 +78,29 @@ WILD_VERDICTS = [
 ]
 
 
-def test_unit_group_examples():
-    assert unit_group(F9).generators == ((2, 6),)
-    assert unit_group(F7).generators == ((3, 6),)
-    gens = unit_group(F63).generators
-    assert tuple(o for _, o in gens) == (6, 6)
-    for g, order in gens:
-        assert pow(g, order, 63) == 1
-        assert all(pow(g, order // p, 63) != 1 for p in (2, 3))
+def is_kernel_sum(cond, kernel, residues) -> bool:
+    """Whether eta_0 of the kernel vector (conftest.periods_mod_ell) is the
+    sum of z^a over the residues a, in F_ell."""
+    ell, etas = periods_mod_ell(cond, kernel_labels(cond, kernel))
+    z = root_of_unity(cond.value, ell)
+    return etas[0] == sum(pow(z, a, ell) for a in residues) % ell
 
 
 def test_kernels_examples():
+    # the one kernel mod 9 and mod 7 is {1, -1}, and the four kernels of 819
+    # cut out four fields: four period polynomials, from the definition
     assert primitive_cubic_kernels(F9) == [(1,)]
-    assert coset_sets(F9, (1,))[0] == frozenset({1, 8})
+    assert is_kernel_sum(F9, (1,), {1, 8})
     assert primitive_cubic_kernels(F7) == [(1,)]
-    assert coset_sets(F7, (1,))[0] == frozenset({1, 6})
-    kernels = [coset_sets(F819, k)[0] for k in primitive_cubic_kernels(F819)]
-    assert len(kernels) == 4
-    assert all(len(k) == 432 // 3 for k in kernels)
-    assert len(set(kernels)) == 4
-
-
-def test_kernels_contain_minus_one():
-    for cond in (F9, F7, F63, F819):
-        for vector in primitive_cubic_kernels(cond):
-            assert (cond.value - 1) in coset_sets(cond, vector)[0]
-
-
-def test_prime_kernel_equals_cubes():
-    # independent characterization: for a prime-power conductor the unique
-    # kernel is the set of cubes of units
-    for f in (7, 13, 19, 31, 61, 9):
-        cond = validate_conductor(f)
-        (vector,) = primitive_cubic_kernels(cond)
-        cubes = {pow(x, 3, f) for x in range(1, f) if math.gcd(x, f) == 1}
-        assert coset_sets(cond, vector)[0] == cubes
+    assert is_kernel_sum(F7, (1,), {1, 6})
+    kernels = primitive_cubic_kernels(F819)
+    assert len({period_poly_mod_ell(F819, kernel_labels(F819, k)) for k in kernels}) == 4
 
 
 def test_gaussian_periods_nine():
     (kernel,) = primitive_cubic_kernels(F9)
     pt = gaussian_periods(F9, kernel, component_gauss_sums(F9, generator_primes(F9)))
-    assert coset_sets(F9, pt.kernel)[0] == frozenset({1, 8})
+    assert is_kernel_sum(F9, pt.kernel, {1, 8})
     expected = sorted((2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4)), reverse=True)
     assert pt.values() == pytest.approx(expected, abs=1e-12)
     assert pt.values() == pytest.approx(
@@ -127,40 +111,8 @@ def test_gaussian_periods_nine():
 def test_gaussian_periods_seven_sum():
     (kernel,) = primitive_cubic_kernels(F7)
     pt = gaussian_periods(F7, kernel, component_gauss_sums(F7, generator_primes(F7)))
-    assert coset_sets(F7, pt.kernel)[0] == frozenset({1, 6})
+    assert is_kernel_sum(F7, pt.kernel, {1, 6})
     assert sum(pt.values()) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_period_sum_partition():
-    for cond in conductors_up_to(500):
-        expected = 0 if cond.kind == "wild" else (-1) ** cond.nu
-        units = {a for a in range(1, cond.value) if math.gcd(a, cond.value) == 1}
-        cubes = component_gauss_sums(cond, generator_primes(cond))
-        for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
-            cosets = coset_sets(cond, pt.kernel)
-            assert set().union(*cosets) == units
-            assert sum(map(len, cosets)) == len(units)
-            assert sum(pt.values()) == pytest.approx(expected, abs=1e-9 * cond.value)
-
-
-def test_periods_equal_direct_cosine_sums():
-    # the periods from the component Gaussian sums against the definition:
-    # O(f) cosine sums over the materialized kernel and cosets of each
-    # coefficient vector, at every f <= 2000 and at larger fixed conductors
-    large = [validate_conductor(f) for f in (15561, 53599, 60433, 73237, 482391)]
-    for cond in conductors_up_to(2000) + large:
-        cubes = component_gauss_sums(cond, generator_primes(cond))
-        for kernel in primitive_cubic_kernels(cond):
-            pt = gaussian_periods(cond, kernel, cubes)
-            assert pt.kernel == kernel
-            direct = sorted(
-                (
-                    sum(math.cos(2 * math.pi * a / cond.value) for a in coset)
-                    for coset in coset_sets(cond, pt.kernel)
-                ),
-                reverse=True,
-            )
-            assert list(pt.values()) == pytest.approx(direct, abs=1e-9)
 
 
 @pytest.mark.parametrize("f", [85276009, 767484081])
@@ -537,29 +489,6 @@ def test_sign_congruences_rejects_tame():
         verify_sign_congruences(rec)
 
 
-def test_coset_relabeling_leaves_multiset_invariant():
-    # computing the three fiber sums directly, in any labeling, must give
-    # the same multiset as the sorted PeriodTriple
-    for cond in (F9, F7, F63):
-        cubes = component_gauss_sums(cond, generator_primes(cond))
-        for pt in [gaussian_periods(cond, k, cubes) for k in primitive_cubic_kernels(cond)]:
-            fv = cond.value
-            kern = coset_sets(cond, pt.kernel)[0]
-            units = [a for a in range(1, fv) if math.gcd(a, fv) == 1]
-            outside = [a for a in units if a not in kern]
-            for rep_choice in outside[:3]:
-                coset1 = {rep_choice * h % fv for h in kern}
-                coset2 = set(units) - set(kern) - coset1
-                sums = sorted(
-                    (
-                        sum(math.cos(2 * math.pi * a / fv) for a in group)
-                        for group in (kern, coset1, coset2)
-                    ),
-                    reverse=True,
-                )
-                assert sums == pytest.approx(list(pt.values()), abs=1e-9)
-
-
 def test_kernel_character_cross_check_wild(wild_records_10k):
     # with the omega_p of the package's records, which label the kernels of
     # match_fields
@@ -719,23 +648,77 @@ def test_periods_do_not_depend_on_which_omega_labels_the_characters(monkeypatch)
     assert kernels > 0 and cubes > 0
 
 
-def test_glued_character_cuts_out_the_matched_kernel(all_records_10k):
-    # the O(f) character evaluated from its definition and glued along the
-    # residues mod f, against the residue set of the matched coefficient
-    # vector, at every field up to 10^4; and its exponent e0 over the first
-    # component character orients the matched cube: T = m*f*w when e0 = 1
-    # and conj(m*f*w) when e0 = 2, for w = (M + 3N*sqrt(-3))/2 and m = (-1)^nu.
-    # The records label by the package's omega_p, the residue sets and the
-    # exponents read at the component generators by the smallest generators
-    for rec in itertools.chain.from_iterable(all_records_10k.values()):
-        cond, r = rec.conductor, rec.representation
-        chi = character_by_definition(cond.value, *factor_rhs(r))
-        kernel = frozenset(a for a, e in chi.items() if e == 0)
-        assert kernel == coset_sets(cond, generator_labels(cond, rec.periods.kernel))[0]
-        at_generators = tuple(chi[g] for g, _ in unit_group(cond).generators)
-        e0 = generator_labels(cond, at_generators)[0]
-        mfw = (-1) ** cond.nu * cond.value * EisensteinInt((r.M + 3 * r.N) // 2, 3 * r.N)
-        assert rec.periods.cube == (mfw if e0 == 1 else mfw.conjugate())
+def orbit_step(rho: int, ell: int) -> int:
+    """rho -> -1/(1 + rho) mod ell, the Galois orbit of the roots of f_n."""
+    return -pow(1 + rho, -1, ell) % ell
+
+
+def assert_periods_from_the_definition(records):
+    """Each record against its periods from their definition, in F_ell
+    (conftest.periods_mod_ell): (i) the period polynomial of its own kernel
+    vector, under the package's omega_p, is rec.period_poly; (ii) with eta_j
+    indexed by the pair's own character, rho_j = (eta_j - offset)/scale are
+    roots of n2*f_n with rho_{j+1} = -1/(1 + rho_j), the paper's relation
+    ordered, in this orientation and not the other (n2*f_n has
+    discriminant f^2 < ell, so its roots stay distinct mod ell); (iii) when
+    f is wild, the product of the periods is -mu mod 3."""
+    for rec in records:
+        cond, sp = rec.conductor, rec.shanks_params
+        where = (cond.value, sp.n1, sp.n2)
+        poly = period_poly_mod_ell(cond, kernel_labels(cond, rec.periods.kernel))
+        assert poly == rec.period_poly, where
+        ell, etas = periods_mod_ell(cond, pair_labels(rec.representation))
+        rhos = [(eta - sp.offset) * pow(sp.scale, -1, ell) % ell for eta in etas]
+        for rho in rhos:
+            assert (((sp.n2 * rho - sp.n1) * rho - sp.n1 - 3 * sp.n2) * rho - sp.n2) % ell == 0
+        forward = [rhos[(j + 1) % 3] == orbit_step(rhos[j], ell) for j in range(3)]
+        backward = [rhos[(j - 1) % 3] == orbit_step(rhos[j], ell) for j in range(3)]
+        assert all(forward) and not all(backward), where
+        if cond.is_wild:
+            assert (centered(math.prod(etas), ell) + cond.mu) % 3 == 0, where
+
+
+def test_periods_from_the_definition_up_to_10k(all_records_10k):
+    assert_periods_from_the_definition(itertools.chain.from_iterable(all_records_10k.values()))
+
+
+def test_periods_from_the_definition_on_seeded_conductors():
+    # two conductors of eight components, 128 fields each, eight seeded
+    # primes = 1 mod 3 in (10^4, 2*10^5] and eight seeded products of two or
+    # three below 2000, every other one times 9: all below 9*10^11, so ell <
+    # 4*10^24 is within conftest.miller_rabin's reach
+    rng = random.Random(53)
+    small = [p for p in range(7, 2000, 6) if is_probable_prime(p)]
+    large = [p for p in range(10_003, 200_000, 6) if is_probable_prime(p)]
+    conductors = [9 * 7 * 13 * 19 * 31 * 37 * 43 * 61, 7 * 13 * 19 * 31 * 37 * 43 * 61 * 67]
+    conductors += [9 ** (k % 2) * p for k, p in enumerate(rng.sample(large, 8))]
+    conductors += [9 ** (k % 2) * math.prod(rng.sample(small, rng.randint(2, 3))) for k in range(8)]
+    for f in conductors:
+        assert_periods_from_the_definition(match_fields(validate_conductor(f)))
+
+
+# What the exact oracle of the periods, and each conftest helper it reaches,
+# must not read: the Gaussian-sum route, closed forms, the pair's character.
+NOT_DEFINITIONS = GAUSS_SUM_ROUTE_NAMES | {
+    "period_poly", "period_poly_formula", "numeric_period_poly", "character_for_representation",
+}
+
+
+def test_the_definition_oracle_reads_no_gaussian_sum_and_no_closed_form():
+    tree = ast.parse(Path(conftest.__file__).read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    names = {"period_poly_mod_ell", "pair_labels", "kernel_labels"}
+    names |= {"gauss_field", "gauss_sum_mod_ell"}
+    reached = set()
+    while names:
+        reached |= names
+        names = {
+            node.id for name in names for node in ast.walk(defs[name]) if isinstance(node, ast.Name)
+        } & defs.keys() - reached
+    assert {"periods_mod_ell", "factor_rhs", "generator", "miller_rabin"} < reached
+    attributes = NOT_DEFINITIONS | GAUSS_SUM_ROUTE_ATTRIBUTES
+    read = names_read(conftest, reached, NOT_DEFINITIONS, attributes)
+    assert not read, sorted(read)
 
 
 def test_records_hold_coefficient_vectors():
@@ -743,16 +726,6 @@ def test_records_hold_coefficient_vectors():
     # 13, not as its phi(819)/3 = 144 residues
     for rec in match_fields(F819):
         assert type(rec.periods.kernel) is tuple and len(rec.periods.kernel) == 3
-
-
-def test_counts_and_bijection_small():
-    for cond in conductors_up_to(1500):
-        reps = representations(cond)
-        kernels = [coset_sets(cond, v)[0] for v in primitive_cubic_kernels(cond)]
-        assert len(reps) == len(kernels)
-        records = match_fields(cond)
-        assert len(records) == len(reps)
-        assert {coset_sets(cond, rec.periods.kernel)[0] for rec in records} == set(kernels)
 
 
 PRIMES_1_MOD_3_BELOW_2E5 = [p for p in range(7, 200_000, 6) if is_probable_prime(p)]
